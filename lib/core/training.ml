@@ -18,6 +18,7 @@ type control = {
   quic : bundle;
   samples : (string * float array list) list;
   degree_hist : (string * int array) list;
+  fingerprint : string;
 }
 
 let vantage_count = 5
@@ -88,6 +89,54 @@ let fit_model_bundle ?(slack = tcp_threshold_slack) labeled =
       standardized
   in
   (model, scaler, thresholds)
+
+(* A content fingerprint of the trained model, for memo-cache keys: two
+   controls that classify identically hash identically, and retraining
+   with different runs/seeds/profiles changes the digest. The scalers and
+   thresholds are a complete proxy for the fitted Gaussians here: they are
+   derived from the same sample statistics the models are. *)
+let digest ~profiles ~tcp ~quic ~degree_hist =
+  let buf = Buffer.create 4096 in
+  let num x = Buffer.add_string buf (Printf.sprintf "%.17g;" x) in
+  let str s =
+    Buffer.add_string buf s;
+    Buffer.add_char buf '|'
+  in
+  let bundle b =
+    Array.iter
+      (fun (mean, std) ->
+        num mean;
+        num std)
+      b.joint_scaler;
+    List.iter
+      (fun (name, threshold) ->
+        str name;
+        num threshold)
+      b.joint_thresholds;
+    List.iter
+      (fun pm ->
+        str pm.profile_name;
+        Array.iter
+          (fun (mean, std) ->
+            num mean;
+            num std)
+          pm.scaler;
+        List.iter
+          (fun (name, threshold) ->
+            str name;
+            num threshold)
+          pm.thresholds)
+      b.per_profile
+  in
+  List.iter (fun (p : Profile.t) -> str p.Profile.name) profiles;
+  bundle tcp;
+  bundle quic;
+  List.iter
+    (fun (name, hist) ->
+      str name;
+      Array.iter (fun c -> num (float_of_int c)) hist)
+    degree_hist;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
 
 type raw = {
   mutable joint_vecs : float array list;
@@ -193,6 +242,12 @@ let train ?(runs_per_cca = 15) ?(quic_runs_per_cca = 8) ?(profiles = Profile.def
   in
   let tcp = build Netsim.Packet.Tcp runs_per_cca in
   let quic = build Netsim.Packet.Quic quic_runs_per_cca in
+  let degree_hist =
+    List.map
+      (fun name ->
+        (name, Option.value ~default:(Array.make 3 0) (Hashtbl.find_opt degree_tally name)))
+      Cca.Registry.loss_based
+  in
   {
     profiles;
     tcp;
@@ -201,63 +256,13 @@ let train ?(runs_per_cca = 15) ?(quic_runs_per_cca = 8) ?(profiles = Profile.def
       List.map
         (fun name -> (name, List.rev (Option.value ~default:[] (Hashtbl.find_opt seg_samples name))))
         Cca.Registry.loss_based;
-    degree_hist =
-      List.map
-        (fun name ->
-          (name, Option.value ~default:(Array.make 3 0) (Hashtbl.find_opt degree_tally name)))
-        Cca.Registry.loss_based;
+    degree_hist;
+    fingerprint = digest ~profiles ~tcp ~quic ~degree_hist;
   }
 
 let cached = lazy (train ())
 let default () = Lazy.force cached
-
-(* A content fingerprint of the trained model, for memo-cache keys: two
-   controls that classify identically hash identically, and retraining
-   with different runs/seeds/profiles changes the digest. The scalers and
-   thresholds are a complete proxy for the fitted Gaussians here: they are
-   derived from the same sample statistics the models are. *)
-let fingerprint control =
-  let buf = Buffer.create 4096 in
-  let num x = Buffer.add_string buf (Printf.sprintf "%.17g;" x) in
-  let str s =
-    Buffer.add_string buf s;
-    Buffer.add_char buf '|'
-  in
-  let bundle b =
-    Array.iter
-      (fun (mean, std) ->
-        num mean;
-        num std)
-      b.joint_scaler;
-    List.iter
-      (fun (name, threshold) ->
-        str name;
-        num threshold)
-      b.joint_thresholds;
-    List.iter
-      (fun pm ->
-        str pm.profile_name;
-        Array.iter
-          (fun (mean, std) ->
-            num mean;
-            num std)
-          pm.scaler;
-        List.iter
-          (fun (name, threshold) ->
-            str name;
-            num threshold)
-          pm.thresholds)
-      b.per_profile
-  in
-  List.iter (fun (p : Profile.t) -> str p.Profile.name) control.profiles;
-  bundle control.tcp;
-  bundle control.quic;
-  List.iter
-    (fun (name, hist) ->
-      str name;
-      Array.iter (fun c -> num (float_of_int c)) hist)
-    control.degree_hist;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+let fingerprint control = control.fingerprint
 
 let dominant_degree control cca =
   match List.assoc_opt cca control.degree_hist with

@@ -28,7 +28,7 @@ type bundle = {
       (** single-profile fallback models, same order as [profiles] *)
 }
 
-type control = {
+type control = private {
   profiles : Profile.t list;  (** profile order used for concatenation *)
   tcp : bundle;
   quic : bundle;
@@ -36,7 +36,11 @@ type control = {
       (** raw per-segment feature vectors per CCA (Figure 7 / Table 2) *)
   degree_hist : (string * int array) list;
       (** per CCA: counts of best-fit degree 1, 2, 3 (Table 2) *)
+  fingerprint : string;  (** see {!fingerprint} *)
 }
+(** A trained control. The type is private: every control comes from
+    {!train}, so no code can build one, or [with]-update one, and leave
+    its fingerprint stale. *)
 
 val vantage_count : int
 (** 5, matching the paper's Ohio/Paris/Mumbai/Singapore/Sao-Paulo set. *)
@@ -69,7 +73,9 @@ val fingerprint : control -> string
     scalers, per-class thresholds, degree histograms) — the
     control-version component of measurement memo-cache keys: retraining
     with different data changes the digest, re-deriving the same control
-    does not. *)
+    does not. {!train} computes it once (an MD5 over the model's numbers
+    printed with [%.17g]) and stores it in the control, so this is a
+    field read: a per-site cache key costs one [sprintf]. *)
 
 val apply_scaler : (float * float) array -> float array -> float array
 

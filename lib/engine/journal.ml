@@ -22,13 +22,15 @@ let crc_table =
          done;
          !c))
 
-let crc32 s =
+let crc32_sub s off len =
   let table = Lazy.force crc_table in
   let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
-    s;
+  for i = off to off + len - 1 do
+    c := table.((!c lxor Char.code (String.get s i)) land 0xff) lxor (!c lsr 8)
+  done;
   !c lxor 0xFFFFFFFF
+
+let crc32 s = crc32_sub s 0 (String.length s)
 
 let header_line =
   Obs.Json.to_string
@@ -77,29 +79,28 @@ let with_lock t f =
 let path t = t.path
 let torn_dropped t = t.torn
 
+(* Bounded: FIFO by first entry into the cache. Only keys new to the
+   cache are queued, so the queue always holds exactly the cached keys
+   and its length is bounded by max_entries, not by the number of puts;
+   a re-put only replaces the value. *)
 let cache_add t key value =
   match t.max_entries with
   | None -> Hashtbl.replace t.cache key value
   | Some m ->
-    let m = max 1 m in
+    if not (Hashtbl.mem t.cache key) then Queue.push key t.cache_order;
     Hashtbl.replace t.cache key value;
-    Queue.push key t.cache_order;
-    while Hashtbl.length t.cache > m && not (Queue.is_empty t.cache_order) do
-      (* FIFO with possible duplicate queue entries: evicting a key that
-         was re-put recently only costs a disk re-read later, never
-         correctness *)
+    if Hashtbl.length t.cache > max 1 m then
       Hashtbl.remove t.cache (Queue.pop t.cache_order)
-    done
 
-(* hex frame check: 8 lowercase hex digits, a space, then the payload *)
-let parse_frame line =
-  let n = String.length line in
-  if n < 10 || line.[8] <> ' ' then None
+(* hex frame check on the [n]-byte line at [off] of [s]: 8 lowercase hex
+   digits, a space, then the payload *)
+let parse_frame s off n =
+  if n < 10 || s.[off + 8] <> ' ' then None
   else
-    match int_of_string ("0x" ^ String.sub line 0 8) with
+    match int_of_string ("0x" ^ String.sub s off 8) with
     | crc ->
-      let payload = String.sub line 9 (n - 9) in
-      if crc = crc32 payload then Some payload else None
+      if crc = crc32_sub s (off + 9) (n - 9) then Some (String.sub s (off + 9) (n - 9))
+      else None
     | exception _ -> None
 
 let write_all path content =
@@ -167,10 +168,12 @@ let open_ ?max_entries ?(on_warning = fun msg -> Printf.eprintf "%s\n%!" msg) pa
       match String.index_from_opt text !pos '\n' with
       | None -> torn := true (* no trailing newline: the write was cut mid-record *)
       | Some nl -> (
-        let line = String.sub text !pos (nl - !pos) in
-        match Option.map parse_payload (parse_frame line) with
-        | Some (key, _) ->
-          Hashtbl.replace t.index key (!pos + 9, String.length line - 9);
+        match Option.map parse_payload (parse_frame text !pos (nl - !pos)) with
+        | Some (key, value) ->
+          Hashtbl.replace t.index key (!pos + 9, nl - !pos - 9);
+          (* the frame's CRC was just checked; keep the value so reads
+             need not go back to disk (later records win, as in put) *)
+          cache_add t key value;
           pos := nl + 1;
           good_end := !pos
         | None | (exception Obs.Json.Parse_error _) -> torn := true)
@@ -213,7 +216,7 @@ let read_from_disk t key off len =
         seek_in ic (off - 9);
         really_input_string ic (len + 9))
   in
-  match Option.map parse_payload (parse_frame line) with
+  match Option.map parse_payload (parse_frame line 0 (len + 9)) with
   | Some (k, v) when k = key -> v
   | _ -> failwith (Printf.sprintf "journal %s: record for %S is corrupt on disk" t.path key)
 

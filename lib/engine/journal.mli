@@ -27,8 +27,11 @@
 
     Memory stays flat under [?max_entries]: the full key index (key ->
     byte offset) is always in memory, but record values are held in a
-    bounded cache with FIFO eviction and re-read (and re-CRC-checked)
-    from disk on a miss.
+    bounded cache with FIFO eviction. {!open_} fills that cache from the
+    values its replay has just parsed and CRC-checked (the latest record
+    per key, up to [max_entries] keys), so reads after a reopen are served
+    from memory like reads after a [put]. A miss re-reads the record from
+    disk and re-checks its CRC.
 
     Handles are domain-safe behind an internal mutex, like [Memo]. *)
 

@@ -130,11 +130,20 @@ let parse_string c =
     c.pos <- c.pos + 4;
     int_of_string ("0x" ^ hex)
   in
+  (* copy each run of plain bytes in one go, stopping at a quote or an
+     escape *)
+  let rec plain_end i =
+    if i >= String.length c.src then i
+    else match c.src.[i] with '"' | '\\' -> i | _ -> plain_end (i + 1)
+  in
   let rec go () =
+    let stop = plain_end c.pos in
+    Buffer.add_substring buf c.src c.pos (stop - c.pos);
+    c.pos <- stop;
     match peek c with
     | None -> fail c "unterminated string"
     | Some '"' -> c.pos <- c.pos + 1
-    | Some '\\' ->
+    | Some _ (* a backslash *) ->
       c.pos <- c.pos + 1;
       (match peek c with
       | Some 'n' -> Buffer.add_char buf '\n'
@@ -167,10 +176,6 @@ let parse_string c =
         else add_utf8 buf code
       | Some ch -> Buffer.add_char buf ch
       | None -> fail c "unterminated escape");
-      c.pos <- c.pos + 1;
-      go ()
-    | Some ch ->
-      Buffer.add_char buf ch;
       c.pos <- c.pos + 1;
       go ()
   in

@@ -68,6 +68,7 @@ type summary = {
 
 type job = {
   site : Internet.Website.t;
+  key : string;  (* journal key: epoch_key epoch (cache_key site) *)
   epoch : int;
   timeouts_so_far : int;
   prio : int;
@@ -79,8 +80,8 @@ let armed_incr name = if Obs.Runtime.armed () then Obs.Metrics.incr (Obs.Metrics
 let flight ~epoch ~event ~value =
   Obs.Flight.serve ~time:(float_of_int epoch) ~event ~value
 
-let epoch_key ~control ~proto ~region ~epoch site =
-  Printf.sprintf "e%d|%s" epoch (Internet.Census.cache_key ~control ~proto ~region site)
+(* [base] is the site's Census.cache_key, computed once per site-epoch *)
+let epoch_key epoch base = "e" ^ string_of_int epoch ^ "|" ^ base
 
 let snapshot_key epoch = Printf.sprintf "snapshot|e%d" epoch
 
@@ -249,9 +250,7 @@ let process_batch st ~control =
   in
   List.iter
     (fun (job, report, elapsed) ->
-      let key =
-        epoch_key ~control ~proto:cfg.proto ~region:cfg.region ~epoch:job.epoch job.site
-      in
+      let key = job.key in
       if elapsed > cfg.deadline_s then begin
         (* hung measurement: route through the typed Timeout retry path *)
         st.timeouts <- st.timeouts + 1;
@@ -297,9 +296,15 @@ let rec admit st ~control ~prio job =
 let run_epoch st ~control ~websites epoch =
   let cfg = st.cfg in
   st.epoch_now <- epoch;
+  let keyed =
+    List.map
+      (fun site ->
+        (site, Internet.Census.cache_key ~control ~proto:cfg.proto ~region:cfg.region site))
+      websites
+  in
   List.iter
-    (fun site ->
-      let key = epoch_key ~control ~proto:cfg.proto ~region:cfg.region ~epoch site in
+    (fun (site, base) ->
+      let key = epoch_key epoch base in
       if Engine.Journal.mem st.store key then begin
         (* already durable: a previous (possibly killed) run measured it *)
         st.recovered <- st.recovered + 1;
@@ -307,20 +312,17 @@ let run_epoch st ~control ~websites epoch =
         flight ~epoch ~event:"recovered" ~value:(float_of_int site.Internet.Website.rank)
       end
       else
-        let job = { site; epoch; timeouts_so_far = 0; prio = 1; admitted_at = 0 } in
+        let job = { site; key; epoch; timeouts_so_far = 0; prio = 1; admitted_at = 0 } in
         if epoch = 0 then admit st ~control ~prio:1 job
         else
-          let prev_key =
-            epoch_key ~control ~proto:cfg.proto ~region:cfg.region ~epoch:(epoch - 1) site
-          in
-          match Engine.Journal.find st.store prev_key with
+          match Engine.Journal.find st.store (epoch_key (epoch - 1) base) with
           | Some prev when not (decayed cfg prev) ->
             (* stable verdict: carry it forward instead of re-measuring *)
             st.carried <- st.carried + 1;
             armed_incr "serve.carried";
             commit st ~key ~value:prev
           | Some _ | None -> admit st ~control ~prio:0 job)
-    websites;
+    keyed;
   while Job_queue.depth st.queue > 0 do
     process_batch st ~control
   done;
@@ -328,11 +330,7 @@ let run_epoch st ~control ~websites epoch =
      Census_history snapshot (once) and a drift-ledger point (always —
      a resumed run rebuilds the same points from the same records) *)
   let values =
-    List.filter_map
-      (fun site ->
-        Engine.Journal.find st.store
-          (epoch_key ~control ~proto:cfg.proto ~region:cfg.region ~epoch site))
-      websites
+    List.filter_map (fun (_, base) -> Engine.Journal.find st.store (epoch_key epoch base)) keyed
   in
   let skey = snapshot_key epoch in
   if not (Engine.Journal.mem st.store skey) then begin

@@ -156,6 +156,105 @@ let test_journal_bounded_cache () =
       | () -> Alcotest.fail "put after close must fail"
       | exception Failure _ -> ())
 
+let test_journal_reopen_last_write_wins () =
+  with_store (fun path ->
+      let j = Engine.Journal.open_ path in
+      Engine.Journal.put j ~key:"a" ~value:"1";
+      Engine.Journal.put j ~key:"b" ~value:"2";
+      Engine.Journal.put j ~key:"a" ~value:"11";
+      Engine.Journal.put j ~key:"b" ~value:"22";
+      Engine.Journal.put j ~key:"a" ~value:"111";
+      Engine.Journal.close j;
+      let j = Engine.Journal.open_ path in
+      Alcotest.(check (option string)) "a: latest of three" (Some "111")
+        (Engine.Journal.find j "a");
+      Alcotest.(check (option string)) "b: latest of two" (Some "22")
+        (Engine.Journal.find j "b");
+      Engine.Journal.put j ~key:"b" ~value:"222";
+      Engine.Journal.close j;
+      append path "0badc0de {\"key\":\"b\",\"val";
+      let j = Engine.Journal.open_ ~on_warning:ignore path in
+      Alcotest.(check int) "torn tail dropped" 1 (Engine.Journal.torn_dropped j);
+      Alcotest.(check (option string)) "a after repair" (Some "111")
+        (Engine.Journal.find j "a");
+      Alcotest.(check (option string)) "b after repair: last good record" (Some "222")
+        (Engine.Journal.find j "b");
+      Engine.Journal.close j)
+
+let test_journal_bounded_miss_rechecks_crc () =
+  with_store (fun path ->
+      let j = Engine.Journal.open_ path in
+      List.iter
+        (fun i ->
+          Engine.Journal.put j ~key:(Printf.sprintf "k%d" i) ~value:(Printf.sprintf "v%d" i))
+        [ 1; 2; 3 ];
+      Engine.Journal.close j;
+      (* the replay caches k1, k2, then k3 evicts k1 *)
+      let j = Engine.Journal.open_ ~max_entries:2 path in
+      let text = read_file path in
+      let needle = "\"value\":\"v1\"" in
+      let n = String.length needle in
+      let rec find_at i =
+        if String.sub text i n = needle then i else find_at (i + 1)
+      in
+      let at = find_at 0 in
+      (* same length, so the index still points at the record *)
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc
+            (String.sub text 0 at ^ "\"value\":\"x1\""
+            ^ String.sub text (at + n) (String.length text - at - n)));
+      Alcotest.(check (option string)) "a cached record is served" (Some "v3")
+        (Engine.Journal.find j "k3");
+      (match Engine.Journal.find j "k1" with
+      | _ -> Alcotest.fail "a miss must re-check the CRC on disk"
+      | exception Failure msg ->
+        Alcotest.(check bool) "corrupt on disk" true
+          (contains ~needle:"corrupt on disk" msg));
+      Engine.Journal.close j)
+
+let test_journal_bounded_reput () =
+  with_store (fun path ->
+      let j = Engine.Journal.open_ ~max_entries:2 path in
+      Engine.Journal.put j ~key:"other" ~value:"o";
+      for i = 1 to 10_000 do
+        Engine.Journal.put j ~key:"hot" ~value:(string_of_int i);
+        if i mod 1000 = 0 then
+          Alcotest.(check (option string))
+            (Printf.sprintf "hot after %d puts" i)
+            (Some (string_of_int i))
+            (Engine.Journal.find j "hot")
+      done;
+      Engine.Journal.put j ~key:"third" ~value:"t";
+      Alcotest.(check (option string)) "hot survives the next key" (Some "10000")
+        (Engine.Journal.find j "hot");
+      Alcotest.(check (option string)) "other" (Some "o") (Engine.Journal.find j "other");
+      Alcotest.(check (option string)) "third" (Some "t") (Engine.Journal.find j "third");
+      Engine.Journal.close j;
+      let j = Engine.Journal.open_ ~max_entries:2 path in
+      Alcotest.(check (list (pair string string))) "reopened values"
+        [ ("hot", "10000"); ("other", "o"); ("third", "t") ]
+        (List.rev (Engine.Journal.fold (fun k v acc -> (k, v) :: acc) j []));
+      Engine.Journal.close j)
+
+(* ---- cache keys ---- *)
+
+(* Persisted stores are keyed by these bytes: changing the fingerprint or
+   the key layout would orphan every verdict already on disk. *)
+let test_cache_key_bytes_pinned () =
+  let c = Lazy.force control in
+  let fp = "1173c26df149fb086d46176ad16a7d94" in
+  Alcotest.(check string) "fingerprint" fp (Nebby.Training.fingerprint c);
+  let site = List.hd (Internet.Population.generate ~n:3 ~seed:7 ()) in
+  Alcotest.(check string) "cache key"
+    ("1:site-00001.example|Ohio|tcp|" ^ fp)
+    (Internet.Census.cache_key ~control:c ~proto ~region site);
+  let again = Nebby.Training.train ~runs_per_cca:3 ~quic_runs_per_cca:2 ~seed:11 () in
+  Alcotest.(check string) "equal arguments, equal fingerprint" fp
+    (Nebby.Training.fingerprint again);
+  let reseeded = Nebby.Training.train ~runs_per_cca:3 ~quic_runs_per_cca:2 ~seed:12 () in
+  Alcotest.(check bool) "another seed, another fingerprint" true
+    (Nebby.Training.fingerprint reseeded <> fp)
+
 (* ---- job queue ---- *)
 
 let test_queue_backpressure () =
@@ -543,6 +642,14 @@ let suite =
       test_journal_compaction_deterministic;
     Alcotest.test_case "journal bounded cache re-reads from disk" `Quick
       test_journal_bounded_cache;
+    Alcotest.test_case "journal reopen keeps last write per key" `Quick
+      test_journal_reopen_last_write_wins;
+    Alcotest.test_case "journal bounded miss re-checks the CRC" `Quick
+      test_journal_bounded_miss_rechecks_crc;
+    Alcotest.test_case "journal bounded re-put keeps values" `Quick
+      test_journal_bounded_reput;
+    Alcotest.test_case "cache key and fingerprint bytes pinned" `Slow
+      test_cache_key_bytes_pinned;
     Alcotest.test_case "queue backpressure and close semantics" `Quick
       test_queue_backpressure;
     Alcotest.test_case "queue priorities pop urgent first" `Quick test_queue_priorities;

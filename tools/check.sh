@@ -289,6 +289,9 @@ if "$cli" $serve --store "$serve_tmp/crash.journal" \
 fi
 # a SIGKILL can also land mid-write: leave a torn half-record by hand
 printf 'deadbeef {"key":"torn' >> "$serve_tmp/crash.journal"
+# a second copy of the crashed store resumes below with a 2-entry value
+# cache, so the bounded cache filled at open is held to the same bytes
+cp "$serve_tmp/crash.journal" "$serve_tmp/crash_bounded.journal"
 "$cli" $serve --store "$serve_tmp/crash.journal" \
   2>"$serve_tmp/resume.err" >/dev/null || {
   cat "$serve_tmp/resume.err" >&2
@@ -304,7 +307,18 @@ if ! cmp -s "$serve_tmp/ref.journal" "$serve_tmp/crash.journal"; then
   echo "check.sh: resumed store diverged from the uninterrupted run" >&2
   exit 1
 fi
-echo "(killed after ${kill_after} commits; resumed store byte-identical)"
+"$cli" $serve --max-entries 2 --store "$serve_tmp/crash_bounded.journal" \
+  2>"$serve_tmp/resume_bounded.err" >/dev/null || {
+  cat "$serve_tmp/resume_bounded.err" >&2
+  echo "check.sh: resumed serve run with --max-entries 2 exited non-zero" >&2
+  exit 1
+}
+if ! cmp -s "$serve_tmp/ref.journal" "$serve_tmp/crash_bounded.journal"; then
+  cmp "$serve_tmp/ref.journal" "$serve_tmp/crash_bounded.journal" || true
+  echo "check.sh: store resumed with --max-entries 2 diverged from the uninterrupted run" >&2
+  exit 1
+fi
+echo "(killed after ${kill_after} commits; resumed store byte-identical, also with --max-entries 2)"
 
 echo "== serve compaction determinism gate (compact twice, byte-identical) =="
 "$cli" serve --compact-only --store "$serve_tmp/ref.journal" >/dev/null || {
