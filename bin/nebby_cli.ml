@@ -15,6 +15,26 @@ let exit_unclassified = 1
 let exit_usage = 2
 let exit_internal = 3
 
+let version_mismatch_message ~kind ~expected ~got =
+  Printf.sprintf
+    "%s schema version mismatch (expected %d, got %d); regenerate it with this binary" kind
+    expected got
+
+(* The one mapping from an on-disk read failure to an exit code: a schema
+   skew, malformed bytes or an unreadable path is a usage error, reported
+   as one stderr line. [file] names the input in parse errors. *)
+let or_exit_2 ?file cmd f =
+  let fail msg =
+    Printf.eprintf "nebby %s: %s\n" cmd msg;
+    exit_usage
+  in
+  try f () with
+  | Obs.Versioned.Version_mismatch { kind; expected; got } ->
+    fail (version_mismatch_message ~kind ~expected ~got)
+  | Obs.Json.Parse_error msg ->
+    fail (match file with Some file -> file ^ ": " ^ msg | None -> msg)
+  | Sys_error msg -> fail msg
+
 let cca_arg =
   let doc = "Target server's CCA (a registry name, e.g. cubic, bbr, akamai_cc)." in
   Arg.(value & opt string "cubic" & info [ "cca" ] ~docv:"CCA" ~doc)
@@ -180,23 +200,12 @@ let write_provenance_jsonl path reports =
 (* Golden-fixture replay, shared by `explain` and `report`: parse the
    committed observation lists back into traces and re-run the
    preparation pipeline on them. *)
-let jfail what = raise (Obs.Json.Parse_error ("fixture: " ^ what))
-
-let jfloat j =
-  match Obs.Json.to_float j with Some x -> x | None -> jfail "expected a number"
-
-let jstr j = match Obs.Json.to_str j with Some s -> s | None -> jfail "expected a string"
-
-let jlist j =
-  match Obs.Json.to_list j with Some l -> l | None -> jfail "expected an array"
-
-let jmember key j =
-  match Obs.Json.member key j with
-  | Some v -> v
-  | None -> jfail (Printf.sprintf "missing field %S" key)
+let jfloat = Obs.Json.num "fixture"
+let get_str = Obs.Json.get_str "fixture"
+let get_arr = Obs.Json.get_arr "fixture"
 
 let obs_of_json j =
-  match jlist j with
+  match Obs.Json.arr "fixture" j with
   | time :: dir :: size :: rest ->
     let dir =
       if jfloat dir = 0.0 then Netsim.Packet.To_client else Netsim.Packet.To_server
@@ -212,24 +221,24 @@ let obs_of_json j =
             ack = int_of_float (jfloat ack);
             is_ack = jfloat is_ack <> 0.0;
           }
-      | _ -> jfail "observation has neither 3 nor 7 fields"
+      | _ -> Obs.Json.shape_error "fixture" "observation has neither 3 nor 7 fields"
     in
     { Netsim.Trace.time = jfloat time; dir; size = int_of_float (jfloat size); view }
-  | _ -> jfail "observation too short"
+  | _ -> Obs.Json.shape_error "fixture" "observation too short"
 
 (* (cca, [(profile, bif estimate, prepared pipeline)]) of a fixture *)
 let fixture_entries fixture =
-  let cca = jstr (jmember "cca" fixture) in
+  let cca = get_str "cca" fixture in
   let entries =
     List.map
       (fun t ->
-        let profile = jstr (jmember "profile" t) in
-        let rtt = jfloat (jmember "rtt" t) in
-        let obs = List.map obs_of_json (jlist (jmember "obs" t)) in
+        let profile = get_str "profile" t in
+        let rtt = Obs.Json.get_num "fixture" "rtt" t in
+        let obs = List.map obs_of_json (get_arr "obs" t) in
         let trace = Netsim.Trace.of_observations obs in
         let bif = Nebby.Bif.estimate trace in
         (profile, bif, Nebby.Pipeline.prepare ~rtt bif))
-      (jlist (jmember "traces" fixture))
+      (get_arr "traces" fixture)
   in
   (cca, entries)
 
@@ -664,9 +673,9 @@ let fuzz_cmd =
           (fun file ->
             let path = Filename.concat dir file in
             match Search.Fixture.load path with
-            | exception Search.Fixture.Version_mismatch { expected; got } ->
-              Printf.eprintf "nebby fuzz: %s: fixture schema v%d, this build reads v%d\n"
-                path got expected;
+            | exception Obs.Versioned.Version_mismatch { kind; expected; got } ->
+              Printf.eprintf "nebby fuzz: %s: %s\n" path
+                (version_mismatch_message ~kind ~expected ~got);
               incr broken
             | Error e ->
               Printf.eprintf "nebby fuzz: %s: %s\n" path e;
@@ -880,7 +889,7 @@ let explain_cmd =
         provenance;
       code
     in
-    try
+    or_exit_2 ~file:target "explain" (fun () ->
       with_profiling ~prof ~folded ~json:prof_json (fun () ->
           if Sys.file_exists target then
             match reports_of_file ~control target with
@@ -937,20 +946,7 @@ let explain_cmd =
                   (* an unresponsive site has no verdict to explain *)
                   Printf.printf "verdict   %s (no provenance: site did not respond)\n"
                     report.Nebby.Measurement.label;
-                  exit_ok)))
-    with
-    | Obs.Provenance.Version_mismatch { expected; got } ->
-      Printf.eprintf
-        "nebby explain: provenance schema version mismatch (expected %d, got %d); \
-         regenerate the reports with this binary\n"
-        expected got;
-      exit_usage
-    | Obs.Json.Parse_error msg ->
-      Printf.eprintf "nebby explain: %s: %s\n" target msg;
-      exit_usage
-    | Sys_error msg ->
-      Printf.eprintf "nebby explain: %s\n" msg;
-      exit_usage
+                  exit_ok))))
   in
   let doc =
     "Show the decision provenance of a classification: candidate scores, winning margin, \
@@ -1058,7 +1054,7 @@ let report_cmd =
         Printf.printf "report: %s\n" path);
       exit_ok
     in
-    try
+    or_exit_2 ~file:target "report" (fun () ->
       if Sys.file_exists target then begin
         let text = In_channel.with_open_bin target In_channel.input_all in
         (* pool-trace JSONL headers self-identify; route them to the
@@ -1148,31 +1144,7 @@ let report_cmd =
         Printf.eprintf
           "nebby report: %s is not a file, a flight dump, or a CCA registry name\n" target;
         exit_usage
-      end
-    with
-    | Obs.Flight.Version_mismatch { expected; got } ->
-      Printf.eprintf
-        "nebby report: flight-dump schema version mismatch (expected %d, got %d); \
-         regenerate the dump with this binary\n"
-        expected got;
-      exit_usage
-    | Obs.Provenance.Version_mismatch { expected; got } ->
-      Printf.eprintf
-        "nebby report: provenance schema version mismatch (expected %d, got %d)\n" expected
-        got;
-      exit_usage
-    | Obs.Pooltrace.Version_mismatch { expected; got } ->
-      Printf.eprintf
-        "nebby report: pool-trace schema version mismatch (expected %d, got %d); \
-         regenerate the trace with this binary\n"
-        expected got;
-      exit_usage
-    | Obs.Json.Parse_error msg ->
-      Printf.eprintf "nebby report: %s: %s\n" target msg;
-      exit_usage
-    | Sys_error msg ->
-      Printf.eprintf "nebby report: %s\n" msg;
-      exit_usage
+      end)
   in
   let doc =
     "Render a self-contained HTML measurement report (BiF timeline with anomaly \
@@ -1342,7 +1314,7 @@ let campaign_cmd =
       summary_path html_path from bench_json no_gates pool_trace_file drift_store
       accuracy_floor ci_ceiling =
     Obs.Runtime.set_level log_level;
-    try
+    or_exit_2 "campaign" (fun () ->
       match Internet.Campaign_runner.experiment_of_name experiment with
       | Error msg when from = None ->
         Printf.eprintf "nebby campaign: %s\n" msg;
@@ -1442,32 +1414,7 @@ let campaign_cmd =
                         r.Obs.Campaign.gate.Obs.Campaign.gate_name)
                       failed));
               exit_unclassified
-            end))
-    with
-    | Obs.Campaign.Version_mismatch { expected; got } ->
-      Printf.eprintf
-        "nebby campaign: store schema version mismatch (expected %d, got %d); regenerate \
-         the store with this binary\n"
-        expected got;
-      exit_usage
-    | Obs.Pooltrace.Version_mismatch { expected; got } ->
-      Printf.eprintf
-        "nebby campaign: pool-trace schema version mismatch (expected %d, got %d); \
-         regenerate the trace with this binary\n"
-        expected got;
-      exit_usage
-    | Engine.Journal.Version_mismatch { expected; got } ->
-      Printf.eprintf
-        "nebby campaign: drift-store schema version mismatch (expected %d, got %d); \
-         regenerate the store with this binary\n"
-        expected got;
-      exit_usage
-    | Obs.Json.Parse_error msg ->
-      Printf.eprintf "nebby campaign: %s\n" msg;
-      exit_usage
-    | Sys_error msg ->
-      Printf.eprintf "nebby campaign: %s\n" msg;
-      exit_usage
+            end)))
   in
   let doc =
     "Fan an experiment across many seeds, aggregate per-cell statistics (mean, stddev, \
@@ -1610,31 +1557,19 @@ let serve_cmd =
       max_entries confidence_floor margin_floor kill compact_only status_file migrate
       alerts alert_log telemetry log_level =
     Obs.Runtime.set_level log_level;
-    let on_version_mismatch expected got =
-      Printf.eprintf
-        "nebby serve: store schema version mismatch (expected %d, got %d); move the old \
-         store aside or regenerate it with this binary\n"
-        expected got;
-      exit_usage
-    in
-    if compact_only then (
-      try
+    or_exit_2 "serve" (fun () ->
+      if compact_only then begin
         let live = Serve.Service.compact_store ~store in
         Printf.printf "compacted  : %s (%d live record(s))\n" store live;
         exit_ok
-      with
-      | Engine.Journal.Version_mismatch { expected; got } -> on_version_mismatch expected got
-      | Obs.Json.Parse_error msg ->
-        Printf.eprintf "nebby serve: %s\n" msg;
-        exit_usage)
-    else
+      end
+      else
       match List.find_opt (fun r -> Internet.Region.name r = region) Internet.Region.all with
       | None ->
         Printf.eprintf "nebby serve: unknown region %s (expected one of %s)\n" region
           (String.concat ", " (List.map Internet.Region.name Internet.Region.all));
         exit_usage
       | Some region -> (
-        try
           let migration =
             match migrate with
             | None -> None
@@ -1703,19 +1638,7 @@ let serve_cmd =
           else Printf.printf "drift evts : %d\n" summary.drift_events;
           Option.iter (Printf.printf "status     : %s (+ .prom)\n") status_file;
           Option.iter (Printf.printf "telemetry  : %s\n") telemetry;
-          exit_ok
-        with
-        | Engine.Journal.Version_mismatch { expected; got } ->
-          on_version_mismatch expected got
-        | Serve.Alerts.Version_mismatch { expected; got } ->
-          Printf.eprintf
-            "nebby serve: alert-rules schema version mismatch (expected %d, got %d); \
-             regenerate the rules file for this binary\n"
-            expected got;
-          exit_usage
-        | Obs.Json.Parse_error msg | Sys_error msg ->
-          Printf.eprintf "nebby serve: %s\n" msg;
-          exit_usage)
+          exit_ok))
   in
   let doc =
     "Run the crash-safe continuous census: measure the population onto a durable \
@@ -1766,7 +1689,7 @@ let drift_cmd =
     Arg.(value & opt (some string) None & info [ "alert-out" ] ~docv:"FILE" ~doc)
   in
   let run store out html_path rules alert_log alert_out =
-    try
+    or_exit_2 "drift" (fun () ->
       let ledger = Serve.Observatory.ledger_of_store ~store in
       let events = Obs.Drift.detect ledger in
       write_file out (Obs.Json.to_string (Obs.Drift.to_json ledger) ^ "\n");
@@ -1774,12 +1697,7 @@ let drift_cmd =
          offline, per epoch, exactly as the daemon would have *)
       let transitions =
         match (alert_log, rules) with
-        | Some path, _ ->
-          In_channel.with_open_bin path In_channel.input_all
-          |> String.split_on_char '\n'
-          |> List.filter_map (fun l ->
-                 if l = "" then None
-                 else Some (Serve.Alerts.transition_of_json (Obs.Json.of_string l)))
+        | Some path, _ -> Serve.Alerts.read_log path
         | None, Some path ->
           let engine = Serve.Alerts.create (Serve.Alerts.load_rules path) in
           List.concat_map
@@ -1795,13 +1713,7 @@ let drift_cmd =
         | None, None -> []
       in
       (match (alert_out, rules) with
-      | Some path, Some _ ->
-        write_file path
-          (String.concat ""
-             (List.map
-                (fun tr ->
-                  Obs.Json.to_string (Serve.Alerts.transition_to_json tr) ^ "\n")
-                transitions))
+      | Some path, Some _ -> Serve.Alerts.write_log path transitions
       | _ -> ());
       let alerts =
         List.map
@@ -1837,27 +1749,7 @@ let drift_cmd =
              (List.sort_uniq compare (List.map (fun t -> t.Serve.Alerts.rule) fires)));
         exit_unclassified
       end
-      else exit_ok
-    with
-    | Engine.Journal.Version_mismatch { expected; got } ->
-      Printf.eprintf
-        "nebby drift: store schema version mismatch (expected %d, got %d); regenerate \
-         the store with this binary\n"
-        expected got;
-      exit_usage
-    | Serve.Alerts.Version_mismatch { expected; got } ->
-      Printf.eprintf
-        "nebby drift: alert schema version mismatch (expected %d, got %d); regenerate \
-         the rules/log with this binary\n"
-        expected got;
-      exit_usage
-    | Obs.Drift.Version_mismatch { expected; got } ->
-      Printf.eprintf
-        "nebby drift: ledger schema version mismatch (expected %d, got %d)\n" expected got;
-      exit_usage
-    | Obs.Json.Parse_error msg | Sys_error msg ->
-      Printf.eprintf "nebby drift: %s\n" msg;
-      exit_usage
+      else exit_ok)
   in
   let doc =
     "Deployment-drift observatory: fold a serve store's per-epoch verdicts into a \
@@ -1910,57 +1802,25 @@ let stats_cmd =
     Arg.(value & opt (some string) None & info [ "drift" ] ~docv:"STORE" ~doc)
   in
   let run file live pool chrome drift =
+    or_exit_2 "stats" (fun () ->
     match (live, pool, drift) with
-    | _, _, Some store -> (
-      try
-        let ledger = Serve.Observatory.ledger_of_store ~store in
-        print_string (Obs.Drift.render ledger (Obs.Drift.detect ledger));
-        exit_ok
-      with
-      | Engine.Journal.Version_mismatch { expected; got } ->
-        Printf.eprintf
-          "nebby stats: store schema version mismatch (expected %d, got %d); regenerate \
-           the store with this binary\n"
-          expected got;
-        exit_usage
-      | Obs.Json.Parse_error msg | Sys_error msg ->
-        Printf.eprintf "nebby stats: %s\n" msg;
-        exit_usage)
-    | Some status_path, _, None -> (
-      try
-        print_string (Serve.Health.render (Serve.Health.read status_path));
-        exit_ok
-      with
-      | Serve.Health.Version_mismatch { expected; got } ->
-        Printf.eprintf
-          "nebby stats: status schema version mismatch (expected %d, got %d); the daemon \
-           writing it is a different binary\n"
-          expected got;
-        exit_usage
-      | Obs.Json.Parse_error msg | Sys_error msg ->
-        Printf.eprintf "nebby stats: %s\n" msg;
-        exit_usage)
-    | None, Some trace_path, None -> (
-      try
-        let text = In_channel.with_open_bin trace_path In_channel.input_all in
-        let trace = Obs.Pooltrace.of_string text in
-        print_string (Obs.Pooltrace.report trace);
-        Option.iter
-          (fun out ->
-            write_file out (Obs.Pooltrace.to_chrome_string trace);
-            Printf.printf "\nchrome trace: %s\n" out)
-          chrome;
-        exit_ok
-      with
-      | Obs.Pooltrace.Version_mismatch { expected; got } ->
-        Printf.eprintf
-          "nebby stats: pool-trace schema version mismatch (expected %d, got %d); \
-           regenerate the trace with this binary\n"
-          expected got;
-        exit_usage
-      | Obs.Json.Parse_error msg | Sys_error msg ->
-        Printf.eprintf "nebby stats: %s\n" msg;
-        exit_usage)
+    | _, _, Some store ->
+      let ledger = Serve.Observatory.ledger_of_store ~store in
+      print_string (Obs.Drift.render ledger (Obs.Drift.detect ledger));
+      exit_ok
+    | Some status_path, _, None ->
+      print_string (Serve.Health.render (Serve.Health.read status_path));
+      exit_ok
+    | None, Some trace_path, None ->
+      let text = In_channel.with_open_bin trace_path In_channel.input_all in
+      let trace = Obs.Pooltrace.of_string text in
+      print_string (Obs.Pooltrace.report trace);
+      Option.iter
+        (fun out ->
+          write_file out (Obs.Pooltrace.to_chrome_string trace);
+          Printf.printf "\nchrome trace: %s\n" out)
+        chrome;
+      exit_ok
     | None, None, None -> (
       let path =
         match file with
@@ -1970,15 +1830,10 @@ let stats_cmd =
           else None
       in
       match path with
-      | Some p -> (
-        match Obs.Telemetry.read_summary p with
-        | summary ->
-          Printf.printf "telemetry summary of %s\n\n%s" p
-            (Obs.Telemetry.render_summary summary);
-          exit_ok
-        | exception Sys_error msg ->
-          Printf.eprintf "nebby stats: %s\n" msg;
-          exit_usage)
+      | Some p ->
+        Printf.printf "telemetry summary of %s\n\n%s" p
+          (Obs.Telemetry.render_summary (Obs.Telemetry.read_summary p));
+        exit_ok
       | None ->
         (* nothing recorded yet: profile live runs so the metrics table is
            never empty. The work goes through the pool with task tracing
@@ -2039,7 +1894,7 @@ let stats_cmd =
         Obs.Histogram.reset ();
         Printf.printf "\nprofiler spans\n";
         print_string (Obs.Prof.render prof_profile);
-        exit_ok)
+        exit_ok))
   in
   let doc =
     "Summarize the obs subsystems: a telemetry file, a live serve health snapshot \

@@ -7,8 +7,7 @@
    byte-identical files. *)
 
 let schema_version = 1
-
-exception Version_mismatch of { expected : int; got : int }
+let kind = "nebby_journal"
 
 (* CRC-32 (IEEE, reflected), table-driven. Implemented locally: the
    container has no checksum library and the journal only needs a cheap,
@@ -33,12 +32,7 @@ let crc32_sub s off len =
 let crc32 s = crc32_sub s 0 (String.length s)
 
 let header_line =
-  Obs.Json.to_string
-    (Obs.Json.Obj
-       [
-         ("kind", Obs.Json.Str "nebby_journal");
-         ("version", Obs.Json.Num (float_of_int schema_version));
-       ])
+  Obs.Json.to_string (Obs.Json.Obj (Obs.Versioned.fields ~kind ~version:schema_version))
   ^ "\n"
 
 let payload_of ~key ~value =
@@ -46,19 +40,10 @@ let payload_of ~key ~value =
 
 let frame payload = Printf.sprintf "%08x %s\n" (crc32 payload) payload
 
-let jfail what = raise (Obs.Json.Parse_error ("journal: " ^ what))
-
-let jstr j = match Obs.Json.to_str j with Some s -> s | None -> jfail "expected a string"
-
-let jmember k j =
-  match Obs.Json.member k j with
-  | Some v -> v
-  | None -> jfail (Printf.sprintf "missing field %S" k)
-
 (* payload -> (key, value); raises Json.Parse_error on shape mismatch *)
 let parse_payload payload =
   let j = Obs.Json.of_string payload in
-  (jstr (jmember "key" j), jstr (jmember "value" j))
+  (Obs.Json.get_str "journal" "key" j, Obs.Json.get_str "journal" "value" j)
 
 type t = {
   path : string;
@@ -104,10 +89,7 @@ let parse_frame s off n =
     | exception _ -> None
 
 let write_all path content =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc content)
+  Obs.Versioned.atomic_write path (fun oc -> output_string oc content)
 
 let count_dropped_records text from =
   (* a torn tail is usually one partial record, but a corrupt line drops
@@ -149,16 +131,10 @@ let open_ ?max_entries ?(on_warning = fun msg -> Printf.eprintf "%s\n%!" msg) pa
     let header_end =
       match String.index_opt text '\n' with
       | Some nl -> nl + 1
-      | None -> jfail (path ^ ": header line is incomplete")
+      | None -> Obs.Json.shape_error path "journal header line is incomplete"
     in
-    let hj = Obs.Json.of_string (String.sub text 0 (header_end - 1)) in
-    (match Obs.Json.member "kind" hj with
-    | Some (Obs.Json.Str "nebby_journal") -> ()
-    | _ -> jfail (path ^ " is not a nebby journal"));
-    (match Option.bind (Obs.Json.member "version" hj) Obs.Json.to_float with
-    | Some v when int_of_float v = schema_version -> ()
-    | Some v -> raise (Version_mismatch { expected = schema_version; got = int_of_float v })
-    | None -> jfail (path ^ ": header has no version"));
+    Obs.Versioned.check ~kind ~version:schema_version
+      (Obs.Json.of_string (String.sub text 0 (header_end - 1)));
     (* replay records; stop at the first torn/corrupt one *)
     let len = String.length text in
     let pos = ref header_end in
@@ -257,22 +233,25 @@ let compact t =
       let pairs = List.map (fun k -> (k, value_locked t k)) (sorted_keys t) in
       close_out_noerr oc;
       t.oc <- None;
-      let tmp = t.path ^ ".compact" in
       let buf = Buffer.create 4096 in
       Buffer.add_string buf header_line;
-      Hashtbl.reset t.index;
-      let pos = ref (String.length header_line) in
-      List.iter
-        (fun (key, value) ->
-          let payload = payload_of ~key ~value in
-          Buffer.add_string buf (frame payload);
-          Hashtbl.replace t.index key (!pos + 9, String.length payload);
-          pos := !pos + String.length payload + 10)
-        pairs;
-      write_all tmp (Buffer.contents buf);
-      Sys.rename tmp t.path;
-      t.size <- !pos;
-      t.oc <- Some (open_append t.path))
+      let locs =
+        List.map
+          (fun (key, value) ->
+            let payload = payload_of ~key ~value in
+            let off = Buffer.length buf + 9 in
+            Buffer.add_string buf (frame payload);
+            (key, (off, String.length payload)))
+          pairs
+      in
+      (* a failed write leaves the old file, index and size in place *)
+      Fun.protect
+        ~finally:(fun () -> t.oc <- Some (open_append t.path))
+        (fun () ->
+          Obs.Versioned.atomic_write t.path (fun oc -> Buffer.output_buffer oc buf);
+          Hashtbl.reset t.index;
+          List.iter (fun (key, loc) -> Hashtbl.replace t.index key loc) locs;
+          t.size <- Buffer.length buf))
 
 let close t =
   with_lock t (fun () ->

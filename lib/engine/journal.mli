@@ -39,17 +39,13 @@ type t
 
 val schema_version : int
 
-exception Version_mismatch of { expected : int; got : int }
-(** Raised by {!open_} when the header's version differs from
-    {!schema_version}. The CLI maps it to exit code 2, like the
-    provenance/flight/campaign stores. *)
-
 val open_ : ?max_entries:int -> ?on_warning:(string -> unit) -> string -> t
 (** Open (or create) the journal at a path. [max_entries] bounds the
     in-memory value cache (default: unbounded); [on_warning] receives a
     human-readable message when a torn tail is dropped (default: print
-    to stderr). Raises {!Version_mismatch} on schema skew and
-    [Json.Parse_error] when the file exists but is not a journal. *)
+    to stderr). The header goes through [Obs.Versioned.check]: it raises
+    [Obs.Versioned.Version_mismatch] on schema skew and [Json.Parse_error]
+    when the file exists but is not a journal. *)
 
 val path : t -> string
 
@@ -73,8 +69,10 @@ val torn_dropped : t -> int
 (** Records dropped from the tail when this handle was opened. *)
 
 val compact : t -> unit
-(** Rewrite the file canonically (one record per key, sorted), via a
-    temp file renamed into place. Idempotent and byte-deterministic. *)
+(** Rewrite the file canonically (one record per key, sorted) with
+    [Obs.Versioned.atomic_write]. Idempotent and byte-deterministic. If
+    the write fails the exception propagates and the journal keeps its
+    old file and stays open. *)
 
 val close : t -> unit
 (** Flush and close the append channel. [put]/[compact] raise after

@@ -11,8 +11,6 @@
 
 let schema_version = 1
 
-exception Version_mismatch of { expected : int; got : int }
-
 (* ---- seed specifications ---- *)
 
 let rec find_dup seen = function
@@ -44,28 +42,15 @@ type seed_run = {
   outcomes : outcome list;
 }
 
-let jfail what = raise (Json.Parse_error ("campaign: " ^ what))
-
-let jmember key j =
-  match Json.member key j with
-  | Some v -> v
-  | None -> jfail (Printf.sprintf "missing field %S" key)
-
-let jfloat j = match Json.to_float j with Some x -> x | None -> jfail "expected a number"
-let jstr j = match Json.to_str j with Some s -> s | None -> jfail "expected a string"
-let jlist j = match Json.to_list j with Some l -> l | None -> jfail "expected an array"
-let jint j = int_of_float (jfloat j)
-
-let check_version j =
-  let got = jint (jmember "version" j) in
-  if got <> schema_version then
-    raise (Version_mismatch { expected = schema_version; got })
+let ctx = "campaign"
+let jint j = int_of_float (Json.num ctx j)
+let header kind = Versioned.fields ~kind ~version:schema_version
+let check kind = Versioned.check ~kind ~version:schema_version
 
 let seed_run_to_json r =
   Json.Obj
-    [
-      ("kind", Json.Str "campaign_seed");
-      ("version", Json.Num (float_of_int schema_version));
+    (header "campaign_seed"
+    @ [
       ("seed", Json.Num (float_of_int r.seed));
       ( "metrics",
         Json.Arr
@@ -75,32 +60,29 @@ let seed_run_to_json r =
           (List.map
              (fun o -> Json.Arr [ Json.Str o.subject; Json.Str o.expected; Json.Str o.got ])
              r.outcomes) );
-    ]
+    ])
 
 let seed_run_of_json j =
-  check_version j;
+  check "campaign_seed" j;
+  let str = Json.str ctx in
   let metric = function
-    | Json.Arr [ k; v ] -> (jstr k, jfloat v)
-    | _ -> jfail "metric is not a [name, value] pair"
+    | Json.Arr [ k; v ] -> (str k, Json.num ctx v)
+    | _ -> Json.shape_error ctx "metric is not a [name, value] pair"
   in
   let outcome = function
-    | Json.Arr [ s; e; g ] -> { subject = jstr s; expected = jstr e; got = jstr g }
-    | _ -> jfail "outcome is not a [subject, expected, got] triple"
+    | Json.Arr [ s; e; g ] -> { subject = str s; expected = str e; got = str g }
+    | _ -> Json.shape_error ctx "outcome is not a [subject, expected, got] triple"
   in
   {
-    seed = jint (jmember "seed" j);
-    metrics = List.map metric (jlist (jmember "metrics" j));
-    outcomes = List.map outcome (jlist (jmember "outcomes" j));
+    seed = Json.get_int ctx "seed" j;
+    metrics = List.map metric (Json.get_arr ctx "metrics" j);
+    outcomes = List.map outcome (Json.get_arr ctx "outcomes" j);
   }
 
 let store_header ~experiment ~runs =
   Json.Obj
-    [
-      ("kind", Json.Str "campaign");
-      ("version", Json.Num (float_of_int schema_version));
-      ("experiment", Json.Str experiment);
-      ("runs", Json.Num (float_of_int runs));
-    ]
+    (header "campaign"
+    @ [ ("experiment", Json.Str experiment); ("runs", Json.Num (float_of_int runs)) ])
 
 let write_header oc ~experiment ~runs =
   output_string oc (Json.to_string (store_header ~experiment ~runs));
@@ -115,19 +97,12 @@ let write_store oc ~experiment runs =
   List.iter (write_seed_line oc) runs
 
 let read_store path =
-  let text = In_channel.with_open_bin path In_channel.input_all in
-  let lines =
-    String.split_on_char '\n' text |> List.filter (fun l -> String.trim l <> "")
-  in
-  match lines with
-  | [] -> jfail (path ^ " is empty")
+  match Versioned.lines (In_channel.with_open_bin path In_channel.input_all) with
+  | [] -> Json.shape_error ctx (path ^ " is empty")
   | header :: rest ->
     let hj = Json.of_string header in
-    (match Json.member "kind" hj with
-    | Some (Json.Str "campaign") -> ()
-    | _ -> jfail (path ^ " does not start with a campaign header line"));
-    check_version hj;
-    let experiment = jstr (jmember "experiment" hj) in
+    check "campaign" hj;
+    let experiment = Json.get_str ctx "experiment" hj in
     (* The store is streamed line by line, so a run killed mid-write
        leaves a truncated final record. That prefix is still a valid
        campaign: drop the torn tail with a warning and aggregate the
@@ -358,15 +333,16 @@ let stat_to_json (name, s) =
     ]
 
 let stat_of_json j =
-  ( jstr (jmember "metric" j),
+  let num key = Json.get_num ctx key j in
+  ( Json.get_str ctx "metric" j,
     {
-      n = jint (jmember "n" j);
-      mean = jfloat (jmember "mean" j);
-      stddev = jfloat (jmember "stddev" j);
-      ci95 = jfloat (jmember "ci95" j);
-      median = jfloat (jmember "median" j);
-      min_v = jfloat (jmember "min" j);
-      max_v = jfloat (jmember "max" j);
+      n = Json.get_int ctx "n" j;
+      mean = num "mean";
+      stddev = num "stddev";
+      ci95 = num "ci95";
+      median = num "median";
+      min_v = num "min";
+      max_v = num "max";
     } )
 
 let gate_status_label = function Pass -> "pass" | Fail -> "fail" | Skip -> "skip"
@@ -385,9 +361,8 @@ let gate_result_to_json r =
 
 let summary_to_json ?gates summary =
   Json.Obj
-    ([
-       ("kind", Json.Str "campaign_summary");
-       ("version", Json.Num (float_of_int summary.version));
+    (Versioned.fields ~kind:"campaign_summary" ~version:summary.version
+    @ [
        ("experiment", Json.Str summary.experiment);
        ("seeds", Json.Arr (List.map (fun s -> Json.Num (float_of_int s)) summary.seeds));
        ("cells", Json.Arr (List.map stat_to_json summary.cells));
@@ -424,32 +399,32 @@ let summary_to_json ?gates summary =
       | Some results -> [ ("gates", Json.Arr (List.map gate_result_to_json results)) ])
 
 let summary_of_json j =
-  check_version j;
+  check "campaign_summary" j;
   {
     version = schema_version;
-    experiment = jstr (jmember "experiment" j);
-    seeds = List.map jint (jlist (jmember "seeds" j));
-    cells = List.map stat_of_json (jlist (jmember "cells" j));
+    experiment = Json.get_str ctx "experiment" j;
+    seeds = List.map jint (Json.get_arr ctx "seeds" j);
+    cells = List.map stat_of_json (Json.get_arr ctx "cells" j);
     confusion =
       List.map
         (fun row ->
-          ( jstr (jmember "expected" row),
+          ( Json.get_str ctx "expected" row,
             List.map
               (function
-                | Json.Arr [ g; c ] -> (jstr g, jint c)
-                | _ -> jfail "confusion entry is not a [got, count] pair")
-              (jlist (jmember "got" row)) ))
-        (jlist (jmember "confusion" j));
+                | Json.Arr [ g; c ] -> (Json.str ctx g, jint c)
+                | _ -> Json.shape_error ctx "confusion entry is not a [got, count] pair")
+              (Json.get_arr ctx "got" row) ))
+        (Json.get_arr ctx "confusion" j);
     outliers =
       List.map
         (fun o ->
           {
-            o_seed = jint (jmember "seed" o);
-            value = jfloat (jmember "value" o);
-            z = jfloat (jmember "z" o);
-            misses = List.map jstr (jlist (jmember "misses" o));
+            o_seed = Json.get_int ctx "seed" o;
+            value = Json.get_num ctx "value" o;
+            z = Json.get_num ctx "z" o;
+            misses = List.map (Json.str ctx) (Json.get_arr ctx "misses" o);
           })
-        (jlist (jmember "outliers" j));
+        (Json.get_arr ctx "outliers" j);
   }
 
 (* ---- rendering ---- *)

@@ -13,17 +13,15 @@
 
     {b Stability guarantees.} Stores and summaries carry
     {!schema_version}. Within a version field names and meanings never
-    change; reading a record whose version differs raises
-    {!Version_mismatch} — readers must fail loudly (the CLI maps it to
-    exit code 2) rather than misinterpret fields. All serialization and
+    change; every record is gated by {!Versioned.check}, so a version
+    skew raises {!Versioned.Version_mismatch} — readers must fail loudly
+    (the CLI maps it to exit code 2) rather than misinterpret fields. All serialization and
     rendering is deterministic: cells are sorted by name, every float
     goes through {!Json} number formatting or a fixed [%.6g], and no
     wall-clock data is consulted — aggregating the same runs twice (or
     at a different worker count) yields byte-identical output. *)
 
 val schema_version : int
-
-exception Version_mismatch of { expected : int; got : int }
 
 (** {1 Seed specifications} — shared by [nebby campaign], [nebby chaos]
     and the bench harness, so every CLI accepts the same
@@ -83,7 +81,7 @@ val read_store : string -> string * seed_run list
     final} record — the signature a SIGKILL leaves on a streamed store —
     is dropped with a warning on stderr and the readable prefix is
     returned, so [--from] works on the store of a crashed campaign.
-    Raises {!Version_mismatch} on schema skew, [Json.Parse_error] on a
+    Raises {!Versioned.Version_mismatch} on schema skew, [Json.Parse_error] on a
     malformed header or non-final record, [Sys_error] if unreadable. *)
 
 (** {1 Aggregation} *)
@@ -173,7 +171,7 @@ val summary_to_json : ?gates:gate_result list -> summary -> Json.t
     name and a ["gates"] array when provided. Deterministic. *)
 
 val summary_of_json : Json.t -> summary
-(** Raises {!Version_mismatch} / [Json.Parse_error] like {!read_store}.
+(** Raises {!Versioned.Version_mismatch} / [Json.Parse_error] like {!read_store}.
     Gate results are not read back (they are re-derivable). *)
 
 val render : ?gates:gate_result list -> summary -> string

@@ -6,8 +6,7 @@
    keeps running for many epochs emits exactly one event. *)
 
 let schema_version = 1
-
-exception Version_mismatch of { expected : int; got : int }
+let kind = "nebby_drift_ledger"
 
 type point = {
   epoch : int;
@@ -191,32 +190,25 @@ let point_to_json p =
 
 let to_json l =
   Json.Obj
-    [
-      ("kind", Json.Str "nebby_drift_ledger");
-      ("version", Json.Num (float_of_int l.version));
-      ("subject", Json.Str l.subject);
-      ("points", Json.Arr (List.map point_to_json l.points));
-    ]
+    (Versioned.fields ~kind ~version:l.version
+    @ [
+        ("subject", Json.Str l.subject);
+        ("points", Json.Arr (List.map point_to_json l.points));
+      ])
 
-let shape_error what = raise (Json.Parse_error ("drift: bad " ^ what))
-
-let get_num what j =
-  match Json.member what j with Some (Json.Num x) -> x | _ -> shape_error what
-
-let get_int what j = int_of_float (get_num what j)
-
-let get_str what j =
-  match Json.member what j with Some (Json.Str s) -> s | _ -> shape_error what
+let ctx = "drift"
+let get_num = Json.get_num ctx
+let get_int = Json.get_int ctx
+let get_str = Json.get_str ctx
 
 let point_of_json j =
   {
     epoch = get_int "epoch" j;
     hosts = get_int "hosts" j;
     shares =
-      (match Json.member "shares" j with
-      | Some (Json.Arr ss) ->
-        List.map (fun s -> (get_str "class" s, get_num "percent" s)) ss
-      | _ -> shape_error "shares");
+      List.map
+        (fun s -> (get_str "class" s, get_num "percent" s))
+        (Json.get_arr ctx "shares" j);
     unknown_share = get_num "unknown_share" j;
     mean_confidence = get_num "mean_confidence" j;
     mean_margin = get_num "mean_margin" j;
@@ -224,18 +216,11 @@ let point_of_json j =
   }
 
 let of_json j =
-  (match Json.member "kind" j with
-  | Some (Json.Str "nebby_drift_ledger") -> ()
-  | _ -> shape_error "kind");
-  let got = get_int "version" j in
-  if got <> schema_version then raise (Version_mismatch { expected = schema_version; got });
+  Versioned.check ~kind ~version:schema_version j;
   {
-    version = got;
+    version = schema_version;
     subject = get_str "subject" j;
-    points =
-      (match Json.member "points" j with
-      | Some (Json.Arr ps) -> List.map point_of_json ps
-      | _ -> shape_error "points");
+    points = List.map point_of_json (Json.get_arr ctx "points" j);
   }
 
 let event_to_json e =
@@ -271,9 +256,8 @@ let event_to_json e =
         ])
 
 let event_of_json j =
-  (match Json.member "kind" j with
-  | Some (Json.Str "nebby_drift_event") -> ()
-  | _ -> shape_error "event kind");
+  if Json.member "kind" j <> Some (Json.Str "nebby_drift_event") then
+    Json.shape_error ctx "not a drift event";
   let epoch = get_int "epoch" j in
   let rate_per_epoch = get_num "rate_per_epoch" j in
   match get_str "event" j with
@@ -281,7 +265,7 @@ let event_of_json j =
   | "collapsed" -> Collapsed { class_ = get_str "class" j; epoch; rate_per_epoch }
   | "migration" ->
     Migration { from_ = get_str "from" j; to_ = get_str "to" j; epoch; rate_per_epoch }
-  | _ -> shape_error "event"
+  | e -> Json.shape_error ctx ("unknown event " ^ e)
 
 (* rendering --------------------------------------------------------------- *)
 

@@ -19,12 +19,10 @@
 
     {b Stability guarantees.} Ledgers carry {!schema_version}. Within a
     version field names and meanings never change; any change bumps the
-    version, and readers raise {!Version_mismatch} on skew (the CLI maps
-    it to exit code 2). *)
+    version, and readers raise {!Versioned.Version_mismatch} on skew (the
+    CLI maps it to exit code 2). *)
 
 val schema_version : int
-
-exception Version_mismatch of { expected : int; got : int }
 
 type point = {
   epoch : int;
@@ -108,7 +106,7 @@ val detect : ?params:params -> ledger -> event list
 
 val to_json : ledger -> Json.t
 val of_json : Json.t -> ledger
-(** Raises {!Version_mismatch} on schema skew, [Json.Parse_error] on a
+(** Raises {!Versioned.Version_mismatch} on schema skew, [Json.Parse_error] on a
     malformed document. *)
 
 val event_to_json : event -> Json.t

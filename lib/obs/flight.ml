@@ -324,8 +324,6 @@ type dump = {
   events : event list;
 }
 
-exception Version_mismatch of { expected : int; got : int }
-
 let make_dump ~subject ~trigger ~attempt ~window_s events =
   { version = schema_version; subject; trigger; attempt; window_s; events }
 
@@ -348,15 +346,14 @@ let event_to_json e =
 
 let header_to_json d =
   Json.Obj
-    [
-      ("kind", Json.Str "flight_dump");
-      ("version", Json.Num (float_of_int d.version));
-      ("subject", Json.Str d.subject);
-      ("trigger", Json.Str d.trigger);
-      ("attempt", Json.Num (float_of_int d.attempt));
-      ("window_s", Json.Num d.window_s);
-      ("events", Json.Num (float_of_int (List.length d.events)));
-    ]
+    (Versioned.fields ~kind:"flight_dump" ~version:d.version
+    @ [
+        ("subject", Json.Str d.subject);
+        ("trigger", Json.Str d.trigger);
+        ("attempt", Json.Num (float_of_int d.attempt));
+        ("window_s", Json.Num d.window_s);
+        ("events", Json.Num (float_of_int (List.length d.events)));
+      ])
 
 (* JSONL: a header line, then one line per event, oldest first. The field
    order is fixed and numbers go through [Json.number_to_string], so
@@ -372,23 +369,19 @@ let dump_to_string d =
     d.events;
   Buffer.contents buf
 
-let shape_error what = raise (Json.Parse_error ("flight dump: bad " ^ what))
-
-let get_str what j =
-  match Json.member what j with Some (Json.Str s) -> s | _ -> shape_error what
-
-let get_num what j =
-  match Json.member what j with Some (Json.Num x) -> x | _ -> shape_error what
+let ctx = "flight dump"
+let get_str = Json.get_str ctx
+let get_num = Json.get_num ctx
 
 let event_of_json j =
   {
-    seq = int_of_float (get_num "seq" j);
-    run = int_of_float (get_num "run" j);
+    seq = Json.get_int ctx "seq" j;
+    run = Json.get_int ctx "run" j;
     time = get_num "t" j;
     kind =
       (match kind_of_label (get_str "k" j) with
       | Some k -> k
-      | None -> shape_error "k");
+      | None -> Json.shape_error ctx "unknown event kind");
     a = get_num "a" j;
     b = get_num "b" j;
     c = get_num "c" j;
@@ -396,29 +389,20 @@ let event_of_json j =
     extra = get_str "x" j;
   }
 
-let dump_of_lines = function
-  | [] -> shape_error "empty dump"
+let dump_of_string s =
+  match Versioned.lines s with
+  | [] -> Json.shape_error ctx "empty dump"
   | header :: rest ->
     let h = Json.of_string header in
-    (match Json.member "kind" h with
-    | Some (Json.Str "flight_dump") -> ()
-    | _ -> shape_error "header");
-    let got = int_of_float (get_num "version" h) in
-    if got <> schema_version then
-      raise (Version_mismatch { expected = schema_version; got });
+    Versioned.check ~kind:"flight_dump" ~version:schema_version h;
     {
-      version = got;
+      version = schema_version;
       subject = get_str "subject" h;
       trigger = get_str "trigger" h;
-      attempt = int_of_float (get_num "attempt" h);
+      attempt = Json.get_int ctx "attempt" h;
       window_s = get_num "window_s" h;
       events = List.map (fun line -> event_of_json (Json.of_string line)) rest;
     }
-
-let dump_of_string s =
-  String.split_on_char '\n' s
-  |> List.filter (fun l -> String.trim l <> "")
-  |> dump_of_lines
 
 let write_dump oc d = output_string oc (dump_to_string d)
 

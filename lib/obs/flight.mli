@@ -151,8 +151,6 @@ type dump = {
   events : event list;
 }
 
-exception Version_mismatch of { expected : int; got : int }
-
 val make_dump :
   subject:string -> trigger:string -> attempt:int -> window_s:float -> event list -> dump
 
@@ -172,8 +170,8 @@ val dump_to_string : dump -> string
     through [Json.number_to_string], so [dump_to_string (dump_of_string s) = s]. *)
 
 val dump_of_string : string -> dump
-(** Raises [Json.Parse_error] on malformed input and {!Version_mismatch}
-    on a schema skew. *)
+(** Raises [Json.Parse_error] on malformed input and
+    {!Versioned.Version_mismatch} on a schema skew. *)
 
 val write_dump : out_channel -> dump -> unit
 val read_dump : string -> dump

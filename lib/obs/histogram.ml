@@ -153,19 +153,16 @@ let to_json h =
              (buckets h)) );
     ]
 
-let shape_error what = raise (Json.Parse_error ("histogram: bad " ^ what))
+let ctx = "histogram"
+let shape_error what = Json.shape_error ctx ("bad " ^ what)
 
 let of_json j =
-  let str k = match Json.member k j with Some (Json.Str s) -> s | _ -> shape_error k in
-  let num k = match Json.member k j with Some (Json.Num x) -> x | _ -> shape_error k in
+  let num k = Json.get_num ctx k j in
   let opt_num k =
-    match Json.member k j with
-    | Some (Json.Num x) -> Some x
-    | Some Json.Null -> None
-    | _ -> shape_error k
+    match Json.field ctx k j with Json.Null -> None | x -> Some (Json.num ctx x)
   in
-  if str "kind" <> "histogram" then shape_error "kind";
-  let h = create ~name:(str "name") () in
+  if Json.get_str ctx "kind" j <> "histogram" then shape_error "kind";
+  let h = create ~name:(Json.get_str ctx "name" j) () in
   h.n <- int_of_float (num "count");
   h.total <- num "sum";
   h.lo <- (match opt_num "min" with Some x -> x | None -> infinity);

@@ -265,3 +265,28 @@ let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
 let to_float = function Num x -> Some x | _ -> None
 let to_str = function Str s -> Some s | _ -> None
 let to_list = function Arr xs -> Some xs | _ -> None
+
+(* raising accessors: [ctx] names the reader in the error message *)
+let shape_error ctx what = raise (Parse_error (ctx ^ ": " ^ what))
+
+let expect conv what ctx v =
+  match conv v with Some x -> x | None -> shape_error ctx ("expected " ^ what)
+
+let num = expect to_float "a number"
+let str = expect to_str "a string"
+let arr = expect to_list "an array"
+
+let field ctx key j =
+  match member key j with
+  | Some v -> v
+  | None -> shape_error ctx (Printf.sprintf "missing field %S" key)
+
+let get conv what ctx key j =
+  match conv (field ctx key j) with
+  | Some x -> x
+  | None -> shape_error ctx (Printf.sprintf "field %S is not %s" key what)
+
+let get_num = get to_float "a number"
+let get_int ctx key j = int_of_float (get_num ctx key j)
+let get_str = get to_str "a string"
+let get_arr = get to_list "an array"

@@ -33,3 +33,25 @@ val member : string -> t -> t option
 val to_float : t -> float option
 val to_str : t -> string option
 val to_list : t -> t list option
+
+(** Accessors that raise {!Parse_error} on shape mismatch. The first
+    argument names the calling reader and prefixes the message, e.g.
+    [get_num "drift" "epoch" j] fails with ["drift: missing field
+    \"epoch\""]. *)
+
+val shape_error : string -> string -> 'a
+(** [shape_error ctx what] raises [Parse_error (ctx ^ ": " ^ what)]. *)
+
+val num : string -> t -> float
+val str : string -> t -> string
+val arr : string -> t -> t list
+
+val field : string -> string -> t -> t
+(** [field ctx key j]: member [key] of [j], which must be present. *)
+
+val get_num : string -> string -> t -> float
+val get_int : string -> string -> t -> int
+(** A number field, truncated to an int. *)
+
+val get_str : string -> string -> t -> string
+val get_arr : string -> string -> t -> t list

@@ -187,8 +187,7 @@ let report tr =
 (* serialization ----------------------------------------------------------- *)
 
 let schema_version = 1
-
-exception Version_mismatch of { expected : int; got : int }
+let kind = "pool_trace"
 
 let task_to_json t =
   Json.Obj
@@ -207,13 +206,12 @@ let to_string (tr : t) =
   Buffer.add_string buf
     (Json.to_string
        (Json.Obj
-          [
-            ("kind", Json.Str "pool_trace");
-            ("version", Json.Num (float_of_int schema_version));
-            ("jobs", Json.Num (float_of_int tr.jobs));
-            ("workers", Json.Num (float_of_int tr.workers));
-            ("tasks", Json.Num (float_of_int (List.length tr.tasks)));
-          ]));
+          (Versioned.fields ~kind ~version:schema_version
+          @ [
+              ("jobs", Json.Num (float_of_int tr.jobs));
+              ("workers", Json.Num (float_of_int tr.workers));
+              ("tasks", Json.Num (float_of_int (List.length tr.tasks)));
+            ])));
   Buffer.add_char buf '\n';
   List.iter
     (fun t ->
@@ -222,38 +220,33 @@ let to_string (tr : t) =
     tr.tasks;
   Buffer.contents buf
 
-let shape_error what = raise (Json.Parse_error ("pool trace: bad " ^ what))
-
-let get_num what j =
-  match Json.member what j with Some (Json.Num x) -> x | _ -> shape_error what
+let ctx = "pool trace"
+let get_num = Json.get_num ctx
+let get_int = Json.get_int ctx
 
 let task_of_json j =
   {
-    index = int_of_float (get_num "i" j);
-    shard = int_of_float (get_num "s" j);
-    worker = int_of_float (get_num "w" j);
+    index = get_int "i" j;
+    shard = get_int "s" j;
+    worker = get_int "w" j;
     stolen =
-      (match Json.member "st" j with Some (Json.Bool b) -> b | _ -> shape_error "st");
+      (match Json.field ctx "st" j with
+      | Json.Bool b -> b
+      | _ -> Json.shape_error ctx "field \"st\" is not a bool");
     t_submit = get_num "sub" j;
     t_start = get_num "t0" j;
     t_finish = get_num "t1" j;
   }
 
 let of_string text =
-  match
-    String.split_on_char '\n' text |> List.filter (fun l -> String.trim l <> "")
-  with
-  | [] -> shape_error "empty trace"
+  match Versioned.lines text with
+  | [] -> Json.shape_error ctx "empty trace"
   | header :: rest ->
     let h = Json.of_string header in
-    (match Json.member "kind" h with
-    | Some (Json.Str "pool_trace") -> ()
-    | _ -> shape_error "header");
-    let got = int_of_float (get_num "version" h) in
-    if got <> schema_version then raise (Version_mismatch { expected = schema_version; got });
+    Versioned.check ~kind ~version:schema_version h;
     {
-      jobs = int_of_float (get_num "jobs" h);
-      workers = int_of_float (get_num "workers" h);
+      jobs = get_int "jobs" h;
+      workers = get_int "workers" h;
       tasks = List.map (fun line -> task_of_json (Json.of_string line)) rest;
     }
 

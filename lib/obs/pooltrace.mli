@@ -110,15 +110,13 @@ val report : t -> string
 
 val schema_version : int
 
-exception Version_mismatch of { expected : int; got : int }
-
 val to_string : t -> string
 (** Schema-versioned JSONL: one header line, one line per task.
     [to_string (of_string s) = s]. *)
 
 val of_string : string -> t
-(** Raises [Json.Parse_error] on malformed input, {!Version_mismatch}
-    on schema skew. *)
+(** Raises [Json.Parse_error] on malformed input,
+    {!Versioned.Version_mismatch} on schema skew. *)
 
 val to_chrome_string : t -> string
 (** Chrome [trace_event] JSON (one complete ["X"] span per task,

@@ -1,4 +1,5 @@
 let schema_version = 1
+let kind = "provenance"
 
 type candidate = {
   source : string;
@@ -20,8 +21,6 @@ type report = {
   candidates : candidate list;
 }
 
-exception Version_mismatch of { expected : int; got : int }
-
 let make ~subject ~label ~confidence ~margin ~features ~stages ~candidates =
   { version = schema_version; subject; label; confidence; margin; features;
     stages; candidates }
@@ -30,9 +29,8 @@ let make ~subject ~label ~confidence ~margin ~features ~stages ~candidates =
 
 let to_json r =
   Json.Obj
-    [
-      ("kind", Json.Str "provenance");
-      ("version", Json.Num (float_of_int r.version));
+    (Versioned.fields ~kind ~version:r.version
+    @ [
       ("subject", Json.Str r.subject);
       ("label", Json.Str r.label);
       ("confidence", Json.Num r.confidence);
@@ -74,46 +72,21 @@ let to_json r =
                    ("confidence", Json.Num c.confidence);
                  ])
              r.candidates) );
-    ]
+    ])
 
-let shape_error what = raise (Json.Parse_error ("provenance: bad " ^ what))
-
-let get_str what j =
-  match Json.member what j with
-  | Some (Json.Str s) -> s
-  | _ -> shape_error what
-
-let get_num what j =
-  match Json.member what j with
-  | Some (Json.Num x) -> x
-  | _ -> shape_error what
-
-let get_arr what j =
-  match Json.member what j with
-  | Some (Json.Arr xs) -> xs
-  | _ -> shape_error what
+let ctx = "provenance"
+let get_str = Json.get_str ctx
+let get_num = Json.get_num ctx
+let get_arr = Json.get_arr ctx
 
 let of_json j =
   (* Version gate first: a report written by a different schema fails
      loudly rather than being misread field by field. *)
-  let got =
-    match Json.member "version" j with
-    | Some (Json.Num v) -> int_of_float v
-    | _ -> raise (Version_mismatch { expected = schema_version; got = 0 })
-  in
-  if got <> schema_version then
-    raise (Version_mismatch { expected = schema_version; got });
+  Versioned.check ~kind ~version:schema_version j;
   let features =
     List.map
       (fun f ->
-        let vec =
-          get_arr "vector" f
-          |> List.map (fun x ->
-                 match Json.to_float x with
-                 | Some v -> v
-                 | None -> shape_error "vector")
-          |> Array.of_list
-        in
+        let vec = Array.of_list (List.map (Json.num ctx) (get_arr "vector" f)) in
         (get_str "profile" f, vec))
       (get_arr "features" j)
   in
@@ -121,15 +94,9 @@ let of_json j =
     List.map
       (fun s ->
         let fields =
-          match Json.member "fields" s with
-          | Some (Json.Obj kvs) ->
-            List.map
-              (fun (k, v) ->
-                match Json.to_float v with
-                | Some x -> (k, x)
-                | None -> shape_error "fields")
-              kvs
-          | _ -> shape_error "fields"
+          match Json.field ctx "fields" s with
+          | Json.Obj kvs -> List.map (fun (k, v) -> (k, Json.num ctx v)) kvs
+          | _ -> Json.shape_error ctx "field \"fields\" is not an object"
         in
         { stage = get_str "stage" s; fields })
       (get_arr "stages" j)
@@ -146,7 +113,7 @@ let of_json j =
       (get_arr "candidates" j)
   in
   {
-    version = got;
+    version = schema_version;
     subject = get_str "subject" j;
     label = get_str "label" j;
     confidence = get_num "confidence" j;
@@ -161,17 +128,9 @@ let write_jsonl oc r =
   output_char oc '\n'
 
 let read_jsonl path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec go acc =
-        match input_line ic with
-        | "" -> go acc
-        | line -> go (of_json (Json.of_string line) :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      go [])
+  In_channel.with_open_bin path In_channel.input_all
+  |> Versioned.lines
+  |> List.map (fun line -> of_json (Json.of_string line))
 
 (* rendering -------------------------------------------------------------- *)
 

@@ -13,7 +13,7 @@
     version: field names and meanings never change; renderers may add
     lines but never reorder or drop existing ones; numbers are formatted
     with [%.6g]. Reading a report whose version differs raises
-    {!Version_mismatch} — readers must fail loudly (the CLI maps it to
+    {!Versioned.Version_mismatch} — readers must fail loudly (the CLI maps it to
     exit code 2) rather than misinterpret fields. Any breaking change
     bumps the version. *)
 
@@ -41,8 +41,6 @@ type report = {
   candidates : candidate list;  (** best first, per source *)
 }
 
-exception Version_mismatch of { expected : int; got : int }
-
 val make :
   subject:string ->
   label:string ->
@@ -58,14 +56,15 @@ val to_json : report -> Json.t
 (** [{"kind":"provenance","version":N, ...}] — one JSONL record. *)
 
 val of_json : Json.t -> report
-(** Raises {!Version_mismatch} if the version differs (or is missing),
-    {!Json.Parse_error} on a shape mismatch. *)
+(** Gated by {!Versioned.check}: raises {!Versioned.Version_mismatch}
+    if the version differs (or is missing), {!Json.Parse_error} on a
+    wrong kind or a shape mismatch. *)
 
 val write_jsonl : out_channel -> report -> unit
 
 val read_jsonl : string -> report list
 (** All reports in a JSONL file (blank lines skipped). Raises
-    {!Version_mismatch} / {!Json.Parse_error} like {!of_json}. *)
+    {!Versioned.Version_mismatch} / {!Json.Parse_error} like {!of_json}. *)
 
 val render : report -> string
 (** Deterministic human-readable rendering: verdict line, candidate

@@ -1,4 +1,5 @@
 let schema_version = 1
+let kind = "nebby_adversarial"
 
 type verdict_class = Misclassified | Margin_collapse | Typed_failure | Correct
 
@@ -74,17 +75,14 @@ let make ~name ~genome ~got ~verdict_class ~confidence ~margin ~failures ~signat
     original_specs;
   }
 
-exception Version_mismatch of { expected : int; got : int }
-
 (* ---- serialization ---- *)
 
 let num_i i = Obs.Json.Num (float_of_int i)
 
 let to_json t =
   Obs.Json.Obj
-    [
-      ("kind", Obs.Json.Str "nebby_adversarial");
-      ("version", num_i t.version);
+    (Obs.Versioned.fields ~kind ~version:t.version
+    @ [
       ("name", Obs.Json.Str t.name);
       ("genome", Genome.to_json t.genome);
       ("expected", Obs.Json.Str t.expected);
@@ -119,7 +117,7 @@ let to_json t =
             ("minimize_steps", num_i t.minimize_steps);
             ("original_specs", num_i t.original_specs);
           ] );
-    ]
+    ])
 
 let to_string t = Obs.Json.to_string (to_json t) ^ "\n"
 
@@ -147,9 +145,11 @@ let jint name j =
   Ok (int_of_float x)
 
 let of_json j =
-  let* version = jint "version" j in
-  if version <> schema_version then
-    raise (Version_mismatch { expected = schema_version; got = version });
+  let* () =
+    match Obs.Versioned.check ~kind ~version:schema_version j with
+    | () -> Ok ()
+    | exception Obs.Json.Parse_error e -> Error e
+  in
   let* name = jstr "name" j in
   let* genome_json = jfield "genome" j in
   let* genome = Genome.of_json genome_json in
@@ -204,7 +204,7 @@ let of_json j =
   let* original_specs = jint "original_specs" search in
   Ok
     {
-      version;
+      version = schema_version;
       name;
       genome;
       expected;
@@ -248,5 +248,5 @@ let rec mkdirs dir =
 let save ~dir t =
   mkdirs dir;
   let path = Filename.concat dir (t.name ^ ".json") in
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (to_string t));
+  Obs.Versioned.atomic_write path (fun oc -> output_string oc (to_string t));
   path

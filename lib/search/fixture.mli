@@ -9,8 +9,8 @@
     provenance (seed, budget, evaluation index, minimizer effort).
 
     {b Stability.} Fixtures carry {!schema_version}; reading a fixture
-    whose version differs raises {!Version_mismatch} (the CLI maps it to
-    exit code 2). {!to_string} is deterministic — fixed field order,
+    whose version differs raises [Obs.Versioned.Version_mismatch] (the
+    CLI maps it to exit code 2). {!to_string} is deterministic — fixed field order,
     numbers through the JSON writer — and round-trips byte-identically
     through {!of_string}. *)
 
@@ -73,19 +73,17 @@ val make :
     counterexample) or the genome fails [Genome.validate] — a fixture
     that cannot reproduce a failure must never reach disk. *)
 
-exception Version_mismatch of { expected : int; got : int }
-
 val to_string : t -> string
 (** One-line JSON plus trailing newline; deterministic. *)
 
 val of_string : string -> (t, string) result
-(** Round-trips with {!to_string}. Raises {!Version_mismatch} on a schema
-    skew (loud, like every other versioned reader); shape errors return
-    [Error]. *)
+(** Round-trips with {!to_string}. Raises [Obs.Versioned.Version_mismatch]
+    on a schema skew (loud, like every other versioned reader); a wrong
+    kind, a non-integer version and shape errors return [Error]. *)
 
 val load : string -> (t, string) result
 (** Read one fixture file. *)
 
 val save : dir:string -> t -> string
-(** Write the fixture as [dir/name.json] (creating [dir] if needed);
-    returns the path. *)
+(** Write the fixture as [dir/name.json] (creating [dir] if needed) with
+    [Obs.Versioned.atomic_write]; returns the path. *)

@@ -5,8 +5,6 @@
 
 let schema_version = 1
 
-exception Version_mismatch of { expected : int; got : int }
-
 type signal =
   | Unknown_share
   | Mean_confidence
@@ -62,13 +60,12 @@ let default_rules =
 
 (* serialization ----------------------------------------------------------- *)
 
-let shape_error what = raise (Obs.Json.Parse_error ("alerts: bad " ^ what))
-
-let get_num what j =
-  match Obs.Json.member what j with Some (Obs.Json.Num x) -> x | _ -> shape_error what
-
-let get_str what j =
-  match Obs.Json.member what j with Some (Obs.Json.Str s) -> s | _ -> shape_error what
+let ctx = "alerts"
+let shape_error what = Obs.Json.shape_error ctx ("bad " ^ what)
+let get_num = Obs.Json.get_num ctx
+let get_str = Obs.Json.get_str ctx
+let header kind = Obs.Versioned.fields ~kind ~version:schema_version
+let check kind = Obs.Versioned.check ~kind ~version:schema_version
 
 let rule_to_json r =
   Obs.Json.Obj
@@ -81,11 +78,7 @@ let rule_to_json r =
 
 let rules_to_json rules =
   Obs.Json.Obj
-    [
-      ("kind", Obs.Json.Str "nebby_alert_rules");
-      ("version", Obs.Json.Num (float_of_int schema_version));
-      ("rules", Obs.Json.Arr (List.map rule_to_json rules));
-    ]
+    (header "nebby_alert_rules" @ [ ("rules", Obs.Json.Arr (List.map rule_to_json rules)) ])
 
 let rule_of_json j =
   let name = get_str "name" j in
@@ -110,19 +103,12 @@ let rule_of_json j =
   { name; signal; bound; limit; for_epochs }
 
 let rules_of_json j =
-  (match Obs.Json.member "kind" j with
-  | Some (Obs.Json.Str "nebby_alert_rules") -> ()
-  | _ -> shape_error "kind");
-  let got = int_of_float (get_num "version" j) in
-  if got <> schema_version then raise (Version_mismatch { expected = schema_version; got });
-  match Obs.Json.member "rules" j with
-  | Some (Obs.Json.Arr rs) ->
-    let rules = List.map rule_of_json rs in
-    let names = List.map (fun r -> r.name) rules in
-    if List.length (List.sort_uniq compare names) <> List.length names then
-      shape_error "duplicate rule names";
-    rules
-  | _ -> shape_error "rules"
+  check "nebby_alert_rules" j;
+  let rules = List.map rule_of_json (Obs.Json.get_arr ctx "rules" j) in
+  let names = List.map (fun r -> r.name) rules in
+  if List.length (List.sort_uniq compare names) <> List.length names then
+    shape_error "duplicate rule names";
+  rules
 
 let load_rules path =
   rules_of_json (Obs.Json.of_string (In_channel.with_open_bin path In_channel.input_all))
@@ -151,24 +137,20 @@ type transition = {
 
 let transition_to_json tr =
   Obs.Json.Obj
-    [
-      ("kind", Obs.Json.Str "nebby_alert");
-      ("version", Obs.Json.Num (float_of_int schema_version));
-      ("epoch", Obs.Json.Num (float_of_int tr.epoch));
-      ("rule", Obs.Json.Str tr.rule);
-      ("action", Obs.Json.Str (match tr.action with Fire -> "fire" | Resolve -> "resolve"));
-      ("value", Obs.Json.Num tr.value);
-      ("limit", Obs.Json.Num tr.limit);
-    ]
+    (header "nebby_alert"
+    @ [
+        ("epoch", Obs.Json.Num (float_of_int tr.epoch));
+        ("rule", Obs.Json.Str tr.rule);
+        ( "action",
+          Obs.Json.Str (match tr.action with Fire -> "fire" | Resolve -> "resolve") );
+        ("value", Obs.Json.Num tr.value);
+        ("limit", Obs.Json.Num tr.limit);
+      ])
 
 let transition_of_json j =
-  (match Obs.Json.member "kind" j with
-  | Some (Obs.Json.Str "nebby_alert") -> ()
-  | _ -> shape_error "transition kind");
-  let got = int_of_float (get_num "version" j) in
-  if got <> schema_version then raise (Version_mismatch { expected = schema_version; got });
+  check "nebby_alert" j;
   {
-    epoch = int_of_float (get_num "epoch" j);
+    epoch = Obs.Json.get_int ctx "epoch" j;
     rule = get_str "rule" j;
     action =
       (match get_str "action" j with
@@ -178,6 +160,19 @@ let transition_of_json j =
     value = get_num "value" j;
     limit = get_num "limit" j;
   }
+
+let write_log path transitions =
+  Obs.Versioned.atomic_write path (fun oc ->
+      List.iter
+        (fun tr ->
+          output_string oc (Obs.Json.to_string (transition_to_json tr));
+          output_char oc '\n')
+        transitions)
+
+let read_log path =
+  In_channel.with_open_bin path In_channel.input_all
+  |> Obs.Versioned.lines
+  |> List.map (fun l -> transition_of_json (Obs.Json.of_string l))
 
 let signal_values ?health ?point ?(events = []) () signal =
   match signal with

@@ -13,12 +13,10 @@
     the transition stream is byte-identical at any jobs count.
 
     {b Stability guarantees.} Rule files and alert-log lines carry
-    {!schema_version}; readers raise {!Version_mismatch} on skew (the
-    CLI maps it to exit code 2). *)
+    {!schema_version}; readers raise [Obs.Versioned.Version_mismatch] on
+    skew (the CLI maps it to exit code 2). *)
 
 val schema_version : int
-
-exception Version_mismatch of { expected : int; got : int }
 
 type signal =
   | Unknown_share  (** percent of the epoch's verdicts left Unclassified *)
@@ -52,9 +50,9 @@ val default_rules : rule list
 
 val rules_to_json : rule list -> Obs.Json.t
 val rules_of_json : Obs.Json.t -> rule list
-(** Raises {!Version_mismatch} on skew, [Obs.Json.Parse_error] on a
-    malformed document (unknown signal, missing bound, non-positive
-    [for_epochs]). *)
+(** Raises [Obs.Versioned.Version_mismatch] on skew,
+    [Obs.Json.Parse_error] on a wrong kind or a malformed document
+    (unknown signal, missing bound, non-positive [for_epochs]). *)
 
 val load_rules : string -> rule list
 (** Read a rules file; same exceptions as {!rules_of_json}, plus
@@ -81,6 +79,15 @@ type transition = {
 
 val transition_to_json : transition -> Obs.Json.t
 val transition_of_json : Obs.Json.t -> transition
+(** Raises like {!rules_of_json}. *)
+
+val write_log : string -> transition list -> unit
+(** The JSONL alert log: one {!transition_to_json} line per transition,
+    written with [Obs.Versioned.atomic_write] so a watcher never reads a
+    torn log. *)
+
+val read_log : string -> transition list
+(** Read a log written by {!write_log}; raises like {!load_rules}. *)
 
 val signal_values :
   ?health:Health.snapshot ->

@@ -1,9 +1,8 @@
 (* Status snapshots for the continuous-census daemon. See health.mli;
    the two properties that matter:
 
-   - Writes are atomic (temp file in the target directory, then
-     rename), so a reader polling the path mid-run never sees a torn
-     document — the same pattern Journal.compact uses for the store.
+   - Writes go through Obs.Versioned.atomic_write, so a reader polling
+     the path mid-run never sees a torn document.
    - Everything except jobs_per_s is measured in commit ticks or plain
      counts, so the final snapshot is a deterministic function of the
      workload and diffs clean across jobs counts. *)
@@ -27,14 +26,12 @@ type snapshot = {
 }
 
 let schema_version = 1
-
-exception Version_mismatch of { expected : int; got : int }
+let kind = "nebby_serve_status"
 
 let to_json s =
   Obs.Json.Obj
-    [
-      ("kind", Obs.Json.Str "nebby_serve_status");
-      ("version", Obs.Json.Num (float_of_int s.version));
+    (Obs.Versioned.fields ~kind ~version:s.version
+    @ [
       ("phase", Obs.Json.Str s.phase);
       ("epoch", Obs.Json.Num (float_of_int s.epoch));
       ( "queue_depths",
@@ -60,35 +57,21 @@ let to_json s =
                    ("hist", Obs.Histogram.to_json h);
                  ])
              s.waits) );
-    ]
+    ])
 
-let shape_error what = raise (Obs.Json.Parse_error ("serve status: bad " ^ what))
-
-let get_num what j =
-  match Obs.Json.member what j with Some (Obs.Json.Num x) -> x | _ -> shape_error what
-
-let get_int what j = int_of_float (get_num what j)
-
-let get_str what j =
-  match Obs.Json.member what j with Some (Obs.Json.Str s) -> s | _ -> shape_error what
+let ctx = "serve status"
+let get_int = Obs.Json.get_int ctx
 
 let of_json j =
-  (match Obs.Json.member "kind" j with
-  | Some (Obs.Json.Str "nebby_serve_status") -> ()
-  | _ -> shape_error "kind");
-  let got = get_int "version" j in
-  if got <> schema_version then raise (Version_mismatch { expected = schema_version; got });
+  Obs.Versioned.check ~kind ~version:schema_version j;
   {
-    version = got;
-    phase = get_str "phase" j;
+    version = schema_version;
+    phase = Obs.Json.get_str ctx "phase" j;
     epoch = get_int "epoch" j;
     queue_depths =
-      (match Obs.Json.member "queue_depths" j with
-      | Some (Obs.Json.Arr ds) ->
-        List.map
-          (function Obs.Json.Num d -> int_of_float d | _ -> shape_error "queue_depths")
-          ds
-      | _ -> shape_error "queue_depths");
+      List.map
+        (fun d -> int_of_float (Obs.Json.num ctx d))
+        (Obs.Json.get_arr ctx "queue_depths" j);
     high_water = get_int "high_water" j;
     overloads = get_int "overloads" j;
     measured = get_int "measured" j;
@@ -99,21 +82,13 @@ let of_json j =
     journal_records = get_int "journal_records" j;
     journal_lag = get_int "journal_lag" j;
     jobs_per_s =
-      (match Obs.Json.member "jobs_per_s" j with
-      | Some (Obs.Json.Num r) -> Some r
-      | Some Obs.Json.Null -> None
-      | _ -> shape_error "jobs_per_s");
+      (match Obs.Json.field ctx "jobs_per_s" j with
+      | Obs.Json.Null -> None
+      | r -> Some (Obs.Json.num ctx r));
     waits =
-      (match Obs.Json.member "waits" j with
-      | Some (Obs.Json.Arr ws) ->
-        List.map
-          (fun w ->
-            let prio = get_int "prio" w in
-            match Obs.Json.member "hist" w with
-            | Some h -> (prio, Obs.Histogram.of_json h)
-            | None -> shape_error "hist")
-          ws
-      | _ -> shape_error "waits");
+      List.map
+        (fun w -> (get_int "prio" w, Obs.Histogram.of_json (Obs.Json.field ctx "hist" w)))
+        (Obs.Json.get_arr ctx "waits" j);
   }
 
 (* Prometheus text exposition. Quantiles follow the summary-metric
@@ -218,14 +193,10 @@ let render s =
           s.waits));
   Buffer.contents buf
 
-let atomic_write path text =
-  let tmp = path ^ ".tmp" in
-  Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc text);
-  Sys.rename tmp path
-
 let write ?extra ~path s =
-  atomic_write path (Obs.Json.to_string (to_json s) ^ "\n");
-  atomic_write (path ^ ".prom") (to_prometheus ?extra s)
+  let write path text = Obs.Versioned.atomic_write path (fun oc -> output_string oc text) in
+  write path (Obs.Json.to_string (to_json s) ^ "\n");
+  write (path ^ ".prom") (to_prometheus ?extra s)
 
 let read path =
   let text = In_channel.with_open_bin path In_channel.input_all in

@@ -2,7 +2,7 @@
 
     While [Service.run] executes, it periodically writes a {!snapshot}
     of its runtime state to the configured status file — atomically,
-    via a temp file and [rename], so a concurrent reader (another
+    with [Obs.Versioned.atomic_write], so a concurrent reader (another
     process running [nebby stats --live <file>], a scrape agent)
     always sees a complete document. Two renderings are produced per
     write: the schema-versioned JSON at [path], and a Prometheus text
@@ -40,12 +40,10 @@ type snapshot = {
 
 val schema_version : int
 
-exception Version_mismatch of { expected : int; got : int }
-
 val to_json : snapshot -> Obs.Json.t
 val of_json : Obs.Json.t -> snapshot
-(** Raises [Obs.Json.Parse_error] on shape mismatch, {!Version_mismatch}
-    on schema skew. *)
+(** Raises [Obs.Json.Parse_error] on a wrong kind or shape mismatch,
+    [Obs.Versioned.Version_mismatch] on schema skew. *)
 
 val to_prometheus : ?extra:string -> snapshot -> string
 (** Prometheus text exposition (gauges, counters, and per-priority
@@ -59,8 +57,8 @@ val render : snapshot -> string
 (** Fixed-width text table for [nebby stats --live]. *)
 
 val write : ?extra:string -> path:string -> snapshot -> unit
-(** Atomically (temp + rename) write the JSON snapshot to [path] and
-    the Prometheus exposition (with [extra] appended) to
+(** Atomically ([Obs.Versioned.atomic_write]) write the JSON snapshot
+    to [path] and the Prometheus exposition (with [extra] appended) to
     [path ^ ".prom"]. *)
 
 val read : string -> snapshot

@@ -31,5 +31,5 @@ val ledger_of_journal : subject:string -> Engine.Journal.t -> Obs.Drift.ledger
 val ledger_of_store : store:string -> Obs.Drift.ledger
 (** Open the journal at [store] (repairing a torn tail like any other
     reader), build the ledger with the store's basename as subject,
-    and close it. Raises {!Engine.Journal.Version_mismatch} on schema
+    and close it. Raises [Obs.Versioned.Version_mismatch] on schema
     skew. *)

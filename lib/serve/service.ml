@@ -449,20 +449,9 @@ let run ~control ~config ~store =
         ~value:(float_of_int (Engine.Journal.length journal));
       Engine.Journal.compact journal;
       write_status st ~phase:"final";
-      (match config.alert_log with
-      | None -> ()
-      | Some path ->
-        let buf = Buffer.create 512 in
-        List.iter
-          (fun tr ->
-            Buffer.add_string buf (Obs.Json.to_string (Alerts.transition_to_json tr));
-            Buffer.add_char buf '\n')
-          (List.rev st.transitions);
-        (* atomic like the status file: a watcher never reads a torn log *)
-        let tmp = path ^ ".tmp" in
-        Out_channel.with_open_bin tmp (fun oc ->
-            Out_channel.output_string oc (Buffer.contents buf));
-        Sys.rename tmp path);
+      Option.iter
+        (fun path -> Alerts.write_log path (List.rev st.transitions))
+        config.alert_log;
       {
         measured = st.measured;
         recovered = st.recovered;

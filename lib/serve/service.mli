@@ -96,8 +96,8 @@ val run :
   control:Nebby.Training.control -> config:config -> store:string -> summary
 (** Open (or create) the journal at [store], run every epoch, commit the
     epoch snapshots, then drain, compact and close. Raises
-    {!Engine.Journal.Version_mismatch} on schema skew (the CLI maps it
-    to exit code 2). Progress is observable when telemetry is armed:
+    [Obs.Versioned.Version_mismatch] on schema skew (the CLI maps it to
+    exit code 2). Progress is observable when telemetry is armed:
     [serve.measured] / [serve.recovered] / [serve.watchdog.timeouts] /
     [serve.journal.torn] / [serve.drift.events] /
     [serve.alerts.transitions] counters next to the queue's own, and

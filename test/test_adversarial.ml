@@ -157,7 +157,8 @@ let test_fixture_version_gate () =
     | _ -> Alcotest.fail "fixture is not a JSON object"
   in
   match Search.Fixture.of_string (Obs.Json.to_string skewed) with
-  | exception Search.Fixture.Version_mismatch { expected; got } ->
+  | exception Obs.Versioned.Version_mismatch { kind; expected; got } ->
+    Alcotest.(check string) "kind" "nebby_adversarial" kind;
     Alcotest.(check int) "expected version" Search.Fixture.schema_version expected;
     Alcotest.(check int) "skewed version" 999 got
   | Ok _ -> Alcotest.fail "version skew was accepted"
@@ -249,7 +250,7 @@ let test_committed_fixtures_replay () =
       (fun file ->
         let path = Filename.concat dir file in
         match Search.Fixture.load path with
-        | exception Search.Fixture.Version_mismatch { expected; got } ->
+        | exception Obs.Versioned.Version_mismatch { expected; got; _ } ->
           Alcotest.failf "%s: schema v%d, this build reads v%d — regenerate it" file got
             expected
         | Error e -> Alcotest.failf "%s: %s" file e

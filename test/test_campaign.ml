@@ -89,8 +89,8 @@ let test_store_version_mismatch () =
       output_string oc "{\"kind\":\"campaign\",\"version\":999,\"experiment\":\"x\",\"runs\":0}\n";
       close_out oc;
       Alcotest.check_raises "future schema fails loudly"
-        (Obs.Campaign.Version_mismatch
-           { expected = Obs.Campaign.schema_version; got = 999 })
+        (Obs.Versioned.Version_mismatch
+           { kind = "campaign"; expected = Obs.Campaign.schema_version; got = 999 })
         (fun () -> ignore (Obs.Campaign.read_store path)))
 
 let test_store_truncated_final_record () =

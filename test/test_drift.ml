@@ -190,7 +190,8 @@ let test_ledger_version_gate () =
     | _ -> Alcotest.fail "ledger json not an object"
   in
   match Obs.Drift.of_json skewed with
-  | exception Obs.Drift.Version_mismatch { expected; got } ->
+  | exception Obs.Versioned.Version_mismatch { kind; expected; got } ->
+    Alcotest.(check string) "kind" "nebby_drift_ledger" kind;
     Alcotest.(check int) "expected version" Obs.Drift.schema_version expected;
     Alcotest.(check int) "got skewed version" 99 got
   | _ -> Alcotest.fail "version skew must raise"
@@ -394,7 +395,8 @@ let test_alert_rules_json_and_gauges () =
             ("rules", Obs.Json.Arr []);
           ])
    with
-  | exception Serve.Alerts.Version_mismatch { got = 42; _ } -> ()
+  | exception Obs.Versioned.Version_mismatch { kind = "nebby_alert_rules"; got = 42; _ } ->
+    ()
   | _ -> Alcotest.fail "rules version skew must raise");
   (* transitions round-trip *)
   let tr =

@@ -177,7 +177,8 @@ let test_trace_round_trip_and_report () =
   in
   (match Obs.Pooltrace.of_string skewed with
   | _ -> Alcotest.fail "expected Version_mismatch"
-  | exception Obs.Pooltrace.Version_mismatch { got; _ } ->
+  | exception Obs.Versioned.Version_mismatch { kind; got; _ } ->
+    Alcotest.(check string) "mismatch names the kind" "pool_trace" kind;
     Alcotest.(check int) "mismatch carries the skewed version"
       (Obs.Pooltrace.schema_version + 1) got);
   Obs.Histogram.reset ()

@@ -197,7 +197,8 @@ let test_dump_version_gate () =
   let bumped = replace_once ~sub:"\"version\":1" ~by:"\"version\":999" text in
   Alcotest.(check bool) "version field rewritten" true (text <> bumped);
   Alcotest.check_raises "future schema version raises"
-    (Obs.Flight.Version_mismatch { expected = Obs.Flight.schema_version; got = 999 })
+    (Obs.Versioned.Version_mismatch
+       { kind = "flight_dump"; expected = Obs.Flight.schema_version; got = 999 })
     (fun () -> ignore (Obs.Flight.dump_of_string bumped))
 
 (* ---- Prof.folded frame sanitization ---- *)

@@ -21,4 +21,5 @@ let () =
       ("serve", Test_serve.suite);
       ("drift", Test_drift.suite);
       ("adversarial", Test_adversarial.suite);
+      ("versioned", Test_versioned.suite);
     ]

@@ -43,14 +43,15 @@ let test_version_gate () =
       json
   in
   Alcotest.check_raises "future version raises"
-    (Obs.Provenance.Version_mismatch
-       { expected = Obs.Provenance.schema_version; got = 999 })
+    (Obs.Versioned.Version_mismatch
+       { kind = "provenance"; expected = Obs.Provenance.schema_version; got = 999 })
     (fun () -> ignore (Obs.Provenance.of_json bumped));
   let stripped =
     with_version_field (List.filter (fun (k, _) -> k <> "version")) json
   in
   Alcotest.check_raises "missing version raises"
-    (Obs.Provenance.Version_mismatch { expected = Obs.Provenance.schema_version; got = 0 })
+    (Obs.Versioned.Version_mismatch
+       { kind = "provenance"; expected = Obs.Provenance.schema_version; got = 0 })
     (fun () -> ignore (Obs.Provenance.of_json stripped))
 
 let test_jsonl_roundtrip () =

@@ -102,8 +102,8 @@ let test_journal_version_mismatch () =
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc "{\"kind\":\"nebby_journal\",\"version\":99}\n");
       Alcotest.check_raises "future schema fails loudly"
-        (Engine.Journal.Version_mismatch
-           { expected = Engine.Journal.schema_version; got = 99 })
+        (Obs.Versioned.Version_mismatch
+           { kind = "nebby_journal"; expected = Engine.Journal.schema_version; got = 99 })
         (fun () -> ignore (Engine.Journal.open_ path));
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc "{\"kind\":\"other\",\"version\":1}\n");
@@ -476,7 +476,8 @@ let test_status_read_render_and_version_gate () =
                 "{\"kind\":\"nebby_serve_status\",\"version\":99}\n");
           match Serve.Health.read status with
           | _ -> Alcotest.fail "expected Version_mismatch"
-          | exception Serve.Health.Version_mismatch { got; _ } ->
+          | exception Obs.Versioned.Version_mismatch { kind; got; _ } ->
+            Alcotest.(check string) "mismatch names the kind" "nebby_serve_status" kind;
             Alcotest.(check int) "mismatch carries the skewed version" 99 got))
 
 let test_service_backpressure_observable () =

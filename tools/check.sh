@@ -203,6 +203,29 @@ if ! cmp -s "$tmp1" "$tmp2"; then
   exit 1
 fi
 
+echo "== schema skew gate (a version-99 file of each kind exits 2) =="
+# Every subcommand that reads a versioned file must reject a future
+# schema version with exit code 2 and exactly one "schema version
+# mismatch" line on stderr.
+skew_tmp=$(mktemp -d)
+trap 'rm -f "$tmp1" "$tmp2" "$prov_tmp" "$flight_tmp"; rm -rf "$pool_tmp" "$golden_tmp" "$skew_tmp"' EXIT
+for spec in "nebby_journal|serve --compact-only --store" "nebby_journal|drift" \
+  "nebby_serve_status|stats --live" "pool_trace|stats --pool" "flight_dump|report" \
+  "provenance|explain" "campaign|campaign --from"; do
+  kind=${spec%%|*} cmd=${spec#*|}
+  printf '{"kind":"%s","version":99}\n' "$kind" >"$skew_tmp/$kind.v99"
+  rc=0
+  "$cli" $cmd "$skew_tmp/$kind.v99" >/dev/null 2>"$skew_tmp/err" || rc=$?
+  if [ "$rc" -ne 2 ] || [ "$(wc -l <"$skew_tmp/err")" -ne 1 ] \
+    || ! grep -q "schema version mismatch" "$skew_tmp/err"; then
+    cat "$skew_tmp/err" >&2
+    echo "check.sh: $cmd on a version-99 $kind file exited $rc;" \
+      "expected 2 with one schema version mismatch line" >&2
+    exit 1
+  fi
+done
+rm -rf "$skew_tmp"
+
 echo "== bench engine + baseline gate (census serial vs parallel, bench.json) =="
 # --baseline writes BENCH_<date>.json and compares the guarded census
 # timings against the committed BENCH_baseline.json; a >25% slowdown
