@@ -221,8 +221,8 @@ let trace_sparkline ?proto ?noise ~profile ~seed name =
 
 (* total wall seconds recorded so far under span [name] (0 if never run) *)
 let span_total name =
-  match Obs.Metrics.find_histogram ("span." ^ name) with
-  | Some h -> Obs.Metrics.histogram_sum h
+  match Obs.Histogram.find ("span." ^ name) with
+  | Some h -> Obs.Histogram.sum h
   | None -> 0.0
 
 let control =
@@ -1053,7 +1053,6 @@ let engine () =
   ignore (Internet.Census.run ~jobs ~control ~proto ~region websites);
   Obs.Pooltrace.set_enabled false;
   let trace = Obs.Pooltrace.drain () in
-  Obs.Histogram.reset ();
   let psum = Obs.Pooltrace.summarize trace in
   let wait_p99 = Obs.Histogram.quantile psum.Obs.Pooltrace.s_wait_us 0.99 in
   let steal_frac =
@@ -1075,7 +1074,6 @@ let engine () =
     let t = cpu_time labels_run in
     Obs.Pooltrace.set_enabled false;
     ignore (Obs.Pooltrace.drain ());
-    Obs.Histogram.reset ();
     t
   in
   let trace_pairs =
@@ -1442,13 +1440,12 @@ let () =
     pf "  %-10s %8s %10s %10s %10s %10s\n" "stage" "calls" "total(s)" "p50(s)" "p90(s)" "p99(s)";
     List.iter
       (fun stage ->
-        match Obs.Metrics.find_histogram ("span." ^ stage) with
+        match Obs.Histogram.find ("span." ^ stage) with
         | None -> pf "  %-10s %8s %10s %10s %10s %10s\n" stage "-" "-" "-" "-" "-"
         | Some h ->
-          let p q = Obs.Metrics.percentile h q in
-          pf "  %-10s %8d %10.2f %10.4f %10.4f %10.4f\n" stage
-            (Obs.Metrics.histogram_count h) (Obs.Metrics.histogram_sum h) (p 0.50) (p 0.90)
-            (p 0.99))
+          let p q = Obs.Histogram.quantile h q in
+          pf "  %-10s %8d %10.2f %10.4f %10.4f %10.4f\n" stage (Obs.Histogram.count h)
+            (Obs.Histogram.sum h) (p 0.50) (p 0.90) (p 0.99))
       [ "train"; "simulate"; "prepare"; "classify" ];
     pf "\n[all experiments done in %.0f s]\n" (span_total "bench");
     record_json_f "bench_total_s" (span_total "bench");

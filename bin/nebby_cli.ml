@@ -110,8 +110,8 @@ let default_telemetry_file = "nebby-telemetry.jsonl"
 let telemetry_arg =
   let doc =
     Printf.sprintf
-      "Write structured telemetry (events, spans, metrics) as JSONL to $(docv); inspect it \
-       with $(b,nebby stats) (which defaults to %s)."
+      "Write telemetry (spans, counters and gauges, histograms) as JSONL to $(docv); \
+       inspect it with $(b,nebby stats) (which defaults to %s)."
       default_telemetry_file
   in
   Arg.(value & opt (some string) None & info [ "telemetry" ] ~docv:"FILE" ~doc)
@@ -174,9 +174,11 @@ let note fmt =
   if Obs.Runtime.level () = Obs.Runtime.Quiet then Printf.ifprintf stderr fmt
   else Printf.eprintf fmt
 
+(* Output files are written through Obs.Versioned.write_file, which
+   closes with close_out: a failed final flush raises Sys_error (exit 2
+   under [or_exit_2]) instead of losing the file silently. *)
 let write_file path content =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc content)
+  Obs.Versioned.write_file path (fun oc -> output_string oc content)
 
 (* Wrap a run in the profiler when any profiler output was requested. *)
 let with_profiling ~prof ~folded ~json f =
@@ -192,10 +194,8 @@ let with_profiling ~prof ~folded ~json f =
   end
 
 let write_provenance_jsonl path reports =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> List.iter (Obs.Provenance.write_jsonl oc) reports)
+  Obs.Versioned.write_file path (fun oc ->
+      List.iter (Obs.Provenance.write_jsonl oc) reports)
 
 (* Golden-fixture replay, shared by `explain` and `report`: parse the
    committed observation lists back into traces and re-run the
@@ -288,6 +288,7 @@ let measure_cmd =
   let run cca proto noise seed runs max_attempts log_level flight flight_confidence
       telemetry chrome provenance prof folded prof_json =
     Obs.Runtime.set_level log_level;
+    or_exit_2 "measure" (fun () ->
     let control = train runs in
     let plugins = Nebby.Classifier.extended_plugins control in
     let config =
@@ -318,10 +319,7 @@ let measure_cmd =
       (fun path ->
         match report.Nebby.Measurement.flight with
         | Some dump ->
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out_noerr oc)
-            (fun () -> Obs.Flight.write_dump oc dump);
+          Obs.Versioned.write_file path (fun oc -> Obs.Flight.write_dump oc dump);
           Printf.printf "flight dump: %s (trigger: %s, %d events)\n" path
             dump.Obs.Flight.trigger
             (List.length dump.Obs.Flight.events)
@@ -334,7 +332,7 @@ let measure_cmd =
       print_failure_chain report;
       exit_unclassified
     end
-    else exit_ok
+    else exit_ok)
   in
   let doc = "Measure a simulated server and classify its CCA." in
   Cmd.v (Cmd.info "measure" ~doc)
@@ -507,6 +505,7 @@ let chaos_cmd =
   let run ccas families seed count seed_list runs max_attempts proto jobs log_level
       telemetry chrome list_families dump_plans =
     Obs.Runtime.set_level log_level;
+    or_exit_2 "chaos" (fun () ->
     if list_families then begin
       List.iter print_endline Nebby.Chaos.family_names;
       exit_ok
@@ -570,7 +569,7 @@ let chaos_cmd =
           end
           else exit_ok
       end
-    end
+    end)
   in
   let doc =
     "Measure CCAs under a standard fault-injection suite and report accuracy degradation \
@@ -1343,11 +1342,8 @@ let campaign_cmd =
                   match experiment_result with Ok e -> e | Error _ -> assert false
                 in
                 let control = train runs in
-                let oc = open_out out in
                 let stored =
-                  Fun.protect
-                    ~finally:(fun () -> close_out_noerr oc)
-                    (fun () ->
+                  Obs.Versioned.write_file out (fun oc ->
                       Obs.Campaign.write_header oc
                         ~experiment:(Internet.Campaign_runner.experiment_name experiment)
                         ~runs:(List.length seeds);

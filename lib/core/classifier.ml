@@ -32,19 +32,13 @@ let classify ~plugins prepared =
   let verdicts = List.filter_map (fun p -> p.Plugin.classify prepared) plugins in
   (combine verdicts, verdicts)
 
-let emit_vote ~plugin (v : Plugin.verdict) =
-  if Obs.Events.active () then
-    Obs.Events.emit
-      (Obs.Events.Classifier_vote
-         { plugin; label = v.Plugin.label; confidence = v.Plugin.confidence })
-
 (* Shared engine behind [classify_measurement] and [explain_measurement]:
-   runs the loss classifier plus every plugin, emitting vote events, and
+   runs the loss classifier plus every plugin, counting votes, and
    keeps (plugin, profile) attribution for provenance. *)
 let run_classifiers ~plugins ~proto ~control prepared =
   let plugins = if plugins = [] then extended_plugins control else plugins in
   let loss = Loss_classifier.classify_joint ~proto control prepared in
-  Option.iter (emit_vote ~plugin:"loss_gnb") loss;
+  if loss <> None then Obs.Metrics.bump "classifier.votes";
   let named =
     List.concat_map
       (fun (profile, p) ->
@@ -52,7 +46,7 @@ let run_classifiers ~plugins ~proto ~control prepared =
           (fun plugin ->
             match plugin.Plugin.classify p with
             | Some v ->
-              emit_vote ~plugin:plugin.Plugin.name v;
+              Obs.Metrics.bump "classifier.votes";
               Some (plugin.Plugin.name, profile, v)
             | None -> None)
           plugins)

@@ -55,7 +55,7 @@ val explain_measurement :
   outcome * Plugin.verdict list * explanation
 (** {!classify_measurement} plus the decision provenance behind it.
     Classification behaviour is identical — same outcome, same verdicts,
-    same emitted events. *)
+    same counted votes. *)
 
 val combine : Plugin.verdict list -> outcome
 

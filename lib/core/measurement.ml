@@ -131,7 +131,7 @@ let diagnose runs ~segments =
   else if segments = 0 then Too_few_oscillations
   else Low_confidence
 
-let measure ?plugins ?profiles ?transform ?smoothen ?telemetry ?(noise = Netsim.Path.mild)
+let measure ?plugins ?profiles ?transform ?smoothen ?(noise = Netsim.Path.mild)
     ?(proto = Netsim.Packet.Tcp) ?(page_bytes = Profile.default_page_bytes) ?(seed = 99)
     ?(config = default_config) ?faults ?(provenance = true) ?(subject = "measurement")
     ~control ~make_cca () =
@@ -157,7 +157,7 @@ let measure ?plugins ?profiles ?transform ?smoothen ?telemetry ?(noise = Netsim.
              ~window_s:config.flight_window_s ())
   in
   let attempt n =
-    if Obs.Events.active () then Obs.Events.emit (Obs.Events.Attempt_started { attempt = n });
+    Obs.Metrics.bump "measurement.attempts";
     let runs =
       List.mapi
         (fun i profile ->
@@ -236,9 +236,7 @@ let measure ?plugins ?profiles ?transform ?smoothen ?telemetry ?(noise = Netsim.
       }
     | `Failed (reason, per_profile, prov) ->
       trigger_flight ~attempt:n ~trigger:("failure:" ^ failure_reason_label reason);
-      if Obs.Events.active () then
-        Obs.Events.emit
-          (Obs.Events.Attempt_failed { attempt = n; reason = failure_reason_label reason });
+      Obs.Metrics.bump "measurement.attempt_failures";
       let failures = reason :: failures in
       let occurrences = List.length (List.filter (( = ) reason) failures) in
       if n >= config.max_attempts || occurrences > retry_budget config reason then
@@ -256,27 +254,15 @@ let measure ?plugins ?profiles ?transform ?smoothen ?telemetry ?(noise = Netsim.
         let delay =
           config.backoff_base *. (config.backoff_factor ** float_of_int (n - 1)) *. jitter
         in
-        if Obs.Events.active () then
-          Obs.Events.emit
-            (Obs.Events.Retry_backoff
-               { attempt = n; delay; reason = failure_reason_label reason });
+        Obs.Metrics.bump "measurement.retries";
         config.sleep delay;
         go (n + 1) failures (backoff_total +. delay)
       end
   in
-  let run () =
-    let report = go 1 [] 0.0 in
-    Option.iter Obs.Provenance.emit report.provenance;
-    if Obs.Events.active () then
-      Obs.Events.emit
-        (Obs.Events.Measurement_done { label = report.label; attempts = report.attempts });
-    report
-  in
-  match telemetry with
-  | None -> run ()
-  | Some f ->
-    let handle = Obs.Events.on f in
-    Fun.protect ~finally:(fun () -> Obs.Events.off handle) run
+  let report = go 1 [] 0.0 in
+  Option.iter Obs.Provenance.emit report.provenance;
+  Obs.Metrics.bump "measurement.done";
+  report
 
 let measure_cca ?plugins ?noise ?proto ?seed ?config ?faults ?provenance ~control name =
   measure ?plugins ?noise ?proto ?seed ?config ?faults ?provenance ~subject:name

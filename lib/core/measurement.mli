@@ -116,7 +116,6 @@ val measure :
   ?profiles:Profile.t list ->
   ?transform:(rtt:float -> (float * float) list -> (float * float) list) ->
   ?smoothen:bool ->
-  ?telemetry:(Obs.Events.t -> unit) ->
   ?noise:Netsim.Path.noise ->
   ?proto:Netsim.Packet.proto ->
   ?page_bytes:int ->
@@ -129,12 +128,12 @@ val measure :
   make_cca:(Cca.params -> Cca.t) ->
   unit ->
   report
-(** Measure a simulated target server end to end. [telemetry] subscribes to
-    {!Obs.Events} for the duration of the call, so every layer's events
-    (packet drops, cwnd updates, back-offs, segments, classifier votes,
-    attempts, fault injections, retries) flow to the callback; the
-    subscription is removed on return. [faults] forwards a fault plan to
-    every {!Testbed.run} of every attempt.
+(** Measure a simulated target server end to end. [faults] forwards a
+    fault plan to every {!Testbed.run} of every attempt. When the runtime
+    is armed, attempts, failed attempts, retries and finished
+    measurements are counted ([measurement.attempts],
+    [measurement.attempt_failures], [measurement.retries],
+    [measurement.done]).
 
     [provenance] (default [true]) builds the verdict report carried in
     [report.provenance] and hands it to {!Obs.Provenance.emit} (a no-op

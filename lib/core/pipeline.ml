@@ -200,25 +200,10 @@ let prepare ?(dt = default_dt) ?(smoothen = true) ~rtt points =
              else None)
   in
   if Obs.Runtime.armed () then begin
-    Obs.Metrics.add (Obs.Metrics.counter "pipeline.segments") (List.length segments);
-    Obs.Metrics.add (Obs.Metrics.counter "pipeline.backoffs") (List.length backoffs);
-    let dur = Obs.Metrics.histogram "pipeline.segment_duration_s" in
-    List.iter (fun seg -> Obs.Metrics.observe dur seg.duration) segments
-  end;
-  if Obs.Events.active () then begin
-    List.iter
-      (fun b ->
-        Obs.Events.emit
-          (Obs.Events.Backoff_detected
-             { at = t0 +. (float_of_int b.b_start *. dt); depth = b.depth; dwell = b.dwell }))
-      backoffs;
-    List.iter
-      (fun seg ->
-        Obs.Events.emit
-          (Obs.Events.Segment_produced
-             { start_time = seg.start_time; duration = seg.duration;
-               samples = Array.length seg.values }))
-      segments
+    Obs.Metrics.bump ~by:(List.length segments) "pipeline.segments";
+    Obs.Metrics.bump ~by:(List.length backoffs) "pipeline.backoffs";
+    let dur = Obs.Histogram.get "pipeline.segment_duration_s" in
+    List.iter (fun seg -> Obs.Histogram.observe dur seg.duration) segments
   end;
   {
     dt;

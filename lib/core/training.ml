@@ -206,15 +206,7 @@ let train ?(runs_per_cca = 15) ?(quic_runs_per_cca = 8) ?(profiles = Profile.def
         per_profile;
       if List.for_all Option.is_some per_profile then
         raw.joint_vecs <- Array.concat (List.map Option.get per_profile) :: raw.joint_vecs;
-      if Obs.Runtime.armed () then Obs.Metrics.incr (Obs.Metrics.counter "training.runs");
-      if Obs.Events.active () then
-        Obs.Events.emit
-          (Obs.Events.Training_run
-             {
-               cca = cca_name;
-               proto = (match proto with Netsim.Packet.Tcp -> "tcp" | Netsim.Packet.Quic -> "quic");
-               run;
-             })
+      Obs.Metrics.bump "training.runs"
     done;
     raw
   in

@@ -34,7 +34,7 @@ let find t key =
 
 let record armed_counter counter =
   Atomic.incr counter;
-  if Obs.Runtime.armed () then Obs.Metrics.incr (Obs.Metrics.counter armed_counter)
+  Obs.Metrics.bump armed_counter
 
 let find_or_compute t key f =
   Mutex.lock t.lock;

@@ -7,12 +7,9 @@ let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
    global index s + p*w. *)
 let shard_size ~n ~workers s = if s >= n then 0 else ((n - s - 1) / workers) + 1
 
-(* Task-lifecycle tracing (Obs.Pooltrace) rides the same domain-local
-   buffer pattern as Metrics/Flight: when the caller has tracing on,
-   workers inherit the trace origin, stamp each task around [f], feed
-   the queue-wait/run-time registry histograms, and their buffers are
-   drained at join. When tracing is off the per-task cost is one
-   captured-bool branch — the clock is never read. *)
+(* Task-lifecycle tracing (Obs.Pooltrace): when the caller has tracing
+   on, each task is stamped around [f]. When tracing is off the per-task
+   cost is one captured-bool branch — the clock is never read. *)
 let run_traced ~worker ~stolen ~workers ~t_submit f i x =
   let t0 = Unix.gettimeofday () in
   let r = (match f x with y -> Ok y | exception e -> Error e) in
@@ -27,15 +24,8 @@ let parallel_map ?emit ~workers f xs =
   let ready = Array.init n (fun _ -> Atomic.make false) in
   let cursors = Array.init workers (fun _ -> Atomic.make 0) in
   let steals = Atomic.make 0 in
-  let parent_armed = Obs.Runtime.armed () in
-  let parent_profiling = Obs.Prof.profiling () in
-  let parent_collecting = Obs.Provenance.collecting () in
-  let parent_level = Obs.Runtime.level () in
-  let parent_flight = Obs.Flight.enabled () in
   let trace_on = Obs.Pooltrace.enabled () in
-  let trace_origin, t_submit =
-    if trace_on then Obs.Pooltrace.on_run ~jobs:n ~workers else (0.0, 0.0)
-  in
+  let t_submit = if trace_on then Obs.Pooltrace.on_run ~jobs:n ~workers else 0.0 in
   let claim s =
     let pos = Atomic.fetch_and_add cursors.(s) 1 in
     if pos < shard_size ~n ~workers s then Some (s + (pos * workers)) else None
@@ -55,12 +45,6 @@ let parallel_map ?emit ~workers f xs =
     Atomic.set ready.(i) true
   in
   let worker w () =
-    if parent_armed then Obs.Runtime.arm ();
-    if parent_profiling then Obs.Prof.enable ();
-    if parent_collecting then Obs.Provenance.enable_collect ();
-    Obs.Runtime.set_level parent_level;
-    Obs.Flight.set_enabled parent_flight;
-    if trace_on then Obs.Pooltrace.import ~origin:trace_origin;
     let rec drain s stolen =
       match claim s with
       | Some i ->
@@ -72,20 +56,11 @@ let parallel_map ?emit ~workers f xs =
     drain w false;
     for s = 0 to workers - 1 do
       if s <> w then drain s true
-    done;
-    (* hand the domain-local telemetry buffers to the collector *)
-    let profile = if parent_profiling then Obs.Prof.drain () else [] in
-    let reports =
-      if parent_collecting then Obs.Provenance.drain_reports () else []
-    in
-    ( Obs.Metrics.drain (),
-      profile,
-      reports,
-      Obs.Flight.drain (),
-      Obs.Pooltrace.drain_tasks (),
-      Obs.Histogram.drain () )
+    done
   in
-  let domains = Array.init workers (fun w -> Domain.spawn (worker w)) in
+  (* each worker inherits the caller's obs state and hands its buffers
+     back at join *)
+  let domains = Array.init workers (fun w -> Obs.Collector.spawn (worker w)) in
   (* stream completed results to the caller in canonical index order while
      workers are still running: emit job i only once every job < i has been
      emitted, so the emission order never depends on scheduling *)
@@ -102,24 +77,11 @@ let parallel_map ?emit ~workers f xs =
       end
       else Domain.cpu_relax ()
     done);
-  let buffers = Array.map Domain.join domains in
-  Array.iter
-    (fun (metrics, profile, reports, flight, tasks, hists) ->
-      Obs.Metrics.absorb metrics;
-      Obs.Prof.absorb profile;
-      Obs.Provenance.absorb_reports reports;
-      Obs.Flight.absorb flight;
-      Obs.Pooltrace.absorb_tasks tasks;
-      Obs.Histogram.absorb hists)
-    buffers;
-  if parent_armed then begin
-    Obs.Metrics.add (Obs.Metrics.counter "engine.pool.jobs") n;
-    Obs.Metrics.add (Obs.Metrics.counter "engine.pool.workers") workers;
-    Obs.Metrics.add (Obs.Metrics.counter "engine.pool.steals") (Atomic.get steals);
-    Obs.Metrics.add
-      (Obs.Metrics.counter "engine.pool.local_pops")
-      (n - Atomic.get steals)
-  end;
+  Array.iter Obs.Collector.join domains;
+  Obs.Metrics.bump ~by:n "engine.pool.jobs";
+  Obs.Metrics.bump ~by:workers "engine.pool.workers";
+  Obs.Metrics.bump ~by:(Atomic.get steals) "engine.pool.steals";
+  Obs.Metrics.bump ~by:(n - Atomic.get steals) "engine.pool.local_pops";
   Array.iter (function Some e -> raise e | None -> ()) errors;
   Array.map (function Some y -> y | None -> assert false) results
 
@@ -129,9 +91,7 @@ let parallel_map ?emit ~workers f xs =
 let serial_map ?emit f xs =
   let n = Array.length xs in
   let trace_on = Obs.Pooltrace.enabled () in
-  let t_submit =
-    if trace_on then snd (Obs.Pooltrace.on_run ~jobs:n ~workers:1) else 0.0
-  in
+  let t_submit = if trace_on then Obs.Pooltrace.on_run ~jobs:n ~workers:1 else 0.0 in
   let results = Array.make n None in
   let errors = Array.make n None in
   for i = 0 to n - 1 do

@@ -14,27 +14,20 @@
     itself — see [Netsim.Rng]), [map ~jobs:k f xs] returns bit-identical
     results for every [k]. The engine adds no hidden state of its own.
 
-    Telemetry: when the calling domain is armed ({!Obs.Runtime.armed}),
-    each worker arms its own domain, buffers metrics and span histograms
-    in its domain-local registry while it runs, and the pool flushes every
-    worker's buffer into the caller's registry at join (in worker order,
-    via {!Obs.Metrics.drain}/{!Obs.Metrics.absorb}). The profiler and
-    provenance buffers travel the same way: a profiling caller
-    ({!Obs.Prof.profiling}) gets every worker's folded-stack profile
-    merged via {!Obs.Prof.drain}/{!Obs.Prof.absorb}, and a collecting
-    caller ({!Obs.Provenance.collecting}) receives worker-emitted verdict
-    reports via {!Obs.Provenance.drain_reports}/[absorb_reports] (report
-    arrival order follows worker join order, not submission order).
-    {!Obs.Histogram} registries travel the same drain/absorb road. The
-    pool itself contributes [engine.pool.jobs], [engine.pool.workers],
-    [engine.pool.steals], and [engine.pool.local_pops] counters.
+    Telemetry: every worker is spawned through {!Obs.Collector}, so it
+    inherits the caller's obs state (armed, level, profiler, provenance
+    collection, flight recorder, task tracing, span collection) and its
+    domain-local buffers are absorbed into the caller's at join, worker
+    by worker in join order (so provenance reports arrive in join order,
+    not submission order). When the caller is armed, the pool itself
+    adds [engine.pool.jobs], [engine.pool.workers], [engine.pool.steals]
+    and [engine.pool.local_pops] counters on the parallel path.
 
     Task tracing: when the caller has {!Obs.Pooltrace} enabled, every
     task (serial paths included) records a submit/start/finish lifecycle
     sample tagged with its claiming worker and steal flag, mirrored into
     the flight recorder, and feeds the [pool.queue_wait_us] /
-    [pool.run_us] registry histograms; worker buffers drain to the
-    caller at join. Disabled (the default), the per-task cost is a
+    [pool.run_us] registry histograms. Disabled (the default), the per-task cost is a
     single branch on a captured bool — the clock is never read — so the
     determinism contract and the census-overhead budget are unaffected. *)
 

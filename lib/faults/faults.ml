@@ -280,10 +280,7 @@ let injected t = t.injected
 
 let fire t ~time ~fault ~detail =
   t.injected <- t.injected + 1;
-  Obs.Flight.fault ~time ~family:fault ~detail;
-  if Obs.Runtime.armed () then Obs.Metrics.incr (Obs.Metrics.counter "faults.injected");
-  if Obs.Events.active () then
-    Obs.Events.emit (Obs.Events.Fault_injected { time; fault; detail })
+  Obs.Flight.fault ~time ~family:fault ~detail
 
 (* The dup copy trails the original by up to half a typical RTT. *)
 let dup_copy_max_extra = 0.020

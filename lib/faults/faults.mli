@@ -105,7 +105,8 @@ val arm :
     per-packet fault hooks on the two wide-area segments
     ([wide_area_down] carries data towards the capture point,
     [wide_area_up] carries acks back to the server). Every activation is
-    counted and emitted as an [Obs.Events.Fault_injected] event. *)
+    recorded by {!Obs.Flight.fault} (ring entry and [faults.injected]
+    counter). *)
 
 val observe : injector -> now:float -> Netsim.Packet.t -> float option
 (** Capture-point filter: [None] means the capture missed this packet

@@ -52,23 +52,13 @@ let send t pkt =
      queue bound applies unconditionally *)
   if t.queued_bytes + pkt.Packet.size > t.buffer_bytes && (t.busy || not t.up) then begin
     t.drops <- t.drops + 1;
-    Obs.Flight.drop ~time:(Sim.now t.sim) ~size:pkt.Packet.size ~queue_bytes:t.queued_bytes;
-    if Obs.Runtime.armed () then Obs.Metrics.incr (Obs.Metrics.counter "netsim.link.drops");
-    if Obs.Events.active () then
-      Obs.Events.emit
-        (Obs.Events.Packet_dropped
-           { time = Sim.now t.sim; size = pkt.Packet.size; queue_bytes = t.queued_bytes })
+    Obs.Flight.drop ~time:(Sim.now t.sim) ~size:pkt.Packet.size ~queue_bytes:t.queued_bytes
   end
   else begin
     Queue.add pkt t.queue;
     t.queued_bytes <- t.queued_bytes + pkt.Packet.size;
     Obs.Flight.enqueue ~time:(Sim.now t.sim) ~size:pkt.Packet.size
       ~queue_bytes:t.queued_bytes;
-    if Obs.Runtime.armed () then Obs.Metrics.incr (Obs.Metrics.counter "netsim.link.enqueued");
-    if Obs.Events.active () then
-      Obs.Events.emit
-        (Obs.Events.Packet_enqueued
-           { time = Sim.now t.sim; size = pkt.Packet.size; queue_bytes = t.queued_bytes });
     if (not t.busy) && t.up then serve t
   end
 

@@ -76,7 +76,7 @@ let send t pkt =
       | Fault_duplicate _ -> "path.duplicate"
       | Pass -> assert false
     in
-    Obs.Flight.fault ~time:(Sim.now t.sim) ~family
+    Obs.Flight.path_fault ~time:(Sim.now t.sim) ~family
       ~detail:(if pkt.Packet.is_ack then "ack" else "data")
   | Pass -> ());
   match decision with

@@ -39,9 +39,7 @@ let run ?until t =
   (match until with
   | Some h when t.clock < h -> t.clock <- h
   | Some _ | None -> ());
-  if Obs.Runtime.armed () then
-    Obs.Metrics.add (Obs.Metrics.counter "netsim.sim.events") !executed;
-  if Obs.Events.active () then
-    Obs.Events.emit (Obs.Events.Sim_run_complete { events = !executed; clock = t.clock })
+  Obs.Metrics.bump ~by:!executed "netsim.sim.events";
+  Obs.Metrics.bump "netsim.sim.runs"
 
 let pending t = Event_queue.length t.queue

@@ -5,10 +5,9 @@
    allocation is for the rare string payloads, which are shared constants
    (CCA names, fault families) at every call site that fires per packet.
 
-   All state is domain-local. Worker pools drain their ring at join and
-   the collector absorbs it, the same contract as [Metrics.drain]/
-   [absorb]: no event is lost, arrival order across workers follows the
-   join order. *)
+   All state is domain-local. Collector drains a pool worker's ring at
+   join and absorbs it into the caller's: no event is lost, arrival order
+   across workers follows the join order. *)
 
 type kind =
   | Enqueue
@@ -183,21 +182,31 @@ let want_normal () =
   let s = state () in
   s.enabled && s.level.Runtime.current <> Runtime.Quiet
 
+(* The hot-path recorders below are the whole record of their
+   occurrence: each writes the ring (at its detail level) and bumps the
+   occurrence's counter when the runtime is armed, so the call site makes
+   no second call. *)
 let enqueue ~time ~size ~queue_bytes =
   let s = state () in
   if s.enabled && s.level.Runtime.current = Runtime.Debug then
     push s Enqueue ~time ~a:(float_of_int size) ~b:(float_of_int queue_bytes)
-      ~c:0.0 ~detail:"" ~extra:""
+      ~c:0.0 ~detail:"" ~extra:"";
+  Metrics.bump "netsim.link.enqueued"
 
 let drop ~time ~size ~queue_bytes =
   let s = state () in
   if s.enabled then
     push s Drop ~time ~a:(float_of_int size) ~b:(float_of_int queue_bytes) ~c:0.0
-      ~detail:"" ~extra:""
+      ~detail:"" ~extra:"";
+  Metrics.bump "netsim.link.drops"
 
-let fault ~time ~family ~detail =
+let path_fault ~time ~family ~detail =
   let s = state () in
   if s.enabled then push s Fault ~time ~a:0.0 ~b:0.0 ~c:0.0 ~detail:family ~extra:detail
+
+let fault ~time ~family ~detail =
+  path_fault ~time ~family ~detail;
+  Metrics.bump "faults.injected"
 
 let want_cca_state = want_normal
 
@@ -234,7 +243,8 @@ let stall ~time ~until =
 let retx ~time ~seq =
   let s = state () in
   if s.enabled then
-    push s Retx ~time ~a:(float_of_int seq) ~b:0.0 ~c:0.0 ~detail:"" ~extra:""
+    push s Retx ~time ~a:(float_of_int seq) ~b:0.0 ~c:0.0 ~detail:"" ~extra:"";
+  Metrics.bump "transport.retransmissions"
 
 (* Census-service lifecycle marks (job enqueues, overload rejections,
    journal recoveries, torn-tail drops, drains). Rare relative to the

@@ -16,9 +16,14 @@
     [Normal] (the default) adds the per-ACK series ([Bif], [Cca_state]),
     [Debug] adds the per-packet events ([Enqueue], send-clock [Bif]).
 
-    All state is domain-local, like [Metrics]: worker pools {!drain} the
-    ring at join and the collector {!absorb}s it, so no event is lost
-    across a parallel census. *)
+    Flight holds the per-event detail of the one instrumentation path;
+    the totals are {!Metrics} counters, and the hot-path recorders
+    ({!enqueue}, {!drop}, {!fault}, {!retx}) bump their counter
+    themselves, so each occurrence is recorded by one call.
+
+    All state is domain-local, like [Metrics]: {!Collector} {!drain}s a
+    pool worker's ring at join and {!absorb}s it into the caller's, so no
+    event is lost across a parallel census. *)
 
 type kind =
   | Enqueue  (** packet accepted by the bottleneck queue; [a]=size, [b]=queue bytes *)
@@ -85,8 +90,19 @@ val mark : unit -> int
     a capture to events recorded after this point. *)
 
 val enqueue : time:float -> size:int -> queue_bytes:int -> unit
+(** A packet entered the bottleneck queue; ring at [Debug], counted as
+    [netsim.link.enqueued]. *)
+
 val drop : time:float -> size:int -> queue_bytes:int -> unit
+(** The bottleneck buffer overflowed; counted as [netsim.link.drops]. *)
+
 val fault : time:float -> family:string -> detail:string -> unit
+(** A fault plan activated [family]; counted as [faults.injected]. *)
+
+val path_fault : time:float -> family:string -> detail:string -> unit
+(** A path applied a decision of its installed fault hook. Ring only: the
+    hook's own {!fault} call already counted the injection. *)
+
 val want_cca_state : unit -> bool
 (** True when a {!cca_state} call would record — callers use it to skip
     building the snapshot argument on the fast path. *)
@@ -110,6 +126,7 @@ val bif_send : time:float -> bytes:int -> unit
 val stage : time:float -> name:string -> unit
 val stall : time:float -> until:float -> unit
 val retx : time:float -> seq:int -> unit
+(** A segment was retransmitted; counted as [transport.retransmissions]. *)
 
 val serve : time:float -> event:string -> value:float -> unit
 (** Census-service lifecycle mark ([Serve] kind), recorded at every

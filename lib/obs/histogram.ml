@@ -114,6 +114,8 @@ let get name =
     Hashtbl.replace registry name h;
     h
 
+let find name = Hashtbl.find_opt (registry ()) name
+
 let all () =
   Hashtbl.fold (fun _ h acc -> h :: acc) (registry ()) []
   |> List.sort (fun a b -> compare a.h_name b.h_name)

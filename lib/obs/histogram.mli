@@ -1,10 +1,11 @@
-(** Log2-bucketed, mergeable latency/size histograms.
+(** Log2-bucketed, mergeable histograms: the one distribution type.
+    Span durations (["span.<name>"], ["span.virt.<name>"]), pipeline
+    segment lengths and pool queue waits all record here.
 
-    Coarser than {!Metrics} histograms (one bucket per power-of-two
-    octave instead of sixteen linear cells per octave), which makes them
-    cheap enough to carry per-priority, per-task-class, or per-domain:
-    a recorded value costs one [frexp] and one hash-table bump, and a
-    snapshot is a handful of [(exponent, count)] pairs. Exact extrema
+    One bucket per power-of-two octave keeps them cheap enough to carry
+    per-priority, per-task-class, or per-domain: a recorded value costs
+    one [frexp] and one hash-table bump, and a snapshot is a handful of
+    [(exponent, count)] pairs. Exact extrema
     and the running sum ride along, so [p50]/[p90]/[p99] estimates are
     clamped to the observed range and a single-value histogram reports
     that value exactly.
@@ -16,9 +17,9 @@
     addition order).
 
     {b Domain-locality.} Like {!Metrics}, the registry is per-domain:
-    worker domains observe into their own tables with no locks, a pool
-    {!drain}s them just before join and the collector {!absorb}s the
-    result. [Engine.Pool] does this automatically for its workers.
+    worker domains observe into their own tables with no locks, and
+    {!Collector} {!drain}s them just before join and {!absorb}s the
+    result into the caller's registry.
 
     {b Determinism.} [to_json] emits buckets in ascending exponent
     order with every number through the shared {!Json} writer, so
@@ -75,6 +76,9 @@ val buckets : t -> (int * int) list
 val get : string -> t
 (** The calling domain's histogram registered under this name,
     creating it empty on first use. *)
+
+val find : string -> t option
+(** Like {!get} but does not create on miss. *)
 
 val all : unit -> t list
 (** Every histogram in the calling domain's registry, sorted by

@@ -1,27 +1,11 @@
 type counter = { c_name : string; mutable c : int }
 type gauge = { g_name : string; mutable g : float }
-
-(* Log-linear histogram: each power-of-two octave is split into
-   [sub_buckets] linear cells, giving a worst-case relative error of
-   1/(2*sub_buckets) ~ 3% on reconstructed percentiles while storing only
-   the touched cells. *)
-let sub_buckets = 16
-
-type histogram = {
-  h_name : string;
-  mutable n : int;
-  mutable sum : float;
-  mutable lo : float;
-  mutable hi : float;
-  cells : (int, int ref) Hashtbl.t;
-}
-
-type metric = Counter of counter | Gauge of gauge | Histogram of histogram
+type metric = Counter of counter | Gauge of gauge
 
 (* One registry per domain: worker domains accumulate into their own
-   tables (a per-domain telemetry buffer) and a pool flushes them into the
-   collector's registry at join via [drain]/[absorb]. No lock is ever
-   needed on the hot update path. *)
+   tables (a per-domain telemetry buffer) and the Collector flushes them
+   into the caller's registry at join via [drain]/[absorb]. No lock is
+   ever needed on the hot update path. *)
 let registry_key : (string, metric) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 64)
 
@@ -43,6 +27,7 @@ let incr c = c.c <- c.c + 1
 let add c n = c.c <- c.c + n
 let counter_value c = c.c
 let counter_name c = c.c_name
+let bump ?(by = 1) name = if Runtime.armed () then add (counter name) by
 
 let gauge name =
   let registry = registry () in
@@ -58,107 +43,19 @@ let set g v = g.g <- v
 let gauge_value g = g.g
 let gauge_name g = g.g_name
 
-let histogram name =
-  let registry = registry () in
-  match Hashtbl.find_opt registry name with
-  | Some (Histogram h) -> h
-  | Some _ -> invalid_arg ("Obs.Metrics.histogram: " ^ name ^ " registered with another type")
-  | None ->
-    let h = { h_name = name; n = 0; sum = 0.0; lo = infinity; hi = neg_infinity;
-              cells = Hashtbl.create 16 } in
-    Hashtbl.replace registry name (Histogram h);
-    h
-
-let find_histogram name =
-  match Hashtbl.find_opt (registry ()) name with Some (Histogram h) -> Some h | _ -> None
-
-(* non-positive and non-finite values all share a dedicated underflow cell *)
-let underflow_cell = min_int
-
-let cell_of v =
-  if v <= 0.0 || not (Float.is_finite v) then underflow_cell
-  else begin
-    let m, e = Float.frexp v in
-    (* v = m * 2^e with m in [0.5, 1) *)
-    let sub = int_of_float ((m -. 0.5) *. 2.0 *. float_of_int sub_buckets) in
-    let sub = max 0 (min (sub_buckets - 1) sub) in
-    (e * sub_buckets) + sub
-  end
-
-let cell_center idx =
-  if idx = underflow_cell then 0.0
-  else begin
-    let sub = ((idx mod sub_buckets) + sub_buckets) mod sub_buckets in
-    let e = (idx - sub) / sub_buckets in
-    let lo = Float.ldexp (0.5 +. (float_of_int sub /. (2.0 *. float_of_int sub_buckets))) e in
-    let hi = Float.ldexp (0.5 +. (float_of_int (sub + 1) /. (2.0 *. float_of_int sub_buckets))) e in
-    (lo +. hi) /. 2.0
-  end
-
-let observe h v =
-  h.n <- h.n + 1;
-  h.sum <- h.sum +. v;
-  if v < h.lo then h.lo <- v;
-  if v > h.hi then h.hi <- v;
-  let idx = cell_of v in
-  match Hashtbl.find_opt h.cells idx with
-  | Some r -> Stdlib.incr r
-  | None -> Hashtbl.replace h.cells idx (ref 1)
-
-let histogram_count h = h.n
-let histogram_sum h = h.sum
-let histogram_name h = h.h_name
-
-let sorted_cells h =
-  Hashtbl.fold (fun idx r acc -> (cell_center idx, !r) :: acc) h.cells []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-(* Percentile over (center, count) cells sorted by center: the value of the
-   cell containing the q-th ranked observation. *)
-let percentile_of_cells cells q =
-  let total = List.fold_left (fun acc (_, c) -> acc + c) 0 cells in
-  if total = 0 then Float.nan
-  else begin
-    let q = Float.max 0.0 (Float.min 1.0 q) in
-    let rank = int_of_float (Float.round (q *. float_of_int (total - 1))) + 1 in
-    let rec walk seen = function
-      | [] -> Float.nan
-      | [ (center, _) ] -> center
-      | (center, c) :: rest -> if seen + c >= rank then center else walk (seen + c) rest
-    in
-    walk 0 cells
-  end
-
-let percentile h q = percentile_of_cells (sorted_cells h) q
-
 type snap =
   | Counter_snap of { name : string; value : int }
   | Gauge_snap of { name : string; value : float }
-  | Histogram_snap of {
-      name : string;
-      count : int;
-      sum : float;
-      min_v : float;
-      max_v : float;
-      cells : (float * int) list;
-    }
 
-let snap_name = function
-  | Counter_snap { name; _ } | Gauge_snap { name; _ } | Histogram_snap { name; _ } -> name
+let snap_name = function Counter_snap { name; _ } | Gauge_snap { name; _ } -> name
 
 let snapshot () =
   Hashtbl.fold
     (fun _ m acc ->
-      let s =
-        match m with
-        | Counter c -> Counter_snap { name = c.c_name; value = c.c }
-        | Gauge g -> Gauge_snap { name = g.g_name; value = g.g }
-        | Histogram h ->
-          Histogram_snap
-            { name = h.h_name; count = h.n; sum = h.sum; min_v = h.lo; max_v = h.hi;
-              cells = sorted_cells h }
-      in
-      s :: acc)
+      (match m with
+      | Counter c -> Counter_snap { name = c.c_name; value = c.c }
+      | Gauge g -> Gauge_snap { name = g.g_name; value = g.g })
+      :: acc)
     (registry ()) []
   |> List.sort (fun a b -> compare (snap_name a) (snap_name b))
 
@@ -167,61 +64,26 @@ let drain () =
   reset ();
   snaps
 
-(* Merging a histogram snapshot is exact: cell centers map back to the
-   cell they came from ([cell_of (cell_center idx) = idx]), and count,
-   sum, and extrema are carried explicitly. *)
 let absorb snaps =
   List.iter
     (function
       | Counter_snap { name; value } -> add (counter name) value
-      | Gauge_snap { name; value } -> set (gauge name) value
-      | Histogram_snap { name; count; sum; min_v; max_v; cells } ->
-        let h = histogram name in
-        h.n <- h.n + count;
-        h.sum <- h.sum +. sum;
-        if min_v < h.lo then h.lo <- min_v;
-        if max_v > h.hi then h.hi <- max_v;
-        List.iter
-          (fun (center, c) ->
-            let idx = cell_of center in
-            match Hashtbl.find_opt h.cells idx with
-            | Some r -> r := !r + c
-            | None -> Hashtbl.replace h.cells idx (ref c))
-          cells)
+      | Gauge_snap { name; value } -> set (gauge name) value)
     snaps
 
 let render snaps =
-  let buf = Buffer.create 1024 in
-  let scalars =
-    List.filter_map
-      (function
-        | Counter_snap { name; value } -> Some (name, Printf.sprintf "%d" value)
-        | Gauge_snap { name; value } -> Some (name, Printf.sprintf "%g" value)
-        | Histogram_snap _ -> None)
-      snaps
-  in
-  let hists = List.filter (function Histogram_snap _ -> true | _ -> false) snaps in
-  if scalars <> [] then begin
+  if snaps = [] then "(no metrics recorded)\n"
+  else begin
+    let buf = Buffer.create 1024 in
     Buffer.add_string buf (Printf.sprintf "%-40s %12s\n" "counter/gauge" "value");
     List.iter
-      (fun (name, v) -> Buffer.add_string buf (Printf.sprintf "%-40s %12s\n" name v))
-      scalars
-  end;
-  if hists <> [] then begin
-    if scalars <> [] then Buffer.add_char buf '\n';
-    Buffer.add_string buf
-      (Printf.sprintf "%-32s %8s %11s %10s %10s %10s %10s\n" "histogram" "count" "sum" "p50"
-         "p90" "p99" "max");
-    List.iter
-      (function
-        | Histogram_snap { name; count; sum; max_v; cells; _ } ->
-          let p q = percentile_of_cells cells q in
-          Buffer.add_string buf
-            (Printf.sprintf "%-32s %8d %11.4g %10.4g %10.4g %10.4g %10.4g\n" name count sum
-               (p 0.50) (p 0.90) (p 0.99)
-               (if count = 0 then Float.nan else max_v))
-        | Counter_snap _ | Gauge_snap _ -> ())
-      hists
-  end;
-  if scalars = [] && hists = [] then Buffer.add_string buf "(no metrics recorded)\n";
-  Buffer.contents buf
+      (fun s ->
+        let value =
+          match s with
+          | Counter_snap { value; _ } -> string_of_int value
+          | Gauge_snap { value; _ } -> Printf.sprintf "%g" value
+        in
+        Buffer.add_string buf (Printf.sprintf "%-40s %12s\n" (snap_name s) value))
+      snaps;
+    Buffer.contents buf
+  end

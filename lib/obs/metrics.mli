@@ -1,85 +1,58 @@
-(** A per-domain metrics registry: named counters, gauges, and log-linear
-    histograms.
+(** A per-domain metrics registry: named counters and gauges.
+    Distributions live in {!Histogram}.
 
     Handles are cheap mutable records; look one up once (by name) and keep
     it. Updates are plain field writes — instrumented hot paths guard on
-    {!Runtime.armed} so a disabled run never touches the registry. Each
-    domain owns an independent registry (handles are domain-local: never
-    share one across domains); worker domains act as telemetry buffers
-    whose contents a pool {!drain}s at join and {!absorb}s into the
-    collector's registry. Within one domain the registry survives across
-    runs; {!reset} clears it (tests, fresh experiment batches). *)
+    {!Runtime.armed} (or call {!bump}, which does) so a disabled run never
+    touches the registry. Each domain owns an independent registry
+    (handles are domain-local: never share one across domains); a pool
+    worker's registry travels to the caller through {!Collector}. Within
+    one domain the registry survives across runs; {!reset} clears it
+    (tests, fresh experiment batches). *)
 
 type counter
 type gauge
-type histogram
 
 val counter : string -> counter
 (** Get or create. Raises [Invalid_argument] if the name is already
-    registered as a different metric type. *)
+    registered as a gauge. *)
 
 val incr : counter -> unit
 val add : counter -> int -> unit
 val counter_value : counter -> int
 val counter_name : counter -> string
 
+val bump : ?by:int -> string -> unit
+(** [bump name] adds [by] (default 1) to the named counter when this
+    domain is armed, and does nothing otherwise: the one-call form of
+    [if Runtime.armed () then add (counter name) by]. *)
+
 val gauge : string -> gauge
 val set : gauge -> float -> unit
 val gauge_value : gauge -> float
 val gauge_name : gauge -> string
 
-val histogram : string -> histogram
-(** Log-linear histogram: 16 linear cells per power-of-two octave
-    (reconstruction error below ~3%). Non-positive and non-finite values
-    land in a dedicated underflow cell counted as 0. *)
-
-val find_histogram : string -> histogram option
-(** Like {!histogram} but does not create on miss. *)
-
-val observe : histogram -> float -> unit
-val histogram_count : histogram -> int
-val histogram_sum : histogram -> float
-val histogram_name : histogram -> string
-
-val percentile : histogram -> float -> float
-(** [percentile h q] for [q] in [0,1]; [nan] when empty. *)
-
 (** Snapshots decouple rendering/serialization from the live registry, so
     the same table renderer works on metrics parsed back from a telemetry
-    file. Histogram cells are (cell center, count) pairs in ascending
-    order. *)
+    file. *)
 type snap =
   | Counter_snap of { name : string; value : int }
   | Gauge_snap of { name : string; value : float }
-  | Histogram_snap of {
-      name : string;
-      count : int;
-      sum : float;
-      min_v : float;
-      max_v : float;
-      cells : (float * int) list;
-    }
 
 val snapshot : unit -> snap list
 (** All metrics registered on this domain, sorted by name. *)
 
 val drain : unit -> snap list
 (** {!snapshot} followed by {!reset}: empty this domain's registry and
-    return its contents. Called by a worker domain just before it joins,
-    so its buffered telemetry can travel to the collector. *)
+    return its contents (a pool worker's parting flush). *)
 
 val absorb : snap list -> unit
 (** Merge drained snapshots into this domain's registry: counters add,
-    gauges take the absorbed value, histograms merge exactly (cell
-    centers map back onto their original cells, and count/sum/extrema are
-    carried explicitly — absorbing is lossless). *)
+    gauges take the absorbed value. *)
 
 val snap_name : snap -> string
 
-val percentile_of_cells : (float * int) list -> float -> float
-
 val render : snap list -> string
-(** Pretty-print: a counter/gauge table followed by a histogram table with
-    count, sum, p50, p90, p99, and max columns. *)
+(** Pretty-print a counter/gauge table. *)
 
 val reset : unit -> unit

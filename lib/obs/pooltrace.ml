@@ -43,7 +43,9 @@ let on_run ~jobs ~workers =
   let t_submit = Unix.gettimeofday () -. s.origin in
   Flight.pool ~time:t_submit ~phase:"submit" ~a:(float_of_int jobs)
     ~b:(float_of_int workers) ~c:0.0;
-  (s.origin, t_submit)
+  t_submit
+
+let origin () = (state ()).origin
 
 let import ~origin =
   let s = state () in

@@ -4,8 +4,8 @@
     sample — which worker claimed it, whether the claim was a steal,
     and wall-clock submit/start/finish stamps relative to the trace
     origin — into a domain-local buffer following the {!Flight}
-    pattern: workers buffer locally with no locks, the pool drains
-    their buffers just before join, and the caller absorbs them. Each
+    pattern: workers buffer locally with no locks, and {!Collector}
+    drains their buffers just before join into the caller's. Each
     lifecycle phase is additionally mirrored into the flight recorder
     as [Flight.Pool] events.
 
@@ -43,16 +43,17 @@ type t = {
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
-(** Enable tracing in the calling domain. [Engine.Pool] propagates the
-    flag (and the trace origin) to its workers like the other Obs
-    arming flags. *)
+(** Enable tracing in the calling domain. {!Collector} hands the flag
+    and the trace origin to pool workers. *)
 
-val on_run : jobs:int -> workers:int -> float * float
+val on_run : jobs:int -> workers:int -> float
 (** Caller side, at pool entry: stamp the trace origin on first use,
     account the run's job count and fan-out, fire the [submit] flight
-    mark. Returns [(origin, t_submit)] — the absolute origin to hand
-    to workers and the run's submit time relative to it. Must only be
-    called while {!enabled}. *)
+    mark. Returns the run's submit time relative to the origin. Must
+    only be called while {!enabled}. *)
+
+val origin : unit -> float
+(** The absolute trace origin of this domain (0 before the first run). *)
 
 val import : origin:float -> unit
 (** Worker side: adopt the caller's trace origin (and enable

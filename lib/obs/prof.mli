@@ -14,7 +14,7 @@
 
     The table is domain-local via DLS, like {!Metrics}: worker domains
     profile independently and their tables travel to the collector with
-    {!drain}/{!absorb}, which [Engine.Pool] calls at join. Enabling the
+    {!drain}/{!absorb}, which {!Collector} calls at pool join. Enabling the
     profiler subscribes to {!Span.on_complete} and therefore arms the
     runtime, so span capture switches on with it. *)
 

@@ -82,8 +82,7 @@ val margin_dists : report list -> (string * dist) list
 val render_dists : header:string -> (string * dist) list -> string
 
 (** {2 Collection} — a domain-local report buffer, flushed across domain
-    joins by [Engine.Pool] via {!drain_reports}/{!absorb_reports} (the
-    same pattern as [Metrics.drain]/[absorb]). Arrival order after a
+    joins by {!Collector} via {!drain_reports}/{!absorb_reports}. Arrival order after a
     parallel flush follows worker join order, not submission order. *)
 
 val collecting : unit -> bool

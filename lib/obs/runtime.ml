@@ -1,8 +1,8 @@
 (* All runtime state is domain-local: each domain owns its own armed count
    and virtual-clock provider, so simulations running concurrently on
    worker domains can install their clocks and record telemetry without
-   racing. A freshly spawned domain starts disarmed; pools that want worker
-   telemetry arm inside the worker (see Engine.Pool). *)
+   racing. A freshly spawned domain starts disarmed; Collector arms pool
+   workers of an armed caller. *)
 type level = Quiet | Normal | Debug
 
 let level_label = function Quiet -> "quiet" | Normal -> "normal" | Debug -> "debug"

@@ -3,20 +3,18 @@
     Instrumented code guards every recording action on {!armed}; when
     nothing has armed the runtime the fast path is a single field read
     and no closure or event value is allocated. Arming is counted, so
-    independent sinks (a JSONL writer, the bench collector, a test
-    subscriber) can overlap safely.
+    independent consumers (a telemetry recording, the profiler, a test)
+    can overlap safely.
 
     All state is {e domain-local}: each domain owns its own armed count
     and virtual clock, so concurrent simulations on worker domains never
     race on shared telemetry state. A freshly spawned domain starts
-    disarmed; a pool that wants worker telemetry arms inside the worker
-    and flushes the worker's domain-local metrics at join (see
-    [Engine.Pool] and {!Metrics.drain}). *)
+    disarmed; {!Collector} arms a pool worker when its caller is armed. *)
 
 (** Verbosity of continuous recording (the flight recorder's detail
     level, and the CLI's stderr chattiness). Domain-local, like the rest
-    of the runtime state; worker pools propagate the parent's level into
-    their workers. *)
+    of the runtime state; {!Collector} gives pool workers the caller's
+    level. *)
 type level = Quiet | Normal | Debug
 
 val level : unit -> level

@@ -15,20 +15,22 @@ type completed = {
 
 type handle = int
 
-(* Per-domain tracing state: ids, subscribers, and the open-span stack are
-   all domain-local, so concurrent workers each trace their own thread of
-   execution without synchronization. Span ids are only unique within a
-   domain, which is exactly the scope in which parent links are emitted. *)
+(* Per-domain tracing state: ids, subscribers, the open-span stack and
+   the collected-span buffer are all domain-local, so concurrent workers
+   each trace their own thread of execution without synchronization. *)
 type state = {
   mutable next_id : int;
   mutable next_handle : int;
   mutable subscribers : (handle * (completed -> unit)) list;
   mutable stack : (int * string) list;  (** innermost open span first *)
+  mutable collecting : bool;
+  mutable collected : completed list;  (** newest first *)
 }
 
 let key =
   Domain.DLS.new_key (fun () ->
-      { next_id = 0; next_handle = 0; subscribers = []; stack = [] })
+      { next_id = 0; next_handle = 0; subscribers = []; stack = []; collecting = false;
+        collected = [] })
 
 let state () = Domain.DLS.get key
 
@@ -46,7 +48,27 @@ let off h =
   s.subscribers <- List.filter (fun (h', _) -> h' <> h) s.subscribers;
   if List.length s.subscribers < before then Runtime.disarm ()
 
-let duration_histogram name = Metrics.histogram ("span." ^ name)
+let collecting () = (state ()).collecting
+let set_collecting on = (state ()).collecting <- on
+
+let drain () =
+  let s = state () in
+  let spans = List.rev s.collected in
+  s.collected <- [];
+  spans
+
+let absorb spans =
+  let s = state () in
+  let base = s.next_id in
+  List.iter
+    (fun c ->
+      let id = c.id + base in
+      if id > s.next_id then s.next_id <- id;
+      let parent_id = Option.map (( + ) base) c.parent_id in
+      s.collected <- { c with id; parent_id } :: s.collected)
+    spans
+
+let duration_histogram name = Histogram.get ("span." ^ name)
 
 (* Total words allocated so far in this domain (minor + major, without
    double-counting promotions). Differences of this quantity across a span
@@ -71,9 +93,10 @@ let finish ~id ~parent_id ~name ~depth ~wall_start ~virt_start ~gc_start
   (* After the pop the stack holds exactly our ancestors, innermost first:
      reverse it for a root-first path and append ourselves. *)
   let path = List.rev_map snd s.stack @ [ name ] in
-  Metrics.observe (duration_histogram name) (wall_stop -. wall_start);
+  Histogram.observe (duration_histogram name) (wall_stop -. wall_start);
   (match (virt_start, virt_stop) with
-  | Some v0, Some v1 when v1 >= v0 -> Metrics.observe (duration_histogram ("virt." ^ name)) (v1 -. v0)
+  | Some v0, Some v1 when v1 >= v0 ->
+    Histogram.observe (duration_histogram ("virt." ^ name)) (v1 -. v0)
   | _ -> ());
   let alloc_words =
     Float.max 0.0 (allocated_words gc_stop -. allocated_words gc_start)
@@ -97,6 +120,7 @@ let finish ~id ~parent_id ~name ~depth ~wall_start ~virt_start ~gc_start
       raised;
     }
   in
+  if s.collecting then s.collected <- c :: s.collected;
   List.iter (fun (_, f) -> f c) s.subscribers
 
 let with_ ~name f =

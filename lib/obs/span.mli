@@ -6,8 +6,9 @@
     the span. Nested calls form a tree via parent ids; [path] is the
     root-first chain of open span names, which is what {!Prof} folds into
     flamegraph stacks. Every completed span feeds the ["span.<name>"]
-    duration histogram in {!Metrics} (and ["span.virt.<name>"] for virtual
-    time), so per-stage breakdowns need no extra bookkeeping.
+    duration histogram in the {!Histogram} registry (and
+    ["span.virt.<name>"] for virtual time), so per-stage breakdowns need
+    no extra bookkeeping.
 
     When the runtime is not armed, [with_] is [f ()]: one field read, no
     allocation, no clock syscall.
@@ -16,12 +17,10 @@
     emitted on {e every} exit path, so an escaping exception can never
     leave the open-span stack unbalanced.
 
-    All tracing state (ids, the open-span stack, subscribers) is
-    domain-local: concurrent workers trace independently, and span ids are
-    unique within a domain — the scope in which parent links are emitted.
-    A worker's span durations reach the collector through the
-    {!Metrics.drain}/{!Metrics.absorb} histogram path (and its profile
-    through {!Prof.drain}/{!Prof.absorb}). *)
+    All tracing state (ids, the open-span stack, subscribers, the
+    collected-span buffer) is domain-local: concurrent workers trace
+    independently. A pool worker's duration histograms, profile and
+    collected spans reach the caller through {!Collector}. *)
 
 type completed = {
   id : int;
@@ -46,6 +45,24 @@ val on_complete : (completed -> unit) -> handle
 (** Subscribe to finished spans. Also arms {!Runtime}. *)
 
 val off : handle -> unit
+
+(** {1 Collected spans}
+
+    While collecting is on, every completed span is also kept in a
+    domain-local buffer. {!Telemetry.record} turns it on; {!Collector}
+    hands a worker's buffer to the caller, so no span is lost at any
+    pool size. *)
+
+val collecting : unit -> bool
+val set_collecting : bool -> unit
+
+val drain : unit -> completed list
+(** The buffered spans in completion order, emptying the buffer. *)
+
+val absorb : completed list -> unit
+(** Append drained spans to this domain's buffer. Their ids are
+    re-stamped above every id this domain has issued (parent links kept),
+    so ids stay unique within the buffer. *)
 
 val to_json : completed -> Json.t
 (** One JSONL record: [{"kind":"span", ...}]. *)

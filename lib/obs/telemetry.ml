@@ -1,191 +1,125 @@
 let snap_to_json (s : Metrics.snap) =
-  match s with
-  | Metrics.Counter_snap { name; value } ->
-    Json.Obj
-      [ ("kind", Json.Str "metric"); ("type", Json.Str "counter"); ("name", Json.Str name);
-        ("value", Json.Num (float_of_int value)) ]
-  | Metrics.Gauge_snap { name; value } ->
-    Json.Obj
-      [ ("kind", Json.Str "metric"); ("type", Json.Str "gauge"); ("name", Json.Str name);
-        ("value", Json.Num value) ]
-  | Metrics.Histogram_snap { name; count; sum; min_v; max_v; cells } ->
-    Json.Obj
-      [
-        ("kind", Json.Str "metric");
-        ("type", Json.Str "histogram");
-        ("name", Json.Str name);
-        ("count", Json.Num (float_of_int count));
-        ("sum", Json.Num sum);
-        ("min", Json.Num (if count = 0 then 0.0 else min_v));
-        ("max", Json.Num (if count = 0 then 0.0 else max_v));
-        ( "cells",
-          Json.Arr
-            (List.map
-               (fun (center, c) -> Json.Arr [ Json.Num center; Json.Num (float_of_int c) ])
-               cells) );
-      ]
+  let typ, value =
+    match s with
+    | Metrics.Counter_snap { value; _ } -> ("counter", float_of_int value)
+    | Metrics.Gauge_snap { value; _ } -> ("gauge", value)
+  in
+  Json.Obj
+    [ ("kind", Json.Str "metric"); ("type", Json.Str typ);
+      ("name", Json.Str (Metrics.snap_name s)); ("value", Json.Num value) ]
 
 let snap_of_json j =
-  let open Json in
-  let str k = Option.bind (member k j) to_str in
-  let num k = Option.bind (member k j) to_float in
-  match str "type" with
-  | Some "counter" -> (
-    match (str "name", num "value") with
-    | Some name, Some v -> Some (Metrics.Counter_snap { name; value = int_of_float v })
-    | _ -> None)
-  | Some "gauge" -> (
-    match (str "name", num "value") with
-    | Some name, Some value -> Some (Metrics.Gauge_snap { name; value })
-    | _ -> None)
-  | Some "histogram" -> (
-    match (str "name", num "count", num "sum") with
-    | Some name, Some count, Some sum ->
-      let cells =
-        match Option.bind (member "cells" j) to_list with
-        | None -> []
-        | Some entries ->
-          List.filter_map
-            (fun e ->
-              match to_list e with
-              | Some [ c; n ] -> (
-                match (to_float c, to_float n) with
-                | Some center, Some count -> Some (center, int_of_float count)
-                | _ -> None)
-              | _ -> None)
-            entries
-      in
-      Some
-        (Metrics.Histogram_snap
-           {
-             name;
-             count = int_of_float count;
-             sum;
-             min_v = Option.value ~default:0.0 (num "min");
-             max_v = Option.value ~default:0.0 (num "max");
-             cells;
-           })
-    | _ -> None)
+  let str k = Option.bind (Json.member k j) Json.to_str in
+  match (str "type", str "name", Option.bind (Json.member "value" j) Json.to_float) with
+  | Some "counter", Some name, Some v ->
+    Some (Metrics.Counter_snap { name; value = int_of_float v })
+  | Some "gauge", Some name, Some value -> Some (Metrics.Gauge_snap { name; value })
   | _ -> None
+
+let write_jsonl path spans =
+  Versioned.write_file path (fun oc ->
+      let line j =
+        output_string oc (Json.to_string j);
+        output_char oc '\n'
+      in
+      List.iter (fun c -> line (Span.to_json c)) spans;
+      List.iter (fun s -> line (snap_to_json s)) (Metrics.snapshot ());
+      List.iter (fun h -> line (Histogram.to_json h)) (Histogram.all ()))
+
+let write_chrome path spans =
+  Versioned.write_file path (fun oc ->
+      output_string oc (Json.to_string (Span.chrome_trace spans));
+      output_char oc '\n')
 
 let record ?jsonl ?chrome f =
   if jsonl = None && chrome = None then f ()
   else begin
-    let out = Option.map open_out jsonl in
-    let line j =
-      match out with
-      | Some oc ->
-        output_string oc (Json.to_string j);
-        output_char oc '\n'
-      | None -> ()
+    Span.set_collecting true;
+    Runtime.arm ();
+    let outcome =
+      match f () with r -> Ok r | exception e -> Error (e, Printexc.get_raw_backtrace ())
     in
-    let chrome_spans = ref [] in
-    let ev_handle = Events.on (fun ev -> line (Events.to_json ev)) in
-    let span_handle =
-      Span.on_complete (fun c ->
-          line (Span.to_json c);
-          if chrome <> None then chrome_spans := c :: !chrome_spans)
+    Runtime.disarm ();
+    Span.set_collecting false;
+    let spans = Span.drain () in
+    let write () =
+      Option.iter (fun path -> write_jsonl path spans) jsonl;
+      Option.iter (fun path -> write_chrome path spans) chrome
     in
-    let finally () =
-      Events.off ev_handle;
-      Span.off span_handle;
-      List.iter (fun s -> line (snap_to_json s)) (Metrics.snapshot ());
-      Option.iter close_out out;
-      Option.iter
-        (fun path ->
-          let oc = open_out path in
-          output_string oc (Json.to_string (Span.chrome_trace !chrome_spans));
-          output_char oc '\n';
-          close_out oc)
-        chrome
-    in
-    Fun.protect ~finally f
+    match outcome with
+    | Ok r ->
+      write ();
+      r
+    | Error (e, bt) ->
+      (try write () with Sys_error _ -> ());
+      Printexc.raise_with_backtrace e bt
   end
 
 type summary = {
-  events : (string * int) list;
   spans : (string * int * float) list;
   metrics : Metrics.snap list;
+  histograms : Histogram.t list;
   malformed : int;
 }
 
 let read_summary path =
-  let ic = open_in path in
-  let event_tally : (string, int ref) Hashtbl.t = Hashtbl.create 16 in
-  let span_tally : (string, (int ref * float ref)) Hashtbl.t = Hashtbl.create 16 in
-  let metrics = ref [] in
-  let malformed = ref 0 in
-  (try
-     while true do
-       let raw = input_line ic in
-       if String.trim raw <> "" then begin
-         match Json.of_string raw with
-         | exception Json.Parse_error _ -> incr malformed
-         | j -> (
-           match Option.bind (Json.member "kind" j) Json.to_str with
-           | None -> incr malformed
-           | Some "metric" -> (
-             match snap_of_json j with
-             | Some s -> metrics := s :: !metrics
-             | None -> incr malformed)
-           | Some "span" ->
-             let name =
-               Option.value ~default:"?" (Option.bind (Json.member "name" j) Json.to_str)
-             in
-             let dur =
-               Option.value ~default:0.0 (Option.bind (Json.member "wall_s" j) Json.to_float)
-             in
-             let count, total =
-               match Hashtbl.find_opt span_tally name with
-               | Some cell -> cell
-               | None ->
-                 let cell = (ref 0, ref 0.0) in
-                 Hashtbl.replace span_tally name cell;
-                 cell
-             in
-             incr count;
-             total := !total +. dur
-           | Some kind ->
-             let cell =
-               match Hashtbl.find_opt event_tally kind with
-               | Some c -> c
-               | None ->
-                 let c = ref 0 in
-                 Hashtbl.replace event_tally kind c;
-                 c
-             in
-             incr cell)
-       end
-     done
-   with End_of_file -> ());
-  close_in ic;
+  let span_tally : (string, int ref * float ref) Hashtbl.t = Hashtbl.create 16 in
+  let metrics = ref [] and histograms = ref [] and malformed = ref 0 in
+  let tally_span j =
+    let name = Option.value ~default:"?" (Option.bind (Json.member "name" j) Json.to_str) in
+    let dur =
+      Option.value ~default:0.0 (Option.bind (Json.member "wall_s" j) Json.to_float)
+    in
+    let count, total =
+      match Hashtbl.find_opt span_tally name with
+      | Some cell -> cell
+      | None ->
+        let cell = (ref 0, ref 0.0) in
+        Hashtbl.replace span_tally name cell;
+        cell
+    in
+    incr count;
+    total := !total +. dur
+  in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  List.iter
+    (fun raw ->
+      match Json.of_string raw with
+      | exception Json.Parse_error _ -> incr malformed
+      | j -> (
+        match Option.bind (Json.member "kind" j) Json.to_str with
+        | Some "span" -> tally_span j
+        | Some "metric" -> (
+          match snap_of_json j with
+          | Some s -> metrics := s :: !metrics
+          | None -> incr malformed)
+        | Some "histogram" -> (
+          match Histogram.of_json j with
+          | h -> histograms := h :: !histograms
+          | exception Json.Parse_error _ -> incr malformed)
+        | _ -> incr malformed))
+    (Versioned.lines text);
   {
-    events =
-      Hashtbl.fold (fun k c acc -> (k, !c) :: acc) event_tally []
-      |> List.sort (fun (_, a) (_, b) -> compare b a);
     spans =
       Hashtbl.fold (fun k (c, s) acc -> (k, !c, !s) :: acc) span_tally []
       |> List.sort (fun (_, _, a) (_, _, b) -> compare b a);
     metrics = List.sort (fun a b -> compare (Metrics.snap_name a) (Metrics.snap_name b)) !metrics;
+    histograms =
+      List.sort (fun a b -> compare (Histogram.name a) (Histogram.name b)) !histograms;
     malformed = !malformed;
   }
 
 let render_summary s =
   let buf = Buffer.create 1024 in
-  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 s.events in
-  Buffer.add_string buf (Printf.sprintf "events (%d total, %d kinds)\n" total (List.length s.events));
+  Buffer.add_string buf (Printf.sprintf "spans\n  %-30s %10s %12s\n" "name" "count" "total(s)");
   List.iter
-    (fun (kind, n) -> Buffer.add_string buf (Printf.sprintf "  %-30s %10d\n" kind n))
-    s.events;
-  if s.spans <> [] then begin
-    Buffer.add_string buf (Printf.sprintf "\nspans\n  %-30s %10s %12s\n" "name" "count" "total(s)");
-    List.iter
-      (fun (name, count, tot) ->
-        Buffer.add_string buf (Printf.sprintf "  %-30s %10d %12.4g\n" name count tot))
-      s.spans
-  end;
+    (fun (name, count, tot) ->
+      Buffer.add_string buf (Printf.sprintf "  %-30s %10d %12.4g\n" name count tot))
+    s.spans;
   Buffer.add_char buf '\n';
   Buffer.add_string buf (Metrics.render s.metrics);
+  Buffer.add_char buf '\n';
+  Buffer.add_string buf (Histogram.render s.histograms);
   if s.malformed > 0 then
     Buffer.add_string buf (Printf.sprintf "(%d malformed lines skipped)\n" s.malformed);
   Buffer.contents buf

@@ -1,26 +1,30 @@
-(** Telemetry capture and replay: wires {!Events}, {!Span}, and {!Metrics}
-    to files.
+(** Telemetry capture and replay: the file form of the one
+    instrumentation path.
 
-    The JSONL schema is one JSON object per line, discriminated by the
-    ["kind"] field:
-    - event lines: [{"kind":"packet_dropped", ...}] — see {!Events.kind};
-    - span lines: [{"kind":"span","name":...,"wall_s":...}];
-    - metric lines, appended once at the end of a recording:
-      [{"kind":"metric","type":"counter"|"gauge"|"histogram", ...}];
-      histograms carry their (center, count) cells so percentiles can be
-      reconstructed offline. *)
+    {!record} arms the runtime and collects every completed {!Span} —
+    pool workers' included, through {!Collector}. When the run ends it
+    writes one JSON object per line, discriminated by the ["kind"] field:
+    - span lines: [{"kind":"span","name":...,"wall_s":...}], in
+      completion order (a pool's worker spans follow at its join);
+    - metric lines: [{"kind":"metric","type":"counter"|"gauge", ...}],
+      the per-kind totals of everything counted;
+    - histogram lines: [{"kind":"histogram", ...}] (see
+      {!Histogram.to_json}), span durations included.
+
+    Per-event detail is not in the file: it lives in {!Flight} dumps. *)
 
 val record : ?jsonl:string -> ?chrome:string -> (unit -> 'a) -> 'a
-(** Run [f] with telemetry recording installed. [?jsonl] streams events and
-    spans to that path and appends a metrics snapshot when [f] returns;
-    [?chrome] additionally writes a Chrome [trace_event] file of all spans.
-    With neither given this is exactly [f ()]. Files are finalized even if
-    [f] raises. *)
+(** Run [f] with telemetry recording on. [?jsonl] receives the lines
+    above; [?chrome] a Chrome [trace_event] file of all spans. With
+    neither given this is exactly [f ()]. Completed spans are held in
+    memory until [f] returns. The files are written even if
+    [f] raises (best effort; [f]'s exception wins). A write failure
+    raises [Sys_error]. *)
 
 type summary = {
-  events : (string * int) list;  (** event kind -> occurrences, most frequent first *)
   spans : (string * int * float) list;  (** span name, count, total wall seconds *)
   metrics : Metrics.snap list;
+  histograms : Histogram.t list;
   malformed : int;  (** lines that failed to parse (0 for files we wrote) *)
 }
 
@@ -28,6 +32,3 @@ val read_summary : string -> summary
 (** Parse a JSONL telemetry file back. Raises [Sys_error] if unreadable. *)
 
 val render_summary : summary -> string
-
-val snap_to_json : Metrics.snap -> Json.t
-val snap_of_json : Json.t -> Metrics.snap option

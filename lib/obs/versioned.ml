@@ -18,18 +18,26 @@ let check ~kind ~version j =
 let lines text = String.split_on_char '\n' text |> List.filter (fun l -> String.trim l <> "")
 
 (* close_out, not close_out_noerr: for a small file the only real write
-   happens at close, so swallowing its error would rename a truncated
-   file over good data *)
-let atomic_write path write =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
+   happens at close, so swallowing its error would lose the file (or,
+   under atomic_write, rename a truncated file over good data) *)
+let write_file path write =
+  let oc = open_out_bin path in
   match
-    write oc;
-    close_out oc
+    let r = write oc in
+    close_out oc;
+    r
   with
-  | () -> Sys.rename tmp path
+  | r -> r
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
     close_out_noerr oc;
+    Printexc.raise_with_backtrace e bt
+
+let atomic_write path write =
+  let tmp = path ^ ".tmp" in
+  match write_file tmp write with
+  | () -> Sys.rename tmp path
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
     (try Sys.remove tmp with Sys_error _ -> ());
     Printexc.raise_with_backtrace e bt

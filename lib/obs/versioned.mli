@@ -26,6 +26,13 @@ val check : kind:string -> version:int -> Json.t -> unit
 val lines : string -> string list
 (** The non-blank lines of a JSONL text, in order. *)
 
+val write_file : string -> (out_channel -> 'a) -> 'a
+(** [write_file path write] opens [path], runs [write] on it and closes
+    it with [close_out], so a failed final flush (a full disk) raises
+    [Sys_error] instead of passing silently. The channel is closed on
+    every path; only the exception path swallows close errors, and the
+    first exception propagates. *)
+
 val atomic_write : string -> (out_channel -> unit) -> unit
 (** [atomic_write path write] writes [path ^ ".tmp"] with [write], closes
     it, and only then renames it over [path], so a reader never sees a

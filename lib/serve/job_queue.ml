@@ -30,8 +30,6 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let armed_incr name = if Obs.Runtime.armed () then Obs.Metrics.incr (Obs.Metrics.counter name)
-
 let armed_set name v =
   if Obs.Runtime.armed () then Obs.Metrics.set (Obs.Metrics.gauge name) v
 
@@ -40,7 +38,7 @@ let push t ?prio ?(force = false) job =
       if t.closed then Closed
       else if t.depth >= t.high_water && not force then begin
         t.overloads <- t.overloads + 1;
-        armed_incr "serve.queue.overloaded";
+        Obs.Metrics.bump "serve.queue.overloaded";
         Obs.Flight.serve ~time:0.0 ~event:"overloaded" ~value:(float_of_int t.depth);
         Overloaded
       end
@@ -51,7 +49,7 @@ let push t ?prio ?(force = false) job =
         in
         Queue.push job t.buckets.(prio);
         t.depth <- t.depth + 1;
-        armed_incr "serve.queue.enqueued";
+        Obs.Metrics.bump "serve.queue.enqueued";
         armed_set "serve.queue.depth" (float_of_int t.depth);
         Obs.Flight.serve ~time:0.0 ~event:"enqueue" ~value:(float_of_int t.depth);
         Condition.signal t.nonempty;

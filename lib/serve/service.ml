@@ -75,8 +75,6 @@ type job = {
   admitted_at : int;  (* commit tick at admission, for the wait histograms *)
 }
 
-let armed_incr name = if Obs.Runtime.armed () then Obs.Metrics.incr (Obs.Metrics.counter name)
-
 let flight ~epoch ~event ~value =
   Obs.Flight.serve ~time:(float_of_int epoch) ~event ~value
 
@@ -254,12 +252,12 @@ let process_batch st ~control =
       if elapsed > cfg.deadline_s then begin
         (* hung measurement: route through the typed Timeout retry path *)
         st.timeouts <- st.timeouts + 1;
-        armed_incr "serve.watchdog.timeouts";
+        Obs.Metrics.bump "serve.watchdog.timeouts";
         flight ~epoch:job.epoch ~event:"timeout" ~value:elapsed;
         let occurrences = job.timeouts_so_far + 1 in
         if occurrences > timeout_retry_budget then begin
           st.measured <- st.measured + 1;
-          armed_incr "serve.measured";
+          Obs.Metrics.bump "serve.measured";
           observe_wait st job;
           commit st ~key ~value:(timed_out_value ~attempts:occurrences)
         end
@@ -273,7 +271,7 @@ let process_batch st ~control =
       end
       else begin
         st.measured <- st.measured + 1;
-        armed_incr "serve.measured";
+        Obs.Metrics.bump "serve.measured";
         observe_wait st job;
         commit st ~key ~value:(value_of_report report)
       end)
@@ -308,7 +306,7 @@ let run_epoch st ~control ~websites epoch =
       if Engine.Journal.mem st.store key then begin
         (* already durable: a previous (possibly killed) run measured it *)
         st.recovered <- st.recovered + 1;
-        armed_incr "serve.recovered";
+        Obs.Metrics.bump "serve.recovered";
         flight ~epoch ~event:"recovered" ~value:(float_of_int site.Internet.Website.rank)
       end
       else
@@ -319,7 +317,7 @@ let run_epoch st ~control ~websites epoch =
           | Some prev when not (decayed cfg prev) ->
             (* stable verdict: carry it forward instead of re-measuring *)
             st.carried <- st.carried + 1;
-            armed_incr "serve.carried";
+            Obs.Metrics.bump "serve.carried";
             commit st ~key ~value:prev
           | Some _ | None -> admit st ~control ~prio:0 job)
     keyed;
@@ -366,7 +364,7 @@ let run_epoch st ~control ~websites epoch =
   st.drift_event_count <- st.drift_event_count + List.length events;
   List.iter
     (fun e ->
-      armed_incr "serve.drift.events";
+      Obs.Metrics.bump "serve.drift.events";
       flight ~epoch ~event:"drift"
         ~value:
           (match e with
@@ -384,7 +382,7 @@ let run_epoch st ~control ~websites epoch =
     let edges = Alerts.evaluate engine ~epoch ~signal_value in
     List.iter
       (fun (tr : Alerts.transition) ->
-        armed_incr "serve.alerts.transitions";
+        Obs.Metrics.bump "serve.alerts.transitions";
         flight ~epoch
           ~event:(match tr.action with Alerts.Fire -> "alert_fire" | Alerts.Resolve -> "alert_resolve")
           ~value:tr.value)
@@ -395,7 +393,7 @@ let run ~control ~config ~store =
   let torn = ref 0 in
   let on_warning msg =
     incr torn;
-    armed_incr "serve.journal.torn";
+    Obs.Metrics.bump "serve.journal.torn";
     Obs.Flight.serve ~time:0.0 ~event:"torn_drop" ~value:1.0;
     Printf.eprintf "%s\n%!" msg
   in

@@ -136,11 +136,7 @@ and emit t seg ~retx =
   if retx then begin
     seg.retx <- true;
     t.retransmissions <- t.retransmissions + 1;
-    Obs.Flight.retx ~time:now ~seq:seg.seq;
-    if Obs.Runtime.armed () then
-      Obs.Metrics.incr (Obs.Metrics.counter "transport.retransmissions");
-    if Obs.Events.active () then
-      Obs.Events.emit (Obs.Events.Retransmit { time = now; seq = seg.seq })
+    Obs.Flight.retx ~time:now ~seq:seg.seq
   end;
   let pkt =
     Netsim.Packet.data t.proto ~id:t.next_pkt_id ~seq:seg.seq ~payload:seg.len ~retx ~now
@@ -314,11 +310,7 @@ let handle_ack t (pkt : Netsim.Packet.t) =
         app_limited;
         in_recovery = t.in_recovery;
       };
-    if Obs.Runtime.armed () then Obs.Metrics.incr (Obs.Metrics.counter "transport.acks");
-    if Obs.Events.active () then
-      Obs.Events.emit
-        (Obs.Events.Cwnd_update
-           { time = now; cca = t.cca.Cca.name; cwnd = t.cca.Cca.cwnd (); inflight = inflight t });
+    Obs.Metrics.bump "transport.acks";
     if Obs.Flight.want_cca_state () then begin
       let snap = t.cca.Cca.snapshot () in
       Obs.Flight.cca_state ~time:now ~cca:t.cca.Cca.name ~cwnd:snap.Cca.snap_cwnd

@@ -77,6 +77,57 @@ let test_worker_telemetry_flushed () =
         (Obs.Metrics.counter_value (Obs.Metrics.counter "engine.pool.jobs"));
       Obs.Metrics.reset ())
 
+(* A telemetry recording around a pool must see every worker's spans and
+   counts: the summary read back is the same at jobs=1 and jobs=4, except
+   for the pool's own engine.pool.* counters. *)
+let telemetry_summary ~jobs =
+  let path = Filename.temp_file "engine_telemetry" ".jsonl" in
+  Obs.Metrics.reset ();
+  Obs.Histogram.reset ();
+  Obs.Telemetry.record ~jsonl:path (fun () ->
+      ignore
+        (Engine.Pool.map ~jobs
+           (fun i ->
+             Obs.Span.with_ ~name:"task" (fun () ->
+                 Obs.Span.with_ ~name:"record" (fun () ->
+                     let time = float_of_int i in
+                     Obs.Flight.enqueue ~time ~size:1500 ~queue_bytes:i;
+                     Obs.Flight.drop ~time ~size:1500 ~queue_bytes:i;
+                     Obs.Flight.retx ~time ~seq:i;
+                     Obs.Flight.fault ~time ~family:"test" ~detail:"";
+                     Obs.Histogram.observe (Obs.Histogram.get "test.value") time)))
+           (Array.init 24 Fun.id)));
+  let s = Obs.Telemetry.read_summary path in
+  Sys.remove path;
+  Obs.Flight.clear ();
+  Obs.Metrics.reset ();
+  Obs.Histogram.reset ();
+  let spans =
+    List.sort compare (List.map (fun (name, n, _) -> (name, n)) s.Obs.Telemetry.spans)
+  in
+  let counters =
+    List.filter_map
+      (function
+        | Obs.Metrics.Counter_snap { name; value }
+          when not (String.starts_with ~prefix:"engine.pool." name) ->
+          Some (name, value)
+        | _ -> None)
+      s.Obs.Telemetry.metrics
+  in
+  (spans, counters)
+
+let test_telemetry_complete_at_any_jobs () =
+  let spans1, counters1 = telemetry_summary ~jobs:1 in
+  let spans4, counters4 = telemetry_summary ~jobs:4 in
+  Alcotest.(check (list (pair string int))) "jobs=1 sees every span"
+    [ ("record", 24); ("task", 24) ] spans1;
+  Alcotest.(check (list (pair string int))) "jobs=4 spans equal jobs=1" spans1 spans4;
+  Alcotest.(check (list (pair string int))) "jobs=1 counts every recorder call"
+    [ ("faults.injected", 24); ("netsim.link.drops", 24); ("netsim.link.enqueued", 24);
+      ("transport.retransmissions", 24) ]
+    counters1;
+  Alcotest.(check (list (pair string int))) "jobs=4 counters equal jobs=1" counters1 counters4
+
 (* ---------------- pool task tracing ---------------- *)
 
 let traced_run ~jobs n =
@@ -296,6 +347,8 @@ let suite =
     Alcotest.test_case "pool map_list preserves order" `Quick test_map_list;
     Alcotest.test_case "worker telemetry is flushed at join" `Quick
       test_worker_telemetry_flushed;
+    Alcotest.test_case "telemetry complete at jobs 1 and 4" `Quick
+      test_telemetry_complete_at_any_jobs;
     Alcotest.test_case "pool trace covers every task at jobs=4" `Quick
       test_trace_covers_every_task;
     Alcotest.test_case "pool trace on the serial path" `Quick test_trace_serial_path;

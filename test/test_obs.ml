@@ -1,6 +1,6 @@
 (* Tests for the lib/obs telemetry subsystem: metrics correctness, span
-   trees, the silent no-sink fast path, JSONL round-trips, and the event
-   taxonomy a full measurement emits. *)
+   trees, the silent no-sink fast path, JSONL round-trips, and the
+   per-stage counters a full measurement records. *)
 
 let small_control = lazy (Nebby.Training.train ~runs_per_cca:4 ~quic_runs_per_cca:2 ())
 
@@ -24,61 +24,10 @@ let test_gauge () =
   Obs.Metrics.set g 2.5;
   Alcotest.(check (float 1e-9)) "last write wins" 2.5 (Obs.Metrics.gauge_value g)
 
-let check_percentile h q expected =
-  let v = Obs.Metrics.percentile h q in
-  let rel = Float.abs (v -. expected) /. Float.max 1.0 expected in
-  Alcotest.(check bool)
-    (Printf.sprintf "p%.0f = %.3f within 5%% of %.3f" (q *. 100.0) v expected)
-    true (rel < 0.05)
-
-let test_histogram_uniform () =
-  Obs.Metrics.reset ();
-  let h = Obs.Metrics.histogram "t.uniform" in
-  for i = 1 to 1000 do
-    Obs.Metrics.observe h (float_of_int i)
-  done;
-  Alcotest.(check int) "count" 1000 (Obs.Metrics.histogram_count h);
-  Alcotest.(check (float 1.0)) "sum" 500_500.0 (Obs.Metrics.histogram_sum h);
-  check_percentile h 0.50 500.0;
-  check_percentile h 0.90 900.0;
-  check_percentile h 0.99 990.0
-
-let test_histogram_constant () =
-  Obs.Metrics.reset ();
-  let h = Obs.Metrics.histogram "t.constant" in
-  for _ = 1 to 50 do
-    Obs.Metrics.observe h 5.0
-  done;
-  check_percentile h 0.50 5.0;
-  check_percentile h 0.99 5.0
-
-let test_histogram_bimodal () =
-  Obs.Metrics.reset ();
-  let h = Obs.Metrics.histogram "t.bimodal" in
-  (* 90 small values and 10 large ones: p50 must sit in the low mode,
-     p99 in the high mode *)
-  for _ = 1 to 90 do
-    Obs.Metrics.observe h 0.001
-  done;
-  for _ = 1 to 10 do
-    Obs.Metrics.observe h 10.0
-  done;
-  check_percentile h 0.50 0.001;
-  check_percentile h 0.99 10.0
-
-let test_histogram_underflow () =
-  Obs.Metrics.reset ();
-  let h = Obs.Metrics.histogram "t.under" in
-  Obs.Metrics.observe h (-1.0);
-  Obs.Metrics.observe h 0.0;
-  Obs.Metrics.observe h 4.0;
-  Alcotest.(check int) "count includes non-positive" 3 (Obs.Metrics.histogram_count h);
-  Alcotest.(check (float 0.3)) "p99 in the 4.0 cell" 4.0 (Obs.Metrics.percentile h 0.99)
-
 (* ---- spans ---- *)
 
 let test_span_tree () =
-  Obs.Metrics.reset ();
+  Obs.Histogram.reset ();
   let completed = ref [] in
   let handle = Obs.Span.on_complete (fun c -> completed := c :: !completed) in
   let result =
@@ -111,8 +60,8 @@ let test_span_tree () =
         (c.Obs.Span.wall_stop >= c.Obs.Span.wall_start))
     !completed;
   (* every span also feeds its duration histogram *)
-  match Obs.Metrics.find_histogram "span.root" with
-  | Some h -> Alcotest.(check int) "span.root observed once" 1 (Obs.Metrics.histogram_count h)
+  match Obs.Histogram.find "span.root" with
+  | Some h -> Alcotest.(check int) "span.root observed once" 1 (Obs.Histogram.count h)
   | None -> Alcotest.fail "span.root histogram missing"
 
 let test_span_exception () =
@@ -131,16 +80,18 @@ let test_span_exception () =
 
 let test_no_sink_emits_nothing () =
   Obs.Metrics.reset ();
-  Alcotest.(check bool) "no subscriber" false (Obs.Events.active ());
+  Obs.Histogram.reset ();
   Alcotest.(check bool) "not armed" false (Obs.Runtime.armed ());
   let r = Obs.Span.with_ ~name:"silent" (fun () -> 42) in
   Alcotest.(check int) "span body still runs" 42 r;
   ignore (Nebby.Testbed.run_cca ~profile:Nebby.Profile.delay_50ms ~seed:5 "cubic");
   Alcotest.(check int) "registry untouched by an uninstrumented run" 0
-    (List.length (Obs.Metrics.snapshot ()))
+    (List.length (Obs.Metrics.snapshot ()));
+  Alcotest.(check int) "no histogram either" 0 (List.length (Obs.Histogram.all ()))
 
 let test_armed_run_records () =
   Obs.Metrics.reset ();
+  Obs.Histogram.reset ();
   Obs.Runtime.with_armed (fun () ->
       let r = Nebby.Testbed.run_cca ~profile:Nebby.Profile.delay_50ms ~seed:5 "cubic" in
       ignore (Nebby.Measurement.prepare_result ~profile:Nebby.Profile.delay_50ms r));
@@ -148,52 +99,54 @@ let test_armed_run_records () =
   let counter_value name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
   Alcotest.(check bool) "sim events counted" true (counter_value "netsim.sim.events" > 0);
   Alcotest.(check bool) "packets counted" true (counter_value "netsim.link.enqueued" > 0);
-  (match Obs.Metrics.find_histogram "span.simulate" with
+  (match Obs.Histogram.find "span.simulate" with
   | Some h ->
-    Alcotest.(check int) "one simulate span" 1 (Obs.Metrics.histogram_count h);
-    Alcotest.(check bool) "positive duration" true (Obs.Metrics.histogram_sum h > 0.0)
+    Alcotest.(check int) "one simulate span" 1 (Obs.Histogram.count h);
+    Alcotest.(check bool) "positive duration" true (Obs.Histogram.sum h > 0.0)
   | None -> Alcotest.fail "span.simulate histogram missing");
-  match Obs.Metrics.find_histogram "span.virt.simulate" with
+  match Obs.Histogram.find "span.virt.simulate" with
   | Some h ->
     (* the simulated transfer runs to the 60 s time limit *)
     Alcotest.(check bool) "virtual duration ~60 s" true
-      (Float.abs (Obs.Metrics.histogram_sum h -. 60.0) < 2.0)
+      (Float.abs (Obs.Histogram.sum h -. 60.0) < 2.0)
   | None -> Alcotest.fail "span.virt.simulate histogram missing"
 
 (* ---- JSONL round trip ---- *)
 
 let test_jsonl_roundtrip () =
   Obs.Metrics.reset ();
+  Obs.Histogram.reset ();
   let path = Filename.temp_file "obs_test" ".jsonl" in
   Obs.Telemetry.record ~jsonl:path (fun () ->
-      Obs.Events.emit (Obs.Events.Attempt_started { attempt = 1 });
-      Obs.Events.emit
-        (Obs.Events.Classifier_vote { plugin = "loss_gnb"; label = "cubic"; confidence = 0.9 });
+      Obs.Metrics.bump "t.attempts";
+      Obs.Metrics.set (Obs.Metrics.gauge "t.depth") 2.5;
       Obs.Span.with_ ~name:"stage" (fun () -> ());
-      let h = Obs.Metrics.histogram "t.roundtrip" in
+      let h = Obs.Histogram.get "t.roundtrip" in
       for i = 1 to 100 do
-        Obs.Metrics.observe h (float_of_int i)
+        Obs.Histogram.observe h (float_of_int i)
       done);
   let s = Obs.Telemetry.read_summary path in
   Sys.remove path;
   Alcotest.(check int) "no malformed lines" 0 s.Obs.Telemetry.malformed;
-  Alcotest.(check (option int)) "one attempt event" (Some 1)
-    (List.assoc_opt "attempt_started" s.Obs.Telemetry.events);
-  Alcotest.(check (option int)) "one vote event" (Some 1)
-    (List.assoc_opt "classifier_vote" s.Obs.Telemetry.events);
+  Alcotest.(check bool) "counter survives" true
+    (List.mem (Obs.Metrics.Counter_snap { name = "t.attempts"; value = 1 })
+       s.Obs.Telemetry.metrics);
+  Alcotest.(check bool) "gauge survives" true
+    (List.mem (Obs.Metrics.Gauge_snap { name = "t.depth"; value = 2.5 })
+       s.Obs.Telemetry.metrics);
   Alcotest.(check bool) "stage span listed" true
     (List.exists (fun (n, c, _) -> n = "stage" && c = 1) s.Obs.Telemetry.spans);
+  Alcotest.(check bool) "span duration histogram listed" true
+    (List.exists (fun h -> Obs.Histogram.name h = "span.stage") s.Obs.Telemetry.histograms);
   match
-    List.find_opt
-      (function Obs.Metrics.Histogram_snap { name; _ } -> name = "t.roundtrip" | _ -> false)
-      s.Obs.Telemetry.metrics
+    List.find_opt (fun h -> Obs.Histogram.name h = "t.roundtrip") s.Obs.Telemetry.histograms
   with
-  | Some (Obs.Metrics.Histogram_snap { count; cells; _ }) ->
-    Alcotest.(check int) "histogram count survives" 100 count;
-    let p50 = Obs.Metrics.percentile_of_cells cells 0.50 in
-    Alcotest.(check bool) "p50 reconstructable offline" true
-      (Float.abs (p50 -. 50.0) /. 50.0 < 0.05)
-  | _ -> Alcotest.fail "t.roundtrip histogram not found in summary"
+  | Some h ->
+    Alcotest.(check int) "histogram count survives" 100 (Obs.Histogram.count h);
+    Alcotest.(check (list (pair int int))) "buckets survive"
+      (Obs.Histogram.buckets (Obs.Histogram.get "t.roundtrip"))
+      (Obs.Histogram.buckets h)
+  | None -> Alcotest.fail "t.roundtrip histogram not found in summary"
 
 let test_json_parser () =
   let j = Obs.Json.of_string {|{"kind":"x","n":1.5,"s":"a\"b","l":[1,2,null,true]}|} in
@@ -290,6 +243,25 @@ let test_span_unbalanced_exit () =
 
 (* ---- drain/absorb edge cases ---- *)
 
+let test_histogram_bimodal () =
+  let h = Obs.Histogram.create ~name:"t.bimodal" () in
+  (* 90 small values and 10 large ones: p50 must sit in the low mode,
+     p99 in the high mode *)
+  for _ = 1 to 90 do
+    Obs.Histogram.observe h 0.001
+  done;
+  for _ = 1 to 10 do
+    Obs.Histogram.observe h 10.0
+  done;
+  List.iter
+    (fun (q, expected) ->
+      let v = Obs.Histogram.quantile h q in
+      let rel = Float.abs (v -. expected) /. Float.max 1.0 expected in
+      Alcotest.(check bool)
+        (Printf.sprintf "p%.0f = %.3f within 5%% of %.3f" (q *. 100.0) v expected)
+        true (rel < 0.05))
+    [ (0.50, 0.001); (0.99, 10.0) ]
+
 let test_drain_empty_registry () =
   Obs.Metrics.reset ();
   Alcotest.(check int) "empty registry drains to nothing" 0
@@ -298,63 +270,101 @@ let test_drain_empty_registry () =
   Alcotest.(check int) "absorbing nothing is a no-op" 0
     (List.length (Obs.Metrics.snapshot ()))
 
+(* a pool worker that touched only a histogram hands back exactly that,
+   and absorbing two such workers merges bucket-exactly *)
 let test_drain_histogram_only () =
   Obs.Metrics.reset ();
-  let h = Obs.Metrics.histogram "t.histonly" in
-  for i = 1 to 100 do
-    Obs.Metrics.observe h (float_of_int i)
-  done;
-  let snaps = Obs.Metrics.drain () in
-  Alcotest.(check int) "histogram-only registry drains one snap" 1 (List.length snaps);
-  Alcotest.(check int) "drain resets the registry" 0 (List.length (Obs.Metrics.snapshot ()));
-  (* absorbing the same buffer twice must merge cell-by-cell *)
-  Obs.Metrics.absorb snaps;
-  Obs.Metrics.absorb snaps;
-  match Obs.Metrics.find_histogram "t.histonly" with
+  Obs.Histogram.reset ();
+  let worker () =
+    Obs.Collector.spawn (fun () ->
+        let h = Obs.Histogram.get "t.histonly" in
+        for i = 1 to 100 do
+          Obs.Histogram.observe h (float_of_int i)
+        done)
+  in
+  Obs.Collector.join (worker ());
+  Obs.Collector.join (worker ());
+  Alcotest.(check int) "no metric appears" 0 (List.length (Obs.Metrics.snapshot ()));
+  (match Obs.Histogram.find "t.histonly" with
   | Some h' ->
-    Alcotest.(check int) "counts merged" 200 (Obs.Metrics.histogram_count h');
-    Alcotest.(check (float 1.0)) "sums merged" 10_100.0 (Obs.Metrics.histogram_sum h')
-  | None -> Alcotest.fail "histogram missing after absorb"
+    Alcotest.(check int) "counts merged" 200 (Obs.Histogram.count h');
+    Alcotest.(check (float 1.0)) "sums merged" 10_100.0 (Obs.Histogram.sum h')
+  | None -> Alcotest.fail "histogram missing after absorb");
+  Obs.Histogram.reset ()
 
-(* ---- the full measurement event taxonomy ---- *)
+(* ---- the full measurement's per-stage counters ---- *)
+
+(* numeric cells of the histogram rows [render_summary] prints: name,
+   count, sum, p50, p90, p99, max *)
+let rendered_quantiles text =
+  String.split_on_char '\n' text
+  |> List.filter_map (fun line ->
+         match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+         | [ name; _; _; p50; p90; p99; max_v ] -> (
+           match List.map float_of_string_opt [ p50; p90; p99; max_v ] with
+           | [ Some p50; Some p90; Some p99; Some max_v ] ->
+             Some (name, [ p50; p90; p99 ], max_v)
+           | _ -> None)
+         | _ -> None)
 
 let test_measure_event_kinds () =
   let control = Lazy.force small_control in
-  let kinds = Hashtbl.create 16 in
-  let telemetry ev = Hashtbl.replace kinds (Obs.Events.kind ev) () in
+  Obs.Metrics.reset ();
+  Obs.Histogram.reset ();
+  let path = Filename.temp_file "obs_measure" ".jsonl" in
   let report =
-    Nebby.Measurement.measure ~control ~telemetry ~proto:Netsim.Packet.Tcp
-      ~noise:Netsim.Path.mild ~seed:42 ~make_cca:(Cca.Registry.create "cubic") ()
+    Obs.Telemetry.record ~jsonl:path (fun () ->
+        Nebby.Measurement.measure ~control ~proto:Netsim.Packet.Tcp ~noise:Netsim.Path.mild
+          ~seed:42 ~make_cca:(Cca.Registry.create "cubic") ())
   in
+  let summary = Obs.Telemetry.read_summary path in
+  Sys.remove path;
   Alcotest.(check bool) "classification produced a label" true
     (String.length report.Nebby.Measurement.label > 0);
-  Alcotest.(check bool) "subscription removed afterwards" false (Obs.Events.active ());
-  (* golden event-kind set: at least one event from every pipeline stage
-     (netsim, transport, BiF pipeline, classifier, measurement driver) *)
+  Alcotest.(check bool) "disarmed afterwards" false (Obs.Runtime.armed ());
+  (* every pipeline stage (netsim, transport, BiF pipeline, classifier,
+     measurement driver) counted its occurrences *)
+  let counter name =
+    List.find_map
+      (function
+        | Obs.Metrics.Counter_snap { name = n; value } when n = name -> Some value
+        | _ -> None)
+      summary.Obs.Telemetry.metrics
+  in
   List.iter
-    (fun kind ->
-      Alcotest.(check bool) ("kind emitted: " ^ kind) true (Hashtbl.mem kinds kind))
+    (fun name ->
+      Alcotest.(check bool) ("counted: " ^ name) true
+        (match counter name with Some v -> v > 0 | None -> false))
     [
-      "sim_run_complete";
-      "packet_enqueued";
-      "packet_dropped";
-      "cwnd_update";
-      "retransmit";
-      "backoff_detected";
-      "segment_produced";
-      "classifier_vote";
-      "attempt_started";
-      "measurement_done";
-    ]
+      "netsim.sim.runs";
+      "netsim.link.enqueued";
+      "netsim.link.drops";
+      "transport.acks";
+      "transport.retransmissions";
+      "pipeline.backoffs";
+      "pipeline.segments";
+      "classifier.votes";
+      "measurement.attempts";
+      "measurement.done";
+    ];
+  (* the printed quantiles of every histogram stay within its max *)
+  let rows = rendered_quantiles (Obs.Telemetry.render_summary summary) in
+  Alcotest.(check bool) "histogram rows rendered" true
+    (List.exists (fun (name, _, _) -> name = "span.virt.simulate") rows);
+  List.iter
+    (fun (name, quantiles, max_v) ->
+      List.iter
+        (fun q ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s quantile %g <= max %g" name q max_v)
+            true (q <= max_v))
+        quantiles)
+    rows
 
 let suite =
   [
     Alcotest.test_case "counter sequential updates" `Quick test_counter_updates;
     Alcotest.test_case "gauge last-write-wins" `Quick test_gauge;
-    Alcotest.test_case "histogram percentiles (uniform)" `Quick test_histogram_uniform;
-    Alcotest.test_case "histogram percentiles (constant)" `Quick test_histogram_constant;
-    Alcotest.test_case "histogram percentiles (bimodal)" `Quick test_histogram_bimodal;
-    Alcotest.test_case "histogram underflow cell" `Quick test_histogram_underflow;
     Alcotest.test_case "span nesting forms a tree" `Quick test_span_tree;
     Alcotest.test_case "span survives exceptions" `Quick test_span_exception;
     Alcotest.test_case "no sink: fast path emits nothing" `Quick test_no_sink_emits_nothing;
@@ -368,6 +378,7 @@ let suite =
     Alcotest.test_case "span path and gc attribution" `Quick test_span_path_and_alloc;
     Alcotest.test_case "span guard survives unbalanced exits" `Quick
       test_span_unbalanced_exit;
+    Alcotest.test_case "histogram percentiles (bimodal)" `Quick test_histogram_bimodal;
     Alcotest.test_case "drain/absorb: empty registry" `Quick test_drain_empty_registry;
     Alcotest.test_case "drain/absorb: histogram-only registry" `Quick
       test_drain_histogram_only;

@@ -48,6 +48,57 @@ if ! cmp -s "$tmp1" "$tmp2"; then
   exit 1
 fi
 
+echo "== telemetry parity gate (chaos smoke --telemetry: jobs=4 must match jobs=1) =="
+# Pool workers hand their spans and counters back through Obs.Collector,
+# so a recording is complete at any worker count: after dropping the
+# wall-time columns and the pool's own engine.pool.* rows, the span
+# name/count rows, the counter rows and the histogram name/count rows of
+# `nebby stats` must be identical.
+tele_tmp=$(mktemp -d)
+trap 'rm -f "$tmp1" "$tmp2"; rm -rf "$tele_tmp"' EXIT
+telemetry_view() {
+  "$cli" stats "$1" | awk '
+    /^telemetry summary/ { next }
+    /^spans$/ { sect = "spans"; next }
+    /^counter\/gauge/ { sect = "counters" }
+    /^histogram / { sect = "histograms" }
+    $1 ~ /^engine\.pool\./ { next }
+    sect == "spans" || sect == "histograms" { print sect, $1, $2; next }
+    { print }'
+}
+for jobs in 1 4; do
+  "$cli" chaos $smoke --jobs "$jobs" --telemetry "$tele_tmp/t$jobs.jsonl" >/dev/null || {
+    echo "check.sh: chaos smoke --telemetry --jobs $jobs exited non-zero" >&2
+    exit 1
+  }
+  telemetry_view "$tele_tmp/t$jobs.jsonl" >"$tele_tmp/view$jobs.txt"
+done
+if ! grep -q '^spans simulate ' "$tele_tmp/view4.txt"; then
+  echo "check.sh: the jobs=4 telemetry recording has no simulate spans" >&2
+  exit 1
+fi
+if ! cmp -s "$tele_tmp/view1.txt" "$tele_tmp/view4.txt"; then
+  diff "$tele_tmp/view1.txt" "$tele_tmp/view4.txt" || true
+  echo "check.sh: telemetry at --jobs 4 diverged from --jobs 1" >&2
+  exit 1
+fi
+
+echo "== output write failure gate (a full disk exits 2 with one stderr line) =="
+# Every output writer closes with close_out, so a failed final flush is a
+# Sys_error mapped to exit 2, never a silently lost file or an internal
+# error.
+for outputs in "--provenance /dev/full --prof-folded /dev/full" "--telemetry /dev/full"; do
+  rc=0
+  "$cli" measure --cca cubic --training-runs 3 --seed 1234 $outputs \
+    >/dev/null 2>"$tele_tmp/err" || rc=$?
+  if [ "$rc" -ne 2 ] || [ "$(wc -l <"$tele_tmp/err")" -ne 1 ]; then
+    cat "$tele_tmp/err" >&2
+    echo "check.sh: measure $outputs exited $rc; expected 2 with one stderr line" >&2
+    exit 1
+  fi
+done
+rm -rf "$tele_tmp"
+
 echo "== census par-smoke (jobs=4 must match jobs=1 exactly) =="
 # The engine's determinism contract, end to end through the CLI: a
 # parallel census must be byte-identical to the serial one.
