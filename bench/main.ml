@@ -818,17 +818,6 @@ let caai () =
 (* Ablations: what each design choice of 2.1/3 buys                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Gordon-style cwnd view: one sample per RTT, the window upper envelope. *)
-let cwnd_style ~rtt pts =
-  let rec bucket acc current_t current_max = function
-    | [] -> List.rev (if current_max > 0.0 then (current_t, current_max) :: acc else acc)
-    | (t, v) :: rest ->
-      if t -. current_t >= rtt then
-        bucket ((current_t, Float.max current_max v) :: acc) t v rest
-      else bucket acc current_t (Float.max current_max v) rest
-  in
-  match pts with [] -> [] | (t0, v0) :: rest -> bucket [] t0 v0 rest
-
 let ablation () =
   header "Ablations" "what the paper's design choices buy (DESIGN.md index)";
   let t = max 6 (!trials / 2) in
@@ -861,6 +850,7 @@ let ablation () =
 
   (* A2: the cwnd metric (2.1: one point per RTT, upper envelope - what
      Gordon and Inspector Gadget measure); trained on the same view *)
+  let cwnd_style = Baselines.Gordon.cwnd_style in
   let control_cwnd = Nebby.Training.train ~seed:!seed ~transform:cwnd_style () in
   pf "cwnd-style metric (per-RTT envelope):         %5.1f%%\n%!"
     (accuracy ~transform:cwnd_style control_cwnd);
@@ -895,11 +885,11 @@ let chaos () =
   pf " typed unknown with a reason chain - the harness never raises]\n"
 
 (* ------------------------------------------------------------------ *)
-(* Engine: multicore census — serial vs parallel, memo cache          *)
+(* Engine: multicore census — serial vs parallel                      *)
 (* ------------------------------------------------------------------ *)
 
 let engine () =
-  header "Engine" "multicore census: serial vs parallel wall-clock, memo cache";
+  header "Engine" "multicore census: serial vs parallel wall-clock";
   let control = Lazy.force control in
   let region = Internet.Region.Ohio and proto = Netsim.Packet.Tcp in
   let websites = Internet.Population.generate ~n:!sites ~seed:!seed () in
@@ -923,19 +913,6 @@ let engine () =
   pf "  parallel (jobs=%d): %7.2f s  -> speedup %.2fx\n" jobs parallel_s speedup;
   if serial <> parallel then failwith "engine: parallel census diverged from serial";
   pf "  tallies bit-identical across worker counts: yes\n";
-  (* a shared memo makes the second pass over the same sample all hits *)
-  let cache = Internet.Census.create_cache () in
-  let cold, cold_s =
-    time (fun () -> Internet.Census.run ~jobs ~cache ~control ~proto ~region websites)
-  in
-  let warm, warm_s =
-    time (fun () -> Internet.Census.run ~jobs ~cache ~control ~proto ~region websites)
-  in
-  if cold <> serial || warm <> serial then
-    failwith "engine: cached census diverged from serial";
-  pf "  memo cache: cold %.2f s -> warm %.3f s (%d hits / %d misses)\n" cold_s warm_s
-    (Internet.Census.cache_hits cache)
-    (Internet.Census.cache_misses cache);
   (* decision-provenance overhead: the same census with verdict-report
      construction on. Both runs go through the per-stage profiler (worker
      profiles are merged into the caller's at join) so the comparison is
@@ -1043,8 +1020,6 @@ let engine () =
   record_json_f "census_flight_off_s" flight_off_s;
   record_json_f "census_flight_on_s" flight_on_s;
   record_json_f "census_flight_overhead_frac" flight_overhead;
-  record_json_f "census_cache_warm_s" warm_s;
-  record_json "census_cache_hits" (string_of_int (Internet.Census.cache_hits cache));
   (* scheduler deep-dive: one traced parallel run for the pool metrics
      (untimed — tracing must not perturb the wall clocks above), then
      the tracing-overhead gate with the same paired-median method as
@@ -1109,7 +1084,7 @@ let engine () =
   record_json_f "census_trace_on_s" trace_on_s;
   record_json_f "census_trace_overhead_frac" trace_overhead;
   pf "(speedup scales with physical cores; on a single-core host the parallel\n";
-  pf " run only pays the domain bookkeeping, and the memo carries the win)\n"
+  pf " run only pays the domain bookkeeping)\n"
 
 (* ------------------------------------------------------------------ *)
 (* Serve: continuous census — commit throughput, journal replay       *)

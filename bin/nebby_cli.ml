@@ -35,9 +35,38 @@ let or_exit_2 ?file cmd f =
     fail (match file with Some file -> file ^ ": " ^ msg | None -> msg)
   | Sys_error msg -> fail msg
 
+(* ---- Shared flags ----
+   Each flag every subcommand shares is parsed once, into a typed value:
+   an unknown name or an out-of-range count is a Cmdliner parse error,
+   which [main] maps to exit 2, before any work starts. *)
+
+(* A count flag with a floor, so a value below it fails at parse time
+   instead of raising (or spinning) deep inside the run. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | Some n -> Error (Printf.sprintf "%d is too small (at least %d)" n lo)
+    | None -> Error (Printf.sprintf "invalid value '%s', expected an integer" s)
+  in
+  Arg.conv' ~docv:"N" (parse, Format.pp_print_int)
+
+let count ?(min = 1) ~default name ~doc =
+  Arg.(value & opt (int_at_least min) default & info [ name ] ~docv:"N" ~doc)
+
+let names_conv names = Arg.enum (List.map (fun n -> (n, n)) names)
+let cca_conv = names_conv Cca.Registry.all
+
 let cca_arg =
   let doc = "Target server's CCA (a registry name, e.g. cubic, bbr, akamai_cc)." in
-  Arg.(value & opt string "cubic" & info [ "cca" ] ~docv:"CCA" ~doc)
+  Arg.(value & opt cca_conv "cubic" & info [ "cca" ] ~docv:"CCA" ~doc)
+
+let region_arg ?(doc = "Vantage point.") () =
+  let regions = List.map (fun r -> (Internet.Region.name r, r)) Internet.Region.all in
+  Arg.(
+    value & opt (enum regions) Internet.Region.Ohio & info [ "region" ] ~docv:"REGION" ~doc)
+
+let sites_arg ~default ~doc = count ~min:0 ~default "sites" ~doc
 
 (* Arg.enum rejects typos with a proper usage error listing the
    alternatives, instead of an uncaught Invalid_argument. *)
@@ -57,16 +86,46 @@ let seed_arg =
   let doc = "Random seed." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let runs_arg =
-  let doc = "Training runs per CCA (more runs, tighter clusters, slower start)." in
-  Arg.(value & opt int 10 & info [ "training-runs" ] ~docv:"N" ~doc)
+(* Training needs at least two runs per class to fit a scaler. *)
+let training_runs_arg
+    ?(default = 10)
+    ?(doc = "Training runs per CCA (more runs, tighter clusters, slower start).") () =
+  count ~min:2 ~default "training-runs" ~doc
+
+(* The trained control, built on first use: paths that never classify
+   (chaos --list-families, serve --compact-only) skip training. Commands
+   force it before --telemetry or --prof recording starts, so training
+   stays out of those outputs, except where the profile is meant to
+   cover it (explain, report --prof). *)
+let control_arg =
+  Term.(
+    const (fun runs -> lazy (Nebby.Training.train ~runs_per_cca:runs ()))
+    $ training_runs_arg ())
+
+(* explain and report retrain at the golden-pinned configuration by
+   default (seed 7, 4 runs/CCA, 2 QUIC runs), so a fixture replay
+   reproduces the committed expectations bit for bit. *)
+let pinned_control_arg =
+  let runs =
+    training_runs_arg ~default:4 ~doc:"Training runs per CCA (default: the golden-pinned 4)."
+      ()
+  in
+  let quic_runs =
+    count ~min:2 ~default:2 "training-quic-runs"
+      ~doc:"QUIC training runs per CCA (default: the golden-pinned 2)."
+  in
+  let seed =
+    let doc = "Training seed (default: the golden-pinned 7)." in
+    Arg.(value & opt int 7 & info [ "training-seed" ] ~docv:"SEED" ~doc)
+  in
+  Term.(
+    const (fun runs quic_runs seed ->
+        lazy (Nebby.Training.train ~runs_per_cca:runs ~quic_runs_per_cca:quic_runs ~seed ()))
+    $ runs $ quic_runs $ seed)
 
 let max_attempts_arg =
-  let doc = "Measurement attempts before giving up." in
-  Arg.(
-    value
-    & opt int Nebby.Measurement.default_config.max_attempts
-    & info [ "max-attempts" ] ~docv:"N" ~doc)
+  count ~default:Nebby.Measurement.default_config.max_attempts "max-attempts"
+    ~doc:"Measurement attempts before giving up."
 
 (* 0 means "auto": one worker per available core, minus one for the
    collector. Results are bit-identical for every value (see DESIGN.md,
@@ -75,35 +134,32 @@ let jobs_arg =
   let doc =
     "Worker domains for parallel measurement (0 = auto-size to the machine; 1 = serial)."
   in
-  Arg.(value & opt int 0 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  let resolve = function 0 -> Engine.Pool.default_jobs () | n -> max 1 n in
+  Term.(const resolve $ Arg.(value & opt int 0 & info [ "jobs"; "j" ] ~docv:"N" ~doc))
 
-let resolve_jobs = function 0 -> Engine.Pool.default_jobs () | n -> max 1 n
-
-(* Multi-seed fan-out: campaign and chaos share one --seeds/--seed-list
-   vocabulary (and the bench harness accepts the same pair), all resolved
-   through Obs.Campaign.resolve_seeds so the validation and the error
-   messages are identical everywhere. *)
-let seeds_count_arg =
-  let doc =
-    "Fan the command across $(docv) consecutive seeds starting at --seed (alternative to \
-     --seed-list)."
+(* Multi-seed fan-out: campaign, chaos and fuzz share one
+   --seed/--seeds/--seed-list vocabulary (and the bench harness accepts
+   the same pair), all resolved through Obs.Campaign.resolve_seeds so the
+   validation and the error messages are identical everywhere. *)
+let seeds_arg =
+  let count =
+    let doc =
+      "Fan the command across $(docv) consecutive seeds starting at --seed (alternative to \
+       --seed-list)."
+    in
+    Arg.(value & opt (some int) None & info [ "seeds" ] ~docv:"N" ~doc)
   in
-  Arg.(value & opt (some int) None & info [ "seeds" ] ~docv:"N" ~doc)
-
-let seed_list_arg =
-  let doc =
-    "Fan the command across exactly these comma-separated seeds (alternative to --seeds)."
+  let seed_list =
+    let doc =
+      "Fan the command across exactly these comma-separated seeds (alternative to --seeds)."
+    in
+    Arg.(value & opt (some (list int)) None & info [ "seed-list" ] ~docv:"A,B,C" ~doc)
   in
-  Arg.(value & opt (some (list int)) None & info [ "seed-list" ] ~docv:"A,B,C" ~doc)
-
-let resolve_seed_spec ~cmd ?count ?seed_list ~base () =
-  match Obs.Campaign.resolve_seeds ?count ?seed_list ~base () with
-  | Ok seeds -> Some seeds
-  | Error msg ->
-    Printf.eprintf "nebby %s: %s\n" cmd msg;
-    None
-
-let train runs = Nebby.Training.train ~runs_per_cca:runs ()
+  Term.(
+    term_result'
+      (const (fun base count seed_list ->
+           Obs.Campaign.resolve_seeds ?count ?seed_list ~base ())
+      $ seed_arg $ count $ seed_list))
 
 let default_telemetry_file = "nebby-telemetry.jsonl"
 
@@ -130,25 +186,31 @@ let provenance_arg =
   in
   Arg.(value & opt (some string) None & info [ "provenance" ] ~docv:"FILE" ~doc)
 
-let prof_folded_arg =
-  let doc =
-    "Write a folded-stack profile of the run to $(docv) (flamegraph.pl / \
-     inferno-flamegraph input: one $(i,stack self-microseconds) line per stage)."
+(* --prof, --prof-folded FILE, --prof-json FILE: see [with_profiling] *)
+let profiling_arg =
+  let folded =
+    let doc =
+      "Write a folded-stack profile of the run to $(docv) (flamegraph.pl / \
+       inferno-flamegraph input: one $(i,stack self-microseconds) line per stage)."
+    in
+    Arg.(value & opt (some string) None & info [ "prof-folded" ] ~docv:"FILE" ~doc)
   in
-  Arg.(value & opt (some string) None & info [ "prof-folded" ] ~docv:"FILE" ~doc)
-
-let prof_json_arg =
-  let doc =
-    "Write the per-stage profiler summary (calls, wall and self time, allocation, major \
-     GC collections) as JSON to $(docv)."
+  let json =
+    let doc =
+      "Write the per-stage profiler summary (calls, wall and self time, allocation, major \
+       GC collections) as JSON to $(docv)."
+    in
+    Arg.(value & opt (some string) None & info [ "prof-json" ] ~docv:"FILE" ~doc)
   in
-  Arg.(value & opt (some string) None & info [ "prof-json" ] ~docv:"FILE" ~doc)
+  let table =
+    Arg.(
+      value & flag
+      & info [ "prof" ] ~doc:"Print the per-stage profiler table after the run.")
+  in
+  Term.(const (fun table folded json -> (table, folded, json)) $ table $ folded $ json)
 
-let prof_table_arg =
-  Arg.(
-    value & flag
-    & info [ "prof" ] ~doc:"Print the per-stage profiler table after the run.")
-
+(* Sets the observability level as the command line is parsed, so no
+   subcommand body has to. *)
 let log_level_arg =
   let levels =
     [
@@ -164,10 +226,12 @@ let log_level_arg =
        stderr."
       (Arg.doc_alts_enum levels)
   in
-  Arg.(
-    value
-    & opt (enum levels) Obs.Runtime.Normal
-    & info [ "log-level" ] ~docv:"LEVEL" ~doc)
+  Term.(
+    const Obs.Runtime.set_level
+    $ Arg.(
+        value
+        & opt (enum levels) Obs.Runtime.Normal
+        & info [ "log-level" ] ~docv:"LEVEL" ~doc))
 
 (* informational stderr chatter; errors keep using Printf.eprintf *)
 let note fmt =
@@ -181,7 +245,7 @@ let write_file path content =
   Obs.Versioned.write_file path (fun oc -> output_string oc content)
 
 (* Wrap a run in the profiler when any profiler output was requested. *)
-let with_profiling ~prof ~folded ~json f =
+let with_profiling (prof, folded, json) f =
   if not (prof || folded <> None || json <> None) then f ()
   else begin
     let result, profile = Obs.Prof.record f in
@@ -242,29 +306,23 @@ let fixture_entries fixture =
   in
   (cca, entries)
 
-let replay_fixture ~control fixture =
-  let cca, entries = fixture_entries fixture in
-  let _, report =
-    Nebby.Measurement.explain_prepared ~control:(Lazy.force control) ~subject:cca entries
-  in
-  report
-
+(* a golden fixture replayed, one provenance record, or a provenance JSONL *)
 let reports_of_file ~control target =
   let text = In_channel.with_open_bin target In_channel.input_all in
   match Obs.Json.of_string text with
-  | json ->
-    if Obs.Json.member "traces" json <> None then [ replay_fixture ~control json ]
-    else [ Obs.Provenance.of_json json ]
+  | json when Obs.Json.member "traces" json <> None ->
+    let cca, entries = fixture_entries json in
+    let control = Lazy.force control in
+    [ snd (Nebby.Measurement.explain_prepared ~control ~subject:cca entries) ]
+  | json -> [ Obs.Provenance.of_json json ]
   | exception Obs.Json.Parse_error _ ->
     (* not one JSON document: a multi-record provenance JSONL *)
     Obs.Provenance.read_jsonl target
 
-let print_failure_chain (report : Nebby.Measurement.report) =
-  Printf.eprintf "nebby: classification failed after %d attempt%s; reason chain: %s\n"
-    report.attempts
-    (if report.attempts = 1 then "" else "s")
-    (String.concat " -> "
-       (List.map Nebby.Measurement.failure_reason_label report.failures))
+let plural n = if n = 1 then "" else "s"
+
+(* a verdict of "unknown" is a classification failure, exit 1 *)
+let exit_of_label label = if label = "unknown" then exit_unclassified else exit_ok
 
 let measure_cmd =
   let flight_arg =
@@ -285,25 +343,23 @@ let measure_cmd =
       & opt float Nebby.Measurement.default_config.flight_confidence
       & info [ "flight-confidence" ] ~docv:"X" ~doc)
   in
-  let run cca proto noise seed runs max_attempts log_level flight flight_confidence
-      telemetry chrome provenance prof folded prof_json =
-    Obs.Runtime.set_level log_level;
+  let run cca proto noise seed control max_attempts () flight flight_confidence telemetry
+      chrome provenance profiling =
     or_exit_2 "measure" (fun () ->
-    let control = train runs in
+    let control = Lazy.force control in
     let plugins = Nebby.Classifier.extended_plugins control in
     let config =
       { Nebby.Measurement.default_config with max_attempts; flight_confidence }
     in
     let report =
-      with_profiling ~prof ~folded ~json:prof_json (fun () ->
+      with_profiling profiling (fun () ->
           Obs.Telemetry.record ?jsonl:telemetry ?chrome (fun () ->
               Nebby.Measurement.measure ~control ~plugins ~proto ~noise ~seed ~config
                 ~subject:cca ~make_cca:(Cca.Registry.create cca) ()))
     in
     Printf.printf "target CCA : %s\n" cca;
     Printf.printf "classified : %s (after %d attempt%s)\n" report.Nebby.Measurement.label
-      report.attempts
-      (if report.attempts = 1 then "" else "s");
+      report.attempts (plural report.attempts);
     List.iter (fun (p, l) -> Printf.printf "  profile %-16s -> %s\n" p l) report.per_profile;
     Option.iter (Printf.printf "telemetry  : %s\n") telemetry;
     Option.iter (Printf.printf "chrome trace: %s\n") chrome;
@@ -328,18 +384,19 @@ let measure_cmd =
             "nebby measure: no anomaly triggered a flight dump (force one with \
              --flight-confidence 2)\n")
       flight;
-    if report.label = "unknown" then begin
-      print_failure_chain report;
-      exit_unclassified
-    end
-    else exit_ok)
+    if report.label = "unknown" then
+      Printf.eprintf "nebby: classification failed after %d attempt%s; reason chain: %s\n"
+        report.attempts (plural report.attempts)
+        (String.concat " -> "
+           (List.map Nebby.Measurement.failure_reason_label report.failures));
+    exit_of_label report.label)
   in
   let doc = "Measure a simulated server and classify its CCA." in
   Cmd.v (Cmd.info "measure" ~doc)
     Term.(
-      const run $ cca_arg $ proto_arg $ noise_arg $ seed_arg $ runs_arg $ max_attempts_arg
+      const run $ cca_arg $ proto_arg $ noise_arg $ seed_arg $ control_arg $ max_attempts_arg
       $ log_level_arg $ flight_arg $ flight_confidence_arg $ telemetry_arg $ chrome_arg
-      $ provenance_arg $ prof_table_arg $ prof_folded_arg $ prof_json_arg)
+      $ provenance_arg $ profiling_arg)
 
 let trace_cmd =
   let run cca proto noise seed =
@@ -357,12 +414,6 @@ let trace_cmd =
   Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ cca_arg $ proto_arg $ noise_arg $ seed_arg)
 
 let census_cmd =
-  let sites_arg =
-    Arg.(value & opt int 100 & info [ "sites" ] ~docv:"N" ~doc:"Number of websites to measure.")
-  in
-  let region_arg =
-    Arg.(value & opt string "Ohio" & info [ "region" ] ~docv:"REGION" ~doc:"Vantage point.")
-  in
   let pool_trace_arg =
     let doc =
       "Record the scheduler's task lifecycle (submit/steal/start/finish per site) and \
@@ -375,18 +426,11 @@ let census_cmd =
     let doc = "Print the pool scheduler report (wait/run histograms, per-domain table)." in
     Arg.(value & flag & info [ "pool-report" ] ~doc)
   in
-  let run sites region proto seed runs jobs log_level provenance pool_trace pool_report prof
-      folded prof_json =
-    Obs.Runtime.set_level log_level;
-    match List.find_opt (fun r -> Internet.Region.name r = region) Internet.Region.all with
-    | None ->
-      Printf.eprintf "nebby census: unknown region %s (expected one of %s)\n" region
-        (String.concat ", " (List.map Internet.Region.name Internet.Region.all));
-      exit_usage
-    | Some region ->
-      let control = train runs in
+  let run sites region proto seed control jobs () provenance pool_trace pool_report
+      profiling =
+    or_exit_2 "census" (fun () ->
+      let control = Lazy.force control in
       let websites = Internet.Population.generate ~n:sites ~seed () in
-      let jobs = resolve_jobs jobs in
       let print_tally tally =
         let total = List.fold_left (fun acc (_, n) -> acc + n) 0 tally in
         Printf.printf "%-14s %8s %8s\n" "variant" "sites" "share";
@@ -413,7 +457,7 @@ let census_cmd =
           end
         end
       in
-      with_profiling ~prof ~folded ~json:prof_json (fun () ->
+      with_profiling profiling (fun () ->
           match provenance with
           | None ->
             print_tally (Internet.Census.run ~jobs ~control ~proto ~region websites);
@@ -441,21 +485,20 @@ let census_cmd =
                  (Internet.Census.margin_dists explained));
             Printf.printf "\nprovenance : %s\n" path;
             finish_trace ();
-            exit_ok)
+            exit_ok))
   in
   let doc = "Run a mini census over the synthetic website population." in
   Cmd.v (Cmd.info "census" ~doc)
     Term.(
-      const run $ sites_arg $ region_arg $ proto_arg $ seed_arg $ runs_arg $ jobs_arg
-      $ log_level_arg $ provenance_arg $ pool_trace_arg $ pool_report_arg $ prof_table_arg
-      $ prof_folded_arg $ prof_json_arg)
+      const run
+      $ sites_arg ~default:100 ~doc:"Number of websites to measure."
+      $ region_arg () $ proto_arg $ seed_arg $ control_arg $ jobs_arg $ log_level_arg
+      $ provenance_arg $ pool_trace_arg $ pool_report_arg $ profiling_arg)
 
 let accuracy_cmd =
-  let trials_arg =
-    Arg.(value & opt int 5 & info [ "trials" ] ~docv:"N" ~doc:"Trials per CCA.")
-  in
-  let run trials runs =
-    let control = train runs in
+  let trials_arg = count ~default:5 "trials" ~doc:"Trials per CCA." in
+  let run trials control =
+    let control = Lazy.force control in
     let plugins = Nebby.Classifier.extended_plugins control in
     let total_ok = ref 0 and total = ref 0 in
     List.iter
@@ -476,19 +519,18 @@ let accuracy_cmd =
     exit_ok
   in
   let doc = "Evaluate classification accuracy over the kernel CCAs (Table 3)." in
-  Cmd.v (Cmd.info "accuracy" ~doc) Term.(const run $ trials_arg $ runs_arg)
+  Cmd.v (Cmd.info "accuracy" ~doc) Term.(const run $ trials_arg $ control_arg)
 
 let chaos_cmd =
-  let names_conv = Arg.(some (list string)) in
-  let list_arg ~name ~doc =
-    Arg.(value & opt names_conv None & info [ name ] ~docv:"NAMES" ~doc)
+  let list_arg names ~name ~doc =
+    Arg.(value & opt (some (list names)) None & info [ name ] ~docv:"NAMES" ~doc)
   in
   let ccas_arg =
-    list_arg ~name:"ccas"
+    list_arg cca_conv ~name:"ccas"
       ~doc:"Comma-separated CCA registry names to measure (default: the full registry)."
   in
   let families_arg =
-    list_arg ~name:"families"
+    list_arg (names_conv Nebby.Chaos.family_names) ~name:"families"
       ~doc:
         "Comma-separated fault families to inject (default: all). The fault-free baseline \
          row always runs."
@@ -497,14 +539,11 @@ let chaos_cmd =
     Arg.(value & flag & info [ "list-families" ] ~doc:"Print the fault families and exit.")
   in
   let dump_plans_arg =
-    Arg.(
-      value & flag
-      & info [ "dump-plans" ]
-          ~doc:"Print the seeded fault plans of the suite as JSON and exit.")
+    let doc = "Print the seeded fault plans of the suite as JSON and exit." in
+    Arg.(value & flag & info [ "dump-plans" ] ~doc)
   in
-  let run ccas families seed count seed_list runs max_attempts proto jobs log_level
-      telemetry chrome list_families dump_plans =
-    Obs.Runtime.set_level log_level;
+  let run ccas families seed seeds control max_attempts proto jobs () telemetry chrome
+      list_families dump_plans =
     or_exit_2 "chaos" (fun () ->
     if list_families then begin
       List.iter print_endline Nebby.Chaos.family_names;
@@ -518,57 +557,33 @@ let chaos_cmd =
       exit_ok
     end
     else begin
-      let bad_ccas =
-        match ccas with
-        | None -> []
-        | Some cs -> List.filter (fun c -> not (List.mem c Cca.Registry.all)) cs
+      let control = Lazy.force control in
+      let config = { Nebby.Measurement.default_config with max_attempts } in
+      let matrices =
+        Obs.Telemetry.record ?jsonl:telemetry ?chrome (fun () ->
+            List.map
+              (fun seed ->
+                Nebby.Chaos.run_matrix ?ccas ?families ~config ~seed ~proto ~jobs ~control ())
+              seeds)
       in
-      let bad_families =
-        match families with
-        | None -> []
-        | Some fs -> List.filter (fun f -> not (List.mem f Nebby.Chaos.family_names)) fs
-      in
-      if bad_ccas <> [] || bad_families <> [] then begin
-        List.iter (Printf.eprintf "nebby chaos: unknown CCA %s\n") bad_ccas;
-        List.iter
-          (fun f ->
-            Printf.eprintf "nebby chaos: unknown fault family %s (expected one of %s)\n" f
-              (String.concat ", " Nebby.Chaos.family_names))
-          bad_families;
-        exit_usage
+      let violations = ref 0 in
+      let multi = List.length seeds > 1 in
+      List.iter2
+        (fun seed matrix ->
+          if multi then Printf.printf "=== seed %d ===\n" seed;
+          print_string (Nebby.Chaos.render matrix);
+          if multi then print_newline ();
+          violations := !violations + List.length matrix.Nebby.Chaos.violations)
+        seeds matrices;
+      Option.iter (Printf.printf "\ntelemetry  : %s\n") telemetry;
+      if !violations > 0 then begin
+        Printf.eprintf
+          "nebby chaos: resilience invariant broken: %d cell(s) ended unknown without a \
+           reason chain\n"
+          !violations;
+        exit_internal
       end
-      else begin
-        match resolve_seed_spec ~cmd:"chaos" ?count ?seed_list ~base:seed () with
-        | None -> exit_usage
-        | Some seeds ->
-          let control = train runs in
-          let config = { Nebby.Measurement.default_config with max_attempts } in
-          let matrices =
-            Obs.Telemetry.record ?jsonl:telemetry ?chrome (fun () ->
-                List.map
-                  (fun seed ->
-                    Nebby.Chaos.run_matrix ?ccas ?families ~config ~seed ~proto
-                      ~jobs:(resolve_jobs jobs) ~control ())
-                  seeds)
-          in
-          let violations = ref 0 in
-          List.iter2
-            (fun seed matrix ->
-              if List.length seeds > 1 then Printf.printf "=== seed %d ===\n" seed;
-              print_string (Nebby.Chaos.render matrix);
-              if List.length seeds > 1 then print_newline ();
-              violations := !violations + List.length matrix.Nebby.Chaos.violations)
-            seeds matrices;
-          Option.iter (Printf.printf "\ntelemetry  : %s\n") telemetry;
-          if !violations > 0 then begin
-            Printf.eprintf
-              "nebby chaos: resilience invariant broken: %d cell(s) ended unknown \
-               without a reason chain\n"
-              !violations;
-            exit_internal
-          end
-          else exit_ok
-      end
+      else exit_ok
     end)
   in
   let doc =
@@ -577,9 +592,9 @@ let chaos_cmd =
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
-      const run $ ccas_arg $ families_arg $ seed_arg $ seeds_count_arg $ seed_list_arg
-      $ runs_arg $ max_attempts_arg $ proto_arg $ jobs_arg $ log_level_arg $ telemetry_arg
-      $ chrome_arg $ list_families_arg $ dump_plans_arg)
+      const run $ ccas_arg $ families_arg $ seed_arg $ seeds_arg $ control_arg
+      $ max_attempts_arg $ proto_arg $ jobs_arg $ log_level_arg $ telemetry_arg $ chrome_arg
+      $ list_families_arg $ dump_plans_arg)
 
 (* `fuzz` — coverage-guided adversarial search (lib/search): breed fault
    plans and path perturbations against the measurement pipeline, minimize
@@ -590,15 +605,19 @@ let chaos_cmd =
    instead of searching. *)
 let fuzz_cmd =
   let budget_arg =
-    let doc = "Search evaluations per seed (minimization evaluations are extra)." in
-    Arg.(value & opt int 64 & info [ "budget" ] ~docv:"N" ~doc)
+    count ~default:64 "budget"
+      ~doc:"Search evaluations per seed (minimization evaluations are extra)."
   in
   let target_arg =
     let doc =
       "Comma-separated CCA registry names to attack, or $(b,all) for the full registry \
        (default: the loss-based kernel set plus bbr)."
     in
-    Arg.(value & opt (some (list string)) None & info [ "target" ] ~docv:"CCA|all" ~doc)
+    let ccas = Arg.list cca_conv in
+    let parse = function "all" -> Ok Cca.Registry.all | s -> Arg.conv_parser ccas s in
+    let targets = Arg.conv ~docv:"CCA|all" (parse, Arg.conv_printer ccas) in
+    Arg.(
+      value & opt targets Cca.Registry.kernel_ccas & info [ "target" ] ~docv:"CCA|all" ~doc)
   in
   let out_arg =
     let doc = "Directory minimized fixtures are written to." in
@@ -620,18 +639,12 @@ let fuzz_cmd =
     Arg.(value & opt (some string) None & info [ "replay" ] ~docv:"DIR" ~doc)
   in
   let training_runs_arg =
-    let doc = "Training runs per CCA for the search's control models." in
-    Arg.(
-      value
-      & opt int Search.Fuzzer.default_config.Search.Fuzzer.training_runs
-      & info [ "training-runs" ] ~docv:"N" ~doc)
+    training_runs_arg ~default:Search.Fuzzer.default_config.Search.Fuzzer.training_runs
+      ~doc:"Training runs per CCA for the search's control models." ()
   in
   let fuzz_attempts_arg =
-    let doc = "Measurement attempts per evaluation (low: retries cost budget)." in
-    Arg.(
-      value
-      & opt int Search.Fuzzer.default_config.Search.Fuzzer.max_attempts
-      & info [ "max-attempts" ] ~docv:"N" ~doc)
+    count ~default:Search.Fuzzer.default_config.Search.Fuzzer.max_attempts "max-attempts"
+      ~doc:"Measurement attempts per evaluation (low: retries cost budget)."
   in
   let replay_dir dir =
     if not (Sys.file_exists dir && Sys.is_directory dir) then begin
@@ -701,120 +714,91 @@ let fuzz_cmd =
       end
     end
   in
-  let run budget seed count seed_list jobs targets out corpus_file replay training_runs
-      max_attempts log_level =
-    Obs.Runtime.set_level log_level;
+  (* The corpus file is opened (with its parent directories) before the
+     search starts and closed with close_out after it, so an unwritable
+     path or a full disk is a Sys_error, exit 2 under [or_exit_2]. *)
+  let with_corpus corpus_file f =
+    match corpus_file with
+    | None -> f ignore
+    | Some path ->
+      Search.Fixture.mkdirs (Filename.dirname path);
+      Obs.Versioned.write_file path (fun oc -> f (output_string oc))
+  in
+  let search ~seeds ~config ~out ~emit =
+    let control = Search.Fuzzer.control_of_config config in
+    let written = Hashtbl.create 8 in
+    let total_fixtures = ref 0 in
+    List.iter
+      (fun seed ->
+        let result =
+          Search.Fuzzer.run ~log:(fun s -> note "%s\n" s) ~control ~config ~seed ()
+        in
+        Printf.printf "seed %d: %d evals (+%d minimizing), corpus %d, findings %d\n" seed
+          result.Search.Fuzzer.evals result.Search.Fuzzer.minimize_evals
+          (List.length result.Search.Fuzzer.corpus)
+          (List.length result.Search.Fuzzer.findings);
+        List.iter
+          (fun { Search.Fuzzer.fixture = (fx : Search.Fixture.t); _ } ->
+            (* first seed to hit a counterexample class wins; later
+               seeds rediscovering it are reported, not rewritten *)
+            let cls = Search.Fixture.class_label fx.verdict_class in
+            let key = (fx.expected, cls, fx.got) in
+            if Hashtbl.mem written key then
+              Printf.printf "  duplicate of an earlier seed's %s/%s/%s find\n" fx.expected cls
+                fx.got
+            else begin
+              Hashtbl.add written key ();
+              incr total_fixtures;
+              let path = Search.Fixture.save ~dir:out fx in
+              Printf.printf
+                "  fixture %s: %s -> %s (%s), %d spec(s), found at eval %d, minimized in \
+                 %d\n"
+                path fx.expected fx.got cls
+                (List.length fx.genome.Search.Genome.faults.Faults.specs)
+                fx.found_at fx.minimize_steps
+            end)
+          result.Search.Fuzzer.findings;
+        List.iter
+          (fun (signature, fitness, genome) ->
+            emit
+              (Obs.Json.to_string
+                 (Obs.Json.Obj
+                    [
+                      ("seed", Obs.Json.Num (float_of_int seed));
+                      ("signature", Obs.Json.Str signature);
+                      ("fitness", Obs.Json.Num fitness);
+                      ("genome", Search.Genome.to_json genome);
+                    ])
+              ^ "\n"))
+          result.Search.Fuzzer.corpus)
+      seeds;
+    !total_fixtures
+  in
+  let run budget seeds jobs targets out corpus_file replay training_runs max_attempts () =
     match replay with
     | Some dir -> replay_dir dir
-    | None -> begin
-      let targets =
-        match targets with
-        | None -> Cca.Registry.kernel_ccas
-        | Some [ "all" ] -> Cca.Registry.all
-        | Some cs -> cs
-      in
-      let bad = List.filter (fun c -> not (List.mem c Cca.Registry.all)) targets in
-      if bad <> [] then begin
-        List.iter (Printf.eprintf "nebby fuzz: unknown CCA %s\n") bad;
-        exit_usage
-      end
-      else begin
-        match resolve_seed_spec ~cmd:"fuzz" ?count ?seed_list ~base:seed () with
-        | None -> exit_usage
-        | Some seeds ->
-          let config =
-            {
-              Search.Fuzzer.default_config with
-              Search.Fuzzer.budget;
-              jobs = resolve_jobs jobs;
-              targets;
-              max_attempts;
-              training_runs;
-            }
-          in
-          let control = Search.Fuzzer.control_of_config config in
-          let corpus_oc =
-            Option.map
-              (fun path ->
-                let rec mkdirs d =
-                  if d = "" || d = "." || d = "/" || Sys.file_exists d then ()
-                  else begin
-                    mkdirs (Filename.dirname d);
-                    try Sys.mkdir d 0o755 with Sys_error _ -> ()
-                  end
-                in
-                mkdirs (Filename.dirname path);
-                open_out path)
-              corpus_file
-          in
-          let written = Hashtbl.create 8 in
-          let total_fixtures = ref 0 in
-          List.iter
-            (fun seed ->
-              let result =
-                Search.Fuzzer.run ~log:(fun s -> note "%s\n" s) ~control ~config ~seed ()
-              in
-              Printf.printf "seed %d: %d evals (+%d minimizing), corpus %d, findings %d\n"
-                seed result.Search.Fuzzer.evals result.Search.Fuzzer.minimize_evals
-                (List.length result.Search.Fuzzer.corpus)
-                (List.length result.Search.Fuzzer.findings);
-              List.iter
-                (fun { Search.Fuzzer.fixture; _ } ->
-                  (* first seed to hit a counterexample class wins; later
-                     seeds rediscovering it are reported, not rewritten *)
-                  let key =
-                    (fixture.Search.Fixture.expected,
-                     Search.Fixture.class_label fixture.Search.Fixture.verdict_class,
-                     fixture.Search.Fixture.got)
-                  in
-                  if Hashtbl.mem written key then
-                    Printf.printf "  duplicate of an earlier seed's %s/%s/%s find\n"
-                      fixture.Search.Fixture.expected
-                      (Search.Fixture.class_label fixture.Search.Fixture.verdict_class)
-                      fixture.Search.Fixture.got
-                  else begin
-                    Hashtbl.add written key ();
-                    incr total_fixtures;
-                    let path = Search.Fixture.save ~dir:out fixture in
-                    Printf.printf
-                      "  fixture %s: %s -> %s (%s), %d spec(s), found at eval %d, \
-                       minimized in %d\n"
-                      path fixture.Search.Fixture.expected fixture.Search.Fixture.got
-                      (Search.Fixture.class_label fixture.Search.Fixture.verdict_class)
-                      (List.length
-                         fixture.Search.Fixture.genome.Search.Genome.faults.Faults.specs)
-                      fixture.Search.Fixture.found_at
-                      fixture.Search.Fixture.minimize_steps
-                  end)
-                result.Search.Fuzzer.findings;
-              Option.iter
-                (fun oc ->
-                  List.iter
-                    (fun (signature, fitness, genome) ->
-                      output_string oc
-                        (Obs.Json.to_string
-                           (Obs.Json.Obj
-                              [
-                                ("seed", Obs.Json.Num (float_of_int seed));
-                                ("signature", Obs.Json.Str signature);
-                                ("fitness", Obs.Json.Num fitness);
-                                ("genome", Search.Genome.to_json genome);
-                              ])
-                        ^ "\n"))
-                    result.Search.Fuzzer.corpus)
-                corpus_oc)
-            seeds;
-          Option.iter close_out corpus_oc;
-          Option.iter (Printf.printf "corpus     : %s\n") corpus_file;
-          if !total_fixtures = 0 then begin
-            Printf.eprintf
-              "nebby fuzz: no counterexample found within budget %d x %d seed(s)\n" budget
-              (List.length seeds);
-            exit_unclassified
-          end
-          else exit_ok
-      end
-    end
+    | None ->
+      or_exit_2 "fuzz" (fun () ->
+        let config =
+          {
+            Search.Fuzzer.default_config with
+            Search.Fuzzer.budget;
+            jobs;
+            targets;
+            max_attempts;
+            training_runs;
+          }
+        in
+        let total_fixtures =
+          with_corpus corpus_file (fun emit -> search ~seeds ~config ~out ~emit)
+        in
+        Option.iter (Printf.printf "corpus     : %s\n") corpus_file;
+        if total_fixtures = 0 then begin
+          Printf.eprintf "nebby fuzz: no counterexample found within budget %d x %d seed(s)\n"
+            budget (List.length seeds);
+          exit_unclassified
+        end
+        else exit_ok)
   in
   let doc =
     "Coverage-guided adversarial search: breed fault plans and path perturbations that \
@@ -823,17 +807,15 @@ let fuzz_cmd =
   in
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(
-      const run $ budget_arg $ seed_arg $ seeds_count_arg $ seed_list_arg $ jobs_arg
-      $ target_arg $ out_arg $ corpus_arg $ replay_arg $ training_runs_arg
-      $ fuzz_attempts_arg $ log_level_arg)
+      const run $ budget_arg $ seeds_arg $ jobs_arg $ target_arg $ out_arg $ corpus_arg
+      $ replay_arg $ training_runs_arg $ fuzz_attempts_arg $ log_level_arg)
 
 (* `explain TARGET` resolves its target in order: an existing file (a
    golden fixture to replay, a single provenance record, or a provenance
    JSONL written by --provenance), a CCA registry name (fresh measurement
    with provenance), then a website name in the synthetic population.
    Fixture replay retrains at the golden-pinned configuration by default
-   (seed 7, 4 runs/CCA, 2 QUIC runs) so the verdict reproduces the
-   committed expectations bit for bit. *)
+   ([pinned_control_arg]). *)
 let explain_cmd =
   let target_arg =
     let doc =
@@ -842,36 +824,7 @@ let explain_cmd =
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"TARGET" ~doc)
   in
-  let training_runs_arg =
-    let doc = "Training runs per CCA (default: the golden-pinned 4)." in
-    Arg.(value & opt int 4 & info [ "training-runs" ] ~docv:"N" ~doc)
-  in
-  let training_quic_runs_arg =
-    let doc = "QUIC training runs per CCA (default: the golden-pinned 2)." in
-    Arg.(value & opt int 2 & info [ "training-quic-runs" ] ~docv:"N" ~doc)
-  in
-  let training_seed_arg =
-    let doc = "Training seed (default: the golden-pinned 7)." in
-    Arg.(value & opt int 7 & info [ "training-seed" ] ~docv:"SEED" ~doc)
-  in
-  let sites_arg =
-    Arg.(
-      value & opt int 100
-      & info [ "sites" ] ~docv:"N" ~doc:"Population size for website-name targets.")
-  in
-  let region_arg =
-    Arg.(
-      value & opt string "Ohio"
-      & info [ "region" ] ~docv:"REGION" ~doc:"Vantage point for website-name targets.")
-  in
-  let run target training_runs training_quic_runs training_seed sites region proto noise
-      seed log_level provenance prof folded prof_json =
-    Obs.Runtime.set_level log_level;
-    let control =
-      lazy
-        (Nebby.Training.train ~runs_per_cca:training_runs
-           ~quic_runs_per_cca:training_quic_runs ~seed:training_seed ())
-    in
+  let run target control sites region proto noise seed () provenance profiling =
     let render_reports reports =
       List.iteri
         (fun i r ->
@@ -888,8 +841,14 @@ let explain_cmd =
         provenance;
       code
     in
+    (* a fresh verdict: explain its provenance, or run [none] without one *)
+    let finish_report (report : Nebby.Measurement.report) ~none =
+      match report.provenance with
+      | Some p -> finish [ p ] (exit_of_label report.label)
+      | None -> none report.label
+    in
     or_exit_2 ~file:target "explain" (fun () ->
-      with_profiling ~prof ~folded ~json:prof_json (fun () ->
+      with_profiling profiling (fun () ->
           if Sys.file_exists target then
             match reports_of_file ~control target with
             | [] ->
@@ -902,50 +861,26 @@ let explain_cmd =
             let report =
               Nebby.Measurement.measure_cca ~control ~plugins ~proto ~noise ~seed target
             in
-            match report.Nebby.Measurement.provenance with
-            | Some p ->
-              finish [ p ]
-                (if report.Nebby.Measurement.label = "unknown" then exit_unclassified
-                 else exit_ok)
-            | None ->
-              Printf.eprintf "nebby explain: no verdict report was produced\n";
-              exit_internal
+            finish_report report ~none:(fun _ ->
+                Printf.eprintf "nebby explain: no verdict report was produced\n";
+                exit_internal)
           end
           else
-            match
-              List.find_opt (fun r -> Internet.Region.name r = region) Internet.Region.all
-            with
+            let websites = Internet.Population.generate ~n:sites ~seed () in
+            match List.find_opt (fun s -> s.Internet.Website.name = target) websites with
             | None ->
-              Printf.eprintf "nebby explain: unknown region %s (expected one of %s)\n"
-                region
-                (String.concat ", " (List.map Internet.Region.name Internet.Region.all));
+              Printf.eprintf
+                "nebby explain: %s is not a file, a CCA registry name, or a website in the \
+                 %d-site population\n"
+                target sites;
               exit_usage
-            | Some region -> (
-              let websites = Internet.Population.generate ~n:sites ~seed () in
-              match
-                List.find_opt (fun s -> s.Internet.Website.name = target) websites
-              with
-              | None ->
-                Printf.eprintf
-                  "nebby explain: %s is not a file, a CCA registry name, or a website in \
-                   the %d-site population\n"
-                  target sites;
-                exit_usage
-              | Some site -> (
-                let report =
-                  Internet.Census.explain_site ~control:(Lazy.force control) ~proto
-                    ~region site
-                in
-                match report.Nebby.Measurement.provenance with
-                | Some p ->
-                  finish [ p ]
-                    (if report.Nebby.Measurement.label = "unknown" then exit_unclassified
-                     else exit_ok)
-                | None ->
+            | Some site ->
+              let control = Lazy.force control in
+              finish_report (Internet.Census.explain_site ~control ~proto ~region site)
+                ~none:(fun label ->
                   (* an unresponsive site has no verdict to explain *)
-                  Printf.printf "verdict   %s (no provenance: site did not respond)\n"
-                    report.Nebby.Measurement.label;
-                  exit_ok))))
+                  Printf.printf "verdict   %s (no provenance: site did not respond)\n" label;
+                  exit_ok)))
   in
   let doc =
     "Show the decision provenance of a classification: candidate scores, winning margin, \
@@ -953,9 +888,10 @@ let explain_cmd =
   in
   Cmd.v (Cmd.info "explain" ~doc)
     Term.(
-      const run $ target_arg $ training_runs_arg $ training_quic_runs_arg
-      $ training_seed_arg $ sites_arg $ region_arg $ proto_arg $ noise_arg $ seed_arg
-      $ log_level_arg $ provenance_arg $ prof_table_arg $ prof_folded_arg $ prof_json_arg)
+      const run $ target_arg $ pinned_control_arg
+      $ sites_arg ~default:100 ~doc:"Population size for website-name targets."
+      $ region_arg ~doc:"Vantage point for website-name targets." ()
+      $ proto_arg $ noise_arg $ seed_arg $ log_level_arg $ provenance_arg $ profiling_arg)
 
 (* `report TARGET` renders a self-contained HTML measurement report
    (inline SVG, no scripts). The target resolves like `explain`'s: a
@@ -981,18 +917,6 @@ let report_cmd =
        dump's."
     in
     Arg.(value & opt (some string) None & info [ "provenance" ] ~docv:"FILE" ~doc)
-  in
-  let training_runs_arg =
-    let doc = "Training runs per CCA (default: the golden-pinned 4)." in
-    Arg.(value & opt int 4 & info [ "training-runs" ] ~docv:"N" ~doc)
-  in
-  let training_quic_runs_arg =
-    let doc = "QUIC training runs per CCA (default: the golden-pinned 2)." in
-    Arg.(value & opt int 2 & info [ "training-quic-runs" ] ~docv:"N" ~doc)
-  in
-  let training_seed_arg =
-    let doc = "Training seed (default: the golden-pinned 7)." in
-    Arg.(value & opt int 7 & info [ "training-seed" ] ~docv:"SEED" ~doc)
   in
   let prof_arg =
     let doc =
@@ -1023,14 +947,7 @@ let report_cmd =
     Obs.Flight.make_dump ~subject ~trigger:"replay" ~attempt:1 ~window_s:!span
       (List.rev !events)
   in
-  let run target training_runs training_quic_runs training_seed proto noise seed log_level
-      provenance_from prof out =
-    Obs.Runtime.set_level log_level;
-    let control =
-      lazy
-        (Nebby.Training.train ~runs_per_cca:training_runs
-           ~quic_runs_per_cca:training_quic_runs ~seed:training_seed ())
-    in
+  let run target control proto noise seed () provenance_from prof out =
     (* --prof profiles the work that produced the report (training plus
        the replay or measurement) and embeds the waterfall; a plain dump
        file involves no instrumented work, so its profile is empty and
@@ -1044,8 +961,7 @@ let report_cmd =
         result
       end
     in
-    let emit ~dump ~provenance =
-      let html = Obs.Render.measurement_report ?provenance ?prof:!profiled ~dump () in
+    let emit_html html =
       (match out with
       | None -> print_string html
       | Some path ->
@@ -1053,31 +969,22 @@ let report_cmd =
         Printf.printf "report: %s\n" path);
       exit_ok
     in
+    let emit ~dump ~provenance =
+      emit_html (Obs.Render.measurement_report ?provenance ?prof:!profiled ~dump ())
+    in
     or_exit_2 ~file:target "report" (fun () ->
       if Sys.file_exists target then begin
         let text = In_channel.with_open_bin target In_channel.input_all in
         (* pool-trace JSONL headers self-identify; route them to the
            scheduler report rather than the measurement report *)
         let is_pool_trace =
-          let header = match String.index_opt text '\n' with
-            | Some i -> String.sub text 0 i
-            | None -> text
-          in
-          match Obs.Json.member "kind" (Obs.Json.of_string header) with
-          | Some (Obs.Json.Str "pool_trace") -> true
-          | _ -> false
+          let eol = Option.value ~default:(String.length text) (String.index_opt text '\n') in
+          match Obs.Json.of_string (String.sub text 0 eol) with
+          | header -> Obs.Json.member "kind" header = Some (Obs.Json.Str "pool_trace")
           | exception Obs.Json.Parse_error _ -> false
         in
-        if is_pool_trace then begin
-          let trace = Obs.Pooltrace.of_string text in
-          let html = Obs.Render.pool_report_html ~trace () in
-          (match out with
-          | None -> print_string html
-          | Some path ->
-            write_file path html;
-            Printf.printf "report: %s\n" path);
-          exit_ok
-        end
+        if is_pool_trace then
+          emit_html (Obs.Render.pool_report_html ~trace:(Obs.Pooltrace.of_string text) ())
         else
         match Obs.Flight.dump_of_string text with
         | dump ->
@@ -1152,9 +1059,8 @@ let report_cmd =
   in
   Cmd.v (Cmd.info "report" ~doc)
     Term.(
-      const run $ target_arg $ training_runs_arg $ training_quic_runs_arg
-      $ training_seed_arg $ proto_arg $ noise_arg $ seed_arg $ log_level_arg
-      $ provenance_from_arg $ prof_arg $ out_arg)
+      const run $ target_arg $ pinned_control_arg $ proto_arg $ noise_arg $ seed_arg
+      $ log_level_arg $ provenance_from_arg $ prof_arg $ out_arg)
 
 (* `campaign` fans one experiment across N seeds, streams per-seed
    records into a schema-versioned JSONL store, aggregates per-cell
@@ -1167,14 +1073,6 @@ let campaign_cmd =
   let experiment_arg =
     let doc = "Experiment to fan out: accuracy, census, or chaos." in
     Arg.(value & pos 0 string "accuracy" & info [] ~docv:"EXPERIMENT" ~doc)
-  in
-  let sites_arg =
-    Arg.(
-      value & opt int 80
-      & info [ "sites" ] ~docv:"N" ~doc:"Census population size per seed.")
-  in
-  let region_arg =
-    Arg.(value & opt string "Ohio" & info [ "region" ] ~docv:"REGION" ~doc:"Vantage point.")
   in
   let out_arg =
     let doc = "Per-seed result store (schema-versioned JSONL), written as seeds finish." in
@@ -1256,8 +1154,8 @@ let campaign_cmd =
       | _ -> fields
   in
   (* sparkline history: every committed BENCH_*.json in the working
-     directory, in name order (BENCH_baseline.json, then dated ledgers) *)
-  (* Ledgers are heterogeneous across schema generations: a metric
+     directory, in name order (BENCH_baseline.json, then dated ledgers).
+     Ledgers are heterogeneous across schema generations: a metric
      missing from (or null in) some BENCH_*.json simply contributes no
      point there, and a metric absent everywhere gets no sparkline at
      all — unknown keys in old or new ledgers are never an error. *)
@@ -1309,108 +1207,89 @@ let campaign_cmd =
         | _ -> g)
       gates
   in
-  let run experiment seed count seed_list jobs runs sites region proto log_level out
-      summary_path html_path from bench_json no_gates pool_trace_file drift_store
-      accuracy_floor ci_ceiling =
-    Obs.Runtime.set_level log_level;
+  let run experiment seeds jobs control sites region proto () out summary_path html_path
+      from bench_json no_gates pool_trace_file drift_store accuracy_floor ci_ceiling =
+    let aggregate store =
+      let tag, stored = Obs.Campaign.read_store store in
+      note "nebby campaign: aggregating %d stored run(s) from %s\n" (List.length stored)
+        store;
+      (tag, stored)
+    in
+    let measure experiment =
+      let control = Lazy.force control in
+      let stored =
+        Obs.Versioned.write_file out (fun oc ->
+            Obs.Campaign.write_header oc
+              ~experiment:(Internet.Campaign_runner.experiment_name experiment)
+              ~runs:(List.length seeds);
+            Internet.Campaign_runner.run ~jobs
+              ~emit:(fun i r ->
+                Obs.Campaign.write_seed_line oc r;
+                flush oc;
+                note "nebby campaign: seed %d done (%d/%d)\n" r.Obs.Campaign.seed (i + 1)
+                  (List.length seeds))
+              ~sites ~proto ~region ~control experiment ~seeds)
+      in
+      (Internet.Campaign_runner.experiment_name experiment, stored)
+    in
+    let report (experiment_tag, seed_runs) =
+      let summary = Obs.Campaign.aggregate ~experiment:experiment_tag seed_runs in
+      let extra = Option.fold ~none:[] ~some:bench_extras bench_json in
+      let gates =
+        if no_gates then []
+        else
+          match Internet.Campaign_runner.experiment_of_name experiment_tag with
+          | Ok e ->
+            override_gates ~accuracy_floor ~ci_ceiling (Internet.Campaign_runner.default_gates e)
+          | Error _ -> []
+      in
+      let results = Obs.Campaign.evaluate ~gates ~extra summary in
+      write_file summary_path
+        (Obs.Json.to_string (Obs.Campaign.summary_to_json ~gates:results summary) ^ "\n");
+      let pool =
+        Option.map
+          (fun path ->
+            Obs.Pooltrace.of_string (In_channel.with_open_bin path In_channel.input_all))
+          pool_trace_file
+      in
+      let drift =
+        Option.map
+          (fun store ->
+            let ledger = Serve.Observatory.ledger_of_store ~store in
+            (ledger, Obs.Drift.detect ledger))
+          drift_store
+      in
+      write_file html_path
+        (Obs.Render.campaign_dashboard ?pool ?drift ~trend:(trend_series ())
+           ~gates:results ~summary ());
+      print_string (Obs.Campaign.render ~gates:results summary);
+      (match from with
+      | None -> Printf.printf "\nstore     : %s\n" out
+      | Some store -> Printf.printf "\nstore     : %s (aggregated)\n" store);
+      Printf.printf "summary   : %s\ndashboard : %s\n" summary_path html_path;
+      if Obs.Campaign.gates_pass results then exit_ok
+      else begin
+        let failed =
+          List.filter
+            (fun (r : Obs.Campaign.gate_result) -> r.Obs.Campaign.status = Obs.Campaign.Fail)
+            results
+        in
+        Printf.eprintf "nebby campaign: %d gate(s) failed: %s\n" (List.length failed)
+          (String.concat ", "
+             (List.map
+                (fun (r : Obs.Campaign.gate_result) ->
+                  r.Obs.Campaign.gate.Obs.Campaign.gate_name)
+                failed));
+        exit_unclassified
+      end
+    in
     or_exit_2 "campaign" (fun () ->
-      match Internet.Campaign_runner.experiment_of_name experiment with
-      | Error msg when from = None ->
+      match (from, Internet.Campaign_runner.experiment_of_name experiment) with
+      | None, Error msg ->
         Printf.eprintf "nebby campaign: %s\n" msg;
         exit_usage
-      | experiment_result -> (
-        match
-          List.find_opt (fun r -> Internet.Region.name r = region) Internet.Region.all
-        with
-        | None ->
-          Printf.eprintf "nebby campaign: unknown region %s (expected one of %s)\n" region
-            (String.concat ", " (List.map Internet.Region.name Internet.Region.all));
-          exit_usage
-        | Some region -> (
-          match resolve_seed_spec ~cmd:"campaign" ?count ?seed_list ~base:seed () with
-          | None -> exit_usage
-          | Some seeds ->
-            let experiment_tag, seed_runs =
-              match from with
-              | Some store ->
-                let tag, stored = Obs.Campaign.read_store store in
-                note "nebby campaign: aggregating %d stored run(s) from %s\n"
-                  (List.length stored) store;
-                (tag, stored)
-              | None ->
-                let experiment =
-                  match experiment_result with Ok e -> e | Error _ -> assert false
-                in
-                let control = train runs in
-                let stored =
-                  Obs.Versioned.write_file out (fun oc ->
-                      Obs.Campaign.write_header oc
-                        ~experiment:(Internet.Campaign_runner.experiment_name experiment)
-                        ~runs:(List.length seeds);
-                      Internet.Campaign_runner.run ~jobs:(resolve_jobs jobs)
-                        ~emit:(fun i r ->
-                          Obs.Campaign.write_seed_line oc r;
-                          flush oc;
-                          note "nebby campaign: seed %d done (%d/%d)\n"
-                            r.Obs.Campaign.seed (i + 1) (List.length seeds))
-                        ~sites ~proto ~region ~control experiment ~seeds)
-                in
-                (Internet.Campaign_runner.experiment_name experiment, stored)
-            in
-            let summary = Obs.Campaign.aggregate ~experiment:experiment_tag seed_runs in
-            let extra =
-              match bench_json with None -> [] | Some path -> bench_extras path
-            in
-            let gates =
-              if no_gates then []
-              else
-                match Internet.Campaign_runner.experiment_of_name experiment_tag with
-                | Ok e ->
-                  override_gates ~accuracy_floor ~ci_ceiling
-                    (Internet.Campaign_runner.default_gates e)
-                | Error _ -> []
-            in
-            let results = Obs.Campaign.evaluate ~gates ~extra summary in
-            write_file summary_path
-              (Obs.Json.to_string (Obs.Campaign.summary_to_json ~gates:results summary)
-              ^ "\n");
-            let pool =
-              Option.map
-                (fun path ->
-                  Obs.Pooltrace.of_string
-                    (In_channel.with_open_bin path In_channel.input_all))
-                pool_trace_file
-            in
-            let drift =
-              Option.map
-                (fun store ->
-                  let ledger = Serve.Observatory.ledger_of_store ~store in
-                  (ledger, Obs.Drift.detect ledger))
-                drift_store
-            in
-            write_file html_path
-              (Obs.Render.campaign_dashboard ?pool ?drift ~trend:(trend_series ())
-                 ~gates:results ~summary ());
-            print_string (Obs.Campaign.render ~gates:results summary);
-            if from = None then Printf.printf "\nstore     : %s\n" out
-            else Printf.printf "\nstore     : %s (aggregated)\n"
-                   (Option.value ~default:out from);
-            Printf.printf "summary   : %s\ndashboard : %s\n" summary_path html_path;
-            if Obs.Campaign.gates_pass results then exit_ok
-            else begin
-              let failed =
-                List.filter
-                  (fun (r : Obs.Campaign.gate_result) -> r.Obs.Campaign.status = Obs.Campaign.Fail)
-                  results
-              in
-              Printf.eprintf "nebby campaign: %d gate(s) failed: %s\n" (List.length failed)
-                (String.concat ", "
-                   (List.map
-                      (fun (r : Obs.Campaign.gate_result) ->
-                        r.Obs.Campaign.gate.Obs.Campaign.gate_name)
-                      failed));
-              exit_unclassified
-            end)))
+      | Some store, _ -> report (aggregate store)
+      | None, Ok experiment -> report (measure experiment))
   in
   let doc =
     "Fan an experiment across many seeds, aggregate per-cell statistics (mean, stddev, \
@@ -1419,19 +1298,13 @@ let campaign_cmd =
   in
   Cmd.v (Cmd.info "campaign" ~doc)
     Term.(
-      const run $ experiment_arg $ seed_arg $ seeds_count_arg $ seed_list_arg $ jobs_arg
-      $ runs_arg $ sites_arg $ region_arg $ proto_arg $ log_level_arg $ out_arg
+      const run $ experiment_arg $ seeds_arg $ jobs_arg $ control_arg
+      $ sites_arg ~default:80 ~doc:"Census population size per seed."
+      $ region_arg () $ proto_arg $ log_level_arg $ out_arg
       $ summary_arg $ html_arg $ from_arg $ bench_json_arg $ no_gates_arg
       $ pool_trace_file_arg $ drift_store_arg $ accuracy_floor_arg $ ci_ceiling_arg)
 
 let serve_cmd =
-  let sites_arg =
-    Arg.(
-      value & opt int 24 & info [ "sites" ] ~docv:"N" ~doc:"Number of websites to keep fresh.")
-  in
-  let region_arg =
-    Arg.(value & opt string "Ohio" & info [ "region" ] ~docv:"REGION" ~doc:"Vantage point.")
-  in
   let epochs_arg =
     Arg.(
       value & opt int 2
@@ -1466,11 +1339,7 @@ let serve_cmd =
             "Job-queue depth bound; admission past it is refused (backpressure) and the \
              scheduler drains a batch before retrying.")
   in
-  let batch_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "batch" ] ~docv:"N" ~doc:"Jobs measured per parallel drain of the queue.")
-  in
+  let batch_arg = count ~default:8 "batch" ~doc:"Jobs measured per parallel drain of the queue." in
   let max_entries_arg =
     Arg.(
       value
@@ -1518,9 +1387,17 @@ let serve_cmd =
              the daemon runs with $(b,nebby stats --live) $(docv).")
   in
   let migrate_arg =
+    let parse spec =
+      Option.to_result
+        ~none:
+          (Printf.sprintf
+             "bad --migrate spec %S (expected FROM:TO:ONSET:RATE, e.g. cubic:bbr:2:4)" spec)
+        (Internet.Population.migration_of_spec spec)
+    in
+    let print ppf m = Format.pp_print_string ppf (Internet.Population.migration_spec m) in
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (conv' (parse, print))) None
       & info [ "migrate" ] ~docv:"FROM:TO:ONSET:RATE"
           ~doc:
             "Time-varying ground truth: from epoch $(i,ONSET) on, convert sites from CCA \
@@ -1549,92 +1426,71 @@ let serve_cmd =
              deduplicated while a breach persists). Implies the built-in default rules \
              when $(b,--alerts) is not given.")
   in
-  let run sites region proto seed runs jobs epochs store deadline high_water batch
-      max_entries confidence_floor margin_floor kill compact_only status_file migrate
-      alerts alert_log telemetry log_level =
-    Obs.Runtime.set_level log_level;
+  let run sites region proto seed control jobs epochs store deadline high_water batch
+      max_entries confidence_floor margin_floor kill compact_only status_file migration
+      alerts alert_log telemetry () =
     or_exit_2 "serve" (fun () ->
       if compact_only then begin
         let live = Serve.Service.compact_store ~store in
         Printf.printf "compacted  : %s (%d live record(s))\n" store live;
         exit_ok
       end
-      else
-      match List.find_opt (fun r -> Internet.Region.name r = region) Internet.Region.all with
-      | None ->
-        Printf.eprintf "nebby serve: unknown region %s (expected one of %s)\n" region
-          (String.concat ", " (List.map Internet.Region.name Internet.Region.all));
-        exit_usage
-      | Some region -> (
-          let migration =
-            match migrate with
-            | None -> None
-            | Some spec -> (
-              match Internet.Population.migration_of_spec spec with
-              | Some m -> Some m
-              | None ->
-                Printf.eprintf
-                  "nebby serve: bad --migrate spec %S (expected FROM:TO:ONSET:RATE, e.g. \
-                   cubic:bbr:2:4)\n"
-                  spec;
-                exit exit_usage)
-          in
-          let alert_rules =
-            match alerts with
-            | Some path -> Serve.Alerts.load_rules path
-            | None -> if alert_log <> None then Serve.Alerts.default_rules else []
-          in
-          let control = train runs in
-          let config =
-            {
-              Serve.Service.sites;
-              seed;
-              region;
-              proto;
-              jobs = resolve_jobs jobs;
-              epochs = max 1 epochs;
-              deadline_s = (if deadline <= 0.0 then infinity else deadline);
-              high_water;
-              batch;
-              max_entries;
-              confidence_floor;
-              margin_floor;
-              kill_after_commits = kill;
-              status_file;
-              migration;
-              alert_rules;
-              alert_log;
-            }
-          in
-          let summary =
-            Obs.Telemetry.record ?jsonl:telemetry (fun () ->
-                Serve.Service.run ~control ~config ~store)
-          in
-          Printf.printf "store      : %s\n" store;
-          Printf.printf "epochs     : %d over %d site(s) (%s, %s)\n" config.epochs sites
-            (Internet.Region.name region)
-            (match proto with Netsim.Packet.Tcp -> "tcp" | Netsim.Packet.Quic -> "quic");
-          Printf.printf "measured   : %d\n" summary.Serve.Service.measured;
-          Printf.printf "recovered  : %d\n" summary.recovered;
-          Printf.printf "carried    : %d\n" summary.carried;
-          Printf.printf "timeouts   : %d\n" summary.timeouts;
-          Printf.printf "overloads  : %d\n" summary.overloads;
-          Printf.printf "torn tail  : %d record(s) dropped\n" summary.torn_dropped;
-          Printf.printf "snapshots  : %d\n" summary.snapshots;
-          Option.iter
-            (fun m ->
-              Printf.printf "migration  : %s\n" (Internet.Population.migration_spec m))
+      else begin
+        let alert_rules =
+          match alerts with
+          | Some path -> Serve.Alerts.load_rules path
+          | None -> if alert_log <> None then Serve.Alerts.default_rules else []
+        in
+        let control = Lazy.force control in
+        let config =
+          {
+            Serve.Service.sites;
+            seed;
+            region;
+            proto;
+            jobs;
+            epochs = max 1 epochs;
+            deadline_s = (if deadline <= 0.0 then infinity else deadline);
+            high_water;
+            batch;
+            max_entries;
+            confidence_floor;
+            margin_floor;
+            kill_after_commits = kill;
+            status_file;
             migration;
-          if alert_rules <> [] then begin
-            Printf.printf "drift evts : %d\n" summary.drift_events;
-            Printf.printf "alerts     : %d fired (%d rule(s) armed)\n"
-              summary.alerts_fired (List.length alert_rules);
-            Option.iter (Printf.printf "alert log  : %s\n") alert_log
-          end
-          else Printf.printf "drift evts : %d\n" summary.drift_events;
-          Option.iter (Printf.printf "status     : %s (+ .prom)\n") status_file;
-          Option.iter (Printf.printf "telemetry  : %s\n") telemetry;
-          exit_ok))
+            alert_rules;
+            alert_log;
+          }
+        in
+        let summary =
+          Obs.Telemetry.record ?jsonl:telemetry (fun () ->
+              Serve.Service.run ~control ~config ~store)
+        in
+        Printf.printf "store      : %s\n" store;
+        Printf.printf "epochs     : %d over %d site(s) (%s, %s)\n" config.epochs sites
+          (Internet.Region.name region)
+          (match proto with Netsim.Packet.Tcp -> "tcp" | Netsim.Packet.Quic -> "quic");
+        Printf.printf "measured   : %d\n" summary.Serve.Service.measured;
+        Printf.printf "recovered  : %d\n" summary.recovered;
+        Printf.printf "carried    : %d\n" summary.carried;
+        Printf.printf "timeouts   : %d\n" summary.timeouts;
+        Printf.printf "overloads  : %d\n" summary.overloads;
+        Printf.printf "torn tail  : %d record(s) dropped\n" summary.torn_dropped;
+        Printf.printf "snapshots  : %d\n" summary.snapshots;
+        Option.iter
+          (fun m -> Printf.printf "migration  : %s\n" (Internet.Population.migration_spec m))
+          migration;
+        Printf.printf "drift evts : %d\n" summary.drift_events;
+        if alert_rules <> [] then begin
+          Printf.printf "alerts     : %d fired (%d rule(s) armed)\n" summary.alerts_fired
+            (List.length alert_rules);
+          Option.iter (Printf.printf "alert log  : %s\n") alert_log
+        end;
+        Option.iter (Printf.printf "status     : %s (+ .prom)\n") status_file;
+        Option.iter (Printf.printf "telemetry  : %s\n") telemetry;
+        exit_ok
+      end)
   in
   let doc =
     "Run the crash-safe continuous census: measure the population onto a durable \
@@ -1643,10 +1499,11 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ sites_arg $ region_arg $ proto_arg $ seed_arg $ runs_arg $ jobs_arg
-      $ epochs_arg $ store_arg $ deadline_arg $ high_water_arg $ batch_arg
-      $ max_entries_arg $ confidence_floor_arg $ margin_floor_arg $ kill_arg
-      $ compact_only_arg $ status_file_arg $ migrate_arg $ alerts_arg $ alert_log_arg
+      const run
+      $ sites_arg ~default:24 ~doc:"Number of websites to keep fresh."
+      $ region_arg () $ proto_arg $ seed_arg $ control_arg $ jobs_arg $ epochs_arg
+      $ store_arg $ deadline_arg $ high_water_arg $ batch_arg $ max_entries_arg
+      $ confidence_floor_arg $ margin_floor_arg $ kill_arg $ compact_only_arg $ status_file_arg $ migrate_arg $ alerts_arg $ alert_log_arg
       $ telemetry_arg $ log_level_arg)
 
 let drift_cmd =
@@ -1714,13 +1571,8 @@ let drift_cmd =
       let alerts =
         List.map
           (fun (tr : Serve.Alerts.transition) ->
-            ( tr.Serve.Alerts.epoch,
-              tr.Serve.Alerts.rule,
-              (match tr.Serve.Alerts.action with
-              | Serve.Alerts.Fire -> `Fire
-              | Serve.Alerts.Resolve -> `Resolve),
-              tr.Serve.Alerts.value,
-              tr.Serve.Alerts.limit ))
+            let action = match tr.action with Fire -> `Fire | Resolve -> `Resolve in
+            (tr.epoch, tr.rule, action, tr.value, tr.limit))
           transitions
       in
       let historical =
@@ -1808,8 +1660,9 @@ let stats_cmd =
       print_string (Serve.Health.render (Serve.Health.read status_path));
       exit_ok
     | None, Some trace_path, None ->
-      let text = In_channel.with_open_bin trace_path In_channel.input_all in
-      let trace = Obs.Pooltrace.of_string text in
+      let trace =
+        Obs.Pooltrace.of_string (In_channel.with_open_bin trace_path In_channel.input_all)
+      in
       print_string (Obs.Pooltrace.report trace);
       Option.iter
         (fun out ->
@@ -1820,10 +1673,8 @@ let stats_cmd =
     | None, None, None -> (
       let path =
         match file with
-        | Some f -> Some f
-        | None ->
-          if Sys.file_exists default_telemetry_file then Some default_telemetry_file
-          else None
+        | None when Sys.file_exists default_telemetry_file -> Some default_telemetry_file
+        | file -> file
       in
       match path with
       | Some p ->
@@ -1877,9 +1728,8 @@ let stats_cmd =
         let s = Obs.Pooltrace.summarize trace in
         Printf.printf "\npool scheduler\n";
         Printf.printf "  %-30s %10d\n" "tasks run" s.Obs.Pooltrace.s_tasks;
-        Printf.printf "  %-30s %10d\n" "steals" s.Obs.Pooltrace.s_steals;
-        Printf.printf "  %-30s %10d\n" "local pops"
-          (s.Obs.Pooltrace.s_tasks - s.Obs.Pooltrace.s_steals);
+        Printf.printf "  %-30s %10d\n" "steals" s.s_steals;
+        Printf.printf "  %-30s %10d\n" "local pops" (s.s_tasks - s.s_steals);
         Printf.printf "  %-30s %10.0f\n" "queue wait p99 (us)"
           (Obs.Histogram.quantile s.Obs.Pooltrace.s_wait_us 0.99);
         let hists = Obs.Histogram.all () in

@@ -26,11 +26,6 @@ val cwnd_style : rtt:float -> (float * float) list -> (float * float) list
 (** Degrade a BiF series to Gordon's view: one point per RTT, the window
     upper envelope. Shared with the metric ablation in the bench. *)
 
-val probe :
-  ?seed:int -> control:Nebby.Training.control -> region:Internet.Region.t ->
-  Internet.Website.t -> outcome
-(** Probe one website the way Gordon would in 2023. *)
-
 val survey :
   ?sites:int ->
   ?seed:int ->

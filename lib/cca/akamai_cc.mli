@@ -6,6 +6,3 @@
     properties), held for a random 10-20 s epoch, then a short deep drain. *)
 
 val create : ?seed:int -> Cca_core.params -> Cca_core.t
-
-val default_rate : float
-(** The provisioned sending rate the epochs are drawn around, bytes/s. *)

@@ -32,9 +32,6 @@ type params = { mss : int; initial_cwnd : int }
 
 let default_params = { mss = 250; initial_cwnd = 10 }
 
-let make_params ?(mss = default_params.mss) ?(initial_cwnd = default_params.initial_cwnd) () =
-  { mss; initial_cwnd }
-
 module Max_filter = struct
   (* Monotonic deque over (timestamp, value): amortized O(1) updates. *)
   type f = { window : float; mutable entries : (float * float) list }

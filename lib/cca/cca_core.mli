@@ -56,8 +56,6 @@ type params = { mss : int; initial_cwnd : int  (** in MSS *) }
 val default_params : params
 (** [mss = 250] (see DESIGN.md for why), [initial_cwnd = 10]. *)
 
-val make_params : ?mss:int -> ?initial_cwnd:int -> unit -> params
-
 (** Sliding-window maximum filter over timestamped samples, used by BBR for
     its bandwidth filter. *)
 module Max_filter : sig

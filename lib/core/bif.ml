@@ -3,11 +3,6 @@ type issue =
   | Non_monotonic_timestamps of int
   | Zero_length_segments of int
 
-let issue_label = function
-  | Empty_trace -> "empty_trace"
-  | Non_monotonic_timestamps n -> Printf.sprintf "non_monotonic_timestamps(%d)" n
-  | Zero_length_segments n -> Printf.sprintf "zero_length_segments(%d)" n
-
 (* Capture-point faults (timestamp jitter, packet duplication) produce
    observation lists that violate the estimators' implicit invariants.
    [validate] turns each violation into a diagnostic; [sanitize] repairs

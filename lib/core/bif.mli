@@ -18,9 +18,6 @@ type issue =
   | Zero_length_segments of int
       (** this many data packets carry no payload *)
 
-val issue_label : issue -> string
-(** Human-readable diagnostic, e.g. ["non_monotonic_timestamps(3)"]. *)
-
 val validate : Netsim.Trace.t -> issue list
 (** Diagnose a captured trace. An empty list means the trace satisfies the
     estimators' invariants; a malformed trace yields diagnostics here and a
@@ -31,9 +28,6 @@ val estimate : Netsim.Trace.t -> (float * float) list
     whether the trace has TCP visibility. Malformed input is tolerated:
     out-of-order observations are re-sorted and zero-length segments are
     ignored rather than miscounted. *)
-
-val estimate_tcp : Netsim.Trace.obs list -> (float * float) list
-val estimate_quic : Netsim.Trace.obs list -> (float * float) list
 
 val accuracy : estimate:(float * float) list -> truth:(float * float) list -> float
 (** Agreement between an estimated and a ground-truth BiF series, as

@@ -57,14 +57,8 @@ let row_of family cells =
       /. n;
   }
 
-type cache = (string, Measurement.report) Engine.Memo.t
-
-let create_cache () = Engine.Memo.create ()
-let cache_hits = Engine.Memo.hits
-let cache_misses = Engine.Memo.misses
-
 let run_matrix ?ccas ?families ?(config = Measurement.default_config) ?(seed = 42)
-    ?(proto = Netsim.Packet.Tcp) ?jobs ?cache ~control () =
+    ?(proto = Netsim.Packet.Tcp) ?jobs ~control () =
   let ccas = match ccas with Some c -> c | None -> Cca.Registry.all in
   let suite = (baseline_family, Faults.empty) :: standard_suite ~seed () in
   let suite =
@@ -77,20 +71,9 @@ let run_matrix ?ccas ?families ?(config = Measurement.default_config) ?(seed = 4
      of (cca, plan, seed), so the flattened grid parallelizes on the
      engine and reassembles row by row in suite order *)
   let measure_cell (family, plan, i, cca) =
-    let run () =
+    let report =
       Measurement.measure_cca ~control ~config ~proto ~faults:plan ~seed:(seed + (1009 * i))
         cca
-    in
-    let report =
-      match cache with
-      | None -> run ()
-      | Some memo ->
-        let key =
-          Printf.sprintf "%s|%s|%d|%s|%d|%s" cca family seed
-            (match proto with Netsim.Packet.Tcp -> "tcp" | Netsim.Packet.Quic -> "quic")
-            config.Measurement.max_attempts (Training.fingerprint control)
-        in
-        Engine.Memo.find_or_compute memo key run
     in
     { cca; family; report; correct = report.Measurement.label = cca }
   in

@@ -44,18 +44,6 @@ val family_names : string list
 (** [baseline_family] followed by every family in {!standard_suite},
     in suite order — the vocabulary accepted by [nebby_cli chaos]. *)
 
-type cache
-(** Memo over matrix cells keyed by
-    cca × family × seed × proto × attempt budget × control-version:
-    repeated matrices (regression reruns, widened family selections)
-    skip cells they have already measured. Shareable across worker
-    domains and across {!run_matrix} calls. *)
-
-val create_cache : unit -> cache
-
-val cache_hits : cache -> int
-val cache_misses : cache -> int
-
 val run_matrix :
   ?ccas:string list ->
   ?families:string list ->
@@ -63,7 +51,6 @@ val run_matrix :
   ?seed:int ->
   ?proto:Netsim.Packet.proto ->
   ?jobs:int ->
-  ?cache:cache ->
   control:Training.control ->
   unit ->
   matrix

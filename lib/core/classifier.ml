@@ -28,10 +28,6 @@ let combine verdicts =
       Known best.Plugin.label
     | _ -> Unknown)
 
-let classify ~plugins prepared =
-  let verdicts = List.filter_map (fun p -> p.Plugin.classify prepared) plugins in
-  (combine verdicts, verdicts)
-
 (* Shared engine behind [classify_measurement] and [explain_measurement]:
    runs the loss classifier plus every plugin, counting votes, and
    keeps (plugin, profile) attribution for provenance. *)

@@ -11,17 +11,8 @@
 
 type outcome = Known of string | Unknown
 
-val rate_based_plugins : Plugin.t list
-(** Just the BBR classifier: Nebby's second built-in. *)
-
-val extension_plugins : Plugin.t list
-(** AkamaiCC (§4.3), Copa and Vivace (Appendix D). *)
-
 val default_plugins : Training.control -> Plugin.t list
 val extended_plugins : Training.control -> Plugin.t list
-
-val classify : plugins:Plugin.t list -> Pipeline.t -> outcome * Plugin.verdict list
-(** Run per-trace plugins only (no loss-based classifier) on one trace. *)
 
 val classify_measurement :
   ?plugins:Plugin.t list ->

@@ -9,7 +9,7 @@ type t = {
   amp_ratio : float;
 }
 
-let sample_points = 200
+let sample_points = 200 (* as in the paper *)
 let lambda = 0.7
 let dimensions = 9
 
@@ -87,7 +87,7 @@ let compute_trace_vector (p : Pipeline.t) =
 (* The per-segment polynomial fits behind the vector are the most
    expensive part of classification, and a provenance-collecting
    measurement extracts the same vector three times (loss verdict, joint
-   score list, report features). Memoize per prepared trace, keyed by
+   score list, report features). Cache it per prepared trace, keyed by
    physical identity of its smoothed series, in a domain-local
    ephemeron-keyed table: workers never contend and dropping a pipeline
    still lets it be collected. The cached vector is copied on return so

@@ -19,11 +19,6 @@ type t = {
   amp_ratio : float;  (** (max - min) / max of the raw segment *)
 }
 
-val sample_points : int
-(** 200, as in the paper. *)
-
-val lambda : float
-
 val of_segment : Pipeline.segment -> t option
 (** [None] when the segment is too short or degenerate to fit. *)
 

@@ -16,14 +16,6 @@ val classify_joint :
     pairs. Uses the joint two-profile model when every profile yielded
     features, else falls back to agreeing single-profile verdicts. *)
 
-val classify_single :
-  ?proto:Netsim.Packet.proto ->
-  Training.control ->
-  profile_name:string ->
-  Pipeline.t ->
-  string option
-(** Single-profile trace-level decision. *)
-
 val joint_scores :
   ?proto:Netsim.Packet.proto ->
   Training.control ->

@@ -105,12 +105,6 @@ let explain_prepared ?plugins ?proto ~control ~subject entries =
   in
   (outcome, report)
 
-let classify_trace ?plugins ?proto ~control ~profile (result : Testbed.result) =
-  let prepared = prepare_result ~profile result in
-  fst
-    (Classifier.classify_measurement ?plugins ?proto ~control
-       [ (profile.Profile.name, prepared) ])
-
 (* The capture is truncated when it covers much less of the flow than the
    sender actually transmitted (the sender's own BiF log is the ground
    truth for how long the flow ran). *)

@@ -80,15 +80,6 @@ val report_metrics : report -> (string * float) list
     carries provenance — [confidence] and [margin]. Order is fixed;
     absent provenance simply omits its two cells. *)
 
-val classify_trace :
-  ?plugins:Plugin.t list ->
-  ?proto:Netsim.Packet.proto ->
-  control:Training.control ->
-  profile:Profile.t ->
-  Testbed.result ->
-  Classifier.outcome
-(** Classify a single already-captured trace. *)
-
 val prepare_result :
   ?transform:(rtt:float -> (float * float) list -> (float * float) list) ->
   ?smoothen:bool ->

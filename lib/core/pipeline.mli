@@ -48,8 +48,6 @@ type t = {
   mean_bif : float;
 }
 
-val default_dt : float
-
 val prepare : ?dt:float -> ?smoothen:bool -> rtt:float -> (float * float) list -> t
 (** [rtt] is the nominal RTT under the measurement profile (known to Nebby
     since it configures the added delay). [smoothen:false] skips the FFT

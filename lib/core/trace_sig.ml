@@ -35,24 +35,6 @@ let interval_stats = function
     if mean <= 0.0 then None
     else Some (mean, Sigproc.Series.std arr /. mean)
 
-let probe_spikes (p : Pipeline.t) (seg : Pipeline.segment) =
-  if Array.length seg.values = 0 then []
-  else
-  let deriv = Sigproc.Series.derivative ~dt:p.dt seg.values in
-  let amp = Float.max 1.0 (seg.raw_max -. seg.raw_min) in
-  let level = Float.max seg.raw_max amp in
-  (* a probe pushes BiF up markedly faster than steady growth *)
-  let thresh = 0.07 *. level /. p.rtt in
-  let n = Array.length deriv in
-  let min_gap = int_of_float (2.0 *. p.rtt /. p.dt) in
-  let rec scan i last acc =
-    if i >= n then List.rev acc
-    else if deriv.(i) > thresh && i - last >= min_gap then
-      scan (i + 1) i (float_of_int i *. p.dt :: acc)
-    else scan (i + 1) last acc
-  in
-  scan 0 (-min_gap) []
-
 let compute_flatness (seg : Pipeline.segment) =
   (* empty windows happen under capture faults; they are simply not flat *)
   if Array.length seg.values = 0 then 0.0
@@ -136,7 +118,7 @@ let compute_oscillation_period (p : Pipeline.t) (seg : Pipeline.segment) =
    asks for them — several rate-based plugins each call the autocorrelation
    hunt (O(samples x lags)), the flatness median sort, and the flat-span
    scan, and a provenance-collecting measurement asks once more for the
-   stage summary. Memoize per segment, keyed by physical identity of the
+   stage summary. Cache it per segment, keyed by physical identity of the
    sample array (a segment is immutable and belongs to exactly one
    pipeline, so rtt/dt are determined by the key). The tables are
    domain-local (worker domains never contend) and ephemeron-keyed, so

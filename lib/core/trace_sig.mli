@@ -23,10 +23,6 @@ val intervals : float list -> float list
 val interval_stats : float list -> (float * float) option
 (** [(mean, coefficient_of_variation)] of a non-empty interval list. *)
 
-val probe_spikes : Pipeline.t -> Pipeline.segment -> float list
-(** Times (relative to segment start) of sharp positive-derivative spikes
-    inside a segment — BBR's bandwidth probes. *)
-
 val flatness : Pipeline.segment -> float
 (** Fraction of segment samples within 10 % of the segment median; 1.0 is a
     perfect plateau. *)

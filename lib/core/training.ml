@@ -21,7 +21,7 @@ type control = {
   fingerprint : string;
 }
 
-let vantage_count = 5
+let vantage_count = 5 (* the paper's Ohio/Paris/Mumbai/Singapore/Sao-Paulo set *)
 let tcp_threshold_slack = 3.0
 (* QUIC implementations are expected to deviate from the kernel references
    (the paper classifies non-conformant variants too), so the likelihood
@@ -90,7 +90,7 @@ let fit_model_bundle ?(slack = tcp_threshold_slack) labeled =
   in
   (model, scaler, thresholds)
 
-(* A content fingerprint of the trained model, for memo-cache keys: two
+(* A content fingerprint of the trained model, for verdict keys: two
    controls that classify identically hash identically, and retraining
    with different runs/seeds/profiles changes the digest. The scalers and
    thresholds are a complete proxy for the fitted Gaussians here: they are

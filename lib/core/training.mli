@@ -42,12 +42,6 @@ type control = private {
     {!train}, so no code can build one, or [with]-update one, and leave
     its fingerprint stale. *)
 
-val vantage_count : int
-(** 5, matching the paper's Ohio/Paris/Mumbai/Singapore/Sao-Paulo set. *)
-
-val vantage_noise : int -> Netsim.Path.noise
-(** Noise profile of the i-th vantage point. *)
-
 val bundle_for : control -> Netsim.Packet.proto -> bundle
 
 val train :
@@ -71,7 +65,7 @@ val default : unit -> control
 val fingerprint : control -> string
 (** Stable hex digest of the trained model's content (profile names,
     scalers, per-class thresholds, degree histograms) — the
-    control-version component of measurement memo-cache keys: retraining
+    control-version component of [Census.cache_key], the journal key: retraining
     with different data changes the digest, re-deriving the same control
     does not. {!train} computes it once (an MD5 over the model's numbers
     printed with [%.17g]) and stores it in the control, so this is a

@@ -61,7 +61,6 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let path t = t.path
 let torn_dropped t = t.torn
 
 (* Bounded: FIFO by first entry into the cache. Only keys new to the

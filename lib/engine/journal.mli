@@ -1,6 +1,6 @@
-(** A durable, append-only, schema-versioned key/value journal — the
-    on-disk extension of [Memo] that lets a census service survive a
-    SIGKILL and resume exactly where it stopped.
+(** A durable, append-only, schema-versioned key/value journal that
+    lets a census service survive a SIGKILL and resume exactly where it
+    stopped.
 
     The file layout is one header line
 
@@ -25,7 +25,7 @@
     performed the same [put]s in any order compact to the same bytes
     (tools/check.sh gates both properties).
 
-    Memory stays flat under [?max_entries]: the full key index (key ->
+    Resident memory stays flat under [?max_entries]: the full key index (key ->
     byte offset) is always in memory, but record values are held in a
     bounded cache with FIFO eviction. {!open_} fills that cache from the
     values its replay has just parsed and CRC-checked (the latest record
@@ -33,7 +33,7 @@
     from memory like reads after a [put]. A miss re-reads the record from
     disk and re-checks its CRC.
 
-    Handles are domain-safe behind an internal mutex, like [Memo]. *)
+    Handles are domain-safe behind an internal mutex. *)
 
 type t
 
@@ -46,8 +46,6 @@ val open_ : ?max_entries:int -> ?on_warning:(string -> unit) -> string -> t
     to stderr). The header goes through [Obs.Versioned.check]: it raises
     [Obs.Versioned.Version_mismatch] on schema skew and [Json.Parse_error]
     when the file exists but is not a journal. *)
-
-val path : t -> string
 
 val put : t -> key:string -> value:string -> unit
 (** Append one record and flush it to disk. Last write per key wins. *)

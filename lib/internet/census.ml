@@ -1,9 +1,3 @@
-type cache = (string, string) Engine.Memo.t
-
-let create_cache () = Engine.Memo.create ()
-let cache_hits = Engine.Memo.hits
-let cache_misses = Engine.Memo.misses
-
 (* Epochs simulate a continuous census re-visiting the site later: a
    non-zero epoch shifts the measurement seed so the re-measurement sees
    fresh path noise, the way a real re-probe weeks later would. Epoch 0
@@ -78,18 +72,12 @@ let select sites websites =
   | None -> websites
   | Some n -> List.filteri (fun i _ -> i < n) websites
 
-let labels ?sites ?jobs ?cache ~control ~proto ~region websites =
+let labels ?sites ?jobs ~control ~proto ~region websites =
   let selected = Array.of_list (select sites websites) in
-  let classify site =
-    match cache with
-    | None -> measure_site ~control ~proto ~region site
-    | Some memo ->
-      Engine.Memo.find_or_compute memo
-        (cache_key ~control ~proto ~region site)
-        (fun () -> measure_site ~control ~proto ~region site)
-  in
   Array.to_list
-    (Engine.Pool.map ?jobs (fun site -> (site, classify site)) selected)
+    (Engine.Pool.map ?jobs
+       (fun site -> (site, measure_site ~control ~proto ~region site))
+       selected)
 
 let explained ?sites ?jobs ~control ~proto ~region websites =
   let selected = Array.of_list (select sites websites) in
@@ -121,8 +109,8 @@ let tally_of_labels labeled =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tally []
   |> List.sort (fun (_, a) (_, b) -> compare b a)
 
-let run ?sites ?jobs ?cache ~control ~proto ~region websites =
-  tally_of_labels (labels ?sites ?jobs ?cache ~control ~proto ~region websites)
+let run ?sites ?jobs ~control ~proto ~region websites =
+  tally_of_labels (labels ?sites ?jobs ~control ~proto ~region websites)
 
 let shares tally =
   let sum = List.fold_left (fun acc (_, n) -> acc + n) 0 tally in

@@ -10,30 +10,17 @@
     any worker count — [jobs = 1] and [jobs = 8] produce the same per-site
     labels and the same tally, ties included. *)
 
-type cache
-(** A memo over classifications keyed by
-    site × proto × region × control-version ([Engine.Memo] under the
-    hood): repeated censuses — re-runs, multi-region sweeps revisiting
-    region-insensitive sites, chaos reruns — skip redundant simulations.
-    Safe to share across worker domains and across {!run} calls; a hit
-    returns byte-identical results to the cold run that populated it. *)
-
-val create_cache : unit -> cache
-
-val cache_hits : cache -> int
-val cache_misses : cache -> int
-
 val cache_key :
   control:Nebby.Training.control ->
   proto:Netsim.Packet.proto ->
   region:Region.t ->
   Website.t ->
   string
-(** The memo coordinate of one classification:
-    rank:name|region|proto|[Training.fingerprint]. Exposed so the durable
-    journal behind [Serve.Service] can key its records on exactly the
-    coordinates the in-memory cache uses — retraining the control changes
-    the fingerprint and thereby invalidates every persisted verdict. *)
+(** The coordinate of one classification:
+    rank:name|region|proto|[Training.fingerprint] — everything the verdict
+    is a function of. The durable journal behind [Serve.Service] keys its
+    records on it, so retraining the control changes the fingerprint and
+    thereby invalidates every persisted verdict. *)
 
 val measure_site :
   control:Nebby.Training.control ->
@@ -71,7 +58,7 @@ val explained :
   Website.t list ->
   (Website.t * Nebby.Measurement.report) list
 (** {!explain_site} over the population, in canonical order like
-    {!labels}. Uncached: verdict reports are per-run artifacts. *)
+    {!labels}. *)
 
 val provenance_reports :
   (Website.t * Nebby.Measurement.report) list -> Obs.Provenance.report list
@@ -90,7 +77,6 @@ val margin_dists :
 val labels :
   ?sites:int ->
   ?jobs:int ->
-  ?cache:cache ->
   control:Nebby.Training.control ->
   proto:Netsim.Packet.proto ->
   region:Region.t ->
@@ -108,14 +94,13 @@ val tally_of_labels : (Website.t * string) list -> (string * int) list
 val run :
   ?sites:int ->
   ?jobs:int ->
-  ?cache:cache ->
   control:Nebby.Training.control ->
   proto:Netsim.Packet.proto ->
   region:Region.t ->
   Website.t list ->
   (string * int) list
 (** Tally of {!labels}, sorted by descending count. Deterministic in the
-    same sense: independent of [jobs] and of cache warmth. *)
+    same sense: independent of [jobs]. *)
 
 val shares : (string * int) list -> (string * float) list
 (** Population shares of a tally, preserving its order: each count

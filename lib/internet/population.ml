@@ -1,5 +1,3 @@
-let quic_responder_share = 0.089
-
 (* Ground-truth deployment weights, seeded from Table 4 (Ohio column) with
    the AkamaiCC share of §4.3 carved out of the paper's Unknown mass. *)
 let base_weights =

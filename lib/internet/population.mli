@@ -15,9 +15,6 @@ val generate : ?n:int -> seed:int -> unit -> Website.t list
 (** [generate ~n ~seed ()] builds a deterministic population of [n]
     (default 20,000) websites, heavy hitters first. *)
 
-val quic_responder_share : float
-(** ~0.089, §4.4. *)
-
 (** {1 Time-varying populations}
 
     The paper's headline result is longitudinal (Table 11: CUBIC's share

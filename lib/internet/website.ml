@@ -16,9 +16,3 @@ let cca_in t region =
   match List.assoc_opt region t.deployments with
   | Some cca -> cca
   | None -> ( match t.deployments with (_, cca) :: _ -> cca | [] -> "cubic")
-
-let cdn_name = function
-  | Cloudflare -> "Cloudflare"
-  | Akamai -> "Akamai"
-  | Self_hosted -> "Self"
-  | Other_cdn -> "Other"

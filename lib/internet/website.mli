@@ -18,5 +18,3 @@ type t = {
 
 val cca_in : t -> Region.t -> string
 (** Ground-truth CCA served towards a region. *)
-
-val cdn_name : cdn -> string

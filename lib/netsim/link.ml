@@ -72,7 +72,6 @@ let set_up t up =
   t.up <- up;
   if up && (not was_up) && not t.busy then serve t
 
-let is_up t = t.up
 let queue_bytes t = t.queued_bytes
 let drops t = t.drops
 let delivered t = t.delivered

@@ -37,8 +37,6 @@ val set_up : t -> bool -> unit
     mid-flow link flap. A packet already being serialized when the link
     goes down still delivers. *)
 
-val is_up : t -> bool
-
 val queue_bytes : t -> int
 (** Bytes currently waiting (excluding the packet in service). *)
 

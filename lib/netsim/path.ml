@@ -42,7 +42,6 @@ type t = {
   sink : Packet.t -> unit;
   mutable last_delivery : float;
   mutable dropped : int;
-  mutable faulted : int;
   mutable fault : (now:float -> Packet.t -> fault_decision) option;
 }
 
@@ -55,12 +54,10 @@ let create sim rng ~delay ~noise ~sink =
     sink;
     last_delivery = 0.0;
     dropped = 0;
-    faulted = 0;
     fault = None;
   }
 
 let set_fault t f = t.fault <- Some f
-let clear_fault t = t.fault <- None
 
 let send t pkt =
   let decision =
@@ -68,7 +65,6 @@ let send t pkt =
   in
   (match decision with
   | Fault_drop | Fault_delay _ | Fault_duplicate _ ->
-    t.faulted <- t.faulted + 1;
     let family =
       match decision with
       | Fault_drop -> "path.drop"
@@ -113,4 +109,3 @@ let send t pkt =
   end
 
 let dropped t = t.dropped
-let faulted t = t.faulted

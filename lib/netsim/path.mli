@@ -45,10 +45,5 @@ val set_fault : t -> (now:float -> Packet.t -> fault_decision) -> unit
     model on every send. At most one hook is installed; composition of
     several fault rules happens in the [Faults] library. *)
 
-val clear_fault : t -> unit
-
 val send : t -> Packet.t -> unit
 val dropped : t -> int
-
-val faulted : t -> int
-(** Packets the fault hook acted on (dropped, held, or duplicated). *)

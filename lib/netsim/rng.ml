@@ -11,8 +11,6 @@ let next_raw t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 = next_raw
-
 let split t =
   let seed = next_raw t in
   { state = seed }
@@ -61,10 +59,3 @@ let gaussian t ~mean ~std =
   let u2 = float t in
   let r = sqrt (-2.0 *. log u1) in
   mean +. (std *. r *. cos (2.0 *. Float.pi *. u2))
-
-let exponential t ~rate =
-  let rec nonzero () =
-    let u = float t in
-    if u <= 1e-12 then nonzero () else u
-  in
-  -.log (nonzero ()) /. rate

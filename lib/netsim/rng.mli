@@ -51,9 +51,6 @@ val named : t -> string -> t
     use [named] rather than [split] so that enabling them cannot perturb
     draws made from the parent generator. *)
 
-val int64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val float : t -> float
 (** Uniform float in [\[0, 1)]. *)
 
@@ -68,6 +65,3 @@ val bool : t -> float -> bool
 
 val gaussian : t -> mean:float -> std:float -> float
 (** Normal deviate via the Box-Muller transform. *)
-
-val exponential : t -> rate:float -> float
-(** Exponential deviate with the given rate. *)

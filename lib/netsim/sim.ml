@@ -41,5 +41,3 @@ let run ?until t =
   | Some _ | None -> ());
   Obs.Metrics.bump ~by:!executed "netsim.sim.events";
   Obs.Metrics.bump "netsim.sim.runs"
-
-let pending t = Event_queue.length t.queue

@@ -27,6 +27,3 @@ val at_clamped : t -> float -> (unit -> unit) -> unit
 val run : ?until:float -> t -> unit
 (** Execute events in order. With [until], stop once the next event would
     fire strictly after that time (the clock is then advanced to [until]). *)
-
-val pending : t -> int
-(** Number of queued events. *)

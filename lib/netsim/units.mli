@@ -11,8 +11,5 @@ val kbps_of_bytes_per_sec : float -> float
 val ms : float -> float
 (** [ms x] is [x] milliseconds expressed in seconds. *)
 
-val to_ms : float -> float
-(** Seconds to milliseconds. *)
-
 val kib : int -> int
 (** [kib x] is [x] kibibytes in bytes. *)

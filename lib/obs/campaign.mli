@@ -73,9 +73,6 @@ val write_seed_line : out_channel -> seed_run -> unit
     line the moment the engine emits it, so a killed run leaves a
     readable prefix. *)
 
-val seed_run_to_json : seed_run -> Json.t
-val seed_run_of_json : Json.t -> seed_run
-
 val read_store : string -> string * seed_run list
 (** Parse a store file back to [(experiment, runs)]. A truncated {e
     final} record — the signature a SIGKILL leaves on a streamed store —

@@ -41,6 +41,9 @@ let share p cls = Option.value ~default:0.0 (List.assoc_opt cls p.shares)
 
 type params = { allowance : float; threshold : float; min_hosts : int }
 
+(* tuned so a Table-11-style migration (several share points per epoch)
+   alarms within 2–3 epochs of onset while per-epoch measurement jitter
+   under one point per epoch never accumulates *)
 let default_params = { allowance = 1.0; threshold = 5.0; min_hosts = 1 }
 
 type event =

@@ -63,12 +63,6 @@ type params = {
   min_hosts : int;  (** epochs with fewer contributing hosts are skipped *)
 }
 
-val default_params : params
-(** allowance 1.0, threshold 5.0, min_hosts 1 — tuned so a
-    Table-11-style migration (several share points per epoch) alarms
-    within 2–3 epochs of onset while per-epoch measurement jitter under
-    one point per epoch never accumulates. *)
-
 type event =
   | Emerged of { class_ : string; epoch : int; rate_per_epoch : float }
       (** a class's share trended up with no matching donor *)

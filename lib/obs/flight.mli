@@ -49,8 +49,6 @@ type kind =
 val kind_label : kind -> string
 (** Stable snake_case tag used in dumps. *)
 
-val kind_of_label : string -> kind option
-
 type event = {
   seq : int;  (** monotone insertion index within the recording domain *)
   run : int;  (** simulation-run id; virtual time restarts at each run *)
@@ -86,8 +84,8 @@ val new_run : unit -> int
     the new id. Called by [Testbed.run]. *)
 
 val mark : unit -> int
-(** The current insertion index; pass to {!snapshot} as [since] to scope
-    a capture to events recorded after this point. *)
+(** The current insertion index; pass to {!events} or {!capture} as
+    [since] to scope a capture to events recorded after this point. *)
 
 val enqueue : time:float -> size:int -> queue_bytes:int -> unit
 (** A packet entered the bottleneck queue; ring at [Debug], counted as
@@ -142,10 +140,6 @@ val pool : time:float -> phase:string -> a:float -> b:float -> c:float -> unit
 val events : ?since:int -> unit -> event list
 (** Live ring contents in insertion order, oldest surviving event first;
     [since] drops events with [seq < since]. *)
-
-val snapshot : ?since:int -> ?window_s:float -> unit -> event list
-(** Like {!events}, additionally keeping only the trailing [window_s]
-    virtual seconds of each run (default: everything). *)
 
 val drain : unit -> event list
 (** {!events} then {!clear}: hand the ring to a collector at pool join. *)

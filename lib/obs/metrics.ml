@@ -26,7 +26,6 @@ let counter name =
 let incr c = c.c <- c.c + 1
 let add c n = c.c <- c.c + n
 let counter_value c = c.c
-let counter_name c = c.c_name
 let bump ?(by = 1) name = if Runtime.armed () then add (counter name) by
 
 let gauge name =
@@ -41,7 +40,6 @@ let gauge name =
 
 let set g v = g.g <- v
 let gauge_value g = g.g
-let gauge_name g = g.g_name
 
 type snap =
   | Counter_snap of { name : string; value : int }

@@ -20,7 +20,6 @@ val counter : string -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
 val counter_value : counter -> int
-val counter_name : counter -> string
 
 val bump : ?by:int -> string -> unit
 (** [bump name] adds [by] (default 1) to the named counter when this
@@ -30,7 +29,6 @@ val bump : ?by:int -> string -> unit
 val gauge : string -> gauge
 val set : gauge -> float -> unit
 val gauge_value : gauge -> float
-val gauge_name : gauge -> string
 
 (** Snapshots decouple rendering/serialization from the live registry, so
     the same table renderer works on metrics parsed back from a telemetry

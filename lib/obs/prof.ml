@@ -106,17 +106,6 @@ let leaf_name path =
   | Some i -> String.sub path (i + 1) (String.length path - i - 1)
   | None -> path
 
-let leaf_totals p =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      let name = leaf_name e.path in
-      let prev = Option.value ~default:zero (Hashtbl.find_opt tbl name) in
-      Hashtbl.replace tbl name (add prev e.stat))
-    p;
-  Hashtbl.fold (fun name stat acc -> (name, stat) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
 (* A path's direct children are the paths one ';'-segment deeper. *)
 let is_direct_child ~parent child =
   let lp = String.length parent and lc = String.length child in

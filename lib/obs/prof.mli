@@ -42,7 +42,6 @@ val record : (unit -> 'a) -> 'a * profile
 (** [record f] profiles [f] and returns its result with the drained
     profile. Disables on every exit path. *)
 
-val snapshot : unit -> profile
 val drain : unit -> profile
 (** Snapshot and reset — a worker's parting buffer flush. *)
 
@@ -54,12 +53,6 @@ val find : profile -> string -> stat option
 
 val leaf_name : string -> string
 (** Last frame of a ';'-joined path (["a;b;c"] → ["c"]). *)
-
-val leaf_totals : profile -> (string * stat) list
-(** Aggregate by leaf span name across all stacks, sorted by name. *)
-
-val self_wall : profile -> (string * float) list
-(** Self wall seconds per path: inclusive minus direct children. *)
 
 val folded : profile -> string
 (** Collapsed-stack lines ["a;b;c <self-microseconds>\n"], flamegraph

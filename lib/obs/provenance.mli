@@ -75,8 +75,6 @@ val render : report -> string
 
 type dist = { n : int; mean : float; min_v : float; max_v : float }
 
-val dist_of : float list -> dist option
-val by_label : report list -> (string * report list) list
 val confidence_dists : report list -> (string * dist) list
 val margin_dists : report list -> (string * dist) list
 val render_dists : header:string -> (string * dist) list -> string

@@ -29,14 +29,9 @@ val measurement_report :
     BiF samples (a quiet-level recording) degrade to an event-count
     note instead of charts. *)
 
-val pool_timeline_svg : Pooltrace.t -> string
-(** Per-domain utilization timeline over a {!Pooltrace} capture: one
-    track per worker, one span per task (steals in the accent color),
-    busy fraction at the right edge. Deterministic for equal traces. *)
-
 val pool_report_html : trace:Pooltrace.t -> unit -> string
 (** Render a captured pool trace to a self-contained HTML page: run
-    metadata, the {!pool_timeline_svg} utilization timeline, queue-wait
+    metadata, a per-domain utilization timeline, queue-wait
     and run-time histogram quantiles, and the per-domain steal/busy
     table. Byte-identical for equal traces, like
     {!measurement_report}. *)

@@ -5,14 +5,6 @@
    workers of an armed caller. *)
 type level = Quiet | Normal | Debug
 
-let level_label = function Quiet -> "quiet" | Normal -> "normal" | Debug -> "debug"
-
-let level_of_string = function
-  | "quiet" -> Some Quiet
-  | "normal" -> Some Normal
-  | "debug" -> Some Debug
-  | _ -> None
-
 type level_cell = { mutable current : level }
 
 type state = {

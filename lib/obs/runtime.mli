@@ -31,11 +31,6 @@ val level_cell : unit -> level_cell
     instead of a second DLS lookup per event. The cell is per-domain and
     aliases {!set_level}: mutating [current] is exactly [set_level]. *)
 
-val level_label : level -> string
-(** Stable lowercase tag ("quiet" | "normal" | "debug"). *)
-
-val level_of_string : string -> level option
-
 val armed : unit -> bool
 (** True when at least one consumer on this domain wants telemetry
     recorded. *)

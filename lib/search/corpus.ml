@@ -7,7 +7,6 @@ type 'a t = {
 
 let create () = { rev_entries = []; seen = Hashtbl.create 64 }
 
-let mem t signature = Hashtbl.mem t.seen signature
 let size t = Hashtbl.length t.seen
 
 let add t ~signature ~fitness payload =

@@ -15,7 +15,6 @@ val create : unit -> 'a t
 val add : 'a t -> signature:string -> fitness:float -> 'a -> bool
 (** [true] iff the signature was novel and the entry was admitted. *)
 
-val mem : 'a t -> string -> bool
 val size : 'a t -> int
 
 val entries : 'a t -> (string * float * 'a) list

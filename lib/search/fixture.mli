@@ -19,7 +19,6 @@ val schema_version : int
 type verdict_class = Misclassified | Margin_collapse | Typed_failure | Correct
 
 val class_label : verdict_class -> string
-val class_of_label : string -> (verdict_class, string) result
 
 type t = {
   version : int;
@@ -83,6 +82,9 @@ val of_string : string -> (t, string) result
 
 val load : string -> (t, string) result
 (** Read one fixture file. *)
+
+val mkdirs : string -> unit
+(** Create a directory and its missing parents ([mkdir -p]). *)
 
 val save : dir:string -> t -> string
 (** Write the fixture as [dir/name.json] (creating [dir] if needed) with

@@ -64,6 +64,13 @@ let signature_of ~genome ~got ~failures ~candidates ~flight_kinds =
   in
   Printf.sprintf "%s|%s|fail:%s|cand:%s|fl:%s" genome.Genome.cca got fails cands fl
 
+(* Run one genome through [Measurement.measure]: profiles scaled by the
+   genome's path factors (names preserved, so trained lookups still
+   apply), wide-area noise from its jitter/cross-loss, the fault plan
+   forwarded, and the measurement seeded by the plan's seed — the eval is
+   a pure function of the genome. Pins the flight recorder to [Normal]
+   detail for the call (and restores the caller's level), so signatures
+   agree between caller-domain and worker-domain runs. *)
 let evaluate ~control ~max_attempts ~confidence_floor ~margin_floor (genome : Genome.t) =
   (* Pin the recorder state for the duration of the measurement: the
      signature must not depend on whether we run in the caller's domain

@@ -25,21 +25,6 @@ type eval = {
   fitness : float;  (** misclassified > margin collapse > typed failure *)
 }
 
-val evaluate :
-  control:Nebby.Training.control ->
-  max_attempts:int ->
-  confidence_floor:float ->
-  margin_floor:float ->
-  Genome.t ->
-  eval
-(** Run one genome through [Measurement.measure]: profiles scaled by the
-    genome's path factors (names preserved, so trained lookups still
-    apply), wide-area noise from its jitter/cross-loss, the fault plan
-    forwarded, and the measurement seeded by the plan's seed — the eval
-    is a pure function of the genome. Pins the flight recorder to
-    [Normal] detail for the call (and restores the caller's level), so
-    signatures agree between caller-domain and worker-domain runs. *)
-
 type config = {
   budget : int;  (** search evaluations (minimization is extra) *)
   jobs : int;  (** worker domains; any value yields the same corpus *)

@@ -19,6 +19,8 @@ let baseline_path =
 
 type t = { cca : string; faults : Faults.plan; path : path }
 
+(* fault times must stay within the simulation horizon: the testbed's
+   default 60 s time limit *)
 let horizon = 60.0
 
 (* Bounds every mutation clamps into; validate enforces the same box so a

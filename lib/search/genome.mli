@@ -32,10 +32,6 @@ type t = {
   path : path;
 }
 
-val horizon : float
-(** The simulation horizon fault times must stay within (60 s, the
-    testbed's default time limit). *)
-
 val baseline : cca:string -> seed:int -> t
 (** No faults (plan seed [seed]), baseline path. *)
 

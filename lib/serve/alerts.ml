@@ -123,8 +123,6 @@ let create rules =
     (fun c_rule -> { c_rule; streak = 0; is_firing = false })
     (List.sort (fun a b -> compare a.name b.name) rules)
 
-let rules t = List.map (fun c -> c.c_rule) t
-
 type action = Fire | Resolve
 
 type transition = {

@@ -31,7 +31,6 @@ type signal =
       (** percent of admission attempts bounced at the high-water mark *)
 
 val signal_name : signal -> string
-val signal_of_name : string -> signal option
 
 type bound = Ceiling | Floor
 
@@ -64,8 +63,6 @@ type t
 
 val create : rule list -> t
 (** Fresh engine: every rule quiet with an empty breach streak. *)
-
-val rules : t -> rule list
 
 type action = Fire | Resolve
 

@@ -102,5 +102,3 @@ let close t =
   with_lock t (fun () ->
       t.closed <- true;
       Condition.broadcast t.nonempty)
-
-let closed t = with_lock t (fun () -> t.closed)

@@ -57,5 +57,3 @@ val overloads : 'a t -> int
 val close : 'a t -> unit
 (** Stop admitting ([push] returns [Closed]); queued jobs stay poppable.
     Wakes blocked {!pop}s. *)
-
-val closed : 'a t -> bool

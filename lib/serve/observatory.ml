@@ -56,6 +56,7 @@ let point_of_values ~epoch values =
     timeouts = !timeouts;
   }
 
+(* group every verdict key by epoch; epochs with no verdicts have no point *)
 let ledger_of_journal ~subject journal =
   let by_epoch = Hashtbl.create 16 in
   Engine.Journal.fold

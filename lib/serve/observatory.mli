@@ -24,10 +24,6 @@ val point_of_values : epoch:int -> string list -> Obs.Drift.point
     records count as ["unknown"] with zero confidence — the same
     fail-towards-remeasuring stance as verdict decay. *)
 
-val ledger_of_journal : subject:string -> Engine.Journal.t -> Obs.Drift.ledger
-(** Group every verdict key by epoch and build the ledger. Epochs with
-    no verdicts simply have no point. *)
-
 val ledger_of_store : store:string -> Obs.Drift.ledger
 (** Open the journal at [store] (repairing a torn tail like any other
     reader), build the ledger with the store's basename as subject,

@@ -390,6 +390,8 @@ let run_epoch st ~control ~websites epoch =
     st.transitions <- List.rev_append edges st.transitions)
 
 let run ~control ~config ~store =
+  (* a zero-job batch drains nothing, so the queue would never empty *)
+  if config.batch < 1 then invalid_arg "Service.run: batch must be >= 1";
   let torn = ref 0 in
   let on_warning msg =
     incr torn;

@@ -96,6 +96,7 @@ val run :
   control:Nebby.Training.control -> config:config -> store:string -> summary
 (** Open (or create) the journal at [store], run every epoch, commit the
     epoch snapshots, then drain, compact and close. Raises
+    [Invalid_argument] when [config.batch < 1], and
     [Obs.Versioned.Version_mismatch] on schema skew (the CLI maps it to
     exit code 2). Progress is observable when telemetry is armed:
     [serve.measured] / [serve.recovered] / [serve.watchdog.timeouts] /

@@ -10,9 +10,6 @@ val transform : real:float array -> imag:float array -> unit
 val inverse : real:float array -> imag:float array -> unit
 (** Inverse DFT, in place, including the 1/n scaling. *)
 
-val next_pow2 : int -> int
-(** Smallest power of two >= the argument (and >= 1). *)
-
 val lowpass : dt:float -> cutoff:float -> float array -> float array
 (** [lowpass ~dt ~cutoff xs] removes every frequency component strictly
     above [cutoff] (Hz) from the uniformly sampled signal [xs] (sample

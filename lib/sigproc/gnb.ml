@@ -30,9 +30,6 @@ let fit ?(var_floor = default_var_floor) classes =
   in
   { dims; models = List.map fit_class classes }
 
-let dimensions m = m.dims
-let classes m = List.map (fun c -> c.label) m.models
-
 let log_likelihood cm x =
   let acc = ref 0.0 in
   for i = 0 to Array.length x - 1 do

@@ -14,9 +14,6 @@ val fit : ?var_floor:float -> (string * float array list) list -> model
     features are standardized, so no class collapses to a spike.
     @raise Invalid_argument on inconsistent input. *)
 
-val dimensions : model -> int
-val classes : model -> string list
-
 val log_likelihoods : model -> float array -> (string * float) list
 (** Per-class log posterior (uniform prior), sorted most likely first. *)
 

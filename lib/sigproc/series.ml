@@ -1,7 +1,6 @@
 type point = { t : float; v : float }
 
 let of_pairs pairs = Array.of_list (List.map (fun (t, v) -> { t; v }) pairs)
-let to_pairs pts = Array.to_list (Array.map (fun { t; v } -> (t, v)) pts)
 
 let resample ~dt pts =
   let n = Array.length pts in

@@ -3,7 +3,6 @@
 type point = { t : float; v : float }
 
 val of_pairs : (float * float) list -> point array
-val to_pairs : point array -> (float * float) list
 
 val resample : dt:float -> point array -> float * float array
 (** [resample ~dt pts] converts an event-sampled series to a uniform grid of

@@ -95,6 +95,9 @@ let rec normal_quantile p =
     /. (((((b.(0) *. r +. b.(1)) *. r +. b.(2)) *. r +. b.(3)) *. r +. b.(4)) *. r +. 1.0)
   end
 
+(* Shapiro-Francia W': the squared correlation between the order
+   statistics and their expected normal scores, the standard large-sample
+   approximation of Shapiro-Wilk; near 1 means normal. *)
 let shapiro_francia xs =
   let n = Array.length xs in
   if n < 5 then invalid_arg "Stats.shapiro_francia: need >= 5 samples";

@@ -10,12 +10,6 @@ val dagostino_k2 : float array -> float * float
     approximately chi-squared with 2 degrees of freedom under normality.
     Requires at least 8 samples ([Invalid_argument] otherwise). *)
 
-val shapiro_francia : float array -> float
-(** Shapiro-Francia W' statistic: the squared correlation between the order
-    statistics and their expected normal scores. This is the standard
-    large-sample approximation of Shapiro-Wilk; values near 1 indicate
-    normality. Requires at least 5 samples. *)
-
 val normality_soft_pass : float array -> bool
 (** The paper's soft-fail rule: accept normality if either test passes
     (K² p-value > 0.05 or W' > 0.95). *)

@@ -11,7 +11,6 @@ type t = {
   mutable received_total : int;
   mutable unacked_pkts : int;
   mutable next_ack_id : int;
-  mutable acks_sent : int;
 }
 
 let create sim ~proto ?(ack_every = 1) ?(ack_delay = 0.0) ~out () =
@@ -26,7 +25,6 @@ let create sim ~proto ?(ack_every = 1) ?(ack_delay = 0.0) ~out () =
     received_total = 0;
     unacked_pkts = 0;
     next_ack_id = 0;
-    acks_sent = 0;
   }
 
 let send_ack t =
@@ -41,7 +39,6 @@ let send_ack t =
       ~received_total:t.received_total ~now ()
   in
   t.next_ack_id <- t.next_ack_id + 1;
-  t.acks_sent <- t.acks_sent + 1;
   t.unacked_pkts <- 0;
   if t.ack_delay > 0.0 then Netsim.Sim.after t.sim t.ack_delay (fun () -> t.out pkt)
   else t.out pkt
@@ -77,4 +74,3 @@ let handle_data t (pkt : Netsim.Packet.t) =
     send_ack t
 
 let bytes_received t = t.rcv_nxt
-let acks_sent t = t.acks_sent

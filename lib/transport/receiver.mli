@@ -21,5 +21,3 @@ val create :
 val handle_data : t -> Netsim.Packet.t -> unit
 val bytes_received : t -> int
 (** Contiguous bytes received so far. *)
-
-val acks_sent : t -> int

@@ -80,7 +80,6 @@ let inflight t = t.next_seq - t.snd_una
 let finished t = t.snd_una >= t.total
 let bif_samples t = List.rev t.rev_bif
 let retransmissions t = t.retransmissions
-let bytes_acked t = t.snd_una
 let was_reset t = t.dead
 
 let stall t ~until =

@@ -32,15 +32,11 @@ val handle_ack : t -> Netsim.Packet.t -> unit
 val finished : t -> bool
 (** All payload bytes acknowledged. *)
 
-val inflight : t -> int
-(** Current bytes in flight (ground truth). *)
-
 val bif_samples : t -> (float * int) list
 (** Time-stamped ground-truth bytes-in-flight, sampled at every
     transmission and acknowledgement, oldest first. *)
 
 val retransmissions : t -> int
-val bytes_acked : t -> int
 
 (** {2 Fault-injection controls}
 

@@ -1,6 +1,6 @@
 (* The multicore engine: the determinism contract (bit-identical results
    for every worker count), sharded-queue correctness, error propagation,
-   memo-cache semantics, and worker-telemetry flushing. *)
+   and worker-telemetry flushing. *)
 
 let proto = Netsim.Packet.Tcp
 let region = Internet.Region.Ohio
@@ -234,79 +234,6 @@ let test_trace_round_trip_and_report () =
       (Obs.Pooltrace.schema_version + 1) got);
   Obs.Histogram.reset ()
 
-(* ---------------- memo ---------------- *)
-
-let test_memo_counters () =
-  let m = Engine.Memo.create () in
-  let calls = ref 0 in
-  let compute () =
-    incr calls;
-    !calls * 100
-  in
-  Alcotest.(check int) "cold lookup computes" 100 (Engine.Memo.find_or_compute m "k" compute);
-  Alcotest.(check int) "warm lookup replays the stored value" 100
-    (Engine.Memo.find_or_compute m "k" compute);
-  Alcotest.(check int) "computed exactly once" 1 !calls;
-  Alcotest.(check int) "one hit" 1 (Engine.Memo.hits m);
-  Alcotest.(check int) "one miss" 1 (Engine.Memo.misses m);
-  Alcotest.(check int) "one entry" 1 (Engine.Memo.length m);
-  Alcotest.(check (option int)) "find peeks without counting" (Some 100) (Engine.Memo.find m "k");
-  Alcotest.(check int) "find did not count a hit" 1 (Engine.Memo.hits m);
-  Engine.Memo.clear m;
-  Alcotest.(check int) "clear empties" 0 (Engine.Memo.length m);
-  Alcotest.(check int) "clear resets hits" 0 (Engine.Memo.hits m)
-
-let test_memo_under_contention () =
-  let m = Engine.Memo.create () in
-  let results =
-    Engine.Pool.map ~jobs:8
-      (fun i -> Engine.Memo.find_or_compute m (i mod 4) (fun () -> i mod 4))
-      (Array.init 64 Fun.id)
-  in
-  Array.iteri
-    (fun i v -> Alcotest.(check int) (Printf.sprintf "job %d" i) (i mod 4) v)
-    results;
-  (* single-flight: waiters on an in-flight compute count as hits, so
-     hits + misses always equals the lookup count, and the table holds
-     one value per key *)
-  Alcotest.(check int) "hits + misses = lookups" 64 (Engine.Memo.hits m + Engine.Memo.misses m);
-  Alcotest.(check int) "one entry per key" 4 (Engine.Memo.length m)
-
-let test_memo_single_flight () =
-  let m = Engine.Memo.create () in
-  let computes = Atomic.make 0 in
-  let results =
-    Engine.Pool.map ~jobs:4
-      (fun i ->
-        Engine.Memo.find_or_compute m (i mod 2) (fun () ->
-            Atomic.incr computes;
-            (* hold the compute open long enough for the other domains to
-               pile up behind the in-flight entry *)
-            let until = Unix.gettimeofday () +. 0.05 in
-            while Unix.gettimeofday () < until do
-              Domain.cpu_relax ()
-            done;
-            i mod 2))
-      (Array.init 32 Fun.id)
-  in
-  Array.iteri
-    (fun i v -> Alcotest.(check int) (Printf.sprintf "job %d" i) (i mod 2) v)
-    results;
-  Alcotest.(check int) "exactly one compute per key across 4 domains" 2
-    (Atomic.get computes);
-  Alcotest.(check int) "misses count computations" 2 (Engine.Memo.misses m);
-  Alcotest.(check int) "waiters count as hits" 30 (Engine.Memo.hits m);
-  Alcotest.(check int) "one entry per key" 2 (Engine.Memo.length m)
-
-let test_memo_failed_compute_clears_in_flight () =
-  let m = Engine.Memo.create () in
-  (match Engine.Memo.find_or_compute m "k" (fun () -> failwith "boom") with
-  | _ -> Alcotest.fail "expected the compute's exception to propagate"
-  | exception Failure _ -> ());
-  Alcotest.(check int) "no entry left behind" 0 (Engine.Memo.length m);
-  Alcotest.(check int) "a later lookup recomputes" 7
-    (Engine.Memo.find_or_compute m "k" (fun () -> 7))
-
 (* ---------------- census determinism ---------------- *)
 
 let test_census_determinism () =
@@ -326,18 +253,6 @@ let test_census_determinism () =
         (Internet.Census.run ~jobs ~control ~proto ~region websites))
     [ 2; 4; 8 ]
 
-let test_census_cache () =
-  let control = Lazy.force control in
-  let websites = Lazy.force websites in
-  let cache = Internet.Census.create_cache () in
-  let cold = Internet.Census.labels ~jobs:4 ~cache ~control ~proto ~region websites in
-  Alcotest.(check int) "cold run misses every site" 32 (Internet.Census.cache_misses cache);
-  let warm = Internet.Census.labels ~jobs:4 ~cache ~control ~proto ~region websites in
-  Alcotest.(check int) "warm run hits every site" 32 (Internet.Census.cache_hits cache);
-  Alcotest.(check bool) "warm results byte-identical to cold" true (cold = warm);
-  Alcotest.(check bool) "cache is transparent: same results as no cache" true
-    (cold = Lazy.force reference_labels)
-
 let suite =
   [
     Alcotest.test_case "pool map preserves order at every worker count" `Quick test_map_order;
@@ -356,14 +271,6 @@ let suite =
       test_trace_off_records_nothing;
     Alcotest.test_case "pool trace round-trip, report purity, version gate" `Quick
       test_trace_round_trip_and_report;
-    Alcotest.test_case "memo hit/miss counters" `Quick test_memo_counters;
-    Alcotest.test_case "memo under contention" `Quick test_memo_under_contention;
-    Alcotest.test_case "memo single-flight: one compute per key" `Quick
-      test_memo_single_flight;
-    Alcotest.test_case "memo failed compute clears in-flight" `Quick
-      test_memo_failed_compute_clears_in_flight;
     Alcotest.test_case "32-site census identical for jobs 1/2/4/8" `Quick
       test_census_determinism;
-    Alcotest.test_case "census cache: warm run all hits, byte-identical" `Quick
-      test_census_cache;
   ]

@@ -374,6 +374,16 @@ let test_watchdog_timeout_path () =
           (contains ~needle:"\"failures\":[\"timeout\",\"timeout\"]" v));
       Engine.Journal.close j)
 
+let test_zero_batch_rejected () =
+  with_store (fun store ->
+      (* a zero-job batch drains nothing: run must refuse it up front
+         rather than spin on a queue that never empties *)
+      let cfg = { (config ~sites:2 ~epochs:1) with Serve.Service.batch = 0 } in
+      (match run_service ~config:cfg ~store () with
+      | _ -> Alcotest.fail "expected Invalid_argument for batch 0"
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check string) "the store was not touched" "" (read_file store))
+
 let test_delta_census_carries_and_remeasures () =
   with_store (fun store ->
       (* floors below any real verdict: nothing decays, epoch 1 is pure
@@ -661,6 +671,7 @@ let suite =
     Alcotest.test_case "warm rerun recovers everything" `Slow test_rerun_is_all_recovered;
     Alcotest.test_case "watchdog converts overruns into typed timeouts" `Quick
       test_watchdog_timeout_path;
+    Alcotest.test_case "batch below 1 is rejected" `Quick test_zero_batch_rejected;
     Alcotest.test_case "delta census carries stable, re-measures decayed" `Slow
       test_delta_census_carries_and_remeasures;
     Alcotest.test_case "service backpressure observable in counters" `Quick

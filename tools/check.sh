@@ -1,20 +1,72 @@
 #!/bin/sh
 # Pre-PR gate: a warning-clean build of every target, then the full test
-# suite. Run from the repository root before sending changes for review.
+# suite, then end-to-end gates through the CLI. Run from the repository
+# root before sending changes for review.
 set -eu
 
 cd "$(dirname "$0")/.."
 
+cli=_build/default/bin/nebby_cli.exe
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+fail() {
+  echo "check.sh: $*" >&2
+  exit 1
+}
+
+# run_ok WHAT CMD...: run CMD; a non-zero exit fails the gate, naming WHAT.
+run_ok() {
+  what=$1
+  shift
+  "$@" || fail "$what exited non-zero"
+}
+
+# same A B WHAT: files (or directories) A and B must be byte-identical; a
+# difference shows the head of the diff and fails, naming WHAT.
+same() {
+  if [ -d "$1" ]; then diff -r "$1" "$2" >/dev/null; else cmp -s "$1" "$2"; fi && return 0
+  diff -r "$1" "$2" | head -20 || true
+  fail "$3"
+}
+
+# exits_2 WHAT CMD...: CMD must exit 2 (a usage error) within 60 s,
+# neither crashing (3) nor hanging; its stderr is left in $work/err.
+exits_2() {
+  what=$1
+  shift
+  rc=0
+  timeout 60 "$@" >/dev/null 2>"$work/err" || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    cat "$work/err" >&2
+    fail "$what exited $rc; expected 2"
+  fi
+}
+
+# one_err_line WHAT: the last exits_2 run printed exactly one stderr line.
+one_err_line() {
+  if [ "$(wc -l <"$work/err")" -ne 1 ]; then
+    cat "$work/err" >&2
+    fail "$1 printed $(wc -l <"$work/err") stderr lines; expected one"
+  fi
+}
+
+# frac_at_most KEY LIMIT: bench.json records KEY, at most LIMIT.
+frac_at_most() {
+  v=$(sed -n "s/.*\"$1\": \\([-0-9.eE+]*\\).*/\\1/p" bench.json)
+  [ -n "$v" ] || fail "bench.json is missing $1"
+  awk -v o="$v" -v l="$2" 'BEGIN { exit !(o <= l) }' || fail "$1 ${v} exceeds the ceiling $2"
+  echo "($1: ${v})"
+}
+
 echo "== dune build @all (warnings are errors) =="
 out=$(dune build @all 2>&1) || {
   printf '%s\n' "$out"
-  echo "check.sh: build failed" >&2
-  exit 1
+  fail "build failed"
 }
 if [ -n "$out" ]; then
   printf '%s\n' "$out"
-  echo "check.sh: build emitted warnings; fix them before sending a PR" >&2
-  exit 1
+  fail "build emitted warnings; fix them before sending a PR"
 fi
 
 echo "== dune runtest =="
@@ -29,24 +81,11 @@ echo "== chaos smoke (fault injection: no crashes, deterministic) =="
 # A small seeded fault matrix, run twice: any uncaught exception fails via
 # the exit code (3 = internal error), and a diff between the two runs fails
 # on a determinism regression.
-cli=_build/default/bin/nebby_cli.exe
 smoke="--ccas newreno,bbr --families link_flap,burst_loss,truncate_capture,flow_reset \
   --training-runs 3 --max-attempts 2 --seed 1234"
-tmp1=$(mktemp) tmp2=$(mktemp)
-trap 'rm -f "$tmp1" "$tmp2"' EXIT
-"$cli" chaos $smoke >"$tmp1" || {
-  echo "check.sh: chaos smoke exited non-zero" >&2
-  exit 1
-}
-"$cli" chaos $smoke >"$tmp2" || {
-  echo "check.sh: chaos smoke exited non-zero on second run" >&2
-  exit 1
-}
-if ! cmp -s "$tmp1" "$tmp2"; then
-  diff "$tmp1" "$tmp2" || true
-  echo "check.sh: chaos smoke is not deterministic for a fixed seed" >&2
-  exit 1
-fi
+run_ok "chaos smoke" "$cli" chaos $smoke >"$work/chaos1.txt"
+run_ok "chaos smoke (second run)" "$cli" chaos $smoke >"$work/chaos2.txt"
+same "$work/chaos1.txt" "$work/chaos2.txt" "chaos smoke is not deterministic for a fixed seed"
 
 echo "== telemetry parity gate (chaos smoke --telemetry: jobs=4 must match jobs=1) =="
 # Pool workers hand their spans and counters back through Obs.Collector,
@@ -54,8 +93,6 @@ echo "== telemetry parity gate (chaos smoke --telemetry: jobs=4 must match jobs=
 # wall-time columns and the pool's own engine.pool.* rows, the span
 # name/count rows, the counter rows and the histogram name/count rows of
 # `nebby stats` must be identical.
-tele_tmp=$(mktemp -d)
-trap 'rm -f "$tmp1" "$tmp2"; rm -rf "$tele_tmp"' EXIT
 telemetry_view() {
   "$cli" stats "$1" | awk '
     /^telemetry summary/ { next }
@@ -67,215 +104,127 @@ telemetry_view() {
     { print }'
 }
 for jobs in 1 4; do
-  "$cli" chaos $smoke --jobs "$jobs" --telemetry "$tele_tmp/t$jobs.jsonl" >/dev/null || {
-    echo "check.sh: chaos smoke --telemetry --jobs $jobs exited non-zero" >&2
-    exit 1
-  }
-  telemetry_view "$tele_tmp/t$jobs.jsonl" >"$tele_tmp/view$jobs.txt"
+  run_ok "chaos smoke --telemetry --jobs $jobs" \
+    "$cli" chaos $smoke --jobs "$jobs" --telemetry "$work/t$jobs.jsonl" >/dev/null
+  telemetry_view "$work/t$jobs.jsonl" >"$work/view$jobs.txt"
 done
-if ! grep -q '^spans simulate ' "$tele_tmp/view4.txt"; then
-  echo "check.sh: the jobs=4 telemetry recording has no simulate spans" >&2
-  exit 1
-fi
-if ! cmp -s "$tele_tmp/view1.txt" "$tele_tmp/view4.txt"; then
-  diff "$tele_tmp/view1.txt" "$tele_tmp/view4.txt" || true
-  echo "check.sh: telemetry at --jobs 4 diverged from --jobs 1" >&2
-  exit 1
-fi
+grep -q '^spans simulate ' "$work/view4.txt" ||
+  fail "the jobs=4 telemetry recording has no simulate spans"
+same "$work/view1.txt" "$work/view4.txt" "telemetry at --jobs 4 diverged from --jobs 1"
 
 echo "== output write failure gate (a full disk exits 2 with one stderr line) =="
 # Every output writer closes with close_out, so a failed final flush is a
 # Sys_error mapped to exit 2, never a silently lost file or an internal
 # error.
 for outputs in "--provenance /dev/full --prof-folded /dev/full" "--telemetry /dev/full"; do
-  rc=0
-  "$cli" measure --cca cubic --training-runs 3 --seed 1234 $outputs \
-    >/dev/null 2>"$tele_tmp/err" || rc=$?
-  if [ "$rc" -ne 2 ] || [ "$(wc -l <"$tele_tmp/err")" -ne 1 ]; then
-    cat "$tele_tmp/err" >&2
-    echo "check.sh: measure $outputs exited $rc; expected 2 with one stderr line" >&2
-    exit 1
-  fi
+  exits_2 "measure $outputs" "$cli" measure --cca cubic --training-runs 3 --seed 1234 $outputs
+  one_err_line "measure $outputs"
 done
-rm -rf "$tele_tmp"
+
+echo "== bad input gate (every bad flag value exits 2, never 3 or a hang) =="
+# Flags are typed Cmdliner terms: an unknown name or an out-of-range count
+# is a parse error before any work starts, and an unwritable corpus is a
+# Sys_error under or_exit_2.
+exits_2 "measure --cca bogus" "$cli" measure --cca bogus
+exits_2 "trace --cca bogus" "$cli" trace --cca bogus
+exits_2 "measure --training-runs 1" "$cli" measure --training-runs 1
+exits_2 "explain --training-quic-runs 1" "$cli" explain --training-quic-runs 1 cubic
+exits_2 "census --sites=-3" "$cli" census --sites=-3
+exits_2 "census --region Mars" "$cli" census --region Mars
+exits_2 "serve --batch 0" "$cli" serve --batch 0 --store "$work/batch0.journal"
+exits_2 "measure --max-attempts 0" "$cli" measure --max-attempts 0
+exits_2 "fuzz --corpus /dev/full" "$cli" fuzz --budget 4 --target cubic --training-runs 2 \
+  --corpus /dev/full --out "$work/fuzz-full"
 
 echo "== census par-smoke (jobs=4 must match jobs=1 exactly) =="
 # The engine's determinism contract, end to end through the CLI: a
 # parallel census must be byte-identical to the serial one.
 census="--sites 32 --training-runs 3 --seed 1234"
-"$cli" census $census --jobs 1 >"$tmp1" || {
-  echo "check.sh: serial census smoke exited non-zero" >&2
-  exit 1
-}
-"$cli" census $census --jobs 4 >"$tmp2" || {
-  echo "check.sh: parallel census smoke exited non-zero" >&2
-  exit 1
-}
-if ! cmp -s "$tmp1" "$tmp2"; then
-  diff "$tmp1" "$tmp2" || true
-  echo "check.sh: census --jobs 4 diverged from --jobs 1" >&2
-  exit 1
-fi
+run_ok "serial census smoke" "$cli" census $census --jobs 1 >"$work/census1.txt"
+run_ok "parallel census smoke" "$cli" census $census --jobs 4 >"$work/census4.txt"
+same "$work/census1.txt" "$work/census4.txt" "census --jobs 4 diverged from --jobs 1"
 
 echo "== pool trace gate (census --pool-trace; report/chrome render deterministically) =="
 # Task-lifecycle tracing end to end: a traced census must record every
 # task, and everything derived from the saved trace — the text report,
 # the Chrome export, the HTML page — must be a pure function of it
 # (byte-identical across renders).
-pool_tmp=$(mktemp -d)
-trap 'rm -f "$tmp1" "$tmp2"; rm -rf "$pool_tmp"' EXIT
-"$cli" census $census --jobs 4 --pool-trace "$pool_tmp/trace.jsonl" >/dev/null || {
-  echo "check.sh: census --pool-trace exited non-zero" >&2
-  exit 1
-}
-if ! grep -q '"pool_trace"' "$pool_tmp/trace.jsonl"; then
-  echo "check.sh: pool trace file is missing its header" >&2
-  exit 1
-fi
-tasks=$(( $(wc -l < "$pool_tmp/trace.jsonl") - 1 ))
-if [ "$tasks" -ne 32 ]; then
-  echo "check.sh: pool trace recorded ${tasks} tasks for a 32-site census" >&2
-  exit 1
-fi
-"$cli" stats --pool "$pool_tmp/trace.jsonl" --chrome-trace "$pool_tmp/chrome1.json" \
-  >"$pool_tmp/report1.txt" || {
-  echo "check.sh: stats --pool exited non-zero" >&2
-  exit 1
-}
-"$cli" stats --pool "$pool_tmp/trace.jsonl" --chrome-trace "$pool_tmp/chrome2.json" \
-  >"$pool_tmp/report2.txt" || {
-  echo "check.sh: stats --pool exited non-zero on second run" >&2
-  exit 1
-}
-# the chrome-trace destination path is echoed; normalize it before diffing
-sed -i "s|$pool_tmp/chrome1.json|CHROME|" "$pool_tmp/report1.txt"
-sed -i "s|$pool_tmp/chrome2.json|CHROME|" "$pool_tmp/report2.txt"
-if ! cmp -s "$pool_tmp/report1.txt" "$pool_tmp/report2.txt"; then
-  diff "$pool_tmp/report1.txt" "$pool_tmp/report2.txt" || true
-  echo "check.sh: pool report is not deterministic for a saved trace" >&2
-  exit 1
-fi
-if ! cmp -s "$pool_tmp/chrome1.json" "$pool_tmp/chrome2.json"; then
-  echo "check.sh: chrome-trace export is not deterministic for a saved trace" >&2
-  exit 1
-fi
-"$cli" report "$pool_tmp/trace.jsonl" -o "$pool_tmp/pool1.html" >/dev/null || {
-  echo "check.sh: report on the pool trace exited non-zero" >&2
-  exit 1
-}
-"$cli" report "$pool_tmp/trace.jsonl" -o "$pool_tmp/pool2.html" >/dev/null || {
-  echo "check.sh: report on the pool trace exited non-zero on second run" >&2
-  exit 1
-}
-if ! cmp -s "$pool_tmp/pool1.html" "$pool_tmp/pool2.html"; then
-  echo "check.sh: pool HTML report is not deterministic for a saved trace" >&2
-  exit 1
-fi
+run_ok "census --pool-trace" \
+  "$cli" census $census --jobs 4 --pool-trace "$work/trace.jsonl" >/dev/null
+grep -q '"pool_trace"' "$work/trace.jsonl" || fail "pool trace file is missing its header"
+tasks=$(( $(wc -l < "$work/trace.jsonl") - 1 ))
+[ "$tasks" -eq 32 ] || fail "pool trace recorded ${tasks} tasks for a 32-site census"
+for i in 1 2; do
+  run_ok "stats --pool (run $i)" "$cli" stats --pool "$work/trace.jsonl" \
+    --chrome-trace "$work/chrome$i.json" >"$work/report$i.txt"
+  # the chrome-trace destination path is echoed; normalize it before diffing
+  sed -i "s|$work/chrome$i.json|CHROME|" "$work/report$i.txt"
+  run_ok "report on the pool trace (run $i)" \
+    "$cli" report "$work/trace.jsonl" -o "$work/pool$i.html" >/dev/null
+done
+same "$work/report1.txt" "$work/report2.txt" "pool report is not deterministic for a saved trace"
+same "$work/chrome1.json" "$work/chrome2.json" \
+  "chrome-trace export is not deterministic for a saved trace"
+same "$work/pool1.html" "$work/pool2.html" "pool HTML report is not deterministic for a saved trace"
 
 echo "== golden fixtures regenerate bit-identically =="
 # Drift caught here and not by test_golden means gen_golden and the test
 # disagree about the pinned configuration; drift caught by both means the
 # pipeline's numerics changed (regenerate and review the diff if it is
 # intentional).
-golden_tmp=$(mktemp -d)
-trap 'rm -f "$tmp1" "$tmp2"; rm -rf "$pool_tmp" "$golden_tmp"' EXIT
-dune exec tools/gen_golden.exe -- "$golden_tmp" >/dev/null
-if ! diff -r test/golden "$golden_tmp"; then
-  echo "check.sh: golden fixtures are stale (dune exec tools/gen_golden.exe)" >&2
-  exit 1
-fi
+mkdir "$work/golden"
+dune exec tools/gen_golden.exe -- "$work/golden" >/dev/null
+same test/golden "$work/golden" "golden fixtures are stale (dune exec tools/gen_golden.exe)"
 
 echo "== explain schema-stability gate (golden fixture) =="
 # The rendered provenance of a pinned fixture must match the committed
 # expectation byte for byte: any schema or numeric drift in the verdict
 # report shows up as a diff here. Then the report must survive a round
 # trip through --provenance JSONL serialization.
-"$cli" explain test/golden/cubic.json >"$tmp1" || {
-  echo "check.sh: explain on the golden fixture exited non-zero" >&2
-  exit 1
-}
-if ! diff tools/expect/explain_cubic.txt "$tmp1"; then
-  echo "check.sh: explain output drifted from tools/expect/explain_cubic.txt" >&2
-  echo "  (if intentional: regenerate with" >&2
-  echo "   dune exec bin/nebby_cli.exe -- explain test/golden/cubic.json > tools/expect/explain_cubic.txt)" >&2
-  exit 1
-fi
-prov_tmp=$(mktemp --suffix=.jsonl)
-trap 'rm -f "$tmp1" "$tmp2" "$prov_tmp"; rm -rf "$pool_tmp" "$golden_tmp"' EXIT
-"$cli" explain test/golden/cubic.json --provenance "$prov_tmp" >/dev/null || {
-  echo "check.sh: explain --provenance exited non-zero" >&2
-  exit 1
-}
-"$cli" explain "$prov_tmp" >"$tmp2" || {
-  echo "check.sh: explain on the provenance JSONL exited non-zero" >&2
-  exit 1
-}
-if ! cmp -s "$tmp1" "$tmp2"; then
-  diff "$tmp1" "$tmp2" || true
-  echo "check.sh: provenance JSONL round trip diverged from the direct render" >&2
-  exit 1
-fi
+run_ok "explain on the golden fixture" "$cli" explain test/golden/cubic.json >"$work/explain.txt"
+same tools/expect/explain_cubic.txt "$work/explain.txt" \
+  "explain output drifted from tools/expect/explain_cubic.txt (if intentional, regenerate:
+   dune exec bin/nebby_cli.exe -- explain test/golden/cubic.json > tools/expect/explain_cubic.txt)"
+run_ok "explain --provenance" \
+  "$cli" explain test/golden/cubic.json --provenance "$work/prov.jsonl" >/dev/null
+run_ok "explain on the provenance JSONL" "$cli" explain "$work/prov.jsonl" >"$work/explain2.txt"
+same "$work/explain.txt" "$work/explain2.txt" \
+  "provenance JSONL round trip diverged from the direct render"
 
 echo "== report determinism gate (golden fixture -> HTML) =="
 # The HTML report of a pinned fixture must match the committed expectation
 # byte for byte: charts, spectrum and candidate table are a pure function
 # of the dump, with no wall-clock or host-dependent data.
-"$cli" report test/golden/cubic.json -o "$tmp1" >/dev/null || {
-  echo "check.sh: report on the golden fixture exited non-zero" >&2
-  exit 1
-}
-if ! diff tools/expect/report_cubic.html "$tmp1"; then
-  echo "check.sh: report output drifted from tools/expect/report_cubic.html" >&2
-  echo "  (if intentional: regenerate with" >&2
-  echo "   dune exec bin/nebby_cli.exe -- report test/golden/cubic.json -o tools/expect/report_cubic.html)" >&2
-  exit 1
-fi
+run_ok "report on the golden fixture" \
+  "$cli" report test/golden/cubic.json -o "$work/report.html" >/dev/null
+same tools/expect/report_cubic.html "$work/report.html" \
+  "report output drifted from tools/expect/report_cubic.html (if intentional, regenerate:
+   dune exec bin/nebby_cli.exe -- report test/golden/cubic.json -o tools/expect/report_cubic.html)"
 # A forced low-confidence measurement must produce a flight dump that
 # renders byte-identically across two runs.
-flight_tmp=$(mktemp --suffix=.jsonl)
-trap 'rm -f "$tmp1" "$tmp2" "$prov_tmp" "$flight_tmp"; rm -rf "$pool_tmp" "$golden_tmp"' EXIT
 "$cli" measure --cca cubic --training-runs 3 --seed 1234 \
-  --flight-confidence 2 --flight "$flight_tmp" >/dev/null || true
-if [ ! -s "$flight_tmp" ]; then
-  echo "check.sh: measure --flight-confidence 2 produced no flight dump" >&2
-  exit 1
-fi
-"$cli" report "$flight_tmp" -o "$tmp1" >/dev/null || {
-  echo "check.sh: report on the flight dump exited non-zero" >&2
-  exit 1
-}
-"$cli" report "$flight_tmp" -o "$tmp2" >/dev/null || {
-  echo "check.sh: report on the flight dump exited non-zero on second run" >&2
-  exit 1
-}
-if ! cmp -s "$tmp1" "$tmp2"; then
-  diff "$tmp1" "$tmp2" || true
-  echo "check.sh: flight-dump report is not deterministic" >&2
-  exit 1
-fi
+  --flight-confidence 2 --flight "$work/flight.jsonl" >/dev/null || true
+[ -s "$work/flight.jsonl" ] || fail "measure --flight-confidence 2 produced no flight dump"
+for i in 1 2; do
+  run_ok "report on the flight dump (run $i)" \
+    "$cli" report "$work/flight.jsonl" -o "$work/flight$i.html" >/dev/null
+done
+same "$work/flight1.html" "$work/flight2.html" "flight-dump report is not deterministic"
 
 echo "== schema skew gate (a version-99 file of each kind exits 2) =="
 # Every subcommand that reads a versioned file must reject a future
 # schema version with exit code 2 and exactly one "schema version
 # mismatch" line on stderr.
-skew_tmp=$(mktemp -d)
-trap 'rm -f "$tmp1" "$tmp2" "$prov_tmp" "$flight_tmp"; rm -rf "$pool_tmp" "$golden_tmp" "$skew_tmp"' EXIT
 for spec in "nebby_journal|serve --compact-only --store" "nebby_journal|drift" \
   "nebby_serve_status|stats --live" "pool_trace|stats --pool" "flight_dump|report" \
   "provenance|explain" "campaign|campaign --from"; do
   kind=${spec%%|*} cmd=${spec#*|}
-  printf '{"kind":"%s","version":99}\n' "$kind" >"$skew_tmp/$kind.v99"
-  rc=0
-  "$cli" $cmd "$skew_tmp/$kind.v99" >/dev/null 2>"$skew_tmp/err" || rc=$?
-  if [ "$rc" -ne 2 ] || [ "$(wc -l <"$skew_tmp/err")" -ne 1 ] \
-    || ! grep -q "schema version mismatch" "$skew_tmp/err"; then
-    cat "$skew_tmp/err" >&2
-    echo "check.sh: $cmd on a version-99 $kind file exited $rc;" \
-      "expected 2 with one schema version mismatch line" >&2
-    exit 1
-  fi
+  printf '{"kind":"%s","version":99}\n' "$kind" >"$work/$kind.v99"
+  exits_2 "$cmd on a version-99 $kind file" "$cli" $cmd "$work/$kind.v99"
+  one_err_line "$cmd on a version-99 $kind file"
+  grep -q "schema version mismatch" "$work/err" ||
+    fail "$cmd on a version-99 $kind file did not report a schema version mismatch"
 done
-rm -rf "$skew_tmp"
 
 echo "== bench engine + baseline gate (census serial vs parallel, bench.json) =="
 # --baseline writes BENCH_<date>.json and compares the guarded census
@@ -289,26 +238,15 @@ echo "== campaign determinism gate (4 seeds, jobs=4 must match jobs=1) =="
 # Two 4-seed accuracy campaigns at different worker counts must produce
 # byte-identical per-seed stores, summary JSON, and dashboard HTML — the
 # statistical layer inherits the engine's determinism contract end to end.
-camp_tmp=$(mktemp -d)
-trap 'rm -f "$tmp1" "$tmp2" "$prov_tmp" "$flight_tmp"; rm -rf "$pool_tmp" "$golden_tmp" "$camp_tmp"' EXIT
-campaign="campaign --seeds 4 --training-runs 3 --bench-json bench.json"
-"$cli" $campaign --jobs 1 --out "$camp_tmp/runs1.jsonl" \
-  --summary "$camp_tmp/sum1.json" --html "$camp_tmp/dash1.html" >/dev/null || {
-  echo "check.sh: campaign --jobs 1 failed its pass gates (or crashed)" >&2
-  exit 1
-}
-"$cli" $campaign --jobs 4 --out "$camp_tmp/runs2.jsonl" \
-  --summary "$camp_tmp/sum2.json" --html "$camp_tmp/dash2.html" >/dev/null || {
-  echo "check.sh: campaign --jobs 4 failed its pass gates (or crashed)" >&2
-  exit 1
-}
-for pair in runs1.jsonl:runs2.jsonl sum1.json:sum2.json dash1.html:dash2.html; do
-  a="$camp_tmp/${pair%%:*}" b="$camp_tmp/${pair#*:}"
-  if ! cmp -s "$a" "$b"; then
-    diff "$a" "$b" | head -20 || true
-    echo "check.sh: campaign --jobs 4 diverged from --jobs 1 (${pair})" >&2
-    exit 1
-  fi
+for jobs in 1 4; do
+  mkdir "$work/camp$jobs"
+  run_ok "campaign --jobs $jobs (failed its pass gates, or crashed)" \
+    "$cli" campaign --seeds 4 --training-runs 3 --bench-json bench.json --jobs "$jobs" \
+    --out "$work/camp$jobs/runs.jsonl" --summary "$work/camp$jobs/sum.json" \
+    --html "$work/camp$jobs/dash.html" >/dev/null
+done
+for f in runs.jsonl sum.json dash.html; do
+  same "$work/camp1/$f" "$work/camp4/$f" "campaign --jobs 4 diverged from --jobs 1 ($f)"
 done
 # The campaign's pass gates (exercised by the two runs above via
 # --bench-json) subsume the old ad-hoc flight-overhead awk check: the
@@ -319,95 +257,50 @@ overhead=$(sed -n 's/.*"census_flight_overhead_frac": \([-0-9.eE+]*\).*/\1/p' be
 echo "(campaign gates green; flight recorder overhead: ${overhead:-unmeasured})"
 # Pool task tracing is opt-in, but when enabled it must stay cheap: the
 # bench's paired-run measurement of a fully traced census may not cost
-# more than 5% CPU time over the untraced one.
-trace_ovh=$(sed -n 's/.*"census_trace_overhead_frac": \([-0-9.eE+]*\).*/\1/p' bench.json)
-if [ -z "$trace_ovh" ]; then
-  echo "check.sh: bench.json is missing census_trace_overhead_frac" >&2
-  exit 1
-fi
-if ! awk -v o="$trace_ovh" 'BEGIN { exit !(o <= 0.05) }'; then
-  echo "check.sh: pool trace overhead ${trace_ovh} exceeds the 5% ceiling" >&2
-  exit 1
-fi
-echo "(pool trace overhead: ${trace_ovh})"
-# The per-epoch alert engine rides the serve hot path, so its paired-run
-# overhead measurement gates on the same 5% CPU-time budget.
-alert_ovh=$(sed -n 's/.*"serve_alert_overhead_frac": \([-0-9.eE+]*\).*/\1/p' bench.json)
-if [ -z "$alert_ovh" ]; then
-  echo "check.sh: bench.json is missing serve_alert_overhead_frac" >&2
-  exit 1
-fi
-if ! awk -v o="$alert_ovh" 'BEGIN { exit !(o <= 0.05) }'; then
-  echo "check.sh: serve alert overhead ${alert_ovh} exceeds the 5% ceiling" >&2
-  exit 1
-fi
-echo "(serve alert overhead: ${alert_ovh})"
+# more than 5% CPU time over the untraced one. The per-epoch alert engine
+# rides the serve hot path, so its paired-run overhead gates on the same
+# 5% budget.
+frac_at_most census_trace_overhead_frac 0.05
+frac_at_most serve_alert_overhead_frac 0.05
 
 echo "== serve kill-and-resume gate (SIGKILL mid-census, resume, byte-identical) =="
 # The headline recovery invariant: a census SIGKILLed at a seeded commit
 # and resumed from its journal must converge to a final store that is
 # byte-identical to an uninterrupted run's.
-serve_tmp=$(mktemp -d)
-trap 'rm -f "$tmp1" "$tmp2" "$prov_tmp" "$flight_tmp"; rm -rf "$pool_tmp" "$golden_tmp" "$camp_tmp" "$serve_tmp"' EXIT
 serve="serve --sites 8 --training-runs 3 --seed 1234 --jobs 4"
-"$cli" $serve --store "$serve_tmp/ref.journal" >/dev/null || {
-  echo "check.sh: reference serve run exited non-zero" >&2
-  exit 1
-}
+run_ok "reference serve run" "$cli" $serve --store "$work/ref.journal" >/dev/null
 # seeded kill point, mid-run but past the first commit
 kill_after=$(( 1234 % 11 + 2 ))
-if "$cli" $serve --store "$serve_tmp/crash.journal" \
+if "$cli" $serve --store "$work/crash.journal" \
   --kill-after-commits "$kill_after" >/dev/null 2>&1; then
-  echo "check.sh: crash-injected serve run unexpectedly survived" >&2
-  exit 1
+  fail "crash-injected serve run unexpectedly survived"
 fi
 # a SIGKILL can also land mid-write: leave a torn half-record by hand
-printf 'deadbeef {"key":"torn' >> "$serve_tmp/crash.journal"
+printf 'deadbeef {"key":"torn' >> "$work/crash.journal"
 # a second copy of the crashed store resumes below with a 2-entry value
 # cache, so the bounded cache filled at open is held to the same bytes
-cp "$serve_tmp/crash.journal" "$serve_tmp/crash_bounded.journal"
-"$cli" $serve --store "$serve_tmp/crash.journal" \
-  2>"$serve_tmp/resume.err" >/dev/null || {
-  cat "$serve_tmp/resume.err" >&2
-  echo "check.sh: resumed serve run exited non-zero" >&2
-  exit 1
+cp "$work/crash.journal" "$work/crash_bounded.journal"
+"$cli" $serve --store "$work/crash.journal" 2>"$work/resume.err" >/dev/null || {
+  cat "$work/resume.err" >&2
+  fail "resumed serve run exited non-zero"
 }
-if ! grep -q "torn" "$serve_tmp/resume.err"; then
-  echo "check.sh: resume did not warn about the torn tail record" >&2
-  exit 1
-fi
-if ! cmp -s "$serve_tmp/ref.journal" "$serve_tmp/crash.journal"; then
-  cmp "$serve_tmp/ref.journal" "$serve_tmp/crash.journal" || true
-  echo "check.sh: resumed store diverged from the uninterrupted run" >&2
-  exit 1
-fi
-"$cli" $serve --max-entries 2 --store "$serve_tmp/crash_bounded.journal" \
-  2>"$serve_tmp/resume_bounded.err" >/dev/null || {
-  cat "$serve_tmp/resume_bounded.err" >&2
-  echo "check.sh: resumed serve run with --max-entries 2 exited non-zero" >&2
-  exit 1
+grep -q "torn" "$work/resume.err" || fail "resume did not warn about the torn tail record"
+same "$work/ref.journal" "$work/crash.journal" "resumed store diverged from the uninterrupted run"
+"$cli" $serve --max-entries 2 --store "$work/crash_bounded.journal" \
+  2>"$work/resume_bounded.err" >/dev/null || {
+  cat "$work/resume_bounded.err" >&2
+  fail "resumed serve run with --max-entries 2 exited non-zero"
 }
-if ! cmp -s "$serve_tmp/ref.journal" "$serve_tmp/crash_bounded.journal"; then
-  cmp "$serve_tmp/ref.journal" "$serve_tmp/crash_bounded.journal" || true
-  echo "check.sh: store resumed with --max-entries 2 diverged from the uninterrupted run" >&2
-  exit 1
-fi
+same "$work/ref.journal" "$work/crash_bounded.journal" \
+  "store resumed with --max-entries 2 diverged from the uninterrupted run"
 echo "(killed after ${kill_after} commits; resumed store byte-identical, also with --max-entries 2)"
 
 echo "== serve compaction determinism gate (compact twice, byte-identical) =="
-"$cli" serve --compact-only --store "$serve_tmp/ref.journal" >/dev/null || {
-  echo "check.sh: serve --compact-only exited non-zero" >&2
-  exit 1
-}
-cp "$serve_tmp/ref.journal" "$serve_tmp/once.journal"
-"$cli" serve --compact-only --store "$serve_tmp/ref.journal" >/dev/null || {
-  echo "check.sh: second serve --compact-only exited non-zero" >&2
-  exit 1
-}
-if ! cmp -s "$serve_tmp/ref.journal" "$serve_tmp/once.journal"; then
-  echo "check.sh: journal compaction is not idempotent" >&2
-  exit 1
-fi
+run_ok "serve --compact-only" "$cli" serve --compact-only --store "$work/ref.journal" >/dev/null
+cp "$work/ref.journal" "$work/once.journal"
+run_ok "second serve --compact-only" \
+  "$cli" serve --compact-only --store "$work/ref.journal" >/dev/null
+same "$work/ref.journal" "$work/once.journal" "journal compaction is not idempotent"
 
 echo "== serve health gate (final status snapshot: jobs=4 must match jobs=1) =="
 # The live status file is wall-clock-bearing while running, but the final
@@ -415,35 +308,19 @@ echo "== serve health gate (final status snapshot: jobs=4 must match jobs=1) =="
 # inherits the determinism contract: jobs=1 and jobs=4 must leave
 # byte-identical JSON (and Prometheus text), and `stats --live` must
 # accept the schema.
-health="serve --sites 8 --training-runs 3 --seed 1234"
-"$cli" $health --jobs 1 --store "$serve_tmp/h1.journal" \
-  --status-file "$serve_tmp/h1.status.json" >/dev/null || {
-  echo "check.sh: serve --status-file --jobs 1 exited non-zero" >&2
-  exit 1
-}
-"$cli" $health --jobs 4 --store "$serve_tmp/h4.journal" \
-  --status-file "$serve_tmp/h4.status.json" >/dev/null || {
-  echo "check.sh: serve --status-file --jobs 4 exited non-zero" >&2
-  exit 1
-}
-if ! cmp -s "$serve_tmp/h1.status.json" "$serve_tmp/h4.status.json"; then
-  diff "$serve_tmp/h1.status.json" "$serve_tmp/h4.status.json" || true
-  echo "check.sh: final status snapshot diverged between jobs=1 and jobs=4" >&2
-  exit 1
-fi
-if ! cmp -s "$serve_tmp/h1.status.json.prom" "$serve_tmp/h4.status.json.prom"; then
-  diff "$serve_tmp/h1.status.json.prom" "$serve_tmp/h4.status.json.prom" || true
-  echo "check.sh: Prometheus exposition diverged between jobs=1 and jobs=4" >&2
-  exit 1
-fi
-if ! grep -q '"phase":"final"' "$serve_tmp/h1.status.json"; then
-  echo "check.sh: final status snapshot is not in phase \"final\"" >&2
-  exit 1
-fi
-"$cli" stats --live "$serve_tmp/h1.status.json" >/dev/null || {
-  echo "check.sh: stats --live rejected the status snapshot" >&2
-  exit 1
-}
+for jobs in 1 4; do
+  run_ok "serve --status-file --jobs $jobs" \
+    "$cli" serve --sites 8 --training-runs 3 --seed 1234 --jobs "$jobs" \
+    --store "$work/h$jobs.journal" --status-file "$work/h$jobs.status.json" >/dev/null
+done
+same "$work/h1.status.json" "$work/h4.status.json" \
+  "final status snapshot diverged between jobs=1 and jobs=4"
+same "$work/h1.status.json.prom" "$work/h4.status.json.prom" \
+  "Prometheus exposition diverged between jobs=1 and jobs=4"
+grep -q '"phase":"final"' "$work/h1.status.json" ||
+  fail "final status snapshot is not in phase \"final\""
+run_ok "stats --live on the status snapshot" \
+  "$cli" stats --live "$work/h1.status.json" >/dev/null
 
 echo "== drift determinism gate (migrating census: ledger/dashboard/alert log byte-identical) =="
 # The drift observatory end to end: a migrating population (CUBIC -> BBR
@@ -454,66 +331,36 @@ echo "== drift determinism gate (migrating census: ledger/dashboard/alert log by
 # ledger JSON, the dashboard HTML, the text render — must be a pure
 # function of it: analyzing the same store twice, and the two stores
 # against each other, must all agree byte for byte.
-drift_tmp=$(mktemp -d)
-trap 'rm -f "$tmp1" "$tmp2" "$prov_tmp" "$flight_tmp"; rm -rf "$pool_tmp" "$golden_tmp" "$camp_tmp" "$serve_tmp" "$drift_tmp"' EXIT
+drift="$work/drift"
 # same store basename in both dirs: the ledger's subject quotes it
-mkdir -p "$drift_tmp/j1" "$drift_tmp/j4"
-mig="serve --sites 8 --training-runs 3 --seed 1234 --epochs 3 \
-  --migrate cubic:bbr:1:40 --confidence-floor 1.1"
-"$cli" $mig --jobs 1 --store "$drift_tmp/j1/m.journal" \
-  --alert-log "$drift_tmp/alerts1.jsonl" >/dev/null || {
-  echo "check.sh: migrating serve --jobs 1 exited non-zero" >&2
-  exit 1
-}
-"$cli" $mig --jobs 4 --store "$drift_tmp/j4/m.journal" \
-  --alert-log "$drift_tmp/alerts4.jsonl" >/dev/null || {
-  echo "check.sh: migrating serve --jobs 4 exited non-zero" >&2
-  exit 1
-}
-if ! cmp -s "$drift_tmp/j1/m.journal" "$drift_tmp/j4/m.journal"; then
-  echo "check.sh: migrating store diverged between jobs=1 and jobs=4" >&2
-  exit 1
-fi
-if ! cmp -s "$drift_tmp/alerts1.jsonl" "$drift_tmp/alerts4.jsonl"; then
-  diff "$drift_tmp/alerts1.jsonl" "$drift_tmp/alerts4.jsonl" || true
-  echo "check.sh: alert log diverged between jobs=1 and jobs=4" >&2
-  exit 1
-fi
-for pass in a b; do
-  "$cli" drift "$drift_tmp/j1/m.journal" --out "$drift_tmp/$pass.ledger.json" \
-    --html "$drift_tmp/$pass.dash.html" >"$drift_tmp/$pass.render.txt" || {
-    echo "check.sh: nebby drift exited non-zero (pass $pass)" >&2
-    exit 1
-  }
+mkdir -p "$drift/j1" "$drift/j4"
+for jobs in 1 4; do
+  run_ok "migrating serve --jobs $jobs" \
+    "$cli" serve --sites 8 --training-runs 3 --seed 1234 --epochs 3 \
+    --migrate cubic:bbr:1:40 --confidence-floor 1.1 --jobs "$jobs" \
+    --store "$drift/j$jobs/m.journal" --alert-log "$drift/alerts$jobs.jsonl" >/dev/null
 done
-sed -i "s|$drift_tmp/a|DRIFT|g" "$drift_tmp/a.render.txt"
-sed -i "s|$drift_tmp/b|DRIFT|g" "$drift_tmp/b.render.txt"
-for pair in a.ledger.json:b.ledger.json a.dash.html:b.dash.html a.render.txt:b.render.txt; do
-  x="$drift_tmp/${pair%%:*}" y="$drift_tmp/${pair#*:}"
-  if ! cmp -s "$x" "$y"; then
-    diff "$x" "$y" | head -20 || true
-    echo "check.sh: nebby drift is not deterministic (${pair})" >&2
-    exit 1
-  fi
+same "$drift/j1/m.journal" "$drift/j4/m.journal" \
+  "migrating store diverged between jobs=1 and jobs=4"
+same "$drift/alerts1.jsonl" "$drift/alerts4.jsonl" "alert log diverged between jobs=1 and jobs=4"
+for pass in a b c; do
+  store=$drift/j1/m.journal
+  [ "$pass" = c ] && store=$drift/j4/m.journal
+  run_ok "nebby drift (pass $pass)" "$cli" drift "$store" --out "$drift/$pass.ledger.json" \
+    --html "$drift/$pass.dash.html" >"$drift/$pass.render.txt"
+  sed -i "s|$drift/$pass|DRIFT|g" "$drift/$pass.render.txt"
 done
-"$cli" drift "$drift_tmp/j4/m.journal" --out "$drift_tmp/c.ledger.json" \
-  --html "$drift_tmp/c.dash.html" >/dev/null || {
-  echo "check.sh: nebby drift on the jobs=4 store exited non-zero" >&2
-  exit 1
-}
-if ! cmp -s "$drift_tmp/a.ledger.json" "$drift_tmp/c.ledger.json" \
-  || ! cmp -s "$drift_tmp/a.dash.html" "$drift_tmp/c.dash.html"; then
-  echo "check.sh: drift artifacts diverged between the jobs=1 and jobs=4 stores" >&2
-  exit 1
-fi
+for f in ledger.json dash.html render.txt; do
+  same "$drift/a.$f" "$drift/b.$f" "nebby drift is not deterministic ($f)"
+done
+for f in ledger.json dash.html; do
+  same "$drift/a.$f" "$drift/c.$f" "drift $f diverged between the jobs=1 and jobs=4 stores"
+done
 # the ledger must cover every epoch of the run (the synthetic-truth
 # detection accuracy itself is pinned by test/test_drift.ml; the small
 # training control here keeps the gate fast, not accurate)
-epochs_seen=$(grep -o '"epoch":' "$drift_tmp/a.ledger.json" | wc -l)
-if [ "$epochs_seen" -ne 3 ]; then
-  echo "check.sh: migrating ledger records ${epochs_seen} epoch points, expected 3" >&2
-  exit 1
-fi
+epochs_seen=$(grep -o '"epoch":' "$drift/a.ledger.json" | wc -l)
+[ "$epochs_seen" -eq 3 ] || fail "migrating ledger records ${epochs_seen} epoch points, expected 3"
 echo "(migrating store, alert log and drift artifacts byte-identical at jobs=1 vs jobs=4)"
 
 echo "== fuzz smoke (adversarial search: jobs-independent, fixtures replay) =="
@@ -521,39 +368,19 @@ echo "== fuzz smoke (adversarial search: jobs-independent, fixtures replay) =="
 # worker count: a serial and a 4-worker run must produce byte-identical
 # summaries, corpus JSONL, and minimized fixture files — and must find at
 # least one counterexample at this budget (exit 1 means it found none).
-fuzz_tmp=$(mktemp -d)
-trap 'rm -f "$tmp1" "$tmp2" "$prov_tmp" "$flight_tmp"; rm -rf "$pool_tmp" "$golden_tmp" "$camp_tmp" "$serve_tmp" "$fuzz_tmp"' EXIT
-fuzz="fuzz --budget 24 --seed 1234 --target cubic,vegas,yeah --log-level quiet"
-"$cli" $fuzz --jobs 1 --out "$fuzz_tmp/fx1" --corpus "$fuzz_tmp/c1.jsonl" >"$tmp1" || {
-  echo "check.sh: fuzz --jobs 1 smoke found no counterexample (or crashed)" >&2
-  exit 1
-}
-"$cli" $fuzz --jobs 4 --out "$fuzz_tmp/fx2" --corpus "$fuzz_tmp/c2.jsonl" >"$tmp2" || {
-  echo "check.sh: fuzz --jobs 4 smoke found no counterexample (or crashed)" >&2
-  exit 1
-}
-# the summaries embed the (different) --out/--corpus paths; normalize them
-sed -i "s|$fuzz_tmp/fx1|OUT|;s|$fuzz_tmp/c1.jsonl|CORPUS|" "$tmp1"
-sed -i "s|$fuzz_tmp/fx2|OUT|;s|$fuzz_tmp/c2.jsonl|CORPUS|" "$tmp2"
-if ! cmp -s "$tmp1" "$tmp2"; then
-  diff "$tmp1" "$tmp2" || true
-  echo "check.sh: fuzz --jobs 4 summary diverged from --jobs 1" >&2
-  exit 1
-fi
-if ! cmp -s "$fuzz_tmp/c1.jsonl" "$fuzz_tmp/c2.jsonl"; then
-  diff "$fuzz_tmp/c1.jsonl" "$fuzz_tmp/c2.jsonl" | head -10 || true
-  echo "check.sh: fuzz --jobs 4 corpus diverged from --jobs 1" >&2
-  exit 1
-fi
-if ! diff -r "$fuzz_tmp/fx1" "$fuzz_tmp/fx2"; then
-  echo "check.sh: fuzz --jobs 4 fixtures diverged from --jobs 1" >&2
-  exit 1
-fi
+for jobs in 1 4; do
+  run_ok "fuzz --jobs $jobs smoke (no counterexample, or a crash)" \
+    "$cli" fuzz --budget 24 --seed 1234 --target cubic,vegas,yeah --log-level quiet \
+    --jobs "$jobs" --out "$work/fx$jobs" --corpus "$work/c$jobs.jsonl" >"$work/fuzz$jobs.txt"
+  # the summaries embed the (different) --out/--corpus paths; normalize them
+  sed -i "s|$work/fx$jobs|OUT|;s|$work/c$jobs.jsonl|CORPUS|" "$work/fuzz$jobs.txt"
+done
+same "$work/fuzz1.txt" "$work/fuzz4.txt" "fuzz --jobs 4 summary diverged from --jobs 1"
+same "$work/c1.jsonl" "$work/c4.jsonl" "fuzz --jobs 4 corpus diverged from --jobs 1"
+same "$work/fx1" "$work/fx4" "fuzz --jobs 4 fixtures diverged from --jobs 1"
 # Every committed regression fixture must still reproduce its recorded
 # verdict (exit 1 = a fixture went stale; the message names it).
-"$cli" fuzz --replay test/adversarial --log-level quiet >/dev/null || {
-  echo "check.sh: committed adversarial fixtures no longer replay" >&2
-  exit 1
-}
+run_ok "fuzz --replay of the committed adversarial fixtures" \
+  "$cli" fuzz --replay test/adversarial --log-level quiet >/dev/null
 
 echo "check.sh: all green"
