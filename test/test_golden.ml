@@ -152,3 +152,64 @@ let suite =
   :: List.map
        (fun cca -> Alcotest.test_case (Printf.sprintf "replay %s" cca) `Quick (replay_fixture cca))
        Cca.Registry.all
+
+(* Noisy-path fixed point. The fixtures above replay quiet TCP captures,
+   so they do not pin the simulator itself under jitter, ACK
+   compression, random drops, QUIC's opaque view or the fault-bypass
+   branches of [Netsim.Path]. These runs cover each of those; the digest
+   over their captures, ground-truth BiF, drops and retransmissions must
+   not move when the simulator is optimised. A deliberate change to the
+   simulated dynamics updates [noisy_digest] in the same commit. *)
+let noisy_digest = "2d30727f7473672dde57e5f07adc9f71"
+
+let noisy_runs () =
+  let profile = Nebby.Profile.delay_50ms in
+  let run ?faults ?(proto = Netsim.Packet.Tcp) ~noise cca =
+    Nebby.Testbed.run ~seed:golden_seed ~noise ~proto ?faults ~profile
+      ~make_cca:(Cca.Registry.create cca) ()
+  in
+  let faults =
+    {
+      Faults.seed = 5;
+      specs =
+        [
+          Faults.Reorder
+            { at = 1.0; duration = 6.0; dir = Netsim.Packet.To_client; prob = 0.05; max_extra = 0.03 };
+          Faults.Reorder
+            { at = 2.0; duration = 4.0; dir = Netsim.Packet.To_server; prob = 0.05; max_extra = 0.02 };
+          Faults.Duplicate { at = 0.5; duration = 6.0; dir = Netsim.Packet.To_client; prob = 0.05 };
+          Faults.Duplicate { at = 0.5; duration = 6.0; dir = Netsim.Packet.To_server; prob = 0.05 };
+        ];
+    }
+  in
+  [
+    run ~noise:Netsim.Path.heavy "cubic";
+    run ~noise:Netsim.Path.mild "bbr";
+    run ~noise:Netsim.Path.mild ~proto:Netsim.Packet.Quic "cubic";
+    run ~noise:Netsim.Path.mild ~faults "newreno";
+  ]
+
+let serialize_run b (r : Nebby.Testbed.result) =
+  List.iter
+    (fun (o : Netsim.Trace.obs) ->
+      Printf.bprintf b "%h %d %d" o.time
+        (match o.dir with Netsim.Packet.To_client -> 0 | Netsim.Packet.To_server -> 1)
+        o.size;
+      (match o.view with
+      | Netsim.Trace.Opaque -> ()
+      | Netsim.Trace.Tcp_view { seq; payload; ack; is_ack } ->
+        Printf.bprintf b " %d %d %d %b" seq payload ack is_ack);
+      Buffer.add_char b '\n')
+    (Netsim.Trace.observations r.trace);
+  List.iter (fun (t, v) -> Printf.bprintf b "%h %h\n" t v) r.ground_truth_bif;
+  Printf.bprintf b "drops %d retx %d faults %d\n" r.bottleneck_drops r.retransmissions
+    r.faults_injected
+
+let test_noisy_digest () =
+  let b = Buffer.create (1 lsl 20) in
+  List.iter (serialize_run b) (noisy_runs ());
+  Alcotest.(check string) "noisy-path digest" noisy_digest
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let suite =
+  suite @ [ Alcotest.test_case "noisy-path captures are unchanged" `Quick test_noisy_digest ]
