@@ -405,9 +405,8 @@ let trace_cmd =
       Nebby.Testbed.run ~seed ~noise ~proto ~profile ~make_cca:(Cca.Registry.create cca) ()
     in
     Printf.printf "# time_s,bif_bytes (CCA %s, profile %s)\n" cca profile.Nebby.Profile.name;
-    List.iter
-      (fun (t, v) -> Printf.printf "%.4f,%.0f\n" t v)
-      (Nebby.Bif.estimate result.Nebby.Testbed.trace);
+    let bif = Nebby.Bif.estimate result.Nebby.Testbed.trace in
+    Array.iteri (fun k t -> Printf.printf "%.4f,%.0f\n" t bif.values.(k)) bif.times;
     exit_ok
   in
   let doc = "Capture one measurement and print the BiF trace as CSV." in
@@ -942,7 +941,7 @@ let report_cmd =
       (fun i (profile, bif, _prepared) ->
         let run = i + 1 in
         push run 0.0 Obs.Flight.Stage 0.0 ("replay:" ^ profile);
-        List.iter (fun (t, v) -> push run t Obs.Flight.Bif v "") bif)
+        Array.iteri (fun k t -> push run t Obs.Flight.Bif bif.Nebby.Bif.values.(k) "") bif.times)
       entries;
     Obs.Flight.make_dump ~subject ~trigger:"replay" ~attempt:1 ~window_s:!span
       (List.rev !events)

@@ -28,7 +28,7 @@ let () =
   Printf.printf "Captured %d packets over %.1f s -> %d BiF points, %d segments, %d back-offs\n"
     (Netsim.Trace.length result.Nebby.Testbed.trace)
     (Netsim.Trace.duration result.Nebby.Testbed.trace)
-    (List.length bif)
+    (Array.length bif.Nebby.Bif.times)
     (Nebby.Pipeline.segment_count prepared)
     (List.length prepared.Nebby.Pipeline.backoffs);
   match prepared.Nebby.Pipeline.segments with

@@ -2,15 +2,29 @@ type outcome = Identified of string | Unknown | Short_flow | Unresponsive
 
 (* Gordon's metric: the cwnd counted once per RTT (upper envelope of the
    unacknowledged packets between its forced drops). *)
-let cwnd_style ~rtt pts =
-  let rec bucket acc current_t current_max = function
-    | [] -> List.rev (if current_max > 0.0 then (current_t, current_max) :: acc else acc)
-    | (t, v) :: rest ->
-      if t -. current_t >= rtt then
-        bucket ((current_t, Float.max current_max v) :: acc) t v rest
-      else bucket acc current_t (Float.max current_max v) rest
+let cwnd_style ~rtt ({ times; values } : Nebby.Bif.series) =
+  let out_times = ref [] and out_values = ref [] in
+  let emit t v =
+    out_times := t :: !out_times;
+    out_values := v :: !out_values
   in
-  match pts with [] -> [] | (t0, v0) :: rest -> bucket [] t0 v0 rest
+  if Array.length times > 0 then begin
+    let current_t = ref times.(0) and current_max = ref values.(0) in
+    for k = 1 to Array.length times - 1 do
+      let t = times.(k) and v = values.(k) in
+      if t -. !current_t >= rtt then begin
+        emit !current_t (Float.max !current_max v);
+        current_t := t;
+        current_max := v
+      end
+      else current_max := Float.max !current_max v
+    done;
+    if !current_max > 0.0 then emit !current_t !current_max
+  end;
+  {
+    Nebby.Bif.times = Array.of_list (List.rev !out_times);
+    values = Array.of_list (List.rev !out_values);
+  }
 
 (* Gordon ships its own control data, gathered with its own coarse metric. *)
 let coarse_control =

@@ -22,7 +22,7 @@ type outcome =
 
 val outcome_label : outcome -> string
 
-val cwnd_style : rtt:float -> (float * float) list -> (float * float) list
+val cwnd_style : rtt:float -> Nebby.Bif.series -> Nebby.Bif.series
 (** Degrade a BiF series to Gordon's view: one point per RTT, the window
     upper envelope. Shared with the metric ablation in the bench. *)
 

@@ -10,6 +10,10 @@
     ACKs, and (ii) each ACK acknowledges a constant number of bytes,
     estimated as total transferred bytes divided by total ACK count. *)
 
+type series = { times : float array; values : float array }
+(** A BiF series: [values.(k)] bytes in flight at time [times.(k)]. Both
+    arrays have the same length and [times] is nondecreasing. *)
+
 type issue =
   | Empty_trace  (** the capture recorded nothing at all *)
   | Non_monotonic_timestamps of int
@@ -23,18 +27,19 @@ val validate : Netsim.Trace.t -> issue list
     estimators' invariants; a malformed trace yields diagnostics here and a
     degraded (never raising) estimate from {!estimate}. *)
 
-val estimate : Netsim.Trace.t -> (float * float) list
-(** Time-stamped BiF estimate, one point per captured packet. Dispatches on
-    whether the trace has TCP visibility. Malformed input is tolerated:
-    out-of-order observations are re-sorted and zero-length segments are
-    ignored rather than miscounted. *)
+val estimate : Netsim.Trace.t -> series
+(** Time-stamped BiF estimate, one point per captured packet, read straight
+    off the trace's columns. Dispatches on whether the trace has TCP
+    visibility. Malformed input is tolerated: out-of-order observations are
+    re-sorted and zero-length segments are ignored rather than miscounted. *)
 
-val accuracy : estimate:(float * float) list -> truth:(float * float) list -> float
-(** Agreement between an estimated and a ground-truth BiF series, as
+val accuracy : estimate:series -> truth:(float * float) list -> float
+(** Agreement between an estimated BiF series and the sender's ground-truth
+    log ([Testbed.result.ground_truth_bif], time-ordered), as
     [1 - mean |est - truth| / mean truth], both resampled to a common grid
     and compared over their overlapping time span, clamped to [0, 1].
     Used to reproduce Figure 3 and the §3.2 QUIC validation. *)
 
-val stats : (float * float) list -> (string * float) list
+val stats : series -> (string * float) list
 (** Point count, covered duration, mean and max of a BiF estimate — named
     fields for a decision-provenance stage. *)

@@ -107,11 +107,11 @@ let explain_prepared ?plugins ?proto ~control ~subject entries =
 
 (* The capture is truncated when it covers much less of the flow than the
    sender actually transmitted (the sender's own BiF log is the ground
-   truth for how long the flow ran). *)
+   truth for how long the flow ran; it is time-ordered, so its last sample
+   is the latest). *)
 let capture_truncated (result : Testbed.result) =
-  let sender_end =
-    List.fold_left (fun acc (t, _) -> Float.max acc t) 0.0 result.Testbed.ground_truth_bif
-  in
+  let rec last_time = function [] -> 0.0 | [ (t, _) ] -> t | _ :: rest -> last_time rest in
+  let sender_end = last_time result.Testbed.ground_truth_bif in
   Netsim.Trace.length result.Testbed.trace < 16
   || Netsim.Trace.duration result.Testbed.trace < 0.8 *. sender_end
 

@@ -81,7 +81,7 @@ val report_metrics : report -> (string * float) list
     absent provenance simply omits its two cells. *)
 
 val prepare_result :
-  ?transform:(rtt:float -> (float * float) list -> (float * float) list) ->
+  ?transform:(rtt:float -> Bif.series -> Bif.series) ->
   ?smoothen:bool ->
   profile:Profile.t ->
   Testbed.result ->
@@ -94,7 +94,7 @@ val explain_prepared :
   ?proto:Netsim.Packet.proto ->
   control:Training.control ->
   subject:string ->
-  (string * (float * float) list * Pipeline.t) list ->
+  (string * Bif.series * Pipeline.t) list ->
   Classifier.outcome * Obs.Provenance.report
 (** Classify (profile name, BiF estimate, prepared trace) triples and
     build the full verdict report: BiF/pipeline/trace-signature stage
@@ -105,7 +105,7 @@ val explain_prepared :
 val measure :
   ?plugins:Plugin.t list ->
   ?profiles:Profile.t list ->
-  ?transform:(rtt:float -> (float * float) list -> (float * float) list) ->
+  ?transform:(rtt:float -> Bif.series -> Bif.series) ->
   ?smoothen:bool ->
   ?noise:Netsim.Path.noise ->
   ?proto:Netsim.Packet.proto ->

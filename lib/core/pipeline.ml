@@ -61,7 +61,7 @@ let find_backoffs ~dt ~rtt ~smoothed ~deriv ~thresh =
     | [] -> []
   in
   let sorted = Array.copy smoothed in
-  Array.sort compare sorted;
+  Array.sort Float.compare sorted;
   let p95 =
     let n = Array.length sorted in
     if n = 0 then 1.0 else Float.max 1.0 sorted.(min (n - 1) (n * 95 / 100))
@@ -128,7 +128,7 @@ let slice_segment ~dt ~t0 ~smoothed ~from_i ~to_i ~drop_frac =
     else begin
       let mid = (from_i + to_i) / 2 in
       let tail = Array.sub smoothed mid (to_i - mid + 1) in
-      Array.sort compare tail;
+      Array.sort Float.compare tail;
       let level = tail.(Array.length tail / 2) in
       let limit = from_i + ((to_i - from_i) / 4) in
       let rec advance i =
@@ -154,10 +154,9 @@ let slice_segment ~dt ~t0 ~smoothed ~from_i ~to_i ~drop_frac =
 
 let tail_clip = 1.0 (* seconds: the transfer-end drain is not CCA behaviour *)
 
-let prepare ?(dt = default_dt) ?(smoothen = true) ~rtt points =
+let prepare ?(dt = default_dt) ?(smoothen = true) ~rtt (bif : Bif.series) =
   Obs.Span.with_ ~name:"prepare" @@ fun () ->
-  let pts = Sigproc.Series.of_pairs points in
-  let t0, raw = Sigproc.Series.resample ~dt pts in
+  let t0, raw = Sigproc.Series.resample ~dt ~times:bif.times ~values:bif.values in
   let raw =
     let n = Array.length raw in
     let clip = int_of_float (tail_clip /. dt) in

@@ -48,7 +48,7 @@ type t = {
   mean_bif : float;
 }
 
-val prepare : ?dt:float -> ?smoothen:bool -> rtt:float -> (float * float) list -> t
+val prepare : ?dt:float -> ?smoothen:bool -> rtt:float -> Bif.series -> t
 (** [rtt] is the nominal RTT under the measurement profile (known to Nebby
     since it configures the added delay). [smoothen:false] skips the FFT
     low-pass stage (for the ablation study only). *)

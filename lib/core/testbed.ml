@@ -79,9 +79,10 @@ let run ?(seed = 42) ?(noise = Netsim.Path.quiet) ?(proto = Netsim.Packet.Tcp)
     record (Netsim.Sim.now sim) pkt;
     Netsim.Path.send path_up pkt
   in
+  (* the added one-way delay also applies on the return direction *)
+  let return_delay = Netsim.Delay_line.create sim ~sink:capture_out in
   let client_out pkt =
-    (* the added one-way delay also applies on the return direction *)
-    Netsim.Sim.after sim profile.Profile.extra_delay (fun () -> capture_out pkt)
+    Netsim.Delay_line.send return_delay ~at:(Netsim.Sim.now sim +. profile.Profile.extra_delay) pkt
   in
   let receiver = Transport.Receiver.create sim ~proto ~ack_every ~out:client_out () in
   receiver_ref := Some receiver;
@@ -100,8 +101,7 @@ let run ?(seed = 42) ?(noise = Netsim.Path.quiet) ?(proto = Netsim.Packet.Tcp)
   Netsim.Sim.run ~until:time_limit sim;
   {
     trace;
-    ground_truth_bif =
-      List.map (fun (t, b) -> (t, float_of_int b)) (Transport.Sender.bif_samples sender);
+    ground_truth_bif = Transport.Sender.bif_samples sender;
     finished = Transport.Sender.finished sender;
     duration = Netsim.Sim.now sim;
     bottleneck_drops = Netsim.Link.drops bottleneck;

@@ -50,7 +50,7 @@ val train :
   ?profiles:Profile.t list ->
   ?seed:int ->
   ?page_bytes:int ->
-  ?transform:(rtt:float -> (float * float) list -> (float * float) list) ->
+  ?transform:(rtt:float -> Bif.series -> Bif.series) ->
   unit ->
   control
 (** Runs every loss-based kernel CCA [runs_per_cca] times over TCP and

@@ -4,6 +4,7 @@ type t = {
   buffer_bytes : int;
   extra_delay : float;
   sink : Packet.t -> unit;
+  delayed : Packet.t Delay_line.t;  (* the extra delay box *)
   queue : Packet.t Queue.t;
   mutable queued_bytes : int;
   mutable busy : bool;
@@ -20,6 +21,7 @@ let create sim ~rate ~buffer_bytes ?(extra_delay = 0.0) ~sink () =
     buffer_bytes;
     extra_delay;
     sink;
+    delayed = Delay_line.create sim ~sink;
     queue = Queue.create ();
     queued_bytes = 0;
     busy = false;
@@ -43,7 +45,8 @@ let rec serve t =
       let tx_time = float_of_int pkt.Packet.size /. t.rate in
       Sim.after t.sim tx_time (fun () ->
           t.delivered <- t.delivered + 1;
-          if t.extra_delay > 0.0 then Sim.after t.sim t.extra_delay (fun () -> t.sink pkt)
+          if t.extra_delay > 0.0 then
+            Delay_line.send t.delayed ~at:(Sim.now t.sim +. t.extra_delay) pkt
           else t.sink pkt;
           serve t)
 

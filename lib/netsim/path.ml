@@ -40,6 +40,7 @@ type t = {
   delay : float;
   noise : noise;
   sink : Packet.t -> unit;
+  line : Packet.t Delay_line.t;  (* the order-preserving deliveries *)
   mutable last_delivery : float;
   mutable dropped : int;
   mutable fault : (now:float -> Packet.t -> fault_decision) option;
@@ -52,6 +53,7 @@ let create sim rng ~delay ~noise ~sink =
     delay;
     noise;
     sink;
+    line = Delay_line.create sim ~sink;
     last_delivery = 0.0;
     dropped = 0;
     fault = None;
@@ -97,14 +99,14 @@ let send t pkt =
     let delivery = Float.max target t.last_delivery in
     t.last_delivery <- delivery;
     match decision with
-    | Pass | Fault_drop -> Sim.at t.sim delivery (fun () -> t.sink pkt)
+    | Pass | Fault_drop -> Delay_line.send t.line ~at:delivery pkt
     | Fault_delay extra ->
       (* The injected hold is NOT folded into [last_delivery]: packets sent
          afterwards may overtake this one, which is what makes the fault a
-         reordering and not just added latency. *)
+         reordering and not just added latency. It bypasses the line. *)
       Sim.at t.sim (delivery +. Float.max 0.0 extra) (fun () -> t.sink pkt)
     | Fault_duplicate extra ->
-      Sim.at t.sim delivery (fun () -> t.sink pkt);
+      Delay_line.send t.line ~at:delivery pkt;
       Sim.at t.sim (delivery +. Float.max 0.0 extra) (fun () -> t.sink pkt)
   end
 

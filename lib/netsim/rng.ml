@@ -1,27 +1,36 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes: a mutable [int64] field
+   would allocate a fresh box on every draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 state;
+  t
 
-let next_raw t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let state t = Bytes.get_int64_le t 0
+let create seed = of_state (Int64.of_int seed)
+
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t =
-  let seed = next_raw t in
-  { state = seed }
+let[@inline] next_raw t =
+  let z = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 z;
+  mix z
+
+let split t = of_state (next_raw t)
 
 (* Forked from (seed, index) by two mixing rounds: the first finalizes the
    campaign seed, the second folds in index * golden_gamma. Mixing (rather
    than seeding from seed + index) keeps (1, 2) and (2, 1) decorrelated. *)
 let substream ~seed index =
-  let campaign = next_raw { state = Int64.of_int seed } in
+  let campaign = next_raw (create seed) in
   let keyed = Int64.logxor campaign (Int64.mul golden_gamma (Int64.of_int index)) in
-  { state = next_raw { state = keyed } }
+  of_state (next_raw (of_state keyed))
 
 (* FNV-1a over the name, finalized through the splitmix mixer, xored with
    the parent's *current* state. Crucially the parent stream is not
@@ -35,10 +44,9 @@ let named t name =
       h := Int64.logxor !h (Int64.of_int (Char.code c));
       h := Int64.mul !h 0x100000001B3L)
     name;
-  let mixed = { state = Int64.logxor t.state !h } in
-  { state = next_raw mixed }
+  of_state (next_raw (of_state (Int64.logxor (state t) !h)))
 
-let float t =
+let[@inline] float t =
   let bits = Int64.shift_right_logical (next_raw t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
 

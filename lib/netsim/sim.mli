@@ -3,7 +3,16 @@
     A simulation owns a virtual clock and an event queue of thunks. All
     simulator components (links, paths, endpoints) schedule their work here;
     [run] executes events in time order until the queue drains or a time
-    horizon is reached. *)
+    horizon is reached.
+
+    {2 Event order}
+
+    Events fire by time, then by the order in which they were scheduled.
+    That order is a key taken when the event is scheduled, not when it
+    enters the heap: {!reserve} takes the key early and {!at_reserved}
+    pushes the event under it later. {!Delay_line} and {!Timer} rely on
+    this to keep one heap entry per FIFO hop or logical timer while every
+    event fires exactly where an immediate {!at} would have put it. *)
 
 type t
 
@@ -15,6 +24,13 @@ val now : t -> float
 val at : t -> float -> (unit -> unit) -> unit
 (** [at t time f] schedules [f] at absolute [time]. Scheduling in the past
     raises [Invalid_argument]. *)
+
+val reserve : t -> int
+(** Take the order key of an event scheduled now but pushed later. *)
+
+val at_reserved : t -> float -> order:int -> (unit -> unit) -> unit
+(** [at_reserved t time ~order f] schedules [f] at [time] under an order
+    key from {!reserve}. Scheduling in the past raises [Invalid_argument]. *)
 
 val after : t -> float -> (unit -> unit) -> unit
 (** [after t delay f] schedules [f] [delay] seconds from now. *)

@@ -1,19 +1,16 @@
-type point = { t : float; v : float }
-
-let of_pairs pairs = Array.of_list (List.map (fun (t, v) -> { t; v }) pairs)
-
-let resample ~dt pts =
-  let n = Array.length pts in
+let resample ~dt ~times ~values =
+  let n = Array.length times in
+  if Array.length values <> n then invalid_arg "Series.resample: times and values differ in length";
   if n = 0 then (0.0, [||])
   else begin
-    let t0 = pts.(0).t and t_end = pts.(n - 1).t in
+    let t0 = times.(0) and t_end = times.(n - 1) in
     let steps = max 1 (int_of_float (Float.ceil ((t_end -. t0) /. dt))) + 1 in
     let out = Array.make steps 0.0 in
     let src = ref 0 in
     for i = 0 to steps - 1 do
       let time = t0 +. (float_of_int i *. dt) in
-      while !src + 1 < n && pts.(!src + 1).t <= time do incr src done;
-      out.(i) <- pts.(!src).v
+      while !src + 1 < n && times.(!src + 1) <= time do incr src done;
+      out.(i) <- values.(!src)
     done;
     (t0, out)
   end
@@ -73,7 +70,7 @@ let quantile q xs =
   if n = 0 then nan
   else begin
     let sorted = Array.copy xs in
-    Array.sort compare sorted;
+    Array.sort Float.compare sorted;
     let q = Float.min 1.0 (Float.max 0.0 q) in
     let pos = q *. float_of_int (n - 1) in
     let lo = int_of_float pos in

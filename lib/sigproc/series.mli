@@ -1,15 +1,13 @@
 (** Time-series utilities over (time, value) samples. *)
 
-type point = { t : float; v : float }
-
-val of_pairs : (float * float) list -> point array
-
-val resample : dt:float -> point array -> float * float array
-(** [resample ~dt pts] converts an event-sampled series to a uniform grid of
+val resample : dt:float -> times:float array -> values:float array -> float * float array
+(** [resample ~dt ~times ~values] converts an event-sampled series
+    ([values.(k)] at [times.(k)], times nondecreasing) to a uniform grid of
     spacing [dt] using zero-order hold (the value persists until the next
     sample, matching how bytes-in-flight evolves between packets). Returns
-    [(t0, values)] where [values.(i)] is the value at [t0 +. i *. dt].
-    Empty input yields [(0., [||])]. *)
+    [(t0, grid)] where [grid.(i)] is the value at [t0 +. i *. dt].
+    Empty input yields [(0., [||])]; arrays of different lengths raise
+    [Invalid_argument]. *)
 
 val derivative : dt:float -> float array -> float array
 (** Central-difference first derivative of a uniform series; the result has

@@ -32,9 +32,10 @@ val handle_ack : t -> Netsim.Packet.t -> unit
 val finished : t -> bool
 (** All payload bytes acknowledged. *)
 
-val bif_samples : t -> (float * int) list
+val bif_samples : t -> (float * float) list
 (** Time-stamped ground-truth bytes-in-flight, sampled at every
-    transmission and acknowledgement, oldest first. *)
+    transmission and acknowledgement, oldest first. The sender logs the
+    samples in columns and builds this list on each call. *)
 
 val retransmissions : t -> int
 

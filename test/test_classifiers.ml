@@ -6,9 +6,9 @@ let dt = 0.02
 let rtt = 0.12
 
 (* Build a synthetic BiF series: a function of time sampled at [dt]. *)
-let series ~duration f = List.init (int_of_float (duration /. dt)) (fun i ->
-    let t = float_of_int i *. dt in
-    (t, Float.max 0.0 (f t)))
+let series ~duration f =
+  let times = Array.init (int_of_float (duration /. dt)) (fun i -> float_of_int i *. dt) in
+  { Nebby.Bif.times; values = Array.map (fun t -> Float.max 0.0 (f t)) times }
 
 let prepare ?(rtt = rtt) pts = Nebby.Pipeline.prepare ~rtt pts
 
@@ -245,8 +245,9 @@ let prop_pipeline_total =
   QCheck.Test.make ~name:"pipeline survives arbitrary nonnegative series" ~count:60
     QCheck.(list_of_size (QCheck.Gen.int_range 2 400) (float_bound_inclusive 20000.0))
     (fun vs ->
-      let pts = List.mapi (fun i v -> (0.05 *. float_of_int i, v)) vs in
-      let p = prepare pts in
+      let values = Array.of_list vs in
+      let times = Array.mapi (fun i _ -> 0.05 *. float_of_int i) values in
+      let p = prepare { Nebby.Bif.times; values } in
       List.for_all
         (fun (seg : Nebby.Pipeline.segment) ->
           seg.duration >= 0.0 && seg.raw_min <= seg.raw_max)
@@ -268,7 +269,7 @@ let prop_bif_estimate_nonnegative =
               (Netsim.Packet.data Netsim.Packet.Tcp ~id:i ~seq:(s * 250) ~payload:250
                  ~retx:false ~now))
         seqs;
-      List.for_all (fun (_, v) -> v >= 0.0) (Nebby.Bif.estimate trace))
+      Array.for_all (fun v -> v >= 0.0) (Nebby.Bif.estimate trace).values)
 
 let suite =
   [

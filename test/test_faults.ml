@@ -238,7 +238,8 @@ let test_validate_empty_trace () =
   let t = Netsim.Trace.create () in
   Alcotest.(check bool) "empty trace flagged" true
     (List.mem Nebby.Bif.Empty_trace (Nebby.Bif.validate t));
-  Alcotest.(check int) "estimate of empty trace" 0 (List.length (Nebby.Bif.estimate t))
+  Alcotest.(check int) "estimate of empty trace" 0
+    (Array.length (Nebby.Bif.estimate t).times)
 
 let test_validate_malformed_trace () =
   let t = Netsim.Trace.create () in
@@ -259,13 +260,14 @@ let test_validate_malformed_trace () =
        issues);
   (* the estimator must tolerate it: sorted, zero-length ignored, no raise *)
   let bif = Nebby.Bif.estimate t in
-  Alcotest.(check bool) "estimate still produced" true (List.length bif > 0);
+  Alcotest.(check bool) "estimate still produced" true (Array.length bif.times > 0);
   Alcotest.(check bool) "estimate timestamps sorted" true
-    (let ts = List.map fst bif in
-     List.sort compare ts = ts)
+    (let ts = Array.copy bif.times in
+     Array.sort Float.compare ts;
+     ts = bif.times)
 
 let test_pipeline_tolerates_empty () =
-  let p = Nebby.Pipeline.prepare ~rtt:0.12 [] in
+  let p = Nebby.Pipeline.prepare ~rtt:0.12 { Nebby.Bif.times = [||]; values = [||] } in
   Alcotest.(check int) "no segments from nothing" 0 (Nebby.Pipeline.segment_count p)
 
 (* ---- chaos matrix ---- *)

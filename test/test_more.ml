@@ -219,7 +219,7 @@ let test_queue_length_tracking () =
   Netsim.Event_queue.push q ~time:1.0 ();
   Netsim.Event_queue.push q ~time:2.0 ();
   Alcotest.(check int) "length" 2 (Netsim.Event_queue.length q);
-  Alcotest.(check (option (float 1e-9))) "peek" (Some 1.0) (Netsim.Event_queue.peek_time q)
+  Alcotest.(check (float 1e-9)) "peek" 1.0 (Netsim.Event_queue.min_time q)
 
 let test_link_counters () =
   let sim = Netsim.Sim.create () in

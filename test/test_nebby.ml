@@ -46,9 +46,9 @@ let test_bif_nonnegative () =
   List.iter
     (fun proto ->
       let r = Nebby.Testbed.run_cca ~profile ~proto ~seed:9 "newreno" in
-      List.iter
-        (fun (_, v) -> Alcotest.(check bool) "BiF >= 0" true (v >= 0.0))
-        (Nebby.Bif.estimate r.Nebby.Testbed.trace))
+      Array.iter
+        (fun v -> Alcotest.(check bool) "BiF >= 0" true (v >= 0.0))
+        (Nebby.Bif.estimate r.Nebby.Testbed.trace).values)
     [ Netsim.Packet.Tcp; Netsim.Packet.Quic ]
 
 let test_bif_accuracy_improves_with_delay () =
@@ -76,19 +76,23 @@ let test_retransmission_correction () =
   (* retransmission of segment 3 observed at t=0.2 *)
   Netsim.Trace.record trace ~now:0.2
     (Netsim.Packet.data Netsim.Packet.Tcp ~id:99 ~seq:(3 * mss) ~payload:mss ~retx:true ~now:0.2);
-  (match List.rev (Nebby.Bif.estimate trace) with
-  | (_, last) :: _ ->
-    Alcotest.(check (float 1.0)) "retx credited" (float_of_int (9 * mss)) last
-  | [] -> Alcotest.fail "no estimate")
+  let values = (Nebby.Bif.estimate trace).values in
+  if Array.length values = 0 then Alcotest.fail "no estimate";
+  Alcotest.(check (float 1.0)) "retx credited" (float_of_int (9 * mss))
+    values.(Array.length values - 1)
 
 (* ---- pipeline ---- *)
 
+(* [n] samples of [f] every 20 ms *)
+let sampled n f =
+  let times = Array.init n (fun i -> 0.02 *. float_of_int i) in
+  { Nebby.Bif.times; values = Array.map f times }
+
 let synthetic_sawtooth ~period ~n () =
   (* 1 Hz-ish sawtooth from 5 kB up to 10 kB with sharp drops *)
-  List.init n (fun i ->
-      let t = 0.02 *. float_of_int i in
+  sampled n (fun t ->
       let phase = Float.rem t period /. period in
-      (t, 5000.0 +. (5000.0 *. phase)))
+      5000.0 +. (5000.0 *. phase))
 
 let test_pipeline_segments_sawtooth () =
   let points = synthetic_sawtooth ~period:5.0 ~n:1500 () in
@@ -100,17 +104,14 @@ let test_pipeline_segments_sawtooth () =
     (Nebby.Pipeline.segment_count p >= 2)
 
 let test_pipeline_flat_trace_single_segment () =
-  let points = List.init 1000 (fun i -> (0.02 *. float_of_int i, 5000.0)) in
+  let points = sampled 1000 (fun _ -> 5000.0) in
   let p = Nebby.Pipeline.prepare ~rtt:0.12 points in
   Alcotest.(check int) "no back-offs" 0 (List.length p.Nebby.Pipeline.backoffs);
   Alcotest.(check int) "one segment (minus slow-start head)" 1 (Nebby.Pipeline.segment_count p)
 
 let test_pipeline_smoothing_removes_fast_noise () =
   let rng = Netsim.Rng.create 4 in
-  let points =
-    List.init 1000 (fun i ->
-        (0.02 *. float_of_int i, 5000.0 +. Netsim.Rng.gaussian rng ~mean:0.0 ~std:300.0))
-  in
+  let points = sampled 1000 (fun _ -> 5000.0 +. Netsim.Rng.gaussian rng ~mean:0.0 ~std:300.0) in
   let p = Nebby.Pipeline.prepare ~rtt:0.12 points in
   let sd = Sigproc.Series.std p.Nebby.Pipeline.smoothed in
   Alcotest.(check bool) "noise attenuated" true (sd < 200.0)

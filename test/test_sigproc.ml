@@ -83,8 +83,9 @@ let prop_polyfit_line =
 (* ---- Series ---- *)
 
 let test_resample_zero_order_hold () =
-  let pts = Sigproc.Series.of_pairs [ (0.0, 1.0); (0.25, 2.0); (1.0, 3.0) ] in
-  let t0, values = Sigproc.Series.resample ~dt:0.5 pts in
+  let t0, values =
+    Sigproc.Series.resample ~dt:0.5 ~times:[| 0.0; 0.25; 1.0 |] ~values:[| 1.0; 2.0; 3.0 |]
+  in
   check_close "t0" 0.0 t0;
   Alcotest.(check (array (float 1e-9))) "hold semantics" [| 1.0; 2.0; 3.0 |] values
 

@@ -68,8 +68,8 @@ let test_inflight_bounded_by_ground_truth () =
   let sender, _, _ = run_transfer ~cca:"cubic" () in
   List.iter
     (fun (_, bif) ->
-      Alcotest.(check bool) "BiF nonnegative" true (bif >= 0);
-      Alcotest.(check bool) "BiF bounded by transfer size" true (bif <= 100_000))
+      Alcotest.(check bool) "BiF nonnegative" true (bif >= 0.0);
+      Alcotest.(check bool) "BiF bounded by transfer size" true (bif <= 100_000.0))
     (Transport.Sender.bif_samples sender)
 
 let test_bif_samples_monotone_time () =
