@@ -47,11 +47,13 @@ let shared_bottleneck ?(duration = 30.0) ~(profile : Nebby.Profile.t) ~seed ~cca
         ~sink:(fun pkt ->
           match !sender_ref with Some s -> Transport.Sender.handle_ack s pkt | None -> ())
     in
+    let return_delay = Netsim.Delay_line.create sim ~sink:(Netsim.Path.send path_up) in
     let receiver =
       Transport.Receiver.create sim ~proto:Netsim.Packet.Tcp
         ~out:(fun pkt ->
-          Netsim.Sim.after sim profile.Nebby.Profile.extra_delay (fun () ->
-              Netsim.Path.send path_up pkt))
+          Netsim.Delay_line.send return_delay
+            ~at:(Netsim.Sim.now sim +. profile.Nebby.Profile.extra_delay)
+            pkt)
         ()
     in
     let path_down =
