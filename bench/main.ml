@@ -1,201 +1,37 @@
 (* The benchmark harness: regenerates every table and figure of the paper's
    evaluation against the simulated testbed (see DESIGN.md for the
-   experiment index and EXPERIMENTS.md for paper-vs-measured results).
+   experiment index and EXPERIMENTS.md for paper-vs-measured results),
+   plus the paired-run cost of each instrument (the overhead experiment).
+   Throughput is measured by bench/perf, not here.
 
    Usage:
      dune exec bench/main.exe                   # every experiment, default scale
      dune exec bench/main.exe -- table3 fig9    # selected experiments
      dune exec bench/main.exe -- --sites 2000   # larger census samples
      dune exec bench/main.exe -- --trials 50    # more trials per CCA
-     dune exec bench/main.exe -- --perf         # Bechamel microbenchmarks *)
+     dune exec bench/main.exe -- overhead --json overhead.json *)
 
 let sites = ref 250
 let trials = ref 12
 let seed = ref 20230601
 let training_runs = ref None
 let json_out = ref None
-let runtest_s = ref None
 
 (* multi-seed sweeps: --seeds N / --seed-list a,b,c resolve through the
    same validator the campaign and chaos CLIs use, so the vocabulary and
    error messages match *)
 let seeds_count = ref None
 let seed_list = ref None
-let history_mode = ref false
-
-(* perf-regression ledger: --baseline writes BENCH_<date>.json and compares
-   the guarded hot-path metrics against a committed baseline file, exiting
-   nonzero when any of them slows down by more than --tolerance *)
-let baseline_mode = ref false
-let tolerance = ref 0.25
-let baseline_file = ref "BENCH_baseline.json"
 
 let pf = Printf.printf
 
-(* machine-readable results accumulated by experiments and written as a
-   flat JSON object by --json FILE (keys are dotted metric names, values
-   already-rendered JSON literals) *)
-let bench_json : (string * string) list ref = ref []
-let record_json key value = bench_json := (key, value) :: !bench_json
-let record_json_f key v = record_json key (Printf.sprintf "%.6f" v)
-
-let write_json path =
-  let fields =
-    List.rev !bench_json
-    @ (match !runtest_s with
-      | Some s -> [ ("runtest_s", Printf.sprintf "%.3f" s) ]
-      | None -> [])
-  in
-  let oc = open_out path in
-  output_string oc "{\n";
-  List.iteri
-    (fun i (k, v) ->
-      Printf.fprintf oc "  \"%s\": %s%s\n" k v
-        (if i = List.length fields - 1 then "" else ","))
-    fields;
-  output_string oc "}\n";
-  close_out oc;
+(* a flat JSON object of already-measured numbers *)
+let write_json path fields =
+  Out_channel.with_open_bin path (fun oc ->
+      Printf.fprintf oc "{\n%s\n}\n"
+        (String.concat ",\n"
+           (List.map (fun (k, v) -> Printf.sprintf "  \"%s\": %.6f" k v) fields)));
   pf "\n[bench JSON written to %s]\n" path
-
-let date_stamp () =
-  let tm = Unix.localtime (Unix.time ()) in
-  Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
-    tm.Unix.tm_mday
-
-(* the hot-path metrics the ledger guards; everything else in the JSON is
-   informational *)
-let guarded_metrics = [ "census_serial_s"; "census_parallel_s"; "journal_replay_s" ]
-
-(* throughput floors: for these, *lower* than baseline is the regression
-   direction (ratio < 1 - tolerance fails) *)
-let guarded_floor_metrics = [ "serve_jobs_per_s" ]
-
-(* scheduler metrics are too host-noisy for ratio gates, so they are
-   presence-gated instead: once the committed baseline records one, a
-   current run that fails to produce it is a regression (the tracing
-   path broke), but its value is informational *)
-let presence_metrics =
-  [
-    "pool_queue_wait_p99_us"; "pool_queue_wait_p99_us_ub"; "pool_steal_frac";
-    "pool_busy_frac_mean"; "census_trace_overhead_frac"; "serve_alert_overhead_frac";
-  ]
-
-let read_json_file path =
-  let ic = open_in path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Obs.Json.of_string s
-
-let check_baseline current_path =
-  if not (Sys.file_exists !baseline_file) then begin
-    pf "[no %s found: baseline gate skipped - commit %s as %s to arm it]\n" !baseline_file
-      current_path !baseline_file;
-    0
-  end
-  else begin
-    let baseline = read_json_file !baseline_file in
-    let current = read_json_file current_path in
-    let lookup json key = Option.bind (Obs.Json.member key json) Obs.Json.to_float in
-    let check ~floor key =
-      match (lookup baseline key, lookup current key) with
-      | Some base, Some cur when base > 0.0 ->
-        let ratio = cur /. base in
-        let regressed =
-          if floor then ratio < 1.0 -. !tolerance else ratio > 1.0 +. !tolerance
-        in
-        pf "  %-24s baseline %10.3f  current %10.3f  ratio %.2fx (%s)%s\n" key base cur
-          ratio
-          (if floor then "floor" else "ceiling")
-          (if regressed then "  << REGRESSION" else "");
-        if regressed then Some key else None
-      | _ ->
-        pf "  %-24s missing in baseline or current run - skipped\n" key;
-        None
-    in
-    let failures =
-      List.filter_map (check ~floor:false) guarded_metrics
-      @ List.filter_map (check ~floor:true) guarded_floor_metrics
-      @ List.filter_map
-          (fun key ->
-            match (lookup baseline key, lookup current key) with
-            | Some _, None ->
-              pf "  %-24s present in baseline, MISSING in current run  << REGRESSION\n" key;
-              Some key
-            | Some _, Some cur ->
-              pf "  %-24s %10.3f (presence gate: informational value)\n" key cur;
-              None
-            | None, _ ->
-              pf "  %-24s not in baseline - presence gate skipped\n" key;
-              None)
-          presence_metrics
-    in
-    if failures = [] then begin
-      pf "[baseline gate: ok (tolerance %.0f%%)]\n" (100.0 *. !tolerance);
-      0
-    end
-    else begin
-      pf "[baseline gate: FAILED - %s regressed by more than %.0f%% vs %s]\n"
-        (String.concat ", " failures)
-        (100.0 *. !tolerance)
-        !baseline_file;
-      1
-    end
-  end
-
-(* --history: fold every committed BENCH_*.json ledger into one trend
-   table, oldest first — the stdout twin of the campaign dashboard's
-   sparklines (which read the same files). *)
-let history_columns =
-  [
-    ("census_serial_s", "serial_s");
-    ("census_parallel_s", "parallel_s");
-    ("census_speedup", "speedup");
-    ("census_sites_per_s", "sites_per_s");
-    ("census_flight_overhead_frac", "flight_ovh");
-    ("census_provenance_overhead_frac", "prov_ovh");
-    ("census_trace_overhead_frac", "trace_ovh");
-    ("pool_queue_wait_p99_us", "wait_p99_us");
-    ("pool_steal_frac", "steal_frac");
-    ("pool_busy_frac_mean", "busy_frac");
-    ("runtest_s", "runtest_s");
-    ("bench_total_s", "total_s");
-  ]
-
-let history () =
-  let files =
-    Sys.readdir "." |> Array.to_list
-    |> List.filter (fun f ->
-           String.length f > 6
-           && String.sub f 0 6 = "BENCH_"
-           && Filename.check_suffix f ".json")
-    |> List.sort compare
-  in
-  if files = [] then begin
-    pf "no BENCH_*.json ledgers found in %s\n" (Sys.getcwd ());
-    0
-  end
-  else begin
-    pf "%-24s" "ledger";
-    List.iter (fun (_, label) -> pf " %12s" label) history_columns;
-    pf "\n";
-    List.iter
-      (fun file ->
-        match read_json_file file with
-        | json ->
-          pf "%-24s" (Filename.remove_extension file);
-          List.iter
-            (fun (key, _) ->
-              match Option.bind (Obs.Json.member key json) Obs.Json.to_float with
-              | Some v -> pf " %12.4g" v
-              | None -> pf " %12s" "-")
-            history_columns;
-          pf "\n"
-        | exception Obs.Json.Parse_error msg -> pf "%-24s (unreadable: %s)\n" file msg)
-      files;
-    pf "(%d ledger%s; campaign dashboards sparkline the same files)\n" (List.length files)
-      (if List.length files = 1 then "" else "s");
-    0
-  end
 
 let sparkline values =
   let blocks = [| " "; "\xe2\x96\x81"; "\xe2\x96\x82"; "\xe2\x96\x83"; "\xe2\x96\x84";
@@ -219,18 +55,12 @@ let trace_sparkline ?proto ?noise ~profile ~seed name =
   let prepared = Nebby.Measurement.prepare_result ~profile result in
   sparkline prepared.Nebby.Pipeline.smoothed
 
-(* total wall seconds recorded so far under span [name] (0 if never run) *)
-let span_total name =
-  match Obs.Histogram.find ("span." ^ name) with
-  | Some h -> Obs.Histogram.sum h
-  | None -> 0.0
-
 let control =
   lazy
     (pf "[training the classifier (control measurements, both transports) ...]\n%!";
-     let before = span_total "train" in
+     let before = Unix.gettimeofday () in
      let c = Nebby.Training.train ?runs_per_cca:!training_runs ~seed:!seed () in
-     pf "[trained in %.1f s]\n\n%!" (span_total "train" -. before);
+     pf "[trained in %.1f s]\n\n%!" (Unix.gettimeofday () -. before);
      c)
 
 let header id title =
@@ -885,405 +715,138 @@ let chaos () =
   pf " typed unknown with a reason chain - the harness never raises]\n"
 
 (* ------------------------------------------------------------------ *)
-(* Engine: multicore census — serial vs parallel                      *)
+(* Overhead: the CPU-time cost of each instrument, in paired runs     *)
 (* ------------------------------------------------------------------ *)
 
-let engine () =
-  header "Engine" "multicore census: serial vs parallel wall-clock";
+(* [paired ~pairs ~off ~on] runs [off i] and [on i] back to back for
+   each pair [i] below [pairs], alternating which side runs first, and
+   returns each side's total CPU seconds and the median of the per-pair
+   overheads [on / off - 1]. A pair is small (one site), so its two runs
+   share the host's momentary speed. On a shared 2-vCPU host the CPU time
+   of identical work drifts by up to 30% over seconds: pairs of whole
+   16-site censuses put pool tracing, which is nearly free, anywhere from
+   -9% to +14%, where per-site pairs stay within about 1%. The median
+   discards the pairs an interference burst split, and alternating the
+   order cancels warm-up and heap-drift bias. CPU time, not wall clock:
+   every run is serial. *)
+type paired = { off_s : float; on_s : float; frac : float }
+
+let paired ~pairs ~off ~on =
+  let cpu f i =
+    let t0 = Sys.time () in
+    f i;
+    Sys.time () -. t0
+  in
+  let runs =
+    List.init pairs (fun i ->
+        if i mod 2 = 0 then
+          let o = cpu off i in
+          (o, cpu on i)
+        else
+          let n = cpu on i in
+          (cpu off i, n))
+  in
+  let sum = List.fold_left ( +. ) 0.0 in
+  let ratios = List.map (fun (o, n) -> (n -. o) /. Float.max 1e-9 o) runs in
+  {
+    off_s = sum (List.map fst runs);
+    on_s = sum (List.map snd runs);
+    frac = List.nth (List.sort Float.compare ratios) (pairs / 2);
+  }
+
+(* Sizes and pair count are fixed, not taken from --sites, so that each
+   fraction's spread stays calibrated (EXPERIMENTS.md records it): pair
+   [i] runs site [i / 2 mod overhead_sites], so every site runs once in
+   each order per round. *)
+let overhead_sites = 16
+let overhead_pairs = 10 * overhead_sites
+
+let overhead () =
+  header "Overhead" "paired CPU-time cost of each instrument (serial runs)";
   let control = Lazy.force control in
   let region = Internet.Region.Ohio and proto = Netsim.Packet.Tcp in
-  let websites = Internet.Population.generate ~n:!sites ~seed:!seed () in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
+  let websites =
+    Array.of_list (Internet.Population.generate ~n:overhead_sites ~seed:!seed ())
   in
-  let serial, serial_s =
-    time (fun () -> Internet.Census.run ~jobs:1 ~control ~proto ~region websites)
+  let site i = i / 2 mod overhead_sites in
+  let labels i =
+    ignore (Internet.Census.labels ~jobs:1 ~control ~proto ~region [ websites.(site i) ])
   in
-  let jobs = 4 in
-  let parallel, parallel_s =
-    time (fun () -> Internet.Census.run ~jobs ~control ~proto ~region websites)
+  let explained i =
+    ignore (Internet.Census.explained ~jobs:1 ~control ~proto ~region [ websites.(site i) ])
   in
-  let cores = Domain.recommended_domain_count () in
-  let speedup = serial_s /. Float.max 1e-9 parallel_s in
-  pf "census over %d sites (%s, %s vantage), %d core(s) available:\n" !sites "tcp"
-    (Internet.Region.name region) cores;
-  pf "  serial   (jobs=1): %7.2f s\n" serial_s;
-  pf "  parallel (jobs=%d): %7.2f s  -> speedup %.2fx\n" jobs parallel_s speedup;
-  if serial <> parallel then failwith "engine: parallel census diverged from serial";
-  pf "  tallies bit-identical across worker counts: yes\n";
-  (* decision-provenance overhead: the same census with verdict-report
-     construction on. Both runs go through the per-stage profiler (worker
-     profiles are merged into the caller's at join) so the comparison is
-     symmetric and the wall clocks carry identical instrumentation. *)
-  let (labels_only, _), labels_s =
-    time (fun () ->
-        Obs.Prof.record (fun () ->
-            Internet.Census.labels ~jobs ~control ~proto ~region websites))
-  in
-  let (explained, explained_profile), explained_s =
-    time (fun () ->
-        Obs.Prof.record (fun () ->
-            Internet.Census.explained ~jobs ~control ~proto ~region websites))
-  in
+  (* one warm-up of each side, which must also agree on every label *)
+  let all = Array.to_list websites in
   if
-    List.map (fun (s, l) -> (s.Internet.Website.name, l)) labels_only
+    List.map (fun (s, l) -> (s.Internet.Website.name, l))
+      (Internet.Census.labels ~jobs:1 ~control ~proto ~region all)
     <> List.map
          (fun (s, r) -> (s.Internet.Website.name, r.Nebby.Measurement.label))
-         explained
-  then failwith "engine: explained census diverged from the label-only census";
-  let overhead = (explained_s -. labels_s) /. Float.max 1e-9 labels_s in
-  pf "  provenance: labels-only %.2f s -> explained %.2f s (overhead %+.1f%%)\n" labels_s
-    explained_s (100.0 *. overhead);
-  pf "%s" (Obs.Prof.render explained_profile);
-  (* flight-recorder overhead: the label-only census with the recorder
-     off vs on (its always-on default), min of two runs each side to
-     shave scheduler noise. Serial on purpose: on a single-core host a
-     multi-domain run is dominated by scheduler jitter, which would
-     drown the recorder's cost. The design budget is <3%; tools/check.sh
-     gates the recorded fraction at 5%. *)
-  let labels_run () =
-    ignore (Internet.Census.labels ~jobs:1 ~control ~proto ~region websites)
+         (Internet.Census.explained ~jobs:1 ~control ~proto ~region all)
+  then failwith "overhead: explained census diverged from the label-only census";
+  let measure name ~off ~on =
+    let r = paired ~pairs:overhead_pairs ~off ~on in
+    pf "  %-16s off %6.2f s -> on %6.2f s  (median overhead %+.1f%%)\n" name r.off_s r.on_s
+      (100.0 *. r.frac);
+    r
   in
-  (* Seven back-to-back off/on pairs with alternating order; the
-     recorded overhead is the *median of the per-pair ratios*. The two
-     runs of a pair share the host's momentary conditions, so each
-     ratio is an apples-to-apples comparison even when the host slows
-     down 2x between pairs; the median then discards the pairs that an
-     interference burst split down the middle, and alternating order
-     cancels heap-drift bias. CPU time, not wall clock: the run is
-     serial and single-threaded, and on a shared host scheduler
-     preemption swings wall clock by far more than the recorder's own
-     cost. *)
-  let cpu_time f =
-    let t0 = Sys.time () in
-    f ();
-    Sys.time () -. t0
-  in
-  labels_run ();
-  let timed enabled =
-    Obs.Flight.set_enabled enabled;
-    cpu_time labels_run
-  in
-  let pairs =
-    List.init 7 (fun pair ->
-        if pair mod 2 = 0 then
-          let off = timed false in
-          let on = timed true in
-          (off, on)
-        else
-          let on = timed true in
-          let off = timed false in
-          (off, on))
+  pf "%d per-site off/on pairs over a %d-site census (CPU seconds summed per side):\n"
+    overhead_pairs overhead_sites;
+  (* the flight recorder is on by default; off is the bare census *)
+  let flight =
+    measure "flight recorder"
+      ~off:(fun i ->
+        Obs.Flight.set_enabled false;
+        labels i)
+      ~on:(fun i ->
+        Obs.Flight.set_enabled true;
+        labels i)
   in
   Obs.Flight.set_enabled true;
-  let median xs =
-    let sorted = List.sort compare xs in
-    List.nth sorted (List.length sorted / 2)
+  let trace =
+    measure "pool tracing" ~off:labels ~on:(fun i ->
+        Obs.Pooltrace.set_enabled true;
+        labels i;
+        Obs.Pooltrace.set_enabled false;
+        ignore (Obs.Pooltrace.drain ()))
   in
-  let flight_off_s = median (List.map fst pairs) in
-  let flight_on_s = median (List.map snd pairs) in
-  let flight_overhead =
-    median (List.map (fun (off, on) -> (on -. off) /. Float.max 1e-9 off) pairs)
-  in
-  pf "  flight recorder: off %.2f s -> on %.2f s (overhead %+.1f%%)\n" flight_off_s
-    flight_on_s (100.0 *. flight_overhead);
-  record_json_f "census_labels_s" labels_s;
-  record_json_f "census_explained_s" explained_s;
-  record_json_f "census_provenance_overhead_frac" overhead;
-  record_json "census_sites" (string_of_int !sites);
-  record_json "cores" (string_of_int cores);
-  record_json "jobs" (string_of_int jobs);
-  record_json_f "census_serial_s" serial_s;
-  (* On a single-core host the parallel run measures only domain
-     bookkeeping, so its wall clock and the speedup are noise: record
-     null for both (the baseline gate's float lookup skips them — the
-     gate is skipped *explicitly*, not tripped by a phantom slowdown),
-     keep the jobs=1 measurement, and derive the throughput floor from
-     the serial path instead. *)
-  if cores < 2 then begin
-    record_json "census_parallel_s" "null";
-    record_json "census_parallel_note"
-      "\"single-core host: parallel wall clock is domain bookkeeping; gate skipped\"";
-    record_json_f "census_sites_per_s" (float_of_int !sites /. Float.max 1e-9 serial_s);
-    record_json "census_speedup" "null";
-    record_json "census_speedup_note" "\"single-core host: speedup not meaningful\""
-  end
-  else begin
-    record_json_f "census_parallel_s" parallel_s;
-    (* the throughput the campaign gate floors: measured sites per wall
-       second on the parallel path *)
-    record_json_f "census_sites_per_s" (float_of_int !sites /. Float.max 1e-9 parallel_s);
-    record_json_f "census_speedup" speedup
-  end;
-  record_json_f "census_flight_off_s" flight_off_s;
-  record_json_f "census_flight_on_s" flight_on_s;
-  record_json_f "census_flight_overhead_frac" flight_overhead;
-  (* scheduler deep-dive: one traced parallel run for the pool metrics
-     (untimed — tracing must not perturb the wall clocks above), then
-     the tracing-overhead gate with the same paired-median method as
-     the flight recorder's. *)
-  Obs.Pooltrace.set_enabled true;
-  ignore (Internet.Census.run ~jobs ~control ~proto ~region websites);
-  Obs.Pooltrace.set_enabled false;
-  let trace = Obs.Pooltrace.drain () in
-  let psum = Obs.Pooltrace.summarize trace in
-  let wait_p99 = Obs.Histogram.quantile psum.Obs.Pooltrace.s_wait_us 0.99 in
-  let steal_frac =
-    float_of_int psum.Obs.Pooltrace.s_steals
-    /. float_of_int (max 1 psum.Obs.Pooltrace.s_tasks)
-  in
-  let busy = List.map (fun d -> d.Obs.Pooltrace.d_busy_frac) psum.Obs.Pooltrace.s_domains in
-  let busy_mean =
-    match busy with
-    | [] -> 0.0
-    | _ -> List.fold_left ( +. ) 0.0 busy /. float_of_int (List.length busy)
-  in
-  pf "  pool: %d tasks, %d steal(s) (%.1f%%), queue-wait p99 %.0f us, busy frac %s\n"
-    psum.Obs.Pooltrace.s_tasks psum.Obs.Pooltrace.s_steals (100.0 *. steal_frac)
-    (if Float.is_nan wait_p99 then 0.0 else wait_p99)
-    (String.concat "/" (List.map (Printf.sprintf "%.2f") busy));
-  let timed_trace enabled =
-    Obs.Pooltrace.set_enabled enabled;
-    let t = cpu_time labels_run in
-    Obs.Pooltrace.set_enabled false;
-    ignore (Obs.Pooltrace.drain ());
-    t
-  in
-  let trace_pairs =
-    List.init 7 (fun pair ->
-        if pair mod 2 = 0 then
-          let off = timed_trace false in
-          let on = timed_trace true in
-          (off, on)
-        else
-          let on = timed_trace true in
-          let off = timed_trace false in
-          (off, on))
-  in
-  let trace_off_s = median (List.map fst trace_pairs) in
-  let trace_on_s = median (List.map snd trace_pairs) in
-  let trace_overhead =
-    median (List.map (fun (off, on) -> (on -. off) /. Float.max 1e-9 off) trace_pairs)
-  in
-  pf "  pool tracing: off %.2f s -> on %.2f s (overhead %+.1f%%; budget 5%%)\n" trace_off_s
-    trace_on_s (100.0 *. trace_overhead);
-  record_json "pool_tasks" (string_of_int psum.Obs.Pooltrace.s_tasks);
-  record_json_f "pool_queue_wait_p99_us" (if Float.is_nan wait_p99 then 0.0 else wait_p99);
-  (* the conservative companion: the p99 bucket's upper bound (what the
-     interpolated estimate is guaranteed not to exceed) *)
-  let wait_p99_ub = Obs.Histogram.quantile_ub psum.Obs.Pooltrace.s_wait_us 0.99 in
-  record_json_f "pool_queue_wait_p99_us_ub"
-    (if Float.is_nan wait_p99_ub then 0.0 else wait_p99_ub);
-  record_json_f "pool_steal_frac" steal_frac;
-  record_json "pool_busy_frac"
-    (Printf.sprintf "[%s]" (String.concat ", " (List.map (Printf.sprintf "%.6f") busy)));
-  record_json_f "pool_busy_frac_mean" busy_mean;
-  record_json_f "census_trace_off_s" trace_off_s;
-  record_json_f "census_trace_on_s" trace_on_s;
-  record_json_f "census_trace_overhead_frac" trace_overhead;
-  pf "(speedup scales with physical cores; on a single-core host the parallel\n";
-  pf " run only pays the domain bookkeeping)\n"
-
-(* ------------------------------------------------------------------ *)
-(* Serve: continuous census — commit throughput, journal replay       *)
-(* ------------------------------------------------------------------ *)
-
-let serve () =
-  header "Serve" "continuous census: commit throughput, journal replay and compaction";
-  let control = Lazy.force control in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let store = Filename.temp_file "bench_serve" ".journal" in
-  let cfg =
-    {
-      Serve.Service.default_config with
-      sites = min !sites 16;
-      seed = !seed;
-      jobs = 4;
-      epochs = 1;
-    }
-  in
-  let summary, serve_s = time (fun () -> Serve.Service.run ~control ~config:cfg ~store) in
-  Sys.remove store;
-  let jobs_per_s =
-    float_of_int summary.Serve.Service.measured /. Float.max 1e-9 serve_s
-  in
-  pf "service epoch over %d sites (jobs=%d): %.2f s -> %.1f commits/s\n"
-    cfg.Serve.Service.sites cfg.Serve.Service.jobs serve_s jobs_per_s;
-  (* replay: reopening a large store is the cost a restarted service pays
-     before its first measurement, so it is a guarded ceiling *)
-  let replay_store = Filename.temp_file "bench_replay" ".journal" in
-  let j = Engine.Journal.open_ replay_store in
-  let records = 20_000 in
-  for i = 0 to records - 1 do
-    Engine.Journal.put j
-      ~key:(Printf.sprintf "e0|%05d:site-%05d.example|Ohio|tcp|0123456789abcdef" i i)
-      ~value:
-        "{\"label\":\"cubic\",\"confidence\":0.93,\"margin\":3.1,\"attempts\":1,\"failures\":[]}"
-  done;
-  Engine.Journal.close j;
-  let j, replay_s = time (fun () -> Engine.Journal.open_ replay_store) in
-  if Engine.Journal.length j <> records then failwith "serve: replay lost records";
-  let (), compact_s = time (fun () -> Engine.Journal.compact j) in
-  Engine.Journal.close j;
-  Sys.remove replay_store;
-  pf "journal replay of %d records: %.3f s; compaction: %.3f s\n" records replay_s
-    compact_s;
-  (* alert-engine overhead: the same small serve workload with the full
-     default rule set armed vs disarmed, alternating order, median of
-     per-pair CPU-time ratios (same method and rationale as the
-     flight-recorder gate). Drift-ledger folding runs in both arms —
-     it is unconditional — so this isolates exactly what --alerts
-     adds. Budget: 5%. *)
-  let cpu_time f =
-    let t0 = Sys.time () in
-    f ();
-    Sys.time () -. t0
-  in
-  let median xs =
-    let sorted = List.sort compare xs in
-    List.nth sorted (List.length sorted / 2)
-  in
-  let alert_run armed =
+  let provenance = measure "provenance" ~off:labels ~on:explained in
+  (* the alert engine rides serve's epoch loop: a one-site, two-epoch
+     serve per pair; drift-ledger folding runs in both arms (it is
+     unconditional), so this isolates what the default rule set adds *)
+  let serve rules i =
     let store = Filename.temp_file "bench_alert" ".journal" in
     Fun.protect
       ~finally:(fun () -> if Sys.file_exists store then Sys.remove store)
       (fun () ->
-        cpu_time (fun () ->
-            ignore
-              (Serve.Service.run ~control
-                 ~config:
-                   {
-                     cfg with
-                     Serve.Service.sites = min !sites 8;
-                     epochs = 2;
-                     alert_rules = (if armed then Serve.Alerts.default_rules else []);
-                   }
-                 ~store)))
+        ignore
+          (Serve.Service.run ~control
+             ~config:
+               {
+                 Serve.Service.default_config with
+                 sites = 1;
+                 seed = !seed + site i;
+                 jobs = 1;
+                 epochs = 2;
+                 alert_rules = rules;
+               }
+             ~store))
   in
-  let alert_pairs =
-    List.init 3 (fun pair ->
-        if pair mod 2 = 0 then
-          let off = alert_run false in
-          let on = alert_run true in
-          (off, on)
-        else
-          let on = alert_run true in
-          let off = alert_run false in
-          (off, on))
-  in
-  let alert_off_s = median (List.map fst alert_pairs) in
-  let alert_on_s = median (List.map snd alert_pairs) in
-  let alert_overhead =
-    median (List.map (fun (off, on) -> (on -. off) /. Float.max 1e-9 off) alert_pairs)
-  in
-  pf "alert engine: off %.2f s -> on %.2f s (overhead %+.1f%%; budget 5%%)\n" alert_off_s
-    alert_on_s (100.0 *. alert_overhead);
-  record_json "serve_sites" (string_of_int cfg.Serve.Service.sites);
-  record_json "serve_measured" (string_of_int summary.Serve.Service.measured);
-  record_json_f "serve_epoch_s" serve_s;
-  record_json_f "serve_jobs_per_s" jobs_per_s;
-  record_json_f "serve_alert_off_s" alert_off_s;
-  record_json_f "serve_alert_on_s" alert_on_s;
-  record_json_f "serve_alert_overhead_frac" alert_overhead;
-  record_json "journal_records" (string_of_int records);
-  record_json_f "journal_replay_s" replay_s;
-  record_json_f "journal_compact_s" compact_s
-
-(* ------------------------------------------------------------------ *)
-(* Adversarial search throughput (lib/search)                         *)
-(* ------------------------------------------------------------------ *)
-
-let fuzz () =
-  header "Fuzz" "coverage-guided adversarial search: evaluation throughput";
-  let control = Lazy.force control in
-  let config =
-    {
-      Search.Fuzzer.default_config with
-      Search.Fuzzer.budget = 32;
-      jobs = 4;
-      targets = [ "cubic"; "vegas"; "yeah" ];
-    }
-  in
-  let t0 = Unix.gettimeofday () in
-  let result = Search.Fuzzer.run ~control ~config ~seed:!seed () in
-  let fuzz_s = Unix.gettimeofday () -. t0 in
-  let total = result.Search.Fuzzer.evals + result.Search.Fuzzer.minimize_evals in
-  let evals_per_s = float_of_int total /. Float.max 1e-9 fuzz_s in
-  pf "%d evaluations (%d search + %d minimizing) in %.2f s -> %.1f evals/s\n"
-    total result.Search.Fuzzer.evals result.Search.Fuzzer.minimize_evals fuzz_s
-    evals_per_s;
-  pf "corpus %d novel signatures, %d counterexample class(es) minimized\n"
-    (List.length result.Search.Fuzzer.corpus)
-    (List.length result.Search.Fuzzer.findings);
-  record_json "fuzz_evals" (string_of_int total);
-  record_json_f "fuzz_s" fuzz_s;
-  record_json_f "fuzz_evals_per_s" evals_per_s;
-  record_json "fuzz_corpus" (string_of_int (List.length result.Search.Fuzzer.corpus));
-  record_json "fuzz_findings" (string_of_int (List.length result.Search.Fuzzer.findings))
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks (--perf)                                  *)
-(* ------------------------------------------------------------------ *)
-
-let perf () =
-  let open Bechamel in
-  let control = Lazy.force control in
-  let profile = Nebby.Profile.delay_50ms in
-  let result = Nebby.Testbed.run_cca ~profile ~seed:!seed "cubic" in
-  let bif = Nebby.Bif.estimate result.Nebby.Testbed.trace in
-  let prepared = Nebby.Pipeline.prepare ~rtt:(Nebby.Profile.rtt profile) bif in
-  let plugins = Nebby.Classifier.extended_plugins control in
-  let signal = Array.init 2048 (fun i -> sin (float_of_int i /. 10.0)) in
-  let tests =
-    Test.make_grouped ~name:"nebby"
-      [
-        Test.make ~name:"table3_measure_one_trace"
-          (Staged.stage (fun () ->
-               ignore (Nebby.Testbed.run_cca ~profile ~seed:!seed ~page_bytes:100_000 "cubic")));
-        Test.make ~name:"table4_bif_estimate"
-          (Staged.stage (fun () -> ignore (Nebby.Bif.estimate result.Nebby.Testbed.trace)));
-        Test.make ~name:"fig4_pipeline_prepare"
-          (Staged.stage (fun () ->
-               ignore (Nebby.Pipeline.prepare ~rtt:(Nebby.Profile.rtt profile) bif)));
-        Test.make ~name:"table2_feature_extraction"
-          (Staged.stage (fun () ->
-               ignore
-                 (List.filter_map Nebby.Features.of_segment prepared.Nebby.Pipeline.segments)));
-        Test.make ~name:"table3_classify"
-          (Staged.stage (fun () ->
-               ignore
-                 (Nebby.Classifier.classify_measurement ~plugins ~control
-                    [ (profile.Nebby.Profile.name, prepared) ])));
-        Test.make ~name:"fig7_fft_lowpass"
-          (Staged.stage (fun () -> ignore (Sigproc.Fft.lowpass ~dt:0.02 ~cutoff:8.0 signal)));
-      ]
-  in
-  let benchmark () =
-    let quota = Time.second 0.5 in
-    let cfg = Benchmark.cfg ~limit:2000 ~quota ~kde:(Some 1000) () in
-    Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] tests
-  in
-  let raw_results = benchmark () in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw_results
-  in
-  pf "\nmicrobenchmarks (ns per run, OLS over the monotonic clock):\n";
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some (est :: _) -> pf "  %-32s %12.1f ns\n" name est
-      | Some [] | None -> pf "  %-32s (no estimate)\n" name)
-    results
-
-(* ------------------------------------------------------------------ *)
+  let alerts = measure "alert engine" ~off:(serve []) ~on:(serve Serve.Alerts.default_rules) in
+  (* census throughput, from the untraced serial runs timed above *)
+  let sites_per_s = float_of_int overhead_pairs /. Float.max 1e-9 trace.off_s in
+  pf "census throughput (serial, untraced): %.1f sites/s\n" sites_per_s;
+  Option.iter
+    (fun path ->
+      write_json path
+        [
+          ("census_flight_overhead_frac", flight.frac);
+          ("census_trace_overhead_frac", trace.frac);
+          ("census_provenance_overhead_frac", provenance.frac);
+          ("serve_alert_overhead_frac", alerts.frac);
+          ("census_sites_per_s", sites_per_s);
+        ])
+    !json_out
 
 let experiments =
   [
@@ -1309,16 +872,12 @@ let experiments =
     ("table11", table11);
     ("ablation", ablation);
     ("chaos", chaos);
-    ("engine", engine);
-    ("serve", serve);
-    ("fuzz", fuzz);
+    ("overhead", overhead);
   ]
 
 let order = List.mapi (fun i (name, _) -> (name, i)) experiments
 
 let () =
-  (* arm the obs runtime so spans/metrics record for the per-stage breakdown *)
-  Obs.Runtime.arm ();
   let args = List.tl (Array.to_list Sys.argv) in
   let rec parse selected = function
     | [] -> List.rev selected
@@ -1337,9 +896,6 @@ let () =
     | "--seed-list" :: s :: rest ->
       seed_list := Some (List.map int_of_string (String.split_on_char ',' s));
       parse selected rest
-    | "--history" :: rest ->
-      history_mode := true;
-      parse selected rest
     | "--full" :: rest ->
       sites := 20_000;
       trials := 100;
@@ -1350,85 +906,49 @@ let () =
     | "--json" :: f :: rest ->
       json_out := Some f;
       parse selected rest
-    | "--runtest-s" :: x :: rest ->
-      runtest_s := Some (float_of_string x);
-      parse selected rest
-    | "--baseline" :: rest ->
-      baseline_mode := true;
-      parse selected rest
-    | "--tolerance" :: x :: rest ->
-      tolerance := float_of_string x;
-      parse selected rest
-    | "--baseline-file" :: f :: rest ->
-      baseline_file := f;
-      parse selected rest
     | name :: rest -> parse (name :: selected) rest
   in
   let selected = parse [] args in
-  if !history_mode then exit (history ())
-  else if List.mem "--perf" selected then perf ()
-  else begin
-    let seeds =
-      match
-        Obs.Campaign.resolve_seeds ?count:!seeds_count ?seed_list:!seed_list ~base:!seed ()
-      with
-      | Ok seeds -> seeds
-      | Error msg ->
-        Printf.eprintf "bench: %s\n" msg;
-        exit 2
-    in
-    (* a ledger holds one run's metrics; a multi-seed sweep would overwrite
-       itself, so refuse rather than silently keep the last seed *)
-    if List.length seeds > 1 && (!json_out <> None || !baseline_mode) then begin
-      Printf.eprintf
-        "bench: --seeds/--seed-list with more than one seed cannot write a single \
-         --json/--baseline ledger; run one seed per ledger\n";
+  let seeds =
+    match
+      Obs.Campaign.resolve_seeds ?count:!seeds_count ?seed_list:!seed_list ~base:!seed ()
+    with
+    | Ok seeds -> seeds
+    | Error msg ->
+      Printf.eprintf "bench: %s\n" msg;
       exit 2
-    end;
-    let chosen = List.filter (fun s -> s <> "--perf") selected in
-    let to_run =
-      if chosen = [] then experiments
-      else
-        List.filter_map
-          (fun name ->
-            match List.assoc_opt name experiments with
-            | Some f -> Some (name, f)
-            | None ->
-              pf "unknown experiment %s (available: %s)\n" name
-                (String.concat " " (List.map fst experiments));
-              None)
-          chosen
-    in
-    let to_run =
-      List.sort_uniq
-        (fun (a, _) (b, _) -> compare (List.assoc a order) (List.assoc b order))
-        to_run
-    in
-    Obs.Span.with_ ~name:"bench" (fun () ->
-        List.iter
-          (fun s ->
-            seed := s;
-            if List.length seeds > 1 then pf "\n=== seed %d ===\n" s;
-            List.iter (fun (_, f) -> f ()) to_run)
-          seeds);
-    pf "\nper-stage time breakdown (obs spans):\n";
-    pf "  %-10s %8s %10s %10s %10s %10s\n" "stage" "calls" "total(s)" "p50(s)" "p90(s)" "p99(s)";
-    List.iter
-      (fun stage ->
-        match Obs.Histogram.find ("span." ^ stage) with
-        | None -> pf "  %-10s %8s %10s %10s %10s %10s\n" stage "-" "-" "-" "-" "-"
-        | Some h ->
-          let p q = Obs.Histogram.quantile h q in
-          pf "  %-10s %8d %10.2f %10.4f %10.4f %10.4f\n" stage (Obs.Histogram.count h)
-            (Obs.Histogram.sum h) (p 0.50) (p 0.90) (p 0.99))
-      [ "train"; "simulate"; "prepare"; "classify" ];
-    pf "\n[all experiments done in %.0f s]\n" (span_total "bench");
-    record_json_f "bench_total_s" (span_total "bench");
-    Option.iter write_json !json_out;
-    if !baseline_mode then begin
-      let current = Printf.sprintf "BENCH_%s.json" (date_stamp ()) in
-      write_json current;
-      pf "\n[baseline gate: %s vs %s]\n" current !baseline_file;
-      exit (check_baseline current)
-    end
-  end
+  in
+  (* the JSON holds one run's numbers; a multi-seed sweep would overwrite
+     it, so refuse rather than silently keep the last seed *)
+  if List.length seeds > 1 && !json_out <> None then begin
+    Printf.eprintf
+      "bench: --seeds/--seed-list with more than one seed cannot write a single --json \
+       file; run one seed per file\n";
+    exit 2
+  end;
+  let to_run =
+    if selected = [] then experiments
+    else
+      List.filter_map
+        (fun name ->
+          match List.assoc_opt name experiments with
+          | Some f -> Some (name, f)
+          | None ->
+            pf "unknown experiment %s (available: %s)\n" name
+              (String.concat " " (List.map fst experiments));
+            None)
+        selected
+  in
+  let to_run =
+    List.sort_uniq
+      (fun (a, _) (b, _) -> compare (List.assoc a order) (List.assoc b order))
+      to_run
+  in
+  let t0 = Unix.gettimeofday () in
+  List.iter
+    (fun s ->
+      seed := s;
+      if List.length seeds > 1 then pf "\n=== seed %d ===\n" s;
+      List.iter (fun (_, f) -> f ()) to_run)
+    seeds;
+  pf "\n[all experiments done in %.0f s]\n" (Unix.gettimeofday () -. t0)

@@ -1094,9 +1094,11 @@ let campaign_cmd =
   in
   let bench_json_arg =
     let doc =
-      "Bench ledger (bench --json output) feeding the wall-clock gates — census \
-       throughput floor and flight/provenance overhead ceilings. Without it those gates \
-       are skipped, keeping the campaign outputs free of this host's wall clock."
+      "Overhead ledger (the JSON of $(b,bench/main.exe overhead --json)) feeding the \
+       wall-clock gates — census throughput floor and flight/provenance overhead \
+       ceilings. Read before any seed runs, so a missing or malformed file exits 2 at \
+       once. Without it those gates are skipped, keeping the campaign outputs free of \
+       this host's wall clock."
     in
     Arg.(value & opt (some string) None & info [ "bench-json" ] ~docv:"FILE" ~doc)
   in
@@ -1130,70 +1132,15 @@ let campaign_cmd =
     let doc = "Override the CI-width ceiling gate on the overall accuracy." in
     Arg.(value & opt (some float) None & info [ "ci-width-ceiling" ] ~docv:"X" ~doc)
   in
-  (* every numeric field of a bench ledger becomes a gate extra; the
-     derived census_sites_per_s throughput joins them when the ledger
-     predates the bench recording it directly *)
+  (* every numeric field of a bench ledger becomes a gate extra; a ledger
+     that is not a JSON object is as malformed as one that does not parse *)
   let bench_extras path =
-    let j = Obs.Json.of_string (In_channel.with_open_bin path In_channel.input_all) in
-    let fields =
-      match j with
-      | Obs.Json.Obj kvs ->
-        List.filter_map
-          (fun (k, v) -> Option.map (fun x -> (k, x)) (Obs.Json.to_float v))
-          kvs
-      | _ -> []
-    in
-    if List.mem_assoc "census_sites_per_s" fields then fields
-    else
-      match
-        (List.assoc_opt "census_sites" fields, List.assoc_opt "census_parallel_s" fields)
-      with
-      | Some sites, Some secs when secs > 0.0 ->
-        fields @ [ ("census_sites_per_s", sites /. secs) ]
-      | _ -> fields
-  in
-  (* sparkline history: every committed BENCH_*.json in the working
-     directory, in name order (BENCH_baseline.json, then dated ledgers).
-     Ledgers are heterogeneous across schema generations: a metric
-     missing from (or null in) some BENCH_*.json simply contributes no
-     point there, and a metric absent everywhere gets no sparkline at
-     all — unknown keys in old or new ledgers are never an error. *)
-  let trend_metrics =
-    [
-      "census_parallel_s"; "census_flight_overhead_frac"; "census_provenance_overhead_frac";
-      "census_trace_overhead_frac"; "pool_queue_wait_p99_us"; "pool_steal_frac";
-      "pool_busy_frac_mean"; "serve_alert_overhead_frac";
-    ]
-  in
-  let trend_series () =
-    let files =
-      Sys.readdir "." |> Array.to_list
-      |> List.filter (fun f ->
-             String.length f > 6
-             && String.sub f 0 6 = "BENCH_"
-             && Filename.check_suffix f ".json")
-      |> List.sort compare
-    in
-    let ledgers =
-      List.filter_map
-        (fun f ->
-          match Obs.Json.of_string (In_channel.with_open_bin f In_channel.input_all) with
-          | j -> Some (f, j)
-          | exception _ -> None)
-        files
-    in
-    List.filter_map
-      (fun metric ->
-        let pts =
-          List.filter_map
-            (fun (f, j) ->
-              Option.map
-                (fun v -> (Filename.remove_extension f, v))
-                (Option.bind (Obs.Json.member metric j) Obs.Json.to_float))
-            ledgers
-        in
-        if pts = [] then None else Some (metric, pts))
-      trend_metrics
+    let fail msg = raise (Obs.Json.Parse_error (path ^ ": " ^ msg)) in
+    match Obs.Json.of_string (In_channel.with_open_bin path In_channel.input_all) with
+    | Obs.Json.Obj kvs ->
+      List.filter_map (fun (k, v) -> Option.map (fun x -> (k, x)) (Obs.Json.to_float v)) kvs
+    | _ -> fail "not a JSON object"
+    | exception Obs.Json.Parse_error msg -> fail msg
   in
   let override_gates ~accuracy_floor ~ci_ceiling gates =
     List.map
@@ -1231,9 +1178,8 @@ let campaign_cmd =
       in
       (Internet.Campaign_runner.experiment_name experiment, stored)
     in
-    let report (experiment_tag, seed_runs) =
+    let report ~extra (experiment_tag, seed_runs) =
       let summary = Obs.Campaign.aggregate ~experiment:experiment_tag seed_runs in
-      let extra = Option.fold ~none:[] ~some:bench_extras bench_json in
       let gates =
         if no_gates then []
         else
@@ -1259,8 +1205,7 @@ let campaign_cmd =
           drift_store
       in
       write_file html_path
-        (Obs.Render.campaign_dashboard ?pool ?drift ~trend:(trend_series ())
-           ~gates:results ~summary ());
+        (Obs.Render.campaign_dashboard ?pool ?drift ~gates:results ~summary ());
       print_string (Obs.Campaign.render ~gates:results summary);
       (match from with
       | None -> Printf.printf "\nstore     : %s\n" out
@@ -1283,12 +1228,14 @@ let campaign_cmd =
       end
     in
     or_exit_2 "campaign" (fun () ->
+      (* the ledger is read before any seed runs: a bad one exits 2 at once *)
+      let extra = Option.fold ~none:[] ~some:bench_extras bench_json in
       match (from, Internet.Campaign_runner.experiment_of_name experiment) with
       | None, Error msg ->
         Printf.eprintf "nebby campaign: %s\n" msg;
         exit_usage
-      | Some store, _ -> report (aggregate store)
-      | None, Ok experiment -> report (measure experiment))
+      | Some store, _ -> report ~extra (aggregate store)
+      | None, Ok experiment -> report ~extra (measure experiment))
   in
   let doc =
     "Fan an experiment across many seeds, aggregate per-cell statistics (mean, stddev, \

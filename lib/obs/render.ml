@@ -467,78 +467,6 @@ let hbar_svg ~whisker ~vmax_floor entries =
   Buffer.add_string buf "</svg>\n";
   Buffer.contents buf
 
-(* One sparkline per trend metric: the metric's value across committed
-   bench ledgers / prior campaign summaries, oldest first. *)
-let sparkline_svg points =
-  let pts = List.filter (fun (_, v) -> Float.is_finite v) points in
-  let n = List.length pts in
-  let h = 64.0 in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "<svg viewBox=\"0 0 %s %s\" width=\"%s\" height=\"%s\" \
-        xmlns=\"http://www.w3.org/2000/svg\">\n"
-       (coord cw) (coord h) (coord cw) (coord h));
-  (if n = 0 then
-     Buffer.add_string buf
-       (Printf.sprintf
-          "<text x=\"%s\" y=\"32\" font-size=\"10\" fill=\"%s\">no finite data \
-           points</text>\n"
-          (coord ml) c_axis)
-   else begin
-     let vs = List.map snd pts in
-     let vmin = List.fold_left Float.min infinity vs in
-     let vmax = List.fold_left Float.max neg_infinity vs in
-     let span = Float.max 1e-9 (vmax -. vmin) in
-     let x1 = cw -. mr -. 70.0 in
-     let xi i =
-       if n = 1 then (ml +. x1) /. 2.0
-       else ml +. (float_of_int i /. float_of_int (n - 1) *. (x1 -. ml))
-     in
-     let yv v = 8.0 +. ((1.0 -. ((v -. vmin) /. span)) *. (h -. 28.0)) in
-     (if n = 1 then
-        let _, v = List.hd pts in
-        Buffer.add_string buf
-          (Printf.sprintf "<circle cx=\"%s\" cy=\"%s\" r=\"2.5\" fill=\"%s\"/>\n"
-             (coord (xi 0)) (coord (yv v)) c_bif)
-      else begin
-        Buffer.add_string buf
-          (Printf.sprintf
-             "<polyline fill=\"none\" stroke=\"%s\" stroke-width=\"1.2\" points=\"" c_bif);
-        List.iteri
-          (fun i (_, v) ->
-            if i > 0 then Buffer.add_char buf ' ';
-            Buffer.add_string buf (coord (xi i));
-            Buffer.add_char buf ',';
-            Buffer.add_string buf (coord (yv v)))
-          pts;
-        Buffer.add_string buf "\"/>\n"
-      end);
-     let first_label, _ = List.hd pts in
-     let last_label, last_v = List.nth pts (n - 1) in
-     Buffer.add_string buf
-       (Printf.sprintf "<circle cx=\"%s\" cy=\"%s\" r=\"2.5\" fill=\"%s\"/>\n"
-          (coord (xi (n - 1))) (coord (yv last_v)) c_drop);
-     Buffer.add_string buf
-       (Printf.sprintf
-          "<text x=\"%s\" y=\"%s\" font-size=\"10\" fill=\"%s\">%s</text>\n"
-          (coord (x1 +. 6.0))
-          (coord (yv last_v +. 4.0))
-          c_axis (esc (fnum last_v)));
-     Buffer.add_string buf
-       (Printf.sprintf
-          "<text x=\"%s\" y=\"%s\" font-size=\"9\" fill=\"%s\">%s</text>\n"
-          (coord ml) (coord (h -. 4.0)) c_axis (esc first_label));
-     if n > 1 then
-       Buffer.add_string buf
-         (Printf.sprintf
-            "<text x=\"%s\" y=\"%s\" font-size=\"9\" text-anchor=\"end\" \
-             fill=\"%s\">%s</text>\n"
-            (coord x1) (coord (h -. 4.0)) c_axis (esc last_label))
-   end);
-  Buffer.add_string buf "</svg>\n";
-  Buffer.contents buf
-
 (* pool scheduler views ---------------------------------------------------- *)
 
 (* Per-domain utilization timeline: one horizontal track per worker,
@@ -950,7 +878,7 @@ let drift_dashboard ?(historical = []) ?(alerts = []) ~ledger ~events () =
   Buffer.add_string buf "</body></html>\n";
   Buffer.contents buf
 
-let campaign_dashboard ?(trend = []) ?(gates = []) ?pool ?drift ~summary () =
+let campaign_dashboard ?(gates = []) ?pool ?drift ~summary () =
   let s : Campaign.summary = summary in
   let buf = Buffer.create 16384 in
   Buffer.add_string buf "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"/>\n";
@@ -1074,16 +1002,6 @@ let campaign_dashboard ?(trend = []) ?(gates = []) ?pool ?drift ~summary () =
   | Some (ledger, events) ->
     section buf "Deployment drift (serve store)";
     drift_section buf ~ledger ~events);
-  (match trend with
-  | [] -> ()
-  | trend ->
-    section buf "Trends across committed ledgers";
-    List.iter
-      (fun (metric, points) ->
-        Buffer.add_string buf
-          (Printf.sprintf "<p class=\"note\">%s</p>\n" (esc metric));
-        Buffer.add_string buf (sparkline_svg points))
-      trend);
   Buffer.add_string buf
     (Printf.sprintf
        "<p class=\"note\">campaign schema v%d &#183; generated by nebby campaign</p>\n"

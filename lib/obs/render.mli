@@ -57,7 +57,6 @@ val drift_dashboard :
     {!measurement_report}. *)
 
 val campaign_dashboard :
-  ?trend:(string * (string * float) list) list ->
   ?gates:Campaign.gate_result list ->
   ?pool:Pooltrace.t ->
   ?drift:Drift.ledger * Drift.event list ->
@@ -67,19 +66,15 @@ val campaign_dashboard :
 (** Render a {!Campaign.summary} to a self-contained HTML dashboard
     (inline SVG and CSS, no scripts): the pass-gate table, per-CCA
     accuracy bars with 95%-CI whiskers, confidence/margin distribution
-    bars with min–max whiskers, the expected-vs-got confusion tally, the
-    seed-outlier table (whose subjects replay with [nebby explain]), and
-    one sparkline per [trend] series (a metric's history across
-    committed bench ledgers and prior campaign summaries, oldest
-    first — series may cover different ledger subsets; ledgers missing
-    a metric are simply absent from its sparkline). When [pool] is
-    given, a scheduler-utilization section (see {!pool_report_html})
-    is embedded; its wall-clock contents are excluded from the
-    dashboard's determinism contract, so the CLI only passes it on
-    explicit request. When [drift] is given (a serve store's ledger
-    plus its detected events), the stacked share-over-epochs chart and
-    event table from {!drift_dashboard} are embedded as an extra
-    section.
+    bars with min–max whiskers, the expected-vs-got confusion tally and
+    the seed-outlier table (whose subjects replay with [nebby explain]).
+    When [pool] is given, a scheduler-utilization section (see
+    {!pool_report_html}) is embedded; its wall-clock contents are
+    excluded from the dashboard's determinism contract, so the CLI only
+    passes it on explicit request. When [drift] is given (a serve
+    store's ledger plus its detected events), the stacked
+    share-over-epochs chart and event table from {!drift_dashboard} are
+    embedded as an extra section.
 
     Degrades deterministically at the edges: an empty campaign (0
     seeds) renders a note instead of charts, single-seed cells draw

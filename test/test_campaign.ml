@@ -329,7 +329,7 @@ let test_render_non_finite_guard () =
   Alcotest.(check bool) "inf never reaches a coordinate" false
     (contains ~needle:"inf" (String.lowercase_ascii html))
 
-let test_render_gates_and_trend () =
+let test_render_gate_rows () =
   let s =
     Obs.Campaign.aggregate ~experiment:"accuracy"
       [ run ~seed:1 ~metrics:[ ("accuracy", 1.0) ] () ]
@@ -343,47 +343,15 @@ let test_render_gates_and_trend () =
         ]
       s
   in
-  let html =
-    Obs.Render.campaign_dashboard
-      ~trend:
-        [
-          ("census_parallel_s", [ ("BENCH_a", 2.0); ("BENCH_b", 1.5) ]);
-          ("lonely", [ ("BENCH_a", 1.0) ]);
-        ]
-      ~gates:results ~summary:s ()
-  in
+  let html = Obs.Render.campaign_dashboard ~gates:results ~summary:s () in
   Alcotest.(check bool) "PASS row rendered" true (contains ~needle:">PASS<" html);
-  Alcotest.(check bool) "SKIP row rendered" true (contains ~needle:">SKIP<" html);
-  Alcotest.(check bool) "trend polyline for 2+ points" true
-    (contains ~needle:"<polyline" html);
-  Alcotest.(check bool) "single trend point degrades to a dot" true
-    (contains ~needle:"<circle" html)
+  Alcotest.(check bool) "SKIP row rendered" true (contains ~needle:">SKIP<" html)
 
-let test_render_heterogeneous_trend_and_pool () =
+let test_render_pool_section () =
   let s =
     Obs.Campaign.aggregate ~experiment:"accuracy"
       [ run ~seed:1 ~metrics:[ ("accuracy", 1.0) ] () ]
   in
-  (* ledgers from different schema generations: series cover disjoint
-     ledger subsets, a never-before-seen metric name rides along, and
-     one series is empty-by-filtering upstream (never passed). All must
-     render without error. *)
-  let html =
-    Obs.Render.campaign_dashboard
-      ~trend:
-        [
-          ("census_parallel_s", [ ("BENCH_old", 2.0) ]);
-          ("pool_queue_wait_p99_us", [ ("BENCH_new", 140.0); ("BENCH_newer", 120.0) ]);
-          ("some_future_metric", [ ("BENCH_newer", 1.0) ]);
-        ]
-      ~summary:s ()
-  in
-  Alcotest.(check bool) "old-only series renders" true
-    (contains ~needle:"census_parallel_s" html);
-  Alcotest.(check bool) "new pool series renders" true
-    (contains ~needle:"pool_queue_wait_p99_us" html);
-  Alcotest.(check bool) "unknown metric name renders untranslated" true
-    (contains ~needle:"some_future_metric" html);
   (* the pool section embeds when a trace is supplied, and an empty
      trace degrades to a note *)
   Obs.Pooltrace.set_enabled true;
@@ -522,9 +490,8 @@ let suite =
     Alcotest.test_case "render: single-seed whiskers" `Quick
       test_render_single_seed_no_whiskers;
     Alcotest.test_case "render: non-finite guard" `Quick test_render_non_finite_guard;
-    Alcotest.test_case "render: gates and trend" `Quick test_render_gates_and_trend;
-    Alcotest.test_case "render: heterogeneous ledgers and pool section" `Quick
-      test_render_heterogeneous_trend_and_pool;
+    Alcotest.test_case "render: gate rows" `Quick test_render_gate_rows;
+    Alcotest.test_case "render: pool section" `Quick test_render_pool_section;
     Alcotest.test_case "map_stream emits in order" `Quick test_map_stream_order;
     Alcotest.test_case "map_stream skips errored" `Quick test_map_stream_error_skips_emit;
     Alcotest.test_case "runner jobs-determinism" `Slow test_runner_deterministic_across_jobs;

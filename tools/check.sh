@@ -1,14 +1,20 @@
 #!/bin/sh
 # Pre-PR gate: a warning-clean build of every target, then the full test
-# suite, then end-to-end gates through the CLI. Run from the repository
-# root before sending changes for review.
+# suite, then end-to-end gates through the CLI, then the perf gate. Run
+# from the repository root before sending changes for review.
+#
+# The perf gate compares a base tree against the working tree with
+# bench/perf. The base is HEAD when lib/, bin/ or bench/ has uncommitted
+# changes (the change under test is the working tree), else HEAD^ (the
+# change under test is the last commit). It is built in a git worktree
+# under the work directory, which the exit trap removes.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 cli=_build/default/bin/nebby_cli.exe
 work=$(mktemp -d)
-trap 'rm -rf "$work"' EXIT
+trap 'rm -rf "$work"; git worktree prune' EXIT
 
 fail() {
   echo "check.sh: $*" >&2
@@ -51,10 +57,10 @@ one_err_line() {
   fi
 }
 
-# frac_at_most KEY LIMIT: bench.json records KEY, at most LIMIT.
+# frac_at_most KEY LIMIT: the overhead ledger records KEY, at most LIMIT.
 frac_at_most() {
-  v=$(sed -n "s/.*\"$1\": \\([-0-9.eE+]*\\).*/\\1/p" bench.json)
-  [ -n "$v" ] || fail "bench.json is missing $1"
+  v=$(sed -n "s/.*\"$1\": \\([-0-9.eE+]*\\).*/\\1/p" "$work/overhead.json")
+  [ -n "$v" ] || fail "the overhead ledger is missing $1"
   awk -v o="$v" -v l="$2" 'BEGIN { exit !(o <= l) }' || fail "$1 ${v} exceeds the ceiling $2"
   echo "($1: ${v})"
 }
@@ -70,12 +76,7 @@ if [ -n "$out" ]; then
 fi
 
 echo "== dune runtest =="
-# Wall-clock of the whole suite is wired into the bench JSON below, so a
-# test-time regression is visible next to the census timings.
-runtest_start=$(date +%s)
 dune runtest
-runtest_s=$(( $(date +%s) - runtest_start ))
-echo "(test suite took ${runtest_s}s)"
 
 echo "== chaos smoke (fault injection: no crashes, deterministic) =="
 # A small seeded fault matrix, run twice: any uncaught exception fails via
@@ -92,7 +93,9 @@ echo "== telemetry parity gate (chaos smoke --telemetry: jobs=4 must match jobs=
 # so a recording is complete at any worker count: after dropping the
 # wall-time columns and the pool's own engine.pool.* rows, the span
 # name/count rows, the counter rows and the histogram name/count rows of
-# `nebby stats` must be identical.
+# `nebby stats` must be identical. `stats` lists spans by total wall
+# time, so the rows are compared sorted: two stages of similar cost can
+# swap places from one run to the next.
 telemetry_view() {
   "$cli" stats "$1" | awk '
     /^telemetry summary/ { next }
@@ -106,7 +109,7 @@ telemetry_view() {
 for jobs in 1 4; do
   run_ok "chaos smoke --telemetry --jobs $jobs" \
     "$cli" chaos $smoke --jobs "$jobs" --telemetry "$work/t$jobs.jsonl" >/dev/null
-  telemetry_view "$work/t$jobs.jsonl" >"$work/view$jobs.txt"
+  telemetry_view "$work/t$jobs.jsonl" | sort >"$work/view$jobs.txt"
 done
 grep -q '^spans simulate ' "$work/view4.txt" ||
   fail "the jobs=4 telemetry recording has no simulate spans"
@@ -135,6 +138,14 @@ exits_2 "serve --batch 0" "$cli" serve --batch 0 --store "$work/batch0.journal"
 exits_2 "measure --max-attempts 0" "$cli" measure --max-attempts 0
 exits_2 "fuzz --corpus /dev/full" "$cli" fuzz --budget 4 --target cubic --training-runs 2 \
   --corpus /dev/full --out "$work/fuzz-full"
+# the overhead ledger is read before any seed is measured
+printf '{"census_sites_per_s":' >"$work/truncated.json"
+for ledger in missing truncated; do
+  exits_2 "campaign --bench-json ($ledger file)" "$cli" campaign --seeds 1 --training-runs 3 \
+    --bench-json "$work/$ledger.json" --out "$work/$ledger-runs.jsonl" \
+    --summary "$work/$ledger-sum.json" --html "$work/$ledger-dash.html"
+  one_err_line "campaign --bench-json ($ledger file)"
+done
 
 echo "== census par-smoke (jobs=4 must match jobs=1 exactly) =="
 # The engine's determinism contract, end to end through the CLI: a
@@ -226,13 +237,12 @@ for spec in "nebby_journal|serve --compact-only --store" "nebby_journal|drift" \
     fail "$cmd on a version-99 $kind file did not report a schema version mismatch"
 done
 
-echo "== bench engine + baseline gate (census serial vs parallel, bench.json) =="
-# --baseline writes BENCH_<date>.json and compares the guarded census
-# timings against the committed BENCH_baseline.json; a >25% slowdown
-# fails the gate (exit 1). Without a committed baseline it prints a hint
-# and passes.
-dune exec bench/main.exe -- engine serve --sites 16 --training-runs 3 \
-  --json bench.json --runtest-s "$runtest_s" --baseline --tolerance 0.25
+echo "== overhead experiment (paired CPU-time cost of each instrument) =="
+# The overhead ledger feeds the campaign's wall-clock gates and the two
+# ceilings below: the median of paired off/on serial runs per instrument
+# (bench/main.ml, overhead).
+run_ok "bench overhead" dune exec bench/main.exe -- overhead --training-runs 3 \
+  --json "$work/overhead.json"
 
 echo "== campaign determinism gate (4 seeds, jobs=4 must match jobs=1) =="
 # Two 4-seed accuracy campaigns at different worker counts must produce
@@ -240,26 +250,28 @@ echo "== campaign determinism gate (4 seeds, jobs=4 must match jobs=1) =="
 # statistical layer inherits the engine's determinism contract end to end.
 for jobs in 1 4; do
   mkdir "$work/camp$jobs"
-  run_ok "campaign --jobs $jobs (failed its pass gates, or crashed)" \
-    "$cli" campaign --seeds 4 --training-runs 3 --bench-json bench.json --jobs "$jobs" \
-    --out "$work/camp$jobs/runs.jsonl" --summary "$work/camp$jobs/sum.json" \
-    --html "$work/camp$jobs/dash.html" >/dev/null
+  "$cli" campaign --seeds 4 --training-runs 3 --bench-json "$work/overhead.json" \
+    --jobs "$jobs" --out "$work/camp$jobs/runs.jsonl" --summary "$work/camp$jobs/sum.json" \
+    --html "$work/camp$jobs/dash.html" >"$work/camp$jobs/out.txt" || {
+    cat "$work/camp$jobs/out.txt"
+    fail "campaign --jobs $jobs failed its pass gates, or crashed"
+  }
+  if grep '\[SKIP\]' "$work/camp$jobs/out.txt"; then
+    fail "campaign --jobs $jobs skipped a gate"
+  fi
 done
 for f in runs.jsonl sum.json dash.html; do
   same "$work/camp1/$f" "$work/camp4/$f" "campaign --jobs 4 diverged from --jobs 1 ($f)"
 done
 # The campaign's pass gates (exercised by the two runs above via
-# --bench-json) subsume the old ad-hoc flight-overhead awk check: the
-# accuracy floors per CCA family, the CI-width ceiling, the census
-# throughput floor, and the flight/provenance overhead ceilings all
-# gate here, on the fresh bench.json.
-overhead=$(sed -n 's/.*"census_flight_overhead_frac": \([-0-9.eE+]*\).*/\1/p' bench.json)
-echo "(campaign gates green; flight recorder overhead: ${overhead:-unmeasured})"
-# Pool task tracing is opt-in, but when enabled it must stay cheap: the
-# bench's paired-run measurement of a fully traced census may not cost
-# more than 5% CPU time over the untraced one. The per-epoch alert engine
-# rides the serve hot path, so its paired-run overhead gates on the same
-# 5% budget.
+# --bench-json) are the accuracy floors per CCA family, the CI-width
+# ceiling, the census throughput floor, and the flight/provenance
+# overhead ceilings; none may be skipped.
+grep -e throughput-floor -e -overhead "$work/camp1/out.txt"
+# Pool task tracing is opt-in, but when enabled it must stay cheap: a
+# fully traced census may not cost more than 5% CPU time over the
+# untraced one. The per-epoch alert engine rides the serve hot path, so
+# it gates on the same 5% budget.
 frac_at_most census_trace_overhead_frac 0.05
 frac_at_most serve_alert_overhead_frac 0.05
 
@@ -382,5 +394,32 @@ same "$work/fx1" "$work/fx4" "fuzz --jobs 4 fixtures diverged from --jobs 1"
 # verdict (exit 1 = a fixture went stale; the message names it).
 run_ok "fuzz --replay of the committed adversarial fixtures" \
   "$cli" fuzz --replay test/adversarial --log-level quiet >/dev/null
+
+echo "== perf gate (bench/perf: base vs working tree, no REGRESSION) =="
+# Every workload of BENCHMARK.json on three fixed seeds (never the
+# held-out 20240804) in both trees, alternating which tree runs first;
+# then `perf compare` fails on a REGRESSION at BENCHMARK.json's bounds.
+# A run also fails on its own correctness gates.
+if [ -n "$(git status --porcelain -- lib bin bench)" ]; then base=HEAD; else base=HEAD^; fi
+run_ok "git worktree add $base" git worktree add --detach -q "$work/base" "$base"
+echo "(base $base = $(git rev-parse --short "$base"))"
+i=0
+for seed in 20230601 20230602 20230603; do
+  for workload in census-cold serve-measure serve-carry; do
+    if [ $((i % 2)) -eq 0 ]; then trees="base change"; else trees="change base"; fi
+    for tree in $trees; do
+      root=.
+      [ "$tree" = base ] && root=$work/base
+      bash "$root/bench/perf/run.sh" --workload "$workload" --seed "$seed" \
+        --out "$work/perf/$tree" >"$work/perf.log" || {
+        cat "$work/perf.log"
+        fail "perf $workload seed $seed ($tree) exited non-zero"
+      }
+    done
+    i=$((i + 1))
+  done
+done
+run_ok "perf compare (a REGRESSION against the base)" \
+  bash bench/perf/run.sh compare "$work/perf/base" "$work/perf/change"
 
 echo "check.sh: all green"
