@@ -127,12 +127,14 @@ let max_attempts_arg =
   count ~default:Nebby.Measurement.default_config.max_attempts "max-attempts"
     ~doc:"Measurement attempts before giving up."
 
-(* 0 means "auto": one worker per available core, minus one for the
-   collector. Results are bit-identical for every value (see DESIGN.md,
-   "Multicore census engine"), so the flag only changes wall-clock. *)
+(* 0 means "auto": one worker per available core. The calling domain
+   is worker 0, so N workers run on N domains. Results are bit-identical
+   for every value (see DESIGN.md, "Multicore census engine"), so the
+   flag only changes wall-clock. *)
 let jobs_arg =
   let doc =
-    "Worker domains for parallel measurement (0 = auto-size to the machine; 1 = serial)."
+    "Workers for parallel measurement, the calling domain included (0 = one per core; 1 = \
+     serial)."
   in
   let resolve = function 0 -> Engine.Pool.default_jobs () | n -> max 1 n in
   Term.(const resolve $ Arg.(value & opt int 0 & info [ "jobs"; "j" ] ~docv:"N" ~doc))

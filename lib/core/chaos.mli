@@ -56,8 +56,8 @@ val run_matrix :
   matrix
 (** Run the matrix: the baseline row plus [families] (default: all) for
     each of [ccas] (default: the full registry). Every cell is an
-    independent job on the multicore engine ([jobs] worker domains,
-    default [Engine.Pool.default_jobs ()]); cells are reassembled in
+    independent job on the multicore engine ([jobs] workers, the calling
+    domain included, default [Engine.Pool.default_jobs ()]); cells are reassembled in
     suite order, so the matrix is deterministic in [seed] and identical
     for every worker count. *)
 

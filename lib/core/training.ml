@@ -143,80 +143,105 @@ type raw = {
   profile_vecs : float array list array;
 }
 
+(* One (proto, CCA, run) training cell, measured under every profile
+   with the same vantage noise: per profile, the TCP per-segment
+   (feature vector, best-fit degree) pairs in segment order, and the
+   trace vector. A cell is a pure function of its arguments, so cells
+   run on any worker in any order. *)
+let measure_cell ~seed ~profiles ~page_bytes ~transform (proto, cca_name, run) =
+  let noise = vantage_noise run in
+  let per_profile =
+    List.mapi
+      (fun p_idx profile ->
+        let proto_off = match proto with Netsim.Packet.Tcp -> 0 | Netsim.Packet.Quic -> 50000 in
+        let run_seed = seed + proto_off + (1000 * p_idx) + (17 * run) + Hashtbl.hash cca_name in
+        let result =
+          Testbed.run ~seed:run_seed ~noise ~proto ~profile
+            ~make_cca:(Cca.Registry.create cca_name) ~page_bytes ()
+        in
+        let rtt = Profile.rtt profile in
+        let bif = transform ~rtt (Bif.estimate result.Testbed.trace) in
+        let prepared = Pipeline.prepare ~rtt bif in
+        let segments =
+          if proto = Netsim.Packet.Tcp then
+            List.filter_map
+              (fun seg ->
+                Option.map
+                  (fun f -> (Features.vector ~rtt:prepared.Pipeline.rtt f, f.Features.degree))
+                  (Features.of_segment seg))
+              prepared.Pipeline.segments
+          else []
+        in
+        (segments, Features.trace_vector prepared))
+      profiles
+  in
+  Obs.Metrics.bump "training.runs";
+  per_profile
+
 let train ?(runs_per_cca = 15) ?(quic_runs_per_cca = 8) ?(profiles = Profile.default_pair)
     ?(seed = 7) ?(page_bytes = Profile.default_page_bytes) ?(transform = fun ~rtt:_ pts -> pts)
-    () =
+    ?jobs () =
   Obs.Span.with_ ~name:"train" @@ fun () ->
   (* For each CCA and run, measure under every profile with the same vantage
      noise; the concatenation of the per-profile trace vectors is the joint
      training sample, mirroring how a measurement runs both profiles. TCP
      and QUIC get separate models: the encrypted estimator shapes traces
-     slightly differently (the refinement §5 of the paper suggests). *)
+     slightly differently (the refinement §5 of the paper suggests). The
+     independent (proto, CCA, run) cells fan out through the pool and are
+     folded back in (proto, CCA, run) order, so the control is
+     byte-identical at any [jobs]. *)
+  let cells proto runs =
+    List.concat_map
+      (fun name -> List.init runs (fun run -> (proto, name, run)))
+      Cca.Registry.loss_based
+  in
+  let grid =
+    Array.of_list (cells Netsim.Packet.Tcp runs_per_cca @ cells Netsim.Packet.Quic quic_runs_per_cca)
+  in
+  let measured = Engine.Pool.map ?jobs (measure_cell ~seed ~profiles ~page_bytes ~transform) grid in
   let seg_samples = Hashtbl.create 16 in
   let degree_tally = Hashtbl.create 16 in
-  let collect proto runs cca_name =
-    let raw =
-      { joint_vecs = []; profile_vecs = Array.make (List.length profiles) [] }
-    in
-    for run = 0 to runs - 1 do
-      let noise = vantage_noise run in
-      let per_profile =
-        List.mapi
-          (fun p_idx profile ->
-            let proto_off = match proto with Netsim.Packet.Tcp -> 0 | Netsim.Packet.Quic -> 50000 in
-            let run_seed =
-              seed + proto_off + (1000 * p_idx) + (17 * run) + Hashtbl.hash cca_name
-            in
-            let result =
-              Testbed.run ~seed:run_seed ~noise ~proto ~profile
-                ~make_cca:(Cca.Registry.create cca_name) ~page_bytes ()
-            in
-            let rtt = Profile.rtt profile in
-            let bif = transform ~rtt (Bif.estimate result.Testbed.trace) in
-            let prepared = Pipeline.prepare ~rtt bif in
-            if proto = Netsim.Packet.Tcp then
+  (* fold the cells of one (proto, CCA) back in run order *)
+  let collect proto cca_name =
+    let raw = { joint_vecs = []; profile_vecs = Array.make (List.length profiles) [] } in
+    Array.iteri
+      (fun i per_profile ->
+        let p, name, _ = grid.(i) in
+        if p = proto && name = cca_name then begin
+          List.iteri
+            (fun p_idx (segments, vec) ->
               List.iter
-                (fun seg ->
-                  match Features.of_segment seg with
-                  | None -> ()
-                  | Some f ->
-                    let prev =
-                      Option.value ~default:[] (Hashtbl.find_opt seg_samples cca_name)
-                    in
-                    Hashtbl.replace seg_samples cca_name
-                      (Features.vector ~rtt:prepared.Pipeline.rtt f :: prev);
-                    let hist =
-                      match Hashtbl.find_opt degree_tally cca_name with
-                      | Some h -> h
-                      | None ->
-                        let h = Array.make 3 0 in
-                        Hashtbl.replace degree_tally cca_name h;
-                        h
-                    in
-                    hist.(f.Features.degree - 1) <- hist.(f.Features.degree - 1) + 1)
-                prepared.Pipeline.segments;
-            Features.trace_vector prepared)
-          profiles
-      in
-      List.iteri
-        (fun p_idx v ->
-          match v with
-          | Some vec -> raw.profile_vecs.(p_idx) <- vec :: raw.profile_vecs.(p_idx)
-          | None -> ())
-        per_profile;
-      if List.for_all Option.is_some per_profile then
-        raw.joint_vecs <- Array.concat (List.map Option.get per_profile) :: raw.joint_vecs;
-      Obs.Metrics.bump "training.runs"
-    done;
+                (fun (vector, degree) ->
+                  let prev = Option.value ~default:[] (Hashtbl.find_opt seg_samples cca_name) in
+                  Hashtbl.replace seg_samples cca_name (vector :: prev);
+                  let hist =
+                    match Hashtbl.find_opt degree_tally cca_name with
+                    | Some h -> h
+                    | None ->
+                      let h = Array.make 3 0 in
+                      Hashtbl.replace degree_tally cca_name h;
+                      h
+                  in
+                  hist.(degree - 1) <- hist.(degree - 1) + 1)
+                segments;
+              Option.iter
+                (fun vec -> raw.profile_vecs.(p_idx) <- vec :: raw.profile_vecs.(p_idx))
+                vec)
+            per_profile;
+          let vecs = List.map snd per_profile in
+          if List.for_all Option.is_some vecs then
+            raw.joint_vecs <- Array.concat (List.map Option.get vecs) :: raw.joint_vecs
+        end)
+      measured;
     raw
   in
-  let build proto runs =
+  let build proto =
     let slack =
       match proto with
       | Netsim.Packet.Tcp -> tcp_threshold_slack
       | Netsim.Packet.Quic -> quic_threshold_slack
     in
-    let per_cca = List.map (fun name -> (name, collect proto runs name)) Cca.Registry.loss_based in
+    let per_cca = List.map (fun name -> (name, collect proto name)) Cca.Registry.loss_based in
     let joint, joint_scaler, joint_thresholds =
       fit_model_bundle ~slack (List.map (fun (name, raw) -> (name, raw.joint_vecs)) per_cca)
     in
@@ -232,8 +257,8 @@ let train ?(runs_per_cca = 15) ?(quic_runs_per_cca = 8) ?(profiles = Profile.def
     in
     { joint; joint_scaler; joint_thresholds; per_profile }
   in
-  let tcp = build Netsim.Packet.Tcp runs_per_cca in
-  let quic = build Netsim.Packet.Quic quic_runs_per_cca in
+  let tcp = build Netsim.Packet.Tcp in
+  let quic = build Netsim.Packet.Quic in
   let degree_hist =
     List.map
       (fun name ->

@@ -51,13 +51,20 @@ val train :
   ?seed:int ->
   ?page_bytes:int ->
   ?transform:(rtt:float -> Bif.series -> Bif.series) ->
+  ?jobs:int ->
   unit ->
   control
 (** Runs every loss-based kernel CCA [runs_per_cca] times over TCP and
     [quic_runs_per_cca] times over QUIC (defaults 15 and 8) under each
     profile and fits the models. [transform] is applied to every BiF series
     before the pipeline — used by the metric ablation to train on degraded
-    (e.g. per-RTT cwnd-style) traces. *)
+    (e.g. per-RTT cwnd-style) traces; it runs on pool workers, so it must
+    be a pure function of its arguments.
+
+    The independent (proto, CCA, run) cells run through
+    [Engine.Pool.map ~jobs] (default [Engine.Pool.default_jobs ()]) and
+    are folded back in (proto, CCA, run) order, so [samples],
+    [degree_hist] and the fingerprint are byte-identical at any [jobs]. *)
 
 val default : unit -> control
 (** Cached deterministic training run used by the default classifier. *)

@@ -1,4 +1,6 @@
-let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
+(* One worker per core: the caller is worker 0, so no core idles in a
+   join. *)
+let default_jobs () = Domain.recommended_domain_count ()
 
 (* Shard s of n jobs over w workers owns indices { s, s+w, s+2w, ... }:
    round-robin interleaving keeps shards balanced even when job cost
@@ -17,20 +19,31 @@ let run_traced ~worker ~stolen ~workers ~t_submit f i x =
   Obs.Pooltrace.record ~index:i ~shard:(i mod workers) ~worker ~stolen ~t_submit ~t0 ~t1;
   r
 
-let parallel_map ?emit ~workers f xs =
+(* The one scheduling path. The calling domain is worker 0 and spawns
+   the other [workers - 1]: OCaml 5 minor collections stop every domain,
+   so a caller parked in [Domain.join] would make each of them wait on a
+   domain that does no work. At one worker nothing is spawned and the
+   caller runs every job in index order. *)
+let run ?emit ?jobs f xs =
   let n = Array.length xs in
+  let jobs = match jobs with Some j -> j | None -> default_jobs () in
+  let workers = max 1 (min jobs n) in
   let results = Array.make n None in
   let errors = Array.make n None in
   let ready = Array.init n (fun _ -> Atomic.make false) in
   let cursors = Array.init workers (fun _ -> Atomic.make 0) in
-  let steals = Atomic.make 0 in
+  (* set once [emit] raises: no job starts after that, at any worker
+     count, so a failing store stops the campaign at its next claim *)
+  let stop = Atomic.make false in
   let trace_on = Obs.Pooltrace.enabled () in
   let t_submit = if trace_on then Obs.Pooltrace.on_run ~jobs:n ~workers else 0.0 in
   let claim s =
-    let pos = Atomic.fetch_and_add cursors.(s) 1 in
-    if pos < shard_size ~n ~workers s then Some (s + (pos * workers)) else None
+    if Atomic.get stop then None
+    else
+      let pos = Atomic.fetch_and_add cursors.(s) 1 in
+      if pos < shard_size ~n ~workers s then Some (s + (pos * workers)) else None
   in
-  let run ~worker ~stolen i =
+  let run_one ~worker ~stolen i =
     (if trace_on then
        match run_traced ~worker ~stolen ~workers ~t_submit f i xs.(i) with
        | Ok y -> results.(i) <- Some y
@@ -40,88 +53,75 @@ let parallel_map ?emit ~workers f xs =
        | y -> results.(i) <- Some y
        | exception e -> errors.(i) <- Some e);
     (* publish: the Atomic.set orders the plain result write before any
-       reader that observes [ready], so the streaming loop below may read
-       results.(i) without a lock once the flag is up *)
+       reader that observes [ready], so the caller may emit results.(i)
+       without a lock once the flag is up *)
     Atomic.set ready.(i) true
   in
-  let worker w () =
-    let rec drain s stolen =
-      match claim s with
+  (* Emit the ready prefix in canonical index order: job i only once
+     every job < i has been emitted, so the emission order never depends
+     on scheduling. Only the caller calls this. *)
+  let next = ref 0 in
+  let emit_error = ref None in
+  let flush () =
+    match emit with
+    | Some emit when Option.is_none !emit_error -> (
+      try
+        while !next < n && Atomic.get ready.(!next) do
+          (match results.(!next) with
+          | Some y -> emit !next y
+          | None -> () (* errored job: nothing to emit, exception re-raised below *));
+          incr next
+        done
+      with e ->
+        emit_error := Some e;
+        Atomic.set stop true)
+    | _ -> ()
+  in
+  (* Worker w runs [first], drains the rest of its own shard, then
+     steals from the others; [after] runs after each of its jobs.
+     Returns (jobs run, jobs stolen). *)
+  let work ?(after = ignore) w first =
+    let ran = ref 0 and steals = ref 0 in
+    let rec drain s stolen = function
       | Some i ->
-        if stolen then Atomic.incr steals;
-        run ~worker:w ~stolen i;
-        drain s stolen
+        run_one ~worker:w ~stolen i;
+        incr ran;
+        if stolen then incr steals;
+        after ();
+        drain s stolen (claim s)
       | None -> ()
     in
-    drain w false;
+    drain w false first;
     for s = 0 to workers - 1 do
-      if s <> w then drain s true
-    done
+      if s <> w then drain s true (claim s)
+    done;
+    (!ran, !steals)
   in
-  (* each worker inherits the caller's obs state and hands its buffers
-     back at join *)
-  let domains = Array.init workers (fun w -> Obs.Collector.spawn (worker w)) in
-  (* stream completed results to the caller in canonical index order while
-     workers are still running: emit job i only once every job < i has been
-     emitted, so the emission order never depends on scheduling *)
-  (match emit with
-  | None -> ()
-  | Some emit ->
-    let next = ref 0 in
-    while !next < n do
-      if Atomic.get ready.(!next) then begin
-        (match results.(!next) with
-        | Some y -> emit !next y
-        | None -> () (* errored job: nothing to emit, exception re-raised below *));
-        incr next
-      end
-      else Domain.cpu_relax ()
-    done);
-  Array.iter Obs.Collector.join domains;
-  Obs.Metrics.bump ~by:n "engine.pool.jobs";
-  Obs.Metrics.bump ~by:workers "engine.pool.workers";
-  Obs.Metrics.bump ~by:(Atomic.get steals) "engine.pool.steals";
-  Obs.Metrics.bump ~by:(n - Atomic.get steals) "engine.pool.local_pops";
+  (* The caller claims its first job before any worker exists, so job 0
+     always runs in the calling domain. Each spawned worker inherits the
+     caller's obs state and hands its buffers back at join. *)
+  let first = claim 0 in
+  let spawned =
+    Array.init (workers - 1) (fun w ->
+        Obs.Collector.spawn (fun () -> work (w + 1) (claim (w + 1))))
+  in
+  let caller = work ~after:flush 0 first in
+  let counts = caller :: Array.to_list (Array.map Obs.Collector.join spawned) in
+  if workers > 1 then begin
+    let sum g = List.fold_left (fun acc c -> acc + g c) 0 counts in
+    let ran = sum fst and steals = sum snd in
+    Obs.Metrics.bump ~by:n "engine.pool.jobs";
+    Obs.Metrics.bump ~by:workers "engine.pool.workers";
+    Obs.Metrics.bump ~by:steals "engine.pool.steals";
+    Obs.Metrics.bump ~by:(ran - steals) "engine.pool.local_pops"
+  end;
+  (* every worker is joined before an [emit] error is re-raised; then
+     the tail the others finished after the caller ran out of claims *)
+  flush ();
+  Option.iter raise !emit_error;
   Array.iter (function Some e -> raise e | None -> ()) errors;
   Array.map (function Some y -> y | None -> assert false) results
 
-(* The serial paths trace too (worker 0, shard 0, no steals), so a
-   jobs=1 run still yields a complete trace with the same task count
-   and index coverage as any parallel run. *)
-let serial_map ?emit f xs =
-  let n = Array.length xs in
-  let trace_on = Obs.Pooltrace.enabled () in
-  let t_submit = if trace_on then Obs.Pooltrace.on_run ~jobs:n ~workers:1 else 0.0 in
-  let results = Array.make n None in
-  let errors = Array.make n None in
-  for i = 0 to n - 1 do
-    if trace_on then (
-      match run_traced ~worker:0 ~stolen:false ~workers:1 ~t_submit f i xs.(i) with
-      | Ok y ->
-        results.(i) <- Some y;
-        (match emit with Some emit -> emit i y | None -> ())
-      | Error e -> errors.(i) <- Some e)
-    else
-      match f xs.(i) with
-      | y ->
-        results.(i) <- Some y;
-        (match emit with Some emit -> emit i y | None -> ())
-      | exception e -> errors.(i) <- Some e
-  done;
-  Array.iter (function Some e -> raise e | None -> ()) errors;
-  Array.map (function Some y -> y | None -> assert false) results
-
-let map ?jobs f xs =
-  let n = Array.length xs in
-  let jobs = match jobs with Some j -> j | None -> default_jobs () in
-  let workers = min jobs n in
-  if workers <= 1 then serial_map f xs else parallel_map ~workers f xs
-
+let map ?jobs f xs = run ?jobs f xs
 let map_list ?jobs f xs = Array.to_list (map ?jobs f (Array.of_list xs))
-
-let map_stream ?jobs ~emit f xs =
-  let n = Array.length xs in
-  let jobs = match jobs with Some j -> j | None -> default_jobs () in
-  let workers = min jobs n in
-  if workers <= 1 then serial_map ~emit f xs
-  else parallel_map ~emit ~workers f xs
+let map_stream ?jobs ~emit f xs = run ?jobs ~emit f xs

@@ -83,9 +83,9 @@ val labels :
   Website.t list ->
   (Website.t * string) list
 (** Per-site classifications over the first [sites] websites (default
-    all), in canonical population order, measured by up to [jobs] worker
-    domains (default [Engine.Pool.default_jobs ()]; [1] runs serially in
-    the calling domain). *)
+    all), in canonical population order, measured by up to [jobs] workers,
+    the calling domain included (default [Engine.Pool.default_jobs ()];
+    [1] runs serially in the calling domain). *)
 
 val tally_of_labels : (Website.t * string) list -> (string * int) list
 (** Collapse per-site labels into a (label, count) tally sorted by

@@ -162,7 +162,7 @@ let default_config =
 
 let control_of_config config =
   Nebby.Training.train ~runs_per_cca:config.training_runs
-    ~quic_runs_per_cca:config.training_quic_runs ~seed:config.training_seed ()
+    ~quic_runs_per_cca:config.training_quic_runs ~seed:config.training_seed ~jobs:config.jobs ()
 
 (* ---- the search loop ---- *)
 

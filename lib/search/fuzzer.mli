@@ -45,7 +45,8 @@ val default_config : config
     floors 0.6/0.5, batch 8, training 3/2 runs at seed 7. *)
 
 val control_of_config : config -> Nebby.Training.control
-(** [Training.train] with the config's training knobs. *)
+(** [Training.train] with the config's training knobs, fanned out over
+    [config.jobs] workers (the control is the same at any [jobs]). *)
 
 type finding = {
   fixture : Fixture.t;

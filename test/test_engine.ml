@@ -62,6 +62,79 @@ let test_map_list () =
     "map_list preserves order" [ 1; 2; 3; 4; 5 ]
     (Engine.Pool.map_list ~jobs:3 (fun x -> x + 1) [ 0; 1; 2; 3; 4 ])
 
+(* The caller is worker 0: it claims job 0 before spawning anyone, and
+   jobs = k spawns at most k - 1 other domains. *)
+let test_caller_is_worker_zero () =
+  let caller = (Domain.self () :> int) in
+  let ran_on =
+    Engine.Pool.map ~jobs:4
+      (fun _ ->
+        Unix.sleepf 0.001;
+        (Domain.self () :> int))
+      (Array.init 32 Fun.id)
+  in
+  Alcotest.(check int) "job 0 runs on the calling domain" caller ran_on.(0);
+  let others = List.sort_uniq compare (List.filter (( <> ) caller) (Array.to_list ran_on)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 3 other domains (saw %d)" (List.length others))
+    true
+    (List.length others <= 3)
+
+(* The caller emits between its own jobs; when those are the slow ones,
+   the other workers run ahead and emission must still go 0..n-1. *)
+let test_map_stream_slow_caller_shard () =
+  List.iter
+    (fun jobs ->
+      let n = 24 in
+      let emitted = ref [] in
+      let out =
+        Engine.Pool.map_stream ~jobs
+          ~emit:(fun i y -> emitted := (i, y) :: !emitted)
+          (fun x ->
+            if x mod jobs = 0 then Unix.sleepf 0.003;
+            x + 1)
+          (Array.init n Fun.id)
+      in
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "emission in index order at jobs=%d" jobs)
+        (List.init n (fun i -> (i, i + 1)))
+        (List.rev !emitted);
+      Alcotest.(check (array int))
+        (Printf.sprintf "results intact at jobs=%d" jobs)
+        (Array.init n (fun i -> i + 1))
+        out)
+    [ 2; 4 ]
+
+(* An [emit] that raises (a campaign store on a full disk) must not leave
+   spawned workers unjoined: their counters are absorbed before the
+   exception reaches the caller, and the pool is usable afterwards. *)
+let test_map_stream_emit_raises () =
+  Obs.Runtime.with_armed (fun () ->
+      Obs.Metrics.reset ();
+      let ran = Atomic.make 0 in
+      (match
+         Engine.Pool.map_stream ~jobs:4
+           ~emit:(fun i _ -> if i = 3 then failwith "disk full")
+           (fun x ->
+             Unix.sleepf 0.001;
+             Atomic.incr ran;
+             Obs.Metrics.incr (Obs.Metrics.counter "test.engine.work");
+             x)
+           (Array.init 32 Fun.id)
+       with
+      | _ -> Alcotest.fail "expected emit's exception to reach the caller"
+      | exception Failure msg -> Alcotest.(check string) "emit's exception" "disk full" msg);
+      Alcotest.(check int) "every job that ran was counted, worker counters included"
+        (Atomic.get ran)
+        (Obs.Metrics.counter_value (Obs.Metrics.counter "test.engine.work"));
+      Alcotest.(check bool) "jobs 0..3 ran before emit failed" true (Atomic.get ran >= 4);
+      Alcotest.(check int) "the pool joined all four workers" 4
+        (Obs.Metrics.counter_value (Obs.Metrics.counter "engine.pool.workers"));
+      Obs.Metrics.reset ());
+  Alcotest.(check (array int))
+    "a following map works" (Array.init 16 (fun i -> 2 * i))
+    (Engine.Pool.map ~jobs:4 (fun x -> 2 * x) (Array.init 16 Fun.id))
+
 let test_worker_telemetry_flushed () =
   Obs.Runtime.with_armed (fun () ->
       Obs.Metrics.reset ();
@@ -138,10 +211,10 @@ let traced_run ~jobs n =
       ignore (Engine.Pool.map ~jobs (fun x -> x * x) (Array.init n Fun.id));
       Obs.Pooltrace.drain ())
 
-let test_trace_covers_every_task () =
+let test_trace_covers_every_task ~jobs () =
   Obs.Histogram.reset ();
   let n = 32 in
-  let trace = traced_run ~jobs:4 n in
+  let trace = traced_run ~jobs n in
   Alcotest.(check int) "job count recorded" n trace.Obs.Pooltrace.jobs;
   Alcotest.(check int) "one sample per task" n (List.length trace.Obs.Pooltrace.tasks);
   let indices =
@@ -153,7 +226,7 @@ let test_trace_covers_every_task () =
     (fun (t : Obs.Pooltrace.task) ->
       Alcotest.(check int)
         (Printf.sprintf "task %d owned by shard index mod workers" t.Obs.Pooltrace.index)
-        (t.Obs.Pooltrace.index mod 4) t.Obs.Pooltrace.shard;
+        (t.Obs.Pooltrace.index mod jobs) t.Obs.Pooltrace.shard;
       Alcotest.(check bool)
         (Printf.sprintf "task %d stolen iff run off-shard" t.Obs.Pooltrace.index)
         t.Obs.Pooltrace.stolen
@@ -253,6 +326,20 @@ let test_census_determinism () =
         (Internet.Census.run ~jobs ~control ~proto ~region websites))
     [ 2; 4; 8 ]
 
+(* ---------------- training fan-out ---------------- *)
+
+(* Training cells run through the pool and fold back in (proto, CCA,
+   run) order: the golden-pinned control is byte-identical at any jobs. *)
+let test_training_identical_at_any_jobs () =
+  let train jobs = Nebby.Training.train ~runs_per_cca:4 ~quic_runs_per_cca:2 ~seed:7 ~jobs () in
+  let serial = train 1 and parallel = train 4 in
+  Alcotest.(check string) "fingerprint" serial.Nebby.Training.fingerprint
+    parallel.Nebby.Training.fingerprint;
+  Alcotest.(check bool) "samples" true
+    (serial.Nebby.Training.samples = parallel.Nebby.Training.samples);
+  Alcotest.(check (list (pair string (array int)))) "degree_hist"
+    serial.Nebby.Training.degree_hist parallel.Nebby.Training.degree_hist
+
 let suite =
   [
     Alcotest.test_case "pool map preserves order at every worker count" `Quick test_map_order;
@@ -265,7 +352,7 @@ let suite =
     Alcotest.test_case "telemetry complete at jobs 1 and 4" `Quick
       test_telemetry_complete_at_any_jobs;
     Alcotest.test_case "pool trace covers every task at jobs=4" `Quick
-      test_trace_covers_every_task;
+      (test_trace_covers_every_task ~jobs:4);
     Alcotest.test_case "pool trace on the serial path" `Quick test_trace_serial_path;
     Alcotest.test_case "pool tracing off records nothing" `Quick
       test_trace_off_records_nothing;
@@ -273,4 +360,17 @@ let suite =
       test_trace_round_trip_and_report;
     Alcotest.test_case "32-site census identical for jobs 1/2/4/8" `Quick
       test_census_determinism;
+    (* Cases added after the original ones keep the earlier case indices stable. *)
+    Alcotest.test_case "pool caller is worker 0, jobs=4 spawns at most 3" `Quick
+      test_caller_is_worker_zero;
+    Alcotest.test_case "pool map_stream in order with a slow caller shard" `Quick
+      test_map_stream_slow_caller_shard;
+    Alcotest.test_case "pool map_stream joins workers when emit raises" `Quick
+      test_map_stream_emit_raises;
+    Alcotest.test_case "pool trace covers every task at jobs=2" `Quick
+      (test_trace_covers_every_task ~jobs:2);
+    Alcotest.test_case "pool trace covers every task at jobs=1" `Quick
+      (test_trace_covers_every_task ~jobs:1);
+    Alcotest.test_case "training identical at jobs 1 and 4" `Quick
+      test_training_identical_at_any_jobs;
   ]

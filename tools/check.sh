@@ -147,13 +147,18 @@ for ledger in missing truncated; do
   one_err_line "campaign --bench-json ($ledger file)"
 done
 
-echo "== census par-smoke (jobs=4 must match jobs=1 exactly) =="
+echo "== census par-smoke (jobs=2 and jobs=4 must match jobs=1 exactly) =="
 # The engine's determinism contract, end to end through the CLI: a
-# parallel census must be byte-identical to the serial one.
+# parallel census must be byte-identical to the serial one. jobs=2 is
+# the bench's setting and the first count with exactly one spawned
+# domain (the caller is worker 0).
 census="--sites 32 --training-runs 3 --seed 1234"
 run_ok "serial census smoke" "$cli" census $census --jobs 1 >"$work/census1.txt"
-run_ok "parallel census smoke" "$cli" census $census --jobs 4 >"$work/census4.txt"
-same "$work/census1.txt" "$work/census4.txt" "census --jobs 4 diverged from --jobs 1"
+for jobs in 2 4; do
+  run_ok "parallel census smoke (jobs=$jobs)" \
+    "$cli" census $census --jobs "$jobs" >"$work/census$jobs.txt"
+  same "$work/census1.txt" "$work/census$jobs.txt" "census --jobs $jobs diverged from --jobs 1"
+done
 
 echo "== pool trace gate (census --pool-trace; report/chrome render deterministically) =="
 # Task-lifecycle tracing end to end: a traced census must record every
