@@ -13,16 +13,23 @@ let sample_points = 200 (* as in the paper *)
 let lambda = 0.7
 let dimensions = 9
 
+(* the fixed abscissae every segment is fitted over, with their power
+   sums for degrees 1-3 *)
+let sample_xs =
+  Array.init sample_points (fun i -> float_of_int i /. float_of_int (sample_points - 1))
+
+let basis = Sigproc.Polyfit.basis ~max_degree:3 sample_xs
+
 let of_segment (seg : Pipeline.segment) =
   if Array.length seg.values < 4 || seg.duration <= 0.0 then None
   else begin
     let ys = Sigproc.Series.sample_uniform ~n:sample_points (Sigproc.Series.normalize seg.values) in
-    let xs = Array.init sample_points (fun i -> float_of_int i /. float_of_int (sample_points - 1)) in
+    let fits = Sigproc.Polyfit.fit_each basis ~ys in
     let candidates =
       List.map
         (fun degree ->
-          let c = Sigproc.Polyfit.fit ~degree ~xs ~ys in
-          let mse = Sigproc.Polyfit.mse ~coeffs:c ~xs ~ys in
+          let c = fits.(degree - 1) in
+          let mse = Sigproc.Polyfit.mse ~coeffs:c ~xs:sample_xs ~ys in
           let score = mse *. (1.0 +. (lambda *. float_of_int degree)) in
           (degree, c, mse, score))
         [ 1; 2; 3 ]
@@ -87,31 +94,13 @@ let compute_trace_vector (p : Pipeline.t) =
 (* The per-segment polynomial fits behind the vector are the most
    expensive part of classification, and a provenance-collecting
    measurement extracts the same vector three times (loss verdict, joint
-   score list, report features). Cache it per prepared trace, keyed by
-   physical identity of its smoothed series, in a domain-local
-   ephemeron-keyed table: workers never contend and dropping a pipeline
-   still lets it be collected. The cached vector is copied on return so
+   score list, report features). Cache it per prepared trace in a
+   {!Recent} cache keyed by the trace's smoothed series. A measurement
+   holds one trace per profile, so a few keys cover it; each cached key
+   keeps a whole series alive. The cached vector is copied on return so
    callers can never alias each other's arrays. *)
-module Pipe_key = struct
-  type t = float array
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end
-
-module Pipe_memo = Ephemeron.K1.Make (Pipe_key)
-
-let vector_memo : float array option Pipe_memo.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Pipe_memo.create 64)
+let vector_cache : (float array, float array option) Recent.t = Recent.create 4
 
 let trace_vector (p : Pipeline.t) =
-  let tbl = Domain.DLS.get vector_memo in
-  let cached =
-    match Pipe_memo.find_opt tbl p.Pipeline.smoothed with
-    | Some v -> v
-    | None ->
-      let v = compute_trace_vector p in
-      Pipe_memo.replace tbl p.Pipeline.smoothed v;
-      v
-  in
-  Option.map Array.copy cached
+  Option.map Array.copy
+    (Recent.find_or_add vector_cache p.Pipeline.smoothed (fun () -> compute_trace_vector p))

@@ -2,10 +2,9 @@ let joint_margin = function Netsim.Packet.Tcp -> 2.0 | Netsim.Packet.Quic -> 0.8
 let single_margin = function Netsim.Packet.Tcp -> 1.2 | Netsim.Packet.Quic -> 0.8
 
 let predict_with_floor ~margin ~model ~thresholds vec =
-  match Sigproc.Gnb.predict ~margin model vec with
+  match Sigproc.Gnb.decide ~margin (Sigproc.Gnb.log_likelihoods model vec) with
   | None -> None
-  | Some label -> (
-    let ll = List.assoc label (Sigproc.Gnb.log_likelihoods model vec) in
+  | Some (label, ll) -> (
     match List.assoc_opt label thresholds with
     | Some floor when ll < floor -> None (* too unlike anything seen in training *)
     | Some _ | None -> Some label)

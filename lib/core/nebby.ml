@@ -13,6 +13,7 @@ module Bif = Bif
 module Pipeline = Pipeline
 module Features = Features
 module Plugin = Plugin
+module Recent = Recent
 module Trace_sig = Trace_sig
 module Loss_classifier = Loss_classifier
 module Bbr_classifier = Bbr_classifier

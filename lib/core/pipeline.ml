@@ -60,11 +60,10 @@ let find_backoffs ~dt ~rtt ~smoothed ~deriv ~thresh =
     | span :: rest -> span :: merge rest
     | [] -> []
   in
-  let sorted = Array.copy smoothed in
-  Array.sort Float.compare sorted;
   let p95 =
-    let n = Array.length sorted in
-    if n = 0 then 1.0 else Float.max 1.0 sorted.(min (n - 1) (n * 95 / 100))
+    let n = Array.length smoothed in
+    if n = 0 then 1.0
+    else Float.max 1.0 (Sigproc.Series.select (min (n - 1) (n * 95 / 100)) smoothed)
   in
   let to_backoff (s, e) =
     let last = Array.length smoothed - 1 in
@@ -128,8 +127,7 @@ let slice_segment ~dt ~t0 ~smoothed ~from_i ~to_i ~drop_frac =
     else begin
       let mid = (from_i + to_i) / 2 in
       let tail = Array.sub smoothed mid (to_i - mid + 1) in
-      Array.sort Float.compare tail;
-      let level = tail.(Array.length tail / 2) in
+      let level = Sigproc.Series.select (Array.length tail / 2) tail in
       let limit = from_i + ((to_i - from_i) / 4) in
       let rec advance i =
         if i < limit && smoothed.(i) < 0.6 *. level then advance (i + 1) else i

@@ -1,12 +1,3 @@
-let median xs =
-  let n = Array.length xs in
-  if n = 0 then 0.0
-  else begin
-    let sorted = Array.copy xs in
-    Array.sort compare sorted;
-    if n mod 2 = 1 then sorted.(n / 2) else (sorted.((n / 2) - 1) +. sorted.(n / 2)) /. 2.0
-  end
-
 let deep_drains ?(min_depth = 0.55) ?(max_trough = 0.40) ?(min_dwell = 0.25)
     ?(max_pre_slope = 0.08) (p : Pipeline.t) =
   List.filter_map
@@ -39,7 +30,7 @@ let compute_flatness (seg : Pipeline.segment) =
   (* empty windows happen under capture faults; they are simply not flat *)
   if Array.length seg.values = 0 then 0.0
   else
-  let m = median seg.values in
+  let m = Sigproc.Series.median seg.values in
   if m <= 0.0 then 0.0
   else begin
     let ok = Array.fold_left (fun acc v -> if Float.abs (v -. m) <= 0.12 *. m then acc + 1 else acc) 0 seg.values in
@@ -69,24 +60,34 @@ let compute_oscillation_period (p : Pipeline.t) (seg : Pipeline.segment) =
     (* remove slow wander with a moving average over ~10 RTTs so the
        autocorrelation sees only the ripple band *)
     let ma_win = max 3 (int_of_float (16.0 *. p.rtt /. p.dt)) in
+    (* window sums as differences of prefix sums: O(n), not O(n x window) *)
+    let prefix = Array.make (n + 1) 0.0 in
+    for i = 0 to n - 1 do
+      prefix.(i + 1) <- prefix.(i) +. seg.values.(i)
+    done;
     let resid =
       Array.init n (fun i ->
           let lo = max 0 (i - (ma_win / 2)) and hi = min (n - 1) (i + (ma_win / 2)) in
-          let acc = ref 0.0 in
-          for k = lo to hi do
-            acc := !acc +. seg.values.(k)
-          done;
-          seg.values.(i) -. (!acc /. float_of_int (hi - lo + 1)))
+          seg.values.(i) -. ((prefix.(hi + 1) -. prefix.(lo)) /. float_of_int (hi - lo + 1)))
     in
     let var = Array.fold_left (fun a x -> a +. (x *. x)) 0.0 resid /. float_of_int n in
     if var <= 1e-9 then None
     else begin
+      (* each lag's autocorrelation is computed at most once: the peak hunt
+         below reads every lag up to three times *)
+      let memo = Array.make (max_lag + 1) nan in
       let autocorr lag =
-        let acc = ref 0.0 in
-        for i = 0 to n - 1 - lag do
-          acc := !acc +. (resid.(i) *. resid.(i + lag))
-        done;
-        !acc /. (float_of_int (n - lag) *. var)
+        let c = memo.(lag) in
+        if c = c then c
+        else begin
+          let acc = ref 0.0 in
+          for i = 0 to n - 1 - lag do
+            acc := !acc +. (resid.(i) *. resid.(i + lag))
+          done;
+          let c = !acc /. (float_of_int (n - lag) *. var) in
+          memo.(lag) <- c;
+          c
+        end
       in
       (* smoothing correlates neighbouring samples, so the autocorrelation
          starts high at small lags; wait for it to decay below 0.2 first,
@@ -116,51 +117,22 @@ let compute_oscillation_period (p : Pipeline.t) (seg : Pipeline.segment) =
 
 (* The per-sample signatures above are recomputed by every classifier that
    asks for them — several rate-based plugins each call the autocorrelation
-   hunt (O(samples x lags)), the flatness median sort, and the flat-span
-   scan, and a provenance-collecting measurement asks once more for the
-   stage summary. Cache it per segment, keyed by physical identity of the
-   sample array (a segment is immutable and belongs to exactly one
-   pipeline, so rtt/dt are determined by the key). The tables are
-   domain-local (worker domains never contend) and ephemeron-keyed, so
-   dropping a trace still lets its segments be collected. *)
-module Seg_key = struct
-  type t = float array
+   hunt (O(samples x lags)), the flatness median, and the flat-span scan,
+   and a provenance-collecting measurement asks once more for the stage
+   summary. Cache them per segment in a {!Recent} cache keyed by the
+   segment's sample array (a segment is immutable and belongs to exactly
+   one pipeline, so rtt/dt are determined by the key). Every signature of
+   both profiles of a measurement fits in the cache at once. *)
+let cache_capacity = 32
 
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end
+let memoize_seg compute =
+  let cache = Recent.create cache_capacity in
+  fun (seg : Pipeline.segment) -> Recent.find_or_add cache seg.values (fun () -> compute seg)
 
-module Seg_memo = Ephemeron.K1.Make (Seg_key)
-
-let memoize_seg (type v) (compute : Pipeline.segment -> v) : Pipeline.segment -> v =
-  let key : v Seg_memo.t Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> Seg_memo.create 64)
-  in
-  fun (seg : Pipeline.segment) ->
-    let tbl = Domain.DLS.get key in
-    match Seg_memo.find_opt tbl seg.values with
-    | Some cached -> cached
-    | None ->
-      let result = compute seg in
-      Seg_memo.replace tbl seg.values result;
-      result
-
-(* like {!memoize_seg} for signatures that also read the pipeline's
-   rtt/dt: still keyed on the segment alone, which is sound because a
-   segment belongs to exactly one pipeline *)
-let memoize_pseg (type v) (compute : Pipeline.t -> Pipeline.segment -> v) :
-    Pipeline.t -> Pipeline.segment -> v =
-  let key : v Seg_memo.t Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> Seg_memo.create 64)
-  in
+let memoize_pseg compute =
+  let cache = Recent.create cache_capacity in
   fun p (seg : Pipeline.segment) ->
-    let tbl = Domain.DLS.get key in
-    match Seg_memo.find_opt tbl seg.values with
-    | Some cached -> cached
-    | None ->
-      let result = compute p seg in
-      Seg_memo.replace tbl seg.values result;
-      result
+    Recent.find_or_add cache seg.values (fun () -> compute p seg)
 
 let oscillation_period = memoize_pseg compute_oscillation_period
 let longest_flat_span = memoize_pseg compute_longest_flat_span

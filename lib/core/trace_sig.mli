@@ -35,8 +35,6 @@ val oscillation_period : Pipeline.t -> Pipeline.segment -> float option
 (** Dominant oscillation period (seconds) from mean peak-to-peak distance
     of the detrended segment; [None] if fewer than 3 peaks. *)
 
-val median : float array -> float
-
 val summary : Pipeline.t -> (string * float) list
 (** The windowed signature signals at a glance — mean flatness, longest
     flat span, deep-drain count/cadence, minimum oscillation period in

@@ -42,9 +42,7 @@ let percentile q xs =
   | [] -> neg_infinity
   | _ ->
     let arr = Array.of_list xs in
-    Array.sort Float.compare arr;
-    let idx = int_of_float (q *. float_of_int (Array.length arr - 1)) in
-    arr.(idx)
+    Sigproc.Series.select (int_of_float (q *. float_of_int (Array.length arr - 1))) arr
 
 let fit_scaler vectors =
   match vectors with

@@ -13,7 +13,7 @@ let count_steps (p : Pipeline.t) (seg : Pipeline.segment) =
           done;
           !acc /. float_of_int win)
     in
-    let level = Float.max 1.0 (Trace_sig.median means) in
+    let level = Float.max 1.0 (Sigproc.Series.median means) in
     let steps = ref 0 and last_sign = ref 0 in
     for w = 1 to windows - 1 do
       let delta = (means.(w) -. means.(w - 1)) /. level in

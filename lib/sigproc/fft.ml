@@ -19,14 +19,14 @@ let transform ~real ~imag =
       imag.(i) <- imag.(!j);
       imag.(!j) <- ti
     end;
-    let rec carry m =
-      if m land !j <> 0 then begin
-        j := !j lxor m;
-        carry (m lsr 1)
-      end
-      else j := !j lor m
-    in
-    carry (n lsr 1)
+    (* increment j as a bit-reversed counter: clear the leading ones,
+       then set the first zero *)
+    let m = ref (n lsr 1) in
+    while !m land !j <> 0 do
+      j := !j lxor !m;
+      m := !m lsr 1
+    done;
+    j := !j lor !m
   done;
   (* butterflies *)
   let len = ref 2 in

@@ -1,4 +1,12 @@
-type class_model = { label : string; means : float array; vars : float array }
+(* [log_norms.(i)] is [log (2 pi vars.(i))], the per-dimension normalizer
+   of the Gaussian log density, fixed once the variances are *)
+type class_model = {
+  label : string;
+  means : float array;
+  vars : float array;
+  log_norms : float array;
+}
+
 type model = { dims : int; models : class_model list }
 
 let default_var_floor = 1e-6
@@ -26,7 +34,8 @@ let fit ?(var_floor = default_var_floor) classes =
         Array.iteri (fun i x -> vars.(i) <- vars.(i) +. ((x -. means.(i)) ** 2.0)) v)
       vectors;
     Array.iteri (fun i v -> vars.(i) <- Float.max var_floor (v /. nf)) vars;
-    { label; means; vars }
+    let log_norms = Array.map (fun v -> log (2.0 *. Float.pi *. v)) vars in
+    { label; means; vars; log_norms }
   in
   { dims; models = List.map fit_class classes }
 
@@ -34,7 +43,7 @@ let log_likelihood cm x =
   let acc = ref 0.0 in
   for i = 0 to Array.length x - 1 do
     let d = x.(i) -. cm.means.(i) in
-    acc := !acc -. (0.5 *. (log (2.0 *. Float.pi *. cm.vars.(i)) +. (d *. d /. cm.vars.(i))))
+    acc := !acc -. (0.5 *. (cm.log_norms.(i) +. (d *. d /. cm.vars.(i))))
   done;
   !acc
 
@@ -44,11 +53,13 @@ let log_likelihoods m x =
   |> List.map (fun cm -> (cm.label, log_likelihood cm x))
   |> List.sort (fun (_, a) (_, b) -> compare b a)
 
-let predict ?(margin = 2.0) m x =
-  match log_likelihoods m x with
+let decide ?(margin = 2.0) scores =
+  match scores with
   | [] -> None
-  | [ (label, _) ] -> Some label
-  | (best, lb) :: (_, runner_up) :: _ -> if lb -. runner_up < margin then None else Some best
+  | [ (label, score) ] -> Some (label, score)
+  | (best, lb) :: (_, runner_up) :: _ -> if lb -. runner_up < margin then None else Some (best, lb)
+
+let predict ?margin m x = Option.map fst (decide ?margin (log_likelihoods m x))
 
 let class_stats m label =
   match List.find_opt (fun c -> c.label = label) m.models with

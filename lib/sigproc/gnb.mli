@@ -22,6 +22,12 @@ val predict : ?margin:float -> model -> float array -> string option
     (default 2.0) — the paper's "equally high probabilities" rule that maps
     ambiguous segments to Unknown. *)
 
+val decide : ?margin:float -> (string * float) list -> (string * float) option
+(** [predict]'s rule over scores already computed by {!log_likelihoods}:
+    the best class with its log-likelihood, or [None] under the margin.
+    [predict ?margin m x] is [Option.map fst (decide ?margin
+    (log_likelihoods m x))]. *)
+
 val class_stats : model -> string -> (float * float) array
 (** Per-dimension (mean, std) for a class, for inspection/plotting
     (Figure 7). @raise Not_found for unknown classes. *)

@@ -33,5 +33,15 @@ val quantile : float -> float array -> float
 (** [quantile q xs] for [q] in [\[0, 1\]] (clamped), linearly interpolated
     between order statistics; [nan] on empty input. Monotone in [q]. *)
 
+val select : int -> float array -> float
+(** [select k xs] is [(sorted xs).(k)] under [Float.compare], found by an
+    expected-linear quickselect on a copy ([xs] is not modified). Order
+    statistics use it rather than a sort.
+    @raise Invalid_argument unless [0 <= k < Array.length xs]. *)
+
+val median : float array -> float
+(** The middle order statistic, or the mean of the two middle ones for an
+    even length; [0.] on empty input. *)
+
 val minimum : float array -> float
 val maximum : float array -> float

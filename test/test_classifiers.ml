@@ -47,8 +47,8 @@ let test_interval_stats () =
   Alcotest.(check bool) "none on empty" true (Nebby.Trace_sig.interval_stats [] = None)
 
 let test_median () =
-  Alcotest.(check (float 1e-9)) "odd" 3.0 (Nebby.Trace_sig.median [| 5.0; 1.0; 3.0 |]);
-  Alcotest.(check (float 1e-9)) "even" 2.5 (Nebby.Trace_sig.median [| 1.0; 2.0; 3.0; 4.0 |])
+  Alcotest.(check (float 1e-9)) "odd" 3.0 (Sigproc.Series.median [| 5.0; 1.0; 3.0 |]);
+  Alcotest.(check (float 1e-9)) "even" 2.5 (Sigproc.Series.median [| 1.0; 2.0; 3.0; 4.0 |])
 
 let test_flatness_extremes () =
   let flat_seg =
@@ -241,6 +241,157 @@ let test_combine_agreement () =
   | Nebby.Classifier.Unknown -> ()
   | Nebby.Classifier.Known l -> Alcotest.fail ("close conflict resolved to " ^ l)
 
+(* ---- kernel identity ---- *)
+
+(* The autocorrelation hunt as first written: every window sum taken
+   sample by sample, every lag's autocorrelation recomputed at each read.
+   Trace_sig.oscillation_period must pick the same lag. *)
+let naive_oscillation_period (p : Nebby.Pipeline.t) (seg : Nebby.Pipeline.segment) =
+  let n = Array.length seg.values in
+  let min_lag = max 2 (int_of_float (3.0 *. p.rtt /. p.dt)) in
+  let max_lag = n / 3 in
+  if n < 12 || max_lag <= min_lag then None
+  else begin
+    let ma_win = max 3 (int_of_float (16.0 *. p.rtt /. p.dt)) in
+    let resid =
+      Array.init n (fun i ->
+          let lo = max 0 (i - (ma_win / 2)) and hi = min (n - 1) (i + (ma_win / 2)) in
+          let acc = ref 0.0 in
+          for k = lo to hi do
+            acc := !acc +. seg.values.(k)
+          done;
+          seg.values.(i) -. (!acc /. float_of_int (hi - lo + 1)))
+    in
+    let var = Array.fold_left (fun a x -> a +. (x *. x)) 0.0 resid /. float_of_int n in
+    if var <= 1e-9 then None
+    else begin
+      let autocorr lag =
+        let acc = ref 0.0 in
+        for i = 0 to n - 1 - lag do
+          acc := !acc +. (resid.(i) *. resid.(i + lag))
+        done;
+        !acc /. (float_of_int (n - lag) *. var)
+      in
+      let rec find_decay lag =
+        if lag > max_lag then None
+        else if autocorr lag < 0.2 then Some lag
+        else find_decay (lag + 1)
+      in
+      match find_decay min_lag with
+      | None -> None
+      | Some decayed ->
+        let rec first_peak lag =
+          if lag + 1 > max_lag then None
+          else begin
+            let prev = autocorr (lag - 1) and c = autocorr lag and next = autocorr (lag + 1) in
+            if c > 0.3 && c >= prev && c >= next then Some lag else first_peak (lag + 1)
+          end
+        in
+        Option.map (fun lag -> float_of_int lag *. p.dt) (first_peak (decayed + 1))
+    end
+  end
+
+(* Seeded periodic-plus-noise traces over three RTTs, through the whole
+   pipeline, plus the raw (unfiltered) samples of each as a segment of its
+   own. *)
+let test_oscillation_period_matches_naive () =
+  let rng = Netsim.Rng.create 2024 in
+  let checked = ref 0 and periodic = ref 0 in
+  for case = 1 to 30 do
+    let rtt = [| 0.06; 0.12; 0.22 |].(case mod 3) in
+    let period = Netsim.Rng.uniform rng 4.0 14.0 *. rtt in
+    let amp = Netsim.Rng.uniform rng 100.0 2000.0 in
+    let std = Netsim.Rng.uniform rng 0.0 800.0 in
+    let duration = Netsim.Rng.uniform rng 8.0 30.0 in
+    let pts =
+      series ~duration (fun t ->
+          5000.0 +. (amp *. sin (2.0 *. Float.pi *. t /. period))
+          +. Netsim.Rng.gaussian rng ~mean:0.0 ~std)
+    in
+    let p = prepare ~rtt pts in
+    let raw =
+      {
+        Nebby.Pipeline.start_time = 0.0;
+        duration;
+        values = Array.copy pts.values;
+        raw_max = Sigproc.Series.maximum pts.values;
+        raw_min = Sigproc.Series.minimum pts.values;
+        drop_frac = 0.0;
+      }
+    in
+    List.iter
+      (fun seg ->
+        let expected = naive_oscillation_period p seg in
+        incr checked;
+        if expected <> None then incr periodic;
+        Alcotest.(check (option (float 0.0)))
+          (Printf.sprintf "case %d: same period" case)
+          expected
+          (Nebby.Trace_sig.oscillation_period p seg))
+      (raw :: p.Nebby.Pipeline.segments)
+  done;
+  (* the comparison must exercise the peak hunt, not just its early exits *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d segments periodic" !periodic !checked)
+    true
+    (!periodic * 4 >= !checked)
+
+(* A cache hit returns exactly what a miss computes: directly on a
+   two-slot cache (hit, a different array with the same contents, and
+   eviction), then through the cached signatures and trace vector. *)
+let test_recent_cache_hit_equals_miss () =
+  let cache = Nebby.Recent.create 2 in
+  let computed = ref 0 in
+  let sum key () =
+    incr computed;
+    Array.fold_left ( +. ) 0.0 key
+  in
+  let get key = Nebby.Recent.find_or_add cache key (sum key) in
+  let a = [| 1.0; 2.0 |] in
+  let miss = get a in
+  Alcotest.(check (float 0.0)) "hit = miss" miss (get a);
+  Alcotest.(check int) "a hit computes nothing" 1 !computed;
+  ignore (get (Array.copy a));
+  Alcotest.(check int) "equal contents, other array: a miss" 2 !computed;
+  ignore (get [| 3.0 |]);
+  Alcotest.(check (float 0.0)) "evicted key recomputes the same" miss (get a);
+  Alcotest.(check int) "the oldest key was evicted" 4 !computed;
+  Alcotest.check_raises "capacity" (Invalid_argument "Recent.create: capacity must be positive")
+    (fun () -> ignore (Nebby.Recent.create 0));
+  let p =
+    prepare
+      (series ~duration:20.0 (fun t ->
+           plateau_with_drains ~drain_every:5.0 ~ripple_period:(8.0 *. rtt) ~ripple_amp:600.0 t))
+  in
+  let fresh (seg : Nebby.Pipeline.segment) = { seg with values = Array.copy seg.values } in
+  let bits = Option.map Int64.bits_of_float in
+  Alcotest.(check bool) "segments" true (p.Nebby.Pipeline.segments <> []);
+  List.iter
+    (fun seg ->
+      let first = Nebby.Trace_sig.oscillation_period p seg in
+      Alcotest.(check (option int64)) "period hit" (bits first)
+        (bits (Nebby.Trace_sig.oscillation_period p seg));
+      Alcotest.(check (option int64)) "period miss" (bits first)
+        (bits (Nebby.Trace_sig.oscillation_period p (fresh seg)));
+      let flat = Nebby.Trace_sig.flatness seg in
+      Alcotest.(check int64) "flatness hit" (Int64.bits_of_float flat)
+        (Int64.bits_of_float (Nebby.Trace_sig.flatness seg));
+      Alcotest.(check int64) "flatness miss" (Int64.bits_of_float flat)
+        (Int64.bits_of_float (Nebby.Trace_sig.flatness (fresh seg)));
+      let span = Nebby.Trace_sig.longest_flat_span p seg in
+      Alcotest.(check int64) "flat span miss" (Int64.bits_of_float span)
+        (Int64.bits_of_float (Nebby.Trace_sig.longest_flat_span p (fresh seg))))
+    p.Nebby.Pipeline.segments;
+  let vec_bits p = Option.map (Array.map Int64.bits_of_float) (Nebby.Features.trace_vector p) in
+  let first = vec_bits p in
+  Alcotest.(check bool) "a trace vector" true (first <> None);
+  Alcotest.(check bool) "vector hit" true (vec_bits p = first);
+  Alcotest.(check bool) "vector miss" true
+    (vec_bits { p with smoothed = Array.copy p.smoothed } = first);
+  match (Nebby.Features.trace_vector p, Nebby.Features.trace_vector p) with
+  | Some v1, Some v2 -> Alcotest.(check bool) "hits never alias" false (v1 == v2)
+  | _ -> Alcotest.fail "no trace vector"
+
 let prop_pipeline_total =
   QCheck.Test.make ~name:"pipeline survives arbitrary nonnegative series" ~count:60
     QCheck.(list_of_size (QCheck.Gen.int_range 2 400) (float_bound_inclusive 20000.0))
@@ -302,4 +453,8 @@ let suite =
     Alcotest.test_case "verdict combination rules" `Quick test_combine_agreement;
     QCheck_alcotest.to_alcotest prop_pipeline_total;
     QCheck_alcotest.to_alcotest prop_bif_estimate_nonnegative;
+    Alcotest.test_case "oscillation period matches the naive hunt" `Quick
+      test_oscillation_period_matches_naive;
+    Alcotest.test_case "signature cache hit equals a miss" `Quick
+      test_recent_cache_hit_equals_miss;
   ]

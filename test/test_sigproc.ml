@@ -265,10 +265,116 @@ let test_gnb_log_likelihood_order () =
   | (best, _) :: _ -> Alcotest.(check string) "sorted most likely first" "low" best
   | [] -> Alcotest.fail "no likelihoods"
 
+(* scoring once and deciding from the scores is the same rule as predict,
+   and the score it returns is the winner's log-likelihood *)
+let test_gnb_decide_matches_predict () =
+  let rng = Netsim.Rng.create 29 in
+  let cluster mean n =
+    List.init n (fun _ ->
+        [| mean +. Netsim.Rng.gaussian rng ~mean:0.0 ~std:1.0;
+           mean -. Netsim.Rng.gaussian rng ~mean:0.0 ~std:0.5 |])
+  in
+  let model =
+    Sigproc.Gnb.fit [ ("a", cluster 0.0 40); ("b", cluster 1.5 40); ("c", cluster 4.0 40) ]
+  in
+  for i = 0 to 200 do
+    let x = [| (float_of_int i /. 40.0) -. 1.0; 2.0 -. (float_of_int i /. 50.0) |] in
+    let scores = Sigproc.Gnb.log_likelihoods model x in
+    List.iter
+      (fun margin ->
+        let decided = Sigproc.Gnb.decide ~margin scores in
+        Alcotest.(check (option string)) "same label" (Sigproc.Gnb.predict ~margin model x)
+          (Option.map fst decided);
+        Option.iter
+          (fun (label, ll) ->
+            Alcotest.(check int64) "winner's score" (Int64.bits_of_float (List.assoc label scores))
+              (Int64.bits_of_float ll))
+          decided)
+      [ 0.0; 0.5; 2.0 ]
+  done
+
 let test_gnb_rejects_dim_mismatch () =
   let model = Sigproc.Gnb.fit [ ("a", [ [| 0.0 |]; [| 1.0 |] ]); ("b", [ [| 5.0 |]; [| 6.0 |] ]) ] in
   Alcotest.check_raises "mismatch" (Invalid_argument "Gnb.log_likelihoods: dimension mismatch")
     (fun () -> ignore (Sigproc.Gnb.log_likelihoods model [| 0.0; 1.0 |]))
+
+(* ---- Order statistics ---- *)
+
+(* Small integers (runs of duplicates), signed zeros, nan and the
+   infinities, mixed with wide uniforms; lengths from 1. *)
+let order_stat_arb =
+  QCheck.make
+    ~print:QCheck.Print.(array float)
+    QCheck.Gen.(
+      array_size (int_range 1 64)
+        (frequency
+           [
+             (4, map float_of_int (int_range (-3) 3));
+             (1, return 0.0);
+             (1, return (-0.0));
+             (1, return nan);
+             (1, return infinity);
+             (1, return neg_infinity);
+             (4, float_range (-1e6) 1e6);
+           ]))
+
+let prop_select_matches_sort =
+  QCheck.Test.make ~name:"select, median and quantile match a full sort" ~count:300
+    order_stat_arb (fun xs ->
+      let eq a b = Float.compare a b = 0 in
+      let orig = Array.copy xs in
+      let sorted = Array.copy xs in
+      Array.sort Float.compare sorted;
+      let n = Array.length xs in
+      let every_rank =
+        List.for_all (fun k -> eq (Sigproc.Series.select k xs) sorted.(k)) (List.init n Fun.id)
+      in
+      let median =
+        if n mod 2 = 1 then sorted.(n / 2) else (sorted.((n / 2) - 1) +. sorted.(n / 2)) /. 2.0
+      in
+      let quantile q =
+        let pos = q *. float_of_int (n - 1) in
+        let lo = int_of_float pos in
+        let frac = pos -. float_of_int lo in
+        (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(min (n - 1) (lo + 1)) *. frac)
+      in
+      every_rank
+      && eq (Sigproc.Series.median xs) median
+      && List.for_all
+           (fun q -> eq (Sigproc.Series.quantile q xs) (quantile q))
+           [ 0.0; 0.05; 0.25; 0.5; 0.9; 0.95; 1.0 ]
+      && Array.for_all2 eq orig xs)
+
+let test_select_rejects_bad_rank () =
+  Alcotest.check_raises "rank = length" (Invalid_argument "Series.select: rank out of bounds")
+    (fun () -> ignore (Sigproc.Series.select 3 [| 1.0; 2.0; 3.0 |]));
+  Alcotest.check_raises "empty" (Invalid_argument "Series.select: rank out of bounds") (fun () ->
+      ignore (Sigproc.Series.select 0 [||]));
+  check_close "median of nothing" 0.0 (Sigproc.Series.median [||])
+
+(* One basis over the abscissae, every degree solved from its sums: the
+   same bits as [Polyfit.fit]'s own per-point accumulation for each
+   degree, for scattered abscissae and for the uniform grid the shape
+   features use. *)
+let prop_polyfit_shared_sums =
+  QCheck.Test.make ~name:"shared power sums fit bit for bit" ~count:200
+    QCheck.(
+      pair bool
+        (list_of_size (Gen.int_range 1 80)
+           (pair (float_range (-2.0) 2.0) (float_range (-1e3) 1e3))))
+    (fun (grid, pts) ->
+      let n = List.length pts in
+      let xs =
+        if grid then Array.init n (fun i -> float_of_int i /. float_of_int (max 1 (n - 1)))
+        else Array.of_list (List.map fst pts)
+      in
+      let ys = Array.of_list (List.map snd pts) in
+      let shared = Sigproc.Polyfit.fit_each (Sigproc.Polyfit.basis ~max_degree:3 xs) ~ys in
+      let bits c = Array.map Int64.bits_of_float c in
+      Array.length shared = 3
+      && List.for_all
+           (fun degree -> bits shared.(degree - 1) = bits (Sigproc.Polyfit.fit ~degree ~xs ~ys))
+           [ 1; 2; 3 ])
 
 let suite =
   [
@@ -302,4 +408,8 @@ let suite =
     Alcotest.test_case "gnb margin refuses ambiguity" `Quick test_gnb_margin_unknown;
     Alcotest.test_case "gnb ranks likelihoods" `Quick test_gnb_log_likelihood_order;
     Alcotest.test_case "gnb checks dimensions" `Quick test_gnb_rejects_dim_mismatch;
+    QCheck_alcotest.to_alcotest prop_select_matches_sort;
+    Alcotest.test_case "select rejects ranks out of bounds" `Quick test_select_rejects_bad_rank;
+    QCheck_alcotest.to_alcotest prop_polyfit_shared_sums;
+    Alcotest.test_case "gnb decide agrees with predict" `Quick test_gnb_decide_matches_predict;
   ]

@@ -149,16 +149,28 @@ done
 
 echo "== census par-smoke (jobs=2 and jobs=4 must match jobs=1 exactly) =="
 # The engine's determinism contract, end to end through the CLI: a
-# parallel census must be byte-identical to the serial one. jobs=2 is
-# the bench's setting and the first count with exactly one spawned
-# domain (the caller is worker 0).
+# parallel census must be byte-identical to the serial one, down to its
+# provenance reports. jobs=2 is the bench's setting and the first count
+# with exactly one spawned domain (the caller is worker 0).
 census="--sites 32 --training-runs 3 --seed 1234"
-run_ok "serial census smoke" "$cli" census $census --jobs 1 >"$work/census1.txt"
-for jobs in 2 4; do
-  run_ok "parallel census smoke (jobs=$jobs)" \
-    "$cli" census $census --jobs "$jobs" >"$work/census$jobs.txt"
-  same "$work/census1.txt" "$work/census$jobs.txt" "census --jobs $jobs diverged from --jobs 1"
+for jobs in 1 2 4; do
+  run_ok "census smoke (jobs=$jobs)" "$cli" census $census --jobs "$jobs" \
+    --provenance "$work/prov$jobs.jsonl" >"$work/census$jobs.txt"
+  # the summary echoes the provenance path; normalize it before diffing
+  sed -i "s|$work/prov$jobs.jsonl|PROV|" "$work/census$jobs.txt"
 done
+for jobs in 2 4; do
+  same "$work/census1.txt" "$work/census$jobs.txt" "census --jobs $jobs diverged from --jobs 1"
+  same "$work/prov1.jsonl" "$work/prov$jobs.jsonl" \
+    "census --jobs $jobs provenance diverged from --jobs 1"
+done
+# The reports print every feature at %.17g, so the committed expectation
+# pins the analysis kernels' floats: a kernel change that moves one bit of
+# a feature, or flips a verdict, shows up here.
+same tools/expect/census_provenance.jsonl "$work/prov1.jsonl" \
+  "census provenance drifted from tools/expect/census_provenance.jsonl (if intentional, regenerate:
+   dune exec bin/nebby_cli.exe -- census $census --jobs 1 \\
+     --provenance tools/expect/census_provenance.jsonl >/dev/null)"
 
 echo "== pool trace gate (census --pool-trace; report/chrome render deterministically) =="
 # Task-lifecycle tracing end to end: a traced census must record every
