@@ -804,11 +804,9 @@ let overhead () =
   in
   Obs.Flight.set_enabled true;
   let trace =
+    (* the census under span collection: armed, with every pool task traced *)
     measure "pool tracing" ~off:labels ~on:(fun i ->
-        Obs.Pooltrace.set_enabled true;
-        labels i;
-        Obs.Pooltrace.set_enabled false;
-        ignore (Obs.Pooltrace.drain ()))
+        ignore (Obs.Span.record (fun () -> labels i)))
   in
   let provenance = measure "provenance" ~off:labels ~on:explained in
   (* the alert engine rides serve's epoch loop: a one-site, two-epoch

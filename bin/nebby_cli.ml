@@ -250,7 +250,8 @@ let write_file path content =
 let with_profiling (prof, folded, json) f =
   if not (prof || folded <> None || json <> None) then f ()
   else begin
-    let result, profile = Obs.Prof.record f in
+    let result, spans = Obs.Span.record f in
+    let profile = Obs.Prof.of_spans spans in
     Option.iter (fun path -> write_file path (Obs.Prof.folded profile)) folded;
     Option.iter
       (fun path -> write_file path (Obs.Json.to_string (Obs.Prof.to_json profile) ^ "\n"))
@@ -415,19 +416,11 @@ let trace_cmd =
   Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ cca_arg $ proto_arg $ noise_arg $ seed_arg)
 
 let census_cmd =
-  let pool_trace_arg =
-    let doc =
-      "Record the scheduler's task lifecycle (submit/steal/start/finish per site) and \
-       write the trace as JSONL to $(docv); render it later with $(b,nebby stats --pool) \
-       or $(b,nebby report)."
-    in
-    Arg.(value & opt (some string) None & info [ "pool-trace" ] ~docv:"FILE" ~doc)
-  in
   let pool_report_arg =
     let doc = "Print the pool scheduler report (wait/run histograms, per-domain table)." in
     Arg.(value & flag & info [ "pool-report" ] ~doc)
   in
-  let run sites region proto seed control jobs () provenance pool_trace pool_report
+  let run sites region proto seed control jobs () provenance telemetry pool_report
       profiling =
     or_exit_2 "census" (fun () ->
       let control = Lazy.force control in
@@ -441,52 +434,50 @@ let census_cmd =
               (100.0 *. float_of_int n /. float_of_int total))
           tally
       in
-      let tracing = pool_trace <> None || pool_report in
-      if tracing then Obs.Pooltrace.set_enabled true;
-      let finish_trace () =
-        if tracing then begin
-          let trace = Obs.Pooltrace.drain () in
-          Option.iter
-            (fun path ->
-              write_file path (Obs.Pooltrace.to_string trace);
-              Printf.printf "pool trace : %s (%d tasks)\n" path
-                (List.length trace.Obs.Pooltrace.tasks))
-            pool_trace;
-          if pool_report then begin
-            print_newline ();
-            print_string (Obs.Pooltrace.report trace)
-          end
+      (* the census runs under span collection when its pool.task spans
+         are wanted, in the telemetry file or in the pool report *)
+      let traced f =
+        let record f = Obs.Telemetry.record ?jsonl:telemetry f in
+        if not pool_report then record f
+        else begin
+          let code, spans = Obs.Span.record (fun () -> record f) in
+          print_newline ();
+          print_string (Obs.Pooltrace.report spans);
+          code
         end
       in
-      with_profiling profiling (fun () ->
-          match provenance with
-          | None ->
-            print_tally (Internet.Census.run ~jobs ~control ~proto ~region websites);
-            finish_trace ();
-            exit_ok
-          | Some path ->
-            (* The explained census carries full verdict reports; its labels
-               are bit-identical to the plain path. *)
-            let explained =
-              Internet.Census.explained ~jobs ~control ~proto ~region websites
-            in
-            print_tally
-              (Internet.Census.tally_of_labels
-                 (List.map
-                    (fun (site, r) -> (site, r.Nebby.Measurement.label))
-                    explained));
-            write_provenance_jsonl path (Internet.Census.provenance_reports explained);
-            print_newline ();
-            print_string
-              (Obs.Provenance.render_dists ~header:"confidence"
-                 (Internet.Census.confidence_dists explained));
-            print_newline ();
-            print_string
-              (Obs.Provenance.render_dists ~header:"margin"
-                 (Internet.Census.margin_dists explained));
-            Printf.printf "\nprovenance : %s\n" path;
-            finish_trace ();
-            exit_ok))
+      let code =
+        with_profiling profiling @@ fun () ->
+        traced @@ fun () ->
+        match provenance with
+        | None ->
+          print_tally (Internet.Census.run ~jobs ~control ~proto ~region websites);
+          exit_ok
+        | Some path ->
+          (* The explained census carries full verdict reports; its labels
+             are bit-identical to the plain path. *)
+          let explained =
+            Internet.Census.explained ~jobs ~control ~proto ~region websites
+          in
+          print_tally
+            (Internet.Census.tally_of_labels
+               (List.map
+                  (fun (site, r) -> (site, r.Nebby.Measurement.label))
+                  explained));
+          write_provenance_jsonl path (Internet.Census.provenance_reports explained);
+          print_newline ();
+          print_string
+            (Obs.Provenance.render_dists ~header:"confidence"
+               (Internet.Census.confidence_dists explained));
+          print_newline ();
+          print_string
+            (Obs.Provenance.render_dists ~header:"margin"
+               (Internet.Census.margin_dists explained));
+          Printf.printf "\nprovenance : %s\n" path;
+          exit_ok
+      in
+      Option.iter (Printf.printf "telemetry  : %s\n") telemetry;
+      code)
   in
   let doc = "Run a mini census over the synthetic website population." in
   Cmd.v (Cmd.info "census" ~doc)
@@ -494,7 +485,7 @@ let census_cmd =
       const run
       $ sites_arg ~default:100 ~doc:"Number of websites to measure."
       $ region_arg () $ proto_arg $ seed_arg $ control_arg $ jobs_arg $ log_level_arg
-      $ provenance_arg $ pool_trace_arg $ pool_report_arg $ profiling_arg)
+      $ provenance_arg $ telemetry_arg $ pool_report_arg $ profiling_arg)
 
 let accuracy_cmd =
   let trials_arg = count ~default:5 "trials" ~doc:"Trials per CCA." in
@@ -903,7 +894,8 @@ let report_cmd =
   let target_arg =
     let doc =
       "What to report on: a flight-dump JSONL (written by $(b,measure --flight)), a \
-       golden fixture (test/golden/*.json), or a CCA registry name."
+       golden fixture (test/golden/*.json), a telemetry recording (its pool scheduler \
+       page), or a CCA registry name."
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"TARGET" ~doc)
   in
@@ -957,8 +949,8 @@ let report_cmd =
     let with_prof f =
       if not prof then f ()
       else begin
-        let result, profile = Obs.Prof.record f in
-        profiled := Some profile;
+        let result, spans = Obs.Span.record f in
+        profiled := Some (Obs.Prof.of_spans spans);
         result
       end
     in
@@ -976,16 +968,16 @@ let report_cmd =
     or_exit_2 ~file:target "report" (fun () ->
       if Sys.file_exists target then begin
         let text = In_channel.with_open_bin target In_channel.input_all in
-        (* pool-trace JSONL headers self-identify; route them to the
+        (* a telemetry recording opens with a span line; route it to the
            scheduler report rather than the measurement report *)
-        let is_pool_trace =
+        let is_telemetry =
           let eol = Option.value ~default:(String.length text) (String.index_opt text '\n') in
           match Obs.Json.of_string (String.sub text 0 eol) with
-          | header -> Obs.Json.member "kind" header = Some (Obs.Json.Str "pool_trace")
+          | first -> Obs.Json.member "kind" first = Some (Obs.Json.Str "span")
           | exception Obs.Json.Parse_error _ -> false
         in
-        if is_pool_trace then
-          emit_html (Obs.Render.pool_report_html ~trace:(Obs.Pooltrace.of_string text) ())
+        if is_telemetry then
+          emit_html (Obs.Render.pool_report_html ~spans:(Obs.Telemetry.read_spans target) ())
         else
         match Obs.Flight.dump_of_string text with
         | dump ->
@@ -1112,9 +1104,10 @@ let campaign_cmd =
   in
   let pool_trace_file_arg =
     let doc =
-      "Embed the pool scheduler section (timeline SVG, wait/run histograms) from this \
-       saved task trace (as written by $(b,census --pool-trace)) into the dashboard. \
-       Wall-clock content: the determinism diff in check.sh runs without it."
+      "Embed the pool scheduler section (timeline SVG, wait/run histograms) from the \
+       pool.task spans of this telemetry recording (as written by $(b,census --telemetry)) \
+       into the dashboard. Wall-clock content: the determinism diff in check.sh runs \
+       without it."
     in
     Arg.(value & opt (some string) None & info [ "pool-trace" ] ~docv:"FILE" ~doc)
   in
@@ -1193,12 +1186,7 @@ let campaign_cmd =
       let results = Obs.Campaign.evaluate ~gates ~extra summary in
       write_file summary_path
         (Obs.Json.to_string (Obs.Campaign.summary_to_json ~gates:results summary) ^ "\n");
-      let pool =
-        Option.map
-          (fun path ->
-            Obs.Pooltrace.of_string (In_channel.with_open_bin path In_channel.input_all))
-          pool_trace_file
-      in
+      let pool = Option.map Obs.Telemetry.read_spans pool_trace_file in
       let drift =
         Option.map
           (fun store ->
@@ -1562,9 +1550,7 @@ let stats_cmd =
   let file_arg =
     let doc =
       Printf.sprintf
-        "Telemetry JSONL file to summarize (as written by $(b,measure --telemetry)). \
-         Defaults to %s; when no file exists, one fresh instrumented run is profiled \
-         instead."
+        "Telemetry JSONL file to summarize (as written by $(b,--telemetry)). Defaults to %s."
         default_telemetry_file
     in
     Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
@@ -1578,15 +1564,15 @@ let stats_cmd =
   in
   let pool_arg =
     let doc =
-      "Render the pool scheduler report from a task trace written by \
-       $(b,census --pool-trace)."
+      "Render the pool scheduler report from the pool.task spans of a telemetry recording \
+       (as written by $(b,census --telemetry))."
     in
     Arg.(value & opt (some string) None & info [ "pool" ] ~docv:"FILE" ~doc)
   in
   let chrome_arg =
     let doc =
-      "With $(b,--pool): also export the trace as Chrome trace_event JSON to $(docv) \
-       (load it in about://tracing or Perfetto)."
+      "With $(b,--pool): also export the recording's spans as Chrome trace_event JSON to \
+       $(docv), one thread per pool worker (load it in about://tracing or Perfetto)."
     in
     Arg.(value & opt (some string) None & info [ "chrome-trace" ] ~docv:"FILE" ~doc)
   in
@@ -1598,7 +1584,7 @@ let stats_cmd =
     Arg.(value & opt (some string) None & info [ "drift" ] ~docv:"STORE" ~doc)
   in
   let run file live pool chrome drift =
-    or_exit_2 "stats" (fun () ->
+    or_exit_2 ?file:pool "stats" (fun () ->
     match (live, pool, drift) with
     | _, _, Some store ->
       let ledger = Serve.Observatory.ledger_of_store ~store in
@@ -1607,14 +1593,12 @@ let stats_cmd =
     | Some status_path, _, None ->
       print_string (Serve.Health.render (Serve.Health.read status_path));
       exit_ok
-    | None, Some trace_path, None ->
-      let trace =
-        Obs.Pooltrace.of_string (In_channel.with_open_bin trace_path In_channel.input_all)
-      in
-      print_string (Obs.Pooltrace.report trace);
+    | None, Some path, None ->
+      let spans = Obs.Telemetry.read_spans path in
+      print_string (Obs.Pooltrace.report spans);
       Option.iter
         (fun out ->
-          write_file out (Obs.Pooltrace.to_chrome_string trace);
+          write_file out (Obs.Json.to_string (Obs.Span.chrome_trace spans));
           Printf.printf "\nchrome trace: %s\n" out)
         chrome;
       exit_ok
@@ -1630,71 +1614,16 @@ let stats_cmd =
           (Obs.Telemetry.render_summary (Obs.Telemetry.read_summary p));
         exit_ok
       | None ->
-        (* nothing recorded yet: profile live runs so the metrics table is
-           never empty. The work goes through the pool with task tracing
-           on, so one command summarizes every obs subsystem — metrics,
-           flight recorder, scheduler, histograms, profiler. *)
-        Printf.printf
-          "no telemetry file found; profiling fresh runs (cubic, tcp, mild noise, seed \
-           42, 2 pool tasks)\n\n";
-        let (), prof_profile =
-          Obs.Prof.record (fun () ->
-              Obs.Runtime.with_armed (fun () ->
-                  Obs.Flight.clear ();
-                  Obs.Flight.set_enabled true;
-                  Obs.Pooltrace.set_enabled true;
-                  Fun.protect
-                    ~finally:(fun () ->
-                      Obs.Flight.set_enabled false;
-                      Obs.Pooltrace.set_enabled false)
-                    (fun () ->
-                      ignore
-                        (Engine.Pool.map_list ~jobs:2
-                           (fun profile ->
-                             let result =
-                               Nebby.Testbed.run ~seed:42 ~noise:Netsim.Path.mild ~profile
-                                 ~make_cca:(Cca.Registry.create "cubic") ()
-                             in
-                             ignore (Nebby.Measurement.prepare_result ~profile result))
-                           [ Nebby.Profile.delay_50ms; Nebby.Profile.delay_100ms ]))))
-        in
-        print_string (Obs.Metrics.render (Obs.Metrics.snapshot ()));
-        let flight_events = Obs.Flight.events () in
-        let kind_counts =
-          List.fold_left
-            (fun acc (e : Obs.Flight.event) ->
-              let k = Obs.Flight.kind_label e.Obs.Flight.kind in
-              (k, 1 + Option.value ~default:0 (List.assoc_opt k acc))
-              :: List.remove_assoc k acc)
-            [] flight_events
-          |> List.sort compare
-        in
-        Printf.printf "\nflight recorder (%d events buffered)\n" (List.length flight_events);
-        List.iter (fun (k, n) -> Printf.printf "  %-30s %10d\n" k n) kind_counts;
-        Obs.Flight.clear ();
-        let trace = Obs.Pooltrace.drain () in
-        let s = Obs.Pooltrace.summarize trace in
-        Printf.printf "\npool scheduler\n";
-        Printf.printf "  %-30s %10d\n" "tasks run" s.Obs.Pooltrace.s_tasks;
-        Printf.printf "  %-30s %10d\n" "steals" s.s_steals;
-        Printf.printf "  %-30s %10d\n" "local pops" (s.s_tasks - s.s_steals);
-        Printf.printf "  %-30s %10.0f\n" "queue wait p99 (us)"
-          (Obs.Histogram.quantile s.Obs.Pooltrace.s_wait_us 0.99);
-        let hists = Obs.Histogram.all () in
-        if hists <> [] then begin
-          Printf.printf "\nlatency histograms\n";
-          print_string (Obs.Histogram.render hists)
-        end;
-        Obs.Histogram.reset ();
-        Printf.printf "\nprofiler spans\n";
-        print_string (Obs.Prof.render prof_profile);
-        exit_ok))
+        Printf.eprintf
+          "nebby stats: no telemetry file given and no %s here; record one with \
+           --telemetry FILE\n"
+          default_telemetry_file;
+        exit_usage))
   in
   let doc =
     "Summarize the obs subsystems: a telemetry file, a live serve health snapshot \
-     ($(b,--live)), a pool scheduler trace ($(b,--pool)), a serve store's drift ledger \
-     ($(b,--drift)), or a fresh instrumented run (metrics, flight-recorder event \
-     counts, pool/histogram counters, profiler spans)."
+     ($(b,--live)), the pool scheduler in a telemetry recording ($(b,--pool)) or a serve \
+     store's drift ledger ($(b,--drift))."
   in
   Cmd.v (Cmd.info "stats" ~doc)
     Term.(const run $ file_arg $ live_arg $ pool_arg $ chrome_arg $ drift_arg)

@@ -9,15 +9,20 @@ let default_jobs () = Domain.recommended_domain_count ()
    global index s + p*w. *)
 let shard_size ~n ~workers s = if s >= n then 0 else ((n - s - 1) / workers) + 1
 
-(* Task-lifecycle tracing (Obs.Pooltrace): when the caller has tracing
-   on, each task is stamped around [f]. When tracing is off the per-task
-   cost is one captured-bool branch — the clock is never read. *)
-let run_traced ~worker ~stolen ~workers ~t_submit f i x =
-  let t0 = Unix.gettimeofday () in
-  let r = (match f x with y -> Ok y | exception e -> Error e) in
-  let t1 = Unix.gettimeofday () in
-  Obs.Pooltrace.record ~index:i ~shard:(i mod workers) ~worker ~stolen ~t_submit ~t0 ~t1;
-  r
+(* Task tracing (Obs.Pooltrace reads it back): while the runtime is
+   armed, each task runs inside a pool.task span carrying which task it
+   was, who ran it and when its run was submitted. *)
+let traced ~worker ~stolen ~workers ~t_submit f i x =
+  let attrs =
+    [
+      ("index", float_of_int i);
+      ("shard", float_of_int (i mod workers));
+      ("worker", float_of_int worker);
+      ("stolen", if stolen then 1.0 else 0.0);
+      ("submit", t_submit);
+    ]
+  in
+  Obs.Span.with_ ~attrs ~name:Obs.Pooltrace.task_name (fun () -> f x)
 
 (* The one scheduling path. The calling domain is worker 0 and spawns
    the other [workers - 1]: OCaml 5 minor collections stop every domain,
@@ -35,8 +40,8 @@ let run ?emit ?jobs f xs =
   (* set once [emit] raises: no job starts after that, at any worker
      count, so a failing store stops the campaign at its next claim *)
   let stop = Atomic.make false in
-  let trace_on = Obs.Pooltrace.enabled () in
-  let t_submit = if trace_on then Obs.Pooltrace.on_run ~jobs:n ~workers else 0.0 in
+  let trace_on = Obs.Runtime.armed () in
+  let t_submit = if trace_on then Unix.gettimeofday () else 0.0 in
   let claim s =
     if Atomic.get stop then None
     else
@@ -44,14 +49,11 @@ let run ?emit ?jobs f xs =
       if pos < shard_size ~n ~workers s then Some (s + (pos * workers)) else None
   in
   let run_one ~worker ~stolen i =
-    (if trace_on then
-       match run_traced ~worker ~stolen ~workers ~t_submit f i xs.(i) with
-       | Ok y -> results.(i) <- Some y
-       | Error e -> errors.(i) <- Some e
-     else
-       match f xs.(i) with
-       | y -> results.(i) <- Some y
-       | exception e -> errors.(i) <- Some e);
+    (match
+       if trace_on then traced ~worker ~stolen ~workers ~t_submit f i xs.(i) else f xs.(i)
+     with
+    | y -> results.(i) <- Some y
+    | exception e -> errors.(i) <- Some e);
     (* publish: the Atomic.set orders the plain result write before any
        reader that observes [ready], so the caller may emit results.(i)
        without a lock once the flag is up *)

@@ -25,22 +25,22 @@
 
     Telemetry: worker 0 records straight into the caller's obs state.
     Every other worker is spawned through {!Obs.Collector}, so it
-    inherits the caller's obs state (armed, level, profiler, provenance
-    collection, flight recorder, task tracing, span collection) and its
-    domain-local buffers are absorbed into the caller's at join, worker
-    by worker in join order (so provenance reports arrive as the
-    caller's own, then the other workers' in join order, not in
-    submission order). When the caller is armed and k > 1, the pool
-    itself adds [engine.pool.jobs], [engine.pool.workers],
+    inherits the caller's obs state (armed, level, provenance
+    collection, flight recorder, its innermost open span, span
+    collection) and its domain-local buffers are absorbed into the
+    caller's at join, worker by worker in join order (so provenance
+    reports arrive as the caller's own, then the other workers' in join
+    order, not in submission order). When the caller is armed and k > 1,
+    the pool itself adds [engine.pool.jobs], [engine.pool.workers],
     [engine.pool.steals] and [engine.pool.local_pops] counters.
 
-    Task tracing: when the caller has {!Obs.Pooltrace} enabled, every
-    task (k = 1 included) records a submit/start/finish lifecycle
-    sample tagged with its claiming worker and steal flag, mirrored into
-    the flight recorder, and feeds the [pool.queue_wait_us] /
-    [pool.run_us] registry histograms. Disabled (the default), the per-task cost is a
-    single branch on a captured bool — the clock is never read — so the
-    determinism contract and the census-overhead budget are unaffected. *)
+    Task tracing: when the caller is armed, every task (k = 1 included)
+    runs inside a ["pool.task"] span whose attributes name the task, its
+    shard, the worker that ran it, whether that was a steal, and the
+    run's submit time; {!Obs.Pooltrace} reads the scheduler report back
+    from those spans. Disarmed (the default), the cost is one check per
+    pool run, so the determinism contract and the census-overhead budget
+    are unaffected. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]: one worker per core, the

@@ -23,10 +23,6 @@ let sinks =
     };
     { inherit_ = nothing; hand_back = flush Metrics.drain Metrics.absorb };
     {
-      inherit_ = (fun () -> if Prof.profiling () then Prof.enable else Fun.id);
-      hand_back = flush Prof.drain Prof.absorb;
-    };
-    {
       inherit_ =
         (fun () -> if Provenance.collecting () then Provenance.enable_collect else Fun.id);
       hand_back = flush Provenance.drain_reports Provenance.absorb_reports;
@@ -38,21 +34,8 @@ let sinks =
           fun () -> Flight.set_enabled on);
       hand_back = flush Flight.drain Flight.absorb;
     };
-    {
-      inherit_ =
-        (fun () ->
-          let on = Pooltrace.enabled () and origin = Pooltrace.origin () in
-          fun () -> if on then Pooltrace.import ~origin);
-      hand_back = flush Pooltrace.drain_tasks Pooltrace.absorb_tasks;
-    };
     { inherit_ = nothing; hand_back = flush Histogram.drain Histogram.absorb };
-    {
-      inherit_ =
-        (fun () ->
-          let on = Span.collecting () in
-          fun () -> Span.set_collecting on);
-      hand_back = flush Span.drain Span.absorb;
-    };
+    { inherit_ = Span.inherit_; hand_back = flush Span.drain Span.absorb };
   ]
 
 type 'a worker = ('a * (unit -> unit) list) Domain.t

@@ -5,12 +5,12 @@
     Each sink, with what the worker inherits / what it hands back:
     - {!Runtime}: the armed state and detail level / nothing;
     - {!Metrics}: nothing / its counters and gauges;
-    - {!Prof}: profiling on or off / its folded-stack table;
     - {!Provenance}: report collection on or off / its reports;
     - {!Flight}: the enabled flag / its ring;
-    - {!Pooltrace}: the enabled flag and trace origin / its task samples;
     - {!Histogram}: nothing / its registry;
-    - {!Span}: span collection on or off / its collected spans.
+    - {!Span}: the caller's innermost open span, as the parent and path
+      prefix of the worker's spans, and span collection on or off / its
+      collected spans.
 
     The caller absorbs the handed-back buffers in that order, worker by
     worker in join order. A new domain-local sink is added to this list

@@ -19,32 +19,13 @@ type kind =
   | Stall
   | Retx
   | Serve
-  | Pool
 
-let kind_label = function
-  | Enqueue -> "enqueue"
-  | Drop -> "drop"
-  | Fault -> "fault"
-  | Cca_state -> "cca_state"
-  | Bif -> "bif"
-  | Stage -> "stage"
-  | Stall -> "stall"
-  | Retx -> "retx"
-  | Serve -> "serve"
-  | Pool -> "pool"
+(* A kind's ring tag is its position here, which also indexes its
+   stable dump label. *)
+let kinds = [| Enqueue; Drop; Fault; Cca_state; Bif; Stage; Stall; Retx; Serve |]
 
-let kind_of_label = function
-  | "enqueue" -> Some Enqueue
-  | "drop" -> Some Drop
-  | "fault" -> Some Fault
-  | "cca_state" -> Some Cca_state
-  | "bif" -> Some Bif
-  | "stage" -> Some Stage
-  | "stall" -> Some Stall
-  | "retx" -> Some Retx
-  | "serve" -> Some Serve
-  | "pool" -> Some Pool
-  | _ -> None
+let labels =
+  [| "enqueue"; "drop"; "fault"; "cca_state"; "bif"; "stage"; "stall"; "retx"; "serve" |]
 
 let kind_tag = function
   | Enqueue -> 0
@@ -56,19 +37,10 @@ let kind_tag = function
   | Stall -> 6
   | Retx -> 7
   | Serve -> 8
-  | Pool -> 9
 
-let kind_of_tag = function
-  | 0 -> Enqueue
-  | 1 -> Drop
-  | 2 -> Fault
-  | 3 -> Cca_state
-  | 4 -> Bif
-  | 5 -> Stage
-  | 6 -> Stall
-  | 8 -> Serve
-  | 9 -> Pool
-  | _ -> Retx
+let kind_of_tag tag = kinds.(tag)
+let kind_label kind = labels.(kind_tag kind)
+let kind_of_label label = Option.map kind_of_tag (Array.find_index (String.equal label) labels)
 
 type event = {
   seq : int;  (* monotone insertion index within the recording domain *)
@@ -104,6 +76,7 @@ type state = {
   mutable e_c : float array;
   mutable e_detail : string array;
   mutable e_extra : string array;
+  enqueued : Metrics.hot;
 }
 
 let fresh capacity =
@@ -123,6 +96,7 @@ let fresh capacity =
     e_c = Array.make capacity 0.0;
     e_detail = Array.make capacity "";
     e_extra = Array.make capacity "";
+    enqueued = Metrics.hot "netsim.link.enqueued";
   }
 
 let key = Domain.DLS.new_key (fun () -> fresh default_capacity)
@@ -191,7 +165,7 @@ let enqueue ~time ~size ~queue_bytes =
   if s.enabled && s.level.Runtime.current = Runtime.Debug then
     push s Enqueue ~time ~a:(float_of_int size) ~b:(float_of_int queue_bytes)
       ~c:0.0 ~detail:"" ~extra:"";
-  Metrics.bump "netsim.link.enqueued"
+  Metrics.tick s.enqueued
 
 let drop ~time ~size ~queue_bytes =
   let s = state () in
@@ -252,13 +226,6 @@ let retx ~time ~seq =
 let serve ~time ~event ~value =
   let s = state () in
   if s.enabled then push s Serve ~time ~a:value ~b:0.0 ~c:0.0 ~detail:event ~extra:""
-
-(* Pool task-lifecycle marks (submit/start/finish/steal). Only fired
-   while Pooltrace is enabled, so the default census sees none; [time]
-   is wall seconds relative to the trace origin, not virtual time. *)
-let pool ~time ~phase ~a ~b ~c =
-  let s = state () in
-  if s.enabled then push s Pool ~time ~a ~b ~c ~detail:phase ~extra:""
 
 (* Chronological readout: live slots in seq order. The oldest surviving
    seq is [next_seq - capacity] once the ring has wrapped. *)

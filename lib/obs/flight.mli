@@ -40,11 +40,6 @@ type kind =
       (** census-service lifecycle mark; [detail]=event
           ("enqueue"/"overloaded"/"recovered"/"torn_drop"/"timeout"/"drain"),
           [a]=event-specific value (queue depth, recovered count, …) *)
-  | Pool
-      (** scheduler task-lifecycle mark, fired only while [Pooltrace] is
-          enabled; [detail]=phase ("submit"/"start"/"finish"), [time]=wall
-          seconds since the trace origin, [a]/[b]/[c]=phase-specific
-          (task index, worker id, stolen flag) *)
 
 val kind_label : kind -> string
 (** Stable snake_case tag used in dumps. *)
@@ -129,11 +124,6 @@ val retx : time:float -> seq:int -> unit
 val serve : time:float -> event:string -> value:float -> unit
 (** Census-service lifecycle mark ([Serve] kind), recorded at every
     detail level: the event tag lands in [detail], the value in [a]. *)
-
-val pool : time:float -> phase:string -> a:float -> b:float -> c:float -> unit
-(** Scheduler task-lifecycle mark ([Pool] kind). Callers ([Pooltrace])
-    fire it only while pool tracing is on, so the default census records
-    none of these. *)
 
 (** {1 Readout and cross-domain merge} *)
 

@@ -1,4 +1,4 @@
-type counter = { c_name : string; mutable c : int }
+type counter = { c_name : string; mutable c : int; mutable live : bool }
 type gauge = { g_name : string; mutable g : float }
 type metric = Counter of counter | Gauge of gauge
 
@@ -11,7 +11,12 @@ let registry_key : (string, metric) Hashtbl.t Domain.DLS.key =
 
 let registry () = Domain.DLS.get registry_key
 
-let reset () = Hashtbl.reset (registry ())
+(* A reset unregisters every counter; [live] tells a [hot] handle that
+   its counter is gone. *)
+let reset () =
+  let registry = registry () in
+  Hashtbl.iter (fun _ -> function Counter c -> c.live <- false | Gauge _ -> ()) registry;
+  Hashtbl.reset registry
 
 let counter name =
   let registry = registry () in
@@ -19,7 +24,7 @@ let counter name =
   | Some (Counter c) -> c
   | Some _ -> invalid_arg ("Obs.Metrics.counter: " ^ name ^ " registered with another type")
   | None ->
-    let c = { c_name = name; c = 0 } in
+    let c = { c_name = name; c = 0; live = true } in
     Hashtbl.replace registry name (Counter c);
     c
 
@@ -27,6 +32,16 @@ let incr c = c.c <- c.c + 1
 let add c n = c.c <- c.c + n
 let counter_value c = c.c
 let bump ?(by = 1) name = if Runtime.armed () then add (counter name) by
+
+type hot = { h_name : string; mutable h : counter }
+
+let hot name = { h_name = name; h = { c_name = name; c = 0; live = false } }
+
+let tick h =
+  if Runtime.armed () then begin
+    if not h.h.live then h.h <- counter h.h_name;
+    h.h.c <- h.h.c + 1
+  end
 
 let gauge name =
   let registry = registry () in

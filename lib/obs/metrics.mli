@@ -26,6 +26,17 @@ val bump : ?by:int -> string -> unit
     domain is armed, and does nothing otherwise: the one-call form of
     [if Runtime.armed () then add (counter name) by]. *)
 
+type hot
+
+val hot : string -> hot
+(** A handle on the named counter of this domain that a per-packet path
+    keeps: {!tick} costs one armed check and a field test, where {!bump}
+    hashes the name. The handle follows the counter across {!reset}.
+    Like every handle it is domain-local. *)
+
+val tick : hot -> unit
+(** [bump] by one through a {!hot} handle. *)
+
 val gauge : string -> gauge
 val set : gauge -> float -> unit
 val gauge_value : gauge -> float

@@ -85,7 +85,7 @@ val render_dists : header:string -> (string * dist) list -> string
 
 val collecting : unit -> bool
 val enable_collect : unit -> unit
-(** Counted, like [Prof.enable]. *)
+(** Counted: nested [enable_collect]/[disable_collect] pairs compose. *)
 
 val disable_collect : unit -> unit
 

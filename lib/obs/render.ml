@@ -474,14 +474,14 @@ let hbar_svg ~whisker ~vmax_floor entries =
    printed at the right edge. Pure function of the trace: coordinates
    come from the recorded stamps only, through the fixed-precision
    formatters, so equal traces render byte-identically. *)
-let pool_timeline_svg (trace : Pooltrace.t) =
-  let s = Pooltrace.summarize trace in
+let pool_timeline_svg (tasks : Pooltrace.task list) (s : Pooltrace.summary) =
   let row_h = 22.0 in
   let workers = max 1 s.Pooltrace.s_workers in
   let h = (float_of_int workers *. row_h) +. 26.0 in
-  let t0 = 0.0 and t1 = Float.max 1e-9 s.Pooltrace.s_span_s in
+  let span = Float.max 1e-9 s.Pooltrace.s_span_s in
+  let t0 = s.Pooltrace.s_start in
   let x0 = ml and x1 = cw -. mr -. 56.0 in
-  let xv t = x0 +. (Float.max 0.0 (Float.min 1.0 ((t -. t0) /. (t1 -. t0))) *. (x1 -. x0)) in
+  let xv t = x0 +. (Float.max 0.0 (Float.min 1.0 ((t -. t0) /. span)) *. (x1 -. x0)) in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf
@@ -533,7 +533,7 @@ let pool_timeline_svg (trace : Pooltrace.t) =
              (esc
                 (Printf.sprintf "task %d%s" t.Pooltrace.index
                    (if t.Pooltrace.stolen then " (stolen)" else "")))))
-      trace.Pooltrace.tasks;
+      tasks;
     Buffer.add_string buf
       (Printf.sprintf
          "<text x=\"%s\" y=\"%s\" font-size=\"9\" fill=\"%s\">0</text>\n"
@@ -542,7 +542,7 @@ let pool_timeline_svg (trace : Pooltrace.t) =
       (Printf.sprintf
          "<text x=\"%s\" y=\"%s\" font-size=\"9\" text-anchor=\"end\" \
           fill=\"%s\">%s s</text>\n"
-         (coord x1) (coord (h -. 6.0)) c_axis (esc (fnum t1)))
+         (coord x1) (coord (h -. 6.0)) c_axis (esc (fnum span)))
   end;
   Buffer.add_string buf "</svg>\n";
   Buffer.contents buf
@@ -558,11 +558,11 @@ let pool_hist_row buf (hname : string) (h : Histogram.t) =
        (cell (Histogram.quantile h 0.99))
        (cell (Histogram.max_value h)))
 
-let pool_section buf (trace : Pooltrace.t) =
-  let s = Pooltrace.summarize trace in
+let pool_section buf spans =
+  let tasks = Pooltrace.tasks spans in
+  let s = Pooltrace.summarize tasks in
   Buffer.add_string buf "<table class=\"meta\">\n";
   meta_row buf "tasks" (string_of_int s.Pooltrace.s_tasks);
-  meta_row buf "submitted" (string_of_int s.Pooltrace.s_jobs);
   meta_row buf "workers" (string_of_int s.Pooltrace.s_workers);
   meta_row buf "steals"
     (Printf.sprintf "%d (%.1f%%)" s.Pooltrace.s_steals
@@ -571,7 +571,7 @@ let pool_section buf (trace : Pooltrace.t) =
           100.0 *. float_of_int s.Pooltrace.s_steals /. float_of_int s.Pooltrace.s_tasks));
   meta_row buf "span" (Printf.sprintf "%s s" (fnum s.Pooltrace.s_span_s));
   Buffer.add_string buf "</table>\n";
-  Buffer.add_string buf (pool_timeline_svg trace);
+  Buffer.add_string buf (pool_timeline_svg tasks s);
   Buffer.add_string buf
     (legend_entries [ (c_bif, "local task"); (c_drop, "stolen task") ]);
   Buffer.add_string buf
@@ -596,18 +596,15 @@ let pool_section buf (trace : Pooltrace.t) =
     Buffer.add_string buf "</table>\n"
   end
 
-let pool_report_html ~trace () =
+let pool_report_html ~spans () =
   let buf = Buffer.create 8192 in
   Buffer.add_string buf "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"/>\n";
   Buffer.add_string buf "<title>nebby pool report</title>\n";
   Buffer.add_string buf (Printf.sprintf "<style>\n%s</style>\n</head>\n<body>\n" style);
   Buffer.add_string buf "<h1>nebby pool report</h1>\n";
   section buf "Scheduler utilization";
-  pool_section buf trace;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "<p class=\"note\">pool trace schema v%d &#183; generated by nebby report</p>\n"
-       Pooltrace.schema_version);
+  pool_section buf spans;
+  Buffer.add_string buf "<p class=\"note\">generated by nebby report</p>\n";
   Buffer.add_string buf "</body></html>\n";
   Buffer.contents buf
 
@@ -994,9 +991,9 @@ let campaign_dashboard ?(gates = []) ?pool ?drift ~summary () =
   end;
   (match pool with
   | None -> ()
-  | Some trace ->
+  | Some spans ->
     section buf "Pool scheduler (this run — wall-clock, not deterministic)";
-    pool_section buf trace);
+    pool_section buf spans);
   (match drift with
   | None -> ()
   | Some (ledger, events) ->

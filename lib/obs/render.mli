@@ -29,11 +29,11 @@ val measurement_report :
     BiF samples (a quiet-level recording) degrade to an event-count
     note instead of charts. *)
 
-val pool_report_html : trace:Pooltrace.t -> unit -> string
-(** Render a captured pool trace to a self-contained HTML page: run
-    metadata, a per-domain utilization timeline, queue-wait
-    and run-time histogram quantiles, and the per-domain steal/busy
-    table. Byte-identical for equal traces, like
+val pool_report_html : spans:Span.completed list -> unit -> string
+(** Render the ["pool.task"] spans of a recording (see {!Pooltrace}) to
+    a self-contained HTML page: run metadata, a per-domain utilization
+    timeline, queue-wait and run-time histogram quantiles, and the
+    per-domain steal/busy table. Byte-identical for equal spans, like
     {!measurement_report}. *)
 
 val drift_dashboard :
@@ -58,7 +58,7 @@ val drift_dashboard :
 
 val campaign_dashboard :
   ?gates:Campaign.gate_result list ->
-  ?pool:Pooltrace.t ->
+  ?pool:Span.completed list ->
   ?drift:Drift.ledger * Drift.event list ->
   summary:Campaign.summary ->
   unit ->
@@ -68,7 +68,7 @@ val campaign_dashboard :
     accuracy bars with 95%-CI whiskers, confidence/margin distribution
     bars with min–max whiskers, the expected-vs-got confusion tally and
     the seed-outlier table (whose subjects replay with [nebby explain]).
-    When [pool] is given, a scheduler-utilization section (see
+    When [pool] spans are given, a scheduler-utilization section (see
     {!pool_report_html}) is embedded; its wall-clock contents are
     excluded from the dashboard's determinism contract, so the CLI only
     passes it on explicit request. When [drift] is given (a serve

@@ -33,7 +33,3 @@ let disarm () =
 let set_virtual_clock p = (state ()).vclock <- p
 let virtual_clock () = (state ()).vclock
 let virtual_now () = match (state ()).vclock with None -> None | Some f -> Some (f ())
-
-let with_armed f =
-  arm ();
-  Fun.protect ~finally:disarm f

@@ -3,8 +3,7 @@
     Instrumented code guards every recording action on {!armed}; when
     nothing has armed the runtime the fast path is a single field read
     and no closure or event value is allocated. Arming is counted, so
-    independent consumers (a telemetry recording, the profiler, a test)
-    can overlap safely.
+    nested recordings ({!Span.record}) compose.
 
     All state is {e domain-local}: each domain owns its own armed count
     and virtual clock, so concurrent simulations on worker domains never
@@ -37,9 +36,6 @@ val armed : unit -> bool
 
 val arm : unit -> unit
 val disarm : unit -> unit
-
-val with_armed : (unit -> 'a) -> 'a
-(** Run [f] with the runtime armed, disarming afterwards even on raise. *)
 
 val set_virtual_clock : (unit -> float) option -> unit
 (** Installed by simulation drivers ([Netsim.Sim.run]) so spans opened

@@ -34,14 +34,10 @@ let write_chrome path spans =
 let record ?jsonl ?chrome f =
   if jsonl = None && chrome = None then f ()
   else begin
-    Span.set_collecting true;
-    Runtime.arm ();
-    let outcome =
-      match f () with r -> Ok r | exception e -> Error (e, Printexc.get_raw_backtrace ())
+    let outcome, spans =
+      Span.record (fun () ->
+          match f () with r -> Ok r | exception e -> Error (e, Printexc.get_raw_backtrace ()))
     in
-    Runtime.disarm ();
-    Span.set_collecting false;
-    let spans = Span.drain () in
     let write () =
       Option.iter (fun path -> write_jsonl path spans) jsonl;
       Option.iter (fun path -> write_chrome path spans) chrome
@@ -55,6 +51,19 @@ let record ?jsonl ?chrome f =
       Printexc.raise_with_backtrace e bt
   end
 
+(* The span lines of a telemetry file; counter and histogram lines are
+   skipped, any other line is malformed. *)
+let read_spans path =
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  List.concat_map
+    (fun raw ->
+      let j = Json.of_string raw in
+      match Option.bind (Json.member "kind" j) Json.to_str with
+      | Some "span" -> [ Span.of_json j ]
+      | Some ("metric" | "histogram") -> []
+      | _ -> Json.shape_error "telemetry" "a line is not a span, metric or histogram")
+    (Versioned.lines text)
+
 type summary = {
   spans : (string * int * float) list;
   metrics : Metrics.snap list;
@@ -63,23 +72,14 @@ type summary = {
 }
 
 let read_summary path =
-  let span_tally : (string, int ref * float ref) Hashtbl.t = Hashtbl.create 16 in
+  let span_tally : (string, int * float) Hashtbl.t = Hashtbl.create 16 in
   let metrics = ref [] and histograms = ref [] and malformed = ref 0 in
   let tally_span j =
-    let name = Option.value ~default:"?" (Option.bind (Json.member "name" j) Json.to_str) in
-    let dur =
-      Option.value ~default:0.0 (Option.bind (Json.member "wall_s" j) Json.to_float)
-    in
+    let c = Span.of_json j in
     let count, total =
-      match Hashtbl.find_opt span_tally name with
-      | Some cell -> cell
-      | None ->
-        let cell = (ref 0, ref 0.0) in
-        Hashtbl.replace span_tally name cell;
-        cell
+      Option.value ~default:(0, 0.0) (Hashtbl.find_opt span_tally c.Span.name)
     in
-    incr count;
-    total := !total +. dur
+    Hashtbl.replace span_tally c.Span.name (count + 1, total +. c.Span.wall_s)
   in
   let text = In_channel.with_open_bin path In_channel.input_all in
   List.iter
@@ -88,7 +88,8 @@ let read_summary path =
       | exception Json.Parse_error _ -> incr malformed
       | j -> (
         match Option.bind (Json.member "kind" j) Json.to_str with
-        | Some "span" -> tally_span j
+        | Some "span" -> (
+          try tally_span j with Json.Parse_error _ -> incr malformed)
         | Some "metric" -> (
           match snap_of_json j with
           | Some s -> metrics := s :: !metrics
@@ -101,7 +102,7 @@ let read_summary path =
     (Versioned.lines text);
   {
     spans =
-      Hashtbl.fold (fun k (c, s) acc -> (k, !c, !s) :: acc) span_tally []
+      Hashtbl.fold (fun k (c, s) acc -> (k, c, s) :: acc) span_tally []
       |> List.sort (fun (_, _, a) (_, _, b) -> compare b a);
     metrics = List.sort (fun a b -> compare (Metrics.snap_name a) (Metrics.snap_name b)) !metrics;
     histograms =

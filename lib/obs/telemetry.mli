@@ -1,9 +1,10 @@
 (** Telemetry capture and replay: the file form of the one
     instrumentation path.
 
-    {!record} arms the runtime and collects every completed {!Span} —
-    pool workers' included, through {!Collector}. When the run ends it
-    writes one JSON object per line, discriminated by the ["kind"] field:
+    {!record} runs under {!Span.record}, so it arms the runtime and
+    collects every completed {!Span} — pool workers' included, through
+    {!Collector}. When the run ends it writes one JSON object per line,
+    discriminated by the ["kind"] field:
     - span lines: [{"kind":"span","name":...,"wall_s":...}], in
       completion order (a pool's worker spans follow at its join);
     - metric lines: [{"kind":"metric","type":"counter"|"gauge", ...}],
@@ -20,6 +21,12 @@ val record : ?jsonl:string -> ?chrome:string -> (unit -> 'a) -> 'a
     memory until [f] returns. The files are written even if
     [f] raises (best effort; [f]'s exception wins). A write failure
     raises [Sys_error]. *)
+
+val read_spans : string -> Span.completed list
+(** The span lines of a telemetry file, in file order; metric and
+    histogram lines are skipped. Raises [Json.Parse_error] on a line that
+    is not JSON, a span line {!Span.of_json} rejects or a line of any
+    other kind, [Sys_error] if unreadable. *)
 
 type summary = {
   spans : (string * int * float) list;  (** span name, count, total wall seconds *)

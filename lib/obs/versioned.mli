@@ -1,6 +1,6 @@
 (** The versioned-file contract every on-disk format shares: the verdict
-    journal, campaign stores, drift ledgers, flight dumps, pool traces,
-    provenance reports, alert rules and logs, serve status snapshots and
+    journal, campaign stores, drift ledgers, flight dumps, provenance
+    reports, alert rules and logs, serve status snapshots and
     adversarial fixtures.
 
     A versioned document is a JSON object (or, for JSONL files, a header

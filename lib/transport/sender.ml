@@ -44,6 +44,7 @@ type t = {
   (* fault-injection controls *)
   mutable stalled_until : float;  (* application stall: no sends before this *)
   mutable dead : bool;  (* mid-flow reset: the connection is gone *)
+  acks : Obs.Metrics.hot;  (* the per-ACK counter, without a name lookup *)
 }
 
 let inflight t = t.next_seq - t.snd_una
@@ -293,7 +294,7 @@ let handle_ack t (pkt : Netsim.Packet.t) =
         app_limited;
         in_recovery = t.in_recovery;
       };
-    Obs.Metrics.bump "transport.acks";
+    Obs.Metrics.tick t.acks;
     if Obs.Flight.want_cca_state () then begin
       let snap = t.cca.Cca.snapshot () in
       Obs.Flight.cca_state ~time:now ~cca:t.cca.Cca.name ~cwnd:snap.Cca.snap_cwnd
@@ -360,6 +361,7 @@ let create sim ~cca ~proto ~params ~total_bytes ~out =
       retransmissions = 0;
       stalled_until = 0.0;
       dead = false;
+      acks = Obs.Metrics.hot "transport.acks";
     }
   in
   (* both closures need [t]; each is allocated once per sender *)

@@ -354,19 +354,20 @@ let test_render_pool_section () =
   in
   (* the pool section embeds when a trace is supplied, and an empty
      trace degrades to a note *)
-  Obs.Pooltrace.set_enabled true;
-  ignore (Engine.Pool.map ~jobs:2 Fun.id (Array.init 6 Fun.id));
-  Obs.Pooltrace.set_enabled false;
-  let trace = Obs.Pooltrace.drain () in
+  let _, spans =
+    Obs.Span.record (fun () -> Engine.Pool.map ~jobs:2 Fun.id (Array.init 6 Fun.id))
+  in
   Obs.Histogram.reset ();
-  let with_pool = Obs.Render.campaign_dashboard ~pool:trace ~summary:s () in
+  Obs.Metrics.reset ();
+  Alcotest.(check int) "one pool.task span per task" 6
+    (List.length (Obs.Pooltrace.tasks spans));
+  let with_pool = Obs.Render.campaign_dashboard ~pool:spans ~summary:s () in
   Alcotest.(check bool) "pool section present" true
     (contains ~needle:"Pool scheduler" with_pool);
-  Alcotest.(check string) "pool dashboard deterministic for an equal trace" with_pool
-    (Obs.Render.campaign_dashboard ~pool:trace ~summary:s ());
-  let empty = { trace with Obs.Pooltrace.tasks = []; jobs = 0 } in
+  Alcotest.(check string) "pool dashboard deterministic for equal spans" with_pool
+    (Obs.Render.campaign_dashboard ~pool:spans ~summary:s ());
   Alcotest.(check bool) "empty trace degrades to a note" true
-    (contains ~needle:"empty trace" (Obs.Render.campaign_dashboard ~pool:empty ~summary:s ()))
+    (contains ~needle:"empty trace" (Obs.Render.campaign_dashboard ~pool:[] ~summary:s ()))
 
 (* ---- streaming fan-out ---- *)
 

@@ -109,7 +109,7 @@ let test_map_stream_slow_caller_shard () =
    spawned workers unjoined: their counters are absorbed before the
    exception reaches the caller, and the pool is usable afterwards. *)
 let test_map_stream_emit_raises () =
-  Obs.Runtime.with_armed (fun () ->
+  ignore @@ Obs.Span.record (fun () ->
       Obs.Metrics.reset ();
       let ran = Atomic.make 0 in
       (match
@@ -136,7 +136,7 @@ let test_map_stream_emit_raises () =
     (Engine.Pool.map ~jobs:4 (fun x -> 2 * x) (Array.init 16 Fun.id))
 
 let test_worker_telemetry_flushed () =
-  Obs.Runtime.with_armed (fun () ->
+  ignore @@ Obs.Span.record (fun () ->
       Obs.Metrics.reset ();
       ignore
         (Engine.Pool.map ~jobs:4
@@ -193,7 +193,7 @@ let test_telemetry_complete_at_any_jobs () =
   let spans1, counters1 = telemetry_summary ~jobs:1 in
   let spans4, counters4 = telemetry_summary ~jobs:4 in
   Alcotest.(check (list (pair string int))) "jobs=1 sees every span"
-    [ ("record", 24); ("task", 24) ] spans1;
+    [ ("pool.task", 24); ("record", 24); ("task", 24) ] spans1;
   Alcotest.(check (list (pair string int))) "jobs=4 spans equal jobs=1" spans1 spans4;
   Alcotest.(check (list (pair string int))) "jobs=1 counts every recorder call"
     [ ("faults.injected", 24); ("netsim.link.drops", 24); ("netsim.link.enqueued", 24);
@@ -203,24 +203,21 @@ let test_telemetry_complete_at_any_jobs () =
 
 (* ---------------- pool task tracing ---------------- *)
 
+(* The pool.task spans of one recorded pool run. *)
 let traced_run ~jobs n =
-  Obs.Pooltrace.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Obs.Pooltrace.set_enabled false)
-    (fun () ->
-      ignore (Engine.Pool.map ~jobs (fun x -> x * x) (Array.init n Fun.id));
-      Obs.Pooltrace.drain ())
+  let _, spans =
+    Obs.Span.record (fun () -> Engine.Pool.map ~jobs (fun x -> x * x) (Array.init n Fun.id))
+  in
+  Obs.Metrics.reset ();
+  spans
 
 let test_trace_covers_every_task ~jobs () =
   Obs.Histogram.reset ();
   let n = 32 in
-  let trace = traced_run ~jobs n in
-  Alcotest.(check int) "job count recorded" n trace.Obs.Pooltrace.jobs;
-  Alcotest.(check int) "one sample per task" n (List.length trace.Obs.Pooltrace.tasks);
-  let indices =
-    List.sort_uniq compare
-      (List.map (fun t -> t.Obs.Pooltrace.index) trace.Obs.Pooltrace.tasks)
-  in
+  let spans = traced_run ~jobs n in
+  let tasks = Obs.Pooltrace.tasks spans in
+  Alcotest.(check int) "one pool.task span per task" n (List.length tasks);
+  let indices = List.sort compare (List.map (fun t -> t.Obs.Pooltrace.index) tasks) in
   Alcotest.(check (list int)) "every index covered exactly once" (List.init n Fun.id) indices;
   List.iter
     (fun (t : Obs.Pooltrace.task) ->
@@ -236,75 +233,86 @@ let test_trace_covers_every_task ~jobs () =
         true
         (t.Obs.Pooltrace.t_submit <= t.Obs.Pooltrace.t_start
         && t.Obs.Pooltrace.t_start <= t.Obs.Pooltrace.t_finish))
-    trace.Obs.Pooltrace.tasks;
-  (* the record path also feeds the wait/run histograms *)
-  Alcotest.(check int) "queue-wait histogram observed every task" n
-    (Obs.Histogram.count (Obs.Histogram.get "pool.queue_wait_us"));
+    tasks;
+  (* the task spans also feed the registry's span histogram *)
+  Alcotest.(check int) "span.pool.task histogram observed every task" n
+    (Obs.Histogram.count (Obs.Histogram.get "span.pool.task"));
   Obs.Histogram.reset ()
 
 let test_trace_serial_path () =
   Obs.Histogram.reset ();
-  let trace = traced_run ~jobs:1 8 in
-  Alcotest.(check int) "serial path records every task" 8
-    (List.length trace.Obs.Pooltrace.tasks);
+  let tasks = Obs.Pooltrace.tasks (traced_run ~jobs:1 8) in
+  Alcotest.(check int) "serial path records every task" 8 (List.length tasks);
   List.iter
     (fun (t : Obs.Pooltrace.task) ->
       Alcotest.(check bool) "nothing stolen on the serial path" false t.Obs.Pooltrace.stolen;
       Alcotest.(check int) "worker 0" 0 t.Obs.Pooltrace.worker)
-    trace.Obs.Pooltrace.tasks;
+    tasks;
   Obs.Histogram.reset ()
 
 let test_trace_off_records_nothing () =
-  ignore (Obs.Pooltrace.drain ());
+  Obs.Histogram.reset ();
+  Alcotest.(check bool) "not armed" false (Obs.Runtime.armed ());
   ignore (Engine.Pool.map ~jobs:4 Fun.id (Array.init 16 Fun.id));
-  let trace = Obs.Pooltrace.drain () in
-  Alcotest.(check int) "disabled tracing buffers nothing" 0
-    (List.length trace.Obs.Pooltrace.tasks)
+  Alcotest.(check (option int)) "a disarmed pool opens no task span" None
+    (Option.map Obs.Histogram.count (Obs.Histogram.find "span.pool.task"))
+
+(* Worker spans hang under the caller's open span, so a recording is the
+   same tree at any pool size: equal folded paths and counts. *)
+let test_worker_spans_under_caller () =
+  let profile jobs =
+    let _, spans =
+      Obs.Span.record (fun () ->
+          Obs.Span.with_ ~name:"outer" (fun () ->
+              Engine.Pool.map ~jobs
+                (fun x -> Obs.Span.with_ ~name:"work" (fun () -> x + 1))
+                (Array.init 8 Fun.id)))
+    in
+    Obs.Metrics.reset ();
+    Obs.Histogram.reset ();
+    List.map (fun (e : Obs.Prof.entry) -> (e.Obs.Prof.path, e.stat.Obs.Prof.count))
+      (Obs.Prof.of_spans spans)
+  in
+  let serial = profile 1 in
+  Alcotest.(check (list (pair string int))) "paths at jobs=1"
+    [ ("outer", 1); ("outer;pool.task", 8); ("outer;pool.task;work", 8) ]
+    serial;
+  Alcotest.(check (list (pair string int))) "jobs=2 folds like jobs=1" serial (profile 2)
+
+let contains ~needle hay =
+  let n = String.length needle in
+  let rec at i = i + n <= String.length hay && (String.sub hay i n = needle || at (i + 1)) in
+  at 0
 
 let test_trace_round_trip_and_report () =
   Obs.Histogram.reset ();
-  let trace = traced_run ~jobs:2 12 in
-  let once = Obs.Pooltrace.to_string trace in
-  let parsed = Obs.Pooltrace.of_string once in
-  Alcotest.(check string) "to_string/of_string round-trip byte identical" once
-    (Obs.Pooltrace.to_string parsed);
-  Alcotest.(check string) "report is a pure function of the trace"
-    (Obs.Pooltrace.report trace) (Obs.Pooltrace.report parsed);
-  Alcotest.(check string) "chrome export deterministic for equal traces"
-    (Obs.Pooltrace.to_chrome_string trace)
-    (Obs.Pooltrace.to_chrome_string parsed);
-  (* schema skew is a typed error, not a silent misparse *)
-  let replace ~needle ~by hay =
-    let nl = String.length needle in
-    let rec find i =
-      if i + nl > String.length hay then None
-      else if String.sub hay i nl = needle then Some i
-      else find (i + 1)
-    in
-    match find 0 with
-    | None -> hay
-    | Some i ->
-      String.sub hay 0 i ^ by ^ String.sub hay (i + nl) (String.length hay - i - nl)
+  let spans = traced_run ~jobs:2 12 in
+  let path = Filename.temp_file "engine_pool" ".jsonl" in
+  Obs.Versioned.write_file path (fun oc ->
+      List.iter
+        (fun c ->
+          output_string oc (Obs.Json.to_string (Obs.Span.to_json c));
+          output_char oc '\n')
+        spans);
+  let parsed = Obs.Telemetry.read_spans path in
+  Sys.remove path;
+  Alcotest.(check bool) "spans survive a telemetry file" true (spans = parsed);
+  Alcotest.(check string) "report is a pure function of the spans"
+    (Obs.Pooltrace.report spans) (Obs.Pooltrace.report parsed);
+  let chrome s = Obs.Json.to_string (Obs.Span.chrome_trace s) in
+  Alcotest.(check string) "chrome export deterministic for equal spans" (chrome spans)
+    (chrome parsed);
+  (* one named thread per worker that ran a task *)
+  let workers =
+    List.sort_uniq compare
+      (List.map (fun t -> t.Obs.Pooltrace.worker) (Obs.Pooltrace.tasks spans))
   in
-  let version_field v = Printf.sprintf "\"version\":%d" v in
-  let skewed =
-    let with_space = replace
-        ~needle:(Printf.sprintf "\"version\": %d" Obs.Pooltrace.schema_version)
-        ~by:(Printf.sprintf "\"version\": %d" (Obs.Pooltrace.schema_version + 1))
-        once
-    in
-    if with_space <> once then with_space
-    else
-      replace ~needle:(version_field Obs.Pooltrace.schema_version)
-        ~by:(version_field (Obs.Pooltrace.schema_version + 1))
-        once
-  in
-  (match Obs.Pooltrace.of_string skewed with
-  | _ -> Alcotest.fail "expected Version_mismatch"
-  | exception Obs.Versioned.Version_mismatch { kind; got; _ } ->
-    Alcotest.(check string) "mismatch names the kind" "pool_trace" kind;
-    Alcotest.(check int) "mismatch carries the skewed version"
-      (Obs.Pooltrace.schema_version + 1) got);
+  List.iter
+    (fun w ->
+      let needle = Printf.sprintf "\"worker %d\"" w in
+      Alcotest.(check bool) (needle ^ " thread named") true
+        (contains ~needle (chrome spans)))
+    workers;
   Obs.Histogram.reset ()
 
 (* ---------------- census determinism ---------------- *)
@@ -356,7 +364,7 @@ let suite =
     Alcotest.test_case "pool trace on the serial path" `Quick test_trace_serial_path;
     Alcotest.test_case "pool tracing off records nothing" `Quick
       test_trace_off_records_nothing;
-    Alcotest.test_case "pool trace round-trip, report purity, version gate" `Quick
+    Alcotest.test_case "pool trace round-trip, report purity, chrome threads" `Quick
       test_trace_round_trip_and_report;
     Alcotest.test_case "32-site census identical for jobs 1/2/4/8" `Quick
       test_census_determinism;
@@ -373,4 +381,6 @@ let suite =
       (test_trace_covers_every_task ~jobs:1);
     Alcotest.test_case "training identical at jobs 1 and 4" `Quick
       test_training_identical_at_any_jobs;
+    Alcotest.test_case "worker spans hang under the caller's open span" `Quick
+      test_worker_spans_under_caller;
   ]

@@ -204,12 +204,12 @@ let test_dump_version_gate () =
 (* ---- Prof.folded frame sanitization ---- *)
 
 let test_folded_sanitizes_frames () =
-  let (), profile =
-    Obs.Prof.record (fun () ->
+  let (), spans =
+    Obs.Span.record (fun () ->
         Obs.Span.with_ ~name:"outer stage" (fun () ->
             Obs.Span.with_ ~name:"bad;frame\tname" (fun () -> ())))
   in
-  let folded = Obs.Prof.folded profile in
+  let folded = Obs.Prof.folded (Obs.Prof.of_spans spans) in
   (* each folded line is "stack count": the stack is everything before
      the last space and must never contain whitespace, and the separator
      ';' may only appear as the frame join *)
@@ -281,11 +281,19 @@ let sample_profile =
   [
     {
       Obs.Prof.path = "measure";
-      stat = { Obs.Prof.count = 1; wall_s = 2.0; alloc_words = 0.0; major_collections = 0 };
+      stat =
+        {
+          Obs.Prof.count = 1; wall_s = 2.0; self_s = 0.5; alloc_words = 0.0;
+          major_collections = 0;
+        };
     };
     {
       Obs.Prof.path = "measure;simulate";
-      stat = { Obs.Prof.count = 4; wall_s = 1.5; alloc_words = 0.0; major_collections = 0 };
+      stat =
+        {
+          Obs.Prof.count = 4; wall_s = 1.5; self_s = 1.5; alloc_words = 0.0;
+          major_collections = 0;
+        };
     };
   ]
 

@@ -28,18 +28,16 @@ let test_gauge () =
 
 let test_span_tree () =
   Obs.Histogram.reset ();
-  let completed = ref [] in
-  let handle = Obs.Span.on_complete (fun c -> completed := c :: !completed) in
-  let result =
-    Obs.Span.with_ ~name:"root" (fun () ->
-        Obs.Span.with_ ~name:"child1" (fun () -> ());
-        Obs.Span.with_ ~name:"child2" (fun () ->
-            Obs.Span.with_ ~name:"grand" (fun () -> 17)))
+  let result, completed =
+    Obs.Span.record (fun () ->
+        Obs.Span.with_ ~name:"root" (fun () ->
+            Obs.Span.with_ ~name:"child1" (fun () -> ());
+            Obs.Span.with_ ~name:"child2" (fun () ->
+                Obs.Span.with_ ~name:"grand" (fun () -> 17))))
   in
-  Obs.Span.off handle;
   Alcotest.(check int) "with_ is transparent" 17 result;
   let by_name name =
-    match List.find_opt (fun c -> c.Obs.Span.name = name) !completed with
+    match List.find_opt (fun c -> c.Obs.Span.name = name) completed with
     | Some c -> c
     | None -> Alcotest.fail ("span not recorded: " ^ name)
   in
@@ -57,8 +55,8 @@ let test_span_tree () =
       Alcotest.(check bool)
         (c.Obs.Span.name ^ " stop after start")
         true
-        (c.Obs.Span.wall_stop >= c.Obs.Span.wall_start))
-    !completed;
+        (c.Obs.Span.wall_s >= 0.0))
+    completed;
   (* every span also feeds its duration histogram *)
   match Obs.Histogram.find "span.root" with
   | Some h -> Alcotest.(check int) "span.root observed once" 1 (Obs.Histogram.count h)
@@ -66,13 +64,13 @@ let test_span_tree () =
 
 let test_span_exception () =
   Obs.Metrics.reset ();
-  let completed = ref [] in
-  let handle = Obs.Span.on_complete (fun c -> completed := c :: !completed) in
-  (try Obs.Span.with_ ~name:"boom" (fun () -> failwith "boom") with Failure _ -> ());
-  (* the stack must be clean: a sibling span opened afterwards is a root *)
-  Obs.Span.with_ ~name:"after" (fun () -> ());
-  Obs.Span.off handle;
-  let find name = List.find (fun c -> c.Obs.Span.name = name) !completed in
+  let (), completed =
+    Obs.Span.record (fun () ->
+        (try Obs.Span.with_ ~name:"boom" (fun () -> failwith "boom") with Failure _ -> ());
+        (* the stack must be clean: a sibling span opened afterwards is a root *)
+        Obs.Span.with_ ~name:"after" (fun () -> ()))
+  in
+  let find name = List.find (fun c -> c.Obs.Span.name = name) completed in
   Alcotest.(check bool) "raised flagged" true (find "boom").Obs.Span.raised;
   Alcotest.(check bool) "sibling is a root" true ((find "after").Obs.Span.parent_id = None)
 
@@ -92,7 +90,7 @@ let test_no_sink_emits_nothing () =
 let test_armed_run_records () =
   Obs.Metrics.reset ();
   Obs.Histogram.reset ();
-  Obs.Runtime.with_armed (fun () ->
+  ignore @@ Obs.Span.record (fun () ->
       let r = Nebby.Testbed.run_cca ~profile:Nebby.Profile.delay_50ms ~seed:5 "cubic" in
       ignore (Nebby.Measurement.prepare_result ~profile:Nebby.Profile.delay_50ms r));
   Alcotest.(check bool) "disarmed again" false (Obs.Runtime.armed ());
@@ -147,6 +145,52 @@ let test_jsonl_roundtrip () =
       (Obs.Histogram.buckets (Obs.Histogram.get "t.roundtrip"))
       (Obs.Histogram.buckets h)
   | None -> Alcotest.fail "t.roundtrip histogram not found in summary"
+
+(* ---- span lines: of_json inverts to_json ---- *)
+
+let test_span_json_roundtrip () =
+  let (), spans =
+    Obs.Span.record (fun () ->
+        Obs.Span.with_ ~attrs:[ ("index", 3.0); ("submit", 1.25e9 +. 0.1) ] ~name:"outer"
+          (fun () ->
+            ignore (Nebby.Testbed.run_cca ~profile:Nebby.Profile.delay_50ms ~seed:5 "cubic");
+            try Obs.Span.with_ ~name:"boom" (fun () -> failwith "boom") with Failure _ -> ()))
+  in
+  Alcotest.(check bool) "a simulated span carries virtual time" true
+    (List.exists (fun c -> c.Obs.Span.virt_s <> None) spans);
+  Alcotest.(check bool) "a raised span is recorded" true
+    (List.exists (fun c -> c.Obs.Span.raised) spans);
+  List.iter
+    (fun c ->
+      let line = Obs.Json.to_string (Obs.Span.to_json c) in
+      Alcotest.(check bool)
+        (c.Obs.Span.name ^ ": of_json (to_json c) = c")
+        true
+        (Obs.Span.of_json (Obs.Json.of_string line) = c))
+    spans
+
+(* ---- records nest: --prof around --telemetry sees the file's spans ---- *)
+
+let test_nested_record () =
+  let path = Filename.temp_file "obs_nested" ".jsonl" in
+  let (), outer =
+    Obs.Span.record (fun () ->
+        Obs.Telemetry.record ~jsonl:path (fun () ->
+            ignore
+              (Engine.Pool.map ~jobs:2
+                 (fun profile ->
+                   let r = Nebby.Testbed.run_cca ~profile ~seed:5 "cubic" in
+                   ignore (Nebby.Measurement.prepare_result ~profile r))
+                 [| Nebby.Profile.delay_50ms; Nebby.Profile.delay_100ms |])))
+  in
+  let in_file = Obs.Telemetry.read_spans path in
+  Sys.remove path;
+  Alcotest.(check bool) "the inner record's spans reach the outer one" true (outer <> []);
+  Alcotest.(check bool) "profiler and telemetry file hold the same spans" true
+    (outer = in_file);
+  Alcotest.(check string) "and the same profile"
+    (Obs.Prof.render (Obs.Prof.of_spans outer))
+    (Obs.Prof.render (Obs.Prof.of_spans in_file))
 
 let test_json_parser () =
   let j = Obs.Json.of_string {|{"kind":"x","n":1.5,"s":"a\"b","l":[1,2,null,true]}|} in
@@ -207,13 +251,13 @@ let test_json_unicode_escapes () =
 (* ---- span path, gc accounting, and the Fun.protect guard ---- *)
 
 let test_span_path_and_alloc () =
-  let completed = ref [] in
-  let handle = Obs.Span.on_complete (fun c -> completed := c :: !completed) in
-  Obs.Span.with_ ~name:"outer" (fun () ->
-      Obs.Span.with_ ~name:"inner" (fun () ->
-          ignore (Sys.opaque_identity (Array.make 100_000 0.0))));
-  Obs.Span.off handle;
-  let find name = List.find (fun c -> c.Obs.Span.name = name) !completed in
+  let (), completed =
+    Obs.Span.record (fun () ->
+        Obs.Span.with_ ~name:"outer" (fun () ->
+            Obs.Span.with_ ~name:"inner" (fun () ->
+                ignore (Sys.opaque_identity (Array.make 100_000 0.0)))))
+  in
+  let find name = List.find (fun c -> c.Obs.Span.name = name) completed in
   Alcotest.(check (list string)) "nested path is root-first" [ "outer"; "inner" ]
     (find "inner").Obs.Span.path;
   Alcotest.(check (list string)) "root path is just the root" [ "outer" ]
@@ -226,15 +270,15 @@ let test_span_path_and_alloc () =
 let test_span_unbalanced_exit () =
   (* the Fun.protect guard: an exception mid-body still pops the stack,
      reports the span (raised = true), and leaves the tree coherent *)
-  let completed = ref [] in
-  let handle = Obs.Span.on_complete (fun c -> completed := c :: !completed) in
-  (try
-     Obs.Span.with_ ~name:"guard_outer" (fun () ->
-         Obs.Span.with_ ~name:"guard_inner" (fun () -> failwith "kaboom"))
-   with Failure _ -> ());
-  Obs.Span.with_ ~name:"guard_after" (fun () -> ());
-  Obs.Span.off handle;
-  let find name = List.find (fun c -> c.Obs.Span.name = name) !completed in
+  let (), completed =
+    Obs.Span.record (fun () ->
+        (try
+           Obs.Span.with_ ~name:"guard_outer" (fun () ->
+               Obs.Span.with_ ~name:"guard_inner" (fun () -> failwith "kaboom"))
+         with Failure _ -> ());
+        Obs.Span.with_ ~name:"guard_after" (fun () -> ()))
+  in
+  let find name = List.find (fun c -> c.Obs.Span.name = name) completed in
   Alcotest.(check bool) "inner flagged raised" true (find "guard_inner").Obs.Span.raised;
   Alcotest.(check bool) "outer flagged raised" true (find "guard_outer").Obs.Span.raised;
   Alcotest.(check (list string)) "stack clean: next span is a root again"
@@ -383,4 +427,7 @@ let suite =
     Alcotest.test_case "drain/absorb: histogram-only registry" `Quick
       test_drain_histogram_only;
     Alcotest.test_case "measure emits every stage's events" `Quick test_measure_event_kinds;
+    Alcotest.test_case "span of_json inverts to_json" `Quick test_span_json_roundtrip;
+    Alcotest.test_case "records nest: profiler sees the telemetry file's spans" `Quick
+      test_nested_record;
   ]

@@ -168,9 +168,14 @@ let test_emit_collect () =
 
 (* ---- the profiler ---- *)
 
+(* the profiler: a fold over the spans of one record *)
+let profile_of f =
+  let x, spans = Obs.Span.record f in
+  (x, Obs.Prof.of_spans spans)
+
 let test_prof_record () =
   let x, profile =
-    Obs.Prof.record (fun () ->
+    profile_of (fun () ->
         Obs.Span.with_ ~name:"a" (fun () ->
             Obs.Span.with_ ~name:"b" (fun () ->
                 (* enough minor-heap traffic to cross minor collections:
@@ -182,7 +187,7 @@ let test_prof_record () =
         41 + 1)
   in
   Alcotest.(check int) "record is transparent" 42 x;
-  Alcotest.(check bool) "profiler off afterwards" false (Obs.Prof.profiling ());
+  Alcotest.(check bool) "runtime disarmed afterwards" false (Obs.Runtime.armed ());
   (match Obs.Prof.find profile "a" with
   | Some s -> Alcotest.(check int) "two calls folded into one path" 2 s.Obs.Prof.count
   | None -> Alcotest.fail "path a missing");
@@ -194,7 +199,7 @@ let test_prof_record () =
 
 let test_prof_folded_and_json () =
   let _, profile =
-    Obs.Prof.record (fun () ->
+    profile_of (fun () ->
         Obs.Span.with_ ~name:"outer" (fun () ->
             Obs.Span.with_ ~name:"inner" (fun () -> ())))
   in
@@ -218,25 +223,35 @@ let test_prof_folded_and_json () =
     Alcotest.(check int) "both stages in the json summary" 2 (List.length stages)
   | _ -> Alcotest.fail "profile json has no stages array"
 
-let test_prof_drain_absorb () =
-  Obs.Prof.enable ();
-  Obs.Span.with_ ~name:"x" (fun () -> ());
-  let p1 = Obs.Prof.drain () in
-  Obs.Span.with_ ~name:"x" (fun () -> ());
-  let p2 = Obs.Prof.drain () in
-  Obs.Prof.absorb p1;
-  Obs.Prof.absorb p2;
-  let merged = Obs.Prof.drain () in
-  Obs.Prof.disable ();
-  match Obs.Prof.find merged "x" with
-  | Some s -> Alcotest.(check int) "absorb merges counts" 2 s.Obs.Prof.count
-  | None -> Alcotest.fail "merged profile missing path x"
+(* folding is additive: the fold of a concatenation adds the two folds
+   path by path *)
+let test_prof_fold_concat () =
+  let span name = Obs.Span.with_ ~name (fun () -> ()) in
+  let (), a = Obs.Span.record (fun () -> span "x"; span "y") in
+  let (), b = Obs.Span.record (fun () -> span "x") in
+  let fa = Obs.Prof.of_spans a and fb = Obs.Prof.of_spans b in
+  let merged = Obs.Prof.of_spans (a @ b) in
+  (match Obs.Prof.find merged "x" with
+  | Some s -> Alcotest.(check int) "concatenation adds counts" 2 s.Obs.Prof.count
+  | None -> Alcotest.fail "merged profile missing path x");
+  List.iter
+    (fun (e : Obs.Prof.entry) ->
+      let get p f = Option.fold ~none:0.0 ~some:f (Obs.Prof.find p e.Obs.Prof.path) in
+      let adds what f =
+        Alcotest.(check (float 0.0)) (e.Obs.Prof.path ^ ": " ^ what ^ " add")
+          (get fa f +. get fb f) (f e.Obs.Prof.stat)
+      in
+      adds "counts" (fun s -> float_of_int s.Obs.Prof.count);
+      adds "wall times" (fun s -> s.Obs.Prof.wall_s);
+      adds "self times" (fun s -> s.Obs.Prof.self_s);
+      adds "allocations" (fun s -> s.Obs.Prof.alloc_words))
+    merged
 
 (* ---- Engine.Pool flushes both buffers at join ---- *)
 
 let test_pool_flushes_buffers () =
   let results, profile =
-    Obs.Prof.record (fun () ->
+    profile_of (fun () ->
         Obs.Provenance.enable_collect ();
         Engine.Pool.map ~jobs:3
           (fun i ->
@@ -251,7 +266,7 @@ let test_pool_flushes_buffers () =
   Alcotest.(check (array int)) "results in canonical order"
     (Array.init 8 (fun i -> i * 2))
     results;
-  (match Obs.Prof.find profile "work" with
+  (match Obs.Prof.find profile "pool.task;work" with
   | Some s ->
     Alcotest.(check int) "worker spans merged into the caller's profile" 8
       s.Obs.Prof.count
@@ -274,7 +289,7 @@ let suite =
     Alcotest.test_case "profiler record and folding" `Quick test_prof_record;
     Alcotest.test_case "profiler folded-stack and json export" `Quick
       test_prof_folded_and_json;
-    Alcotest.test_case "profiler drain/absorb merge" `Quick test_prof_drain_absorb;
+    Alcotest.test_case "profiler fold is additive" `Quick test_prof_fold_concat;
     Alcotest.test_case "pool flushes prof and provenance buffers" `Quick
       test_pool_flushes_buffers;
   ]

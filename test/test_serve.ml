@@ -495,7 +495,7 @@ let test_service_backpressure_observable () =
       let cfg =
         { (config ~sites:8 ~epochs:1) with Serve.Service.high_water = 2; batch = 1 }
       in
-      Obs.Runtime.with_armed (fun () ->
+      ignore @@ Obs.Span.record (fun () ->
           Obs.Metrics.reset ();
           let s = run_service ~config:cfg ~store () in
           Alcotest.(check bool) "admission hit the high-water mark" true

@@ -77,21 +77,6 @@ let flight_sample =
               c = 0.0; detail = ""; extra = "x" };
           ]))
 
-let pool_sample =
-  lazy
-    (Obs.Pooltrace.to_string
-       {
-         Obs.Pooltrace.jobs = 2;
-         workers = 2;
-         tasks =
-           [
-             { Obs.Pooltrace.index = 0; shard = 0; worker = 0; stolen = false;
-               t_submit = 0.0; t_start = 0.001; t_finish = 0.25 };
-             { index = 1; shard = 1; worker = 0; stolen = true; t_submit = 0.0;
-               t_start = 0.25; t_finish = 0.5 };
-           ];
-       })
-
 let provenance_sample =
   lazy
     (Obs.Json.to_string
@@ -168,8 +153,6 @@ let readers =
       read = (fun s -> ignore (Obs.Drift.of_json (Obs.Json.of_string s))) };
     { kind = "flight_dump"; version = Obs.Flight.schema_version; sample = flight_sample;
       read = (fun s -> ignore (Obs.Flight.dump_of_string s)) };
-    { kind = "pool_trace"; version = Obs.Pooltrace.schema_version; sample = pool_sample;
-      read = (fun s -> ignore (Obs.Pooltrace.of_string s)) };
     { kind = "provenance"; version = Obs.Provenance.schema_version;
       sample = provenance_sample;
       read = via_file (fun p -> ignore (Obs.Provenance.read_jsonl p)) };

@@ -172,28 +172,31 @@ same tools/expect/census_provenance.jsonl "$work/prov1.jsonl" \
    dune exec bin/nebby_cli.exe -- census $census --jobs 1 \\
      --provenance tools/expect/census_provenance.jsonl >/dev/null)"
 
-echo "== pool trace gate (census --pool-trace; report/chrome render deterministically) =="
-# Task-lifecycle tracing end to end: a traced census must record every
-# task, and everything derived from the saved trace — the text report,
-# the Chrome export, the HTML page — must be a pure function of it
-# (byte-identical across renders).
-run_ok "census --pool-trace" \
-  "$cli" census $census --jobs 4 --pool-trace "$work/trace.jsonl" >/dev/null
-grep -q '"pool_trace"' "$work/trace.jsonl" || fail "pool trace file is missing its header"
-tasks=$(( $(wc -l < "$work/trace.jsonl") - 1 ))
-[ "$tasks" -eq 32 ] || fail "pool trace recorded ${tasks} tasks for a 32-site census"
+echo "== pool trace gate (census --telemetry; pool report/chrome/HTML render deterministically) =="
+# Task tracing end to end: a recorded census must hold one pool.task span
+# per site, and everything derived from the saved recording — the text
+# report, the Chrome export, the HTML page — must be a pure function of
+# it (byte-identical across renders).
+run_ok "census --telemetry" \
+  "$cli" census $census --jobs 4 --telemetry "$work/trace.jsonl" >/dev/null
+tasks=$(grep -c '"name":"pool.task"' "$work/trace.jsonl" || true)
+[ "$tasks" -eq 32 ] || fail "census recording holds ${tasks} pool.task spans for a 32-site census"
 for i in 1 2; do
   run_ok "stats --pool (run $i)" "$cli" stats --pool "$work/trace.jsonl" \
     --chrome-trace "$work/chrome$i.json" >"$work/report$i.txt"
   # the chrome-trace destination path is echoed; normalize it before diffing
   sed -i "s|$work/chrome$i.json|CHROME|" "$work/report$i.txt"
-  run_ok "report on the pool trace (run $i)" \
+  run_ok "report on the census recording (run $i)" \
     "$cli" report "$work/trace.jsonl" -o "$work/pool$i.html" >/dev/null
 done
-same "$work/report1.txt" "$work/report2.txt" "pool report is not deterministic for a saved trace"
+same "$work/report1.txt" "$work/report2.txt" "pool report is not deterministic for a saved recording"
 same "$work/chrome1.json" "$work/chrome2.json" \
-  "chrome-trace export is not deterministic for a saved trace"
-same "$work/pool1.html" "$work/pool2.html" "pool HTML report is not deterministic for a saved trace"
+  "chrome-trace export is not deterministic for a saved recording"
+same "$work/pool1.html" "$work/pool2.html" "pool HTML report is not deterministic for a saved recording"
+# a malformed recording is a usage error, reported as one line
+printf '{"kind":"span","name":"pool.task"\n' >"$work/bad_trace.jsonl"
+exits_2 "stats --pool on a malformed recording" "$cli" stats --pool "$work/bad_trace.jsonl"
+one_err_line "stats --pool on a malformed recording"
 
 echo "== golden fixtures regenerate bit-identically =="
 # Drift caught here and not by test_golden means gen_golden and the test
@@ -244,7 +247,7 @@ echo "== schema skew gate (a version-99 file of each kind exits 2) =="
 # schema version with exit code 2 and exactly one "schema version
 # mismatch" line on stderr.
 for spec in "nebby_journal|serve --compact-only --store" "nebby_journal|drift" \
-  "nebby_serve_status|stats --live" "pool_trace|stats --pool" "flight_dump|report" \
+  "nebby_serve_status|stats --live" "flight_dump|report" \
   "provenance|explain" "campaign|campaign --from"; do
   kind=${spec%%|*} cmd=${spec#*|}
   printf '{"kind":"%s","version":99}\n' "$kind" >"$work/$kind.v99"
@@ -285,10 +288,10 @@ done
 # ceiling, the census throughput floor, and the flight/provenance
 # overhead ceilings; none may be skipped.
 grep -e throughput-floor -e -overhead "$work/camp1/out.txt"
-# Pool task tracing is opt-in, but when enabled it must stay cheap: a
-# fully traced census may not cost more than 5% CPU time over the
-# untraced one. The per-epoch alert engine rides the serve hot path, so
-# it gates on the same 5% budget.
+# Span collection is opt-in, but when on it must stay cheap: a census
+# recorded with every pool task traced may not cost more than 5% CPU time
+# over the unrecorded one. The per-epoch alert engine rides the serve hot
+# path, so it gates on the same 5% budget.
 frac_at_most census_trace_overhead_frac 0.05
 frac_at_most serve_alert_overhead_frac 0.05
 
