@@ -15,11 +15,6 @@ let exit_unclassified = 1
 let exit_usage = 2
 let exit_internal = 3
 
-let version_mismatch_message ~kind ~expected ~got =
-  Printf.sprintf
-    "%s schema version mismatch (expected %d, got %d); regenerate it with this binary" kind
-    expected got
-
 (* The one mapping from an on-disk read failure to an exit code: a schema
    skew, malformed bytes or an unreadable path is a usage error, reported
    as one stderr line. [file] names the input in parse errors. *)
@@ -30,7 +25,7 @@ let or_exit_2 ?file cmd f =
   in
   try f () with
   | Obs.Versioned.Version_mismatch { kind; expected; got } ->
-    fail (version_mismatch_message ~kind ~expected ~got)
+    fail (Obs.Versioned.mismatch_message ~kind ~expected ~got)
   | Obs.Json.Parse_error msg ->
     fail (match file with Some file -> file ^ ": " ^ msg | None -> msg)
   | Sys_error msg -> fail msg
@@ -639,72 +634,25 @@ let fuzz_cmd =
       ~doc:"Measurement attempts per evaluation (low: retries cost budget)."
   in
   let replay_dir dir =
-    if not (Sys.file_exists dir && Sys.is_directory dir) then begin
-      Printf.eprintf "nebby fuzz: no fixture directory %s\n" dir;
+    let report file = function
+      | Search.Fuzzer.Unreadable e ->
+        Printf.eprintf "nebby fuzz: %s: %s\n" (Filename.concat dir file) e
+      | Search.Fuzzer.Replayed { status; eval = e; _ } ->
+        Printf.printf "%-48s %s (got %s, %s)\n" file
+          (Search.Fuzzer.replay_status_label status)
+          e.Search.Fuzzer.got
+          (Search.Fixture.class_label e.Search.Fuzzer.verdict_class);
+        if status = Search.Fuzzer.Fixed then
+          Printf.eprintf
+            "nebby fuzz: %s now classifies correctly — remove the fixture or regenerate it\n"
+            file
+    in
+    match Search.Fuzzer.replay_dir ~on_fixture:report dir with
+    | Error msg ->
+      Printf.eprintf "nebby fuzz: %s\n" msg;
       exit_usage
-    end
-    else begin
-      let files =
-        Sys.readdir dir |> Array.to_list
-        |> List.filter (fun f -> Filename.check_suffix f ".json")
-        |> List.sort compare
-      in
-      if files = [] then begin
-        Printf.eprintf "nebby fuzz: no fixtures in %s\n" dir;
-        exit_usage
-      end
-      else begin
-        (* fixtures pin their own training configuration; train each
-           distinct triple once *)
-        let controls = Hashtbl.create 4 in
-        let control_for (f : Search.Fixture.t) =
-          let key =
-            (f.Search.Fixture.training_runs, f.Search.Fixture.training_quic_runs,
-             f.Search.Fixture.training_seed)
-          in
-          match Hashtbl.find_opt controls key with
-          | Some c -> c
-          | None ->
-            let runs, quic_runs, seed = key in
-            let c =
-              Nebby.Training.train ~runs_per_cca:runs ~quic_runs_per_cca:quic_runs ~seed ()
-            in
-            Hashtbl.add controls key c;
-            c
-        in
-        let stale = ref 0 and broken = ref 0 in
-        List.iter
-          (fun file ->
-            let path = Filename.concat dir file in
-            match Search.Fixture.load path with
-            | exception Obs.Versioned.Version_mismatch { kind; expected; got } ->
-              Printf.eprintf "nebby fuzz: %s: %s\n" path
-                (version_mismatch_message ~kind ~expected ~got);
-              incr broken
-            | Error e ->
-              Printf.eprintf "nebby fuzz: %s: %s\n" path e;
-              incr broken
-            | Ok fx ->
-              let status, e = Search.Fuzzer.replay ~control:(control_for fx) fx in
-              Printf.printf "%-48s %s (got %s, %s)\n" file
-                (Search.Fuzzer.replay_status_label status)
-                e.Search.Fuzzer.got
-                (Search.Fixture.class_label e.Search.Fuzzer.verdict_class);
-              (match status with
-              | Search.Fuzzer.Reproduced -> ()
-              | Search.Fuzzer.Fixed ->
-                Printf.eprintf
-                  "nebby fuzz: %s now classifies correctly — remove the fixture or \
-                   regenerate it\n"
-                  file;
-                incr stale
-              | Search.Fuzzer.Changed -> incr stale))
-          files;
-        if !broken > 0 then exit_usage
-        else if !stale > 0 then exit_unclassified
-        else exit_ok
-      end
-    end
+    | Ok { Search.Fuzzer.broken; stale } ->
+      if broken > 0 then exit_usage else if stale > 0 then exit_unclassified else exit_ok
   in
   (* The corpus file is opened (with its parent directories) before the
      search starts and closed with close_out after it, so an unwritable
@@ -977,7 +925,8 @@ let report_cmd =
           | exception Obs.Json.Parse_error _ -> false
         in
         if is_telemetry then
-          emit_html (Obs.Render.pool_report_html ~spans:(Obs.Telemetry.read_spans target) ())
+          emit_html
+            (Obs.Render.pool_report_html ~spans:(Obs.Telemetry.read target).spans ())
         else
         match Obs.Flight.dump_of_string text with
         | dump ->
@@ -1186,7 +1135,7 @@ let campaign_cmd =
       let results = Obs.Campaign.evaluate ~gates ~extra summary in
       write_file summary_path
         (Obs.Json.to_string (Obs.Campaign.summary_to_json ~gates:results summary) ^ "\n");
-      let pool = Option.map Obs.Telemetry.read_spans pool_trace_file in
+      let pool = Option.map (fun f -> (Obs.Telemetry.read f).spans) pool_trace_file in
       let drift =
         Option.map
           (fun store ->
@@ -1584,7 +1533,8 @@ let stats_cmd =
     Arg.(value & opt (some string) None & info [ "drift" ] ~docv:"STORE" ~doc)
   in
   let run file live pool chrome drift =
-    or_exit_2 ?file:pool "stats" (fun () ->
+    (* a parse error names the recording it came from *)
+    or_exit_2 ?file:(if pool = None then file else pool) "stats" (fun () ->
     match (live, pool, drift) with
     | _, _, Some store ->
       let ledger = Serve.Observatory.ledger_of_store ~store in
@@ -1594,7 +1544,7 @@ let stats_cmd =
       print_string (Serve.Health.render (Serve.Health.read status_path));
       exit_ok
     | None, Some path, None ->
-      let spans = Obs.Telemetry.read_spans path in
+      let spans = (Obs.Telemetry.read path).spans in
       print_string (Obs.Pooltrace.report spans);
       Option.iter
         (fun out ->
@@ -1611,7 +1561,7 @@ let stats_cmd =
       match path with
       | Some p ->
         Printf.printf "telemetry summary of %s\n\n%s" p
-          (Obs.Telemetry.render_summary (Obs.Telemetry.read_summary p));
+          (Obs.Telemetry.render_summary (Obs.Telemetry.read p));
         exit_ok
       | None ->
         Printf.eprintf

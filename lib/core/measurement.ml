@@ -254,7 +254,6 @@ let measure ?plugins ?profiles ?transform ?smoothen ?(noise = Netsim.Path.mild)
       end
   in
   let report = go 1 [] 0.0 in
-  Option.iter Obs.Provenance.emit report.provenance;
   Obs.Metrics.bump "measurement.done";
   report
 

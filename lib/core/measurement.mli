@@ -127,9 +127,8 @@ val measure :
     [measurement.done]).
 
     [provenance] (default [true]) builds the verdict report carried in
-    [report.provenance] and hands it to {!Obs.Provenance.emit} (a no-op
-    unless a collector is active); [subject] names the measured target in
-    that report. Disabling skips the extra scoring work on hot paths that
+    [report.provenance]; [subject] names the measured target in that
+    report. Disabling skips the extra scoring work on hot paths that
     only need the label. *)
 
 val measure_cca :

@@ -198,9 +198,7 @@ let prepare ?(dt = default_dt) ?(smoothen = true) ~rtt (bif : Bif.series) =
   in
   if Obs.Runtime.armed () then begin
     Obs.Metrics.bump ~by:(List.length segments) "pipeline.segments";
-    Obs.Metrics.bump ~by:(List.length backoffs) "pipeline.backoffs";
-    let dur = Obs.Histogram.get "pipeline.segment_duration_s" in
-    List.iter (fun seg -> Obs.Histogram.observe dur seg.duration) segments
+    Obs.Metrics.bump ~by:(List.length backoffs) "pipeline.backoffs"
   end;
   {
     dt;

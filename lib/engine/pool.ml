@@ -80,15 +80,11 @@ let run ?emit ?jobs f xs =
     | _ -> ()
   in
   (* Worker w runs [first], drains the rest of its own shard, then
-     steals from the others; [after] runs after each of its jobs.
-     Returns (jobs run, jobs stolen). *)
+     steals from the others; [after] runs after each of its jobs. *)
   let work ?(after = ignore) w first =
-    let ran = ref 0 and steals = ref 0 in
     let rec drain s stolen = function
       | Some i ->
         run_one ~worker:w ~stolen i;
-        incr ran;
-        if stolen then incr steals;
         after ();
         drain s stolen (claim s)
       | None -> ()
@@ -96,8 +92,7 @@ let run ?emit ?jobs f xs =
     drain w false first;
     for s = 0 to workers - 1 do
       if s <> w then drain s true (claim s)
-    done;
-    (!ran, !steals)
+    done
   in
   (* The caller claims its first job before any worker exists, so job 0
      always runs in the calling domain. Each spawned worker inherits the
@@ -107,16 +102,8 @@ let run ?emit ?jobs f xs =
     Array.init (workers - 1) (fun w ->
         Obs.Collector.spawn (fun () -> work (w + 1) (claim (w + 1))))
   in
-  let caller = work ~after:flush 0 first in
-  let counts = caller :: Array.to_list (Array.map Obs.Collector.join spawned) in
-  if workers > 1 then begin
-    let sum g = List.fold_left (fun acc c -> acc + g c) 0 counts in
-    let ran = sum fst and steals = sum snd in
-    Obs.Metrics.bump ~by:n "engine.pool.jobs";
-    Obs.Metrics.bump ~by:workers "engine.pool.workers";
-    Obs.Metrics.bump ~by:steals "engine.pool.steals";
-    Obs.Metrics.bump ~by:(ran - steals) "engine.pool.local_pops"
-  end;
+  work ~after:flush 0 first;
+  Array.iter Obs.Collector.join spawned;
   (* every worker is joined before an [emit] error is re-raised; then
      the tail the others finished after the caller ran out of claims *)
   flush ();

@@ -25,14 +25,11 @@
 
     Telemetry: worker 0 records straight into the caller's obs state.
     Every other worker is spawned through {!Obs.Collector}, so it
-    inherits the caller's obs state (armed, level, provenance
-    collection, flight recorder, its innermost open span, span
-    collection) and its domain-local buffers are absorbed into the
-    caller's at join, worker by worker in join order (so provenance
-    reports arrive as the caller's own, then the other workers' in join
-    order, not in submission order). When the caller is armed and k > 1,
-    the pool itself adds [engine.pool.jobs], [engine.pool.workers],
-    [engine.pool.steals] and [engine.pool.local_pops] counters.
+    inherits the caller's obs state (armed, level, flight recorder on or
+    off, its innermost open span, span collection) and hands its
+    counters and collected spans back to the caller at join, worker by
+    worker in join order. The pool counts nothing of its own: its
+    scheduling is in the ["pool.task"] spans below.
 
     Task tracing: when the caller is armed, every task (k = 1 included)
     runs inside a ["pool.task"] span whose attributes name the task, its

@@ -21,20 +21,14 @@ let sinks =
             Runtime.set_level level);
       hand_back = nothing;
     };
-    { inherit_ = nothing; hand_back = flush Metrics.drain Metrics.absorb };
-    {
-      inherit_ =
-        (fun () -> if Provenance.collecting () then Provenance.enable_collect else Fun.id);
-      hand_back = flush Provenance.drain_reports Provenance.absorb_reports;
-    };
     {
       inherit_ =
         (fun () ->
           let on = Flight.enabled () in
           fun () -> Flight.set_enabled on);
-      hand_back = flush Flight.drain Flight.absorb;
+      hand_back = nothing;
     };
-    { inherit_ = nothing; hand_back = flush Histogram.drain Histogram.absorb };
+    { inherit_ = nothing; hand_back = flush Metrics.drain Metrics.absorb };
     { inherit_ = Span.inherit_; hand_back = flush Span.drain Span.absorb };
   ]
 

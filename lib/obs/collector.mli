@@ -4,17 +4,17 @@
 
     Each sink, with what the worker inherits / what it hands back:
     - {!Runtime}: the armed state and detail level / nothing;
+    - {!Flight}: the enabled flag / nothing (every reader of a ring runs
+      in the domain that recorded it);
     - {!Metrics}: nothing / its counters and gauges;
-    - {!Provenance}: report collection on or off / its reports;
-    - {!Flight}: the enabled flag / its ring;
-    - {!Histogram}: nothing / its registry;
     - {!Span}: the caller's innermost open span, as the parent and path
       prefix of the worker's spans, and span collection on or off / its
       collected spans.
 
-    The caller absorbs the handed-back buffers in that order, worker by
-    worker in join order. A new domain-local sink is added to this list
-    and every pool carries it. *)
+    A recording is therefore its spans and its counters. The caller
+    absorbs the handed-back buffers in that order, worker by worker in
+    join order. A new domain-local sink is added to this list and every
+    pool carries it. *)
 
 type 'a worker
 

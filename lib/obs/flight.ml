@@ -5,9 +5,9 @@
    allocation is for the rare string payloads, which are shared constants
    (CCA names, fault families) at every call site that fires per packet.
 
-   All state is domain-local. Collector drains a pool worker's ring at
-   join and absorbs it into the caller's: no event is lost, arrival order
-   across workers follows the join order. *)
+   All state is domain-local: a pool worker records into its own ring
+   (Collector hands it only the enabled flag), and every reader of a ring
+   runs in the domain that recorded it. *)
 
 type kind =
   | Enqueue
@@ -273,20 +273,6 @@ let snapshot ?since ?(window_s = infinity) () =
         | None -> true)
       evs
   end
-
-let drain () =
-  let evs = events () in
-  clear ();
-  evs
-
-(* Absorbed events keep their payload, run id and time but are re-stamped
-   with fresh local seqs: seq is an insertion index, not an identity. *)
-let absorb evs =
-  let s = state () in
-  List.iter
-    (fun e ->
-      push s e.kind ~time:e.time ~a:e.a ~b:e.b ~c:e.c ~detail:e.detail ~extra:e.extra)
-    evs
 
 (* dumps ------------------------------------------------------------------ *)
 

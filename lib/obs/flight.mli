@@ -21,9 +21,11 @@
     ({!enqueue}, {!drop}, {!fault}, {!retx}) bump their counter
     themselves, so each occurrence is recorded by one call.
 
-    All state is domain-local, like [Metrics]: {!Collector} {!drain}s a
-    pool worker's ring at join and {!absorb}s it into the caller's, so no
-    event is lost across a parallel census. *)
+    All state is domain-local. A pool worker inherits the enabled flag
+    through {!Collector} and records into its own ring; nothing is merged
+    at join, because every reader of a ring ([Measurement]'s anomaly
+    capture, the fuzzer's event-kind signature) runs in the domain that
+    ran the measurement. *)
 
 type kind =
   | Enqueue  (** packet accepted by the bottleneck queue; [a]=size, [b]=queue bytes *)
@@ -125,19 +127,11 @@ val serve : time:float -> event:string -> value:float -> unit
 (** Census-service lifecycle mark ([Serve] kind), recorded at every
     detail level: the event tag lands in [detail], the value in [a]. *)
 
-(** {1 Readout and cross-domain merge} *)
+(** {1 Readout} *)
 
 val events : ?since:int -> unit -> event list
 (** Live ring contents in insertion order, oldest surviving event first;
     [since] drops events with [seq < since]. *)
-
-val drain : unit -> event list
-(** {!events} then {!clear}: hand the ring to a collector at pool join. *)
-
-val absorb : event list -> unit
-(** Append drained events to this domain's ring. Payload, run id and time
-    are preserved; seqs are re-stamped locally (seq is an insertion
-    index, not an identity). *)
 
 (** {1 Anomaly dumps} *)
 

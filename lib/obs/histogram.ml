@@ -98,37 +98,6 @@ let merge_into ~dst src =
       | None -> Hashtbl.replace dst.cells e (ref !r))
     src.cells
 
-(* registry ---------------------------------------------------------------- *)
-
-let registry_key : (string, t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
-
-let registry () = Domain.DLS.get registry_key
-
-let get name =
-  let registry = registry () in
-  match Hashtbl.find_opt registry name with
-  | Some h -> h
-  | None ->
-    let h = create ~name () in
-    Hashtbl.replace registry name h;
-    h
-
-let find name = Hashtbl.find_opt (registry ()) name
-
-let all () =
-  Hashtbl.fold (fun _ h acc -> h :: acc) (registry ()) []
-  |> List.sort (fun a b -> compare a.h_name b.h_name)
-
-let reset () = Hashtbl.reset (registry ())
-
-let drain () =
-  let hs = all () in
-  reset ();
-  hs
-
-let absorb hs = List.iter (fun h -> merge_into ~dst:(get h.h_name) h) hs
-
 (* serialization ----------------------------------------------------------- *)
 
 let to_json h =

@@ -1,25 +1,19 @@
-(** Log2-bucketed, mergeable histograms: the one distribution type.
-    Span durations (["span.<name>"], ["span.virt.<name>"]), pipeline
-    segment lengths and pool queue waits all record here.
+(** Log2-bucketed, mergeable histograms: the one distribution type, and
+    a plain value built from the values it summarizes — serve's
+    per-priority queue waits, the pool report's queue-wait and run times,
+    and the [span.<name>] / [span.virt.<name>] rows {!Telemetry} folds
+    out of a recording's spans.
 
-    One bucket per power-of-two octave keeps them cheap enough to carry
-    per-priority, per-task-class, or per-domain: a recorded value costs
-    one [frexp] and one hash-table bump, and a snapshot is a handful of
-    [(exponent, count)] pairs. Exact extrema
-    and the running sum ride along, so [p50]/[p90]/[p99] estimates are
-    clamped to the observed range and a single-value histogram reports
-    that value exactly.
+    One bucket per power-of-two octave: a recorded value costs one
+    [frexp] and one hash-table bump, and a snapshot is a handful of
+    [(exponent, count)] pairs. Exact extrema and the running sum ride
+    along, so [p50]/[p90]/[p99] estimates are clamped to the observed
+    range and a single-value histogram reports that value exactly.
 
-    {b Merging is lossless}: buckets are keyed by octave exponent, so
-    absorbing a histogram adds bucket counts without re-quantization —
-    the merged histogram is identical to one that observed every value
+    {b Merging is lossless}: buckets are keyed by octave exponent, so a
+    merged histogram is identical to one that observed every value
     itself (bucket counts and extrema exactly; the sum up to float
     addition order).
-
-    {b Domain-locality.} Like {!Metrics}, the registry is per-domain:
-    worker domains observe into their own tables with no locks, and
-    {!Collector} {!drain}s them just before join and {!absorb}s the
-    result into the caller's registry.
 
     {b Determinism.} [to_json] emits buckets in ascending exponent
     order with every number through the shared {!Json} writer, so
@@ -29,7 +23,7 @@
 type t
 
 val create : ?name:string -> unit -> t
-(** A fresh empty histogram, not attached to any registry. *)
+(** A fresh empty histogram. *)
 
 val name : t -> string
 val observe : t -> float -> unit
@@ -50,18 +44,13 @@ val quantile : t -> float -> float
     [0,1]) by geometric interpolation within the bucket holding the
     ranked observation (the centered in-bucket rank placed as a
     fraction of the octave), clamped to [[min_value, max_value]].
-    Worst-case relative error is a factor of 2 (one octave); unlike
-    the former bucket-midpoint rule, a sparse tail bucket no longer
-    reports its upper half regardless of where the observation fell.
-    [nan] when empty; underflow-bucket ranks report 0. *)
+    Worst-case relative error is a factor of 2 (one octave). [nan]
+    when empty; underflow-bucket ranks report 0. *)
 
 val quantile_ub : t -> float -> float
 (** [quantile_ub h q] is a guaranteed upper bound on the [q]-th ranked
     observation: the holding bucket's upper edge [2^e], tightened to
-    [max_value]. This is (up to the old clamping) what {!quantile}
-    used to report; perf ledgers keep it under [*_ub] keys so
-    conservative gating survives the interpolation fix. [nan] when
-    empty. *)
+    [max_value]. [nan] when empty. *)
 
 val merge_into : dst:t -> t -> unit
 (** Fold a histogram into [dst] (bucket-exact, see above). The source
@@ -70,29 +59,6 @@ val merge_into : dst:t -> t -> unit
 val buckets : t -> (int * int) list
 (** [(exponent, count)] pairs in ascending exponent order; bucket [e]
     covers [[2^(e-1), 2^e)]. The underflow bucket sorts first. *)
-
-(** {1 Registry (domain-local)} *)
-
-val get : string -> t
-(** The calling domain's histogram registered under this name,
-    creating it empty on first use. *)
-
-val find : string -> t option
-(** Like {!get} but does not create on miss. *)
-
-val all : unit -> t list
-(** Every histogram in the calling domain's registry, sorted by
-    name. *)
-
-val reset : unit -> unit
-
-val drain : unit -> t list
-(** Snapshot-and-clear the calling domain's registry: the returned
-    histograms are detached (safe to hand to another domain). *)
-
-val absorb : t list -> unit
-(** Merge drained histograms into the calling domain's registry by
-    name. *)
 
 (** {1 Serialization and rendering} *)
 

@@ -216,35 +216,3 @@ let render_dists ~header dists =
            (fnum d.min_v) (fnum d.max_v)))
     dists;
   Buffer.contents buf
-
-(* domain-local collection ------------------------------------------------ *)
-
-type collect_state = { mutable depth : int; mutable buffer : report list }
-
-let collect_key =
-  Domain.DLS.new_key (fun () -> { depth = 0; buffer = [] })
-
-let collect_state () = Domain.DLS.get collect_key
-let collecting () = (collect_state ()).depth > 0
-
-let enable_collect () =
-  let s = collect_state () in
-  s.depth <- s.depth + 1
-
-let disable_collect () =
-  let s = collect_state () in
-  if s.depth > 0 then s.depth <- s.depth - 1
-
-let emit r =
-  let s = collect_state () in
-  if s.depth > 0 then s.buffer <- r :: s.buffer
-
-let drain_reports () =
-  let s = collect_state () in
-  let rs = List.rev s.buffer in
-  s.buffer <- [];
-  rs
-
-let absorb_reports rs =
-  let s = collect_state () in
-  s.buffer <- List.rev_append rs s.buffer

@@ -78,19 +78,3 @@ type dist = { n : int; mean : float; min_v : float; max_v : float }
 val confidence_dists : report list -> (string * dist) list
 val margin_dists : report list -> (string * dist) list
 val render_dists : header:string -> (string * dist) list -> string
-
-(** {2 Collection} — a domain-local report buffer, flushed across domain
-    joins by {!Collector} via {!drain_reports}/{!absorb_reports}. Arrival order after a
-    parallel flush follows worker join order, not submission order. *)
-
-val collecting : unit -> bool
-val enable_collect : unit -> unit
-(** Counted: nested [enable_collect]/[disable_collect] pairs compose. *)
-
-val disable_collect : unit -> unit
-
-val emit : report -> unit
-(** Buffer a report in this domain (no-op unless {!collecting}). *)
-
-val drain_reports : unit -> report list
-val absorb_reports : report list -> unit

@@ -374,9 +374,32 @@ let style =
 
 let section buf title = Buffer.add_string buf (Printf.sprintf "<h2>%s</h2>\n" (esc title))
 
-let meta_row buf k v =
+(* A key/value table of run metadata, both columns escaped. *)
+let meta_table buf rows =
+  Buffer.add_string buf "<table class=\"meta\">\n";
+  List.iter
+    (fun (k, v) ->
+      Buffer.add_string buf
+        (Printf.sprintf "<tr><td>%s</td><td><b>%s</b></td></tr>\n" (esc k) (esc v)))
+    rows;
+  Buffer.add_string buf "</table>\n"
+
+(* The one page skeleton every report shares: head and style, the <h1>
+   heading, the meta table of [(key, value)] rows (none when empty), the
+   body [fill] writes, then the footer note. [title] and the meta rows
+   are escaped here; [heading] and [footer] are HTML. *)
+let page ?(extra_style = "") ?(meta = []) ~title ~heading ~footer fill =
+  let buf = Buffer.create 16384 in
+  Buffer.add_string buf "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"/>\n";
+  Buffer.add_string buf (Printf.sprintf "<title>%s</title>\n" (esc title));
   Buffer.add_string buf
-    (Printf.sprintf "<tr><td>%s</td><td><b>%s</b></td></tr>\n" (esc k) (esc v))
+    (Printf.sprintf "<style>\n%s%s</style>\n</head>\n<body>\n" style extra_style);
+  Buffer.add_string buf (Printf.sprintf "<h1>%s</h1>\n" heading);
+  if meta <> [] then meta_table buf meta;
+  fill buf;
+  Buffer.add_string buf (Printf.sprintf "<p class=\"note\">%s</p>\n" footer);
+  Buffer.add_string buf "</body></html>\n";
+  Buffer.contents buf
 
 let count_kind (d : Flight.dump) k =
   List.length (List.filter (fun (e : Flight.event) -> e.kind = k) d.events)
@@ -561,16 +584,17 @@ let pool_hist_row buf (hname : string) (h : Histogram.t) =
 let pool_section buf spans =
   let tasks = Pooltrace.tasks spans in
   let s = Pooltrace.summarize tasks in
-  Buffer.add_string buf "<table class=\"meta\">\n";
-  meta_row buf "tasks" (string_of_int s.Pooltrace.s_tasks);
-  meta_row buf "workers" (string_of_int s.Pooltrace.s_workers);
-  meta_row buf "steals"
-    (Printf.sprintf "%d (%.1f%%)" s.Pooltrace.s_steals
-       (if s.Pooltrace.s_tasks = 0 then 0.0
-        else
-          100.0 *. float_of_int s.Pooltrace.s_steals /. float_of_int s.Pooltrace.s_tasks));
-  meta_row buf "span" (Printf.sprintf "%s s" (fnum s.Pooltrace.s_span_s));
-  Buffer.add_string buf "</table>\n";
+  meta_table buf
+    [
+      ("tasks", string_of_int s.Pooltrace.s_tasks);
+      ("workers", string_of_int s.Pooltrace.s_workers);
+      ( "steals",
+        Printf.sprintf "%d (%.1f%%)" s.Pooltrace.s_steals
+          (if s.Pooltrace.s_tasks = 0 then 0.0
+           else
+             100.0 *. float_of_int s.Pooltrace.s_steals /. float_of_int s.Pooltrace.s_tasks) );
+      ("span", Printf.sprintf "%s s" (fnum s.Pooltrace.s_span_s));
+    ];
   Buffer.add_string buf (pool_timeline_svg tasks s);
   Buffer.add_string buf
     (legend_entries [ (c_bif, "local task"); (c_drop, "stolen task") ]);
@@ -597,16 +621,10 @@ let pool_section buf spans =
   end
 
 let pool_report_html ~spans () =
-  let buf = Buffer.create 8192 in
-  Buffer.add_string buf "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"/>\n";
-  Buffer.add_string buf "<title>nebby pool report</title>\n";
-  Buffer.add_string buf (Printf.sprintf "<style>\n%s</style>\n</head>\n<body>\n" style);
-  Buffer.add_string buf "<h1>nebby pool report</h1>\n";
-  section buf "Scheduler utilization";
-  pool_section buf spans;
-  Buffer.add_string buf "<p class=\"note\">generated by nebby report</p>\n";
-  Buffer.add_string buf "</body></html>\n";
-  Buffer.contents buf
+  page ~title:"nebby pool report" ~heading:"nebby pool report"
+    ~footer:"generated by nebby report" (fun buf ->
+      section buf "Scheduler utilization";
+      pool_section buf spans)
 
 let campaign_style =
   ".pass{color:#009e73;font-weight:bold}\n\
@@ -813,21 +831,19 @@ let drift_section buf ~ledger ~events =
 
 let drift_dashboard ?(historical = []) ?(alerts = []) ~ledger ~events () =
   let l : Drift.ledger = ledger in
-  let buf = Buffer.create 16384 in
-  Buffer.add_string buf "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"/>\n";
-  Buffer.add_string buf
-    (Printf.sprintf "<title>nebby drift: %s</title>\n" (esc l.Drift.subject));
-  Buffer.add_string buf
-    (Printf.sprintf "<style>\n%s%s</style>\n</head>\n<body>\n" style campaign_style);
-  Buffer.add_string buf
-    (Printf.sprintf "<h1>nebby drift observatory &#8212; %s</h1>\n"
-       (esc l.Drift.subject));
-  Buffer.add_string buf "<table class=\"meta\">\n";
-  meta_row buf "subject" l.Drift.subject;
-  meta_row buf "epochs" (string_of_int (List.length l.Drift.points));
-  meta_row buf "classes" (string_of_int (List.length (Drift.classes l)));
-  meta_row buf "events" (string_of_int (List.length events));
-  Buffer.add_string buf "</table>\n";
+  page ~extra_style:campaign_style ~title:("nebby drift: " ^ l.Drift.subject)
+    ~heading:("nebby drift observatory &#8212; " ^ esc l.Drift.subject)
+    ~meta:
+      [
+        ("subject", l.Drift.subject);
+        ("epochs", string_of_int (List.length l.Drift.points));
+        ("classes", string_of_int (List.length (Drift.classes l)));
+        ("events", string_of_int (List.length events));
+      ]
+    ~footer:
+      (Printf.sprintf "drift ledger schema v%d &#183; generated by nebby drift"
+         Drift.schema_version)
+  @@ fun buf ->
   section buf "Share over epochs";
   drift_section buf ~ledger ~events;
   section buf "Epoch ledger";
@@ -867,33 +883,25 @@ let drift_dashboard ?(historical = []) ?(alerts = []) ~ledger ~events () =
           (Printf.sprintf "<tr><td>%s</td><td>%d</td><td>%s</td></tr>\n" (esc study)
              year (esc txt)))
       rows;
-    Buffer.add_string buf "</table>\n");
-  Buffer.add_string buf
-    (Printf.sprintf
-       "<p class=\"note\">drift ledger schema v%d &#183; generated by nebby drift</p>\n"
-       Drift.schema_version);
-  Buffer.add_string buf "</body></html>\n";
-  Buffer.contents buf
+    Buffer.add_string buf "</table>\n")
 
 let campaign_dashboard ?(gates = []) ?pool ?drift ~summary () =
   let s : Campaign.summary = summary in
-  let buf = Buffer.create 16384 in
-  Buffer.add_string buf "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"/>\n";
-  Buffer.add_string buf
-    (Printf.sprintf "<title>nebby campaign: %s</title>\n" (esc s.Campaign.experiment));
-  Buffer.add_string buf
-    (Printf.sprintf "<style>\n%s%s</style>\n</head>\n<body>\n" style campaign_style);
-  Buffer.add_string buf
-    (Printf.sprintf "<h1>nebby campaign dashboard &#8212; %s</h1>\n"
-       (esc s.Campaign.experiment));
-  Buffer.add_string buf "<table class=\"meta\">\n";
-  meta_row buf "experiment" s.Campaign.experiment;
-  meta_row buf "seeds"
-    (Printf.sprintf "%d (%s)"
-       (List.length s.Campaign.seeds)
-       (String.concat ", " (List.map string_of_int s.Campaign.seeds)));
-  meta_row buf "cells" (string_of_int (List.length s.Campaign.cells));
-  Buffer.add_string buf "</table>\n";
+  page ~extra_style:campaign_style ~title:("nebby campaign: " ^ s.Campaign.experiment)
+    ~heading:("nebby campaign dashboard &#8212; " ^ esc s.Campaign.experiment)
+    ~meta:
+      [
+        ("experiment", s.Campaign.experiment);
+        ( "seeds",
+          Printf.sprintf "%d (%s)"
+            (List.length s.Campaign.seeds)
+            (String.concat ", " (List.map string_of_int s.Campaign.seeds)) );
+        ("cells", string_of_int (List.length s.Campaign.cells));
+      ]
+    ~footer:
+      (Printf.sprintf "campaign schema v%d &#183; generated by nebby campaign"
+         s.Campaign.version)
+  @@ fun buf ->
   (match gates with
   | [] -> ()
   | gates ->
@@ -998,38 +1006,36 @@ let campaign_dashboard ?(gates = []) ?pool ?drift ~summary () =
   | None -> ()
   | Some (ledger, events) ->
     section buf "Deployment drift (serve store)";
-    drift_section buf ~ledger ~events);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "<p class=\"note\">campaign schema v%d &#183; generated by nebby campaign</p>\n"
-       s.Campaign.version);
-  Buffer.add_string buf "</body></html>\n";
-  Buffer.contents buf
+    drift_section buf ~ledger ~events)
 
 let measurement_report ?provenance ?prof ~dump () =
   let d : Flight.dump = dump in
-  let buf = Buffer.create 16384 in
-  Buffer.add_string buf "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"/>\n";
-  Buffer.add_string buf
-    (Printf.sprintf "<title>nebby report: %s</title>\n" (esc d.subject));
-  Buffer.add_string buf (Printf.sprintf "<style>\n%s</style>\n</head>\n<body>\n" style);
-  Buffer.add_string buf
-    (Printf.sprintf "<h1>nebby measurement report &#8212; %s</h1>\n" (esc d.subject));
-  Buffer.add_string buf "<table class=\"meta\">\n";
-  meta_row buf "trigger" d.trigger;
-  meta_row buf "attempt" (string_of_int d.attempt);
-  meta_row buf "window" (fnum d.window_s ^ " s");
-  meta_row buf "events"
-    (Printf.sprintf "%d (%d drops, %d faults, %d retx, %d stalls)"
-       (List.length d.events) (count_kind d Flight.Drop) (count_kind d Flight.Fault)
-       (count_kind d Flight.Retx) (count_kind d Flight.Stall));
-  (match provenance with
-  | Some (p : Provenance.report) ->
-    meta_row buf "verdict"
-      (Printf.sprintf "%s (confidence %s, margin %s)" p.Provenance.label
-         (fnum p.Provenance.confidence) (fnum p.Provenance.margin))
-  | None -> ());
-  Buffer.add_string buf "</table>\n";
+  let verdict =
+    match provenance with
+    | Some (p : Provenance.report) ->
+      [
+        ( "verdict",
+          Printf.sprintf "%s (confidence %s, margin %s)" p.Provenance.label
+            (fnum p.Provenance.confidence) (fnum p.Provenance.margin) );
+      ]
+    | None -> []
+  in
+  page ~title:("nebby report: " ^ d.subject)
+    ~heading:("nebby measurement report &#8212; " ^ esc d.subject)
+    ~meta:
+      ([
+         ("trigger", d.trigger);
+         ("attempt", string_of_int d.attempt);
+         ("window", fnum d.window_s ^ " s");
+         ( "events",
+           Printf.sprintf "%d (%d drops, %d faults, %d retx, %d stalls)"
+             (List.length d.events) (count_kind d Flight.Drop) (count_kind d Flight.Fault)
+             (count_kind d Flight.Retx) (count_kind d Flight.Stall) );
+       ]
+      @ verdict)
+    ~footer:
+      (Printf.sprintf "flight dump schema v%d &#183; generated by nebby report" d.version)
+  @@ fun buf ->
   let runs = runs_of_dump d in
   List.iter
     (fun rv ->
@@ -1076,7 +1082,7 @@ let measurement_report ?provenance ?prof ~dump () =
       Buffer.add_string buf svg
     | None -> ())
   | None -> ());
-  (match provenance with
+  match provenance with
   | Some (p : Provenance.report) ->
     section buf "Candidate scores";
     Buffer.add_string buf
@@ -1089,10 +1095,4 @@ let measurement_report ?provenance ?prof ~dump () =
              (fnum cand.Provenance.score) (fnum cand.Provenance.confidence)))
       p.Provenance.candidates;
     Buffer.add_string buf "</table>\n"
-  | None -> ());
-  Buffer.add_string buf
-    (Printf.sprintf
-       "<p class=\"note\">flight dump schema v%d &#183; generated by nebby report</p>\n"
-       d.version);
-  Buffer.add_string buf "</body></html>\n";
-  Buffer.contents buf
+  | None -> ()

@@ -33,8 +33,6 @@ let key = Domain.DLS.new_key (fun () -> { stack = []; recording = 0; collected =
 let state () = Domain.DLS.get key
 let next_id = Atomic.make 0
 
-let duration_histogram name = Histogram.get ("span." ^ name)
-
 (* Total words allocated so far in this domain (minor + major, without
    double-counting promotions). Differences of this quantity across a span
    are the span's allocation footprint. *)
@@ -67,13 +65,8 @@ let with_ ?(attrs = []) ~name f =
         | [] -> []
       in
       s.stack <- pop s.stack;
-      Histogram.observe (duration_histogram name) wall_s;
       let virt_s =
-        match (virt_start, virt_stop) with
-        | Some v0, Some v1 ->
-          if v1 >= v0 then Histogram.observe (duration_histogram ("virt." ^ name)) (v1 -. v0);
-          Some (v1 -. v0)
-        | _ -> None
+        match (virt_start, virt_stop) with Some v0, Some v1 -> Some (v1 -. v0) | _ -> None
       in
       if s.recording > 0 then
         s.collected <-

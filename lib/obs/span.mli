@@ -6,10 +6,10 @@
     and charges [f]'s GC activity (words allocated, major collections) to
     the span. Nested calls form a tree via parent ids; [path] is the
     root-first chain of open span names, which is what {!Prof} folds into
-    flamegraph stacks. Every completed span feeds the ["span.<name>"]
-    duration histogram in the {!Histogram} registry (and
-    ["span.virt.<name>"] for virtual time), so per-stage breakdowns need
-    no extra bookkeeping.
+    flamegraph stacks. The collected spans are the recording: the
+    profile, the pool report, the Chrome trace and the ["span.<name>"] /
+    ["span.virt.<name>"] duration histograms of [nebby stats] are all
+    folds over them, so per-stage breakdowns need no other bookkeeping.
 
     When the runtime is not armed, [with_] is [f ()]: one field read, no
     allocation, no clock syscall.

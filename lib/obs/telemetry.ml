@@ -8,13 +8,15 @@ let snap_to_json (s : Metrics.snap) =
     [ ("kind", Json.Str "metric"); ("type", Json.Str typ);
       ("name", Json.Str (Metrics.snap_name s)); ("value", Json.Num value) ]
 
+let ctx = "telemetry"
+
 let snap_of_json j =
-  let str k = Option.bind (Json.member k j) Json.to_str in
-  match (str "type", str "name", Option.bind (Json.member "value" j) Json.to_float) with
-  | Some "counter", Some name, Some v ->
-    Some (Metrics.Counter_snap { name; value = int_of_float v })
-  | Some "gauge", Some name, Some value -> Some (Metrics.Gauge_snap { name; value })
-  | _ -> None
+  let name = Json.get_str ctx "name" j and value = Json.get_num ctx "value" j in
+  match Json.get_str ctx "type" j with
+  | "counter" when Float.is_integer value ->
+    Metrics.Counter_snap { name; value = int_of_float value }
+  | "gauge" -> Metrics.Gauge_snap { name; value }
+  | _ -> Json.shape_error ctx "a metric line is neither a counter nor a gauge"
 
 let write_jsonl path spans =
   Versioned.write_file path (fun oc ->
@@ -23,8 +25,7 @@ let write_jsonl path spans =
         output_char oc '\n'
       in
       List.iter (fun c -> line (Span.to_json c)) spans;
-      List.iter (fun s -> line (snap_to_json s)) (Metrics.snapshot ());
-      List.iter (fun h -> line (Histogram.to_json h)) (Histogram.all ()))
+      List.iter (fun s -> line (snap_to_json s)) (Metrics.snapshot ()))
 
 let write_chrome path spans =
   Versioned.write_file path (fun oc ->
@@ -51,76 +52,59 @@ let record ?jsonl ?chrome f =
       Printexc.raise_with_backtrace e bt
   end
 
-(* The span lines of a telemetry file; counter and histogram lines are
-   skipped, any other line is malformed. *)
-let read_spans path =
-  let text = In_channel.with_open_bin path In_channel.input_all in
-  List.concat_map
-    (fun raw ->
-      let j = Json.of_string raw in
-      match Option.bind (Json.member "kind" j) Json.to_str with
-      | Some "span" -> [ Span.of_json j ]
-      | Some ("metric" | "histogram") -> []
-      | _ -> Json.shape_error "telemetry" "a line is not a span, metric or histogram")
-    (Versioned.lines text)
+type recording = { spans : Span.completed list; metrics : Metrics.snap list }
 
-type summary = {
-  spans : (string * int * float) list;
-  metrics : Metrics.snap list;
-  histograms : Histogram.t list;
-  malformed : int;
-}
-
-let read_summary path =
-  let span_tally : (string, int * float) Hashtbl.t = Hashtbl.create 16 in
-  let metrics = ref [] and histograms = ref [] and malformed = ref 0 in
-  let tally_span j =
-    let c = Span.of_json j in
-    let count, total =
-      Option.value ~default:(0, 0.0) (Hashtbl.find_opt span_tally c.Span.name)
-    in
-    Hashtbl.replace span_tally c.Span.name (count + 1, total +. c.Span.wall_s)
-  in
+let read path =
   let text = In_channel.with_open_bin path In_channel.input_all in
-  List.iter
-    (fun raw ->
-      match Json.of_string raw with
-      | exception Json.Parse_error _ -> incr malformed
-      | j -> (
+  let spans, metrics =
+    List.fold_left
+      (fun (spans, metrics) raw ->
+        let j = Json.of_string raw in
         match Option.bind (Json.member "kind" j) Json.to_str with
-        | Some "span" -> (
-          try tally_span j with Json.Parse_error _ -> incr malformed)
-        | Some "metric" -> (
-          match snap_of_json j with
-          | Some s -> metrics := s :: !metrics
-          | None -> incr malformed)
-        | Some "histogram" -> (
-          match Histogram.of_json j with
-          | h -> histograms := h :: !histograms
-          | exception Json.Parse_error _ -> incr malformed)
-        | _ -> incr malformed))
-    (Versioned.lines text);
-  {
-    spans =
-      Hashtbl.fold (fun k (c, s) acc -> (k, c, s) :: acc) span_tally []
-      |> List.sort (fun (_, _, a) (_, _, b) -> compare b a);
-    metrics = List.sort (fun a b -> compare (Metrics.snap_name a) (Metrics.snap_name b)) !metrics;
-    histograms =
-      List.sort (fun a b -> compare (Histogram.name a) (Histogram.name b)) !histograms;
-    malformed = !malformed;
-  }
+        | Some "span" -> (Span.of_json j :: spans, metrics)
+        | Some "metric" -> (spans, snap_of_json j :: metrics)
+        | _ -> Json.shape_error ctx "a line is neither a span nor a metric")
+      ([], []) (Versioned.lines text)
+  in
+  { spans = List.rev spans; metrics = List.rev metrics }
 
-let render_summary s =
+(* One fold over the spans: per span name, in first-completion order, the
+   histograms of its wall durations and of its non-negative virtual ones. *)
+let durations spans =
+  let by_name = Hashtbl.create 16 in
+  List.filter_map
+    (fun (c : Span.completed) ->
+      let fresh = not (Hashtbl.mem by_name c.name) in
+      if fresh then
+        Hashtbl.add by_name c.name
+          ( Histogram.create ~name:("span." ^ c.name) (),
+            Histogram.create ~name:("span.virt." ^ c.name) () );
+      let wall, virt = Hashtbl.find by_name c.name in
+      Histogram.observe wall c.wall_s;
+      (match c.virt_s with Some v when v >= 0.0 -> Histogram.observe virt v | _ -> ());
+      if fresh then Some (c.name, wall, virt) else None)
+    spans
+
+let span_histograms spans =
+  List.concat_map
+    (fun (_, wall, virt) -> if Histogram.count virt = 0 then [ wall ] else [ wall; virt ])
+    (durations spans)
+  |> List.sort (fun a b -> compare (Histogram.name a) (Histogram.name b))
+
+let render_summary { spans; metrics } =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "spans\n  %-30s %10s %12s\n" "name" "count" "total(s)");
   List.iter
-    (fun (name, count, tot) ->
-      Buffer.add_string buf (Printf.sprintf "  %-30s %10d %12.4g\n" name count tot))
-    s.spans;
+    (fun (name, wall, _) ->
+      Buffer.add_string buf
+        (Printf.sprintf "  %-30s %10d %12.4g\n" name (Histogram.count wall) (Histogram.sum wall)))
+    (List.sort
+       (fun (_, a, _) (_, b, _) -> compare (Histogram.sum b) (Histogram.sum a))
+       (durations spans));
   Buffer.add_char buf '\n';
-  Buffer.add_string buf (Metrics.render s.metrics);
+  Buffer.add_string buf
+    (Metrics.render
+       (List.sort (fun a b -> compare (Metrics.snap_name a) (Metrics.snap_name b)) metrics));
   Buffer.add_char buf '\n';
-  Buffer.add_string buf (Histogram.render s.histograms);
-  if s.malformed > 0 then
-    Buffer.add_string buf (Printf.sprintf "(%d malformed lines skipped)\n" s.malformed);
+  Buffer.add_string buf (Histogram.render (span_histograms spans));
   Buffer.contents buf

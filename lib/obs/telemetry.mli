@@ -8,11 +8,12 @@
     - span lines: [{"kind":"span","name":...,"wall_s":...}], in
       completion order (a pool's worker spans follow at its join);
     - metric lines: [{"kind":"metric","type":"counter"|"gauge", ...}],
-      the per-kind totals of everything counted;
-    - histogram lines: [{"kind":"histogram", ...}] (see
-      {!Histogram.to_json}), span durations included.
+      the per-kind totals of everything counted.
 
-    Per-event detail is not in the file: it lives in {!Flight} dumps. *)
+    A recording is its spans and its counters: every other view of it
+    (the profile, the pool report, the Chrome trace, the duration
+    histograms below) is a fold over {!read}'s result. Per-event detail
+    is not in the file: it lives in {!Flight} dumps. *)
 
 val record : ?jsonl:string -> ?chrome:string -> (unit -> 'a) -> 'a
 (** Run [f] with telemetry recording on. [?jsonl] receives the lines
@@ -22,20 +23,20 @@ val record : ?jsonl:string -> ?chrome:string -> (unit -> 'a) -> 'a
     [f] raises (best effort; [f]'s exception wins). A write failure
     raises [Sys_error]. *)
 
-val read_spans : string -> Span.completed list
-(** The span lines of a telemetry file, in file order; metric and
-    histogram lines are skipped. Raises [Json.Parse_error] on a line that
-    is not JSON, a span line {!Span.of_json} rejects or a line of any
-    other kind, [Sys_error] if unreadable. *)
+type recording = { spans : Span.completed list; metrics : Metrics.snap list }
 
-type summary = {
-  spans : (string * int * float) list;  (** span name, count, total wall seconds *)
-  metrics : Metrics.snap list;
-  histograms : Histogram.t list;
-  malformed : int;  (** lines that failed to parse (0 for files we wrote) *)
-}
+val read : string -> recording
+(** The one reader of a telemetry file: its span lines in file order and
+    its metric lines. Strict: raises [Json.Parse_error] on a line that is
+    not JSON, a span or metric line of the wrong shape, or a line of any
+    other kind; [Sys_error] if unreadable. *)
 
-val read_summary : string -> summary
-(** Parse a JSONL telemetry file back. Raises [Sys_error] if unreadable. *)
+val span_histograms : Span.completed list -> Histogram.t list
+(** The duration histograms of a span list, sorted by name:
+    ["span.<name>"] observes each span's [wall_s], and
+    ["span.virt.<name>"] each non-negative [virt_s]. *)
 
-val render_summary : summary -> string
+val render_summary : recording -> string
+(** The [nebby stats] text: spans by name (count and total wall
+    seconds, largest total first), the counter/gauge table, and the
+    {!span_histograms} table. *)

@@ -15,6 +15,11 @@ let check ~kind ~version j =
     if got <> version then raise (Version_mismatch { kind; expected = version; got })
   | Some _ -> Json.shape_error kind "\"version\" is not an integer"
 
+let mismatch_message ~kind ~expected ~got =
+  Printf.sprintf
+    "%s schema version mismatch (expected %d, got %d); regenerate it with this binary" kind
+    expected got
+
 let lines text = String.split_on_char '\n' text |> List.filter (fun l -> String.trim l <> "")
 
 (* close_out, not close_out_noerr: for a small file the only real write

@@ -23,6 +23,10 @@ val check : kind:string -> version:int -> Json.t -> unit
     - a version that is not an integer raises [Json.Parse_error];
     - any other version but [version] raises {!Version_mismatch}. *)
 
+val mismatch_message : kind:string -> expected:int -> got:int -> string
+(** The one-line report of a {!Version_mismatch}, as every reader of a
+    versioned file prints it. *)
+
 val lines : string -> string list
 (** The non-blank lines of a JSONL text, in order. *)
 

@@ -313,3 +313,59 @@ let replay ~control (f : Fixture.t) =
     else Changed
   in
   (status, e)
+
+(* ---- fixture directories ---- *)
+
+type controls = (int * int * int, Nebby.Training.control) Hashtbl.t
+
+let controls () = Hashtbl.create 4
+
+let trained controls ~runs ~quic_runs ~seed =
+  let key = (runs, quic_runs, seed) in
+  match Hashtbl.find_opt controls key with
+  | Some c -> c
+  | None ->
+    let c = Nebby.Training.train ~runs_per_cca:runs ~quic_runs_per_cca:quic_runs ~seed () in
+    Hashtbl.add controls key c;
+    c
+
+type replay_outcome =
+  | Replayed of { fixture : Fixture.t; status : replay_status; eval : eval }
+  | Unreadable of string
+
+type replay_tally = { stale : int; broken : int }
+
+let replay_file controls path =
+  match Fixture.load path with
+  | exception Obs.Versioned.Version_mismatch { kind; expected; got } ->
+    Unreadable (Obs.Versioned.mismatch_message ~kind ~expected ~got)
+  | Error e -> Unreadable e
+  | Ok fixture ->
+    let control =
+      trained controls ~runs:fixture.Fixture.training_runs
+        ~quic_runs:fixture.Fixture.training_quic_runs ~seed:fixture.Fixture.training_seed
+    in
+    let status, eval = replay ~control fixture in
+    Replayed { fixture; status; eval }
+
+let replay_dir ?(controls = controls ()) ~on_fixture dir =
+  if not (Sys.file_exists dir && Sys.is_directory dir) then
+    Error ("no fixture directory " ^ dir)
+  else
+    match
+      Sys.readdir dir |> Array.to_list
+      |> List.filter (fun f -> Filename.check_suffix f ".json")
+      |> List.sort compare
+    with
+    | [] -> Error ("no fixtures in " ^ dir)
+    | files ->
+      Ok
+        (List.fold_left
+           (fun tally file ->
+             let outcome = replay_file controls (Filename.concat dir file) in
+             on_fixture file outcome;
+             match outcome with
+             | Unreadable _ -> { tally with broken = tally.broken + 1 }
+             | Replayed { status = Reproduced; _ } -> tally
+             | Replayed { status = Fixed | Changed; _ } -> { tally with stale = tally.stale + 1 })
+           { stale = 0; broken = 0 } files)

@@ -86,3 +86,36 @@ val replay_status_label : replay_status -> string
 val replay : control:Nebby.Training.control -> Fixture.t -> replay_status * eval
 (** Re-evaluate a fixture's genome under its recorded measurement
     settings and compare against its recorded verdict. *)
+
+(** {1 Fixture directories} *)
+
+type controls
+(** A training cache: one control per distinct (runs, QUIC runs, seed)
+    triple, trained on first use. *)
+
+val controls : unit -> controls
+
+val trained : controls -> runs:int -> quic_runs:int -> seed:int -> Nebby.Training.control
+(** The cached control for a training triple, training it on a miss. *)
+
+type replay_outcome =
+  | Replayed of { fixture : Fixture.t; status : replay_status; eval : eval }
+  | Unreadable of string
+      (** the fixture does not load: a shape error, or a schema skew
+          worded by [Obs.Versioned.mismatch_message] *)
+
+type replay_tally = {
+  stale : int;  (** fixtures that replayed [Fixed] or [Changed] *)
+  broken : int;  (** fixtures that are [Unreadable] *)
+}
+
+val replay_dir :
+  ?controls:controls ->
+  on_fixture:(string -> replay_outcome -> unit) ->
+  string ->
+  (replay_tally, string) Stdlib.result
+(** Replay every [*.json] fixture of a directory in file-name order,
+    each under the control of its own recorded training triple (from
+    [controls], default a fresh cache, so each distinct triple trains
+    once), handing [on_fixture] each file name and outcome as it goes.
+    [Error] names a missing directory or one with no fixtures. *)

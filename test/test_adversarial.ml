@@ -10,26 +10,17 @@
 let fixture_dir =
   List.find_opt Sys.file_exists [ "adversarial"; "test/adversarial" ]
 
-(* One control per training configuration, shared between the search
-   tests and the fixture replay harness (fixtures pin their own training
-   triple; the search tests use the fuzzer default, which matches the
-   committed fixtures, so the model trains once). *)
-let controls : (int * int * int, Nebby.Training.control) Hashtbl.t = Hashtbl.create 4
-
-let control_for_key ((runs, quic_runs, seed) as key) =
-  match Hashtbl.find_opt controls key with
-  | Some c -> c
-  | None ->
-    let c = Nebby.Training.train ~runs_per_cca:runs ~quic_runs_per_cca:quic_runs ~seed () in
-    Hashtbl.add controls key c;
-    c
+(* One training cache shared between the search tests and the fixture
+   replay harness (fixtures pin their own training triple; the search
+   tests use the fuzzer default, which matches the committed fixtures, so
+   the model trains once). *)
+let controls = Search.Fuzzer.controls ()
 
 let search_control =
   lazy
     (let d = Search.Fuzzer.default_config in
-     control_for_key
-       (d.Search.Fuzzer.training_runs, d.Search.Fuzzer.training_quic_runs,
-        d.Search.Fuzzer.training_seed))
+     Search.Fuzzer.trained controls ~runs:d.Search.Fuzzer.training_runs
+       ~quic_runs:d.Search.Fuzzer.training_quic_runs ~seed:d.Search.Fuzzer.training_seed)
 
 (* ---- genome properties ---- *)
 
@@ -230,49 +221,31 @@ let test_search_deterministic_across_jobs () =
 
 (* ---- committed fixture replay ---- *)
 
-let control_for (f : Search.Fixture.t) =
-  control_for_key
-    (f.Search.Fixture.training_runs, f.Search.Fixture.training_quic_runs,
-     f.Search.Fixture.training_seed)
-
 let test_committed_fixtures_replay () =
   match fixture_dir with
   | None -> Alcotest.fail "test/adversarial fixture directory not found"
-  | Some dir ->
-    let files =
-      Sys.readdir dir |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".json")
-      |> List.sort compare
+  | Some dir -> (
+    let check file = function
+      | Search.Fuzzer.Unreadable e -> Alcotest.failf "%s: %s" file e
+      | Search.Fuzzer.Replayed { status = Search.Fuzzer.Reproduced; _ } -> ()
+      | Search.Fuzzer.Replayed { status = Search.Fuzzer.Fixed; _ } ->
+        Alcotest.failf
+          "%s: the scenario now classifies correctly — the bug it pinned is fixed; remove \
+           the fixture or regenerate with `nebby fuzz`"
+          file
+      | Search.Fuzzer.Replayed { status = Search.Fuzzer.Changed; fixture = fx; eval = e } ->
+        Alcotest.failf
+          "%s: verdict drifted — recorded %s/%s, replay got %s/%s (confidence %.3f, margin \
+           %.3f)"
+          file
+          (Search.Fixture.class_label fx.Search.Fixture.verdict_class)
+          fx.Search.Fixture.got
+          (Search.Fixture.class_label e.Search.Fuzzer.verdict_class)
+          e.Search.Fuzzer.got e.Search.Fuzzer.confidence e.Search.Fuzzer.margin
     in
-    if files = [] then
-      Alcotest.fail "no committed fixtures — run `nebby fuzz` and commit its output";
-    List.iter
-      (fun file ->
-        let path = Filename.concat dir file in
-        match Search.Fixture.load path with
-        | exception Obs.Versioned.Version_mismatch { expected; got; _ } ->
-          Alcotest.failf "%s: schema v%d, this build reads v%d — regenerate it" file got
-            expected
-        | Error e -> Alcotest.failf "%s: %s" file e
-        | Ok fx -> (
-          let status, e = Search.Fuzzer.replay ~control:(control_for fx) fx in
-          match status with
-          | Search.Fuzzer.Reproduced -> ()
-          | Search.Fuzzer.Fixed ->
-            Alcotest.failf
-              "%s: the scenario now classifies correctly — the bug it pinned is fixed; \
-               remove the fixture or regenerate with `nebby fuzz`"
-              file
-          | Search.Fuzzer.Changed ->
-            Alcotest.failf
-              "%s: verdict drifted — recorded %s/%s, replay got %s/%s (confidence %.3f, \
-               margin %.3f)"
-              file
-              (Search.Fixture.class_label fx.Search.Fixture.verdict_class)
-              fx.Search.Fixture.got
-              (Search.Fixture.class_label e.Search.Fuzzer.verdict_class)
-              e.Search.Fuzzer.got e.Search.Fuzzer.confidence e.Search.Fuzzer.margin))
-      files
+    match Search.Fuzzer.replay_dir ~controls ~on_fixture:check dir with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%s — run `nebby fuzz` and commit its output" e)
 
 let suite =
   [

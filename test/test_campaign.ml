@@ -357,7 +357,6 @@ let test_render_pool_section () =
   let _, spans =
     Obs.Span.record (fun () -> Engine.Pool.map ~jobs:2 Fun.id (Array.init 6 Fun.id))
   in
-  Obs.Histogram.reset ();
   Obs.Metrics.reset ();
   Alcotest.(check int) "one pool.task span per task" 6
     (List.length (Obs.Pooltrace.tasks spans));

@@ -106,57 +106,71 @@ let test_map_stream_slow_caller_shard () =
     [ 2; 4 ]
 
 (* An [emit] that raises (a campaign store on a full disk) must not leave
-   spawned workers unjoined: their counters are absorbed before the
-   exception reaches the caller, and the pool is usable afterwards. *)
+   spawned workers unjoined: their counters and spans are absorbed before
+   the exception reaches the caller, and the pool is usable afterwards. *)
 let test_map_stream_emit_raises () =
-  ignore @@ Obs.Span.record (fun () ->
-      Obs.Metrics.reset ();
-      let ran = Atomic.make 0 in
-      (match
-         Engine.Pool.map_stream ~jobs:4
-           ~emit:(fun i _ -> if i = 3 then failwith "disk full")
-           (fun x ->
-             Unix.sleepf 0.001;
-             Atomic.incr ran;
-             Obs.Metrics.incr (Obs.Metrics.counter "test.engine.work");
-             x)
-           (Array.init 32 Fun.id)
-       with
-      | _ -> Alcotest.fail "expected emit's exception to reach the caller"
-      | exception Failure msg -> Alcotest.(check string) "emit's exception" "disk full" msg);
-      Alcotest.(check int) "every job that ran was counted, worker counters included"
-        (Atomic.get ran)
-        (Obs.Metrics.counter_value (Obs.Metrics.counter "test.engine.work"));
-      Alcotest.(check bool) "jobs 0..3 ran before emit failed" true (Atomic.get ran >= 4);
-      Alcotest.(check int) "the pool joined all four workers" 4
-        (Obs.Metrics.counter_value (Obs.Metrics.counter "engine.pool.workers"));
-      Obs.Metrics.reset ());
+  let (), spans =
+    Obs.Span.record (fun () ->
+        Obs.Metrics.reset ();
+        let ran = Atomic.make 0 and started = Atomic.make 0 in
+        (match
+           Engine.Pool.map_stream ~jobs:4
+             ~emit:(fun i _ -> if i = 3 then failwith "disk full")
+             (fun x ->
+               (* jobs 0..3 are the four workers' first claims: hold each
+                  until all four have started, so every worker runs a task
+                  (and has spans to hand back) before emit can fail *)
+               if x < 4 then begin
+                 Atomic.incr started;
+                 while Atomic.get started < 4 do
+                   Unix.sleepf 0.0005
+                 done
+               end;
+               Unix.sleepf 0.001;
+               Atomic.incr ran;
+               Obs.Metrics.incr (Obs.Metrics.counter "test.engine.work");
+               x)
+             (Array.init 32 Fun.id)
+         with
+        | _ -> Alcotest.fail "expected emit's exception to reach the caller"
+        | exception Failure msg -> Alcotest.(check string) "emit's exception" "disk full" msg);
+        Alcotest.(check int) "every job that ran was counted, worker counters included"
+          (Atomic.get ran)
+          (Obs.Metrics.counter_value (Obs.Metrics.counter "test.engine.work"));
+        Alcotest.(check bool) "jobs 0..3 ran before emit failed" true (Atomic.get ran >= 4);
+        Obs.Metrics.reset ())
+  in
+  let workers =
+    List.sort_uniq compare
+      (List.map (fun t -> t.Obs.Pooltrace.worker) (Obs.Pooltrace.tasks spans))
+  in
+  Alcotest.(check (list int)) "the pool joined all four workers" [ 0; 1; 2; 3 ] workers;
   Alcotest.(check (array int))
     "a following map works" (Array.init 16 (fun i -> 2 * i))
     (Engine.Pool.map ~jobs:4 (fun x -> 2 * x) (Array.init 16 Fun.id))
 
 let test_worker_telemetry_flushed () =
-  ignore @@ Obs.Span.record (fun () ->
-      Obs.Metrics.reset ();
-      ignore
-        (Engine.Pool.map ~jobs:4
-           (fun i ->
-             Obs.Metrics.incr (Obs.Metrics.counter "test.engine.work");
-             i)
-           (Array.init 20 Fun.id));
-      Alcotest.(check int) "every worker increment reaches the collector" 20
-        (Obs.Metrics.counter_value (Obs.Metrics.counter "test.engine.work"));
-      Alcotest.(check int) "pool records the job count" 20
-        (Obs.Metrics.counter_value (Obs.Metrics.counter "engine.pool.jobs"));
-      Obs.Metrics.reset ())
+  let (), spans =
+    Obs.Span.record (fun () ->
+        Obs.Metrics.reset ();
+        ignore
+          (Engine.Pool.map ~jobs:4
+             (fun i ->
+               Obs.Metrics.incr (Obs.Metrics.counter "test.engine.work");
+               i)
+             (Array.init 20 Fun.id));
+        Alcotest.(check int) "every worker increment reaches the collector" 20
+          (Obs.Metrics.counter_value (Obs.Metrics.counter "test.engine.work"));
+        Obs.Metrics.reset ())
+  in
+  Alcotest.(check int) "every worker's task span reaches the recording" 20
+    (List.length (Obs.Pooltrace.tasks spans))
 
 (* A telemetry recording around a pool must see every worker's spans and
-   counts: the summary read back is the same at jobs=1 and jobs=4, except
-   for the pool's own engine.pool.* counters. *)
+   counts: the recording read back is the same at jobs=1 and jobs=4. *)
 let telemetry_summary ~jobs =
   let path = Filename.temp_file "engine_telemetry" ".jsonl" in
   Obs.Metrics.reset ();
-  Obs.Histogram.reset ();
   Obs.Telemetry.record ~jsonl:path (fun () ->
       ignore
         (Engine.Pool.map ~jobs
@@ -167,25 +181,26 @@ let telemetry_summary ~jobs =
                      Obs.Flight.enqueue ~time ~size:1500 ~queue_bytes:i;
                      Obs.Flight.drop ~time ~size:1500 ~queue_bytes:i;
                      Obs.Flight.retx ~time ~seq:i;
-                     Obs.Flight.fault ~time ~family:"test" ~detail:"";
-                     Obs.Histogram.observe (Obs.Histogram.get "test.value") time)))
+                     Obs.Flight.fault ~time ~family:"test" ~detail:"")))
            (Array.init 24 Fun.id)));
-  let s = Obs.Telemetry.read_summary path in
+  let r = Obs.Telemetry.read path in
   Sys.remove path;
   Obs.Flight.clear ();
   Obs.Metrics.reset ();
-  Obs.Histogram.reset ();
+  (* span names and counts, as the summary's span.<name> rows hold them *)
   let spans =
-    List.sort compare (List.map (fun (name, n, _) -> (name, n)) s.Obs.Telemetry.spans)
+    List.filter_map
+      (fun h ->
+        let name = Obs.Histogram.name h in
+        if String.starts_with ~prefix:"span.virt." name then None
+        else Some (String.sub name 5 (String.length name - 5), Obs.Histogram.count h))
+      (Obs.Telemetry.span_histograms r.Obs.Telemetry.spans)
   in
   let counters =
     List.filter_map
       (function
-        | Obs.Metrics.Counter_snap { name; value }
-          when not (String.starts_with ~prefix:"engine.pool." name) ->
-          Some (name, value)
-        | _ -> None)
-      s.Obs.Telemetry.metrics
+        | Obs.Metrics.Counter_snap { name; value } -> Some (name, value) | _ -> None)
+      r.Obs.Telemetry.metrics
   in
   (spans, counters)
 
@@ -212,7 +227,6 @@ let traced_run ~jobs n =
   spans
 
 let test_trace_covers_every_task ~jobs () =
-  Obs.Histogram.reset ();
   let n = 32 in
   let spans = traced_run ~jobs n in
   let tasks = Obs.Pooltrace.tasks spans in
@@ -234,28 +248,33 @@ let test_trace_covers_every_task ~jobs () =
         (t.Obs.Pooltrace.t_submit <= t.Obs.Pooltrace.t_start
         && t.Obs.Pooltrace.t_start <= t.Obs.Pooltrace.t_finish))
     tasks;
-  (* the task spans also feed the registry's span histogram *)
-  Alcotest.(check int) "span.pool.task histogram observed every task" n
-    (Obs.Histogram.count (Obs.Histogram.get "span.pool.task"));
-  Obs.Histogram.reset ()
+  (* the task spans also fold into the summary's span histogram *)
+  Alcotest.(check (list (pair string int))) "span.pool.task histogram counts every task"
+    [ ("span.pool.task", n) ]
+    (List.map
+       (fun h -> (Obs.Histogram.name h, Obs.Histogram.count h))
+       (Obs.Telemetry.span_histograms spans))
 
 let test_trace_serial_path () =
-  Obs.Histogram.reset ();
   let tasks = Obs.Pooltrace.tasks (traced_run ~jobs:1 8) in
   Alcotest.(check int) "serial path records every task" 8 (List.length tasks);
   List.iter
     (fun (t : Obs.Pooltrace.task) ->
       Alcotest.(check bool) "nothing stolen on the serial path" false t.Obs.Pooltrace.stolen;
       Alcotest.(check int) "worker 0" 0 t.Obs.Pooltrace.worker)
-    tasks;
-  Obs.Histogram.reset ()
+    tasks
 
+(* Inside a recording but disarmed, neither the caller nor a worker opens
+   a span: workers inherit the armed state along with span collection. *)
 let test_trace_off_records_nothing () =
-  Obs.Histogram.reset ();
-  Alcotest.(check bool) "not armed" false (Obs.Runtime.armed ());
-  ignore (Engine.Pool.map ~jobs:4 Fun.id (Array.init 16 Fun.id));
-  Alcotest.(check (option int)) "a disarmed pool opens no task span" None
-    (Option.map Obs.Histogram.count (Obs.Histogram.find "span.pool.task"))
+  let (), spans =
+    Obs.Span.record (fun () ->
+        Obs.Runtime.disarm ();
+        Fun.protect ~finally:Obs.Runtime.arm (fun () ->
+            Alcotest.(check bool) "not armed" false (Obs.Runtime.armed ());
+            ignore (Engine.Pool.map ~jobs:4 Fun.id (Array.init 16 Fun.id))))
+  in
+  Alcotest.(check int) "a disarmed pool opens no task span" 0 (List.length spans)
 
 (* Worker spans hang under the caller's open span, so a recording is the
    same tree at any pool size: equal folded paths and counts. *)
@@ -269,7 +288,6 @@ let test_worker_spans_under_caller () =
                 (Array.init 8 Fun.id)))
     in
     Obs.Metrics.reset ();
-    Obs.Histogram.reset ();
     List.map (fun (e : Obs.Prof.entry) -> (e.Obs.Prof.path, e.stat.Obs.Prof.count))
       (Obs.Prof.of_spans spans)
   in
@@ -285,7 +303,6 @@ let contains ~needle hay =
   at 0
 
 let test_trace_round_trip_and_report () =
-  Obs.Histogram.reset ();
   let spans = traced_run ~jobs:2 12 in
   let path = Filename.temp_file "engine_pool" ".jsonl" in
   Obs.Versioned.write_file path (fun oc ->
@@ -294,7 +311,7 @@ let test_trace_round_trip_and_report () =
           output_string oc (Obs.Json.to_string (Obs.Span.to_json c));
           output_char oc '\n')
         spans);
-  let parsed = Obs.Telemetry.read_spans path in
+  let parsed = (Obs.Telemetry.read path).Obs.Telemetry.spans in
   Sys.remove path;
   Alcotest.(check bool) "spans survive a telemetry file" true (spans = parsed);
   Alcotest.(check string) "report is a pure function of the spans"
@@ -312,8 +329,7 @@ let test_trace_round_trip_and_report () =
       let needle = Printf.sprintf "\"worker %d\"" w in
       Alcotest.(check bool) (needle ^ " thread named") true
         (contains ~needle (chrome spans)))
-    workers;
-  Obs.Histogram.reset ()
+    workers
 
 (* ---------------- census determinism ---------------- *)
 

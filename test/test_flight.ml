@@ -1,5 +1,5 @@
 (* Tests for the flight recorder (Obs.Flight): ring-buffer wraparound at
-   capacity boundaries, cross-domain drain/absorb losslessness, the
+   capacity boundaries, pool workers inheriting the enabled flag, the
    anomaly triggers in Measurement, dump JSONL round trips, the
    Prof.folded frame sanitization, and deterministic HTML rendering. *)
 
@@ -76,27 +76,27 @@ let test_level_gating () =
     (List.length (Obs.Flight.events ()));
   reset ()
 
-let test_drain_absorb_lossless () =
+(* A pool worker records into its own ring under the caller's enabled
+   flag; nothing is merged at join, so each job counts its own events in
+   the domain that ran it. *)
+let test_workers_inherit_enabled () =
   List.iter
-    (fun jobs ->
+    (fun (jobs, on) ->
       reset ();
-      let n = 64 in
-      let out =
+      Obs.Flight.set_enabled on;
+      let recorded =
         Engine.Pool.map_list ~jobs
           (fun i ->
+            let m = Obs.Flight.mark () in
             Obs.Flight.drop ~time:(float_of_int i) ~size:i ~queue_bytes:0;
-            i)
-          (List.init n Fun.id)
+            List.length (Obs.Flight.events ~since:m ()))
+          (List.init 16 Fun.id)
       in
-      Alcotest.(check (list int)) "results in order" (List.init n Fun.id) out;
-      let evs = Obs.Flight.events () in
-      Alcotest.(check int)
-        (Printf.sprintf "jobs=%d: every worker event absorbed at join" jobs)
-        n (List.length evs);
-      Alcotest.(check (list (float 1e-9)))
-        (Printf.sprintf "jobs=%d: payload multiset intact" jobs)
-        (List.init n float_of_int) (sorted_values evs))
-    [ 1; 2; 4; 8 ];
+      Alcotest.(check (list int))
+        (Printf.sprintf "jobs=%d, enabled=%b: each job sees its own event" jobs on)
+        (List.init 16 (fun _ -> if on then 1 else 0))
+        recorded)
+    [ (1, true); (2, true); (4, true); (8, true); (4, false) ];
   reset ()
 
 (* ---- measurement triggers ---- *)
@@ -342,8 +342,8 @@ let suite =
     Alcotest.test_case "ring wraparound at capacity boundaries" `Quick
       test_ring_wraparound;
     Alcotest.test_case "detail levels gate what is recorded" `Quick test_level_gating;
-    Alcotest.test_case "drain/absorb lossless across 1/2/4/8 domains" `Quick
-      test_drain_absorb_lossless;
+    Alcotest.test_case "workers inherit the enabled flag" `Quick
+      test_workers_inherit_enabled;
     Alcotest.test_case "low-confidence trigger fires exactly once" `Quick
       test_trigger_low_confidence_once;
     Alcotest.test_case "no trigger, no dump" `Quick test_no_trigger_no_dump;

@@ -1,8 +1,9 @@
 (* Obs.Histogram: log2-bucketed mergeable histograms. The properties
-   that matter downstream: merging is lossless at the bucket level (so
-   pool workers can drain/absorb without skew at any domain count),
-   quantile estimates stay within one octave of truth, and the JSON form
-   round-trips byte-identically (the serve status file diffs on it). *)
+   that matter downstream: merging is lossless at the bucket level,
+   quantile estimates stay within one octave of truth, the JSON form
+   round-trips byte-identically (the serve status file diffs on it), and
+   the span duration rows of a recording are a pure fold over its spans
+   at any pool size. *)
 
 let observe_all h vs = List.iter (Obs.Histogram.observe h) vs
 
@@ -73,38 +74,66 @@ let test_underflow_bucket () =
   | (_, weird) :: _ -> Alcotest.(check int) "underflow bucket sorts first" 4 weird
   | [] -> Alcotest.fail "expected buckets"
 
-(* merge losslessness under the pool's drain/absorb at every worker
-   count: N domains each observe a disjoint slice into their own
-   registry; after the pool joins (absorbing every drain), the collector
-   registry must hold exactly the buckets of a single-domain run. *)
-let test_merge_lossless_across_domains () =
-  let values = List.init 64 (fun i -> 0.5 +. (float_of_int i *. 1.7)) in
-  let reference = Obs.Histogram.create ~name:"pool.test" () in
-  observe_all reference values;
+(* The span.<name> and span.virt.<name> rows of [nebby stats] are a fold
+   over the recording's spans: a jobs-4 and a jobs-1 recording of the
+   same simulations fold to the same rows (names and counts; the virtual
+   durations, being simulated, exactly), and each row is exactly the
+   histogram of observing those spans' durations directly. *)
+let test_span_histograms_fold () =
+  let fold jobs =
+    let _, spans =
+      Obs.Span.record (fun () ->
+          Engine.Pool.map ~jobs
+            (fun seed ->
+              ignore (Nebby.Testbed.run_cca ~profile:Nebby.Profile.delay_50ms ~seed "cubic"))
+            (Array.init 4 Fun.id))
+    in
+    Obs.Metrics.reset ();
+    (spans, Obs.Telemetry.span_histograms spans)
+  in
+  let direct spans name =
+    let h = Obs.Histogram.create ~name () in
+    List.iter
+      (fun (c : Obs.Span.completed) ->
+        if "span." ^ c.Obs.Span.name = name then Obs.Histogram.observe h c.Obs.Span.wall_s;
+        match c.Obs.Span.virt_s with
+        | Some v when "span.virt." ^ c.Obs.Span.name = name -> Obs.Histogram.observe h v
+        | _ -> ())
+      spans;
+    h
+  in
+  let shape h =
+    ( Obs.Histogram.name h,
+      Obs.Histogram.count h,
+      Obs.Histogram.buckets h,
+      (Obs.Histogram.min_value h, Obs.Histogram.max_value h) )
+  in
+  let rows hs = List.map (fun h -> (Obs.Histogram.name h, Obs.Histogram.count h)) hs in
+  let virt hs =
+    List.filter_map
+      (fun h ->
+        if String.starts_with ~prefix:"span.virt." (Obs.Histogram.name h) then Some (shape h)
+        else None)
+      hs
+  in
+  let spans1, serial = fold 1 and spans4, parallel = fold 4 in
+  Alcotest.(check bool) "simulate rows recorded" true
+    (List.mem ("span.simulate", 4) (rows serial)
+    && List.mem ("span.virt.simulate", 4) (rows serial));
+  Alcotest.(check (list (pair string int))) "jobs=4 rows equal jobs=1" (rows serial)
+    (rows parallel);
+  Alcotest.(check bool) "virtual-time rows identical at jobs 1 and 4" true
+    (virt serial = virt parallel);
   List.iter
-    (fun jobs ->
-      Obs.Histogram.reset ();
-      ignore
-        (Engine.Pool.map ~jobs
-           (fun v -> Obs.Histogram.observe (Obs.Histogram.get "pool.test") v)
-           (Array.of_list values));
-      let merged = Obs.Histogram.get "pool.test" in
-      Alcotest.(check (list (pair int int)))
-        (Printf.sprintf "buckets identical at jobs=%d" jobs)
-        (Obs.Histogram.buckets reference)
-        (Obs.Histogram.buckets merged);
-      Alcotest.(check int)
-        (Printf.sprintf "count identical at jobs=%d" jobs)
-        (Obs.Histogram.count reference) (Obs.Histogram.count merged);
-      Alcotest.(check (float 1e-6))
-        (Printf.sprintf "sum identical at jobs=%d" jobs)
-        (Obs.Histogram.sum reference) (Obs.Histogram.sum merged);
-      Alcotest.(check (float 1e-9))
-        (Printf.sprintf "extrema identical at jobs=%d" jobs)
-        (Obs.Histogram.max_value reference)
-        (Obs.Histogram.max_value merged);
-      Obs.Histogram.reset ())
-    [ 1; 2; 4; 8 ]
+    (fun (spans, hs) ->
+      List.iter
+        (fun h ->
+          Alcotest.(check bool)
+            (Obs.Histogram.name h ^ ": fold equals direct observation")
+            true
+            (shape h = shape (direct spans (Obs.Histogram.name h))))
+        hs)
+    [ (spans1, serial); (spans4, parallel) ]
 
 let test_merge_into_manual () =
   let a = Obs.Histogram.create ~name:"m" () and b = Obs.Histogram.create () in
@@ -198,20 +227,6 @@ let test_quantile_ub_bounds () =
         (Obs.Histogram.quantile big q <= Obs.Histogram.quantile_ub big q +. 1e-9))
     [ 0.0; 0.5; 0.9; 0.99; 1.0 ]
 
-let test_registry () =
-  Obs.Histogram.reset ();
-  let h = Obs.Histogram.get "reg.a" in
-  Obs.Histogram.observe h 3.0;
-  Alcotest.(check bool) "get returns the same histogram" true
-    (Obs.Histogram.get "reg.a" == h);
-  Alcotest.(check int) "all sees it" 1 (List.length (Obs.Histogram.all ()));
-  let drained = Obs.Histogram.drain () in
-  Alcotest.(check int) "drain empties the registry" 0 (List.length (Obs.Histogram.all ()));
-  Obs.Histogram.absorb drained;
-  Alcotest.(check int) "absorb restores the count" 1
-    (Obs.Histogram.count (Obs.Histogram.get "reg.a"));
-  Obs.Histogram.reset ()
-
 let suite =
   [
     Alcotest.test_case "counts, sum, extrema, empty nan" `Quick test_counts_and_extrema;
@@ -220,8 +235,8 @@ let suite =
       test_quantile_within_octave;
     Alcotest.test_case "non-positive and non-finite values underflow" `Quick
       test_underflow_bucket;
-    Alcotest.test_case "merge lossless under pool drain/absorb (jobs 1/2/4/8)" `Quick
-      test_merge_lossless_across_domains;
+    Alcotest.test_case "span histograms match at any jobs" `Quick
+      test_span_histograms_fold;
     Alcotest.test_case "merge_into equals direct observation" `Quick test_merge_into_manual;
     Alcotest.test_case "JSON round-trip byte identity" `Quick test_json_round_trip;
     Alcotest.test_case "render: empty dashes, empty-list note, purity" `Quick test_render;
@@ -229,5 +244,4 @@ let suite =
       test_quantile_interpolates_within_bucket;
     Alcotest.test_case "quantile_ub bounds the interpolated estimate" `Quick
       test_quantile_ub_bounds;
-    Alcotest.test_case "registry get/all/drain/absorb" `Quick test_registry;
   ]

@@ -27,7 +27,6 @@ let test_gauge () =
 (* ---- spans ---- *)
 
 let test_span_tree () =
-  Obs.Histogram.reset ();
   let result, completed =
     Obs.Span.record (fun () ->
         Obs.Span.with_ ~name:"root" (fun () ->
@@ -57,8 +56,12 @@ let test_span_tree () =
         true
         (c.Obs.Span.wall_s >= 0.0))
     completed;
-  (* every span also feeds its duration histogram *)
-  match Obs.Histogram.find "span.root" with
+  (* the stats summary folds each span into its duration histogram *)
+  match
+    List.find_opt
+      (fun h -> Obs.Histogram.name h = "span.root")
+      (Obs.Telemetry.span_histograms completed)
+  with
   | Some h -> Alcotest.(check int) "span.root observed once" 1 (Obs.Histogram.count h)
   | None -> Alcotest.fail "span.root histogram missing"
 
@@ -78,31 +81,33 @@ let test_span_exception () =
 
 let test_no_sink_emits_nothing () =
   Obs.Metrics.reset ();
-  Obs.Histogram.reset ();
   Alcotest.(check bool) "not armed" false (Obs.Runtime.armed ());
   let r = Obs.Span.with_ ~name:"silent" (fun () -> 42) in
   Alcotest.(check int) "span body still runs" 42 r;
   ignore (Nebby.Testbed.run_cca ~profile:Nebby.Profile.delay_50ms ~seed:5 "cubic");
   Alcotest.(check int) "registry untouched by an uninstrumented run" 0
-    (List.length (Obs.Metrics.snapshot ()));
-  Alcotest.(check int) "no histogram either" 0 (List.length (Obs.Histogram.all ()))
+    (List.length (Obs.Metrics.snapshot ()))
 
 let test_armed_run_records () =
   Obs.Metrics.reset ();
-  Obs.Histogram.reset ();
-  ignore @@ Obs.Span.record (fun () ->
-      let r = Nebby.Testbed.run_cca ~profile:Nebby.Profile.delay_50ms ~seed:5 "cubic" in
-      ignore (Nebby.Measurement.prepare_result ~profile:Nebby.Profile.delay_50ms r));
+  let (), spans =
+    Obs.Span.record (fun () ->
+        let r = Nebby.Testbed.run_cca ~profile:Nebby.Profile.delay_50ms ~seed:5 "cubic" in
+        ignore (Nebby.Measurement.prepare_result ~profile:Nebby.Profile.delay_50ms r))
+  in
+  let histogram name =
+    List.find_opt (fun h -> Obs.Histogram.name h = name) (Obs.Telemetry.span_histograms spans)
+  in
   Alcotest.(check bool) "disarmed again" false (Obs.Runtime.armed ());
   let counter_value name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
   Alcotest.(check bool) "sim events counted" true (counter_value "netsim.sim.events" > 0);
   Alcotest.(check bool) "packets counted" true (counter_value "netsim.link.enqueued" > 0);
-  (match Obs.Histogram.find "span.simulate" with
+  (match histogram "span.simulate" with
   | Some h ->
     Alcotest.(check int) "one simulate span" 1 (Obs.Histogram.count h);
     Alcotest.(check bool) "positive duration" true (Obs.Histogram.sum h > 0.0)
   | None -> Alcotest.fail "span.simulate histogram missing");
-  match Obs.Histogram.find "span.virt.simulate" with
+  match histogram "span.virt.simulate" with
   | Some h ->
     (* the simulated transfer runs to the 60 s time limit *)
     Alcotest.(check bool) "virtual duration ~60 s" true
@@ -113,38 +118,39 @@ let test_armed_run_records () =
 
 let test_jsonl_roundtrip () =
   Obs.Metrics.reset ();
-  Obs.Histogram.reset ();
   let path = Filename.temp_file "obs_test" ".jsonl" in
   Obs.Telemetry.record ~jsonl:path (fun () ->
       Obs.Metrics.bump "t.attempts";
       Obs.Metrics.set (Obs.Metrics.gauge "t.depth") 2.5;
-      Obs.Span.with_ ~name:"stage" (fun () -> ());
-      let h = Obs.Histogram.get "t.roundtrip" in
-      for i = 1 to 100 do
-        Obs.Histogram.observe h (float_of_int i)
-      done);
-  let s = Obs.Telemetry.read_summary path in
+      Obs.Span.with_ ~name:"stage" (fun () -> ()));
+  let r = Obs.Telemetry.read path in
   Sys.remove path;
-  Alcotest.(check int) "no malformed lines" 0 s.Obs.Telemetry.malformed;
   Alcotest.(check bool) "counter survives" true
     (List.mem (Obs.Metrics.Counter_snap { name = "t.attempts"; value = 1 })
-       s.Obs.Telemetry.metrics);
+       r.Obs.Telemetry.metrics);
   Alcotest.(check bool) "gauge survives" true
-    (List.mem (Obs.Metrics.Gauge_snap { name = "t.depth"; value = 2.5 })
-       s.Obs.Telemetry.metrics);
-  Alcotest.(check bool) "stage span listed" true
-    (List.exists (fun (n, c, _) -> n = "stage" && c = 1) s.Obs.Telemetry.spans);
-  Alcotest.(check bool) "span duration histogram listed" true
-    (List.exists (fun h -> Obs.Histogram.name h = "span.stage") s.Obs.Telemetry.histograms);
-  match
-    List.find_opt (fun h -> Obs.Histogram.name h = "t.roundtrip") s.Obs.Telemetry.histograms
-  with
-  | Some h ->
-    Alcotest.(check int) "histogram count survives" 100 (Obs.Histogram.count h);
-    Alcotest.(check (list (pair int int))) "buckets survive"
-      (Obs.Histogram.buckets (Obs.Histogram.get "t.roundtrip"))
-      (Obs.Histogram.buckets h)
-  | None -> Alcotest.fail "t.roundtrip histogram not found in summary"
+    (List.mem (Obs.Metrics.Gauge_snap { name = "t.depth"; value = 2.5 }) r.Obs.Telemetry.metrics);
+  Alcotest.(check (list string)) "stage span read back" [ "stage" ]
+    (List.map (fun c -> c.Obs.Span.name) r.Obs.Telemetry.spans);
+  Alcotest.(check (list string)) "its duration histogram is derived" [ "span.stage" ]
+    (List.map Obs.Histogram.name (Obs.Telemetry.span_histograms r.Obs.Telemetry.spans))
+
+(* ---- the one reader is strict: a single bad line fails the file ---- *)
+
+let test_read_rejects_garbage () =
+  let path = Filename.temp_file "obs_garbage" ".jsonl" in
+  Obs.Telemetry.record ~jsonl:path (fun () -> Obs.Span.with_ ~name:"stage" (fun () -> ()));
+  Alcotest.(check int) "the clean file reads" 1
+    (List.length (Obs.Telemetry.read path).Obs.Telemetry.spans);
+  Out_channel.with_open_gen [ Open_append ] 0o644 path (fun oc ->
+      output_string oc "not json at all\n");
+  let rejected =
+    match Obs.Telemetry.read path with
+    | _ -> false
+    | exception Obs.Json.Parse_error _ -> true
+  in
+  Sys.remove path;
+  Alcotest.(check bool) "one garbage line raises Parse_error" true rejected
 
 (* ---- span lines: of_json inverts to_json ---- *)
 
@@ -183,7 +189,7 @@ let test_nested_record () =
                    ignore (Nebby.Measurement.prepare_result ~profile r))
                  [| Nebby.Profile.delay_50ms; Nebby.Profile.delay_100ms |])))
   in
-  let in_file = Obs.Telemetry.read_spans path in
+  let in_file = (Obs.Telemetry.read path).Obs.Telemetry.spans in
   Sys.remove path;
   Alcotest.(check bool) "the inner record's spans reach the outer one" true (outer <> []);
   Alcotest.(check bool) "profiler and telemetry file hold the same spans" true
@@ -314,28 +320,6 @@ let test_drain_empty_registry () =
   Alcotest.(check int) "absorbing nothing is a no-op" 0
     (List.length (Obs.Metrics.snapshot ()))
 
-(* a pool worker that touched only a histogram hands back exactly that,
-   and absorbing two such workers merges bucket-exactly *)
-let test_drain_histogram_only () =
-  Obs.Metrics.reset ();
-  Obs.Histogram.reset ();
-  let worker () =
-    Obs.Collector.spawn (fun () ->
-        let h = Obs.Histogram.get "t.histonly" in
-        for i = 1 to 100 do
-          Obs.Histogram.observe h (float_of_int i)
-        done)
-  in
-  Obs.Collector.join (worker ());
-  Obs.Collector.join (worker ());
-  Alcotest.(check int) "no metric appears" 0 (List.length (Obs.Metrics.snapshot ()));
-  (match Obs.Histogram.find "t.histonly" with
-  | Some h' ->
-    Alcotest.(check int) "counts merged" 200 (Obs.Histogram.count h');
-    Alcotest.(check (float 1.0)) "sums merged" 10_100.0 (Obs.Histogram.sum h')
-  | None -> Alcotest.fail "histogram missing after absorb");
-  Obs.Histogram.reset ()
-
 (* ---- the full measurement's per-stage counters ---- *)
 
 (* numeric cells of the histogram rows [render_summary] prints: name,
@@ -354,14 +338,13 @@ let rendered_quantiles text =
 let test_measure_event_kinds () =
   let control = Lazy.force small_control in
   Obs.Metrics.reset ();
-  Obs.Histogram.reset ();
   let path = Filename.temp_file "obs_measure" ".jsonl" in
   let report =
     Obs.Telemetry.record ~jsonl:path (fun () ->
         Nebby.Measurement.measure ~control ~proto:Netsim.Packet.Tcp ~noise:Netsim.Path.mild
           ~seed:42 ~make_cca:(Cca.Registry.create "cubic") ())
   in
-  let summary = Obs.Telemetry.read_summary path in
+  let recording = Obs.Telemetry.read path in
   Sys.remove path;
   Alcotest.(check bool) "classification produced a label" true
     (String.length report.Nebby.Measurement.label > 0);
@@ -373,7 +356,7 @@ let test_measure_event_kinds () =
       (function
         | Obs.Metrics.Counter_snap { name = n; value } when n = name -> Some value
         | _ -> None)
-      summary.Obs.Telemetry.metrics
+      recording.Obs.Telemetry.metrics
   in
   List.iter
     (fun name ->
@@ -392,7 +375,7 @@ let test_measure_event_kinds () =
       "measurement.done";
     ];
   (* the printed quantiles of every histogram stay within its max *)
-  let rows = rendered_quantiles (Obs.Telemetry.render_summary summary) in
+  let rows = rendered_quantiles (Obs.Telemetry.render_summary recording) in
   Alcotest.(check bool) "histogram rows rendered" true
     (List.exists (fun (name, _, _) -> name = "span.virt.simulate") rows);
   List.iter
@@ -414,6 +397,8 @@ let suite =
     Alcotest.test_case "no sink: fast path emits nothing" `Quick test_no_sink_emits_nothing;
     Alcotest.test_case "armed run records metrics" `Quick test_armed_run_records;
     Alcotest.test_case "jsonl round trip" `Quick test_jsonl_roundtrip;
+    Alcotest.test_case "telemetry read rejects a garbage line" `Quick
+      test_read_rejects_garbage;
     Alcotest.test_case "json parser" `Quick test_json_parser;
     Alcotest.test_case "json escaping: every byte round trips" `Quick
       test_json_string_escaping;
@@ -424,8 +409,6 @@ let suite =
       test_span_unbalanced_exit;
     Alcotest.test_case "histogram percentiles (bimodal)" `Quick test_histogram_bimodal;
     Alcotest.test_case "drain/absorb: empty registry" `Quick test_drain_empty_registry;
-    Alcotest.test_case "drain/absorb: histogram-only registry" `Quick
-      test_drain_histogram_only;
     Alcotest.test_case "measure emits every stage's events" `Quick test_measure_event_kinds;
     Alcotest.test_case "span of_json inverts to_json" `Quick test_span_json_roundtrip;
     Alcotest.test_case "records nest: profiler sees the telemetry file's spans" `Quick

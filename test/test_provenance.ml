@@ -1,7 +1,7 @@
 (* Tests for decision provenance (Obs.Provenance) and the per-stage
    profiler (Obs.Prof): schema round trips, version gating, measurement
-   attachment, census aggregation, and the cross-domain buffer flushes
-   performed by Engine.Pool at join. *)
+   attachment, census aggregation, and the worker spans Engine.Pool
+   hands back at join. *)
 
 let small_control =
   lazy (Nebby.Training.train ~runs_per_cca:4 ~quic_runs_per_cca:2 ~seed:7 ())
@@ -148,24 +148,6 @@ let test_census_explained () =
   Alcotest.(check bool) "margin distributions non-empty" true
     (Internet.Census.margin_dists explained <> [])
 
-(* ---- collection buffer ---- *)
-
-let test_emit_collect () =
-  Alcotest.(check bool) "not collecting by default" false (Obs.Provenance.collecting ());
-  Obs.Provenance.emit sample_report;
-  Alcotest.(check int) "emit without a collector is a no-op" 0
-    (List.length (Obs.Provenance.drain_reports ()));
-  Obs.Provenance.enable_collect ();
-  Obs.Provenance.emit sample_report;
-  Obs.Provenance.emit { sample_report with Obs.Provenance.subject = "second" };
-  let rs = Obs.Provenance.drain_reports () in
-  Obs.Provenance.disable_collect ();
-  Alcotest.(check (list string)) "buffered in emission order"
-    [ "test-subject"; "second" ]
-    (List.map (fun r -> r.Obs.Provenance.subject) rs);
-  Alcotest.(check int) "drain empties the buffer" 0
-    (List.length (Obs.Provenance.drain_reports ()))
-
 (* ---- the profiler ---- *)
 
 (* the profiler: a fold over the spans of one record *)
@@ -247,34 +229,23 @@ let test_prof_fold_concat () =
       adds "allocations" (fun s -> s.Obs.Prof.alloc_words))
     merged
 
-(* ---- Engine.Pool flushes both buffers at join ---- *)
+(* ---- Engine.Pool hands worker spans back at join ---- *)
 
-let test_pool_flushes_buffers () =
+let test_pool_flushes_spans () =
   let results, profile =
     profile_of (fun () ->
-        Obs.Provenance.enable_collect ();
         Engine.Pool.map ~jobs:3
-          (fun i ->
-            Obs.Span.with_ ~name:"work" (fun () ->
-                Obs.Provenance.emit
-                  { sample_report with Obs.Provenance.subject = string_of_int i };
-                i * 2))
+          (fun i -> Obs.Span.with_ ~name:"work" (fun () -> i * 2))
           (Array.init 8 (fun i -> i)))
   in
-  let reports = Obs.Provenance.drain_reports () in
-  Obs.Provenance.disable_collect ();
   Alcotest.(check (array int)) "results in canonical order"
     (Array.init 8 (fun i -> i * 2))
     results;
-  (match Obs.Prof.find profile "pool.task;work" with
+  match Obs.Prof.find profile "pool.task;work" with
   | Some s ->
     Alcotest.(check int) "worker spans merged into the caller's profile" 8
       s.Obs.Prof.count
-  | None -> Alcotest.fail "work path missing from merged profile");
-  Alcotest.(check int) "every worker's reports flushed at join" 8 (List.length reports);
-  Alcotest.(check int) "each job's report arrived exactly once" 8
-    (List.length
-       (List.sort_uniq compare (List.map (fun r -> r.Obs.Provenance.subject) reports)))
+  | None -> Alcotest.fail "work path missing from merged profile"
 
 let suite =
   [
@@ -285,11 +256,9 @@ let suite =
     Alcotest.test_case "measure attaches provenance" `Quick test_measure_attaches_provenance;
     Alcotest.test_case "explain_prepared builds full report" `Quick test_explain_prepared;
     Alcotest.test_case "explained census matches plain labels" `Quick test_census_explained;
-    Alcotest.test_case "collection buffer emit/drain" `Quick test_emit_collect;
     Alcotest.test_case "profiler record and folding" `Quick test_prof_record;
     Alcotest.test_case "profiler folded-stack and json export" `Quick
       test_prof_folded_and_json;
     Alcotest.test_case "profiler fold is additive" `Quick test_prof_fold_concat;
-    Alcotest.test_case "pool flushes prof and provenance buffers" `Quick
-      test_pool_flushes_buffers;
+    Alcotest.test_case "pool flushes worker spans at join" `Quick test_pool_flushes_spans;
   ]

@@ -91,18 +91,19 @@ same "$work/chaos1.txt" "$work/chaos2.txt" "chaos smoke is not deterministic for
 echo "== telemetry parity gate (chaos smoke --telemetry: jobs=4 must match jobs=1) =="
 # Pool workers hand their spans and counters back through Obs.Collector,
 # so a recording is complete at any worker count: after dropping the
-# wall-time columns and the pool's own engine.pool.* rows, the span
-# name/count rows, the counter rows and the histogram name/count rows of
-# `nebby stats` must be identical. `stats` lists spans by total wall
-# time, so the rows are compared sorted: two stages of similar cost can
-# swap places from one run to the next.
+# wall-time columns, the span name/count rows, the counter rows and the
+# histogram name/count rows of `nebby stats` must be identical. The
+# histograms are folded from the spans, so each view must also hold a
+# span.simulate histogram row: an empty fold would pass the diff.
+# `stats` lists spans by total wall time, so the rows are compared
+# sorted: two stages of similar cost can swap places from one run to
+# the next.
 telemetry_view() {
   "$cli" stats "$1" | awk '
     /^telemetry summary/ { next }
     /^spans$/ { sect = "spans"; next }
     /^counter\/gauge/ { sect = "counters" }
     /^histogram / { sect = "histograms" }
-    $1 ~ /^engine\.pool\./ { next }
     sect == "spans" || sect == "histograms" { print sect, $1, $2; next }
     { print }'
 }
@@ -113,6 +114,10 @@ for jobs in 1 4; do
 done
 grep -q '^spans simulate ' "$work/view4.txt" ||
   fail "the jobs=4 telemetry recording has no simulate spans"
+for jobs in 1 4; do
+  grep -q '^histograms span.simulate ' "$work/view$jobs.txt" ||
+    fail "stats on the jobs=$jobs recording has no span.simulate histogram row"
+done
 same "$work/view1.txt" "$work/view4.txt" "telemetry at --jobs 4 diverged from --jobs 1"
 
 echo "== output write failure gate (a full disk exits 2 with one stderr line) =="
@@ -193,10 +198,13 @@ same "$work/report1.txt" "$work/report2.txt" "pool report is not deterministic f
 same "$work/chrome1.json" "$work/chrome2.json" \
   "chrome-trace export is not deterministic for a saved recording"
 same "$work/pool1.html" "$work/pool2.html" "pool HTML report is not deterministic for a saved recording"
-# a malformed recording is a usage error, reported as one line
+# a malformed recording is a usage error, reported as one line, for the
+# pool report and the plain summary alike (Telemetry.read is strict)
 printf '{"kind":"span","name":"pool.task"\n' >"$work/bad_trace.jsonl"
 exits_2 "stats --pool on a malformed recording" "$cli" stats --pool "$work/bad_trace.jsonl"
 one_err_line "stats --pool on a malformed recording"
+exits_2 "stats on a malformed recording" "$cli" stats "$work/bad_trace.jsonl"
+one_err_line "stats on a malformed recording"
 
 echo "== golden fixtures regenerate bit-identically =="
 # Drift caught here and not by test_golden means gen_golden and the test
