@@ -9,7 +9,8 @@
      dune exec bench/main.exe -- table3 fig9    # selected experiments
      dune exec bench/main.exe -- --sites 2000   # larger census samples
      dune exec bench/main.exe -- --trials 50    # more trials per CCA
-     dune exec bench/main.exe -- overhead --json overhead.json *)
+     dune exec bench/main.exe -- overhead --json overhead.json
+     dune exec bench/main.exe -- simulate --json simulate.json *)
 
 let sites = ref 250
 let trials = ref 12
@@ -106,25 +107,23 @@ let fig1 () =
     let state = ref (0.0, 0) in
     let on_ack (ev : Cca.ack_event) =
       let phase_end, idx = !state in
-      if ev.now >= phase_end then state := (ev.now +. (8.0 *. ev.srtt /. 8.0), (idx + 1) mod 8)
+      if ev.sample.now >= phase_end then state := (ev.sample.now +. (8.0 *. ev.sample.srtt /. 8.0), (idx + 1) mod 8)
     in
-    let pacing_rate () =
+    let rate () =
       let _, idx = !state in
       let g = match idx with 0 -> gain | 1 -> 2.0 -. gain | _ -> 1.0 in
-      Some (g *. base_rate)
+      g *. base_rate
     in
     {
       Cca.name = "bbr-gain";
       cwnd = (fun () -> 30.0 *. mss) (* the shared safeguard *);
-      pacing_rate;
+      pacing_rate = (fun () -> Some (rate ()));
       snapshot =
-        (fun () ->
-          {
-            Cca.snap_cwnd = 30.0 *. mss;
-            snap_ssthresh = None;
-            snap_pacing = pacing_rate ();
-            snap_mode = "gain_cycle";
-          });
+        (fun snap ->
+          snap.Cca.snap_cwnd <- 30.0 *. mss;
+          snap.snap_ssthresh <- -1.0;
+          snap.snap_pacing <- rate ();
+          "gain_cycle");
       on_ack;
       on_loss = (fun _ -> ());
     }
@@ -715,6 +714,99 @@ let chaos () =
   pf " typed unknown with a reason chain - the harness never raises]\n"
 
 (* ------------------------------------------------------------------ *)
+(* Simulate: the simulator's cost per captured packet                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A serial loop of [Testbed.run] over every CCA, both profiles and three
+   seeds, best of [simulate_passes] in CPU time. Minor words repeat
+   exactly from pass to pass, unlike time on a shared host, so the words
+   per captured packet are what check.sh gates. The digest covers every
+   trace column, BiF sample and result field: an optimisation of the
+   simulator must leave it unchanged. *)
+let simulate_passes = 3
+
+let digest_result buf (r : Nebby.Testbed.result) =
+  let float x = Buffer.add_int64_le buf (Int64.bits_of_float x) in
+  let int i = Buffer.add_int64_le buf (Int64.of_int i) in
+  let bool b = int (Bool.to_int b) in
+  let tr = r.Nebby.Testbed.trace in
+  let times = Netsim.Trace.times tr in
+  for i = 0 to Netsim.Trace.length tr - 1 do
+    float times.(i);
+    int (match Netsim.Trace.dir tr i with Netsim.Packet.To_client -> 0 | To_server -> 1);
+    int (Netsim.Trace.size tr i);
+    bool (Netsim.Trace.opaque tr i);
+    int (Netsim.Trace.seq tr i);
+    int (Netsim.Trace.payload tr i);
+    int (Netsim.Trace.ack tr i);
+    bool (Netsim.Trace.is_ack tr i)
+  done;
+  List.iter
+    (fun (t, b) ->
+      float t;
+      float b)
+    r.ground_truth_bif;
+  bool r.finished;
+  float r.duration;
+  int r.bottleneck_drops;
+  int r.retransmissions;
+  Buffer.add_string buf r.cca_name;
+  bool r.flow_reset;
+  int r.faults_injected
+
+let simulate () =
+  header "Simulate" "simulator cost per captured packet (serial Testbed.run loop)";
+  let runs =
+    List.concat_map
+      (fun name ->
+        List.concat_map
+          (fun profile -> List.init 3 (fun k -> (name, profile, !seed + k)))
+          Nebby.Profile.default_pair)
+      Cca.Registry.all
+  in
+  let pass () =
+    let packets = ref 0 and words = ref 0.0 and cpu = ref 0.0 in
+    let buf = Buffer.create (1 lsl 20) and digests = Buffer.create 4096 in
+    List.iter
+      (fun (name, profile, seed) ->
+        let w0 = Gc.minor_words () and t0 = Sys.time () in
+        let r = Nebby.Testbed.run_cca ~profile ~seed name in
+        cpu := !cpu +. (Sys.time () -. t0);
+        words := !words +. (Gc.minor_words () -. w0);
+        packets := !packets + Netsim.Trace.length r.Nebby.Testbed.trace;
+        Buffer.clear buf;
+        digest_result buf r;
+        Buffer.add_string digests (Digest.string (Buffer.contents buf)))
+      runs;
+    (!packets, !cpu, !words, Digest.to_hex (Digest.string (Buffer.contents digests)))
+  in
+  let passes = List.init simulate_passes (fun _ -> pass ()) in
+  let packets, cpu, words, digest =
+    List.fold_left
+      (fun ((_, c, _, _) as best) ((_, c', _, _) as p) -> if c' < c then p else best)
+      (List.hd passes) (List.tl passes)
+  in
+  if List.exists (fun (_, _, _, d) -> d <> digest) passes then
+    failwith "simulate: two passes of the same runs produced different digests";
+  let per_pkt x = x /. float_of_int (max 1 packets) in
+  pf "%d runs (%d CCAs x %d profiles x 3 seeds), best of %d passes in CPU time\n"
+    (List.length runs) (List.length Cca.Registry.all)
+    (List.length Nebby.Profile.default_pair) simulate_passes;
+  pf "captured packets  %d\n" packets;
+  pf "us per packet     %.3f\n" (1e6 *. per_pkt cpu);
+  pf "minor words/pkt   %.2f\n" (per_pkt words);
+  pf "digest            %s\n" digest;
+  Option.iter
+    (fun path ->
+      write_json path
+        [
+          ("simulate_words_per_pkt", per_pkt words);
+          ("simulate_us_per_pkt", 1e6 *. per_pkt cpu);
+          ("simulate_packets", float_of_int packets);
+        ])
+    !json_out
+
+(* ------------------------------------------------------------------ *)
 (* Overhead: the CPU-time cost of each instrument, in paired runs     *)
 (* ------------------------------------------------------------------ *)
 
@@ -870,6 +962,7 @@ let experiments =
     ("table11", table11);
     ("ablation", ablation);
     ("chaos", chaos);
+    ("simulate", simulate);
     ("overhead", overhead);
   ]
 

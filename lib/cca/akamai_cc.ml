@@ -27,11 +27,11 @@ let create ?(seed = 1) params =
   in
   let mss = float_of_int params.Cca_core.mss in
   let on_ack (ev : Cca_core.ack_event) =
-    s.now <- ev.now;
-    if Float.is_nan s.epoch_end then s.epoch_end <- ev.now +. Netsim.Rng.uniform s.rng 10.0 20.0;
-    if ev.now >= s.epoch_end then begin
-      s.draining_until <- ev.now +. drain_duration;
-      s.epoch_end <- ev.now +. drain_duration +. Netsim.Rng.uniform s.rng 10.0 20.0
+    s.now <- ev.sample.now;
+    if Float.is_nan s.epoch_end then s.epoch_end <- ev.sample.now +. Netsim.Rng.uniform s.rng 10.0 20.0;
+    if ev.sample.now >= s.epoch_end then begin
+      s.draining_until <- ev.sample.now +. drain_duration;
+      s.epoch_end <- ev.sample.now +. drain_duration +. Netsim.Rng.uniform s.rng 10.0 20.0
     end
   in
   {
@@ -43,14 +43,12 @@ let create ?(seed = 1) params =
     cwnd = (fun () -> 30.0 *. mss);
     pacing_rate = (fun () -> if s.now < s.draining_until then Some drain_rate else Some s.rate);
     snapshot =
-      (fun () ->
+      (fun snap ->
         let draining = s.now < s.draining_until in
-        {
-          Cca_core.snap_cwnd = 30.0 *. mss;
-          snap_ssthresh = None;
-          snap_pacing = Some (if draining then drain_rate else s.rate);
-          snap_mode = (if draining then "drain" else "cruise");
-        });
+        snap.Cca_core.snap_cwnd <- 30.0 *. mss;
+        snap.snap_ssthresh <- -1.0;
+        snap.snap_pacing <- (if draining then drain_rate else s.rate);
+        if draining then "drain" else "cruise");
     on_ack;
     on_loss = (fun _ -> ());
   }

@@ -75,12 +75,12 @@ let enter_steady s now =
   s.phase_end <- now +. (match s.variant with V1 -> s.min_rtt | V2 | V3 -> cruise_len s.variant)
 
 let advance_phase s (ev : Cca_core.ack_event) =
-  let now = ev.now in
+  let now = ev.sample.now in
   match s.mode with
   | Startup ->
     (* declare the pipe full when bandwidth stops growing for 3 rounds *)
     if now >= s.round_end then begin
-      s.round_end <- now +. ev.srtt;
+      s.round_end <- now +. ev.sample.srtt;
       let b = bw s in
       if b > s.full_bw *. 1.25 then begin
         s.full_bw <- b;
@@ -148,13 +148,13 @@ let create ?(pacing_gain_up = 1.25) variant params =
     }
   in
   let on_ack (ev : Cca_core.ack_event) =
-    if ev.rtt < s.min_rtt || not (Float.is_finite s.min_rtt) then begin
-      s.min_rtt <- ev.rtt;
-      s.min_rtt_stamp <- ev.now
+    if ev.sample.rtt < s.min_rtt || not (Float.is_finite s.min_rtt) then begin
+      s.min_rtt <- ev.sample.rtt;
+      s.min_rtt_stamp <- ev.sample.now
     end;
-    if not ev.app_limited then Cca_core.Max_filter.update s.bw_filter ~now:ev.now ev.delivery_rate;
+    if not ev.app_limited then Cca_core.Max_filter.update s.bw_filter ~now:ev.sample.now ev.sample.delivery_rate;
     advance_phase s ev;
-    maybe_enter_probe_rtt s ev.now;
+    maybe_enter_probe_rtt s ev.sample.now;
     s.cwnd <- cwnd_target s
   in
   let on_loss (ev : Cca_core.loss_event) =
@@ -189,13 +189,12 @@ let create ?(pacing_gain_up = 1.25) variant params =
     cwnd = (fun () -> Float.max (s.cwnd) (mss_f s));
     pacing_rate;
     snapshot =
-      (fun () ->
-        {
-          Cca_core.snap_cwnd = Float.max s.cwnd (mss_f s);
-          snap_ssthresh = None;
-          snap_pacing = pacing_rate ();
-          snap_mode = mode_label ();
-        });
+      (fun snap ->
+        let b = bw s in
+        snap.Cca_core.snap_cwnd <- Float.max s.cwnd (mss_f s);
+        snap.snap_ssthresh <- -1.0;
+        snap.snap_pacing <- (if b <= 0.0 then -1.0 else pacing_gain s *. b);
+        mode_label ());
     on_ack;
     on_loss;
   }

@@ -6,7 +6,7 @@ let low_window = 14.0
 let create params =
   let w_max = ref 0.0 in
   let ca_increment (s : Loss_based.state) (ev : Cca_core.ack_event) =
-    let acked_mss = float_of_int ev.Cca_core.acked /. float_of_int s.params.Cca_core.mss in
+    let acked_mss = float_of_int ev.Cca_core.acked /. float_of_int params.Cca_core.mss in
     let per_rtt =
       if s.cwnd < low_window then 1.0 (* standard TCP below the threshold *)
       else if s.cwnd < !w_max then begin

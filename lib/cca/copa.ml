@@ -29,17 +29,17 @@ let create params =
   let mss = float_of_int params.Cca_core.mss in
   let on_ack (ev : Cca_core.ack_event) =
     let acked_mss = float_of_int ev.acked /. mss in
-    s.min_rtt <- Float.min s.min_rtt ev.rtt;
+    s.min_rtt <- Float.min s.min_rtt ev.sample.rtt;
     (* standing RTT: sliding half-srtt window of RTT minima *)
-    s.standing_next <- Float.min s.standing_next ev.rtt;
-    if ev.now >= s.standing_window_end then begin
+    s.standing_next <- Float.min s.standing_next ev.sample.rtt;
+    if ev.sample.now >= s.standing_window_end then begin
       s.standing_rtt <- s.standing_next;
-      s.standing_next <- ev.rtt;
-      s.standing_window_end <- ev.now +. (ev.srtt /. 2.0)
+      s.standing_next <- ev.sample.rtt;
+      s.standing_window_end <- ev.sample.now +. (ev.sample.srtt /. 2.0)
     end;
     let dq = Float.max 1e-4 (s.standing_rtt -. s.min_rtt) in
     let target_rate = 1.0 /. (delta *. dq) in (* packets per second *)
-    let current_rate = s.cwnd /. Float.max 1e-4 ev.rtt in
+    let current_rate = s.cwnd /. Float.max 1e-4 ev.sample.rtt in
     if s.slow_start then begin
       s.cwnd <- s.cwnd +. acked_mss;
       if current_rate >= target_rate then s.slow_start <- false
@@ -49,12 +49,12 @@ let create params =
       if dir <> s.direction then begin
         s.direction <- dir;
         s.velocity <- 1.0;
-        s.dir_since <- ev.now
+        s.dir_since <- ev.sample.now
       end
-      else if ev.now -. s.dir_since > 2.0 *. ev.srtt then begin
+      else if ev.sample.now -. s.dir_since > 2.0 *. ev.sample.srtt then begin
         (* same direction for ~2 RTTs: accelerate *)
         s.velocity <- Float.min 32.0 (s.velocity *. 2.0);
-        s.dir_since <- ev.now
+        s.dir_since <- ev.sample.now
       end;
       let step = float_of_int dir *. s.velocity /. (delta *. s.cwnd) *. acked_mss in
       s.cwnd <- Float.max 2.0 (s.cwnd +. step)
@@ -69,16 +69,13 @@ let create params =
     cwnd = (fun () -> s.cwnd *. mss);
     pacing_rate = (fun () -> None);
     snapshot =
-      (fun () ->
-        {
-          Cca_core.snap_cwnd = s.cwnd *. mss;
-          snap_ssthresh = None;
-          snap_pacing = None;
-          snap_mode =
-            (if s.slow_start then "slow_start"
-             else if s.direction >= 0 then "velocity_up"
-             else "velocity_down");
-        });
+      (fun snap ->
+        snap.Cca_core.snap_cwnd <- s.cwnd *. mss;
+        snap.snap_ssthresh <- -1.0;
+        snap.snap_pacing <- -1.0;
+        if s.slow_start then "slow_start"
+        else if s.direction >= 0 then "velocity_up"
+        else "velocity_down");
     on_ack;
     on_loss;
   }

@@ -14,7 +14,7 @@ let create_custom ?(c = default_c) ?(beta = default_beta) params =
     if Float.is_nan cs.epoch_start then begin
       (* First congestion-avoidance ack of an epoch (e.g. after slow start
          ended without a loss): anchor the cubic at the current window. *)
-      cs.epoch_start <- ev.now;
+      cs.epoch_start <- ev.sample.now;
       if cs.w_max < s.cwnd then begin
         cs.w_max <- s.cwnd;
         cs.k <- 0.0
@@ -22,12 +22,12 @@ let create_custom ?(c = default_c) ?(beta = default_beta) params =
       else cs.k <- Float.cbrt (cs.w_max *. (1.0 -. beta) /. c);
       cs.tcp_epoch_cwnd <- s.cwnd
     end;
-    let t = ev.now -. cs.epoch_start in
+    let t = ev.sample.now -. cs.epoch_start in
     let target = cs.w_max +. (c *. ((t -. cs.k) ** 3.0)) in
     (* TCP-friendly region: the window standard TCP would have reached. *)
     let w_tcp =
       cs.tcp_epoch_cwnd
-      +. (3.0 *. (1.0 -. beta) /. (1.0 +. beta) *. (t /. Float.max 1e-3 ev.srtt))
+      +. (3.0 *. (1.0 -. beta) /. (1.0 +. beta) *. (t /. Float.max 1e-3 ev.sample.srtt))
     in
     let target = Float.max target w_tcp in
     if target > s.cwnd then (target -. s.cwnd) /. s.cwnd else 0.01 /. s.cwnd

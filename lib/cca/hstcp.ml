@@ -17,7 +17,7 @@ let a_of_w w =
 
 let create params =
   let ca_increment (s : Loss_based.state) (ev : Cca_core.ack_event) =
-    let acked_mss = float_of_int ev.Cca_core.acked /. float_of_int s.params.Cca_core.mss in
+    let acked_mss = float_of_int ev.Cca_core.acked /. float_of_int params.Cca_core.mss in
     a_of_w s.cwnd /. s.cwnd *. acked_mss
   in
   let backoff (s : Loss_based.state) _ = s.cwnd *. (1.0 -. b_of_w s.cwnd) in

@@ -11,12 +11,12 @@ let create params =
     else Float.max 0.5 (Float.min 0.8 (hs.rtt_min /. hs.rtt_max))
   in
   let on_event _ (ev : Cca_core.ack_event) =
-    hs.rtt_min <- Float.min hs.rtt_min ev.rtt;
-    hs.rtt_max <- Float.max hs.rtt_max ev.rtt
+    hs.rtt_min <- Float.min hs.rtt_min ev.sample.rtt;
+    hs.rtt_max <- Float.max hs.rtt_max ev.sample.rtt
   in
   let ca_increment (s : Loss_based.state) (ev : Cca_core.ack_event) =
-    let acked_mss = float_of_int ev.Cca_core.acked /. float_of_int s.params.Cca_core.mss in
-    let delta = ev.now -. s.last_loss_at in
+    let acked_mss = float_of_int ev.Cca_core.acked /. float_of_int params.Cca_core.mss in
+    let delta = ev.sample.now -. s.last_loss_at in
     let alpha =
       if delta <= delta_l || Float.is_nan delta then 1.0
       else begin

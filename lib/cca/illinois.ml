@@ -8,10 +8,10 @@ type ill_state = { mutable base_rtt : float; mutable max_rtt : float; mutable av
 let create params =
   let is = { base_rtt = infinity; max_rtt = 0.0; avg_rtt = 0.0 } in
   let on_event _ (ev : Cca_core.ack_event) =
-    is.base_rtt <- Float.min is.base_rtt ev.rtt;
-    is.max_rtt <- Float.max is.max_rtt ev.rtt;
+    is.base_rtt <- Float.min is.base_rtt ev.sample.rtt;
+    is.max_rtt <- Float.max is.max_rtt ev.sample.rtt;
     is.avg_rtt <-
-      (if is.avg_rtt = 0.0 then ev.rtt else (0.9 *. is.avg_rtt) +. (0.1 *. ev.rtt))
+      (if is.avg_rtt = 0.0 then ev.sample.rtt else (0.9 *. is.avg_rtt) +. (0.1 *. ev.sample.rtt))
   in
   let delays () =
     let da = Float.max 0.0 (is.avg_rtt -. is.base_rtt) in
@@ -37,7 +37,7 @@ let create params =
     else beta_min +. ((beta_max -. beta_min) *. (da -. d2) /. (d3 -. d2))
   in
   let ca_increment (s : Loss_based.state) (ev : Cca_core.ack_event) =
-    let acked_mss = float_of_int ev.Cca_core.acked /. float_of_int s.params.Cca_core.mss in
+    let acked_mss = float_of_int ev.Cca_core.acked /. float_of_int params.Cca_core.mss in
     alpha () /. s.cwnd *. acked_mss
   in
   let backoff (s : Loss_based.state) _ = s.cwnd *. (1.0 -. beta ()) in

@@ -1,5 +1,4 @@
 type state = {
-  params : Cca_core.params;
   mutable cwnd : float;
   mutable ssthresh : float;
   mutable last_loss_at : float;
@@ -11,7 +10,6 @@ let build ~name ~params ?(on_event = fun _ _ -> ()) ~ca_increment ~backoff
     ?(after_loss = fun _ _ -> ()) () =
   let s =
     {
-      params;
       cwnd = float_of_int params.Cca_core.initial_cwnd;
       ssthresh = 1e9;
       last_loss_at = 0.0;  (* connection start opens the first epoch *)
@@ -26,7 +24,7 @@ let build ~name ~params ?(on_event = fun _ _ -> ()) ~ca_increment ~backoff
         s.cwnd <- s.cwnd +. acked_mss;
         (* HyStart-style delay increase detection: leave slow start once
            queueing delay builds, instead of overshooting to 2x the pipe *)
-        if ev.rtt > 1.5 *. ev.min_rtt then s.ssthresh <- Float.min s.ssthresh s.cwnd
+        if ev.sample.rtt > 1.5 *. ev.sample.min_rtt then s.ssthresh <- Float.min s.ssthresh s.cwnd
       end
       else s.cwnd <- Float.max 1.0 (s.cwnd +. ca_increment s ev)
     end
@@ -49,13 +47,11 @@ let build ~name ~params ?(on_event = fun _ _ -> ()) ~ca_increment ~backoff
     cwnd = (fun () -> s.cwnd *. mss);
     pacing_rate = (fun () -> None);
     snapshot =
-      (fun () ->
-        {
-          Cca_core.snap_cwnd = s.cwnd *. mss;
-          snap_ssthresh = Some (s.ssthresh *. mss);
-          snap_pacing = None;
-          snap_mode = (if in_slow_start s then "slow_start" else "avoidance");
-        });
+      (fun snap ->
+        snap.Cca_core.snap_cwnd <- s.cwnd *. mss;
+        snap.snap_ssthresh <- s.ssthresh *. mss;
+        snap.snap_pacing <- -1.0;
+        if in_slow_start s then "slow_start" else "avoidance");
     on_ack;
     on_loss;
   }

@@ -6,8 +6,10 @@
     once per congestion event. Timeouts collapse the window to 1 MSS as in
     the kernel. All quantities seen by hooks are in MSS units. *)
 
+(** An all-float record, which OCaml stores flat, so the per-ack window
+    update writes in place instead of allocating. A variant that needs
+    the MSS reads it from the [params] its constructor was given. *)
 type state = {
-  params : Cca_core.params;
   mutable cwnd : float;  (** MSS units, >= 1 *)
   mutable ssthresh : float;  (** MSS units *)
   mutable last_loss_at : float;  (** time of the last congestion event; 0 initially *)

@@ -3,7 +3,7 @@ let b = 0.125
 
 let create params =
   Loss_based.build ~name:"scalable" ~params
-    ~ca_increment:(fun s ev ->
-      a *. (float_of_int ev.Cca_core.acked /. float_of_int s.Loss_based.params.Cca_core.mss))
+    ~ca_increment:(fun _ ev ->
+      a *. (float_of_int ev.Cca_core.acked /. float_of_int params.Cca_core.mss))
     ~backoff:(fun s _ -> s.Loss_based.cwnd *. (1.0 -. b))
     ()

@@ -12,10 +12,10 @@ type vegas_state = {
 let create params =
   let vs = { base_rtt = infinity; epoch_min_rtt = infinity; epoch_end = 0.0; pending = 0.0 } in
   let on_event (s : Loss_based.state) (ev : Cca_core.ack_event) =
-    vs.base_rtt <- Float.min vs.base_rtt ev.rtt;
-    vs.epoch_min_rtt <- Float.min vs.epoch_min_rtt ev.rtt;
-    if ev.now >= vs.epoch_end then begin
-      let rtt = if Float.is_finite vs.epoch_min_rtt then vs.epoch_min_rtt else ev.rtt in
+    vs.base_rtt <- Float.min vs.base_rtt ev.sample.rtt;
+    vs.epoch_min_rtt <- Float.min vs.epoch_min_rtt ev.sample.rtt;
+    if ev.sample.now >= vs.epoch_end then begin
+      let rtt = if Float.is_finite vs.epoch_min_rtt then vs.epoch_min_rtt else ev.sample.rtt in
       let diff = s.cwnd *. (rtt -. vs.base_rtt) /. rtt in
       if Loss_based.in_slow_start s then begin
         (* leave slow start as soon as the backlog builds past gamma *)
@@ -25,11 +25,11 @@ let create params =
       else if diff > beta then vs.pending <- -1.0
       else vs.pending <- 0.0;
       vs.epoch_min_rtt <- infinity;
-      vs.epoch_end <- ev.now +. rtt
+      vs.epoch_end <- ev.sample.now +. rtt
     end
   in
   let ca_increment (s : Loss_based.state) (ev : Cca_core.ack_event) =
-    let acked_mss = float_of_int ev.Cca_core.acked /. float_of_int s.params.Cca_core.mss in
+    let acked_mss = float_of_int ev.Cca_core.acked /. float_of_int params.Cca_core.mss in
     (* spread the per-RTT +-1 MSS decision over the acks of the epoch *)
     vs.pending /. s.cwnd *. acked_mss
   in

@@ -9,11 +9,11 @@ let create params =
     else s.cwnd *. (vs.last_rtt -. vs.base_rtt) /. vs.last_rtt
   in
   let on_event _ (ev : Cca_core.ack_event) =
-    vs.base_rtt <- Float.min vs.base_rtt ev.rtt;
-    vs.last_rtt <- ev.rtt
+    vs.base_rtt <- Float.min vs.base_rtt ev.sample.rtt;
+    vs.last_rtt <- ev.sample.rtt
   in
   let ca_increment (s : Loss_based.state) (ev : Cca_core.ack_event) =
-    let acked_mss = float_of_int ev.Cca_core.acked /. float_of_int s.params.Cca_core.mss in
+    let acked_mss = float_of_int ev.Cca_core.acked /. float_of_int params.Cca_core.mss in
     if backlog s < beta then acked_mss /. s.cwnd
     else acked_mss /. (2.0 *. s.cwnd) (* available bandwidth fully used *)
   in

@@ -61,7 +61,7 @@ let create params =
   let finish_mi (ev : Cca_core.ack_event) =
     (* accounting starts one RTT into the MI (see on_ack), so the window
        is the second half of a 2-RTT interval *)
-    let elapsed = Float.max 1e-3 (ev.now -. s.mi.start -. ev.srtt) in
+    let elapsed = Float.max 1e-3 (ev.sample.now -. s.mi.start -. ev.sample.srtt) in
     let achieved = float_of_int s.mi.bytes /. elapsed /. mss in
     let rtt_gradient = mi_rtt_slope s.mi in
     (* dead-zone the fitted gradient: residual jitter must not masquerade
@@ -83,40 +83,36 @@ let create params =
       else s.rate <- s.rate *. (1.0 -. s.step);
       s.rate <- Float.max 2_000.0 s.rate;
       s.phase <- Up);
-    s.mi <- fresh_mi ev.now;
-    s.mi_end <- ev.now +. (2.0 *. Float.max 0.05 ev.srtt)
+    s.mi <- fresh_mi ev.sample.now;
+    s.mi_end <- ev.sample.now +. (2.0 *. Float.max 0.05 ev.sample.srtt)
   in
   let on_ack (ev : Cca_core.ack_event) =
-    let t = ev.now -. s.mi.start in
+    let t = ev.sample.now -. s.mi.start in
     (* acks arriving in the first RTT of the MI were clocked by the
        previous probe rate; counting them would invert the gradient *)
-    if t >= ev.srtt then begin
+    if t >= ev.sample.srtt then begin
       s.mi.bytes <- s.mi.bytes + ev.acked;
       s.mi.n <- s.mi.n + 1;
       s.mi.sum_t <- s.mi.sum_t +. t;
-      s.mi.sum_r <- s.mi.sum_r +. ev.rtt;
-      s.mi.sum_tr <- s.mi.sum_tr +. (t *. ev.rtt);
+      s.mi.sum_r <- s.mi.sum_r +. ev.sample.rtt;
+      s.mi.sum_tr <- s.mi.sum_tr +. (t *. ev.sample.rtt);
       s.mi.sum_tt <- s.mi.sum_tt +. (t *. t)
     end;
-    if ev.now >= s.mi_end then finish_mi ev
+    if ev.sample.now >= s.mi_end then finish_mi ev
   in
   let on_loss _ = s.mi.losses <- s.mi.losses + 1 in
-  let pacing_rate () =
-    let gain = match s.phase with Up -> 1.0 +. epsilon | Down -> 1.0 -. epsilon in
-    Some (s.rate *. gain)
-  in
+  let gain () = match s.phase with Up -> 1.0 +. epsilon | Down -> 1.0 -. epsilon in
+  let pacing_rate () = Some (s.rate *. gain ()) in
   {
     Cca_core.name = "vivace";
     cwnd = (fun () -> 400.0 *. mss) (* safeguard only *);
     pacing_rate;
     snapshot =
-      (fun () ->
-        {
-          Cca_core.snap_cwnd = 400.0 *. mss;
-          snap_ssthresh = None;
-          snap_pacing = pacing_rate ();
-          snap_mode = (match s.phase with Up -> "probe_up" | Down -> "probe_down");
-        });
+      (fun snap ->
+        snap.Cca_core.snap_cwnd <- 400.0 *. mss;
+        snap.snap_ssthresh <- -1.0;
+        snap.snap_pacing <- s.rate *. gain ();
+        match s.phase with Up -> "probe_up" | Down -> "probe_down");
     on_ack;
     on_loss;
   }

@@ -26,10 +26,10 @@ let create params =
     }
   in
   let on_event (s : Loss_based.state) (ev : Cca_core.ack_event) =
-    ys.base_rtt <- Float.min ys.base_rtt ev.rtt;
-    ys.epoch_min_rtt <- Float.min ys.epoch_min_rtt ev.rtt;
-    if ev.now >= ys.epoch_end then begin
-      let rtt = if Float.is_finite ys.epoch_min_rtt then ys.epoch_min_rtt else ev.rtt in
+    ys.base_rtt <- Float.min ys.base_rtt ev.sample.rtt;
+    ys.epoch_min_rtt <- Float.min ys.epoch_min_rtt ev.sample.rtt;
+    if ev.sample.now >= ys.epoch_end then begin
+      let rtt = if Float.is_finite ys.epoch_min_rtt then ys.epoch_min_rtt else ev.sample.rtt in
       let queueing = Float.max 0.0 (rtt -. ys.base_rtt) in
       ys.queue <- s.cwnd *. queueing /. rtt;
       let ratio = queueing /. Float.max 1e-6 ys.base_rtt in
@@ -40,11 +40,11 @@ let create params =
       end
       else ys.fast_mode <- true;
       ys.epoch_min_rtt <- infinity;
-      ys.epoch_end <- ev.now +. rtt
+      ys.epoch_end <- ev.sample.now +. rtt
     end
   in
   let ca_increment (s : Loss_based.state) (ev : Cca_core.ack_event) =
-    let acked_mss = float_of_int ev.Cca_core.acked /. float_of_int s.params.Cca_core.mss in
+    let acked_mss = float_of_int ev.Cca_core.acked /. float_of_int params.Cca_core.mss in
     if ys.decongest > 0.0 then begin
       let dec = Float.min ys.decongest acked_mss in
       ys.decongest <- ys.decongest -. dec;

@@ -25,7 +25,11 @@ let run ?(seed = 42) ?(noise = Netsim.Path.quiet) ?(proto = Netsim.Packet.Tcp)
   ignore (Obs.Flight.new_run ());
   Obs.Flight.stage ~time:0.0 ~name:("simulate:" ^ profile.Profile.name);
   let rng = Netsim.Rng.create seed in
-  let trace = Netsim.Trace.create () in
+  let trace =
+    Netsim.Trace.create
+      ~capacity:(Transport.Sender.expected_samples ~mss:params.Cca.mss ~total_bytes:page_bytes)
+      ()
+  in
   let injector = Option.map (fun plan -> Faults.injector ~sim plan) faults in
   (* The capture point may drop or jitter observations under fault plans;
      without one this is exactly [Trace.record]. *)

@@ -13,12 +13,11 @@ type t = {
   received_total : int;
   is_ack : bool;
   is_retx : bool;
-  sent_at : float;
 }
 
 let header_size = function Tcp -> 40 | Quic -> 30
 
-let data proto ~id ~seq ~payload ~retx ~now =
+let data proto ~id ~seq ~payload ~retx =
   {
     id;
     proto;
@@ -31,10 +30,9 @@ let data proto ~id ~seq ~payload ~retx ~now =
     received_total = 0;
     is_ack = false;
     is_retx = retx;
-    sent_at = now;
   }
 
-let ack proto ~id ~ack ?(hole_end = 0) ?(received_total = 0) ~now () =
+let ack proto ~id ~ack ~hole_end ~received_total =
   {
     id;
     proto;
@@ -47,7 +45,6 @@ let ack proto ~id ~ack ?(hole_end = 0) ?(received_total = 0) ~now () =
     received_total;
     is_ack = true;
     is_retx = false;
-    sent_at = now;
   }
 
 let pp fmt t =

@@ -28,17 +28,19 @@ type t = {
           included — the delivery counter SACK-based rate estimation needs *)
   is_ack : bool;
   is_retx : bool;  (** retransmission flag, sender-side bookkeeping only *)
-  sent_at : float;  (** origination time at the sender *)
 }
+(** A packet carries no send time: the sender keeps each segment's send
+    time in its own window, and the capture point stamps what it sees. *)
 
 val header_size : proto -> int
 (** Wire overhead for a packet of the given protocol. *)
 
-val data : proto -> id:int -> seq:int -> payload:int -> retx:bool -> now:float -> t
+val data : proto -> id:int -> seq:int -> payload:int -> retx:bool -> t
 (** Build a server-to-client data packet. *)
 
-val ack : proto -> id:int -> ack:int -> ?hole_end:int -> ?received_total:int -> now:float -> unit -> t
+val ack : proto -> id:int -> ack:int -> hole_end:int -> received_total:int -> t
 (** Build a client-to-server cumulative acknowledgement. [hole_end] is the
-    SACK-style first-hole hint (default 0 = none). *)
+    SACK-style first-hole hint (0 = none). Both counters are required
+    arguments, so building an ack allocates the packet and nothing else. *)
 
 val pp : Format.formatter -> t -> unit

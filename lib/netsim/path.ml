@@ -34,27 +34,40 @@ let scale n k =
 
 type fault_decision = Pass | Fault_drop | Fault_delay of float | Fault_duplicate of float
 
+(* an all-float record is stored flat: updating it allocates no box *)
+type delivery = { mutable last : float }
+
 type t = {
   sim : Sim.t;
   rng : Rng.t;
   delay : float;
-  noise : noise;
+  (* The noise parameters, one field each. As fields of this mixed record
+     they stay boxed, so passing one to [Rng] allocates nothing; a field
+     read from the flat all-float [noise] record would be boxed afresh on
+     every packet. *)
+  drop_prob : float;
+  jitter_std : float;
+  ack_compress_prob : float;
+  ack_compress_delay : float;
   sink : Packet.t -> unit;
   line : Packet.t Delay_line.t;  (* the order-preserving deliveries *)
-  mutable last_delivery : float;
+  last_delivery : delivery;
   mutable dropped : int;
   mutable fault : (now:float -> Packet.t -> fault_decision) option;
 }
 
-let create sim rng ~delay ~noise ~sink =
+let create sim rng ~delay ~(noise : noise) ~sink =
   {
     sim;
     rng;
     delay;
-    noise;
+    drop_prob = noise.drop_prob;
+    jitter_std = noise.jitter_std;
+    ack_compress_prob = noise.ack_compress_prob;
+    ack_compress_delay = noise.ack_compress_delay;
     sink;
     line = Delay_line.create sim ~sink;
-    last_delivery = 0.0;
+    last_delivery = { last = 0.0 };
     dropped = 0;
     fault = None;
   }
@@ -80,24 +93,23 @@ let send t pkt =
   match decision with
   | Fault_drop -> t.dropped <- t.dropped + 1
   | (Pass | Fault_delay _ | Fault_duplicate _) as decision ->
-  if Rng.bool t.rng t.noise.drop_prob then t.dropped <- t.dropped + 1
+  if Rng.bool t.rng t.drop_prob then t.dropped <- t.dropped + 1
   else begin
     let jitter =
-      if t.noise.jitter_std > 0.0 then
-        Float.abs (Rng.gaussian t.rng ~mean:0.0 ~std:t.noise.jitter_std)
+      if t.jitter_std > 0.0 then Float.abs (Rng.gaussian t.rng ~mean:0.0 ~std:t.jitter_std)
       else 0.0
     in
     let compression =
-      if pkt.Packet.is_ack && Rng.bool t.rng t.noise.ack_compress_prob then
-        Rng.uniform t.rng 0.0 t.noise.ack_compress_delay
+      if pkt.Packet.is_ack && Rng.bool t.rng t.ack_compress_prob then
+        Rng.uniform t.rng 0.0 t.ack_compress_delay
       else 0.0
     in
     let target = Sim.now t.sim +. t.delay +. jitter +. compression in
     (* Keep the segment order-preserving: a delayed packet pushes later ones
        behind it, which is exactly what ACK compression looks like on the
        wire (a silent gap then a burst). *)
-    let delivery = Float.max target t.last_delivery in
-    t.last_delivery <- delivery;
+    let delivery = Float.max target t.last_delivery.last in
+    t.last_delivery.last <- delivery;
     match decision with
     | Pass | Fault_drop -> Delay_line.send t.line ~at:delivery pkt
     | Fault_delay extra ->

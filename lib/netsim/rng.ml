@@ -58,12 +58,15 @@ let int t n =
 
 let bool t p = float t < p
 
+(* Box-Muller with a redraw while u1 is (nearly) zero. A loop rather
+   than a local recursive function: the noisy path draws one per packet,
+   and the loop allocates neither a closure nor a boxed u1. *)
 let gaussian t ~mean ~std =
-  let rec nonzero () =
-    let u = float t in
-    if u <= 1e-12 then nonzero () else u
-  in
-  let u1 = nonzero () in
+  let u1 = ref (float t) in
+  while !u1 <= 1e-12 do
+    u1 := float t
+  done;
+  let u1 = !u1 in
   let u2 = float t in
   let r = sqrt (-2.0 *. log u1) in
   mean +. (std *. r *. cos (2.0 *. Float.pi *. u2))

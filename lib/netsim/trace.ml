@@ -20,14 +20,14 @@ let to_server_bit = 1
 let opaque_bit = 2
 let ack_bit = 4
 
-let create () =
+let create ?(capacity = 0) () =
   {
-    times = [||];
-    sizes = [||];
-    seqs = [||];
-    payloads = [||];
-    acks = [||];
-    flags = Bytes.empty;
+    times = Array.make capacity 0.0;
+    sizes = Array.make capacity 0;
+    seqs = Array.make capacity 0;
+    payloads = Array.make capacity 0;
+    acks = Array.make capacity 0;
+    flags = Bytes.make capacity '\000';
     count = 0;
   }
 

@@ -17,7 +17,11 @@ type obs = { time : float; dir : Packet.dir; size : int; view : view }
 
 type t
 
-val create : unit -> t
+val create : ?capacity:int -> unit -> t
+(** An empty trace. Its columns start with room for [capacity]
+    observations (default 0) and double whenever they fill, so a capture
+    whose length is known in advance is recorded without regrowing. *)
+
 val record : t -> now:float -> Packet.t -> unit
 (** Append the capture-point view of a packet. *)
 

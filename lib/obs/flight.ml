@@ -132,8 +132,10 @@ let mark () = (state ()).next_seq
    kinds pass only floats and the ring write stays allocation-free. The
    string stores are guarded by physical equality: the high-volume kinds
    push the same shared constants every time, so after the first lap the
-   slot already holds the value and the GC write barrier is skipped. *)
-let push s kind ~time ~a ~b ~c ~detail ~extra =
+   slot already holds the value and the GC write barrier is skipped.
+   Inlined, so a float computed by the caller is stored without being
+   boxed first. *)
+let[@inline] push s kind ~time ~a ~b ~c ~detail ~extra =
   let i = s.pos in
   s.e_seq.(i) <- s.next_seq;
   s.e_run.(i) <- s.run;
@@ -184,13 +186,17 @@ let fault ~time ~family ~detail =
 
 let want_cca_state = want_normal
 
-let cca_state ~time ~cca ~cwnd ~ssthresh ~pacing ~mode =
+type cca_reading = {
+  mutable snap_cwnd : float;
+  mutable snap_ssthresh : float;
+  mutable snap_pacing : float;
+}
+
+let cca_state ~time ~cca ~mode r =
   let s = state () in
   if s.enabled && s.level.Runtime.current <> Runtime.Quiet then
-    push s Cca_state ~time ~a:cwnd
-      ~b:(match pacing with Some r -> r | None -> -1.0)
-      ~c:(match ssthresh with Some v -> v | None -> -1.0)
-      ~detail:cca ~extra:mode
+    push s Cca_state ~time ~a:r.snap_cwnd ~b:r.snap_pacing ~c:r.snap_ssthresh ~detail:cca
+      ~extra:mode
 
 let bif ~time ~bytes =
   let s = state () in

@@ -100,16 +100,20 @@ val path_fault : time:float -> family:string -> detail:string -> unit
 
 val want_cca_state : unit -> bool
 (** True when a {!cca_state} call would record — callers use it to skip
-    building the snapshot argument on the fast path. *)
+    taking the snapshot on the fast path. *)
 
-val cca_state :
-  time:float ->
-  cca:string ->
-  cwnd:float ->
-  ssthresh:float option ->
-  pacing:float option ->
-  mode:string ->
-  unit
+(** A CCA's state as the recorder takes it (it is [Cca.snapshot]): cwnd and
+    ssthresh in bytes, pacing in bytes/s, [-1.0] for a dimension the CCA
+    does not maintain. An all-float record, stored flat: the sender keeps
+    one, the CCA refills it per ack, and recording it boxes nothing. *)
+type cca_reading = {
+  mutable snap_cwnd : float;
+  mutable snap_ssthresh : float;
+  mutable snap_pacing : float;
+}
+
+val cca_state : time:float -> cca:string -> mode:string -> cca_reading -> unit
+(** Record a snapshot of CCA [cca] in phase [mode] ([Normal] and up). *)
 
 val bif : time:float -> bytes:int -> unit
 (** ACK-clock bytes-in-flight sample ([Normal] and up). *)

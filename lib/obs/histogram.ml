@@ -31,8 +31,6 @@ let bucket_of v =
   if v <= 0.0 || not (Float.is_finite v) then underflow_bucket
   else snd (Float.frexp v) (* v = m * 2^e, m in [0.5, 1) -> bucket e *)
 
-let bucket_ub e = if e = underflow_bucket then 0.0 else Float.ldexp 1.0 e
-
 let observe h v =
   h.n <- h.n + 1;
   h.total <- h.total +. v;
@@ -77,13 +75,6 @@ let quantile h q =
       let v = Float.ldexp 1.0 (e - 1) *. Float.exp2 frac in
       Float.max h.lo (Float.min h.hi v)
     end
-  end
-
-let quantile_ub h q =
-  if h.n = 0 then Float.nan
-  else begin
-    let e, _, _ = holding_bucket h (rank_of h q) in
-    Float.min (bucket_ub e) h.hi
   end
 
 let merge_into ~dst src =

@@ -47,11 +47,6 @@ val quantile : t -> float -> float
     Worst-case relative error is a factor of 2 (one octave). [nan]
     when empty; underflow-bucket ranks report 0. *)
 
-val quantile_ub : t -> float -> float
-(** [quantile_ub h q] is a guaranteed upper bound on the [q]-th ranked
-    observation: the holding bucket's upper edge [2^e], tightened to
-    [max_value]. [nan] when empty. *)
-
 val merge_into : dst:t -> t -> unit
 (** Fold a histogram into [dst] (bucket-exact, see above). The source
     is not modified. *)

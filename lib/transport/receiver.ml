@@ -28,7 +28,6 @@ let create sim ~proto ?(ack_every = 1) ?(ack_delay = 0.0) ~out () =
   }
 
 let send_ack t =
-  let now = Netsim.Sim.now t.sim in
   (* report the end of the first missing range so the sender can repair
      whole burst losses in one round trip (SACK-style) *)
   let hole_end =
@@ -36,7 +35,7 @@ let send_ack t =
   in
   let pkt =
     Netsim.Packet.ack t.proto ~id:t.next_ack_id ~ack:t.rcv_nxt ~hole_end
-      ~received_total:t.received_total ~now ()
+      ~received_total:t.received_total
   in
   t.next_ack_id <- t.next_ack_id + 1;
   t.unacked_pkts <- 0;

@@ -39,6 +39,14 @@ val bif_samples : t -> (float * float) list
 
 val retransmissions : t -> int
 
+val expected_samples : mss:int -> total_bytes:int -> int
+(** The slots the BiF columns are presized with: about one sample per
+    transmission and one per ack, so twice the segment count plus a
+    quarter for repairs, between 1024 and 2^16 (a transfer meant to be
+    cut short by its time limit does not reserve its whole page). A
+    capture of the same transfer holds about as many packets, so
+    [Testbed] sizes its trace with it too. *)
+
 (** {2 Fault-injection controls}
 
     Used by the fault-injection harness to model misbehaving servers; both

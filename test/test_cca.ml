@@ -7,13 +7,9 @@ let mss = float_of_int params.Cca.mss
 let ack ?(now = 1.0) ?(rtt = 0.1) ?(min_rtt = 0.1) ?(acked = params.Cca.mss)
     ?(inflight = 10 * params.Cca.mss) ?(rate = 25_000.0) ?(in_recovery = false) () =
   {
-    Cca.now;
-    rtt;
-    min_rtt;
-    srtt = rtt;
+    Cca.sample = { now; rtt; min_rtt; srtt = rtt; delivery_rate = rate };
     acked;
     inflight;
-    delivery_rate = rate;
     app_limited = false;
     in_recovery;
   }
@@ -311,6 +307,53 @@ let test_max_filter_window () =
   Cca.Max_filter.update f ~now:1.6 7.0;
   Alcotest.(check (float 1e-9)) "new max dominates" 7.0 (Cca.Max_filter.get f)
 
+(* The list filter Max_filter replaced, kept as the oracle: entries are
+   newest-first; an update filters out the expired ones, drops the
+   newest ones the new value dominates and conses it; [get] folds the
+   whole list. *)
+module List_max_filter = struct
+  type f = { window : float; mutable entries : (float * float) list }
+
+  let create ~window = { window; entries = [] }
+
+  let update f ~now v =
+    let alive (t, _) = now -. t <= f.window in
+    let rec drop_dominated = function
+      | (_, v') :: rest when v' <= v -> drop_dominated rest
+      | entries -> entries
+    in
+    f.entries <- (now, v) :: drop_dominated (List.filter alive f.entries)
+
+  let get f = List.fold_left (fun acc (_, v) -> Float.max acc v) 0.0 f.entries
+end
+
+(* Random streams with non-decreasing times: gaps of 0 (equal
+   timestamps), under, exactly at and over the 1 s window; values drawn
+   from a few integers (equal values) or any float, negatives included.
+   [get] must agree with the oracle after every update. *)
+let prop_max_filter_matches_list =
+  let step =
+    QCheck.Gen.(
+      pair
+        (oneof [ oneofl [ 0.0; 0.0; 0.3; 1.0; 1.5; 4.0 ]; float_range 0.0 2.5 ])
+        (oneof [ map float_of_int (int_range (-2) 6); float_range (-5.0) 100.0 ]))
+  in
+  QCheck.Test.make ~name:"max filter equals the list filter" ~count:500
+    (QCheck.make
+       ~print:QCheck.Print.(list (pair float float))
+       QCheck.Gen.(list_size (int_range 0 200) step))
+    (fun steps ->
+      let f = Cca.Max_filter.create ~window:1.0 in
+      let oracle = List_max_filter.create ~window:1.0 in
+      let now = ref 0.0 in
+      List.for_all
+        (fun (gap, v) ->
+          now := !now +. gap;
+          Cca.Max_filter.update f ~now:!now v;
+          List_max_filter.update oracle ~now:!now v;
+          Float.equal (Cca.Max_filter.get f) (List_max_filter.get oracle))
+        steps)
+
 let suite =
   [
     Alcotest.test_case "slow start grows one MSS per acked MSS" `Quick test_slow_start_grows_per_ack;
@@ -343,4 +386,5 @@ let suite =
     Alcotest.test_case "registry rejects unknown names" `Quick test_registry_unknown;
     Alcotest.test_case "custom cubic honours its beta" `Quick test_custom_cubic_beta;
     Alcotest.test_case "max filter expires old samples" `Quick test_max_filter_window;
+    QCheck_alcotest.to_alcotest prop_max_filter_matches_list;
   ]

@@ -414,11 +414,12 @@ let prop_bif_estimate_nonnegative =
           let now = 0.01 *. float_of_int i in
           if i mod 3 = 2 then
             Netsim.Trace.record trace ~now
-              (Netsim.Packet.ack Netsim.Packet.Tcp ~id:i ~ack:(s * 250) ~now ())
+              (Netsim.Packet.ack Netsim.Packet.Tcp ~id:i ~ack:(s * 250) ~hole_end:0
+                 ~received_total:0)
           else
             Netsim.Trace.record trace ~now
               (Netsim.Packet.data Netsim.Packet.Tcp ~id:i ~seq:(s * 250) ~payload:250
-                 ~retx:false ~now))
+                 ~retx:false))
         seqs;
       Array.for_all (fun v -> v >= 0.0) (Nebby.Bif.estimate trace).values)
 

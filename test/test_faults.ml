@@ -245,7 +245,7 @@ let test_validate_malformed_trace () =
   let t = Netsim.Trace.create () in
   let data ~seq ~payload ~now =
     Netsim.Trace.record t ~now
-      (Netsim.Packet.data Netsim.Packet.Tcp ~id:0 ~seq ~payload ~retx:false ~now)
+      (Netsim.Packet.data Netsim.Packet.Tcp ~id:0 ~seq ~payload ~retx:false)
   in
   data ~seq:0 ~payload:1000 ~now:0.1;
   data ~seq:1000 ~payload:0 ~now:0.2;

@@ -206,27 +206,6 @@ let test_quantile_interpolates_within_bucket () =
       prev := est)
     [ 0.0; 0.1; 0.3; 0.5; 0.7; 0.9; 1.0 ]
 
-let test_quantile_ub_bounds () =
-  let h = Obs.Histogram.create () in
-  observe_all h [ 3.0; 5.0 ];
-  (* rank 1 sits in bucket (2,4]: ub is the bucket top; rank 2 sits in
-     (4,8] but the ub clamps to the observed max *)
-  Alcotest.(check (float 1e-9)) "q=0 bucket upper bound" 4.0
-    (Obs.Histogram.quantile_ub h 0.0);
-  Alcotest.(check (float 1e-9)) "q=1 clamps to max" 5.0 (Obs.Histogram.quantile_ub h 1.0);
-  Alcotest.(check bool) "empty ub is nan" true
-    (Float.is_nan (Obs.Histogram.quantile_ub (Obs.Histogram.create ()) 0.5));
-  (* the interpolated estimate never exceeds its own upper bound *)
-  let big = Obs.Histogram.create () in
-  observe_all big (List.init 100 (fun i -> 1.0 +. (float_of_int i *. 17.3)));
-  List.iter
-    (fun q ->
-      Alcotest.(check bool)
-        (Printf.sprintf "quantile <= quantile_ub at q=%g" q)
-        true
-        (Obs.Histogram.quantile big q <= Obs.Histogram.quantile_ub big q +. 1e-9))
-    [ 0.0; 0.5; 0.9; 0.99; 1.0 ]
-
 let suite =
   [
     Alcotest.test_case "counts, sum, extrema, empty nan" `Quick test_counts_and_extrema;
@@ -242,6 +221,4 @@ let suite =
     Alcotest.test_case "render: empty dashes, empty-list note, purity" `Quick test_render;
     Alcotest.test_case "quantiles interpolate within a bucket (tail regression)" `Quick
       test_quantile_interpolates_within_bucket;
-    Alcotest.test_case "quantile_ub bounds the interpolated estimate" `Quick
-      test_quantile_ub_bounds;
   ]

@@ -8,13 +8,9 @@ let mss = float_of_int params.Cca.mss
 let ack ?(now = 1.0) ?(rtt = 0.1) ?(min_rtt = 0.1) ?(acked = params.Cca.mss)
     ?(inflight = 10 * params.Cca.mss) ?(rate = 25_000.0) () =
   {
-    Cca.now;
-    rtt;
-    min_rtt;
-    srtt = rtt;
+    Cca.sample = { now; rtt; min_rtt; srtt = rtt; delivery_rate = rate };
     acked;
     inflight;
-    delivery_rate = rate;
     app_limited = false;
     in_recovery = false;
   }
@@ -29,15 +25,15 @@ let test_units_roundtrip () =
   Alcotest.(check int) "kib" 2048 (Netsim.Units.kib 2)
 
 let test_packet_sizes () =
-  let data = Netsim.Packet.data Netsim.Packet.Tcp ~id:0 ~seq:0 ~payload:250 ~retx:false ~now:0.0 in
+  let data = Netsim.Packet.data Netsim.Packet.Tcp ~id:0 ~seq:0 ~payload:250 ~retx:false in
   Alcotest.(check int) "tcp data wire size" 290 data.size;
-  let ack = Netsim.Packet.ack Netsim.Packet.Quic ~id:0 ~ack:100 ~now:0.0 () in
+  let ack = Netsim.Packet.ack Netsim.Packet.Quic ~id:0 ~ack:100 ~hole_end:0 ~received_total:0 in
   Alcotest.(check int) "quic ack wire size" 30 ack.size;
   Alcotest.(check bool) "ack flagged" true ack.is_ack;
   Alcotest.(check bool) "data not flagged" false data.is_ack
 
 let test_packet_pp () =
-  let data = Netsim.Packet.data Netsim.Packet.Tcp ~id:0 ~seq:500 ~payload:250 ~retx:true ~now:0.0 in
+  let data = Netsim.Packet.data Netsim.Packet.Tcp ~id:0 ~seq:500 ~payload:250 ~retx:true in
   let s = Format.asprintf "%a" Netsim.Packet.pp data in
   Alcotest.(check bool) "mentions seq" true
     (String.length s > 0 && Option.is_some (String.index_opt s '5'))
@@ -228,7 +224,7 @@ let test_link_counters () =
   in
   for i = 0 to 4 do
     Netsim.Link.send link
-      (Netsim.Packet.data Netsim.Packet.Tcp ~id:i ~seq:(i * 100) ~payload:100 ~retx:false ~now:0.0)
+      (Netsim.Packet.data Netsim.Packet.Tcp ~id:i ~seq:(i * 100) ~payload:100 ~retx:false)
   done;
   Netsim.Sim.run sim;
   Alcotest.(check int) "all delivered" 5 (Netsim.Link.delivered link);

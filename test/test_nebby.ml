@@ -70,12 +70,11 @@ let test_retransmission_correction () =
   let mss = 250 in
   for i = 0 to 9 do
     Netsim.Trace.record trace ~now:(0.01 *. float_of_int i)
-      (Netsim.Packet.data Netsim.Packet.Tcp ~id:i ~seq:(i * mss) ~payload:mss ~retx:false
-         ~now:(0.01 *. float_of_int i))
+      (Netsim.Packet.data Netsim.Packet.Tcp ~id:i ~seq:(i * mss) ~payload:mss ~retx:false)
   done;
   (* retransmission of segment 3 observed at t=0.2 *)
   Netsim.Trace.record trace ~now:0.2
-    (Netsim.Packet.data Netsim.Packet.Tcp ~id:99 ~seq:(3 * mss) ~payload:mss ~retx:true ~now:0.2);
+    (Netsim.Packet.data Netsim.Packet.Tcp ~id:99 ~seq:(3 * mss) ~payload:mss ~retx:true);
   let values = (Nebby.Bif.estimate trace).values in
   if Array.length values = 0 then Alcotest.fail "no estimate";
   Alcotest.(check (float 1.0)) "retx credited" (float_of_int (9 * mss))

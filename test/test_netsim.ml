@@ -120,8 +120,8 @@ let test_sim_cascading () =
 
 (* ---- Link ---- *)
 
-let mk_data ?(size = 1000) seq now =
-  Netsim.Packet.data Netsim.Packet.Tcp ~id:0 ~seq ~payload:(size - 40) ~retx:false ~now
+let mk_data ?(size = 1000) seq =
+  Netsim.Packet.data Netsim.Packet.Tcp ~id:0 ~seq ~payload:(size - 40) ~retx:false
 
 let test_link_serialization () =
   let sim = Netsim.Sim.create () in
@@ -132,8 +132,8 @@ let test_link_serialization () =
       ()
   in
   (* two back-to-back 1000 B packets at 10 kB/s: 0.1 s each *)
-  Netsim.Link.send link (mk_data 0 0.0);
-  Netsim.Link.send link (mk_data 1000 0.0);
+  Netsim.Link.send link (mk_data 0);
+  Netsim.Link.send link (mk_data 1000);
   Netsim.Sim.run sim;
   match List.rev !deliveries with
   | [ (t1, _); (t2, _) ] ->
@@ -149,7 +149,7 @@ let test_link_extra_delay () =
       ~sink:(fun _ -> at := Netsim.Sim.now sim)
       ()
   in
-  Netsim.Link.send link (mk_data 0 0.0);
+  Netsim.Link.send link (mk_data 0);
   Netsim.Sim.run sim;
   check_float "serialization + delay" 0.6 !at
 
@@ -161,7 +161,7 @@ let test_link_droptail () =
   in
   (* 1 in service + 2 queued fit; the rest overflow the 2.5 kB buffer *)
   for i = 0 to 9 do
-    Netsim.Link.send link (mk_data (i * 1000) 0.0)
+    Netsim.Link.send link (mk_data (i * 1000))
   done;
   Netsim.Sim.run sim;
   Alcotest.(check int) "drops" 7 (Netsim.Link.drops link);
@@ -179,7 +179,7 @@ let test_path_preserves_order () =
   in
   for i = 0 to 199 do
     Netsim.Sim.at sim (float_of_int i *. 0.001) (fun () ->
-        Netsim.Path.send path (mk_data i (float_of_int i *. 0.001)))
+        Netsim.Path.send path (mk_data i))
   done;
   Netsim.Sim.run sim;
   let received = List.rev !seen in
@@ -192,7 +192,7 @@ let test_path_quiet_no_loss () =
   let n = ref 0 in
   let path = Netsim.Path.create sim rng ~delay:0.01 ~noise:Netsim.Path.quiet ~sink:(fun _ -> incr n) in
   for i = 0 to 99 do
-    Netsim.Path.send path (mk_data i 0.0)
+    Netsim.Path.send path (mk_data i)
   done;
   Netsim.Sim.run sim;
   Alcotest.(check int) "all delivered" 100 !n
@@ -204,7 +204,7 @@ let test_path_drops_under_loss () =
   let noise = { Netsim.Path.quiet with drop_prob = 0.5 } in
   let path = Netsim.Path.create sim rng ~delay:0.01 ~noise ~sink:(fun _ -> incr n) in
   for i = 0 to 999 do
-    Netsim.Path.send path (mk_data i 0.0)
+    Netsim.Path.send path (mk_data i)
   done;
   Netsim.Sim.run sim;
   Alcotest.(check bool) "roughly half dropped" true (!n > 350 && !n < 650);
@@ -325,7 +325,7 @@ let prop_reserved_keys_match_eager =
 
 let test_trace_quic_opaque () =
   let trace = Netsim.Trace.create () in
-  let pkt = Netsim.Packet.data Netsim.Packet.Quic ~id:0 ~seq:100 ~payload:200 ~retx:false ~now:1.0 in
+  let pkt = Netsim.Packet.data Netsim.Packet.Quic ~id:0 ~seq:100 ~payload:200 ~retx:false in
   Netsim.Trace.record trace ~now:1.0 pkt;
   match Netsim.Trace.observations trace with
   | [ obs ] ->
@@ -336,7 +336,7 @@ let test_trace_quic_opaque () =
 
 let test_trace_tcp_visible () =
   let trace = Netsim.Trace.create () in
-  let pkt = Netsim.Packet.data Netsim.Packet.Tcp ~id:0 ~seq:100 ~payload:200 ~retx:false ~now:1.0 in
+  let pkt = Netsim.Packet.data Netsim.Packet.Tcp ~id:0 ~seq:100 ~payload:200 ~retx:false in
   Netsim.Trace.record trace ~now:1.0 pkt;
   match Netsim.Trace.observations trace with
   | [ { view = Netsim.Trace.Tcp_view { seq; payload; _ }; _ } ] ->

@@ -57,12 +57,12 @@ one_err_line() {
   fi
 }
 
-# frac_at_most KEY LIMIT: the overhead ledger records KEY, at most LIMIT.
-frac_at_most() {
-  v=$(sed -n "s/.*\"$1\": \\([-0-9.eE+]*\\).*/\\1/p" "$work/overhead.json")
-  [ -n "$v" ] || fail "the overhead ledger is missing $1"
-  awk -v o="$v" -v l="$2" 'BEGIN { exit !(o <= l) }' || fail "$1 ${v} exceeds the ceiling $2"
-  echo "($1: ${v})"
+# at_most FILE KEY LIMIT: the bench JSON FILE records KEY, at most LIMIT.
+at_most() {
+  v=$(sed -n "s/.*\"$2\": \\([-0-9.eE+]*\\).*/\\1/p" "$1")
+  [ -n "$v" ] || fail "$1 is missing $2"
+  awk -v o="$v" -v l="$3" 'BEGIN { exit !(o <= l) }' || fail "$2 ${v} exceeds the ceiling $3"
+  echo "($2: ${v})"
 }
 
 echo "== dune build @all (warnings are errors) =="
@@ -265,6 +265,18 @@ for spec in "nebby_journal|serve --compact-only --store" "nebby_journal|drift" \
     fail "$cmd on a version-99 $kind file did not report a schema version mismatch"
 done
 
+echo "== simulator gate (allocation per captured packet, every packet unchanged) =="
+# bench/main.ml's simulate experiment: a serial Testbed.run loop over
+# every CCA, both profiles and three seeds. Minor words repeat exactly
+# from run to run, unlike CPU time on a shared host, so added allocation
+# on the per-packet path fails the ceiling. The digest covers every
+# trace column, BiF sample and result field of the 102 runs.
+run_ok "bench simulate" dune exec bench/main.exe -- simulate --json "$work/simulate.json" \
+  >"$work/simulate.txt"
+at_most "$work/simulate.json" simulate_words_per_pkt 46
+grep -q '^digest *215b71ff8d6a05460e9355179be1eec5$' "$work/simulate.txt" ||
+  fail "simulated packets changed: $(grep '^digest' "$work/simulate.txt")"
+
 echo "== overhead experiment (paired CPU-time cost of each instrument) =="
 # The overhead ledger feeds the campaign's wall-clock gates and the two
 # ceilings below: the median of paired off/on serial runs per instrument
@@ -300,8 +312,8 @@ grep -e throughput-floor -e -overhead "$work/camp1/out.txt"
 # recorded with every pool task traced may not cost more than 5% CPU time
 # over the unrecorded one. The per-epoch alert engine rides the serve hot
 # path, so it gates on the same 5% budget.
-frac_at_most census_trace_overhead_frac 0.05
-frac_at_most serve_alert_overhead_frac 0.05
+at_most "$work/overhead.json" census_trace_overhead_frac 0.05
+at_most "$work/overhead.json" serve_alert_overhead_frac 0.05
 
 echo "== serve kill-and-resume gate (SIGKILL mid-census, resume, byte-identical) =="
 # The headline recovery invariant: a census SIGKILLed at a seeded commit
