@@ -341,8 +341,9 @@ let table5 () =
     (fun i entry ->
       let site = Internet.Heavy_hitters.website_of_entry ~rank:(i + 1) entry in
       let label =
-        Internet.Census.measure_site ~control ~proto:Netsim.Packet.Tcp
-          ~region:Internet.Region.Ohio site
+        (Internet.Census.explain_site ~control ~proto:Netsim.Packet.Tcp
+           ~region:Internet.Region.Ohio site)
+          .Nebby.Measurement.label
       in
       pf "%-16s %7.2f%% %-10s %-12s %s\n%!" entry.Internet.Heavy_hitters.site
         entry.traffic_share entry.cca label
@@ -366,7 +367,8 @@ let fig8 () =
     (fun region ->
       let truth = Internet.Website.cca_in amazon region in
       let label =
-        Internet.Census.measure_site ~control ~proto:Netsim.Packet.Tcp ~region amazon
+        (Internet.Census.explain_site ~control ~proto:Netsim.Packet.Tcp ~region amazon)
+          .Nebby.Measurement.label
       in
       let sl =
         trace_sparkline ~profile:Nebby.Profile.delay_50ms
@@ -864,18 +866,8 @@ let overhead () =
   let labels i =
     ignore (Internet.Census.labels ~jobs:1 ~control ~proto ~region [ websites.(site i) ])
   in
-  let explained i =
-    ignore (Internet.Census.explained ~jobs:1 ~control ~proto ~region [ websites.(site i) ])
-  in
-  (* one warm-up of each side, which must also agree on every label *)
-  let all = Array.to_list websites in
-  if
-    List.map (fun (s, l) -> (s.Internet.Website.name, l))
-      (Internet.Census.labels ~jobs:1 ~control ~proto ~region all)
-    <> List.map
-         (fun (s, r) -> (s.Internet.Website.name, r.Nebby.Measurement.label))
-         (Internet.Census.explained ~jobs:1 ~control ~proto ~region all)
-  then failwith "overhead: explained census diverged from the label-only census";
+  (* one warm-up census *)
+  ignore (Internet.Census.labels ~jobs:1 ~control ~proto ~region (Array.to_list websites));
   let measure name ~off ~on =
     let r = paired ~pairs:overhead_pairs ~off ~on in
     pf "  %-16s off %6.2f s -> on %6.2f s  (median overhead %+.1f%%)\n" name r.off_s r.on_s
@@ -900,7 +892,6 @@ let overhead () =
     measure "pool tracing" ~off:labels ~on:(fun i ->
         ignore (Obs.Span.record (fun () -> labels i)))
   in
-  let provenance = measure "provenance" ~off:labels ~on:explained in
   (* the alert engine rides serve's epoch loop: a one-site, two-epoch
      serve per pair; drift-ledger folding runs in both arms (it is
      unconditional), so this isolates what the default rule set adds *)
@@ -932,7 +923,6 @@ let overhead () =
         [
           ("census_flight_overhead_frac", flight.frac);
           ("census_trace_overhead_frac", trace.frac);
-          ("census_provenance_overhead_frac", provenance.frac);
           ("serve_alert_overhead_frac", alerts.frac);
           ("census_sites_per_s", sites_per_s);
         ])

@@ -311,7 +311,8 @@ let reports_of_file ~control target =
   | json when Obs.Json.member "traces" json <> None ->
     let cca, entries = fixture_entries json in
     let control = Lazy.force control in
-    [ snd (Nebby.Measurement.explain_prepared ~control ~subject:cca entries) ]
+    let _, _, report = Nebby.Measurement.explain_prepared ~control ~subject:cca entries in
+    [ report ]
   | json -> [ Obs.Provenance.of_json json ]
   | exception Obs.Json.Parse_error _ ->
     (* not one JSON document: a multi-record provenance JSONL *)
@@ -444,32 +445,25 @@ let census_cmd =
       let code =
         with_profiling profiling @@ fun () ->
         traced @@ fun () ->
-        match provenance with
-        | None ->
-          print_tally (Internet.Census.run ~jobs ~control ~proto ~region websites);
-          exit_ok
-        | Some path ->
-          (* The explained census carries full verdict reports; its labels
-             are bit-identical to the plain path. *)
-          let explained =
-            Internet.Census.explained ~jobs ~control ~proto ~region websites
-          in
-          print_tally
-            (Internet.Census.tally_of_labels
-               (List.map
-                  (fun (site, r) -> (site, r.Nebby.Measurement.label))
-                  explained));
-          write_provenance_jsonl path (Internet.Census.provenance_reports explained);
-          print_newline ();
-          print_string
-            (Obs.Provenance.render_dists ~header:"confidence"
-               (Internet.Census.confidence_dists explained));
-          print_newline ();
-          print_string
-            (Obs.Provenance.render_dists ~header:"margin"
-               (Internet.Census.margin_dists explained));
-          Printf.printf "\nprovenance : %s\n" path;
-          exit_ok
+        let explained = Internet.Census.explained ~jobs ~control ~proto ~region websites in
+        print_tally
+          (Internet.Census.tally_of_labels
+             (List.map (fun (site, r) -> (site, r.Nebby.Measurement.label)) explained));
+        Option.iter
+          (fun path ->
+            let reports = Internet.Census.provenance_reports explained in
+            write_provenance_jsonl path reports;
+            print_newline ();
+            print_string
+              (Obs.Provenance.render_dists ~header:"confidence"
+                 (Obs.Provenance.confidence_dists reports));
+            print_newline ();
+            print_string
+              (Obs.Provenance.render_dists ~header:"margin"
+                 (Obs.Provenance.margin_dists reports));
+            Printf.printf "\nprovenance : %s\n" path)
+          provenance;
+        exit_ok
       in
       Option.iter (Printf.printf "telemetry  : %s\n") telemetry;
       code)
@@ -855,7 +849,7 @@ let report_cmd =
     let doc =
       "Attach verdict provenance from this JSONL (as written by --provenance) when the \
        target is a flight dump; the report picks the record whose subject matches the \
-       dump's."
+       dump's, and attaches none (with a note on stderr) when no record does."
     in
     Arg.(value & opt (some string) None & info [ "provenance" ] ~docv:"FILE" ~doc)
   in
@@ -931,23 +925,19 @@ let report_cmd =
         match Obs.Flight.dump_of_string text with
         | dump ->
           let provenance =
-            Option.map
-              (fun path ->
-                let reports = Obs.Provenance.read_jsonl path in
-                match
+            Option.bind provenance_from (fun path ->
+                let matching =
                   List.find_opt
                     (fun (r : Obs.Provenance.report) ->
                       r.Obs.Provenance.subject = dump.Obs.Flight.subject)
-                    reports
-                with
-                | Some r -> Some r
-                | None ->
+                    (Obs.Provenance.read_jsonl path)
+                in
+                if matching = None then
                   note "nebby report: no provenance record matches subject %s\n"
                     dump.Obs.Flight.subject;
-                  (match reports with r :: _ -> Some r | [] -> None))
-              provenance_from
+                matching)
           in
-          emit ~dump ~provenance:(Option.join provenance)
+          emit ~dump ~provenance
         | exception Obs.Json.Parse_error _ ->
           (* not a flight dump: try a golden fixture replay *)
           let fixture = Obs.Json.of_string text in
@@ -960,9 +950,11 @@ let report_cmd =
             let cca, entries = fixture_entries fixture in
             let provenance =
               with_prof (fun () ->
-                  snd
-                    (Nebby.Measurement.explain_prepared ~control:(Lazy.force control)
-                       ~subject:cca entries))
+                  let _, _, report =
+                    Nebby.Measurement.explain_prepared ~control:(Lazy.force control)
+                      ~subject:cca entries
+                  in
+                  report)
             in
             emit ~dump:(dump_of_entries ~subject:cca entries)
               ~provenance:(Some provenance)
@@ -1038,8 +1030,8 @@ let campaign_cmd =
   let bench_json_arg =
     let doc =
       "Overhead ledger (the JSON of $(b,bench/main.exe overhead --json)) feeding the \
-       wall-clock gates — census throughput floor and flight/provenance overhead \
-       ceilings. Read before any seed runs, so a missing or malformed file exits 2 at \
+       wall-clock gates — census throughput floor and flight-recorder overhead \
+       ceiling. Read before any seed runs, so a missing or malformed file exits 2 at \
        once. Without it those gates are skipped, keeping the campaign outputs free of \
        this host's wall clock."
     in

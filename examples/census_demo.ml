@@ -26,7 +26,8 @@ let () =
   List.iter
     (fun region ->
       let label =
-        Internet.Census.measure_site ~control ~proto:Netsim.Packet.Tcp ~region amazon
+        (Internet.Census.explain_site ~control ~proto:Netsim.Packet.Tcp ~region amazon)
+          .Nebby.Measurement.label
       in
       Printf.printf "amazon.com from %-10s -> %s\n" (Internet.Region.name region) label)
     [ Internet.Region.Ohio; Internet.Region.Mumbai ]

@@ -29,34 +29,39 @@ let combine verdicts =
     | _ -> Unknown)
 
 (* Shared engine behind [classify_measurement] and [explain_measurement]:
-   runs the loss classifier plus every plugin, counting votes, and
-   keeps (plugin, profile) attribution for provenance. *)
+   runs the loss classifier jointly and every plugin on each profile,
+   counting votes. Each profile keeps its votes, in plugin order, with
+   the plugin's name for provenance. *)
 let run_classifiers ~plugins ~proto ~control prepared =
   let plugins = if plugins = [] then extended_plugins control else plugins in
   let loss = Loss_classifier.classify_joint ~proto control prepared in
   if loss <> None then Obs.Metrics.bump "classifier.votes";
-  let named =
-    List.concat_map
+  let votes =
+    List.map
       (fun (profile, p) ->
-        List.filter_map
-          (fun plugin ->
-            match plugin.Plugin.classify p with
-            | Some v ->
-              Obs.Metrics.bump "classifier.votes";
-              Some (plugin.Plugin.name, profile, v)
-            | None -> None)
-          plugins)
+        ( profile,
+          p,
+          List.filter_map
+            (fun plugin ->
+              match plugin.Plugin.classify p with
+              | Some v ->
+                Obs.Metrics.bump "classifier.votes";
+                Some (plugin.Plugin.name, v)
+              | None -> None)
+            plugins ))
       prepared
   in
-  (plugins, loss, named)
+  let verdicts =
+    Option.to_list loss @ List.concat_map (fun (_, _, vs) -> List.map snd vs) votes
+  in
+  (plugins, loss, votes, verdicts)
 
 let outcome_label = function Known l -> l | Unknown -> "unknown"
 
 let classify_measurement ?(plugins = []) ?(proto = Netsim.Packet.Tcp) ~control
     (prepared : (string * Pipeline.t) list) =
   Obs.Span.with_ ~name:"classify" @@ fun () ->
-  let _, loss, named = run_classifiers ~plugins ~proto ~control prepared in
-  let verdicts = Option.to_list loss @ List.map (fun (_, _, v) -> v) named in
+  let _, _, _, verdicts = run_classifiers ~plugins ~proto ~control prepared in
   (combine verdicts, verdicts)
 
 type explanation = {
@@ -64,15 +69,15 @@ type explanation = {
   margin : float;
   confidence : float;
   signals : (string * (string * float) list) list;
+  per_profile : (string * string) list;
 }
 
 let explain_measurement ?(plugins = []) ?(proto = Netsim.Packet.Tcp) ~control
     (prepared : (string * Pipeline.t) list) =
   Obs.Span.with_ ~name:"classify" @@ fun () ->
-  let plugins_used, loss, named =
+  let plugins_used, loss, votes, verdicts =
     run_classifiers ~plugins ~proto ~control prepared
   in
-  let verdicts = Option.to_list loss @ List.map (fun (_, _, v) -> v) named in
   let outcome = combine verdicts in
   let label = outcome_label outcome in
   let scores = Loss_classifier.joint_scores ~proto control prepared in
@@ -91,15 +96,18 @@ let explain_measurement ?(plugins = []) ?(proto = Netsim.Packet.Tcp) ~control
       scores
   in
   let plugin_candidates =
-    List.map
-      (fun (name, profile, (v : Plugin.verdict)) ->
-        {
-          Obs.Provenance.source = name ^ ":" ^ profile;
-          label = v.Plugin.label;
-          score = v.Plugin.confidence;
-          confidence = v.Plugin.confidence;
-        })
-      named
+    List.concat_map
+      (fun (profile, _, vs) ->
+        List.map
+          (fun (name, (v : Plugin.verdict)) ->
+            {
+              Obs.Provenance.source = name ^ ":" ^ profile;
+              label = v.Plugin.label;
+              score = v.Plugin.confidence;
+              confidence = v.Plugin.confidence;
+            })
+          vs)
+      votes
   in
   let sorted_confidences =
     List.sort
@@ -136,7 +144,25 @@ let explain_measurement ?(plugins = []) ?(proto = Netsim.Packet.Tcp) ~control
           plugins_used)
       prepared
   in
+  (* Each profile's own verdict: its trace's loss verdict with the
+     plugin votes it already cast above, which is what
+     [classify_measurement [ (profile, p) ]] computes, without running
+     the plugins a second time. *)
+  let per_profile =
+    List.map
+      (fun (profile, p, vs) ->
+        let loss = Loss_classifier.classify_joint ~proto control [ (profile, p) ] in
+        if loss <> None then Obs.Metrics.bump "classifier.votes";
+        (profile, outcome_label (combine (Option.to_list loss @ List.map snd vs))))
+      votes
+  in
   let explanation =
-    { candidates = loss_candidates @ plugin_candidates; margin; confidence; signals }
+    {
+      candidates = loss_candidates @ plugin_candidates;
+      margin;
+      confidence;
+      signals;
+      per_profile;
+    }
   in
   (outcome, verdicts, explanation)

@@ -36,6 +36,12 @@ type explanation = {
   signals : (string * (string * float) list) list;
       (** per-plugin {!Plugin.t.explain} signals, keyed
           ["plugin:profile"] *)
+  per_profile : (string * string) list;
+      (** (profile name, label) of each profile on its own: the loss
+          verdict of that profile's trace combined with the plugin votes
+          it cast in this pass — the label
+          [classify_measurement [ (name, p) ]] gives, without running the
+          plugins again *)
 }
 
 val explain_measurement :
@@ -44,9 +50,11 @@ val explain_measurement :
   control:Training.control ->
   (string * Pipeline.t) list ->
   outcome * Plugin.verdict list * explanation
-(** {!classify_measurement} plus the decision provenance behind it.
-    Classification behaviour is identical — same outcome, same verdicts,
-    same counted votes. *)
+(** {!classify_measurement} plus the decision provenance behind it and
+    the per-profile labels. The outcome and verdicts are identical to
+    {!classify_measurement}'s. [classifier.votes] counts every verdict
+    the pass computes once: the joint loss verdict, each plugin vote and
+    each per-profile loss verdict. *)
 
 val combine : Plugin.verdict list -> outcome
 

@@ -103,7 +103,7 @@ let explain_prepared ?plugins ?proto ~control ~subject entries =
       ~margin:expl.Classifier.margin ~features ~stages
       ~candidates:expl.Classifier.candidates
   in
-  (outcome, report)
+  (outcome, expl.Classifier.per_profile, report)
 
 (* The capture is truncated when it covers much less of the flow than the
    sender actually transmitted (the sender's own BiF log is the ground
@@ -127,7 +127,7 @@ let diagnose runs ~segments =
 
 let measure ?plugins ?profiles ?transform ?smoothen ?(noise = Netsim.Path.mild)
     ?(proto = Netsim.Packet.Tcp) ?(page_bytes = Profile.default_page_bytes) ?(seed = 99)
-    ?(config = default_config) ?faults ?(provenance = true) ?(subject = "measurement")
+    ?(config = default_config) ?faults ?(subject = "measurement")
     ~control ~make_cca () =
   let profiles = match profiles with Some p -> p | None -> control.Training.profiles in
   (* jitter draws come from a named substream of the measurement seed, so
@@ -137,14 +137,11 @@ let measure ?plugins ?profiles ?transform ?smoothen ?(noise = Netsim.Path.mild)
      a typed failure (hence also every retry) or a verdict under the
      confidence/margin thresholds — snapshots the ring's trailing window.
      First trigger wins: the dump captures the dynamics that first went
-     wrong, not whatever the last attempt happened to look like. Gated on
-     [provenance] like the verdict report: the label-only census discards
-     everything but the label, and materializing a ring snapshot per
-     low-confidence site would dominate that hot path. *)
+     wrong, not whatever the last attempt happened to look like. *)
   let flight_since = Obs.Flight.mark () in
   let flight_dump = ref None in
   let trigger_flight ~attempt ~trigger =
-    if provenance && !flight_dump = None then
+    if !flight_dump = None then
       flight_dump :=
         Some
           (Obs.Flight.capture ~subject ~trigger ~attempt ~since:flight_since
@@ -174,33 +171,18 @@ let measure ?plugins ?profiles ?transform ?smoothen ?(noise = Netsim.Path.mild)
               (p.Profile.name, bif, Pipeline.prepare ?smoothen ~rtt bif))
             runs
         in
-        let prepared = List.map (fun (name, _, prep) -> (name, prep)) full in
         Obs.Flight.stage ~time:0.0 ~name:"classify";
-        let outcome, prov =
-          if provenance then begin
-            let o, rep = explain_prepared ?plugins ~proto ~control ~subject full in
-            (o, Some rep)
-          end
-          else
-            (fst (Classifier.classify_measurement ?plugins ~proto ~control prepared), None)
-        in
-        let per_profile =
-          List.map
-            (fun (name, prep) ->
-              let o, _ =
-                Classifier.classify_measurement ?plugins ~proto ~control [ (name, prep) ]
-              in
-              (name, Classifier.outcome_label o))
-            prepared
+        let outcome, per_profile, prov =
+          explain_prepared ?plugins ~proto ~control ~subject full
         in
         let segments =
-          List.fold_left (fun acc (_, prep) -> acc + Pipeline.segment_count prep) 0 prepared
+          List.fold_left (fun acc (_, _, prep) -> acc + Pipeline.segment_count prep) 0 full
         in
         (outcome, per_profile, segments, prov)
       with
       | Classifier.Known label, per_profile, _, prov -> `Classified (label, per_profile, prov)
       | Classifier.Unknown, per_profile, segments, prov ->
-        `Failed (diagnose runs ~segments, per_profile, prov)
+        `Failed (diagnose runs ~segments, per_profile, Some prov)
       | exception _ ->
         (* a malformed trace broke the pipeline: diagnose rather than raise *)
         let reason =
@@ -213,19 +195,17 @@ let measure ?plugins ?profiles ?transform ?smoothen ?(noise = Netsim.Path.mild)
   let rec go n failures backoff_total =
     match attempt n with
     | `Classified (label, per_profile, prov) ->
-      (match prov with
-      | Some p
-        when p.Obs.Provenance.confidence < config.flight_confidence
-             || p.Obs.Provenance.margin < config.flight_margin ->
-        trigger_flight ~attempt:n ~trigger:"low_confidence"
-      | Some _ | None -> ());
+      if
+        prov.Obs.Provenance.confidence < config.flight_confidence
+        || prov.Obs.Provenance.margin < config.flight_margin
+      then trigger_flight ~attempt:n ~trigger:"low_confidence";
       {
         label;
         attempts = n;
         per_profile;
         failures = List.rev failures;
         backoff_total;
-        provenance = prov;
+        provenance = Some prov;
         flight = !flight_dump;
       }
     | `Failed (reason, per_profile, prov) ->
@@ -257,6 +237,6 @@ let measure ?plugins ?profiles ?transform ?smoothen ?(noise = Netsim.Path.mild)
   Obs.Metrics.bump "measurement.done";
   report
 
-let measure_cca ?plugins ?noise ?proto ?seed ?config ?faults ?provenance ~control name =
-  measure ?plugins ?noise ?proto ?seed ?config ?faults ?provenance ~subject:name
+let measure_cca ?plugins ?noise ?proto ?seed ?config ?faults ~control name =
+  measure ?plugins ?noise ?proto ?seed ?config ?faults ~subject:name
     ~control ~make_cca:(Cca.Registry.create name) ()

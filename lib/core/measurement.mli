@@ -61,16 +61,14 @@ type report = {
   backoff_total : float;  (** total backoff delay accrued, seconds *)
   provenance : Obs.Provenance.report option;
       (** the decision provenance of the verdict (built on the attempt
-          that classified, or the last failed attempt); [None] when
-          collection was disabled or the pipeline broke before
-          classifying *)
+          that classified, or the last failed attempt); [None] only when
+          the last attempt never classified: the server reset the flow,
+          or the pipeline broke on a malformed trace *)
   flight : Obs.Flight.dump option;
       (** packet-level flight-recorder dump captured at the first anomaly
           trigger of this measurement — any typed failure (hence every
           retried attempt), or a verdict under the configured
-          confidence/margin thresholds; [None] when nothing triggered or
-          when [provenance] collection was disabled (the label-only hot
-          path skips dump capture along with verdict reports).
+          confidence/margin thresholds; [None] when nothing triggered.
           Cross-linked to [provenance] by the shared subject id. *)
 }
 
@@ -95,12 +93,14 @@ val explain_prepared :
   control:Training.control ->
   subject:string ->
   (string * Bif.series * Pipeline.t) list ->
-  Classifier.outcome * Obs.Provenance.report
-(** Classify (profile name, BiF estimate, prepared trace) triples and
-    build the full verdict report: BiF/pipeline/trace-signature stage
-    summaries, per-profile feature vectors, every candidate score, margin
-    and confidence. This is the provenance builder behind {!measure} and
-    the CLI's [explain] on replayed fixtures. *)
+  Classifier.outcome * (string * string) list * Obs.Provenance.report
+(** Classify (profile name, BiF estimate, prepared trace) triples in one
+    pass ({!Classifier.explain_measurement}) and return the outcome, the
+    (profile name, label) of each profile on its own, and the full
+    verdict report: BiF/pipeline/trace-signature stage summaries,
+    per-profile feature vectors, every candidate score, margin and
+    confidence. Every attempt of {!measure} classifies through it, and
+    the CLI's [explain] uses it on replayed fixtures. *)
 
 val measure :
   ?plugins:Plugin.t list ->
@@ -113,7 +113,6 @@ val measure :
   ?seed:int ->
   ?config:config ->
   ?faults:Faults.plan ->
-  ?provenance:bool ->
   ?subject:string ->
   control:Training.control ->
   make_cca:(Cca.params -> Cca.t) ->
@@ -126,10 +125,9 @@ val measure :
     [measurement.attempt_failures], [measurement.retries],
     [measurement.done]).
 
-    [provenance] (default [true]) builds the verdict report carried in
-    [report.provenance]; [subject] names the measured target in that
-    report. Disabling skips the extra scoring work on hot paths that
-    only need the label. *)
+    Every attempt that classifies builds the verdict report carried in
+    [report.provenance], and every anomaly trigger captures a flight
+    dump; [subject] names the measured target in both. *)
 
 val measure_cca :
   ?plugins:Plugin.t list ->
@@ -138,7 +136,6 @@ val measure_cca :
   ?seed:int ->
   ?config:config ->
   ?faults:Faults.plan ->
-  ?provenance:bool ->
   control:Training.control ->
   string ->
   report

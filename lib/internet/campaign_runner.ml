@@ -178,8 +178,6 @@ let bench_gates =
     g "throughput-floor" "census_sites_per_s" Obs.Campaign.Mean Obs.Campaign.Floor 1.0;
     g "flight-overhead" "census_flight_overhead_frac" Obs.Campaign.Mean
       Obs.Campaign.Ceiling 0.05;
-    g "provenance-overhead" "census_provenance_overhead_frac" Obs.Campaign.Mean
-      Obs.Campaign.Ceiling 0.5;
   ]
 
 let default_gates = function

@@ -58,6 +58,6 @@ val default_gates : experiment -> Obs.Campaign.gate list
     accuracy floor, per-family accuracy floors (accuracy experiment), a
     CI-width ceiling on the overall accuracy, and — evaluated only when
     a bench ledger is supplied via extras — a census throughput floor
-    ([census_sites_per_s]) and the flight/provenance overhead ceilings
-    ([census_flight_overhead_frac], [census_provenance_overhead_frac])
-    that subsume the old ad-hoc check.sh gates. *)
+    ([census_sites_per_s]) and the flight-recorder overhead ceiling
+    ([census_flight_overhead_frac]) that subsume the old ad-hoc check.sh
+    gates. *)

@@ -19,7 +19,7 @@ let cache_key ~control ~proto ~region (site : Website.t) =
     (proto_tag proto)
     (Nebby.Training.fingerprint control)
 
-let site_report ?epoch ~provenance ~control ~proto ~region (site : Website.t) =
+let explain_site ?epoch ~control ~proto ~region (site : Website.t) =
   match proto with
   | Netsim.Packet.Quic when not site.Website.quic ->
     {
@@ -39,7 +39,7 @@ let site_report ?epoch ~provenance ~control ~proto ~region (site : Website.t) =
     in
     let noise = Netsim.Path.scale (Region.noise region) site.Website.noise_factor in
     let report =
-      Nebby.Measurement.measure ~provenance ~subject:site.Website.name ~control ~noise
+      Nebby.Measurement.measure ~subject:site.Website.name ~control ~noise
         ~proto ~page_bytes:site.Website.page_bytes
         ~seed:(site_seed ?epoch site region proto)
         ~make_cca:(Cca.Registry.create cca_name) ()
@@ -59,43 +59,29 @@ let site_report ?epoch ~provenance ~control ~proto ~region (site : Website.t) =
     end
     else report
 
-(* The label-only path skips provenance: a census that just tallies has no
-   use for the verdict reports, and the skip keeps the hot path lean. *)
-let measure_site ~control ~proto ~region site =
-  (site_report ~provenance:false ~control ~proto ~region site).Nebby.Measurement.label
+(* [f] over the first [sites] websites on the pool, in canonical order *)
+let per_site ?sites ?jobs f websites =
+  let selected =
+    match sites with
+    | None -> websites
+    | Some n -> List.filteri (fun i _ -> i < n) websites
+  in
+  Array.to_list (Engine.Pool.map ?jobs (fun site -> (site, f site)) (Array.of_list selected))
 
-let explain_site ?epoch ~control ~proto ~region site =
-  site_report ?epoch ~provenance:true ~control ~proto ~region site
-
-let select sites websites =
-  match sites with
-  | None -> websites
-  | Some n -> List.filteri (fun i _ -> i < n) websites
-
+(* The label is taken inside the pool task, so no report outlives the
+   task that built it. *)
 let labels ?sites ?jobs ~control ~proto ~region websites =
-  let selected = Array.of_list (select sites websites) in
-  Array.to_list
-    (Engine.Pool.map ?jobs
-       (fun site -> (site, measure_site ~control ~proto ~region site))
-       selected)
+  per_site ?sites ?jobs
+    (fun site -> (explain_site ~control ~proto ~region site).Nebby.Measurement.label)
+    websites
 
 let explained ?sites ?jobs ~control ~proto ~region websites =
-  let selected = Array.of_list (select sites websites) in
-  Array.to_list
-    (Engine.Pool.map ?jobs
-       (fun site -> (site, explain_site ~control ~proto ~region site))
-       selected)
+  per_site ?sites ?jobs (fun site -> explain_site ~control ~proto ~region site) websites
 
 let provenance_reports explained =
   List.filter_map
     (fun (_, r) -> r.Nebby.Measurement.provenance)
     explained
-
-let confidence_dists explained =
-  Obs.Provenance.confidence_dists (provenance_reports explained)
-
-let margin_dists explained =
-  Obs.Provenance.margin_dists (provenance_reports explained)
 
 (* The tally is rebuilt from the per-site labels in canonical (population)
    order, so its contents — including tie order among equal counts — are

@@ -4,7 +4,7 @@
     The census is the population-scale workload, so it runs on the
     multicore engine: sites become [(site, region, proto)] jobs on
     [Engine.Pool]'s sharded queue, every job seeds its own simulation from
-    the site itself ({!measure_site} derives the seed from rank, region,
+    the site itself ({!explain_site} derives the seed from rank, region,
     and transport), and the collector reassembles results in canonical
     population order. Classifications are therefore {e bit-identical} for
     any worker count — [jobs = 1] and [jobs = 8] produce the same per-site
@@ -22,17 +22,6 @@ val cache_key :
     records on it, so retraining the control changes the fingerprint and
     thereby invalidates every persisted verdict. *)
 
-val measure_site :
-  control:Nebby.Training.control ->
-  proto:Netsim.Packet.proto ->
-  region:Region.t ->
-  Website.t ->
-  string
-(** Classify one website from one vantage point. Returns the registry name,
-    ["bbr3"] for a BBR-like unknown (the paper's Appendix-E inference for
-    Google's pre-release deployment), ["unknown"], or ["unresponsive"]
-    (QUIC request to a non-QUIC site). *)
-
 val explain_site :
   ?epoch:int ->
   control:Nebby.Training.control ->
@@ -40,14 +29,16 @@ val explain_site :
   region:Region.t ->
   Website.t ->
   Nebby.Measurement.report
-(** {!measure_site} with the full measurement report and its decision
-    provenance attached (subject = the site name, label mapped like
-    {!measure_site}: ["bbr3"], ["unresponsive"], …). The label is
-    bit-identical to {!measure_site}'s — provenance collection does not
-    perturb the measurement. [epoch] (default 0) shifts the measurement
-    seed to simulate a later re-visit of the same site: the continuous
-    census ([Serve.Service]) re-measures decayed verdicts at increasing
-    epochs, and epoch 0 reproduces the one-shot census exactly. *)
+(** Classify one website from one vantage point: the full measurement
+    report, with its decision provenance and any flight dump (subject =
+    the site name). The label is the registry name, ["bbr3"] for a
+    BBR-like unknown (the paper's Appendix-E inference for Google's
+    pre-release deployment), ["unknown"], or ["unresponsive"] (QUIC
+    request to a non-QUIC site); the provenance label is mapped the same
+    way. [epoch] (default 0) shifts the measurement seed to simulate a
+    later re-visit of the same site: the continuous census
+    ([Serve.Service]) re-measures decayed verdicts at increasing epochs,
+    and epoch 0 reproduces the one-shot census exactly. *)
 
 val explained :
   ?sites:int ->
@@ -62,17 +53,9 @@ val explained :
 
 val provenance_reports :
   (Website.t * Nebby.Measurement.report) list -> Obs.Provenance.report list
-
-val confidence_dists :
-  (Website.t * Nebby.Measurement.report) list ->
-  (string * Obs.Provenance.dist) list
-(** Per-label confidence distributions over an {!explained} census —
-    which labels the classifiers are sure of, and which ride the margin. *)
-
-val margin_dists :
-  (Website.t * Nebby.Measurement.report) list ->
-  (string * Obs.Provenance.dist) list
-(** Per-label winning-margin distributions over an {!explained} census. *)
+(** The verdict reports of an {!explained} census, in its order, for
+    [Obs.Provenance.confidence_dists] and [margin_dists]: which labels
+    the classifiers are sure of, and which ride the margin. *)
 
 val labels :
   ?sites:int ->
@@ -85,7 +68,9 @@ val labels :
 (** Per-site classifications over the first [sites] websites (default
     all), in canonical population order, measured by up to [jobs] workers,
     the calling domain included (default [Engine.Pool.default_jobs ()];
-    [1] runs serially in the calling domain). *)
+    [1] runs serially in the calling domain). Each is the label of
+    {!explain_site}'s report, taken in the worker, so the labels are
+    {!explained}'s. *)
 
 val tally_of_labels : (Website.t * string) list -> (string * int) list
 (** Collapse per-site labels into a (label, count) tally sorted by

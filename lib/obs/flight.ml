@@ -66,8 +66,8 @@ type state = {
   mutable pos : int;  (* next_seq mod capacity, kept by wrapping: the hot
                          path never pays an integer division *)
   mutable run : int;
-  (* parallel ring arrays, indexed by seq mod capacity *)
-  mutable e_seq : int array;
+  (* parallel ring arrays, indexed by seq mod capacity; the live slots
+     are seqs [max 0 (next_seq - capacity), next_seq) *)
   mutable e_run : int array;
   mutable e_tag : int array;
   mutable e_time : float array;
@@ -87,7 +87,6 @@ let fresh capacity =
     next_seq = 0;
     pos = 0;
     run = 0;
-    e_seq = Array.make capacity (-1);
     e_run = Array.make capacity 0;
     e_tag = Array.make capacity 0;
     e_time = Array.make capacity 0.0;
@@ -110,8 +109,7 @@ let clear () =
   let s = state () in
   s.next_seq <- 0;
   s.pos <- 0;
-  s.run <- 0;
-  Array.fill s.e_seq 0 s.capacity (-1)
+  s.run <- 0
 
 let set_capacity n =
   let n = max 16 n in
@@ -137,7 +135,6 @@ let mark () = (state ()).next_seq
    boxed first. *)
 let[@inline] push s kind ~time ~a ~b ~c ~detail ~extra =
   let i = s.pos in
-  s.e_seq.(i) <- s.next_seq;
   s.e_run.(i) <- s.run;
   s.e_tag.(i) <- kind_tag kind;
   s.e_time.(i) <- time;
@@ -233,52 +230,58 @@ let serve ~time ~event ~value =
   let s = state () in
   if s.enabled then push s Serve ~time ~a:value ~b:0.0 ~c:0.0 ~detail:event ~extra:""
 
-(* Chronological readout: live slots in seq order. The oldest surviving
-   seq is [next_seq - capacity] once the ring has wrapped. *)
-let events ?(since = 0) () =
+(* Chronological readout of the live slots from [since] on, keeping per
+   run only the events within [window_s] of the run's last time: anomaly
+   dumps want the dynamics leading up to the trigger, not the whole
+   flow. The oldest surviving seq is [next_seq - capacity] once the ring
+   has wrapped. A run occupies one contiguous stretch of seqs (only
+   [new_run] moves the run id, and [clear] empties the ring), so the
+   runs are walked newest first: one pass over a run's columns finds its
+   last time, a second builds only its in-window events. A run whose
+   times are all -inf or NaN has no last time and keeps every event.
+   Slots are walked down from [pos] with a wrapping index, so no pass
+   divides. *)
+let snapshot ?(since = 0) ?(window_s = infinity) () =
   let s = state () in
-  let oldest = max 0 (s.next_seq - s.capacity) in
-  let from = max since oldest in
+  let from = max since (max 0 (s.next_seq - s.capacity)) in
+  let last_slot = s.capacity - 1 in
+  let[@inline] prev i = if i = 0 then last_slot else i - 1 in
   let out = ref [] in
-  for q = s.next_seq - 1 downto from do
-    let i = q mod s.capacity in
-    if s.e_seq.(i) = q then
-      out :=
-        {
-          seq = q;
-          run = s.e_run.(i);
-          time = s.e_time.(i);
-          kind = kind_of_tag s.e_tag.(i);
-          a = s.e_a.(i);
-          b = s.e_b.(i);
-          c = s.e_c.(i);
-          detail = s.e_detail.(i);
-          extra = s.e_extra.(i);
-        }
-        :: !out
+  let hi = ref (s.next_seq - 1) and hi_slot = ref (prev s.pos) in
+  while !hi >= from do
+    let run = s.e_run.(!hi_slot) in
+    let lo = ref !hi and lo_slot = ref !hi_slot and last = ref neg_infinity in
+    while !lo >= from && s.e_run.(!lo_slot) = run do
+      let t = s.e_time.(!lo_slot) in
+      if t > !last then last := t;
+      decr lo;
+      lo_slot := prev !lo_slot
+    done;
+    let keep_all = window_s = infinity || !last = neg_infinity in
+    let cut = !last -. window_s in
+    let i = ref !hi_slot in
+    for q = !hi downto !lo + 1 do
+      let time = s.e_time.(!i) in
+      if keep_all || time >= cut then
+        out :=
+          {
+            seq = q;
+            run;
+            time;
+            kind = kind_of_tag s.e_tag.(!i);
+            a = s.e_a.(!i);
+            b = s.e_b.(!i);
+            c = s.e_c.(!i);
+            detail = s.e_detail.(!i);
+            extra = s.e_extra.(!i);
+          }
+          :: !out;
+      i := prev !i
+    done;
+    hi := !lo;
+    hi_slot := !lo_slot
   done;
   !out
-
-(* [snapshot] keeps, per run, only the trailing [window_s] virtual
-   seconds: anomaly dumps want the dynamics leading up to the trigger,
-   not the whole flow. *)
-let snapshot ?since ?(window_s = infinity) () =
-  let evs = events ?since () in
-  if window_s = infinity then evs
-  else begin
-    let run_max = Hashtbl.create 4 in
-    List.iter
-      (fun (e : event) ->
-        let prev = Option.value ~default:neg_infinity (Hashtbl.find_opt run_max e.run) in
-        if e.time > prev then Hashtbl.replace run_max e.run e.time)
-      evs;
-    List.filter
-      (fun (e : event) ->
-        match Hashtbl.find_opt run_max e.run with
-        | Some last -> e.time >= last -. window_s
-        | None -> true)
-      evs
-  end
 
 (* dumps ------------------------------------------------------------------ *)
 

@@ -81,7 +81,7 @@ val new_run : unit -> int
     the new id. Called by [Testbed.run]. *)
 
 val mark : unit -> int
-(** The current insertion index; pass to {!events} or {!capture} as
+(** The current insertion index; pass to {!snapshot} or {!capture} as
     [since] to scope a capture to events recorded after this point. *)
 
 val enqueue : time:float -> size:int -> queue_bytes:int -> unit
@@ -133,9 +133,12 @@ val serve : time:float -> event:string -> value:float -> unit
 
 (** {1 Readout} *)
 
-val events : ?since:int -> unit -> event list
+val snapshot : ?since:int -> ?window_s:float -> unit -> event list
 (** Live ring contents in insertion order, oldest surviving event first;
-    [since] drops events with [seq < since]. *)
+    [since] drops events with [seq < since], and [window_s] (default
+    infinity: keep all) keeps, per run, only the events within [window_s]
+    virtual seconds of that run's last event. Only the kept events are
+    built. *)
 
 (** {1 Anomaly dumps} *)
 

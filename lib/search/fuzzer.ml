@@ -102,7 +102,7 @@ let evaluate ~control ~max_attempts ~confidence_floor ~margin_floor (genome : Ge
           ~make_cca:(Cca.Registry.create genome.Genome.cca)
           ()
       in
-      let flight_kinds = kind_counts (Obs.Flight.events ~since:mark ()) in
+      let flight_kinds = kind_counts (Obs.Flight.snapshot ~since:mark ()) in
       let got = report.Nebby.Measurement.label in
       let failures =
         List.map Nebby.Measurement.failure_reason_label report.Nebby.Measurement.failures

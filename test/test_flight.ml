@@ -32,14 +32,14 @@ let test_ring_wraparound () =
   for i = 0 to 15 do
     Obs.Flight.drop ~time:(float_of_int i) ~size:i ~queue_bytes:0
   done;
-  let evs = Obs.Flight.events () in
+  let evs = Obs.Flight.snapshot () in
   Alcotest.(check int) "exactly at capacity: all events live" 16 (List.length evs);
   Alcotest.(check (list int)) "seqs 0..15 in order" (List.init 16 Fun.id) (seqs evs);
   (* four more pushes overwrite the four oldest slots *)
   for i = 16 to 19 do
     Obs.Flight.drop ~time:(float_of_int i) ~size:i ~queue_bytes:0
   done;
-  let evs = Obs.Flight.events () in
+  let evs = Obs.Flight.snapshot () in
   Alcotest.(check int) "still capacity events after wrap" 16 (List.length evs);
   Alcotest.(check (list int)) "oldest four evicted"
     (List.init 16 (fun i -> i + 4))
@@ -51,7 +51,7 @@ let test_ring_wraparound () =
   let m = Obs.Flight.mark () in
   Obs.Flight.drop ~time:99.0 ~size:99 ~queue_bytes:0;
   Alcotest.(check int) "since-mark readout" 1
-    (List.length (Obs.Flight.events ~since:m ()));
+    (List.length (Obs.Flight.snapshot ~since:m ()));
   reset ()
 
 let test_level_gating () =
@@ -60,20 +60,101 @@ let test_level_gating () =
   Obs.Flight.bif ~time:0.0 ~bytes:100;
   Obs.Flight.drop ~time:0.0 ~size:1 ~queue_bytes:0;
   Alcotest.(check int) "quiet keeps anomalies, drops the BiF series" 1
-    (List.length (Obs.Flight.events ()));
+    (List.length (Obs.Flight.snapshot ()));
   Obs.Runtime.set_level Obs.Runtime.Normal;
   Obs.Flight.enqueue ~time:0.0 ~size:1 ~queue_bytes:0;
   Obs.Flight.bif ~time:0.0 ~bytes:100;
   Alcotest.(check int) "normal adds BiF but not enqueues" 2
-    (List.length (Obs.Flight.events ()));
+    (List.length (Obs.Flight.snapshot ()));
   Obs.Runtime.set_level Obs.Runtime.Debug;
   Obs.Flight.enqueue ~time:0.0 ~size:1 ~queue_bytes:0;
   Alcotest.(check int) "debug records per-packet enqueues" 3
-    (List.length (Obs.Flight.events ()));
+    (List.length (Obs.Flight.snapshot ()));
   Obs.Flight.set_enabled false;
   Obs.Flight.drop ~time:0.0 ~size:1 ~queue_bytes:0;
   Alcotest.(check int) "disabled records nothing" 3
-    (List.length (Obs.Flight.events ()));
+    (List.length (Obs.Flight.snapshot ()));
+  reset ()
+
+(* The materialise-then-filter snapshot that the window-first one
+   replaced, kept as its oracle: every event since the mark, then each
+   run's last time through a Hashtbl, then a filtered second list. *)
+let oracle_snapshot ?since ~window_s () =
+  let evs = Obs.Flight.snapshot ?since () in
+  if window_s = infinity then evs
+  else begin
+    let run_max = Hashtbl.create 4 in
+    List.iter
+      (fun (e : Obs.Flight.event) ->
+        let prev = Option.value ~default:neg_infinity (Hashtbl.find_opt run_max e.run) in
+        if e.time > prev then Hashtbl.replace run_max e.run e.time)
+      evs;
+    List.filter
+      (fun (e : Obs.Flight.event) ->
+        match Hashtbl.find_opt run_max e.run with
+        | Some last -> e.time >= last -. window_s
+        | None -> true)
+      evs
+  end
+
+(* Several runs on a 64-slot ring that wraps: times on a 0.25 s grid
+   (exact in binary, so some events sit exactly at [last - window_s]),
+   stage marks at time 0 after each run's data like Measurement's, and
+   a mix of kinds. Each window is compared with the oracle for [since]
+   before the oldest live slot, exactly at it, and after it. *)
+let test_snapshot_matches_oracle () =
+  reset ();
+  Obs.Flight.set_capacity 64;
+  let rng = Random.State.make [| 2024 |] in
+  let marks = ref [ 0 ] in
+  for run = 1 to 7 do
+    ignore (Obs.Flight.new_run ());
+    marks := Obs.Flight.mark () :: !marks;
+    let n = 5 + Random.State.int rng 30 in
+    for k = 0 to n - 1 do
+      let time = 0.25 *. float_of_int k in
+      match Random.State.int rng 3 with
+      | 0 -> Obs.Flight.drop ~time ~size:k ~queue_bytes:run
+      | 1 -> Obs.Flight.bif ~time ~bytes:(1000 * k)
+      | _ -> Obs.Flight.retx ~time ~seq:k
+    done;
+    Obs.Flight.stage ~time:0.0 ~name:"classify"
+  done;
+  let next = Obs.Flight.mark () in
+  let oldest = next - Obs.Flight.capacity () in
+  Alcotest.(check bool) "the ring wrapped" true (oldest > 0);
+  let sinces = (oldest - 5) :: oldest :: (oldest + 7) :: (next - 3) :: next :: !marks in
+  let boundary = ref false in
+  List.iter
+    (fun window_s ->
+      List.iter
+        (fun since ->
+          let got = Obs.Flight.snapshot ~since ~window_s () in
+          let want = oracle_snapshot ~since ~window_s () in
+          Alcotest.(check (list int))
+            (Printf.sprintf "window %g since %d: same events" window_s since)
+            (seqs want) (seqs got);
+          Alcotest.(check bool)
+            (Printf.sprintf "window %g since %d: same payloads" window_s since)
+            true (got = want);
+          (* an event exactly at its run's [last - window_s] is kept *)
+          if window_s < infinity then
+            List.iter
+              (fun (e : Obs.Flight.event) ->
+                let last =
+                  List.fold_left
+                    (fun m (e' : Obs.Flight.event) ->
+                      if e'.run = e.run then Float.max m e'.time else m)
+                    neg_infinity got
+                in
+                if e.time = last -. window_s then boundary := true)
+              got)
+        sinces)
+    [ 0.0; 0.5; 1.0; 2.0; 3.75; infinity ];
+  Alcotest.(check bool) "some kept event sits exactly on the window edge" true !boundary;
+  Alcotest.(check int) "no window keeps every live event"
+    (List.length (Obs.Flight.snapshot ~since:0 ()))
+    (Obs.Flight.capacity ());
   reset ()
 
 (* A pool worker records into its own ring under the caller's enabled
@@ -89,7 +170,7 @@ let test_workers_inherit_enabled () =
           (fun i ->
             let m = Obs.Flight.mark () in
             Obs.Flight.drop ~time:(float_of_int i) ~size:i ~queue_bytes:0;
-            List.length (Obs.Flight.events ~since:m ()))
+            List.length (Obs.Flight.snapshot ~since:m ()))
           (List.init 16 Fun.id)
       in
       Alcotest.(check (list int))
@@ -341,6 +422,8 @@ let suite =
   [
     Alcotest.test_case "ring wraparound at capacity boundaries" `Quick
       test_ring_wraparound;
+    Alcotest.test_case "window-first snapshot matches materialise-then-filter" `Quick
+      test_snapshot_matches_oracle;
     Alcotest.test_case "detail levels gate what is recorded" `Quick test_level_gating;
     Alcotest.test_case "workers inherit the enabled flag" `Quick
       test_workers_inherit_enabled;

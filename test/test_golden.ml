@@ -109,22 +109,28 @@ let check_vector ~cca ~profile expected got =
                profile i e v.(i)))
       exp
 
+(* (profile, BiF estimate, prepared trace) of each capture in a fixture *)
+let fixture_entries fixture =
+  List.map
+    (fun t ->
+      let rtt = jfloat (jmember "rtt" t) in
+      let obs = List.map obs_of_json (jlist (jmember "obs" t)) in
+      let bif = Nebby.Bif.estimate (Netsim.Trace.of_observations obs) in
+      (jstr (jmember "profile" t), bif, Nebby.Pipeline.prepare ~rtt bif))
+    (jlist (jmember "traces" fixture))
+
 let replay_fixture cca () =
   let fixture = load_fixture cca in
   Alcotest.(check string) "fixture names its CCA" cca (jstr (jmember "cca" fixture));
   Alcotest.(check int) "fixture seed is the pinned seed" golden_seed
     (int_of_float (jfloat (jmember "seed" fixture)));
   let prepared =
-    List.map
-      (fun t ->
-        let profile = jstr (jmember "profile" t) in
-        let rtt = jfloat (jmember "rtt" t) in
-        let obs = List.map obs_of_json (jlist (jmember "obs" t)) in
-        let trace = Netsim.Trace.of_observations obs in
-        let prep = Nebby.Pipeline.prepare ~rtt (Nebby.Bif.estimate trace) in
+    List.map2
+      (fun t (profile, _, prep) ->
         check_vector ~cca ~profile (jmember "vector" t) (Nebby.Features.trace_vector prep);
         (profile, prep))
       (jlist (jmember "traces" fixture))
+      (fixture_entries fixture)
   in
   let outcome, _ =
     Nebby.Classifier.classify_measurement ~control:(Lazy.force control) prepared
@@ -147,8 +153,65 @@ let test_coverage () =
       (Printf.sprintf "no golden fixture for: %s (run tools/gen_golden.exe)"
          (String.concat ", " missing))
 
+(* A measurement labels each profile from the one classification pass
+   that decides its verdict. The oracle is [classify_measurement] on that
+   profile alone, as the measurement computed it before: on every golden
+   fixture, and on fresh captures over the noisiest paths of a census
+   population, where the profiles disagree most. *)
+let check_per_profile ~what entries =
+  let control = Lazy.force control in
+  let outcome, per_profile, report =
+    Nebby.Measurement.explain_prepared ~control ~subject:what entries
+  in
+  let classify prepared =
+    Nebby.Classifier.outcome_label
+      (fst (Nebby.Classifier.classify_measurement ~control prepared))
+  in
+  let prepared = List.map (fun (name, _, p) -> (name, p)) entries in
+  Alcotest.(check string) (what ^ ": joint label") (classify prepared)
+    (Nebby.Classifier.outcome_label outcome);
+  Alcotest.(check string) (what ^ ": report label") (classify prepared)
+    report.Obs.Provenance.label;
+  Alcotest.(check (list (pair string string)))
+    (what ^ ": per-profile labels")
+    (List.map (fun (name, p) -> (name, classify [ (name, p) ])) prepared)
+    per_profile
+
+let test_per_profile_single_pass () =
+  List.iter
+    (fun cca -> check_per_profile ~what:cca (fixture_entries (load_fixture cca)))
+    Cca.Registry.all;
+  let region = Internet.Region.Ohio in
+  let noisiest =
+    Internet.Population.generate ~n:200 ~seed:20230601 ()
+    |> List.sort (fun a b ->
+           compare b.Internet.Website.noise_factor a.Internet.Website.noise_factor)
+    |> List.filteri (fun i _ -> i < 4)
+  in
+  List.iter
+    (fun (site : Internet.Website.t) ->
+      let noise = Netsim.Path.scale (Internet.Region.noise region) site.noise_factor in
+      let entries =
+        List.map
+          (fun profile ->
+            let r =
+              Nebby.Testbed.run ~seed:site.rank ~noise ~page_bytes:site.page_bytes ~profile
+                ~make_cca:(Cca.Registry.create (Internet.Website.cca_in site region))
+                ()
+            in
+            let bif = Nebby.Bif.estimate r.Nebby.Testbed.trace in
+            ( profile.Nebby.Profile.name,
+              bif,
+              Nebby.Pipeline.prepare ~rtt:(Nebby.Profile.rtt profile) bif ))
+          (Lazy.force control).Nebby.Training.profiles
+      in
+      check_per_profile ~what:site.name entries)
+    noisiest
+
 let suite =
   Alcotest.test_case "every registered CCA has a fixture" `Quick test_coverage
+  :: Alcotest.test_case "per-profile labels come from the single pass" `Quick
+       test_per_profile_single_pass
   :: List.map
        (fun cca -> Alcotest.test_case (Printf.sprintf "replay %s" cca) `Quick (replay_fixture cca))
        Cca.Registry.all

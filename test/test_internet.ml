@@ -116,8 +116,9 @@ let test_census_quic_unresponsive () =
     | sites -> List.find (fun s -> not s.Internet.Website.quic) sites
   in
   Alcotest.(check string) "non-quic site unresponsive" "unresponsive"
-    (Internet.Census.measure_site ~control ~proto:Netsim.Packet.Quic
+    (Internet.Census.explain_site ~control ~proto:Netsim.Packet.Quic
        ~region:Internet.Region.Ohio site)
+      .Nebby.Measurement.label
 
 let test_census_scaling () =
   let scaled = Internet.Census.scale_to ~total:20_000 [ ("cubic", 41); ("bbr", 13) ] in

@@ -88,12 +88,7 @@ let test_measure_attaches_provenance () =
     Alcotest.(check bool) "candidates recorded" true (p.Obs.Provenance.candidates <> []);
     Alcotest.(check bool) "stage summaries recorded" true (p.Obs.Provenance.stages <> []);
     Alcotest.(check bool) "feature vectors recorded" true (p.Obs.Provenance.features <> [])
-  | None -> Alcotest.fail "measure attaches provenance by default");
-  let r' = Nebby.Measurement.measure_cca ~control ~provenance:false ~seed:42 "cubic" in
-  Alcotest.(check bool) "provenance:false omits the report" true
-    (r'.Nebby.Measurement.provenance = None);
-  Alcotest.(check string) "label identical with provenance off"
-    r.Nebby.Measurement.label r'.Nebby.Measurement.label
+  | None -> Alcotest.fail "measure attaches provenance")
 
 let test_explain_prepared () =
   let control = Lazy.force small_control in
@@ -101,7 +96,7 @@ let test_explain_prepared () =
   let result = Nebby.Testbed.run_cca ~profile ~seed:11 "cubic" in
   let bif = Nebby.Bif.estimate result.Nebby.Testbed.trace in
   let prep = Nebby.Pipeline.prepare ~rtt:(Nebby.Profile.rtt profile) bif in
-  let outcome, report =
+  let outcome, _, report =
     Nebby.Measurement.explain_prepared ~control ~subject:"one-trace"
       [ (profile.Nebby.Profile.name, bif, prep) ]
   in
@@ -143,10 +138,11 @@ let test_census_explained () =
   Alcotest.(check (list string)) "labels bit-identical with provenance on"
     (List.map snd labels)
     (List.map (fun (_, r) -> r.Nebby.Measurement.label) explained);
+  let reports = Internet.Census.provenance_reports explained in
   Alcotest.(check bool) "confidence distributions non-empty" true
-    (Internet.Census.confidence_dists explained <> []);
+    (Obs.Provenance.confidence_dists reports <> []);
   Alcotest.(check bool) "margin distributions non-empty" true
-    (Internet.Census.margin_dists explained <> [])
+    (Obs.Provenance.margin_dists reports <> [])
 
 (* ---- the profiler ---- *)
 

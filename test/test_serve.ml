@@ -295,7 +295,7 @@ let test_queue_flight_events () =
   let evs =
     List.filter
       (fun (e : Obs.Flight.event) -> e.Obs.Flight.kind = Obs.Flight.Serve)
-      (Obs.Flight.events ~since:m ())
+      (Obs.Flight.snapshot ~since:m ())
   in
   Alcotest.(check (list string)) "admission decisions recorded"
     [ "enqueue"; "overloaded" ]

@@ -249,6 +249,16 @@ for i in 1 2; do
     "$cli" report "$work/flight.jsonl" -o "$work/flight$i.html" >/dev/null
 done
 same "$work/flight1.html" "$work/flight2.html" "flight-dump report is not deterministic"
+# --provenance attaches only the record whose subject is the dump's: the
+# census records name sites and this dump names a CCA, so the report
+# gets no candidate table and stderr gets one note saying so.
+run_ok "report on the flight dump with the census provenance" \
+  "$cli" report "$work/flight.jsonl" --provenance "$work/prov1.jsonl" \
+  -o "$work/flight_prov.html" >/dev/null 2>"$work/err"
+one_err_line "report on the flight dump with the census provenance"
+if grep -q 'Candidate scores' "$work/flight_prov.html"; then
+  fail "report attached another subject's provenance to the flight dump"
+fi
 
 echo "== schema skew gate (a version-99 file of each kind exits 2) =="
 # Every subcommand that reads a versioned file must reject a future
@@ -305,8 +315,8 @@ for f in runs.jsonl sum.json dash.html; do
 done
 # The campaign's pass gates (exercised by the two runs above via
 # --bench-json) are the accuracy floors per CCA family, the CI-width
-# ceiling, the census throughput floor, and the flight/provenance
-# overhead ceilings; none may be skipped.
+# ceiling, the census throughput floor, and the flight overhead
+# ceiling; none may be skipped.
 grep -e throughput-floor -e -overhead "$work/camp1/out.txt"
 # Span collection is opt-in, but when on it must stay cheap: a census
 # recorded with every pool task traced may not cost more than 5% CPU time
