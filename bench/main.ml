@@ -719,15 +719,17 @@ let chaos () =
 (* Simulate: the simulator's cost per captured packet                 *)
 (* ------------------------------------------------------------------ *)
 
-(* A serial loop of [Testbed.run] over every CCA, both profiles and three
-   seeds, best of [simulate_passes] in CPU time. Minor words repeat
-   exactly from pass to pass, unlike time on a shared host, so the words
-   per captured packet are what check.sh gates. The digest covers every
-   trace column, BiF sample and result field: an optimisation of the
+(* A serial loop of [Testbed.simulate], the measurement path's simulator
+   call, over every CCA, both profiles and three seeds, best of
+   [simulate_passes] in CPU time. Minor words repeat exactly from pass to
+   pass, unlike time on a shared host, so the words per captured packet
+   are what check.sh gates. The digest covers every trace column, every
+   sample of the sender's BiF columns (as [Testbed.run]'s (time, bytes)
+   list would give them) and every result field: an optimisation of the
    simulator must leave it unchanged. *)
 let simulate_passes = 3
 
-let digest_result buf (r : Nebby.Testbed.result) =
+let digest_result buf (r : Nebby.Testbed.simulation) =
   let float x = Buffer.add_int64_le buf (Int64.bits_of_float x) in
   let int i = Buffer.add_int64_le buf (Int64.of_int i) in
   let bool b = int (Bool.to_int b) in
@@ -743,11 +745,10 @@ let digest_result buf (r : Nebby.Testbed.result) =
     int (Netsim.Trace.ack tr i);
     bool (Netsim.Trace.is_ack tr i)
   done;
-  List.iter
-    (fun (t, b) ->
-      float t;
-      float b)
-    r.ground_truth_bif;
+  for i = 0 to r.bif_count - 1 do
+    float r.bif_times.(i);
+    float (float_of_int r.bif_bytes.(i))
+  done;
   bool r.finished;
   float r.duration;
   int r.bottleneck_drops;
@@ -757,7 +758,7 @@ let digest_result buf (r : Nebby.Testbed.result) =
   int r.faults_injected
 
 let simulate () =
-  header "Simulate" "simulator cost per captured packet (serial Testbed.run loop)";
+  header "Simulate" "simulator cost per captured packet (serial Testbed.simulate loop)";
   let runs =
     List.concat_map
       (fun name ->
@@ -772,10 +773,12 @@ let simulate () =
     List.iter
       (fun (name, profile, seed) ->
         let w0 = Gc.minor_words () and t0 = Sys.time () in
-        let r = Nebby.Testbed.run_cca ~profile ~seed name in
+        let r =
+          Nebby.Testbed.simulate ~profile ~seed ~make_cca:(Cca.Registry.create name) ()
+        in
         cpu := !cpu +. (Sys.time () -. t0);
         words := !words +. (Gc.minor_words () -. w0);
-        packets := !packets + Netsim.Trace.length r.Nebby.Testbed.trace;
+        packets := !packets + Netsim.Trace.length r.trace;
         Buffer.clear buf;
         digest_result buf r;
         Buffer.add_string digests (Digest.string (Buffer.contents buf)))

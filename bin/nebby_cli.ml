@@ -401,10 +401,11 @@ let trace_cmd =
   let run cca proto noise seed =
     let profile = Nebby.Profile.delay_50ms in
     let result =
-      Nebby.Testbed.run ~seed ~noise ~proto ~profile ~make_cca:(Cca.Registry.create cca) ()
+      Nebby.Testbed.simulate ~seed ~noise ~proto ~profile ~make_cca:(Cca.Registry.create cca)
+        ()
     in
     Printf.printf "# time_s,bif_bytes (CCA %s, profile %s)\n" cca profile.Nebby.Profile.name;
-    let bif = Nebby.Bif.estimate result.Nebby.Testbed.trace in
+    let bif = Nebby.Bif.estimate result.trace in
     Array.iteri (fun k t -> Printf.printf "%.4f,%.0f\n" t bif.values.(k)) bif.times;
     exit_ok
   in

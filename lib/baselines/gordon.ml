@@ -48,7 +48,7 @@ let group_of = function
    granularity Gordon gets from counting unacked packets between forced
    drops. We reuse Nebby's pipeline on the coarse series and then coarsen
    the label to Gordon's buckets. *)
-let classify_coarse ~control:_ ~profile (result : Nebby.Testbed.result) =
+let classify_coarse ~control:_ ~profile (result : Nebby.Testbed.simulation) =
   let control = Lazy.force coarse_control in
   let rtt = Nebby.Profile.rtt profile in
   let coarse = cwnd_style ~rtt (Nebby.Bif.estimate result.Nebby.Testbed.trace) in
@@ -74,7 +74,7 @@ let probe ?(seed = 11) ~control ~region (site : Internet.Website.t) =
     in
     let cca = Internet.Website.cca_in site region in
     let result =
-      Nebby.Testbed.run ~seed:(seed + (site.Internet.Website.rank * 7)) ~noise ~profile
+      Nebby.Testbed.simulate ~seed:(seed + (site.Internet.Website.rank * 7)) ~noise ~profile
         ~page_bytes:site.Internet.Website.page_bytes
         ~make_cca:(Cca.Registry.create cca) ()
     in

@@ -35,7 +35,7 @@ val estimate : Netsim.Trace.t -> series
 
 val accuracy : estimate:series -> truth:(float * float) list -> float
 (** Agreement between an estimated BiF series and the sender's ground-truth
-    log ([Testbed.result.ground_truth_bif], time-ordered), as
+    log (the time-ordered list {!Testbed.run} builds from its columns), as
     [1 - mean |est - truth| / mean truth], both resampled to a common grid
     and compared over their overlapping time span, clamped to [0, 1].
     Used to reproduce Figure 3 and the §3.2 QUIC validation. *)

@@ -105,23 +105,19 @@ let explain_prepared ?plugins ?proto ~control ~subject entries =
   in
   (outcome, expl.Classifier.per_profile, report)
 
-(* The capture is truncated when it covers much less of the flow than the
-   sender actually transmitted (the sender's own BiF log is the ground
-   truth for how long the flow ran; it is time-ordered, so its last sample
-   is the latest). *)
-let capture_truncated (result : Testbed.result) =
-  let rec last_time = function [] -> 0.0 | [ (t, _) ] -> t | _ :: rest -> last_time rest in
-  let sender_end = last_time result.Testbed.ground_truth_bif in
-  Netsim.Trace.length result.Testbed.trace < 16
-  || Netsim.Trace.duration result.Testbed.trace < 0.8 *. sender_end
+let capture_truncated trace ~sender_end =
+  Netsim.Trace.length trace < 16 || Netsim.Trace.duration trace < 0.8 *. sender_end
+
+let run_truncated (r : Testbed.simulation) =
+  capture_truncated r.Testbed.trace ~sender_end:r.Testbed.sender_end
 
 (* Truncation outranks timeout: a truncated capture misses most of what the
    sender sent, while a timed-out transfer is still fully captured — so when
    both hold, the capture gap is the actionable cause. *)
 let diagnose runs ~segments =
-  if List.exists (fun (_, r) -> r.Testbed.flow_reset) runs then Flow_reset
-  else if List.exists (fun (_, r) -> capture_truncated r) runs then Trace_truncated
-  else if List.exists (fun (_, r) -> not r.Testbed.finished) runs then Timeout
+  if List.exists (fun (_, (r : Testbed.simulation)) -> r.flow_reset) runs then Flow_reset
+  else if List.exists (fun (_, r) -> run_truncated r) runs then Trace_truncated
+  else if List.exists (fun (_, (r : Testbed.simulation)) -> not r.finished) runs then Timeout
   else if segments = 0 then Too_few_oscillations
   else Low_confidence
 
@@ -154,20 +150,21 @@ let measure ?plugins ?profiles ?transform ?smoothen ?(noise = Netsim.Path.mild)
         (fun i profile ->
           let run_seed = seed + (7919 * n) + (31 * i) in
           ( profile,
-            Testbed.run ~seed:run_seed ~noise ~proto ~page_bytes ?faults ~profile ~make_cca
-              () ))
+            Testbed.simulate ~seed:run_seed ~noise ~proto ~page_bytes ?faults ~profile
+              ~make_cca () ))
         profiles
     in
-    if List.exists (fun (_, r) -> r.Testbed.flow_reset) runs then `Failed (Flow_reset, [], None)
+    if List.exists (fun (_, (r : Testbed.simulation)) -> r.flow_reset) runs then
+      `Failed (Flow_reset, [], None)
     else begin
       match
         Obs.Flight.stage ~time:0.0 ~name:"prepare";
         let full =
           List.map
-            (fun (p, r) ->
+            (fun (p, (r : Testbed.simulation)) ->
               let rtt = Profile.rtt p in
               let tf = match transform with Some f -> f | None -> fun ~rtt:_ pts -> pts in
-              let bif = tf ~rtt (Bif.estimate r.Testbed.trace) in
+              let bif = tf ~rtt (Bif.estimate r.trace) in
               (p.Profile.name, bif, Pipeline.prepare ?smoothen ~rtt bif))
             runs
         in
@@ -186,7 +183,7 @@ let measure ?plugins ?profiles ?transform ?smoothen ?(noise = Netsim.Path.mild)
       | exception _ ->
         (* a malformed trace broke the pipeline: diagnose rather than raise *)
         let reason =
-          if List.exists (fun (_, r) -> capture_truncated r) runs then Trace_truncated
+          if List.exists (fun (_, r) -> run_truncated r) runs then Trace_truncated
           else Low_confidence
         in
         `Failed (reason, [], None)

@@ -87,6 +87,13 @@ val prepare_result :
 (** Estimate BiF and run the preparation pipeline for one captured trace.
     [transform] degrades the series first (metric ablations). *)
 
+val capture_truncated : Netsim.Trace.t -> sender_end:float -> bool
+(** The capture is truncated when it holds under 16 packets, or covers
+    less than 80% of the time the sender ran: [sender_end] is the time of
+    the sender's last ground-truth BiF sample
+    ({!Testbed.simulation.sender_end}). A measurement diagnoses such an
+    attempt as [Trace_truncated]. *)
+
 val explain_prepared :
   ?plugins:Plugin.t list ->
   ?proto:Netsim.Packet.proto ->
@@ -119,7 +126,7 @@ val measure :
   unit ->
   report
 (** Measure a simulated target server end to end. [faults] forwards a
-    fault plan to every {!Testbed.run} of every attempt. When the runtime
+    fault plan to every {!Testbed.simulate} of every attempt. When the runtime
     is armed, attempts, failed attempts, retries and finished
     measurements are counted ([measurement.attempts],
     [measurement.attempt_failures], [measurement.retries],

@@ -154,11 +154,11 @@ let measure_cell ~seed ~profiles ~page_bytes ~transform (proto, cca_name, run) =
         let proto_off = match proto with Netsim.Packet.Tcp -> 0 | Netsim.Packet.Quic -> 50000 in
         let run_seed = seed + proto_off + (1000 * p_idx) + (17 * run) + Hashtbl.hash cca_name in
         let result =
-          Testbed.run ~seed:run_seed ~noise ~proto ~profile
+          Testbed.simulate ~seed:run_seed ~noise ~proto ~profile
             ~make_cca:(Cca.Registry.create cca_name) ~page_bytes ()
         in
         let rtt = Profile.rtt profile in
-        let bif = transform ~rtt (Bif.estimate result.Testbed.trace) in
+        let bif = transform ~rtt (Bif.estimate result.trace) in
         let prepared = Pipeline.prepare ~rtt bif in
         let segments =
           if proto = Netsim.Packet.Tcp then

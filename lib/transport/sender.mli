@@ -32,10 +32,18 @@ val handle_ack : t -> Netsim.Packet.t -> unit
 val finished : t -> bool
 (** All payload bytes acknowledged. *)
 
-val bif_samples : t -> (float * float) list
-(** Time-stamped ground-truth bytes-in-flight, sampled at every
-    transmission and acknowledgement, oldest first. The sender logs the
-    samples in columns and builds this list on each call. *)
+(** {2 Ground-truth bytes in flight}
+
+    The sender samples its bytes in flight at every transmission and
+    acknowledgement, oldest first, into two columns: slot [i] below
+    {!bif_count} holds the sample taken at [bif_times.(i)] of
+    [bif_bytes.(i)] bytes. The accessors return the sender's own arrays,
+    not copies; they are longer than the count, and a later sample may
+    replace them with grown ones, so read them once the run is over. *)
+
+val bif_times : t -> float array
+val bif_bytes : t -> int array
+val bif_count : t -> int
 
 val retransmissions : t -> int
 

@@ -69,13 +69,18 @@ let test_quic_transfer_completes () =
   Alcotest.(check bool) "finished" true (Transport.Sender.finished sender);
   Alcotest.(check int) "all bytes received" 100_000 (Transport.Receiver.bytes_received receiver)
 
+(* The sender's ground-truth BiF log as (time, bytes) pairs. *)
+let bif_samples sender =
+  let times = Transport.Sender.bif_times sender and bytes = Transport.Sender.bif_bytes sender in
+  List.init (Transport.Sender.bif_count sender) (fun i -> (times.(i), float_of_int bytes.(i)))
+
 let test_inflight_bounded_by_ground_truth () =
   let sender, _, _ = run_transfer ~cca:"cubic" () in
   List.iter
     (fun (_, bif) ->
       Alcotest.(check bool) "BiF nonnegative" true (bif >= 0.0);
       Alcotest.(check bool) "BiF bounded by transfer size" true (bif <= 100_000.0))
-    (Transport.Sender.bif_samples sender)
+    (bif_samples sender)
 
 let test_bif_samples_monotone_time () =
   let sender, _, _ = run_transfer () in
@@ -85,7 +90,7 @@ let test_bif_samples_monotone_time () =
       check_sorted rest
     | _ -> ()
   in
-  check_sorted (Transport.Sender.bif_samples sender)
+  check_sorted (bif_samples sender)
 
 let test_all_ccas_complete_through_testbed () =
   (* every registered CCA must be able to finish a page download through
@@ -240,7 +245,7 @@ let test_short_last_segment_repaired () =
   let (sender, _, _) as run = run_repair ~total ~lossy () in
   check_repaired ~total ~lost:1 run;
   Alcotest.(check bool) "repaired by the RTO" true
-    (List.exists (fun (t, _) -> t > 1.0) (Transport.Sender.bif_samples sender))
+    (List.exists (fun (t, _) -> t > 1.0) (bif_samples sender))
 
 (* Everything sent in the first 1.5 s is lost: the whole initial burst of
    100 segments (the window has grown) and the first RTO repair. No ack
