@@ -39,8 +39,8 @@ type loss_event = {
   by_timeout : bool;  (** RTO rather than fast retransmit *)
 }
 
-(** Introspective view of a CCA's internal state, recorded per ACK by the
-    flight recorder. Units are bytes (bytes/s for pacing); [-1.0] marks a
+(** Introspective view of a CCA's internal state, taken per ACK for the
+    flight recorder, which keeps the readings that changed. Units are bytes (bytes/s for pacing); [-1.0] marks a
     dimension the algorithm does not maintain (ssthresh for rate-based
     CCAs, pacing for window-only ones). It is the flight recorder's own
     input type. An all-float record, like {!ack_sample}: the sender keeps

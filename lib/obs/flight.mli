@@ -3,7 +3,7 @@
 
     Every layer of the testbed records into the ring as it runs — packet
     enqueues and drops at the bottleneck link, path-level fault decisions,
-    per-ACK CCA state snapshots, BiF samples, stage transitions — and the
+    CCA state changes, BiF samples, stage transitions — and the
     ring silently overwrites its oldest entries, so recording costs a few
     array stores per event and never grows. When a measurement trips an
     anomaly trigger (a typed failure, a retry, a low-confidence verdict;
@@ -13,8 +13,9 @@
 
     Detail is gated by {!Runtime.level}: [Quiet] keeps only the rare
     anomaly kinds (drops, faults, stalls, retransmissions, stage marks),
-    [Normal] (the default) adds the per-ACK series ([Bif], [Cca_state]),
-    [Debug] adds the per-packet events ([Enqueue], send-clock [Bif]).
+    [Normal] (the default) adds the ACK-clock series ([Bif], and
+    [Cca_state] on change), [Debug] adds the per-packet events ([Enqueue],
+    send-clock [Bif]).
 
     Flight holds the per-event detail of the one instrumentation path;
     the totals are {!Metrics} counters, and the hot-path recorders
@@ -32,7 +33,9 @@ type kind =
   | Drop  (** packet dropped at the bottleneck; [a]=size, [b]=queue bytes *)
   | Fault  (** injected fault decision; [detail]=family, [extra]=description *)
   | Cca_state
-      (** per-ACK snapshot; [a]=cwnd bytes, [b]=pacing rate or -1, [c]=ssthresh
+      (** CCA state on change: the sender records its first reading, then
+          each one whose mode, ssthresh, cwnd (by an MSS) or pacing rate
+          (by 1%) moved since the last recorded; [a]=cwnd bytes, [b]=pacing rate or -1, [c]=ssthresh
           bytes or -1, [detail]=CCA name, [extra]=mode *)
   | Bif  (** sender ground-truth bytes-in-flight sample; [a]=bytes *)
   | Stage  (** pipeline stage transition; [detail]=stage name *)
@@ -78,7 +81,7 @@ val clear : unit -> unit
 val new_run : unit -> int
 (** Open a new simulation run: bumps the run id under which subsequent
     events record, so per-run virtual clocks never interleave. Returns
-    the new id. Called by [Testbed.run]. *)
+    the new id. Called by [Testbed.simulate]. *)
 
 val mark : unit -> int
 (** The current insertion index; pass to {!snapshot} or {!capture} as
@@ -137,7 +140,9 @@ val snapshot : ?since:int -> ?window_s:float -> unit -> event list
 (** Live ring contents in insertion order, oldest surviving event first;
     [since] drops events with [seq < since], and [window_s] (default
     infinity: keep all) keeps, per run, only the events within [window_s]
-    virtual seconds of that run's last event. Only the kept events are
+    virtual seconds of that run's last event, plus the run's newest
+    [Cca_state] event before them (the state in force when the window
+    opens, as CCA state is recorded on change). Only the kept events are
     built. *)
 
 (** {1 Anomaly dumps} *)

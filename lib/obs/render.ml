@@ -73,6 +73,27 @@ let polyline buf ~t0 ~t1 ~vmax ~color ?(dash = "") s =
     Buffer.add_string buf "\"/>\n"
   end
 
+(* Readings kept on change, as the step function they stand for over
+   [from, until]: each holds until the next, and the last until [until].
+   A reading before [from] (the one in force when a dump's window opens)
+   starts its step at [from]. *)
+let steps ~from ~until s =
+  let n = Array.length s.times in
+  if n = 0 then s
+  else begin
+    let times = Array.make (2 * n) (Float.max until s.times.(n - 1)) in
+    let values = Array.make (2 * n) s.values.(n - 1) in
+    for i = 0 to n - 1 do
+      times.(2 * i) <- Float.max from s.times.(i);
+      values.(2 * i) <- s.values.(i);
+      if i + 1 < n then begin
+        times.((2 * i) + 1) <- s.times.(i + 1);
+        values.((2 * i) + 1) <- s.values.(i)
+      end
+    done;
+    { times; values }
+  end
+
 let vtick buf ~t0 ~t1 ~color ~y0 ~y1 t =
   Buffer.add_string buf
     (Printf.sprintf
@@ -135,8 +156,9 @@ let legend_entries entries =
   Buffer.add_string buf "</p>\n";
   Buffer.contents buf
 
-(* one run of the dump: the BiF timeline with cwnd overlay and anomaly
-   marks, the figure the paper reads CCAs from *)
+(* one run of the dump: the BiF timeline with cwnd overlay (a step
+   function, see {!steps}) and anomaly marks, the figure the paper reads
+   CCAs from *)
 let timeline_svg ~bif ~cwnd ~drops ~faults ~stalls ~retxs =
   let buf = Buffer.create 4096 in
   let t0 = Float.min (arr_min bif.times) 0.0 in
@@ -372,6 +394,7 @@ let style =
    .legend{font-size:11px;color:#444}\n\
    .note{font-size:12px;color:#666}\n"
 
+(* [title] is text, escaped here: an entity in it would show literally. *)
 let section buf title = Buffer.add_string buf (Printf.sprintf "<h2>%s</h2>\n" (esc title))
 
 (* A key/value table of run metadata, both columns escaped. *)
@@ -1040,7 +1063,10 @@ let measurement_report ?provenance ?prof ~dump () =
   List.iter
     (fun rv ->
       if Array.length rv.run_bif.times >= 2 then begin
-        section buf (Printf.sprintf "BiF timeline &#8212; %s" rv.run_stage);
+        let cwnd =
+          steps ~from:(arr_min rv.run_bif.times) ~until:(arr_max rv.run_bif.times) rv.run_cwnd
+        in
+        section buf ("BiF timeline — " ^ rv.run_stage);
         (match rv.run_modes with
         | [] -> ()
         | modes ->
@@ -1050,22 +1076,22 @@ let measurement_report ?provenance ?prof ~dump () =
                   (String.concat ", "
                      (List.map (fun (cca, mode) -> cca ^ " [" ^ mode ^ "]") modes)))));
         Buffer.add_string buf
-          (timeline_svg ~bif:rv.run_bif ~cwnd:rv.run_cwnd ~drops:rv.run_drops
+          (timeline_svg ~bif:rv.run_bif ~cwnd ~drops:rv.run_drops
              ~faults:rv.run_faults ~stalls:rv.run_stalls ~retxs:rv.run_retxs);
         Buffer.add_string buf
           (legend_entries
              ([ (c_bif, "bytes in flight") ]
-             @ (if Array.length rv.run_cwnd.times >= 2 then [ (c_cwnd, "cwnd") ] else [])
+             @ (if Array.length cwnd.times >= 2 then [ (c_cwnd, "cwnd") ] else [])
              @ [ (c_drop, "drop"); (c_fault, "fault"); (c_stall, "stall");
                  (c_retx, "retx") ]));
         match spectrum_svg rv.run_bif with
         | Some svg ->
-          section buf (Printf.sprintf "Frequency spectrum &#8212; %s" rv.run_stage);
+          section buf ("Frequency spectrum — " ^ rv.run_stage);
           Buffer.add_string buf svg
         | None -> ()
       end
       else begin
-        section buf (Printf.sprintf "Run &#8212; %s" rv.run_stage);
+        section buf ("Run — " ^ rv.run_stage);
         Buffer.add_string buf
           (Printf.sprintf
              "<p class=\"note\">no BiF series recorded (%d anomaly events; record at \
