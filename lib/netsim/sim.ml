@@ -1,7 +1,12 @@
-type t = { mutable clock : float; queue : (unit -> unit) Event_queue.t }
+type t = {
+  mutable clock : float;
+  mutable last_event : float;
+  queue : (unit -> unit) Event_queue.t;
+}
 
-let create () = { clock = 0.0; queue = Event_queue.create () }
+let create () = { clock = 0.0; last_event = 0.0; queue = Event_queue.create () }
 let now t = t.clock
+let last_event t = t.last_event
 let reserve t = Event_queue.reserve t.queue
 
 let check_not_past t time =
@@ -42,6 +47,8 @@ let run ?until t =
   let prev_clock = Obs.Runtime.virtual_clock () in
   Obs.Runtime.set_virtual_clock (Some (fun () -> t.clock));
   Fun.protect ~finally:(fun () -> Obs.Runtime.set_virtual_clock prev_clock) loop;
+  (* only an executed event moves the clock up to here *)
+  if !executed > 0 then t.last_event <- t.clock;
   (match until with
   | Some h when t.clock < h -> t.clock <- h
   | Some _ | None -> ());

@@ -43,3 +43,7 @@ val at_clamped : t -> float -> (unit -> unit) -> unit
 val run : ?until:float -> t -> unit
 (** Execute events in order. With [until], stop once the next event would
     fire strictly after that time (the clock is then advanced to [until]). *)
+
+val last_event : t -> float
+(** Time of the last event {!run} executed, [0.0] before any. Unlike
+    {!now}, it does not move to a run's horizon. *)
