@@ -745,9 +745,10 @@ let digest_result buf (r : Nebby.Testbed.simulation) =
     int (Netsim.Trace.ack tr i);
     bool (Netsim.Trace.is_ack tr i)
   done;
-  for i = 0 to r.bif_count - 1 do
-    float r.bif_times.(i);
-    float (float_of_int r.bif_bytes.(i))
+  let bif = r.bif in
+  for i = 0 to bif.log_count - 1 do
+    float bif.log_times.(i);
+    float (float_of_int bif.log_bytes.(i))
   done;
   bool r.finished;
   float r.duration;

@@ -374,7 +374,8 @@ let measure_cmd =
       (fun path ->
         match report.Nebby.Measurement.flight with
         | Some dump ->
-          Obs.Versioned.write_file path (fun oc -> Obs.Flight.write_dump oc dump);
+          Obs.Versioned.write_file path (fun oc ->
+              output_string oc (Obs.Flight.dump_to_string dump));
           Printf.printf "flight dump: %s (trigger: %s, %d events)\n" path
             dump.Obs.Flight.trigger
             (List.length dump.Obs.Flight.events)

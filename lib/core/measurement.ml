@@ -14,27 +14,25 @@ let failure_reason_label = function
 
 type config = {
   max_attempts : int;
-  backoff_base : float;
-  backoff_factor : float;
-  backoff_jitter : float;
   retry_budgets : (failure_reason * int) list;
   sleep : float -> unit;
-  flight_window_s : float;
   flight_confidence : float;
   flight_margin : float;
 }
 
+(* retry n waits base * factor^(n - 1), plus up to [backoff_jitter] of that *)
+let backoff_base = 0.5
+let backoff_factor = 2.0
+let backoff_jitter = 0.25
+let flight_window_s = 10.0  (* trailing virtual seconds of each run in a dump *)
+
 let default_config =
   {
     max_attempts = 5;
-    backoff_base = 0.5;
-    backoff_factor = 2.0;
-    backoff_jitter = 0.25;
     (* a server that resets or times out once will usually do it again;
        don't burn the whole attempt budget on it *)
     retry_budgets = [ (Flow_reset, 1); (Timeout, 1); (Trace_truncated, 2) ];
     sleep = ignore;
-    flight_window_s = 10.0;
     (* confident verdicts sit at confidence ~1 and margins in the tens;
        anything under these marks is worth a packet-level post-mortem *)
     flight_confidence = 0.6;
@@ -131,29 +129,33 @@ let measure ?plugins ?profiles ?transform ?smoothen ?(noise = Netsim.Path.mild)
   let backoff_rng = Netsim.Rng.named (Netsim.Rng.create seed) "measurement.backoff" in
   (* Anomaly-triggered flight dump: the first trigger of the measurement —
      a typed failure (hence also every retry) or a verdict under the
-     confidence/margin thresholds — snapshots the ring's trailing window.
-     First trigger wins: the dump captures the dynamics that first went
-     wrong, not whatever the last attempt happened to look like. *)
+     confidence/margin thresholds — snapshots the ring's trailing window
+     with the attempt's BiF. First trigger wins: the dump captures the
+     dynamics that first went wrong, not whatever the last attempt
+     happened to look like. (It is attempt 1: a later verdict comes only
+     after a failure, which triggered.) *)
   let flight_since = Obs.Flight.mark () in
   let flight_dump = ref None in
-  let trigger_flight ~attempt ~trigger =
+  let trigger_flight ~attempt ~trigger runs =
     if !flight_dump = None then
       flight_dump :=
         Some
           (Obs.Flight.capture ~subject ~trigger ~attempt ~since:flight_since
-             ~window_s:config.flight_window_s ())
+             ~window_s:flight_window_s
+             ~bif:(List.map (fun (_, (r : Testbed.simulation)) -> r.bif) runs)
+             ())
   in
-  let attempt n =
+  let simulate n =
     Obs.Metrics.bump "measurement.attempts";
-    let runs =
-      List.mapi
-        (fun i profile ->
-          let run_seed = seed + (7919 * n) + (31 * i) in
-          ( profile,
-            Testbed.simulate ~seed:run_seed ~noise ~proto ~page_bytes ?faults ~profile
-              ~make_cca () ))
-        profiles
-    in
+    List.mapi
+      (fun i profile ->
+        let run_seed = seed + (7919 * n) + (31 * i) in
+        ( profile,
+          Testbed.simulate ~seed:run_seed ~noise ~proto ~page_bytes ?faults ~profile
+            ~make_cca () ))
+      profiles
+  in
+  let classify runs =
     if List.exists (fun (_, (r : Testbed.simulation)) -> r.flow_reset) runs then
       `Failed (Flow_reset, [], None)
     else begin
@@ -190,12 +192,13 @@ let measure ?plugins ?profiles ?transform ?smoothen ?(noise = Netsim.Path.mild)
     end
   in
   let rec go n failures backoff_total =
-    match attempt n with
+    let runs = simulate n in
+    match classify runs with
     | `Classified (label, per_profile, prov) ->
       if
         prov.Obs.Provenance.confidence < config.flight_confidence
         || prov.Obs.Provenance.margin < config.flight_margin
-      then trigger_flight ~attempt:n ~trigger:"low_confidence";
+      then trigger_flight ~attempt:n ~trigger:"low_confidence" runs;
       {
         label;
         attempts = n;
@@ -206,7 +209,7 @@ let measure ?plugins ?profiles ?transform ?smoothen ?(noise = Netsim.Path.mild)
         flight = !flight_dump;
       }
     | `Failed (reason, per_profile, prov) ->
-      trigger_flight ~attempt:n ~trigger:("failure:" ^ failure_reason_label reason);
+      trigger_flight ~attempt:n ~trigger:("failure:" ^ failure_reason_label reason) runs;
       Obs.Metrics.bump "measurement.attempt_failures";
       let failures = reason :: failures in
       let occurrences = List.length (List.filter (( = ) reason) failures) in
@@ -221,10 +224,8 @@ let measure ?plugins ?profiles ?transform ?smoothen ?(noise = Netsim.Path.mild)
           flight = !flight_dump;
         }
       else begin
-        let jitter = 1.0 +. (config.backoff_jitter *. Netsim.Rng.float backoff_rng) in
-        let delay =
-          config.backoff_base *. (config.backoff_factor ** float_of_int (n - 1)) *. jitter
-        in
+        let jitter = 1.0 +. (backoff_jitter *. Netsim.Rng.float backoff_rng) in
+        let delay = backoff_base *. (backoff_factor ** float_of_int (n - 1)) *. jitter in
         Obs.Metrics.bump "measurement.retries";
         config.sleep delay;
         go (n + 1) failures (backoff_total +. delay)

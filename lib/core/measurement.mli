@@ -22,11 +22,6 @@ val failure_reason_label : failure_reason -> string
 
 type config = {
   max_attempts : int;  (** measurement attempts before giving up (default 5) *)
-  backoff_base : float;  (** first retry delay, seconds (default 0.5) *)
-  backoff_factor : float;  (** exponential growth per retry (default 2) *)
-  backoff_jitter : float;
-      (** uniform jitter fraction added to each delay, drawn from a
-          substream of the measurement seed (default 0.25) *)
   retry_budgets : (failure_reason * int) list;
       (** max retries after each occurrence of a reason; reasons not
           listed are limited only by [max_attempts] *)
@@ -34,9 +29,6 @@ type config = {
       (** invoked with each backoff delay; defaults to [ignore] because
           the testbed is simulated — a live deployment passes
           [Unix.sleepf] *)
-  flight_window_s : float;
-      (** trailing virtual seconds of each run captured in an anomaly
-          dump (default 10) *)
   flight_confidence : float;
       (** verdicts whose confidence falls below this trigger a flight
           dump (default 0.6; set to 2 to force a dump on every verdict) *)
@@ -46,9 +38,12 @@ type config = {
 }
 
 val default_config : config
-(** The paper's policy: 5 attempts, 0.5 s base delay doubling with 25%
-    jitter, and tight budgets for reasons that indicate a misbehaving
-    server (one retry after a reset or timeout, two after truncation). *)
+(** The paper's policy: 5 attempts and tight budgets for reasons that
+    indicate a misbehaving server (one retry after a reset or timeout, two
+    after truncation). The backoff is fixed: a 0.5 s first delay doubling
+    per retry, plus up to 25% jitter drawn from a substream of the
+    measurement seed. An anomaly dump keeps each run's trailing 10 virtual
+    seconds. *)
 
 type report = {
   label : string;  (** final classification, or ["unknown"] *)

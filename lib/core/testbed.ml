@@ -1,8 +1,6 @@
 type simulation = {
   trace : Netsim.Trace.t;
-  bif_times : float array;
-  bif_bytes : int array;
-  bif_count : int;
+  bif : Obs.Flight.inflight_log;
   sender_end : float;
   finished : bool;
   duration : float;
@@ -38,7 +36,7 @@ let simulate ?(seed = 42) ?(noise = Netsim.Path.quiet) ?(proto = Netsim.Packet.T
   Obs.Span.with_ ~name:"simulate" @@ fun () ->
   (* each simulation is one flight-recorder run: virtual time restarts, so
      events must not interleave with the previous run's timeline *)
-  ignore (Obs.Flight.new_run ());
+  let flight_run = Obs.Flight.new_run () in
   Obs.Flight.stage ~time:0.0 ~name:("simulate:" ^ profile.Profile.name);
   let rng = Netsim.Rng.create seed in
   let trace =
@@ -119,14 +117,11 @@ let simulate ?(seed = 42) ?(noise = Netsim.Path.quiet) ?(proto = Netsim.Packet.T
     injector;
   Transport.Sender.start sender;
   Netsim.Sim.run ~until:time_limit sim;
-  let bif_count = Transport.Sender.bif_count sender in
-  let bif_times = Transport.Sender.bif_times sender in
+  let bif = Transport.Sender.bif_log sender ~run:flight_run in
   {
     trace;
-    bif_times;
-    bif_bytes = Transport.Sender.bif_bytes sender;
-    bif_count;
-    sender_end = (if bif_count = 0 then 0.0 else bif_times.(bif_count - 1));
+    bif;
+    sender_end = (if bif.log_count = 0 then 0.0 else bif.log_times.(bif.log_count - 1));
     finished = Transport.Sender.finished sender;
     duration = Netsim.Sim.last_event sim;
     bottleneck_drops = Netsim.Link.drops bottleneck;
@@ -145,7 +140,8 @@ let run ?seed ?noise ?proto ?params ?page_bytes ?time_limit ?ack_every ?faults ~
   {
     trace = s.trace;
     ground_truth_bif =
-      List.init s.bif_count (fun i -> (s.bif_times.(i), float_of_int s.bif_bytes.(i)));
+      List.init s.bif.log_count (fun i ->
+          (s.bif.log_times.(i), float_of_int s.bif.log_bytes.(i)));
     finished = s.finished;
     duration = s.duration;
     bottleneck_drops = s.bottleneck_drops;

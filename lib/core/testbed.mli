@@ -18,12 +18,9 @@
 
 type simulation = {
   trace : Netsim.Trace.t;
-  bif_times : float array;
-  bif_bytes : int array;
-  bif_count : int;
-      (** the sender's ground-truth BiF log as its own columns, oldest
-          first: sample [i < bif_count] is [bif_bytes.(i)] bytes in flight
-          at [bif_times.(i)]; slots from [bif_count] on are unused *)
+  bif : Obs.Flight.inflight_log;
+      (** the sender's ground-truth BiF log, its own columns, under this
+          simulation's flight-recorder run id *)
   sender_end : float;  (** time of the sender's last BiF sample, [0.0] if none *)
   finished : bool;  (** whole page acknowledged within the time limit *)
   duration : float;

@@ -148,10 +148,9 @@ let[@inline] push s kind ~time ~a ~b ~c ~detail ~extra =
   s.pos <- (if p = s.capacity then 0 else p)
 
 (* Detail-level gates: Quiet keeps only rare anomalies (drops, faults,
-   stalls, retransmissions, stage marks); Normal adds the per-ACK series
-   (BiF samples, CCA snapshots) the reports are drawn from; Debug adds
-   the per-packet kinds (enqueues, send-clock BiF). *)
-let want_normal () =
+   stalls, retransmissions, stage marks); Normal adds CCA state and a
+   dump's ACK-clock BiF rows; Debug adds enqueues and every BiF row. *)
+let want_cca_state () =
   let s = state () in
   s.enabled && s.level.Runtime.current <> Runtime.Quiet
 
@@ -181,8 +180,6 @@ let fault ~time ~family ~detail =
   path_fault ~time ~family ~detail;
   Metrics.bump "faults.injected"
 
-let want_cca_state = want_normal
-
 type cca_reading = {
   mutable snap_cwnd : float;
   mutable snap_ssthresh : float;
@@ -190,24 +187,9 @@ type cca_reading = {
 }
 
 let cca_state ~time ~cca ~mode r =
-  let s = state () in
-  if s.enabled && s.level.Runtime.current <> Runtime.Quiet then
-    push s Cca_state ~time ~a:r.snap_cwnd ~b:r.snap_pacing ~c:r.snap_ssthresh ~detail:cca
-      ~extra:mode
-
-let bif ~time ~bytes =
-  let s = state () in
-  if s.enabled && s.level.Runtime.current <> Runtime.Quiet then
-    push s Bif ~time ~a:(float_of_int bytes) ~b:0.0 ~c:0.0 ~detail:"" ~extra:""
-
-(* The send-clock BiF sample: the same ground-truth series on the packet
-   clock instead of the ACK clock. Roughly one per data packet, so it is
-   Debug-only; the ACK-clock {!bif} (the estimation clock) already gives
-   Normal-level charts their full resolution. *)
-let bif_send ~time ~bytes =
-  let s = state () in
-  if s.enabled && s.level.Runtime.current = Runtime.Debug then
-    push s Bif ~time ~a:(float_of_int bytes) ~b:0.0 ~c:0.0 ~detail:"" ~extra:""
+  if want_cca_state () then
+    push (state ()) Cca_state ~time ~a:r.snap_cwnd ~b:r.snap_pacing ~c:r.snap_ssthresh
+      ~detail:cca ~extra:mode
 
 let stage ~time ~name =
   let s = state () in
@@ -230,22 +212,34 @@ let serve ~time ~event ~value =
   let s = state () in
   if s.enabled then push s Serve ~time ~a:value ~b:0.0 ~c:0.0 ~detail:event ~extra:""
 
-(* Chronological readout of the live slots from [since] on, keeping per
-   run only the events within [window_s] of the run's last time: anomaly
-   dumps want the dynamics leading up to the trigger, not the whole
-   flow. A run also keeps its newest [Cca_state] before the window: the
-   sender records CCA state on change only, so that reading is the state
-   in force when the window opens. The oldest surviving seq is
-   [next_seq - capacity] once the ring has wrapped. A run occupies one
-   contiguous stretch of seqs (only [new_run] moves the run id, and
-   [clear] empties the ring), so the runs are walked newest first: one
-   pass over a run's columns finds its last time, a second builds only
-   its in-window events (and the carried reading). A run whose
-   times are all -inf or NaN has no last time and keeps every event.
-   Slots are walked down from [pos] with a wrapping index, so no pass
-   divides. *)
-let snapshot ?(since = 0) ?(window_s = infinity) () =
+type inflight_log = {
+  log_run : int;
+  log_times : float array;
+  log_bytes : int array;
+  log_acked : Bytes.t;
+  log_count : int;
+}
+
+let no_rows =
+  { log_run = 0; log_times = [||]; log_bytes = [||]; log_acked = Bytes.empty; log_count = 0 }
+
+(* The oldest surviving seq is [next_seq - capacity] once the ring has
+   wrapped. A run occupies one contiguous stretch of seqs (only [new_run]
+   moves the run id, and [clear] empties the ring), so the runs are walked
+   newest first: one pass over a run's columns finds its last time, a
+   second builds only its in-window events (and the carried reading),
+   after its BiF rows (prepended first, so they follow). A run whose times
+   are all -inf or NaN has no last time and keeps every event. Slots are
+   walked down from [pos] with a wrapping index, so no pass divides. *)
+let snapshot ?(since = 0) ?(window_s = infinity) ?(bif = []) () =
   let s = state () in
+  let level = s.level.Runtime.current in
+  let bif = if s.enabled && level <> Runtime.Quiet then bif else [] in
+  (* the newest row at or below [i] the level admits, or -1 *)
+  let rec admitted log i =
+    if i < 0 || level = Runtime.Debug || Bytes.get log.log_acked i <> '\000' then i
+    else admitted log (i - 1)
+  in
   let from = max since (max 0 (s.next_seq - s.capacity)) in
   let last_slot = s.capacity - 1 in
   let[@inline] prev i = if i = 0 then last_slot else i - 1 in
@@ -260,8 +254,17 @@ let snapshot ?(since = 0) ?(window_s = infinity) () =
       decr lo;
       lo_slot := prev !lo_slot
     done;
+    let log = Option.value ~default:no_rows (List.find_opt (fun l -> l.log_run = run) bif) in
+    let row = ref (admitted log (log.log_count - 1)) in
+    if !row >= 0 then last := Float.max !last log.log_times.(!row);
     let keep_all = window_s = infinity || !last = neg_infinity in
     let cut = !last -. window_s in
+    while !row >= 0 && (keep_all || log.log_times.(!row) >= cut) do
+      let i = !row and a = float_of_int log.log_bytes.(!row) in
+      out := { seq = i; run; time = log.log_times.(i); kind = Bif; a; b = 0.0; c = 0.0;
+               detail = ""; extra = "" } :: !out;
+      row := admitted log (i - 1)
+    done;
     let i = ref !hi_slot and carried = ref false in
     for q = !hi downto !lo + 1 do
       let time = s.e_time.(!i) in
@@ -305,8 +308,8 @@ type dump = {
 let make_dump ~subject ~trigger ~attempt ~window_s events =
   { version = schema_version; subject; trigger; attempt; window_s; events }
 
-let capture ~subject ~trigger ~attempt ?since ?(window_s = 10.0) () =
-  make_dump ~subject ~trigger ~attempt ~window_s (snapshot ?since ~window_s ())
+let capture ~subject ~trigger ~attempt ?since ~window_s ~bif () =
+  make_dump ~subject ~trigger ~attempt ~window_s (snapshot ?since ~window_s ~bif ())
 
 let event_to_json e =
   Json.Obj
@@ -381,9 +384,3 @@ let dump_of_string s =
       window_s = get_num "window_s" h;
       events = List.map (fun line -> event_of_json (Json.of_string line)) rest;
     }
-
-let write_dump oc d = output_string oc (dump_to_string d)
-
-let read_dump path =
-  let text = In_channel.with_open_bin path In_channel.input_all in
-  dump_of_string text

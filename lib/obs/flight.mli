@@ -3,19 +3,18 @@
 
     Every layer of the testbed records into the ring as it runs — packet
     enqueues and drops at the bottleneck link, path-level fault decisions,
-    CCA state changes, BiF samples, stage transitions — and the
-    ring silently overwrites its oldest entries, so recording costs a few
-    array stores per event and never grows. When a measurement trips an
-    anomaly trigger (a typed failure, a retry, a low-confidence verdict;
-    see [Measurement]), the trailing window of the ring is snapshotted
-    into a schema-versioned {!dump} cross-linked to the provenance report
-    by subject id, and rendered by [Render] / [nebby_cli report].
+    CCA state changes, stage transitions — and the ring silently
+    overwrites its oldest entries, so recording costs a few array stores
+    per event and never grows. When a measurement trips an anomaly
+    trigger (a typed failure, a retry, a low-confidence verdict; see
+    [Measurement]), the trailing window of the ring is snapshotted into a
+    schema-versioned {!dump} cross-linked to the provenance report by
+    subject id, and rendered by [Render] / [nebby_cli report].
 
     Detail is gated by {!Runtime.level}: [Quiet] keeps only the rare
     anomaly kinds (drops, faults, stalls, retransmissions, stage marks),
-    [Normal] (the default) adds the ACK-clock series ([Bif], and
-    [Cca_state] on change), [Debug] adds the per-packet events ([Enqueue],
-    send-clock [Bif]).
+    [Normal] (the default) adds [Cca_state] on change and a dump's
+    ACK-clock [Bif] rows, [Debug] adds [Enqueue] and the send-clock rows.
 
     Flight holds the per-event detail of the one instrumentation path;
     the totals are {!Metrics} counters, and the hot-path recorders
@@ -37,7 +36,7 @@ type kind =
           each one whose mode, ssthresh, cwnd (by an MSS) or pacing rate
           (by 1%) moved since the last recorded; [a]=cwnd bytes, [b]=pacing rate or -1, [c]=ssthresh
           bytes or -1, [detail]=CCA name, [extra]=mode *)
-  | Bif  (** sender ground-truth bytes-in-flight sample; [a]=bytes *)
+  | Bif  (** sender ground-truth BiF, dump rows only; [a]=bytes, [seq]=sample index *)
   | Stage  (** pipeline stage transition; [detail]=stage name *)
   | Stall  (** application stall; [a]=stall end time *)
   | Retx  (** retransmission; [a]=segment seq *)
@@ -50,7 +49,7 @@ val kind_label : kind -> string
 (** Stable snake_case tag used in dumps. *)
 
 type event = {
-  seq : int;  (** monotone insertion index within the recording domain *)
+  seq : int;  (** insertion index within the recording domain; a [Bif] row's sample index *)
   run : int;  (** simulation-run id; virtual time restarts at each run *)
   time : float;  (** virtual (simulated) seconds within the run *)
   kind : kind;
@@ -118,13 +117,6 @@ type cca_reading = {
 val cca_state : time:float -> cca:string -> mode:string -> cca_reading -> unit
 (** Record a snapshot of CCA [cca] in phase [mode] ([Normal] and up). *)
 
-val bif : time:float -> bytes:int -> unit
-(** ACK-clock bytes-in-flight sample ([Normal] and up). *)
-
-val bif_send : time:float -> bytes:int -> unit
-(** Send-clock bytes-in-flight sample — one per data packet, recorded
-    only at [Debug] like {!enqueue}. *)
-
 val stage : time:float -> name:string -> unit
 val stall : time:float -> until:float -> unit
 val retx : time:float -> seq:int -> unit
@@ -136,14 +128,26 @@ val serve : time:float -> event:string -> value:float -> unit
 
 (** {1 Readout} *)
 
-val snapshot : ?since:int -> ?window_s:float -> unit -> event list
+(** One run's ground-truth BiF log, as the sender keeps it: sample
+    [i < log_count] is [log_bytes.(i)] bytes in flight at [log_times.(i)],
+    taken on an ACK where [log_acked] holds ['\001'], else on a send. *)
+type inflight_log = {
+  log_run : int;  (** the id {!new_run} returned for the simulation *)
+  log_times : float array;
+  log_bytes : int array;
+  log_acked : Bytes.t;
+  log_count : int;
+}
+
+val snapshot : ?since:int -> ?window_s:float -> ?bif:inflight_log list -> unit -> event list
 (** Live ring contents in insertion order, oldest surviving event first;
     [since] drops events with [seq < since], and [window_s] (default
     infinity: keep all) keeps, per run, only the events within [window_s]
     virtual seconds of that run's last event, plus the run's newest
     [Cca_state] event before them (the state in force when the window
-    opens, as CCA state is recorded on change). Only the kept events are
-    built. *)
+    opens, as CCA state is recorded on change), then the in-window rows
+    of its [bif] log (default none) that the level admits, the last of
+    which counts towards the window. Only the kept events are built. *)
 
 (** {1 Anomaly dumps} *)
 
@@ -166,10 +170,11 @@ val capture :
   trigger:string ->
   attempt:int ->
   ?since:int ->
-  ?window_s:float ->
+  window_s:float ->
+  bif:inflight_log list ->
   unit ->
   dump
-(** Snapshot this domain's ring into a dump (default window 10 s). *)
+(** {!snapshot} into a dump. *)
 
 val dump_to_string : dump -> string
 (** Schema-versioned JSONL: one header line, then one line per event,
@@ -179,6 +184,3 @@ val dump_to_string : dump -> string
 val dump_of_string : string -> dump
 (** Raises [Json.Parse_error] on malformed input and
     {!Versioned.Version_mismatch} on a schema skew. *)
-
-val write_dump : out_channel -> dump -> unit
-val read_dump : string -> dump

@@ -59,6 +59,7 @@ type t = {
   (* ground truth, one column per field *)
   mutable bif_times : float array;
   mutable bif_bytes : int array;
+  mutable bif_acked : Bytes.t;  (* '\001' where the sample was taken on an ack *)
   mutable bif_count : int;
   mutable retransmissions : int;
   mutable dead : bool;  (* mid-flow reset: the connection is gone *)
@@ -68,9 +69,14 @@ type t = {
 let inflight t = t.next_seq - t.snd_una
 let finished t = t.snd_una >= t.total
 
-let bif_times t = t.bif_times
-let bif_bytes t = t.bif_bytes
-let bif_count t = t.bif_count
+let bif_log t ~run =
+  {
+    Obs.Flight.log_run = run;
+    log_times = t.bif_times;
+    log_bytes = t.bif_bytes;
+    log_acked = t.bif_acked;
+    log_count = t.bif_count;
+  }
 
 let retransmissions t = t.retransmissions
 let was_reset t = t.dead
@@ -84,24 +90,26 @@ let reset t =
   (* cancel the pending RTO so the dead sender never wakes up *)
   Netsim.Timer.cancel t.rto_timer
 
-(* The ground-truth BiF log samples on both clocks; the flight recorder
-   keeps the ACK-clock samples at Normal and the (equally numerous)
-   send-clock ones only at Debug. *)
+(* The ground-truth BiF log samples on both clocks and flags the ACK-clock
+   samples. It is the only record of the series: an anomaly dump takes its
+   BiF rows from these columns ([Obs.Flight.capture]). *)
 let sample_bif ?(send = false) t =
   let now = Netsim.Sim.now t.sim in
   if t.bif_count = Array.length t.bif_times then begin
     let cap = max 1024 (2 * t.bif_count) in
     let times = Array.make cap 0.0 and bytes = Array.make cap 0 in
+    let acked = Bytes.make cap '\000' in
     Array.blit t.bif_times 0 times 0 t.bif_count;
     Array.blit t.bif_bytes 0 bytes 0 t.bif_count;
+    Bytes.blit t.bif_acked 0 acked 0 t.bif_count;
     t.bif_times <- times;
-    t.bif_bytes <- bytes
+    t.bif_bytes <- bytes;
+    t.bif_acked <- acked
   end;
   t.bif_times.(t.bif_count) <- now;
   t.bif_bytes.(t.bif_count) <- inflight t;
-  t.bif_count <- t.bif_count + 1;
-  if send then Obs.Flight.bif_send ~time:now ~bytes:(inflight t)
-  else Obs.Flight.bif ~time:now ~bytes:(inflight t)
+  Bytes.set t.bif_acked t.bif_count (if send then '\000' else '\001');
+  t.bif_count <- t.bif_count + 1
 
 let slot t seq = (seq / t.mss) land t.mask
 let seg_len t seq = min t.mss (t.total - seq)
@@ -428,6 +436,7 @@ let create sim ~cca ~proto ~params ~total_bytes ~out =
       rec_mode = "";
       bif_times = Array.make samples 0.0;
       bif_bytes = Array.make samples 0;
+      bif_acked = Bytes.make samples '\000';
       bif_count = 0;
       retransmissions = 0;
       dead = false;

@@ -32,18 +32,14 @@ val handle_ack : t -> Netsim.Packet.t -> unit
 val finished : t -> bool
 (** All payload bytes acknowledged. *)
 
-(** {2 Ground-truth bytes in flight}
+(** {2 Ground-truth bytes in flight} *)
 
-    The sender samples its bytes in flight at every transmission and
-    acknowledgement, oldest first, into two columns: slot [i] below
-    {!bif_count} holds the sample taken at [bif_times.(i)] of
-    [bif_bytes.(i)] bytes. The accessors return the sender's own arrays,
-    not copies; they are longer than the count, and a later sample may
-    replace them with grown ones, so read them once the run is over. *)
-
-val bif_times : t -> float array
-val bif_bytes : t -> int array
-val bif_count : t -> int
+val bif_log : t -> run:int -> Obs.Flight.inflight_log
+(** The bytes in flight sampled at every transmission and acknowledgement,
+    oldest first, tagged with the flight-recorder [run] of the simulation.
+    The arrays are the sender's own, not copies; they are longer than the
+    count, and a later sample may replace them with grown ones, so take
+    the log once the run is over. *)
 
 val retransmissions : t -> int
 

@@ -1,6 +1,7 @@
 (* Tests for the flight recorder (Obs.Flight): ring-buffer wraparound at
    capacity boundaries, pool workers inheriting the enabled flag, the
-   anomaly triggers in Measurement, dump JSONL round trips, the
+   anomaly triggers in Measurement, dumps' BiF rows taken from the
+   sender's columns, dump JSONL round trips, the
    Prof.folded frame sanitization, and deterministic HTML rendering. *)
 
 let small_control =
@@ -54,17 +55,20 @@ let test_ring_wraparound () =
     (List.length (Obs.Flight.snapshot ~since:m ()));
   reset ()
 
+let cubic_reading cwnd =
+  { Obs.Flight.snap_cwnd = cwnd; snap_ssthresh = -1.0; snap_pacing = -1.0 }
+
 let test_level_gating () =
   reset ();
   Obs.Runtime.set_level Obs.Runtime.Quiet;
-  Obs.Flight.bif ~time:0.0 ~bytes:100;
+  Obs.Flight.cca_state ~time:0.0 ~cca:"cubic" ~mode:"slow_start" (cubic_reading 1.0);
   Obs.Flight.drop ~time:0.0 ~size:1 ~queue_bytes:0;
-  Alcotest.(check int) "quiet keeps anomalies, drops the BiF series" 1
+  Alcotest.(check int) "quiet keeps anomalies, drops CCA state" 1
     (List.length (Obs.Flight.snapshot ()));
   Obs.Runtime.set_level Obs.Runtime.Normal;
   Obs.Flight.enqueue ~time:0.0 ~size:1 ~queue_bytes:0;
-  Obs.Flight.bif ~time:0.0 ~bytes:100;
-  Alcotest.(check int) "normal adds BiF but not enqueues" 2
+  Obs.Flight.cca_state ~time:0.0 ~cca:"cubic" ~mode:"slow_start" (cubic_reading 1.0);
+  Alcotest.(check int) "normal adds CCA state but not enqueues" 2
     (List.length (Obs.Flight.snapshot ()));
   Obs.Runtime.set_level Obs.Runtime.Debug;
   Obs.Flight.enqueue ~time:0.0 ~size:1 ~queue_bytes:0;
@@ -74,6 +78,75 @@ let test_level_gating () =
   Obs.Flight.drop ~time:0.0 ~size:1 ~queue_bytes:0;
   Alcotest.(check int) "disabled records nothing" 3
     (List.length (Obs.Flight.snapshot ()));
+  reset ()
+
+let bif_rows (d : Obs.Flight.dump) =
+  List.filter_map
+    (fun (e : Obs.Flight.event) ->
+      if e.kind = Obs.Flight.Bif then Some (e.run, e.time, e.a) else None)
+    d.events
+
+(* A dump's BiF rows come from the sender's columns under the levels
+   that gate the ring: none when disabled or Quiet, the ACK-clock samples
+   at Normal, every sample at Debug. The window ends at the run's last
+   ring event or its last admitted row, whichever is later; a run the
+   ring does not hold gets no rows. *)
+let test_capture_gates_bif_rows () =
+  reset ();
+  let run = Obs.Flight.new_run () in
+  Obs.Flight.stage ~time:0.0 ~name:"simulate:test";
+  Obs.Flight.drop ~time:6.5 ~size:1 ~queue_bytes:0;
+  (* samples every 0.5 s up to 10 s; the ACK clock takes every other one,
+     so the last sample (at 10 s) is a send *)
+  let count = 21 in
+  let times = Array.init (count + 3) (fun i -> 0.5 *. float_of_int i) in
+  let acked = Bytes.init (count + 3) (fun i -> if i mod 2 = 1 then '\001' else '\000') in
+  let cols =
+    {
+      Obs.Flight.log_run = run;
+      log_times = times;
+      log_bytes = Array.init (count + 3) (fun i -> 100 * i);
+      log_acked = acked;
+      log_count = count;
+    }
+  in
+  let absent = { cols with Obs.Flight.log_run = run + 1 } in
+  let capture () =
+    Obs.Flight.capture ~subject:"s" ~trigger:"t" ~attempt:1 ~window_s:3.0
+      ~bif:[ cols; absent ] ()
+  in
+  let rows_where keep =
+    List.filter_map
+      (fun i -> if keep i then Some (run, times.(i), float_of_int (100 * i)) else None)
+      (List.init count Fun.id)
+  in
+  let check_rows what level ~enabled want =
+    Obs.Runtime.set_level level;
+    Obs.Flight.set_enabled enabled;
+    Alcotest.(check (list (triple int (float 0.0) (float 0.0)))) what want (bif_rows (capture ()))
+  in
+  check_rows "quiet: no rows" Obs.Runtime.Quiet ~enabled:true [];
+  check_rows "disabled: no rows" Obs.Runtime.Debug ~enabled:false [];
+  (* Normal: the last ACK-clock row is at 9.5 s, so the window opens at 6.5 s *)
+  check_rows "normal: the ACK-clock rows in the window" Obs.Runtime.Normal ~enabled:true
+    (rows_where (fun i -> i mod 2 = 1 && times.(i) >= 6.5));
+  (* Debug: the send at 10 s ends the window, which opens at 7 s *)
+  check_rows "debug: every row in the window" Obs.Runtime.Debug ~enabled:true
+    (rows_where (fun i -> times.(i) >= 7.0));
+  Obs.Runtime.set_level Obs.Runtime.Normal;
+  let d = capture () in
+  Alcotest.(check (list string)) "ring events, then the run's rows"
+    [ "drop"; "bif"; "bif"; "bif"; "bif" ]
+    (List.map (fun (e : Obs.Flight.event) -> Obs.Flight.kind_label e.kind) d.events);
+  Alcotest.(check (list int)) "a row's seq is its sample index"
+    [ 13; 15; 17; 19 ]
+    (List.filter_map
+       (fun (e : Obs.Flight.event) -> if e.kind = Obs.Flight.Bif then Some e.seq else None)
+       d.events);
+  (* a ring event after the last row ends the window instead *)
+  Obs.Flight.retx ~time:20.0 ~seq:1;
+  Alcotest.(check int) "the ring's last event can end the window" 0
+    (List.length (bif_rows (capture ())));
   reset ()
 
 (* The materialise-then-filter snapshot that the window-first one
@@ -125,10 +198,10 @@ let test_snapshot_matches_oracle () =
       let time = 0.25 *. float_of_int k in
       match Random.State.int rng 4 with
       | 0 -> Obs.Flight.drop ~time ~size:k ~queue_bytes:run
-      | 1 -> Obs.Flight.bif ~time ~bytes:(1000 * k)
+      | 1 -> Obs.Flight.stall ~time ~until:(time +. 1.0)
       | 2 ->
         Obs.Flight.cca_state ~time ~cca:"cubic" ~mode:"avoidance"
-          { Obs.Flight.snap_cwnd = float_of_int k; snap_ssthresh = -1.0; snap_pacing = -1.0 }
+          (cubic_reading (float_of_int k))
       | _ -> Obs.Flight.retx ~time ~seq:k
     done;
     Obs.Flight.stage ~time:0.0 ~name:"classify"
@@ -299,6 +372,51 @@ let test_cca_state_on_change () =
   Alcotest.(check bool) "some ack moved cwnd by under one MSS" true skipped_small_move;
   Alcotest.(check bool) "fewer kept than taken" true (List.length kept < List.length readings)
 
+(* After a simulated transfer at Normal the ring holds no BiF sample; a
+   dump of the run takes the ACK-clock samples from the sender's columns,
+   exactly those within the window of the run's last time. *)
+let test_dump_bif_from_columns () =
+  reset ();
+  let since = Obs.Flight.mark () in
+  let s =
+    Nebby.Testbed.simulate ~profile:Nebby.Profile.delay_50ms ~seed:3 ~noise:Netsim.Path.mild
+      ~make_cca:(Cca.Registry.create "cubic") ()
+  in
+  let ring = Obs.Flight.snapshot ~since () in
+  Alcotest.(check bool) "the ring holds the run" true (ring <> []);
+  Alcotest.(check bool) "the ring holds no BiF" false
+    (List.exists (fun (e : Obs.Flight.event) -> e.kind = Obs.Flight.Bif) ring);
+  let window_s = 10.0 in
+  let d =
+    Obs.Flight.capture ~subject:"cubic" ~trigger:"t" ~attempt:1 ~since ~window_s ~bif:[ s.bif ]
+      ()
+  in
+  let cols = s.bif in
+  let acks =
+    List.filter
+      (fun i -> Bytes.get cols.log_acked i = '\001')
+      (List.init cols.log_count Fun.id)
+  in
+  Alcotest.(check bool) "both clocks sampled" true
+    (List.length acks > 0 && List.length acks < cols.log_count);
+  let last =
+    List.fold_left
+      (fun m (e : Obs.Flight.event) -> Float.max m e.time)
+      cols.log_times.(List.nth acks (List.length acks - 1))
+      ring
+  in
+  let want =
+    List.filter_map
+      (fun i ->
+        let t = cols.log_times.(i) in
+        if t >= last -. window_s then Some (cols.log_run, t, float_of_int cols.log_bytes.(i))
+        else None)
+      acks
+  in
+  Alcotest.(check bool) "the window cuts the series" true (List.length want < List.length acks);
+  Alcotest.(check (list (triple int (float 0.0) (float 0.0))))
+    "the dump's rows are the ACK-clock rows in the window" want (bif_rows d)
+
 (* ---- dump serialization ---- *)
 
 let sample_dump =
@@ -333,12 +451,12 @@ let test_dump_roundtrip_bytes () =
   Alcotest.(check bool) "structural round trip" true (parsed = sample_dump);
   Alcotest.(check string) "serialize . parse . serialize is byte-identical" text
     (Obs.Flight.dump_to_string parsed);
-  (* file round trip through write_dump/read_dump *)
+  (* file round trip, written and read back as the CLI does *)
   let path = Filename.temp_file "flight_test" ".jsonl" in
-  let oc = open_out path in
-  Obs.Flight.write_dump oc sample_dump;
-  close_out oc;
-  let re_read = Obs.Flight.read_dump path in
+  Obs.Versioned.write_file path (fun oc -> output_string oc text);
+  let re_read =
+    Obs.Flight.dump_of_string (In_channel.with_open_bin path In_channel.input_all)
+  in
   Sys.remove path;
   Alcotest.(check bool) "file round trip" true (re_read = sample_dump)
 
@@ -541,6 +659,10 @@ let suite =
     Alcotest.test_case "window-first snapshot matches materialise-then-filter" `Quick
       test_snapshot_matches_oracle;
     Alcotest.test_case "detail levels gate what is recorded" `Quick test_level_gating;
+    Alcotest.test_case "capture gates BiF rows by level and window" `Quick
+      test_capture_gates_bif_rows;
+    Alcotest.test_case "a dump's BiF comes from the sender's columns" `Quick
+      test_dump_bif_from_columns;
     Alcotest.test_case "workers inherit the enabled flag" `Quick
       test_workers_inherit_enabled;
     Alcotest.test_case "low-confidence trigger fires exactly once" `Quick

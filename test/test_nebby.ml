@@ -343,7 +343,7 @@ let test_report_metrics_edge_cases () =
 let check_run_is_simulate what ~run ~simulate =
   let (r : Nebby.Testbed.result) = run () and (s : Nebby.Testbed.simulation) = simulate () in
   let columns =
-    List.init s.bif_count (fun i -> (s.bif_times.(i), float_of_int s.bif_bytes.(i)))
+    List.init s.bif.log_count (fun i -> (s.bif.log_times.(i), float_of_int s.bif.log_bytes.(i)))
   in
   let same (t, b) (t', b') = Float.equal t t' && Float.equal b b' in
   Alcotest.(check bool) (what ^ ": list equals the columns pairwise") true

@@ -71,8 +71,8 @@ let test_quic_transfer_completes () =
 
 (* The sender's ground-truth BiF log as (time, bytes) pairs. *)
 let bif_samples sender =
-  let times = Transport.Sender.bif_times sender and bytes = Transport.Sender.bif_bytes sender in
-  List.init (Transport.Sender.bif_count sender) (fun i -> (times.(i), float_of_int bytes.(i)))
+  let log = Transport.Sender.bif_log sender ~run:0 in
+  List.init log.log_count (fun i -> (log.log_times.(i), float_of_int log.log_bytes.(i)))
 
 let test_inflight_bounded_by_ground_truth () =
   let sender, _, _ = run_transfer ~cca:"cubic" () in

@@ -249,6 +249,18 @@ for i in 1 2; do
     "$cli" report "$work/flight.jsonl" -o "$work/flight$i.html" >/dev/null
 done
 same "$work/flight1.html" "$work/flight2.html" "flight-dump report is not deterministic"
+# ... and that report must match the committed expectation: it pins every
+# event of the measured dump the charts draw, BiF rows included. A heading
+# names a run without an in-window stage mark by its flight-recorder run
+# id, which counts the simulations training ran on the calling domain and
+# so moves with pool placement; both sides drop that number.
+run_ids() { sed 's/— run [0-9][0-9]*</— run N</' "$1" >"$2"; }
+run_ids tools/expect/report_flight_cubic.html "$work/flight_expect.html"
+run_ids "$work/flight1.html" "$work/flight_got.html"
+same "$work/flight_expect.html" "$work/flight_got.html" \
+  "flight-dump report drifted from tools/expect/report_flight_cubic.html (if intentional, regenerate:
+   dune exec bin/nebby_cli.exe -- measure --cca cubic --training-runs 3 --seed 1234 --flight-confidence 2 --flight f.jsonl;
+   dune exec bin/nebby_cli.exe -- report f.jsonl -o tools/expect/report_flight_cubic.html)"
 # --provenance attaches only the record whose subject is the dump's: the
 # census records name sites and this dump names a CCA, so the report
 # gets no candidate table and stderr gets one note saying so.
