@@ -25,6 +25,14 @@
     performed the same [put]s in any order compact to the same bytes
     (tools/check.sh gates both properties).
 
+    A record's line is canonical when it is byte for byte what [put]
+    writes: the CRC as 8 lowercase hex digits and the payload as encoded
+    by [Obs.Json]. [put]'s records are canonical by construction. {!open_}
+    also accepts hand-written records (the CRC is read with
+    [int_of_string], so ["DEADBEEF"] and ["1234_567"] pass, and the
+    payload may hold whitespace) and marks the ones that are not
+    canonical.
+
     Resident memory stays flat under [?max_entries]: the full key index (key ->
     byte offset) is always in memory, but record values are held in a
     bounded cache with FIFO eviction. {!open_} fills that cache from the
@@ -60,6 +68,9 @@ val length : t -> int
 val keys : t -> string list
 (** Live keys in ascending order. *)
 
+val count_prefix : t -> string -> int
+(** Number of live keys that start with a prefix (no sort). *)
+
 val fold : (string -> string -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold over live (key, value) pairs in ascending key order. *)
 
@@ -68,9 +79,12 @@ val torn_dropped : t -> int
 
 val compact : t -> unit
 (** Rewrite the file canonically (one record per key, sorted) with
-    [Obs.Versioned.atomic_write]. Idempotent and byte-deterministic. If
-    the write fails the exception propagates and the journal keeps its
-    old file and stays open. *)
+    [Obs.Versioned.atomic_write]. Idempotent and byte-deterministic. It
+    reads the file once and copies each canonical record's verified line
+    unchanged, re-framing only the records open marked; the value cache
+    plays no part, so a bounded journal compacts at the same cost and to
+    the same bytes. If the read or write fails the exception propagates
+    and the journal keeps its old file and stays open. *)
 
 val close : t -> unit
 (** Flush and close the append channel. [put]/[compact] raise after

@@ -8,21 +8,26 @@ type t =
 
 (* Control characters (including DEL) become \u escapes; bytes >= 0x80 pass
    through untouched, so UTF-8 text stays UTF-8 on the wire and arbitrary
-   byte strings round-trip through our own parser byte-for-byte. *)
+   byte strings round-trip through our own parser byte-for-byte. Runs of
+   plain bytes are copied in one go. *)
 let escape buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
+  let plain = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || c < ' ' || c = '\127' then begin
+      Buffer.add_substring buf s !plain (i - !plain);
+      plain := i + 1;
       match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 || Char.code c = 0x7f ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | _ -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+    end
+  done;
+  Buffer.add_substring buf s !plain (String.length s - !plain);
   Buffer.add_char buf '"'
 
 let number_to_string x =

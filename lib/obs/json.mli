@@ -21,6 +21,10 @@ val to_string : t -> string
     byte strings (site names scraped from anywhere) survive a
     [to_string] / [of_string] round trip byte-for-byte. *)
 
+val escape : Buffer.t -> string -> unit
+(** Append a string as a JSON string literal, quotes included, exactly as
+    {!to_string} writes it. *)
+
 val of_string : string -> t
 (** Parse one JSON value. Raises {!Parse_error} on malformed input.
     [\uXXXX] escapes decode to UTF-8 (surrogate pairs combined; an

@@ -332,7 +332,6 @@ let waterfall_svg (profile : Prof.profile) =
 (* dump digestion --------------------------------------------------------- *)
 
 type run_view = {
-  run_id : int;
   run_stage : string;
   run_bif : series;
   run_cwnd : series;
@@ -343,19 +342,22 @@ type run_view = {
   run_modes : (string * string) list;  (* CCA name, last observed mode *)
 }
 
+(* A run without an in-window stage mark is named by its position in the
+   dump: the flight run id counts every simulation the recording domain
+   ran before, so it moves with pool placement. *)
 let runs_of_dump (d : Flight.dump) =
   let run_ids =
     List.sort_uniq compare (List.map (fun (e : Flight.event) -> e.run) d.events)
   in
-  List.map
-    (fun rid ->
+  List.mapi
+    (fun i rid ->
       let evs = List.filter (fun (e : Flight.event) -> e.run = rid) d.events in
       let of_kind k = List.filter (fun (e : Flight.event) -> e.kind = k) evs in
       let times k = List.map (fun (e : Flight.event) -> e.time) (of_kind k) in
       let stage =
         match of_kind Flight.Stage with
         | e :: _ -> e.detail
-        | [] -> Printf.sprintf "run %d" rid
+        | [] -> Printf.sprintf "run %d" (i + 1)
       in
       let modes =
         List.fold_left
@@ -367,7 +369,6 @@ let runs_of_dump (d : Flight.dump) =
         |> List.sort compare
       in
       {
-        run_id = rid;
         run_stage = stage;
         run_bif =
           series_of (List.map (fun (e : Flight.event) -> (e.time, e.a)) (of_kind Flight.Bif));

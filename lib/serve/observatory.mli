@@ -18,11 +18,11 @@ val epoch_of_key : string -> int option
 (** [Some n] for verdict keys of the form ["e<n>|…"], [None] for
     snapshot and any other keys. *)
 
-val point_of_values : epoch:int -> string list -> Obs.Drift.point
-(** Fold one epoch's raw verdict-record JSON strings (the
-    [Service.value_of_report] shape) into a ledger point. Unreadable
-    records count as ["unknown"] with zero confidence — the same
-    fail-towards-remeasuring stance as verdict decay. *)
+val point_of_verdicts : epoch:int -> Verdict.t list -> Obs.Drift.point
+(** Fold one epoch's verdicts into a ledger point. A missing confidence
+    or margin counts as 0, and an unreadable record as ["unknown"] with
+    zero confidence: the same fail-towards-remeasuring stance as verdict
+    decay. *)
 
 val ledger_of_store : store:string -> Obs.Drift.ledger
 (** Open the journal at [store] (repairing a torn tail like any other

@@ -69,6 +69,7 @@ type summary = {
 type job = {
   site : Internet.Website.t;
   key : string;  (* journal key: epoch_key epoch (cache_key site) *)
+  slot : int;  (* the site's position in its epoch's population *)
   epoch : int;
   timeouts_so_far : int;
   prio : int;
@@ -82,67 +83,6 @@ let flight ~epoch ~event ~value =
 let epoch_key epoch base = "e" ^ string_of_int epoch ^ "|" ^ base
 
 let snapshot_key epoch = Printf.sprintf "snapshot|e%d" epoch
-
-(* Verdict records: a small stable JSON object. Confidence and margin
-   ride along so the next epoch can judge decay without re-parsing the
-   full provenance report. *)
-let value_of_report (report : Nebby.Measurement.report) =
-  let confidence, margin =
-    match report.provenance with
-    | Some p -> (p.Obs.Provenance.confidence, p.Obs.Provenance.margin)
-    | None -> (0.0, 0.0)
-  in
-  Obs.Json.to_string
-    (Obs.Json.Obj
-       [
-         ("label", Obs.Json.Str report.label);
-         ("confidence", Obs.Json.Num confidence);
-         ("margin", Obs.Json.Num margin);
-         ("attempts", Obs.Json.Num (float_of_int report.attempts));
-         ( "failures",
-           Obs.Json.Arr
-             (List.map
-                (fun r -> Obs.Json.Str (Nebby.Measurement.failure_reason_label r))
-                report.failures) );
-       ])
-
-(* What the watchdog commits once a site's timeout retry budget is gone:
-   the same shape the retry path inside Measurement produces for an
-   exhausted measurement, so downstream consumers need no special case. *)
-let timed_out_value ~attempts =
-  Obs.Json.to_string
-    (Obs.Json.Obj
-       [
-         ("label", Obs.Json.Str "unknown");
-         ("confidence", Obs.Json.Num 0.0);
-         ("margin", Obs.Json.Num 0.0);
-         ("attempts", Obs.Json.Num (float_of_int attempts));
-         ( "failures",
-           Obs.Json.Arr
-             (List.init attempts (fun _ ->
-                  Obs.Json.Str
-                    (Nebby.Measurement.failure_reason_label Nebby.Measurement.Timeout))) );
-       ])
-
-let label_of_value value =
-  match Obs.Json.of_string value with
-  | exception Obs.Json.Parse_error _ -> "unknown"
-  | j -> (
-    match Option.bind (Obs.Json.member "label" j) Obs.Json.to_str with
-    | Some l -> l
-    | None -> "unknown")
-
-(* A verdict decays when its confidence or winning margin sits below the
-   configured floors — or when the record is unreadable, which should
-   never happen but must fail towards re-measuring, not trusting. *)
-let decayed cfg value =
-  match Obs.Json.of_string value with
-  | exception Obs.Json.Parse_error _ -> true
-  | j -> (
-    let num k = Option.bind (Obs.Json.member k j) Obs.Json.to_float in
-    match (num "confidence", num "margin") with
-    | Some c, Some m -> c < cfg.confidence_floor || m < cfg.margin_floor
-    | _ -> true)
 
 let timeout_retry_budget =
   match
@@ -166,6 +106,10 @@ let snapshot_to_json (s : Internet.Census_history.snapshot) =
              s.shares) );
     ]
 
+(* A committed verdict: the record text (committed again byte for byte
+   when carried) and that text decoded once. *)
+type held = { text : string; verdict : Verdict.t }
+
 type state = {
   cfg : config;
   store : Engine.Journal.t;
@@ -177,6 +121,7 @@ type state = {
   mutable timeouts : int;
   mutable torn : int;
   mutable epoch_now : int;
+  mutable held : held option array;  (* the running epoch's verdicts, by slot *)
   t_start : float;  (* wall start, for the running-phase jobs/s gauge *)
   wait_hists : Obs.Histogram.t array;  (* per priority, in commit ticks *)
   alerts : Alerts.t option;
@@ -232,6 +177,11 @@ let commit st ~key ~value =
   | Some n when st.commits >= n -> Unix.kill (Unix.getpid ()) Sys.sigkill
   | _ -> ()
 
+let commit_verdict st (job : job) verdict =
+  let text = Verdict.to_string verdict in
+  commit st ~key:job.key ~value:text;
+  st.held.(job.slot) <- Some { text; verdict }
+
 let process_batch st ~control =
   let batch = Job_queue.pop_batch st.queue st.cfg.batch in
   let cfg = st.cfg in
@@ -248,7 +198,6 @@ let process_batch st ~control =
   in
   List.iter
     (fun (job, report, elapsed) ->
-      let key = job.key in
       if elapsed > cfg.deadline_s then begin
         (* hung measurement: route through the typed Timeout retry path *)
         st.timeouts <- st.timeouts + 1;
@@ -259,7 +208,7 @@ let process_batch st ~control =
           st.measured <- st.measured + 1;
           Obs.Metrics.bump "serve.measured";
           observe_wait st job;
-          commit st ~key ~value:(timed_out_value ~attempts:occurrences)
+          commit_verdict st job (Verdict.timed_out ~attempts:occurrences)
         end
         else
           (* force: re-admitting already-accepted work must never be
@@ -273,7 +222,7 @@ let process_batch st ~control =
         st.measured <- st.measured + 1;
         Obs.Metrics.bump "serve.measured";
         observe_wait st job;
-        commit st ~key ~value:(value_of_report report)
+        commit_verdict st job (Verdict.of_report report)
       end)
     results;
   write_status st ~phase:"running"
@@ -294,56 +243,62 @@ let rec admit st ~control ~prio job =
 let run_epoch st ~control ~websites epoch =
   let cfg = st.cfg in
   st.epoch_now <- epoch;
-  let keyed =
-    List.map
-      (fun site ->
-        (site, Internet.Census.cache_key ~control ~proto:cfg.proto ~region:cfg.region site))
-      websites
-  in
-  List.iter
-    (fun (site, base) ->
+  (* the previous epoch's verdicts by slot: every epoch's population
+     lists the same sites in the same order, and each slot was filled
+     when its verdict was committed or recovered *)
+  let prev = st.held in
+  st.held <- Array.make (List.length websites) None;
+  List.iteri
+    (fun slot site ->
+      let base =
+        Internet.Census.cache_key ~control ~proto:cfg.proto ~region:cfg.region site
+      in
       let key = epoch_key epoch base in
       if Engine.Journal.mem st.store key then begin
         (* already durable: a previous (possibly killed) run measured it *)
         st.recovered <- st.recovered + 1;
         Obs.Metrics.bump "serve.recovered";
-        flight ~epoch ~event:"recovered" ~value:(float_of_int site.Internet.Website.rank)
+        flight ~epoch ~event:"recovered" ~value:(float_of_int site.Internet.Website.rank);
+        st.held.(slot) <-
+          Option.map
+            (fun text -> { text; verdict = Verdict.of_string text })
+            (Engine.Journal.find st.store key)
       end
       else
-        let job = { site; key; epoch; timeouts_so_far = 0; prio = 1; admitted_at = 0 } in
+        let job = { site; key; slot; epoch; timeouts_so_far = 0; prio = 1; admitted_at = 0 } in
         if epoch = 0 then admit st ~control ~prio:1 job
         else
-          match Engine.Journal.find st.store (epoch_key (epoch - 1) base) with
-          | Some prev when not (decayed cfg prev) ->
+          match prev.(slot) with
+          | Some h
+            when Verdict.stable ~confidence_floor:cfg.confidence_floor
+                   ~margin_floor:cfg.margin_floor h.verdict ->
             (* stable verdict: carry it forward instead of re-measuring *)
             st.carried <- st.carried + 1;
             Obs.Metrics.bump "serve.carried";
-            commit st ~key ~value:prev
+            commit st ~key ~value:h.text;
+            st.held.(slot) <- prev.(slot)
           | Some _ | None -> admit st ~control ~prio:0 job)
-    keyed;
+    websites;
   while Job_queue.depth st.queue > 0 do
     process_batch st ~control
   done;
   (* the epoch is fully durable: fold its verdicts into a
      Census_history snapshot (once) and a drift-ledger point (always —
      a resumed run rebuilds the same points from the same records) *)
-  let values =
-    List.filter_map (fun (_, base) -> Engine.Journal.find st.store (epoch_key epoch base)) keyed
+  let verdicts =
+    Array.fold_right (fun h acc -> match h with Some h -> h.verdict :: acc | None -> acc)
+      st.held []
   in
   let skey = snapshot_key epoch in
   if not (Engine.Journal.mem st.store skey) then begin
     let tally = Hashtbl.create 16 in
     List.iter
-      (fun v ->
-        let label = label_of_value v in
-        Hashtbl.replace tally label
-          (1 + Option.value ~default:0 (Hashtbl.find_opt tally label)))
-      values;
-    let counts =
-      List.sort
-        (fun (la, na) (lb, nb) -> if na <> nb then compare nb na else compare la lb)
-        (Hashtbl.fold (fun l n acc -> (l, n) :: acc) tally [])
-    in
+      (fun (v : Verdict.t) ->
+        Hashtbl.replace tally v.label
+          (1 + Option.value ~default:0 (Hashtbl.find_opt tally v.label)))
+      verdicts;
+    (* the snapshot sums counts per class, so their order is immaterial *)
+    let counts = Hashtbl.fold (fun l n acc -> (l, n) :: acc) tally [] in
     let snapshot =
       Internet.Census_history.snapshot_of_census ~total_hosts:cfg.sites counts
     in
@@ -353,7 +308,7 @@ let run_epoch st ~control ~websites epoch =
   (* change-point detection over the ledger so far: CUSUM state is
      forward-only, so detecting on each prefix fires the same alarms
      the full-ledger pass would *)
-  let point = Observatory.point_of_values ~epoch values in
+  let point = Observatory.point_of_verdicts ~epoch verdicts in
   st.drift_points <- point :: st.drift_points;
   let ledger = Obs.Drift.make ~subject:"serve" (List.rev st.drift_points) in
   let events =
@@ -412,6 +367,7 @@ let run ~control ~config ~store =
       timeouts = 0;
       torn = Engine.Journal.torn_dropped journal;
       epoch_now = 0;
+      held = [||];
       t_start = Unix.gettimeofday ();
       wait_hists =
         Array.init 2 (fun prio ->
@@ -440,7 +396,10 @@ let run ~control ~config ~store =
         run_epoch st ~control ~websites:(websites_at epoch) epoch
       done;
       (* graceful drain: stop admission, finish what is queued, then
-         rewrite the store in canonical form *)
+         rewrite the store in canonical form. The last epoch's verdicts
+         are folded already; let them go before compaction reads the
+         whole file. *)
+      st.held <- [||];
       Job_queue.close st.queue;
       while Job_queue.depth st.queue > 0 do
         process_batch st ~control
@@ -459,11 +418,7 @@ let run ~control ~config ~store =
         timeouts = st.timeouts;
         overloads = Job_queue.overloads st.queue;
         torn_dropped = st.torn;
-        snapshots =
-          List.length
-            (List.filter
-               (fun k -> String.length k >= 9 && String.sub k 0 9 = "snapshot|")
-               (Engine.Journal.keys journal));
+        snapshots = Engine.Journal.count_prefix journal "snapshot|";
         drift_events = st.drift_event_count;
         alerts_fired =
           List.length

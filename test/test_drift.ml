@@ -273,7 +273,7 @@ let verdict ?(label = "cubic") ?(confidence = 0.95) ?(failures = []) () =
          ("failures", Obs.Json.Arr (List.map (fun f -> Obs.Json.Str f) failures));
        ])
 
-let test_point_of_values () =
+let test_point_of_verdicts () =
   let values =
     [
       verdict ();
@@ -283,7 +283,9 @@ let test_point_of_values () =
       verdict ~label:"akamai_cc" ();
     ]
   in
-  let p = Serve.Observatory.point_of_values ~epoch:2 values in
+  let p =
+    Serve.Observatory.point_of_verdicts ~epoch:2 (List.map Serve.Verdict.of_string values)
+  in
   Alcotest.(check int) "hosts" 4 p.Obs.Drift.hosts;
   Alcotest.(check int) "timeouts counted" 1 p.Obs.Drift.timeouts;
   Alcotest.(check (float 1e-9)) "unknown share" 25.0 p.Obs.Drift.unknown_share;
@@ -292,7 +294,9 @@ let test_point_of_values () =
   Alcotest.(check (float 1e-9)) "mean confidence" ((0.95 +. 0.95 +. 0.0 +. 0.95) /. 4.0)
     p.Obs.Drift.mean_confidence;
   (* unreadable records fail towards unknown, not towards a crash *)
-  let p2 = Serve.Observatory.point_of_values ~epoch:0 [ "{not json" ] in
+  let p2 =
+    Serve.Observatory.point_of_verdicts ~epoch:0 [ Serve.Verdict.of_string "{not json" ]
+  in
   Alcotest.(check (float 1e-9)) "garbage counts as unknown" 100.0
     p2.Obs.Drift.unknown_share
 
@@ -471,7 +475,7 @@ let suite =
     Alcotest.test_case "migration spec parse/print round-trip" `Quick
       test_migration_spec_round_trip;
     Alcotest.test_case "observatory epoch key parsing" `Quick test_epoch_of_key;
-    Alcotest.test_case "observatory point statistics" `Quick test_point_of_values;
+    Alcotest.test_case "observatory point statistics" `Quick test_point_of_verdicts;
     Alcotest.test_case "observatory ledger from a journal store" `Quick
       test_ledger_of_store;
     Alcotest.test_case "alerts fire/resolve edges deduplicated" `Quick

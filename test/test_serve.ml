@@ -640,6 +640,168 @@ let test_migrating_service_detects_and_alerts () =
             Alcotest.(check bool) "a detected migration fired the drift-rate rule" true
               (fires > 0)))
 
+(* ---- compaction copies canonical frames ---- *)
+
+(* CRC-32 (IEEE), for writing records by hand *)
+let crc32 s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  !c lxor 0xFFFFFFFF
+
+let canonical_payload key value =
+  Obs.Json.to_string (Obs.Json.Obj [ ("key", Obs.Json.Str key); ("value", Obs.Json.Str value) ])
+
+(* the first of value0, value1, ... whose canonical payload's CRC passes [ok] *)
+let value_with ~key ~prefix ok =
+  let rec go i =
+    let value = prefix ^ string_of_int i in
+    if ok (crc32 (canonical_payload key value)) then value else go (i + 1)
+  in
+  go 0
+
+let fresh_compacted path puts =
+  let j = Engine.Journal.open_ path in
+  List.iter (fun (key, value) -> Engine.Journal.put j ~key ~value) puts;
+  Engine.Journal.compact j;
+  Engine.Journal.close j;
+  read_file path
+
+let test_journal_hand_written_compacts_canonically () =
+  with_store (fun hand ->
+      with_store (fun fresh ->
+          (* an uppercase CRC only differs from put's when it has a letter;
+             an underscored one fits 8 characters when the CRC is below 2^28 *)
+          let upper = value_with ~key:"b" ~prefix:"up" (fun c ->
+              Printf.sprintf "%08X" c <> Printf.sprintf "%08x" c)
+          in
+          let under = value_with ~key:"c" ~prefix:"us" (fun c -> c < 0x1000_0000) in
+          let line crc payload = crc ^ " " ^ payload ^ "\n" in
+          let padded = "{ \"key\" :\t\"a\" ,  \"value\" : \"stale\" }" in
+          let padded2 = " {\"value\":\"1\",   \"key\":\"a\"} " in
+          let bp = canonical_payload "b" upper and cp = canonical_payload "c" under in
+          let cc = crc32 cp in
+          Out_channel.with_open_bin hand (fun oc ->
+              output_string oc "{\"kind\":\"nebby_journal\",\"version\":1}\n";
+              output_string oc (line (Printf.sprintf "%08x" (crc32 padded)) padded);
+              output_string oc (line (Printf.sprintf "%08X" (crc32 bp)) bp);
+              output_string oc
+                (line (Printf.sprintf "%04x_%03x" (cc lsr 12) (cc land 0xfff)) cp);
+              output_string oc (line (Printf.sprintf "%08x" (crc32 padded2)) padded2));
+          (* a one-entry cache: the reads below go to the re-pointed index *)
+          let j = Engine.Journal.open_ ~max_entries:1 ~on_warning:Alcotest.fail hand in
+          Alcotest.(check int) "every hand-written record accepted" 3
+            (Engine.Journal.length j);
+          Engine.Journal.compact j;
+          List.iter
+            (fun (k, v) ->
+              Alcotest.(check (option string)) ("read after compaction: " ^ k) (Some v)
+                (Engine.Journal.find j k))
+            [ ("a", "1"); ("b", upper); ("c", under) ];
+          Engine.Journal.close j;
+          Alcotest.(check string) "same bytes as put"
+            (fresh_compacted fresh [ ("c", under); ("a", "1"); ("b", upper) ])
+            (read_file hand)))
+
+let test_journal_bounded_compaction_equals_unbounded () =
+  with_store (fun bounded ->
+      with_store (fun unbounded ->
+          let puts =
+            List.init 24 (fun i -> (Printf.sprintf "k%02d" (i * 7 mod 11), string_of_int i))
+          in
+          let compacted ?max_entries path =
+            let j = Engine.Journal.open_ ?max_entries path in
+            List.iteri
+              (fun i (key, value) ->
+                Engine.Journal.put j ~key ~value;
+                (* compact midway too: later puts append after copied frames *)
+                if i = 12 then Engine.Journal.compact j)
+              puts;
+            Engine.Journal.close j;
+            (* reopen: the cache is filled from the replay *)
+            let j = Engine.Journal.open_ ?max_entries path in
+            Engine.Journal.put j ~key:"z" ~value:"last";
+            Engine.Journal.compact j;
+            Engine.Journal.close j;
+            read_file path
+          in
+          Alcotest.(check string) "max_entries:2 compacts to the unbounded bytes"
+            (compacted unbounded) (compacted ~max_entries:2 bounded)))
+
+let test_journal_torn_tail_then_compaction () =
+  with_store (fun path ->
+      with_store (fun fresh ->
+          let puts = [ ("b", "2"); ("a", "1"); ("c", "x\"y\nz") ] in
+          let j = Engine.Journal.open_ path in
+          List.iter (fun (key, value) -> Engine.Journal.put j ~key ~value) puts;
+          Engine.Journal.close j;
+          let frames = String.split_on_char '\n' (read_file path) in
+          append path "deadbeef {\"key\":\"d\",\"val";
+          let j = Engine.Journal.open_ ~on_warning:ignore path in
+          Alcotest.(check int) "torn record dropped" 1 (Engine.Journal.torn_dropped j);
+          Engine.Journal.compact j;
+          Engine.Journal.close j;
+          let compacted = read_file path in
+          List.iter
+            (fun frame ->
+              Alcotest.(check bool) ("good frame kept: " ^ frame) true
+                (contains ~needle:frame compacted))
+            frames;
+          Alcotest.(check bool) "torn record gone" false
+            (contains ~needle:"\"d\"" compacted);
+          Alcotest.(check string) "same bytes as a fresh journal" (fresh_compacted fresh puts)
+            compacted))
+
+(* ---- verdict records ---- *)
+
+(* Each input's label, decay at floors 0.9/2.0 and at 0/0, and its
+   drift-point contribution (mean confidence, mean margin, timeouts, unknown
+   share of a one-verdict point), as the readers Verdict replaced gave them. *)
+let test_verdict_reader_defaults () =
+  let cases =
+    [
+      ( {|{"label":"cubic","confidence":0.95,"margin":3,"attempts":1,"failures":[]}|},
+        "cubic", false, false, (0.95, 3.0, 0, 0.0) );
+      ( {|{"confidence":0.95,"margin":3,"attempts":1,"failures":[]}|},
+        "unknown", false, false, (0.95, 3.0, 0, 100.0) );
+      ( {|{"label":"bbr","margin":3,"attempts":1,"failures":[]}|},
+        "bbr", true, true, (0.0, 3.0, 0, 0.0) );
+      ( {|{"label":"bbr","confidence":0.95,"margin":"3","attempts":1,"failures":[]}|},
+        "bbr", true, true, (0.95, 0.0, 0, 0.0) );
+      ("{not json", "unknown", true, true, (0.0, 0.0, 0, 100.0));
+      ( {|{"label":"unknown","confidence":0,"margin":0,"attempts":2,|}
+        ^ {|"failures":["timeout","low_confidence"]}|},
+        "unknown", true, false, (0.0, 0.0, 1, 100.0) );
+    ]
+  in
+  List.iter
+    (fun (text, label, decays, decays_at_zero, (conf, margin, timeouts, unknown)) ->
+      let v = Serve.Verdict.of_string text in
+      let at cf mf = not (Serve.Verdict.stable ~confidence_floor:cf ~margin_floor:mf v) in
+      let p = Serve.Observatory.point_of_verdicts ~epoch:0 [ v ] in
+      Alcotest.(check string) ("label of " ^ text) label v.Serve.Verdict.label;
+      Alcotest.(check bool) ("decays at 0.9/2.0: " ^ text) decays (at 0.9 2.0);
+      Alcotest.(check bool) ("decays at 0/0: " ^ text) decays_at_zero (at 0.0 0.0);
+      Alcotest.(check (float 1e-12)) ("confidence of " ^ text) conf p.Obs.Drift.mean_confidence;
+      Alcotest.(check (float 1e-12)) ("margin of " ^ text) margin p.Obs.Drift.mean_margin;
+      Alcotest.(check int) ("timeouts of " ^ text) timeouts p.Obs.Drift.timeouts;
+      Alcotest.(check (float 1e-12)) ("unknown share of " ^ text) unknown
+        p.Obs.Drift.unknown_share)
+    cases;
+  let text, _, _, _, _ = List.hd cases in
+  Alcotest.(check string) "a written record reads back to the same bytes" text
+    (Serve.Verdict.to_string (Serve.Verdict.of_string text));
+  Alcotest.(check string) "the watchdog's record"
+    {|{"label":"unknown","confidence":0,"margin":0,"attempts":2,"failures":["timeout","timeout"]}|}
+    (Serve.Verdict.to_string (Serve.Verdict.timed_out ~attempts:2));
+  Alcotest.(check bool) "unparsable text is marked" false
+    (Serve.Verdict.of_string "{not json").Serve.Verdict.readable
+
 let suite =
   [
     Alcotest.test_case "journal roundtrip and reopen" `Quick test_journal_roundtrip;
@@ -684,4 +846,12 @@ let suite =
       test_prometheus_help_type_pairing;
     Alcotest.test_case "migrating population detected and alerted end-to-end" `Slow
       test_migrating_service_detects_and_alerts;
+    Alcotest.test_case "journal hand-written records compact like puts" `Quick
+      test_journal_hand_written_compacts_canonically;
+    Alcotest.test_case "journal bounded compaction equals unbounded" `Quick
+      test_journal_bounded_compaction_equals_unbounded;
+    Alcotest.test_case "journal torn tail then compaction keeps good frames" `Quick
+      test_journal_torn_tail_then_compaction;
+    Alcotest.test_case "verdict reader defaults on bad input" `Quick
+      test_verdict_reader_defaults;
   ]

@@ -250,14 +250,10 @@ for i in 1 2; do
 done
 same "$work/flight1.html" "$work/flight2.html" "flight-dump report is not deterministic"
 # ... and that report must match the committed expectation: it pins every
-# event of the measured dump the charts draw, BiF rows included. A heading
-# names a run without an in-window stage mark by its flight-recorder run
-# id, which counts the simulations training ran on the calling domain and
-# so moves with pool placement; both sides drop that number.
-run_ids() { sed 's/— run [0-9][0-9]*</— run N</' "$1" >"$2"; }
-run_ids tools/expect/report_flight_cubic.html "$work/flight_expect.html"
-run_ids "$work/flight1.html" "$work/flight_got.html"
-same "$work/flight_expect.html" "$work/flight_got.html" \
+# event of the measured dump the charts draw, BiF rows included, and the
+# headings, which name a run without an in-window stage mark by its
+# position in the dump.
+same tools/expect/report_flight_cubic.html "$work/flight1.html" \
   "flight-dump report drifted from tools/expect/report_flight_cubic.html (if intentional, regenerate:
    dune exec bin/nebby_cli.exe -- measure --cca cubic --training-runs 3 --seed 1234 --flight-confidence 2 --flight f.jsonl;
    dune exec bin/nebby_cli.exe -- report f.jsonl -o tools/expect/report_flight_cubic.html)"
@@ -357,6 +353,11 @@ echo "== serve kill-and-resume gate (SIGKILL mid-census, resume, byte-identical)
 # byte-identical to an uninterrupted run's.
 serve="serve --sites 8 --training-runs 3 --seed 1234 --jobs 4"
 run_ok "reference serve run" "$cli" $serve --store "$work/ref.journal" >/dev/null
+# the reference store itself is pinned, so the resumed and --max-entries 2
+# stores below are also held to the committed bytes
+same tools/expect/serve_ref.journal "$work/ref.journal" \
+  "reference serve store drifted from tools/expect/serve_ref.journal (if intentional, regenerate:
+   rm tools/expect/serve_ref.journal; dune exec bin/nebby_cli.exe -- $serve --store tools/expect/serve_ref.journal)"
 # seeded kill point, mid-run but past the first commit
 kill_after=$(( 1234 % 11 + 2 ))
 if "$cli" $serve --store "$work/crash.journal" \
