@@ -10,7 +10,8 @@
      dune exec bench/main.exe -- --sites 2000   # larger census samples
      dune exec bench/main.exe -- --trials 50    # more trials per CCA
      dune exec bench/main.exe -- overhead --json overhead.json
-     dune exec bench/main.exe -- simulate --json simulate.json *)
+     dune exec bench/main.exe -- simulate --json simulate.json
+     dune exec bench/main.exe -- journal --json journal.json *)
 
 let sites = ref 250
 let trials = ref 12
@@ -813,6 +814,118 @@ let simulate () =
     !json_out
 
 (* ------------------------------------------------------------------ *)
+(* Journal: serve's carry path per record                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A serial model of bench/perf's serve-carry journal work: seed a
+   deterministic store of [journal_records] verdict records under epoch-0
+   keys, then open it (the replay), decode every verdict, carry each one
+   as a put under its epoch-1 key, and compact. Best of [journal_passes]
+   in CPU time. Minor words per record repeat exactly from pass to pass,
+   so they are what check.sh gates; the digest is the MD5 of the
+   compacted file, which a change to the journal or to the verdict
+   encoding must leave unchanged. *)
+let journal_records = 20_000
+let journal_passes = 3
+
+(* the site part of each key, as Census.cache_key spells it, and the
+   store seeded with one verdict per site *)
+let journal_seed path =
+  let fingerprint = Digest.to_hex (Digest.string "bench journal") in
+  let labels = Array.of_list Cca.Registry.all in
+  let rng = Random.State.make [| !seed |] in
+  let j = Engine.Journal.open_ path in
+  let sites =
+    Array.init journal_records (fun i ->
+        let site =
+          Printf.sprintf "%d:site-%05d.example|Ohio|tcp|%s" (i + 1) (i + 1) fingerprint
+        in
+        let verdict =
+          {
+            Serve.Verdict.label = labels.(i mod Array.length labels);
+            confidence = Some (Random.State.float rng 1.0);
+            margin = Some (Float.round (Random.State.float rng 2000.0) /. 10.0);
+            attempts = 1 + (i mod 3);
+            failures = (if i mod 7 = 0 then [ "low_confidence" ] else []);
+            readable = true;
+          }
+        in
+        Engine.Journal.put j ~key:("e0|" ^ site) ~value:(Serve.Verdict.to_string verdict);
+        site)
+  in
+  Engine.Journal.compact j;
+  Engine.Journal.close j;
+  sites
+
+(* [f ()]'s result, minor words and CPU seconds *)
+let measured f =
+  let w0 = Gc.minor_words () and t0 = Sys.time () in
+  let r = f () in
+  let t = Sys.time () -. t0 in
+  (r, Gc.minor_words () -. w0, t)
+
+let journal () =
+  header "Journal" "serve's carry path per record (open, decode, put, compact)";
+  let pass () =
+    let path = Filename.temp_file "nebby-bench" ".journal" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let sites = journal_seed path in
+        let n = Array.length sites in
+        let e0 = Array.map (fun s -> "e0|" ^ s) sites and e1 = Array.map (fun s -> "e1|" ^ s) sites in
+        let texts = Array.make n "" in
+        let decoded = Array.make n (Serve.Verdict.of_string "") in
+        let j, open_w, open_s = measured (fun () -> Engine.Journal.open_ path) in
+        let (), decode_w, decode_s =
+          measured (fun () ->
+              for i = 0 to n - 1 do
+                match Engine.Journal.find j e0.(i) with
+                | Some text ->
+                  texts.(i) <- text;
+                  decoded.(i) <- Serve.Verdict.of_string text
+                | None -> failwith "journal bench: a seeded record is missing"
+              done)
+        in
+        if Array.exists (fun (v : Serve.Verdict.t) -> not v.readable) decoded then
+          failwith "journal bench: a seeded verdict did not decode";
+        let (), put_w, put_s =
+          measured (fun () ->
+              for i = 0 to n - 1 do
+                Engine.Journal.put j ~key:e1.(i) ~value:texts.(i)
+              done)
+        in
+        let (), _, compact_s = measured (fun () -> Engine.Journal.compact j) in
+        Engine.Journal.close j;
+        let per x = x /. float_of_int n in
+        ( [ per open_w; per decode_w; per put_w ],
+          List.map (fun s -> 1e6 *. per s) [ open_s; decode_s; put_s; compact_s ],
+          Digest.to_hex (Digest.file path) ))
+  in
+  let passes = List.init journal_passes (fun _ -> pass ()) in
+  let cpu (_, us, _) = List.fold_left ( +. ) 0.0 us in
+  let words, us, digest =
+    List.fold_left (fun best p -> if cpu p < cpu best then p else best) (List.hd passes)
+      (List.tl passes)
+  in
+  if List.exists (fun (_, _, d) -> d <> digest) passes then
+    failwith "journal: two passes compacted to different bytes";
+  pf "%d records, best of %d passes in CPU time\n" journal_records journal_passes;
+  let names = [ "open"; "decode"; "put"; "compact" ] in
+  List.iteri
+    (fun i name ->
+      pf "%-8s %8.3f us/record%s\n" name (List.nth us i)
+        (if i < 3 then Printf.sprintf "  %7.2f minor words/record" (List.nth words i) else ""))
+    names;
+  pf "digest   %s\n" digest;
+  Option.iter
+    (fun path ->
+      write_json path
+        (List.mapi (fun i w -> (Printf.sprintf "journal_%s_words_per_record" (List.nth names i), w)) words
+        @ List.mapi (fun i u -> (Printf.sprintf "journal_%s_us_per_record" (List.nth names i), u)) us))
+    !json_out
+
+(* ------------------------------------------------------------------ *)
 (* Overhead: the CPU-time cost of each instrument, in paired runs     *)
 (* ------------------------------------------------------------------ *)
 
@@ -957,6 +1070,7 @@ let experiments =
     ("ablation", ablation);
     ("chaos", chaos);
     ("simulate", simulate);
+    ("journal", journal);
     ("overhead", overhead);
   ]
 

@@ -31,17 +31,25 @@
     also accepts hand-written records (the CRC is read with
     [int_of_string], so ["DEADBEEF"] and ["1234_567"] pass, and the
     payload may hold whitespace) and marks the ones that are not
-    canonical.
+    canonical. It decides that with its own scan of [put]'s spelling:
+    one pass over a line checks the CRC, decodes the key and the value,
+    and in doing so proves the line canonical; only a line the scan
+    declines goes through the general [Obs.Json] reader, and it is
+    marked not canonical. Which records are accepted, and what they
+    read as, is the same as the general reader alone would give.
 
-    Resident memory stays flat under [?max_entries]: the full key index (key ->
-    byte offset) is always in memory, but record values are held in a
-    bounded cache with FIFO eviction. {!open_} fills that cache from the
-    values its replay has just parsed and CRC-checked (the latest record
-    per key, up to [max_entries] keys), so reads after a reopen are served
-    from memory like reads after a [put]. A miss re-reads the record from
-    disk and re-checks its CRC.
+    The journal keeps one table entry per live key: where its latest
+    record sits (byte offset and length) and, when cached, its value.
+    Resident memory stays flat under [?max_entries]: every key's
+    location is always in memory, but at most [max_entries] entries
+    hold a value, evicted first-cached-first (FIFO). {!open_} fills the
+    values from its replay, which has just decoded and CRC-checked them
+    (the latest record per key, up to [max_entries] keys), so reads
+    after a reopen are served from memory like reads after a [put]. A
+    miss re-reads the record from disk and re-checks its CRC.
 
-    Handles are domain-safe behind an internal mutex. *)
+    Handles are domain-safe behind an internal mutex; [put] frames each
+    record in a scratch buffer of the handle under that mutex. *)
 
 type t
 
@@ -49,7 +57,7 @@ val schema_version : int
 
 val open_ : ?max_entries:int -> ?on_warning:(string -> unit) -> string -> t
 (** Open (or create) the journal at a path. [max_entries] bounds the
-    in-memory value cache (default: unbounded); [on_warning] receives a
+    number of cached values (default: unbounded); [on_warning] receives a
     human-readable message when a torn tail is dropped (default: print
     to stderr). The header goes through [Obs.Versioned.check]: it raises
     [Obs.Versioned.Version_mismatch] on schema skew and [Json.Parse_error]
@@ -89,3 +97,25 @@ val compact : t -> unit
 val close : t -> unit
 (** Flush and close the append channel. [put]/[compact] raise after
     this; reads keep working. *)
+
+(** {2 Replay, exposed for tests} *)
+
+type record = {
+  key : string;
+  value : string;
+  off : int;  (** the payload's byte offset; the line starts 9 bytes earlier *)
+  len : int;  (** the payload's length in bytes *)
+  canonical : bool;
+}
+
+val replay : ?general_only:bool -> string -> int -> record list * int
+(** [replay text from] is {!open_}'s replay of a journal's [text] from
+    the line start [from] (just past the header): its good records in
+    file order, and the offset where they end (the text's length, or
+    the start of the first torn line). With [~general_only:true] every
+    line goes through the general reader and no record is marked
+    canonical. *)
+
+val crc32 : string -> int -> int -> int
+(** [crc32 s off len]: the CRC-32 (IEEE) of [len] bytes of [s] from
+    [off], eight bytes a step. *)

@@ -72,11 +72,16 @@ let to_string j =
 exception Parse_error of string
 
 (* Recursive-descent parser over a string cursor; enough JSON for our own
-   telemetry files (numbers, strings, bools, null, arrays, objects). *)
+   telemetry files (numbers, strings, bools, null, arrays, objects).
+   Nesting is bounded by [max_depth], so no input can exhaust the stack. *)
 type cursor = { src : string; mutable pos : int }
 
+let max_depth = 512
 let fail c msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg c.pos))
-let peek c = if c.pos < String.length c.src then Some c.src.[c.pos] else None
+let at_end c = c.pos >= String.length c.src
+
+(* the byte under the cursor; callers check [at_end] first *)
+let peek c = String.unsafe_get c.src c.pos
 
 let skip_ws c =
   while
@@ -87,9 +92,8 @@ let skip_ws c =
   done
 
 let expect c ch =
-  match peek c with
-  | Some x when x = ch -> c.pos <- c.pos + 1
-  | _ -> fail c (Printf.sprintf "expected '%c'" ch)
+  if (not (at_end c)) && peek c = ch then c.pos <- c.pos + 1
+  else fail c (Printf.sprintf "expected '%c'" ch)
 
 let literal c word value =
   let n = String.length word in
@@ -145,18 +149,19 @@ let parse_string c =
     let stop = plain_end c.pos in
     Buffer.add_substring buf c.src c.pos (stop - c.pos);
     c.pos <- stop;
-    match peek c with
-    | None -> fail c "unterminated string"
-    | Some '"' -> c.pos <- c.pos + 1
-    | Some _ (* a backslash *) ->
+    if at_end c then fail c "unterminated string"
+    else if peek c = '"' then c.pos <- c.pos + 1
+    else begin
+      (* a backslash *)
       c.pos <- c.pos + 1;
+      if at_end c then fail c "unterminated escape";
       (match peek c with
-      | Some 'n' -> Buffer.add_char buf '\n'
-      | Some 't' -> Buffer.add_char buf '\t'
-      | Some 'r' -> Buffer.add_char buf '\r'
-      | Some 'b' -> Buffer.add_char buf '\b'
-      | Some 'f' -> Buffer.add_char buf '\012'
-      | Some 'u' ->
+      | 'n' -> Buffer.add_char buf '\n'
+      | 't' -> Buffer.add_char buf '\t'
+      | 'r' -> Buffer.add_char buf '\r'
+      | 'b' -> Buffer.add_char buf '\b'
+      | 'f' -> Buffer.add_char buf '\012'
+      | 'u' ->
         (* Decode to UTF-8, combining surrogate pairs; an unpaired
            surrogate becomes U+FFFD rather than corrupting the stream. *)
         let code = read_hex4 () in
@@ -179,10 +184,10 @@ let parse_string c =
           else add_utf8 buf 0xFFFD
         else if code >= 0xDC00 && code <= 0xDFFF then add_utf8 buf 0xFFFD
         else add_utf8 buf code
-      | Some ch -> Buffer.add_char buf ch
-      | None -> fail c "unterminated escape");
+      | ch -> Buffer.add_char buf ch);
       c.pos <- c.pos + 1;
       go ()
+    end
   in
   go ();
   Buffer.contents buf
@@ -200,13 +205,17 @@ let parse_number c =
   | Some x -> x
   | None -> fail c "malformed number"
 
-let rec parse_value c =
+(* [depth] counts the arrays and objects open around the value *)
+let rec parse_value c depth =
   skip_ws c;
+  if at_end c then fail c "unexpected end of input";
   match peek c with
-  | Some '{' ->
+  | ('{' | '[') when depth >= max_depth ->
+    fail c (Printf.sprintf "nesting deeper than %d" max_depth)
+  | '{' ->
     c.pos <- c.pos + 1;
     skip_ws c;
-    if peek c = Some '}' then begin
+    if (not (at_end c)) && peek c = '}' then begin
       c.pos <- c.pos + 1;
       Obj []
     end
@@ -216,51 +225,52 @@ let rec parse_value c =
         let k = parse_string c in
         skip_ws c;
         expect c ':';
-        let v = parse_value c in
+        let v = parse_value c (depth + 1) in
         skip_ws c;
+        if at_end c then fail c "expected ',' or '}'";
         match peek c with
-        | Some ',' ->
+        | ',' ->
           c.pos <- c.pos + 1;
           fields ((k, v) :: acc)
-        | Some '}' ->
+        | '}' ->
           c.pos <- c.pos + 1;
           Obj (List.rev ((k, v) :: acc))
         | _ -> fail c "expected ',' or '}'"
       in
       fields []
     end
-  | Some '[' ->
+  | '[' ->
     c.pos <- c.pos + 1;
     skip_ws c;
-    if peek c = Some ']' then begin
+    if (not (at_end c)) && peek c = ']' then begin
       c.pos <- c.pos + 1;
       Arr []
     end
     else begin
       let rec items acc =
-        let v = parse_value c in
+        let v = parse_value c (depth + 1) in
         skip_ws c;
+        if at_end c then fail c "expected ',' or ']'";
         match peek c with
-        | Some ',' ->
+        | ',' ->
           c.pos <- c.pos + 1;
           items (v :: acc)
-        | Some ']' ->
+        | ']' ->
           c.pos <- c.pos + 1;
           Arr (List.rev (v :: acc))
         | _ -> fail c "expected ',' or ']'"
       in
       items []
     end
-  | Some '"' -> Str (parse_string c)
-  | Some 't' -> literal c "true" (Bool true)
-  | Some 'f' -> literal c "false" (Bool false)
-  | Some 'n' -> literal c "null" Null
-  | Some _ -> Num (parse_number c)
-  | None -> fail c "unexpected end of input"
+  | '"' -> Str (parse_string c)
+  | 't' -> literal c "true" (Bool true)
+  | 'f' -> literal c "false" (Bool false)
+  | 'n' -> literal c "null" Null
+  | _ -> Num (parse_number c)
 
 let of_string s =
   let c = { src = s; pos = 0 } in
-  let v = parse_value c in
+  let v = parse_value c 0 in
   skip_ws c;
   if c.pos <> String.length s then fail c "trailing garbage";
   v

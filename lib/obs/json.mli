@@ -25,11 +25,15 @@ val escape : Buffer.t -> string -> unit
 (** Append a string as a JSON string literal, quotes included, exactly as
     {!to_string} writes it. *)
 
+val max_depth : int
+(** How deeply arrays and objects may nest: 512. *)
+
 val of_string : string -> t
-(** Parse one JSON value. Raises {!Parse_error} on malformed input.
-    [\uXXXX] escapes decode to UTF-8 (surrogate pairs combined; an
-    unpaired surrogate becomes U+FFFD rather than corrupting the
-    stream). *)
+(** Parse one JSON value. Raises {!Parse_error} on malformed input and
+    on nesting deeper than {!max_depth}, so any input bytes give a value
+    or a [Parse_error], never a stack overflow. [\uXXXX] escapes decode
+    to UTF-8 (surrogate pairs combined; an unpaired surrogate becomes
+    U+FFFD rather than corrupting the stream). *)
 
 (** Accessors returning [None] on shape mismatch. *)
 

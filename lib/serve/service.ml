@@ -68,7 +68,7 @@ type summary = {
 
 type job = {
   site : Internet.Website.t;
-  key : string;  (* journal key: epoch_key epoch (cache_key site) *)
+  key : string;  (* journal key: epoch_key epoch (the slot's cache key) *)
   slot : int;  (* the site's position in its epoch's population *)
   epoch : int;
   timeouts_so_far : int;
@@ -79,7 +79,7 @@ type job = {
 let flight ~epoch ~event ~value =
   Obs.Flight.serve ~time:(float_of_int epoch) ~event ~value
 
-(* [base] is the site's Census.cache_key, computed once per site-epoch *)
+(* [base] is the site's Census.cache_key, computed once per run *)
 let epoch_key epoch base = "e" ^ string_of_int epoch ^ "|" ^ base
 
 let snapshot_key epoch = Printf.sprintf "snapshot|e%d" epoch
@@ -240,7 +240,10 @@ let rec admit st ~control ~prio job =
     admit st ~control ~prio job
   | Job_queue.Closed -> invalid_arg "Serve.Service: queue closed while admitting"
 
-let run_epoch st ~control ~websites epoch =
+(* [cache_keys] holds each slot's Census.cache_key: every epoch lists the
+   same sites in the same order (a migration moves only deployments), and
+   the key reads only rank, name, region, protocol and fingerprint *)
+let run_epoch st ~control ~cache_keys ~websites epoch =
   let cfg = st.cfg in
   st.epoch_now <- epoch;
   (* the previous epoch's verdicts by slot: every epoch's population
@@ -250,10 +253,7 @@ let run_epoch st ~control ~websites epoch =
   st.held <- Array.make (List.length websites) None;
   List.iteri
     (fun slot site ->
-      let base =
-        Internet.Census.cache_key ~control ~proto:cfg.proto ~region:cfg.region site
-      in
-      let key = epoch_key epoch base in
+      let key = epoch_key epoch cache_keys.(slot) in
       if Engine.Journal.mem st.store key then begin
         (* already durable: a previous (possibly killed) run measured it *)
         st.recovered <- st.recovered + 1;
@@ -385,6 +385,12 @@ let run ~control ~config ~store =
     ~finally:(fun () -> Engine.Journal.close journal)
     (fun () ->
       let base = Internet.Population.generate ~n:config.sites ~seed:config.seed () in
+      let cache_keys =
+        Array.of_list
+          (List.map
+             (Internet.Census.cache_key ~control ~proto:config.proto ~region:config.region)
+             base)
+      in
       let websites_at epoch =
         match config.migration with
         | None -> base
@@ -393,7 +399,7 @@ let run ~control ~config ~store =
             ~epoch ()
       in
       for epoch = 0 to max 0 (config.epochs - 1) do
-        run_epoch st ~control ~websites:(websites_at epoch) epoch
+        run_epoch st ~control ~cache_keys ~websites:(websites_at epoch) epoch
       done;
       (* graceful drain: stop admission, finish what is queued, then
          rewrite the store in canonical form. The last epoch's verdicts

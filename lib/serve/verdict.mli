@@ -24,6 +24,13 @@ val to_string : t -> string
 (** A missing confidence or margin is written as 0. *)
 
 val of_string : string -> t
+(** Reads {!to_string}'s own spelling in one scan, calling
+    [float_of_string] on the same digits the general reader would; any
+    other text (whitespace, another field order, escapes, [null]) goes
+    to {!of_string_general}. Both give the same [t] for any text. *)
+
+val of_string_general : string -> t
+(** The reader over an [Obs.Json] tree, for any text. *)
 
 val stable : confidence_floor:float -> margin_floor:float -> t -> bool
 (** Both confidence and margin present and neither below its floor, so

@@ -257,6 +257,31 @@ let test_json_unicode_escapes () =
     | exception Obs.Json.Parse_error _ -> true
     | _ -> false)
 
+let test_json_nesting_limit () =
+  let nested depth = String.make depth '[' ^ String.make depth ']' in
+  let rec depth_of = function
+    | Obs.Json.Arr [] -> 1
+    | Obs.Json.Arr [ x ] -> 1 + depth_of x
+    | _ -> Alcotest.fail "unexpected shape"
+  in
+  let m = Obs.Json.max_depth in
+  Alcotest.(check int) "arrays at the limit parse" m (depth_of (Obs.Json.of_string (nested m)));
+  let objects depth =
+    String.concat "" (List.init depth (fun _ -> "{\"a\":")) ^ "1" ^ String.make depth '}'
+  in
+  ignore (Obs.Json.of_string (objects m));
+  let rejected s =
+    match Obs.Json.of_string s with
+    | exception Obs.Json.Parse_error _ -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "arrays one past the limit are a Parse_error" true
+    (rejected (nested (m + 1)));
+  Alcotest.(check bool) "objects one past the limit are a Parse_error" true
+    (rejected (objects (m + 1)));
+  Alcotest.(check bool) "a 200k-deep run is a Parse_error, not a stack overflow" true
+    (rejected (String.make 200_000 '['))
+
 (* ---- span path, gc accounting, and the Fun.protect guard ---- *)
 
 let test_span_path_and_alloc () =
@@ -416,4 +441,5 @@ let suite =
     Alcotest.test_case "span of_json inverts to_json" `Quick test_span_json_roundtrip;
     Alcotest.test_case "records nest: profiler sees the telemetry file's spans" `Quick
       test_nested_record;
+    Alcotest.test_case "json nesting limit" `Quick test_json_nesting_limit;
   ]

@@ -657,6 +657,9 @@ let crc32 s =
 let canonical_payload key value =
   Obs.Json.to_string (Obs.Json.Obj [ ("key", Obs.Json.Str key); ("value", Obs.Json.Str value) ])
 
+(* a payload framed with its CRC in put's lowercase spelling *)
+let framed payload = Printf.sprintf "%08x %s" (crc32 payload) payload
+
 (* the first of value0, value1, ... whose canonical payload's CRC passes [ok] *)
 let value_with ~key ~prefix ok =
   let rec go i =
@@ -802,6 +805,265 @@ let test_verdict_reader_defaults () =
   Alcotest.(check bool) "unparsable text is marked" false
     (Serve.Verdict.of_string "{not json").Serve.Verdict.readable
 
+(* ---- one-pass replay, verdict scan and word-at-a-time CRC ---- *)
+
+(* bytes a journal string must survive: quotes, backslashes, every
+   escape spelling's letter, control bytes, DEL and UTF-8 *)
+let special_bytes = "\"\\\n\r\t\b\012\000\001\031\127/u0aAF \xc3\xa9\xe2\x82\xac\xff"
+
+let gen_bytes =
+  QCheck.Gen.(
+    string_size
+      ~gen:
+        (frequency
+           [ (3, char); (2, map (String.get special_bytes) (int_bound (String.length special_bytes - 1))) ])
+      (int_range 0 24))
+
+(* put's line for a key and value, built from Obs.Json and a bitwise CRC *)
+let put_line key value =
+  let p = canonical_payload key value in
+  Printf.sprintf "%08x %s" (crc32 p) p
+
+let str s = Obs.Json.to_string (Obs.Json.Str s)
+
+(* A JSON string literal in another spelling: every ASCII byte as an
+   uppercase \u00XX escape, other bytes raw. *)
+let u_escaped s =
+  let b = Buffer.create 64 in
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      if Char.code c < 0x80 then Buffer.add_string b (Printf.sprintf "\\u%04X" (Char.code c))
+      else Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+(* ... and with control bytes other than the newline left raw *)
+let raw_controls s =
+  let b = Buffer.create 64 in
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+(* the ways a line can spell a record; the last two are torn *)
+let variants =
+  [
+    ("put", fun k v -> put_line k v);
+    ( "uppercase crc",
+      fun k v ->
+        let p = canonical_payload k v in
+        Printf.sprintf "%08X %s" (crc32 p) p );
+    ("padded", fun k v -> framed (Printf.sprintf "{ \"key\" :\t%s ,  \"value\" : %s } " (str k) (str v)));
+    ("swapped", fun k v -> framed (Printf.sprintf "{\"value\":%s,\"key\":%s}" (str v) (str k)));
+    ("extra field", fun k v -> framed (Printf.sprintf "{\"key\":%s,\"value\":%s,\"n\":1}" (str k) (str v)));
+    ("trailing space", fun k v -> framed (canonical_payload k v ^ " "));
+    ("trailing byte", fun k v -> framed (canonical_payload k v ^ "x"));
+    ("u escapes", fun k v -> framed (Printf.sprintf "{\"key\":%s,\"value\":%s}" (u_escaped k) (str v)));
+    ("raw controls", fun k v -> framed (Printf.sprintf "{\"key\":%s,\"value\":%s}" (str k) (raw_controls v)));
+    ( "bad crc",
+      fun k v ->
+        let p = canonical_payload k v in
+        Printf.sprintf "%08x %s" (crc32 p lxor 1) p );
+    ("nested past the limit", fun k v ->
+        framed
+          (Printf.sprintf "{\"key\":%s,\"value\":%s,\"n\":%s%s}" (str k) (str v)
+             (String.make (Obs.Json.max_depth + 1) '[')
+             (String.make (Obs.Json.max_depth + 1) ']')));
+  ]
+
+(* A record list agrees with the general reader's: same keys, values,
+   offsets and lengths, the same end of the good prefix, and canonical
+   exactly when the line is put's spelling of what the general reader
+   decoded. *)
+let header = "{\"kind\":\"nebby_journal\",\"version\":1}\n"
+
+let replay_agrees text =
+  let from = String.length header in
+  let fast, fast_end = Engine.Journal.replay text from in
+  let general, general_end = Engine.Journal.replay ~general_only:true text from in
+  let strip (r : Engine.Journal.record) = (r.key, r.value, r.off, r.len) in
+  fast_end = general_end
+  && List.map strip fast = List.map strip general
+  && List.for_all
+       (fun (r : Engine.Journal.record) ->
+         r.canonical = (String.sub text (r.off - 9) (r.len + 9) = put_line r.key r.value))
+       fast
+  && List.for_all (fun (r : Engine.Journal.record) -> not r.canonical) general
+
+let prop_replay_equals_general =
+  let record = QCheck.Gen.(triple gen_bytes gen_bytes (int_bound (List.length variants - 1))) in
+  QCheck.Test.make ~name:"journal one-pass replay equals the general reader" ~count:500
+    (QCheck.make
+       ~print:
+         QCheck.Print.(
+           pair (list (triple string string (fun i -> fst (List.nth variants i)))) bool)
+       QCheck.Gen.(pair (list_size (int_range 1 6) record) bool))
+    (fun (records, cut) ->
+      let lines =
+        List.map (fun (k, v, i) -> (snd (List.nth variants i)) k v ^ "\n") records
+      in
+      let body = String.concat "" lines in
+      (* a cut drops the last line's newline: a write torn mid-record *)
+      let body = if cut then String.sub body 0 (String.length body - 1) else body in
+      replay_agrees (header ^ body))
+
+let test_journal_hand_written_lines_agree () =
+  let upper = value_with ~key:"site" ~prefix:"up" (fun c ->
+      Printf.sprintf "%08X" c <> Printf.sprintf "%08x" c)
+  in
+  let under = value_with ~key:"site" ~prefix:"us" (fun c -> c < 0x1000_0000) in
+  let up = canonical_payload "site" upper and us = canonical_payload "site" under in
+  let lines =
+    [
+      put_line "site" "v\"1\n";
+      Printf.sprintf "%08X %s" (crc32 up) up;
+      Printf.sprintf "%04x_%03x %s" (crc32 us lsr 12) (crc32 us land 0xfff) us;
+      framed "{ \"key\" : \"site\" , \"value\" : \"x\" }";
+      framed " {\"key\":\"site\",\"value\":\"x\"}";
+      framed "{\"value\":\"x\",\"key\":\"site\"}";
+      framed "{\"key\":\"site\",\"value\":\"x\"} ";
+      framed "{\"key\":\"site\",\"value\":\"x\",\"extra\":[1,{\"a\":null}]}";
+      framed "{\"key\":\"site\",\"value\":\"\\u0041\\/\\b\\f\"}";
+      framed "{\"key\":\"site\",\"value\":\"\\u001F\"}";
+      framed "{\"key\":\"site\",\"value\":\"\\u00e9\"}";
+      framed "{\"key\":\"s\\u0000ite\",\"value\":\"\\u007f\\t\"}";
+    ]
+  in
+  List.iter
+    (fun line ->
+      let text = header ^ line ^ "\n" in
+      Alcotest.(check bool) ("agrees: " ^ String.escaped line) true (replay_agrees text);
+      let records, _ = Engine.Journal.replay text (String.length header) in
+      Alcotest.(check int) ("accepted: " ^ String.escaped line) 1 (List.length records))
+    lines;
+  let canonical line =
+    match Engine.Journal.replay (header ^ line ^ "\n") (String.length header) with
+    | [ r ], _ -> r.Engine.Journal.canonical
+    | _ -> Alcotest.fail ("not accepted: " ^ line)
+  in
+  Alcotest.(check bool) "put's line is canonical" true (canonical (List.hd lines));
+  Alcotest.(check bool) "control bytes and DEL in put's spelling are canonical" true
+    (canonical (framed "{\"key\":\"s\\u0000ite\",\"value\":\"\\u007f\\t\"}"));
+  Alcotest.(check bool) "a padded line is not" false
+    (canonical (framed " {\"key\":\"site\",\"value\":\"x\"}"))
+
+let prop_put_writes_put_line =
+  QCheck.Test.make ~name:"journal put writes put's canonical line" ~count:100
+    (QCheck.make ~print:QCheck.Print.(pair string string) QCheck.Gen.(pair gen_bytes gen_bytes))
+    (fun (key, value) ->
+      with_store (fun path ->
+          Sys.remove path;
+          let j = Engine.Journal.open_ path in
+          Engine.Journal.put j ~key ~value;
+          Engine.Journal.put j ~key:"next" ~value:(key ^ value);
+          Engine.Journal.close j;
+          read_file path
+          = header ^ put_line key value ^ "\n"
+            ^ put_line "next" (key ^ value) ^ "\n"))
+
+let test_journal_crc_matches_bitwise () =
+  let s = String.init 320 (fun i -> Char.chr ((i * 131 + (i * i * 7)) land 0xff)) in
+  for len = 0 to 300 do
+    for off = 0 to String.length s - len do
+      if Engine.Journal.crc32 s off len <> crc32 (String.sub s off len) then
+        Alcotest.failf "crc32 differs at offset %d, length %d" off len
+    done
+  done
+
+let test_journal_deep_record_is_torn () =
+  with_store (fun path ->
+      let j = Engine.Journal.open_ path in
+      Engine.Journal.put j ~key:"a" ~value:"1";
+      Engine.Journal.close j;
+      let deep = 200_000 in
+      append path
+        (framed
+           (Printf.sprintf "{\"key\":\"b\",\"value\":\"2\",\"n\":%s%s}" (String.make deep '[')
+              (String.make deep ']'))
+        ^ "\n");
+      let j = Engine.Journal.open_ ~on_warning:ignore path in
+      Alcotest.(check int) "the deep record is dropped as torn" 1 (Engine.Journal.torn_dropped j);
+      Alcotest.(check (list string)) "the good record stays" [ "a" ] (Engine.Journal.keys j);
+      Engine.Journal.close j)
+
+let gen_verdict =
+  QCheck.Gen.(
+    let label = oneof [ oneofl [ "cubic"; "bbr"; "unknown" ]; gen_bytes ] in
+    let score = opt (oneof [ float; map float_of_int (int_range (-3) 200); float_bound_inclusive 1.0 ]) in
+    map
+      (fun (label, confidence, margin, (attempts, failures)) ->
+        { Serve.Verdict.label; confidence; margin; attempts; failures; readable = true })
+      (quad label score score
+         (pair (int_range 0 5) (list_size (int_range 0 3) (oneof [ pure "timeout"; gen_bytes ])))))
+
+(* one to three byte edits, biased to JSON's structural bytes *)
+let gen_mutated text =
+  QCheck.Gen.(
+    let byte =
+      oneof
+        [ char; oneofl [ ' '; '"'; '\\'; ','; ':'; '}'; ']'; 'e'; '-'; '.'; '0'; '9'; 'x'; '_'; 'n' ] ]
+    in
+    let edit s =
+      let n = String.length s in
+      map3
+        (fun kind at c ->
+          match kind with
+          | 0 -> String.sub s 0 at ^ String.make 1 c ^ String.sub s at (n - at)
+          | 1 when at < n -> String.sub s 0 at ^ String.sub s (at + 1) (n - at - 1)
+          | _ when at < n -> String.sub s 0 at ^ String.make 1 c ^ String.sub s (at + 1) (n - at - 1)
+          | _ -> s)
+        (int_bound 2) (int_bound n) byte
+    in
+    int_range 1 3 >>= fun k ->
+    let rec go k s = if k = 0 then pure s else edit s >>= go (k - 1) in
+    go k text)
+
+let test_verdict_hand_written_texts_agree () =
+  let own = {|{"label":"cubic","confidence":0.95,"margin":3,"attempts":1,"failures":["timeout"]}|} in
+  let texts =
+    [
+      own;
+      own ^ " ";
+      own ^ "x";
+      " " ^ own;
+      {|{"label":"cu\"bic","confidence":0.95,"margin":3,"attempts":1,"failures":[]}|};
+      {|{"label":"cubic","confidence":0x1,"margin":3,"attempts":1,"failures":[]}|};
+      {|{"label":"cubic","confidence":1_0,"margin":3,"attempts":1,"failures":[]}|};
+      {|{"label":"cubic","confidence":nan,"margin":3,"attempts":1,"failures":[]}|};
+      {|{"label":"cubic","confidence":null,"margin":3,"attempts":1,"failures":[]}|};
+      {|{"label":"cubic","confidence":1e999,"margin":-0,"attempts":1.9,"failures":[]}|};
+      {|{"label":"cubic","confidence":1,"margin":3,"attempts":1,"failures":["a" ]}|};
+      {|{"label":"cubic","confidence":1,"margin":3,"attempts":1,"failures":["a",]}|};
+      {|{"margin":3,"label":"cubic","confidence":1,"attempts":1,"failures":[]}|};
+      {|{"label":"cubic","confidence":1,"margin":3,"attempts":1,"failures":[],"x":1}|};
+    ]
+  in
+  List.iter
+    (fun text ->
+      Alcotest.(check bool) ("same verdict: " ^ text) true
+        (Serve.Verdict.of_string text = Serve.Verdict.of_string_general text))
+    texts
+
+let prop_verdict_scan_equals_general =
+  QCheck.Test.make ~name:"verdict scan equals the general reader" ~count:1000
+    (QCheck.make ~print:QCheck.Print.(pair string string)
+       QCheck.Gen.(
+         gen_verdict >>= fun v ->
+         let text = Serve.Verdict.to_string v in
+         map (fun m -> (text, m)) (gen_mutated text)))
+    (fun (text, mutated) ->
+      Serve.Verdict.of_string text = Serve.Verdict.of_string_general text
+      && Serve.Verdict.of_string mutated = Serve.Verdict.of_string_general mutated)
+
 let suite =
   [
     Alcotest.test_case "journal roundtrip and reopen" `Quick test_journal_roundtrip;
@@ -854,4 +1116,15 @@ let suite =
       test_journal_torn_tail_then_compaction;
     Alcotest.test_case "verdict reader defaults on bad input" `Quick
       test_verdict_reader_defaults;
+    QCheck_alcotest.to_alcotest prop_replay_equals_general;
+    Alcotest.test_case "journal hand-written lines replay like the general reader" `Quick
+      test_journal_hand_written_lines_agree;
+    QCheck_alcotest.to_alcotest prop_put_writes_put_line;
+    Alcotest.test_case "journal crc32 matches the bitwise CRC" `Quick
+      test_journal_crc_matches_bitwise;
+    Alcotest.test_case "journal record nested too deep is torn" `Quick
+      test_journal_deep_record_is_torn;
+    Alcotest.test_case "verdict scan equals the general reader on hand-written text" `Quick
+      test_verdict_hand_written_texts_agree;
+    QCheck_alcotest.to_alcotest prop_verdict_scan_equals_general;
   ]

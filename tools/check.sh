@@ -296,6 +296,21 @@ at_most "$work/simulate.json" simulate_words_per_pkt 36.85
 grep -q '^digest *ebe39e515858b2d0d50735fced5e73cf$' "$work/simulate.txt" ||
   fail "simulated packets changed: $(grep '^digest' "$work/simulate.txt")"
 
+echo "== journal gate (allocation per record on serve's carry path, compacted bytes unchanged) =="
+# bench/main.ml's journal experiment: a serial model of serve-carry's
+# journal work over a deterministic 20,000-record store of verdicts
+# (open and replay it, decode every verdict, carry each as a put, then
+# compact). Minor words per record repeat exactly from run to run, so
+# each phase has a ceiling one word over its reading (open 37.32,
+# decode 50.52, put 17.00). The digest is the MD5 of the compacted file.
+run_ok "bench journal" dune exec bench/main.exe -- journal --json "$work/journal.json" \
+  >"$work/journal.txt"
+at_most "$work/journal.json" journal_open_words_per_record 38.32
+at_most "$work/journal.json" journal_decode_words_per_record 51.52
+at_most "$work/journal.json" journal_put_words_per_record 18.00
+grep -q '^digest *5a16d496afcba1432c63d079b89d4f0b$' "$work/journal.txt" ||
+  fail "compacted journal bytes changed: $(grep '^digest' "$work/journal.txt")"
+
 echo "== promotion gate (the census path holds nothing it does not read) =="
 # The words a serial census promotes out of the minor heap are what its
 # measurement path keeps alive across stages. The count varies by about
