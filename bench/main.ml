@@ -820,11 +820,13 @@ let simulate () =
 (* A serial model of bench/perf's serve-carry journal work: seed a
    deterministic store of [journal_records] verdict records under epoch-0
    keys, then open it (the replay), decode every verdict, carry each one
-   as a put under its epoch-1 key, and compact. Best of [journal_passes]
-   in CPU time. Minor words per record repeat exactly from pass to pass,
-   so they are what check.sh gates; the digest is the MD5 of the
-   compacted file, which a change to the journal or to the verdict
-   encoding must leave unchanged. *)
+   as a put under its epoch-1 key, and compact. A copy of the seeded
+   store takes the same carried records as one put_group, the way
+   Service.run writes them, and must compact to the same bytes. Best of
+   [journal_passes] in CPU time. Minor words per record repeat exactly
+   from pass to pass, so they are what check.sh gates; the digest is the
+   MD5 of the compacted file, which a change to the journal or to the
+   verdict encoding must leave unchanged. *)
 let journal_records = 20_000
 let journal_passes = 3
 
@@ -865,13 +867,16 @@ let measured f =
   (r, Gc.minor_words () -. w0, t)
 
 let journal () =
-  header "Journal" "serve's carry path per record (open, decode, put, compact)";
+  header "Journal" "serve's carry path per record (open, decode, put, group, compact)";
   let pass () =
     let path = Filename.temp_file "nebby-bench" ".journal" in
+    let grouped_path = Filename.temp_file "nebby-bench" ".journal" in
     Fun.protect
-      ~finally:(fun () -> Sys.remove path)
+      ~finally:(fun () -> List.iter Sys.remove [ path; grouped_path ])
       (fun () ->
         let sites = journal_seed path in
+        Out_channel.with_open_bin grouped_path (fun oc ->
+            output_string oc (In_channel.with_open_bin path In_channel.input_all));
         let n = Array.length sites in
         let e0 = Array.map (fun s -> "e0|" ^ s) sites and e1 = Array.map (fun s -> "e1|" ^ s) sites in
         let texts = Array.make n "" in
@@ -895,12 +900,20 @@ let journal () =
                 Engine.Journal.put j ~key:e1.(i) ~value:texts.(i)
               done)
         in
-        let (), _, compact_s = measured (fun () -> Engine.Journal.compact j) in
+        let (), compact_w, compact_s = measured (fun () -> Engine.Journal.compact j) in
         Engine.Journal.close j;
+        let g = Engine.Journal.open_ grouped_path in
+        let carried = List.init n (fun i -> (e1.(i), texts.(i))) in
+        let (), group_w, group_s = measured (fun () -> Engine.Journal.put_group g carried) in
+        Engine.Journal.compact g;
+        Engine.Journal.close g;
+        let digest = Digest.to_hex (Digest.file path) in
+        if Digest.to_hex (Digest.file grouped_path) <> digest then
+          failwith "journal bench: the grouped carry compacted to other bytes than put's";
         let per x = x /. float_of_int n in
-        ( [ per open_w; per decode_w; per put_w ],
-          List.map (fun s -> 1e6 *. per s) [ open_s; decode_s; put_s; compact_s ],
-          Digest.to_hex (Digest.file path) ))
+        ( List.map per [ open_w; decode_w; put_w; group_w; compact_w ],
+          List.map (fun s -> 1e6 *. per s) [ open_s; decode_s; put_s; group_s; compact_s ],
+          digest ))
   in
   let passes = List.init journal_passes (fun _ -> pass ()) in
   let cpu (_, us, _) = List.fold_left ( +. ) 0.0 us in
@@ -911,11 +924,11 @@ let journal () =
   if List.exists (fun (_, _, d) -> d <> digest) passes then
     failwith "journal: two passes compacted to different bytes";
   pf "%d records, best of %d passes in CPU time\n" journal_records journal_passes;
-  let names = [ "open"; "decode"; "put"; "compact" ] in
+  let names = [ "open"; "decode"; "put"; "group"; "compact" ] in
   List.iteri
     (fun i name ->
-      pf "%-8s %8.3f us/record%s\n" name (List.nth us i)
-        (if i < 3 then Printf.sprintf "  %7.2f minor words/record" (List.nth words i) else ""))
+      pf "%-8s %8.3f us/record  %7.2f minor words/record\n" name (List.nth us i)
+        (List.nth words i))
     names;
   pf "digest   %s\n" digest;
   Option.iter

@@ -1,10 +1,10 @@
 (* The durable journal behind `nebby serve`: append-only CRC-framed
    records under a schema-versioned header, torn-tail repair on open,
    canonical compaction. See journal.mli for the contract; the invariants
-   that matter here are (1) every put is flushed, so a crash loses at most
-   the record being written, and (2) compaction output is a pure function
-   of the live key/value map, so recovery and re-runs converge to
-   byte-identical files. *)
+   that matter here are (1) every put, and every group, is flushed before
+   it returns, so a crash loses at most what is being written, and (2)
+   compaction output is a pure function of the live key/value map, so
+   recovery and re-runs converge to byte-identical files. *)
 
 let schema_version = 1
 let kind = "nebby_journal"
@@ -265,21 +265,29 @@ let replay ?general_only text from =
 
 (* The table ---------------------------------------------------------------- *)
 
-(* One entry per live key: where its latest record sits (its payload's
-   offset and length; the line starts 9 bytes earlier and ends with a
-   newline), whether that whole line is canonical, and its value when
-   cached. Re-pointed in place by compaction. *)
+(* One entry per live key: the key, where its latest record sits (its
+   payload's offset and length; the line starts 9 bytes earlier and ends
+   with a newline), whether that whole line is canonical, and its value
+   when cached ([uncached] otherwise). Re-pointed in place by
+   compaction. *)
 type entry = {
+  key : string;
   mutable off : int;
   mutable len : int;
   mutable canonical : bool;
-  mutable value : string option;
+  mutable value : string;
 }
+
+(* An entry's value when it is not cached: a string of the journal's
+   own, told apart by physical equality, so that caching a value wraps
+   it in no option. *)
+let uncached = Bytes.to_string (Bytes.of_string "(not cached)")
 
 type t = {
   path : string;
   mutable oc : out_channel option;  (* append channel; None after close *)
   table : (string, entry) Hashtbl.t;
+  mutable order : entry array;  (* the first [Hashtbl.length table] slots: live entries *)
   cached : entry Queue.t;  (* bounded: entries holding a value, first cached first *)
   max_entries : int option;
   scratch : scratch;  (* put's and compaction's framing, under the lock *)
@@ -296,14 +304,15 @@ let torn_dropped t = t.torn
    entries and its length is bounded by max_entries, not by the number
    of puts; a re-put only replaces the value. *)
 let cache t e value =
-  (match (t.max_entries, e.value) with
-  | Some m, None ->
+  (match t.max_entries with
+  | Some m when e.value == uncached ->
     Queue.push e t.cached;
-    if Queue.length t.cached > max 1 m then (Queue.pop t.cached).value <- None
+    if Queue.length t.cached > max 1 m then (Queue.pop t.cached).value <- uncached
   | _ -> ());
-  e.value <- Some value
+  e.value <- value
 
-(* the latest record for [key] is now [len] payload bytes at [off] *)
+(* the latest record for [key] is now [len] payload bytes at [off]; a
+   new key's entry goes to the end of [order] *)
 let set_latest t key value ~off ~len ~canonical =
   match Hashtbl.find_opt t.table key with
   | Some e ->
@@ -312,7 +321,14 @@ let set_latest t key value ~off ~len ~canonical =
     e.canonical <- canonical;
     cache t e value
   | None ->
-    let e = { off; len; canonical; value = None } in
+    let e = { key; off; len; canonical; value = uncached } in
+    let live = Hashtbl.length t.table in
+    if live = Array.length t.order then begin
+      let grown = Array.make (max 256 (2 * live)) e in
+      Array.blit t.order 0 grown 0 live;
+      t.order <- grown
+    end;
+    t.order.(live) <- e;
     Hashtbl.add t.table key e;
     cache t e value
 
@@ -344,6 +360,7 @@ let open_ ?max_entries ?(on_warning = fun msg -> Printf.eprintf "%s\n%!" msg) pa
       (* sized for records of about 128 bytes (a serve verdict record
          takes more), so replaying a store does not resize the table *)
       table = Hashtbl.create (max 256 (String.length text / 128));
+      order = [||];
       cached = Queue.create ();
       max_entries;
       scratch = { payload = Buffer.create 256; frame = Bytes.create 256 };
@@ -388,14 +405,32 @@ let open_ ?max_entries ?(on_warning = fun msg -> Printf.eprintf "%s\n%!" msg) pa
 let appender t =
   match t.oc with Some oc -> oc | None -> failwith ("journal " ^ t.path ^ " is closed")
 
+(* put's and put_group's one record writer: frames a record into the
+   append channel, unflushed, and returns its payload's length *)
+let write_record t oc ~key ~value =
+  let len = frame_record t.scratch ~key ~value in
+  output oc t.scratch.frame 0 (len + 10);
+  len
+
+(* the record just flushed, [len] payload bytes at the end of the file *)
+let appended t ~key ~value len =
+  set_latest t key value ~off:(t.size + 9) ~len ~canonical:true;
+  t.size <- t.size + len + 10
+
 let put t ~key ~value =
   with_lock t (fun () ->
       let oc = appender t in
-      let len = frame_record t.scratch ~key ~value in
-      output oc t.scratch.frame 0 (len + 10);
+      let len = write_record t oc ~key ~value in
       flush oc;
-      set_latest t key value ~off:(t.size + 9) ~len ~canonical:true;
-      t.size <- t.size + len + 10)
+      appended t ~key ~value len)
+
+(* The table learns the group only once it is flushed, as with put. *)
+let put_group t records =
+  with_lock t (fun () ->
+      let oc = appender t in
+      let lens = List.map (fun (key, value) -> write_record t oc ~key ~value) records in
+      flush oc;
+      List.iter2 (fun (key, value) len -> appended t ~key ~value len) records lens)
 
 (* Cache misses re-read the framed line from disk and re-verify the CRC:
    the frame was checked when the record entered the table, so a
@@ -411,9 +446,8 @@ let read_from_disk t key e =
   | _ -> failwith (Printf.sprintf "journal %s: record for %S is corrupt on disk" t.path key)
 
 let value_locked t key e =
-  match e.value with
-  | Some v -> v
-  | None ->
+  if e.value != uncached then e.value
+  else
     let v = read_from_disk t key e in
     cache t e v;
     v
@@ -429,22 +463,29 @@ let length t = with_lock t (fun () -> Hashtbl.length t.table)
 
 let count_prefix t prefix =
   with_lock t (fun () ->
-      Hashtbl.fold
-        (fun k _ n -> if String.starts_with ~prefix k then n + 1 else n)
-        t.table 0)
+      let n = ref 0 in
+      for i = 0 to Hashtbl.length t.table - 1 do
+        if String.starts_with ~prefix t.order.(i).key then incr n
+      done;
+      !n)
 
-(* live (key, entry) pairs in ascending key order; keys are unique, and
-   stable_sort is a merge sort, cheaper than sort's heap sort *)
+(* Live entries in ascending key order; keys are unique. The sort starts
+   from first-insertion order: a store opened after a compaction inserts
+   its keys sorted and a carried epoch appends its keys in rank order, so
+   stable_sort (a merge sort) meets long sorted runs. On 40,000 serve
+   keys it takes about a quarter of the time it takes from the table's
+   hash order. *)
 let sorted_entries t =
-  let live = Array.of_seq (Hashtbl.to_seq t.table) in
-  Array.stable_sort (fun (a, _) (b, _) -> String.compare a b) live;
+  let live = Array.sub t.order 0 (Hashtbl.length t.table) in
+  Array.stable_sort (fun a b -> String.compare a.key b.key) live;
   live
 
-let keys t = with_lock t (fun () -> Array.to_list (Array.map fst (sorted_entries t)))
+let keys t =
+  with_lock t (fun () -> Array.fold_right (fun e acc -> e.key :: acc) (sorted_entries t) [])
 
 let fold f t init =
   with_lock t (fun () ->
-      Array.fold_left (fun acc (k, e) -> f k (value_locked t k e) acc) init (sorted_entries t))
+      Array.fold_left (fun acc e -> f e.key (value_locked t e.key e) acc) init (sorted_entries t))
 
 (* Canonical records' lines are copied from the file as they stand (their
    CRC was checked when they entered the table); only the records open
@@ -467,7 +508,7 @@ let compact t =
           Obs.Versioned.atomic_write t.path (fun oc ->
               output_string oc header_line;
               Array.iteri
-                (fun i (key, e) ->
+                (fun i e ->
                   let len =
                     if e.canonical then begin
                       output_substring oc text (e.off - 9) (e.len + 10);
@@ -475,7 +516,7 @@ let compact t =
                     end
                     else begin
                       let _, value = parse_payload (String.sub text e.off e.len) in
-                      let len = frame_record t.scratch ~key ~value in
+                      let len = frame_record t.scratch ~key:e.key ~value in
                       output oc t.scratch.frame 0 (len + 10);
                       len
                     end
@@ -485,11 +526,13 @@ let compact t =
                   size := !size + len + 10)
                 live);
           Array.iteri
-            (fun i (_, e) ->
+            (fun i e ->
               e.off <- offs.(i);
               e.len <- lens.(i);
               e.canonical <- true)
             live;
+          (* the file's order: the next sort starts from sorted runs *)
+          t.order <- live;
           t.size <- !size))
 
 let close t =

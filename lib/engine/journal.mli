@@ -10,9 +10,10 @@
 
     {v <crc32 of payload, 8 hex digits> {"key":K,"value":V} v}
 
-    Every [put] appends one record and flushes it, so the journal on disk
-    is always a valid prefix of the run plus at most one torn tail record
-    (a write cut mid-line by a crash). On {!open_} the tail is scanned:
+    Every [put] appends one record and flushes it; {!put_group} appends
+    several and flushes once. Either way the journal on disk is always a
+    valid prefix of the run plus at most one torn tail record (a write
+    cut mid-line by a crash). On {!open_} the tail is scanned:
     the first record that is incomplete, fails its CRC, or does not parse
     is dropped together with everything after it, the file is truncated
     back to the last good record, and [on_warning] is told — a torn tail
@@ -40,6 +41,9 @@
 
     The journal keeps one table entry per live key: where its latest
     record sits (byte offset and length) and, when cached, its value.
+    The entries also sit in an array in first-insertion order (the
+    file's order after a compaction), which {!keys}, {!fold} and
+    {!compact} sort by key.
     Resident memory stays flat under [?max_entries]: every key's
     location is always in memory, but at most [max_entries] entries
     hold a value, evicted first-cached-first (FIFO). {!open_} fills the
@@ -48,8 +52,9 @@
     after a reopen are served from memory like reads after a [put]. A
     miss re-reads the record from disk and re-checks its CRC.
 
-    Handles are domain-safe behind an internal mutex; [put] frames each
-    record in a scratch buffer of the handle under that mutex. *)
+    Handles are domain-safe behind an internal mutex; [put] and
+    {!put_group} frame each record in a scratch buffer of the handle
+    under that mutex. *)
 
 type t
 
@@ -65,6 +70,16 @@ val open_ : ?max_entries:int -> ?on_warning:(string -> unit) -> string -> t
 
 val put : t -> key:string -> value:string -> unit
 (** Append one record and flush it to disk. Last write per key wins. *)
+
+val put_group : t -> (string * string) list -> unit
+(** [put_group t records] appends each [(key, value)] record in order
+    and flushes once, after the last. The file's bytes and every read
+    afterwards are those of the same records [put] one at a time; the
+    records reach the table only after the flush. Until then the channel
+    may have written part of the group: a crash during a group leaves
+    on disk a valid prefix of the run (the group's first records among
+    it) plus at most one torn record, which {!open_} drops as it drops
+    any torn tail. *)
 
 val find : t -> string -> string option
 (** Value of the latest record for a key, from the cache or from disk. *)

@@ -15,9 +15,18 @@ let proto_tag = function Netsim.Packet.Tcp -> "tcp" | Netsim.Packet.Quic -> "qui
    populations; the fingerprint invalidates entries when the control
    measurements are retrained. *)
 let cache_key ~control ~proto ~region (site : Website.t) =
-  Printf.sprintf "%d:%s|%s|%s|%s" site.Website.rank site.Website.name (Region.name region)
-    (proto_tag proto)
-    (Nebby.Training.fingerprint control)
+  String.concat ""
+    [
+      string_of_int site.Website.rank;
+      ":";
+      site.Website.name;
+      "|";
+      Region.name region;
+      "|";
+      proto_tag proto;
+      "|";
+      Nebby.Training.fingerprint control;
+    ]
 
 let explain_site ?epoch ~control ~proto ~region (site : Website.t) =
   match proto with

@@ -17,15 +17,26 @@ let base_weights =
     ("akamai_cc", 7.0);
   ]
 
-let draw_weighted rng weights =
-  let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 weights in
-  let x = Netsim.Rng.uniform rng 0.0 total in
-  let rec pick acc = function
-    | [ (name, _) ] -> name
-    | (name, w) :: rest -> if x < acc +. w then name else pick (acc +. w) rest
-    | [] -> "cubic"
-  in
-  pick 0.0 weights
+(* A draw from [base_weights]: a uniform below their total, then the
+   first name whose running sum exceeds it (the last name otherwise).
+   The running sums are added in list order once, so every threshold and
+   the total are the floats a per-draw fold over the list would give. *)
+let base_names = Array.of_list (List.map fst base_weights)
+
+let base_sums =
+  let sum = ref 0.0 in
+  Array.of_list
+    (List.map
+       (fun (_, w) ->
+         sum := !sum +. w;
+         !sum)
+       base_weights)
+
+let draw_base rng =
+  let last = Array.length base_sums - 1 in
+  let x = Netsim.Rng.uniform rng 0.0 base_sums.(last) in
+  let rec pick i = if i = last || x < base_sums.(i) then base_names.(i) else pick (i + 1) in
+  pick 0
 
 type migration = { from_cca : string; to_cca : string; onset : int; rate : float }
 
@@ -62,10 +73,32 @@ let weights_at m ~epoch =
 
 (* generation -------------------------------------------------------------- *)
 
+(* Printf's "site-%05d.example" for a positive rank: the rank
+   zero-padded to five digits *)
+let site_name rank =
+  let digits = string_of_int rank in
+  let n = String.length digits in
+  let pad = max 0 (5 - n) in
+  let b = Bytes.make (5 + pad + n + 8) '0' in
+  Bytes.blit_string "site-" 0 b 0 5;
+  Bytes.blit_string digits 0 b (5 + pad) n;
+  Bytes.blit_string ".example" 0 b (5 + pad + n) 8;
+  Bytes.unsafe_to_string b
+
+(* one immutable every-region deployment list per CCA, shared by the
+   sites that deploy it everywhere *)
+let uniform_deployments =
+  let everywhere cca = List.map (fun r -> (r, cca)) Region.all in
+  let lists = List.map (fun (cca, _) -> (cca, everywhere cca)) base_weights in
+  fun cca ->
+    match List.find_opt (fun (c, _) -> String.equal c cca) lists with
+    | Some (_, uniform) -> uniform
+    | None -> everywhere cca
+
 let generate_full ?(n = 20_000) ~seed () =
   let rng = Netsim.Rng.create seed in
   let make rank =
-    let cca = draw_weighted rng base_weights in
+    let cca = draw_base rng in
     let cdn =
       if cca = "akamai_cc" then Website.Akamai
       else if Netsim.Rng.bool rng 0.18 then Website.Cloudflare
@@ -74,7 +107,7 @@ let generate_full ?(n = 20_000) ~seed () =
     in
     (* regional deployment differences (§4.2 finding 1): 13.6% of sites *)
     let deployments =
-      let uniform = List.map (fun r -> (r, cca)) Region.all in
+      let uniform = uniform_deployments cca in
       if (cca = "bbr" || cca = "bbr2") && Netsim.Rng.bool rng 0.5 then
         (* the amazon.com pattern: CUBIC towards Mumbai and/or Sao Paulo *)
         List.map
@@ -87,7 +120,7 @@ let generate_full ?(n = 20_000) ~seed () =
       else if Netsim.Rng.bool rng 0.066 then begin
         (* one region served by a different variant entirely *)
         let odd = List.nth Region.all (Netsim.Rng.int rng 5) in
-        let other = draw_weighted rng base_weights in
+        let other = draw_base rng in
         List.map (fun (r, c) -> if r = odd then (r, other) else (r, c)) uniform
       end
       else uniform
@@ -119,7 +152,7 @@ let generate_full ?(n = 20_000) ~seed () =
     in
     ( {
         Website.rank;
-        name = Printf.sprintf "site-%05d.example" rank;
+        name = site_name rank;
         cdn;
         page_bytes = 400_000 + Netsim.Rng.int rng 800_000;
         deployments;

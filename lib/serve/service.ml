@@ -114,7 +114,9 @@ type state = {
   cfg : config;
   store : Engine.Journal.t;
   queue : job Job_queue.t;
-  mutable commits : int;  (* puts so far, for crash injection *)
+  mutable commits : int;  (* records committed so far, for crash injection *)
+  mutable carrying : (string * string) list;
+      (* carried records committed but not yet written, newest first *)
   mutable measured : int;
   mutable recovered : int;
   mutable carried : int;
@@ -168,14 +170,36 @@ let observe_wait st (job : job) =
   Obs.Histogram.observe st.wait_hists.(job.prio)
     (float_of_int (st.commits - job.admitted_at))
 
-(* Every journal write funnels through here so the crash-injection
-   counter sees each commit exactly once, in commit order. *)
-let commit st ~key ~value =
-  Engine.Journal.put st.store ~key ~value;
+(* Carried verdicts are written as one group: the slot loop queues them
+   and this writes them, before any other record is committed, before a
+   batch is measured and at the end of the slot loop, so the file holds
+   every record in commit order. *)
+let write_carried st =
+  match st.carrying with
+  | [] -> ()
+  | group ->
+    st.carrying <- [];
+    Engine.Journal.put_group st.store (List.rev group)
+
+(* Every commit funnels through here so the crash-injection counter sees
+   each one exactly once, in commit order; a kill first writes the
+   carried group up to this commit. *)
+let committed st =
   st.commits <- st.commits + 1;
   match st.cfg.kill_after_commits with
-  | Some n when st.commits >= n -> Unix.kill (Unix.getpid ()) Sys.sigkill
+  | Some n when st.commits >= n ->
+    write_carried st;
+    Unix.kill (Unix.getpid ()) Sys.sigkill
   | _ -> ()
+
+let commit st ~key ~value =
+  write_carried st;
+  Engine.Journal.put st.store ~key ~value;
+  committed st
+
+let carry st ~key ~value =
+  st.carrying <- (key, value) :: st.carrying;
+  committed st
 
 let commit_verdict st (job : job) verdict =
   let text = Verdict.to_string verdict in
@@ -183,6 +207,7 @@ let commit_verdict st (job : job) verdict =
   st.held.(job.slot) <- Some { text; verdict }
 
 let process_batch st ~control =
+  write_carried st;
   let batch = Job_queue.pop_batch st.queue st.cfg.batch in
   let cfg = st.cfg in
   let results =
@@ -251,20 +276,17 @@ let run_epoch st ~control ~cache_keys ~websites epoch =
      when its verdict was committed or recovered *)
   let prev = st.held in
   st.held <- Array.make (List.length websites) None;
+  let recovered = st.recovered and carried = st.carried in
   List.iteri
     (fun slot site ->
       let key = epoch_key epoch cache_keys.(slot) in
-      if Engine.Journal.mem st.store key then begin
+      match Engine.Journal.find st.store key with
+      | Some text ->
         (* already durable: a previous (possibly killed) run measured it *)
         st.recovered <- st.recovered + 1;
-        Obs.Metrics.bump "serve.recovered";
         flight ~epoch ~event:"recovered" ~value:(float_of_int site.Internet.Website.rank);
-        st.held.(slot) <-
-          Option.map
-            (fun text -> { text; verdict = Verdict.of_string text })
-            (Engine.Journal.find st.store key)
-      end
-      else
+        st.held.(slot) <- Some { text; verdict = Verdict.of_string text }
+      | None -> (
         let job = { site; key; slot; epoch; timeouts_so_far = 0; prio = 1; admitted_at = 0 } in
         if epoch = 0 then admit st ~control ~prio:1 job
         else
@@ -274,11 +296,15 @@ let run_epoch st ~control ~cache_keys ~websites epoch =
                    ~margin_floor:cfg.margin_floor h.verdict ->
             (* stable verdict: carry it forward instead of re-measuring *)
             st.carried <- st.carried + 1;
-            Obs.Metrics.bump "serve.carried";
-            commit st ~key ~value:h.text;
+            carry st ~key ~value:h.text;
             st.held.(slot) <- prev.(slot)
-          | Some _ | None -> admit st ~control ~prio:0 job)
+          | Some _ | None -> admit st ~control ~prio:0 job))
     websites;
+  write_carried st;
+  (* one bump per epoch: bump hashes the counter's name *)
+  let bump name n = if n > 0 then Obs.Metrics.bump ~by:n name in
+  bump "serve.recovered" (st.recovered - recovered);
+  bump "serve.carried" (st.carried - carried);
   while Job_queue.depth st.queue > 0 do
     process_batch st ~control
   done;
@@ -361,6 +387,7 @@ let run ~control ~config ~store =
       store = journal;
       queue = Job_queue.create ~levels:2 ~high_water:config.high_water ();
       commits = 0;
+      carrying = [];
       measured = 0;
       recovered = 0;
       carried = 0;

@@ -25,7 +25,9 @@
     - {b Delta census} — epoch 0 measures every site; epoch [e > 0]
       re-measures only sites whose epoch [e-1] verdict decayed
       (confidence or margin below the configured floors) and carries
-      every stable verdict forward. Each finished epoch commits a
+      every stable verdict forward. The carried verdicts of an epoch
+      are written as one {!Engine.Journal.put_group}, flushed before any
+      other record is committed. Each finished epoch commits a
       {!Internet.Census_history}-style snapshot under ["snapshot|e<e>"],
       recording the landscape's drift across epochs.
 
@@ -34,7 +36,8 @@
     any commit boundary and restarted produces a final store
     byte-identical to an uninterrupted run, because both replay the same
     key/value map and both end with canonical {!Engine.Journal.compact}.
-    [tools/check.sh] enforces exactly this with a seeded SIGKILL. *)
+    [tools/check.sh] enforces exactly this with a SIGKILL after every
+    commit of a reference run in turn. *)
 
 type config = {
   sites : int;  (** population size ([Population.generate ~n]) *)
@@ -53,7 +56,9 @@ type config = {
   margin_floor : float;  (** epoch-decay threshold on winning margin *)
   kill_after_commits : int option;
       (** crash injection: SIGKILL this process after the Nth journal
-          commit — the check.sh kill-and-resume gate *)
+          commit, with exactly N records on disk (a carried group is
+          written up to that commit first) — the check.sh
+          kill-and-resume gates *)
   status_file : string option;
       (** live health surface: write a {!Health.snapshot} here (plus a
           Prometheus exposition at [path ^ ".prom"]) after every batch

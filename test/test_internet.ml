@@ -10,6 +10,40 @@ let test_population_deterministic () =
   let c = Internet.Population.generate ~n:100 ~seed:10 () in
   Alcotest.(check bool) "different seed differs" true (a <> c)
 
+(* Every field of every site, floats in %h, so a rewrite of generation
+   keeps these digests only if it makes the same draws and spells the
+   same names. *)
+let population_digest (sites : Internet.Website.t list) =
+  let b = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun (s : Internet.Website.t) ->
+      Printf.bprintf b "%d|%s|%s|%d|%s|%b|%s|%h|%h\n" s.rank s.name
+        (match s.cdn with
+        | Internet.Website.Cloudflare -> "cloudflare"
+        | Internet.Website.Akamai -> "akamai"
+        | Internet.Website.Self_hosted -> "self"
+        | Internet.Website.Other_cdn -> "other")
+        s.page_bytes
+        (String.concat ","
+           (List.map (fun (r, c) -> Internet.Region.name r ^ "=" ^ c) s.deployments))
+        s.quic
+        (Option.value ~default:"-" s.quic_cca)
+        s.noise_factor s.ddos_sensitivity)
+    sites;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_population_pinned () =
+  let seed = 20230601 in
+  Alcotest.(check string) "generate ~n:2000" "30ac3718d434e635cb172954366199d2"
+    (population_digest (Internet.Population.generate ~n:2000 ~seed ()));
+  (* the default migration (cubic to bbr from epoch 2): before its onset,
+     and two epochs with converted sites *)
+  Alcotest.(check string) "generate_at ~n:2000, epochs 1, 3, 6" "9d0f54802b0c6c7cb8322368aeae6c61"
+    (population_digest
+       (List.concat_map
+          (fun epoch -> Internet.Population.generate_at ~n:2000 ~seed ~epoch ())
+          [ 1; 3; 6 ]))
+
 let test_population_shares () =
   let sites = Internet.Population.generate ~n:5000 ~seed:1 () in
   let count pred = List.length (List.filter pred sites) in
@@ -219,6 +253,7 @@ let test_shared_bottleneck_contention () =
 let suite =
   [
     Alcotest.test_case "population generation is deterministic" `Quick test_population_deterministic;
+    Alcotest.test_case "population fields pinned" `Quick test_population_pinned;
     Alcotest.test_case "population matches the paper's shares" `Quick test_population_shares;
     Alcotest.test_case "regional deployment differences exist" `Quick
       test_population_regional_differences;

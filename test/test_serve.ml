@@ -255,6 +255,27 @@ let test_cache_key_bytes_pinned () =
   Alcotest.(check bool) "another seed, another fingerprint" true
     (Nebby.Training.fingerprint reseeded <> fp)
 
+(* The key's spelling by hand: the rank, the population's zero-padded
+   name (five digits, more past 99999), region, protocol, fingerprint. *)
+let test_cache_key_spellings () =
+  let c = Lazy.force control in
+  let fp = Nebby.Training.fingerprint c in
+  let sites = Array.of_list (Internet.Population.generate ~n:100_000 ~seed:7 ()) in
+  let key rank proto = Internet.Census.cache_key ~control:c ~proto ~region sites.(rank - 1) in
+  List.iter
+    (fun (rank, tcp, quic) ->
+      Alcotest.(check string) (Printf.sprintf "rank %d, tcp" rank) (tcp ^ fp)
+        (key rank Netsim.Packet.Tcp);
+      Alcotest.(check string) (Printf.sprintf "rank %d, quic" rank) (quic ^ fp)
+        (key rank Netsim.Packet.Quic))
+    [
+      (1, "1:site-00001.example|Ohio|tcp|", "1:site-00001.example|Ohio|quic|");
+      (99999, "99999:site-99999.example|Ohio|tcp|", "99999:site-99999.example|Ohio|quic|");
+      (100000, "100000:site-100000.example|Ohio|tcp|", "100000:site-100000.example|Ohio|quic|");
+    ];
+  Alcotest.(check string) "another region" ("12:site-00012.example|Paris|tcp|" ^ fp)
+    (Internet.Census.cache_key ~control:c ~proto ~region:Internet.Region.Paris sites.(11))
+
 (* ---- job queue ---- *)
 
 let test_queue_backpressure () =
@@ -970,6 +991,113 @@ let prop_put_writes_put_line =
           = header ^ put_line key value ^ "\n"
             ^ put_line "next" (key ^ value) ^ "\n"))
 
+(* One op of the group-write property: a put, a group of puts, [n]
+   records under keys of their own (as a group or one at a time), enough
+   to grow the journal's entry array, a compaction or a close and
+   reopen. *)
+type journal_op =
+  | Put of string * string
+  | Group of (string * string) list
+  | Bulk of int * bool
+  | Compact
+  | Reopen
+
+let bulk_records n = List.init n (fun i -> (Printf.sprintf "bulk%04d" i, string_of_int n))
+
+let show_op = function
+  | Put (k, v) -> Printf.sprintf "put %S %S" k v
+  | Group rs ->
+    "group [" ^ String.concat "; " (List.map (fun (k, v) -> Printf.sprintf "%S %S" k v) rs) ^ "]"
+  | Bulk (n, grouped) -> Printf.sprintf "bulk %d%s" n (if grouped then " grouped" else "")
+  | Compact -> "compact"
+  | Reopen -> "reopen"
+
+(* keys from a small pool of special bytes, so later ops re-put earlier
+   keys, in groups and after compactions *)
+let gen_journal_ops =
+  QCheck.Gen.(
+    let key =
+      string_size
+        ~gen:(map (String.get "ab\"\\\n\xc3") (int_bound 5))
+        (int_range 0 2)
+    in
+    let record = pair key gen_bytes in
+    pair
+      (oneofl [ None; Some 1; Some 2 ])
+      (list_size (int_range 1 12)
+         (frequency
+            [
+              (3, map (fun (k, v) -> Put (k, v)) record);
+              (3, map (fun rs -> Group rs) (list_size (int_range 0 6) record));
+              (1, map2 (fun n grouped -> Bulk (n, grouped)) (int_range 200 700) bool);
+              (1, return Compact);
+              (1, return Reopen);
+            ])))
+
+(* Two journals take the same records, one through put_group and one
+   put at a time; a model map says what each key must hold. *)
+let prop_put_group_equals_puts =
+  QCheck.Test.make ~name:"journal put_group equals the same puts one at a time" ~count:300
+    (QCheck.make
+       ~print:
+         QCheck.Print.(
+           pair (option int) (fun ops -> String.concat "\n" (List.map show_op ops)))
+       gen_journal_ops)
+    (fun (max_entries, ops) ->
+      with_store (fun grouped_path ->
+          with_store (fun single_path ->
+              Sys.remove grouped_path;
+              Sys.remove single_path;
+              let grouped = ref (Engine.Journal.open_ ?max_entries grouped_path)
+              and single = ref (Engine.Journal.open_ ?max_entries single_path) in
+              let model = Hashtbl.create 16 in
+              let put_single (key, value) =
+                Engine.Journal.put !single ~key ~value;
+                Hashtbl.replace model key value
+              in
+              List.iter
+                (function
+                  | Put (key, value) ->
+                    Engine.Journal.put !grouped ~key ~value;
+                    put_single (key, value)
+                  | Group records ->
+                    Engine.Journal.put_group !grouped records;
+                    List.iter put_single records
+                  | Bulk (n, group) ->
+                    let records = bulk_records n in
+                    if group then Engine.Journal.put_group !grouped records
+                    else
+                      List.iter (fun (key, value) -> Engine.Journal.put !grouped ~key ~value) records;
+                    List.iter put_single records
+                  | Compact ->
+                    Engine.Journal.compact !grouped;
+                    Engine.Journal.compact !single
+                  | Reopen ->
+                    Engine.Journal.close !grouped;
+                    Engine.Journal.close !single;
+                    grouped := Engine.Journal.open_ ?max_entries grouped_path;
+                    single := Engine.Journal.open_ ?max_entries single_path)
+                ops;
+              let expected =
+                List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model [])
+              in
+              let pairs j = List.rev (Engine.Journal.fold (fun k v acc -> (k, v) :: acc) j []) in
+              let finds j = List.map (fun (k, _) -> (k, Engine.Journal.find j k)) expected in
+              let g = !grouped and s = !single in
+              let same =
+                read_file grouped_path = read_file single_path
+                && Engine.Journal.keys g = Engine.Journal.keys s
+                && Engine.Journal.keys g = List.map fst expected
+                && pairs g = pairs s
+                && pairs g = expected
+                && finds g = finds s
+                && finds g = List.map (fun (k, v) -> (k, Some v)) expected
+                && Engine.Journal.find g "absent key" = None
+              in
+              Engine.Journal.close g;
+              Engine.Journal.close s;
+              same)))
+
 let test_journal_crc_matches_bitwise () =
   let s = String.init 320 (fun i -> Char.chr ((i * 131 + (i * i * 7)) land 0xff)) in
   for len = 0 to 300 do
@@ -1120,6 +1248,7 @@ let suite =
     Alcotest.test_case "journal hand-written lines replay like the general reader" `Quick
       test_journal_hand_written_lines_agree;
     QCheck_alcotest.to_alcotest prop_put_writes_put_line;
+    QCheck_alcotest.to_alcotest prop_put_group_equals_puts;
     Alcotest.test_case "journal crc32 matches the bitwise CRC" `Quick
       test_journal_crc_matches_bitwise;
     Alcotest.test_case "journal record nested too deep is torn" `Quick
@@ -1127,4 +1256,5 @@ let suite =
     Alcotest.test_case "verdict scan equals the general reader on hand-written text" `Quick
       test_verdict_hand_written_texts_agree;
     QCheck_alcotest.to_alcotest prop_verdict_scan_equals_general;
+    Alcotest.test_case "cache key spellings by hand" `Slow test_cache_key_spellings;
   ]

@@ -300,14 +300,19 @@ echo "== journal gate (allocation per record on serve's carry path, compacted by
 # bench/main.ml's journal experiment: a serial model of serve-carry's
 # journal work over a deterministic 20,000-record store of verdicts
 # (open and replay it, decode every verdict, carry each as a put, then
-# compact). Minor words per record repeat exactly from run to run, so
-# each phase has a ceiling one word over its reading (open 37.32,
-# decode 50.52, put 17.00). The digest is the MD5 of the compacted file.
+# compact; a copy carries the same records as one put_group and must
+# compact to the same bytes). Minor words per record repeat exactly from
+# run to run, so open, decode and put keep the ceilings they were given
+# one word over an earlier reading (open 37.32, decode 50.52, put 17.00;
+# they now read 36.33, 50.52 and 16.00), and compaction's ceiling is one
+# word over its reading of 4.10. The digest is the MD5 of the compacted
+# file.
 run_ok "bench journal" dune exec bench/main.exe -- journal --json "$work/journal.json" \
   >"$work/journal.txt"
 at_most "$work/journal.json" journal_open_words_per_record 38.32
 at_most "$work/journal.json" journal_decode_words_per_record 51.52
 at_most "$work/journal.json" journal_put_words_per_record 18.00
+at_most "$work/journal.json" journal_compact_words_per_record 5.10
 grep -q '^digest *5a16d496afcba1432c63d079b89d4f0b$' "$work/journal.txt" ||
   fail "compacted journal bytes changed: $(grep '^digest' "$work/journal.txt")"
 
@@ -398,6 +403,33 @@ same "$work/ref.journal" "$work/crash.journal" "resumed store diverged from the 
 same "$work/ref.journal" "$work/crash_bounded.journal" \
   "store resumed with --max-entries 2 diverged from the uninterrupted run"
 echo "(killed after ${kill_after} commits; resumed store byte-identical, also with --max-entries 2)"
+
+echo "== serve kill-at-every-commit gate (a kill after any commit resumes to the reference) =="
+# The same run killed after each commit in turn, the carried epoch's group
+# included: a kill inside a carried group writes the group up to that commit,
+# so the killed store holds exactly n records, and resuming it must give the
+# reference bytes. The reference commits each of its records once, so a kill
+# point one past its record count must let the run finish.
+records=$(( $(wc -l <tools/expect/serve_ref.journal) - 1 ))
+n=1
+while [ "$n" -le "$records" ]; do
+  rm -f "$work/kill.journal"
+  if "$cli" $serve --store "$work/kill.journal" --kill-after-commits "$n" >/dev/null 2>&1; then
+    fail "serve run killed after $n commits survived"
+  fi
+  [ "$(wc -l <"$work/kill.journal")" -eq $((n + 1)) ] ||
+    fail "serve run killed after $n commits left $(( $(wc -l <"$work/kill.journal") - 1 )) records"
+  run_ok "serve resumed after a kill at commit $n" \
+    "$cli" $serve --store "$work/kill.journal" >/dev/null 2>&1
+  same "$work/ref.journal" "$work/kill.journal" \
+    "store killed after $n commits resumed to other bytes"
+  n=$((n + 1))
+done
+rm -f "$work/kill.journal"
+run_ok "serve run with its kill point past the last commit" \
+  "$cli" $serve --store "$work/kill.journal" --kill-after-commits "$n" >/dev/null
+same "$work/ref.journal" "$work/kill.journal" "serve run past its kill point drifted"
+echo "(killed after each of ${records} commits; every resumed store byte-identical)"
 
 echo "== serve compaction determinism gate (compact twice, byte-identical) =="
 run_ok "serve --compact-only" "$cli" serve --compact-only --store "$work/ref.journal" >/dev/null
